@@ -56,15 +56,16 @@ type Config struct {
 	// call back into the engine.
 	Send func(frame []byte)
 
-	// Validate reports whether an announce entry carries a well-formed
-	// uniqueness certificate for an in-range ballot. It must be a pure
-	// function of the entry (no node-local state): every honest node filters
-	// a delivered proposal identically, so the union below is identical too.
-	Validate func(entry *wire.AnnounceEntry) bool
-
-	// Adopt installs a validated certified code into the host node (and its
-	// journal) so the final set can be assembled locally. Optional.
-	Adopt func(entry *wire.AnnounceEntry) bool
+	// Accept judges one delivered proposal as a batch: verdict i reports
+	// whether entries[i] carries a well-formed uniqueness certificate for an
+	// in-range ballot. The verdicts must be a pure function of the entries —
+	// whatever node-local state the host consults may only save it work,
+	// never change an answer — because every honest node filters a delivered
+	// proposal identically, so the union below is identical too. It is called
+	// once per delivered broadcast, and the host installs the entries it
+	// accepts (into its ballot state and journal) in the same pass, so the
+	// final set can be assembled locally. Optional: nil accepts every entry.
+	Accept func(entries []wire.AnnounceEntry) []bool
 }
 
 // Engine is one election's ACS run. Feed inbound frames via Handle, start
@@ -78,8 +79,7 @@ type Engine struct {
 	coin    consensus.Coin
 	clk     clock.Clock
 	send    func([]byte)
-	valid   func(*wire.AnnounceEntry) bool
-	adopt   func(*wire.AnnounceEntry) bool
+	accept  func([]wire.AnnounceEntry) []bool
 
 	mu       sync.Mutex
 	started  bool
@@ -114,10 +114,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Send == nil || cfg.Coin == nil {
 		return nil, errors.New("acs: Send and Coin are required")
 	}
-	valid := cfg.Validate
-	if valid == nil {
-		valid = func(*wire.AnnounceEntry) bool { return true }
-	}
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.Real{}
@@ -125,7 +121,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		n: cfg.N, f: cfg.F, self: cfg.Self, ballots: cfg.Ballots,
 		coin: cfg.Coin, clk: clk, send: cfg.Send,
-		valid: valid, adopt: cfg.Adopt,
+		accept:   cfg.Accept,
 		rbc:      make([]*rbcState, cfg.N),
 		inst:     make([]*abaInstance, cfg.N),
 		pending:  cfg.N,
@@ -151,7 +147,8 @@ func (e *Engine) Start(proposal []wire.AnnounceEntry, _ []byte) error {
 	e.started = true
 	// The broadcaster's own ECHO doubles as the Bracha SEND step; peers
 	// receiving it echo the full payload onward.
-	e.deliverFrame(&wire.RBCEcho{Sender: e.self, Broadcaster: e.self, Entries: proposal})
+	m := wire.NewRBCEcho(e.self, e.self, proposal)
+	e.sendEcho(m, payloadHash(m))
 	frames := e.drainLocked()
 	e.mu.Unlock()
 	e.emit(frames)
@@ -241,24 +238,46 @@ func newRBCState() *rbcState {
 	}
 }
 
-// payloadHash binds a proposal payload to its broadcaster. It reuses the
-// canonical wire encoding so byte-identical frames hash identically.
-func payloadHash(broadcaster uint16, entries []wire.AnnounceEntry) [32]byte {
-	return sha256.Sum256(wire.Encode(&wire.RBCEcho{Broadcaster: broadcaster, Entries: entries}))
+// payloadHash binds a proposal payload to its broadcaster. It hashes the
+// canonical payload bytes the message already carries — the ones the strict
+// decoder accepted, or the broadcaster's single encoding — so no receipt
+// re-encodes the entries.
+func payloadHash(m *wire.RBCEcho) [32]byte {
+	h := sha256.New()
+	h.Write([]byte{byte(wire.KindRBCEcho), byte(m.Broadcaster >> 8), byte(m.Broadcaster)})
+	h.Write(m.Payload())
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
 }
 
 func (e *Engine) onEcho(from uint16, m *wire.RBCEcho) {
-	if int(m.Broadcaster) >= e.n {
+	if int(m.Broadcaster) >= e.n || e.rbc[m.Broadcaster].delivered {
 		return
 	}
+	e.tallyEcho(from, m, payloadHash(m))
+}
+
+// sendEcho multicasts this node's ECHO of the payload hashing to h — at most
+// one per broadcaster — and counts it locally.
+func (e *Engine) sendEcho(m *wire.RBCEcho, h [32]byte) {
 	st := e.rbc[m.Broadcaster]
-	if st.delivered {
+	if st.echoSent || st.delivered {
 		return
 	}
-	h := payloadHash(m.Broadcaster, m.Entries)
+	st.echoSent = true
+	e.outBox = append(e.outBox, wire.Encode(m))
+	e.tallyEcho(e.self, m, h)
+}
+
+// tallyEcho counts one ECHO of the undelivered payload hashing to h. A
+// payload is hashed once per receipt: the relay of a broadcaster's ECHO
+// reuses its bytes and its hash.
+func (e *Engine) tallyEcho(from uint16, m *wire.RBCEcho, h [32]byte) {
+	st := e.rbc[m.Broadcaster]
 	t := st.echoes[h]
 	if t == nil {
-		t = &payloadTally{entries: m.Entries}
+		t = &payloadTally{entries: m.Entries()}
 		st.echoes[h] = t
 	}
 	bit := uint64(1) << from
@@ -266,15 +285,13 @@ func (e *Engine) onEcho(from uint16, m *wire.RBCEcho) {
 		return
 	}
 	t.senders |= bit
-	// The broadcaster's own ECHO is the SEND step: echo the payload onward
-	// exactly once per broadcaster.
-	if from == m.Broadcaster && !st.echoSent {
-		st.echoSent = true
-		e.deliverFrame(&wire.RBCEcho{Sender: e.self, Broadcaster: m.Broadcaster, Entries: m.Entries})
+	// The broadcaster's own ECHO is the SEND step: echo the payload onward.
+	if from == m.Broadcaster && from != e.self {
+		e.sendEcho(m.WithSender(e.self), h)
 	}
 	if popcount(t.senders) >= e.n-e.f && !st.readySent {
 		st.readySent = true
-		e.deliverFrame(&wire.RBCReady{Sender: e.self, Broadcaster: m.Broadcaster, Hash: h[:]})
+		e.sendReady(m.Broadcaster, h)
 	}
 	// A READY quorum may have formed before the payload arrived.
 	e.maybeDeliver(m.Broadcaster, st, h)
@@ -299,9 +316,16 @@ func (e *Engine) onReady(from uint16, m *wire.RBCReady) {
 	// payload), which gives Bracha totality.
 	if popcount(st.readies[h]) >= e.f+1 && !st.readySent {
 		st.readySent = true
-		e.deliverFrame(&wire.RBCReady{Sender: e.self, Broadcaster: m.Broadcaster, Hash: h[:]})
+		e.sendReady(m.Broadcaster, h)
 	}
 	e.maybeDeliver(m.Broadcaster, st, h)
+}
+
+// sendReady queues this node's READY for multicast and counts it locally.
+func (e *Engine) sendReady(b uint16, h [32]byte) {
+	m := &wire.RBCReady{Sender: e.self, Broadcaster: b, Hash: h[:]}
+	e.outBox = append(e.outBox, wire.Encode(m))
+	e.onReady(e.self, m)
 }
 
 // maybeDeliver completes the broadcast once 2f+1 READYs agree on a hash
@@ -315,15 +339,15 @@ func (e *Engine) maybeDeliver(b uint16, st *rbcState, h [32]byte) {
 		return // payload not yet seen; a later ECHO completes it
 	}
 	st.delivered = true
-	st.validated = st.validated[:0]
-	for i := range t.entries {
-		entry := &t.entries[i]
-		if !e.valid(entry) {
-			continue // deterministic filter: every honest node drops it
-		}
-		st.validated = append(st.validated, *entry)
-		if e.adopt != nil {
-			e.adopt(entry)
+	st.validated = t.entries
+	if e.accept != nil {
+		// Deterministic filter: every honest node drops the same entries.
+		verdicts := e.accept(t.entries)
+		st.validated = make([]wire.AnnounceEntry, 0, len(t.entries))
+		for i := range t.entries {
+			if verdicts[i] {
+				st.validated = append(st.validated, t.entries[i])
+			}
 		}
 	}
 	st.echoes, st.readies = nil, nil
@@ -332,18 +356,6 @@ func (e *Engine) maybeDeliver(b uint16, st *rbcState, h [32]byte) {
 }
 
 // --- plumbing ---------------------------------------------------------------
-
-// deliverFrame queues a frame for multicast and self-delivers it: the node
-// is one of the n parties and must process its own broadcasts.
-func (e *Engine) deliverFrame(msg wire.Message) {
-	e.outBox = append(e.outBox, wire.Encode(msg))
-	switch m := msg.(type) {
-	case *wire.RBCEcho:
-		e.onEcho(e.self, m)
-	case *wire.RBCReady:
-		e.onReady(e.self, m)
-	}
-}
 
 // sendABA queues one per-instance agreement message for the next flush and
 // self-delivers it.

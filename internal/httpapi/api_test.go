@@ -264,6 +264,11 @@ func TestUnversionedAliasCompat(t *testing.T) {
 	if vcSnap.VotesAccepted < 1 {
 		t.Fatalf("vc snapshot did not count the vote: %+v", vcSnap)
 	}
+	for _, counter := range []string{`"CertSigVerifies"`, `"CertSigMemoHits"`} {
+		if !bytes.Contains(vcMetricsBody, []byte(counter)) {
+			t.Fatalf("vc /v1/metrics does not carry %s: %s", counter, vcMetricsBody)
+		}
+	}
 
 	// Error envelopes are identical on aliased paths, legacy "error" key
 	// included.

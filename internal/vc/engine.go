@@ -47,11 +47,11 @@ type EngineConfig struct {
 
 	// Send multicasts an encoded frame to the other N-1 nodes.
 	Send func(frame []byte)
-	// Validate is a pure check that an announce entry carries a well-formed
-	// uniqueness certificate — identical at every honest node.
-	Validate func(entry *wire.AnnounceEntry) bool
-	// Adopt installs a certified code into the node and its journal.
-	Adopt func(entry *wire.AnnounceEntry) bool
+	// Accept judges a batch of announce entries — verdict i reports whether
+	// entries[i] carries a well-formed uniqueness certificate, identically at
+	// every honest node — and installs the accepted ones into the node and
+	// its journal.
+	Accept func(entries []wire.AnnounceEntry) []bool
 }
 
 // EngineFactory builds a ConsensusEngine for one election run.
@@ -90,7 +90,7 @@ func ACSEngine(cfg EngineConfig) (ConsensusEngine, error) {
 	return acs.New(acs.Config{
 		N: cfg.N, F: cfg.F, Self: cfg.Self, Ballots: cfg.Ballots,
 		Coin: cfg.Coin, Clock: cfg.Clock,
-		Send: cfg.Send, Validate: cfg.Validate, Adopt: cfg.Adopt,
+		Send: cfg.Send, Accept: cfg.Accept,
 	})
 }
 

@@ -23,6 +23,12 @@ type Metrics struct {
 	Snapshots      atomic.Int64 // snapshot + log-truncation cycles
 	StrictRefusals atomic.Int64 // acks refused under Policy: Strict
 
+	// UCERT signature checks (vote path and vote-set consensus alike): how
+	// many went to Ed25519, and how many the node skipped because it already
+	// holds the byte-identical verified signature (see verifyCerts).
+	CertSigVerifies atomic.Int64
+	CertSigMemoHits atomic.Int64
+
 	EndorseNanos atomic.Int64 // cumulative endorsement-phase time (responder)
 	EndorseCount atomic.Int64
 	VoteNanos    atomic.Int64 // cumulative full vote time (responder)
@@ -52,6 +58,9 @@ type Snapshot struct {
 	Snapshots      int64
 	StrictRefusals int64
 
+	CertSigVerifies int64
+	CertSigMemoHits int64
+
 	// Ballot-store cache counters, populated when the node's store is a
 	// store.Cached (zero otherwise). StoreShared counts misses that joined
 	// another Get's in-flight read — the single-flight win.
@@ -78,6 +87,9 @@ func (n *Node) Metrics() Snapshot {
 		JournalErrors:  n.metrics.JournalErrors.Load(),
 		Snapshots:      n.metrics.Snapshots.Load(),
 		StrictRefusals: n.metrics.StrictRefusals.Load(),
+
+		CertSigVerifies: n.metrics.CertSigVerifies.Load(),
+		CertSigMemoHits: n.metrics.CertSigMemoHits.Load(),
 	}
 	if c, ok := n.st.(*store.Cached); ok {
 		cs := c.Stats()

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -553,7 +554,12 @@ func (n *Node) SubmitVote(ctx context.Context, serial uint64, code []byte) ([]by
 			// necessarily ever left this node — waiting would hang on a
 			// disclosure nobody made. Fall through and re-drive the flow:
 			// collection is idempotent, and the re-binding arm below
-			// re-journals and re-discloses.
+			// re-journals and re-discloses. The endorsement record it may
+			// append below must find its duty installed (a peer's VOTE_P can
+			// have bound the ballot before any ENDORSE).
+			if st.endorsedCode == nil {
+				st.endorsedCode = append([]byte(nil), code...)
+			}
 			endorseDurable = st.endorsedDurable
 			break
 		}
@@ -750,30 +756,144 @@ func (n *Node) endorseSig(serial uint64, code []byte) []byte {
 	return sig.Sign(n.priv, endorseDomain, []byte(n.manifest.ElectionID), sig.Uint64Bytes(serial), code)
 }
 
-// VerifyUCert checks a uniqueness certificate against the VC public keys.
-func (n *Node) VerifyUCert(cert *wire.UCert) bool {
-	return VerifyUCert(cert, n.manifest.ElectionID, n.vcPubs, n.hv)
-}
-
 // VerifyUCert checks that cert carries at least threshold distinct valid
-// endorsement signatures.
+// endorsement signatures. Only a signer's first signature counts. It is the
+// cold reference predicate that tests hold verifyCerts to: a pure function of
+// its arguments, with every counted signature checked cryptographically. No
+// message handler calls it — it stops at the threshold, so a certificate it
+// accepts may still carry signatures nobody checked, and a node must not hold
+// those (see verifyCerts).
 func VerifyUCert(cert *wire.UCert, electionID string, vcPubs []ed25519.PublicKey, threshold int) bool {
 	if cert == nil || len(cert.Sigs) < threshold {
 		return false
 	}
-	seen := make(map[uint16]bool, len(cert.Sigs))
+	var seen uint64 // signer bitmask: Nv <= 64 system-wide
 	valid := 0
 	for _, e := range cert.Sigs {
-		if int(e.Signer) >= len(vcPubs) || seen[e.Signer] {
+		if int(e.Signer) >= len(vcPubs) || e.Signer >= 64 || seen>>e.Signer&1 != 0 {
 			continue
 		}
-		seen[e.Signer] = true
+		seen |= 1 << e.Signer
 		if sig.Verify(vcPubs[e.Signer], e.Sig, endorseDomain,
 			[]byte(electionID), sig.Uint64Bytes(cert.Serial), cert.Code) {
 			valid++
 			if valid >= threshold {
 				return true
 			}
+		}
+	}
+	return false
+}
+
+// verifyCerts checks a batch of uniqueness certificates (nil elements are
+// skipped) and returns, for each, the certificate reduced to Nv-fv signatures
+// known to be valid, or nil if it has fewer. Whether the result is nil is
+// exactly VerifyUCert's verdict, but only signatures this node has not
+// already vouched for reach Ed25519: a signature counts without crypto when
+// the certificate the node holds for that ballot carries the same signer's
+// byte-identical signature over the same (serial, code). That is sound
+// because every held signature has been verified — a held certificate was
+// assembled from individually verified endorsements (vote), returned by this
+// function (VOTE_P, ANNOUNCE, RECOVER-RESPONSE, ACS payloads), or replayed
+// from the node's own journal of those — and verification is deterministic.
+// This is the only certificate check a message handler may use: it is what
+// keeps an unverified signature riding on Nv-fv valid ones out of the state. The memo is per signature, not per certificate: a peer's
+// UCERT may legally pin a different Nv-fv signer subset. The signatures left
+// over, across the whole batch, go through one sig.VerifyMany.
+func (n *Node) verifyCerts(certs []*wire.UCert) []*wire.UCert {
+	type sigRef struct {
+		cert   int
+		signer uint16
+	}
+	valid := make([]uint64, len(certs)) // per cert: signers whose first signature is known valid
+	election := []byte(n.manifest.ElectionID)
+	var items []sig.Item
+	var refs []sigRef
+	var memoHits int
+	for i, c := range certs {
+		if c == nil || len(c.Sigs) < n.hv {
+			continue
+		}
+		held := n.heldCert(c.Serial, c.Code)
+		start := len(items)
+		var seen uint64
+		for j := range c.Sigs {
+			e := &c.Sigs[j]
+			if int(e.Signer) >= n.nv || seen>>e.Signer&1 != 0 {
+				continue
+			}
+			seen |= 1 << e.Signer
+			if held != nil && hasSig(held, e) {
+				valid[i] |= 1 << e.Signer
+				memoHits++
+				continue
+			}
+			items = append(items, sig.Item{Pub: n.vcPubs[e.Signer], Sig: e.Sig, Parts: [][]byte{
+				election, sig.Uint64Bytes(c.Serial), c.Code,
+			}})
+			refs = append(refs, sigRef{cert: i, signer: e.Signer})
+		}
+		// Skip the crypto when it cannot change the verdict: the memo alone
+		// reaches the threshold, or the candidates cannot.
+		if hits := bits.OnesCount64(valid[i]); hits >= n.hv || hits+len(items)-start < n.hv {
+			items, refs = items[:start], refs[:start]
+		}
+	}
+	n.metrics.CertSigMemoHits.Add(int64(memoHits))
+	n.metrics.CertSigVerifies.Add(int64(len(items)))
+	for k, ok := range sig.VerifyMany(endorseDomain, items) {
+		if ok {
+			valid[refs[k].cert] |= 1 << refs[k].signer
+		}
+	}
+
+	out := make([]*wire.UCert, len(certs))
+	for i, c := range certs {
+		if bits.OnesCount64(valid[i]) < n.hv {
+			continue
+		}
+		if len(c.Sigs) == n.hv {
+			out[i] = c // the honest shape: every signature distinct and known valid
+			continue
+		}
+		// Keep the first Nv-fv known-valid signatures, in order.
+		kept := make([]wire.SigEntry, 0, n.hv)
+		var seen uint64
+		for _, e := range c.Sigs {
+			if int(e.Signer) >= n.nv || seen>>e.Signer&1 != 0 {
+				continue
+			}
+			seen |= 1 << e.Signer
+			if valid[i]>>e.Signer&1 != 0 && len(kept) < n.hv {
+				kept = append(kept, e)
+			}
+		}
+		out[i] = &wire.UCert{Serial: c.Serial, Code: c.Code, Sigs: kept}
+	}
+	return out
+}
+
+// heldCert returns the certificate this node holds for (serial, code), or
+// nil. Held certificates are immutable once installed.
+func (n *Node) heldCert(serial uint64, code []byte) *wire.UCert {
+	st := n.peekState(serial)
+	if st == nil {
+		return nil
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.cert == nil || st.cert.Serial != serial || !bytes.Equal(st.cert.Code, code) {
+		return nil
+	}
+	return st.cert
+}
+
+// hasSig reports whether cert carries signer e.Signer's signature
+// byte-identical to e.Sig.
+func hasSig(cert *wire.UCert, e *wire.SigEntry) bool {
+	for i := range cert.Sigs {
+		if cert.Sigs[i].Signer == e.Signer && bytes.Equal(cert.Sigs[i].Sig, e.Sig) {
+			return true
 		}
 	}
 	return false
@@ -795,7 +915,11 @@ func (n *Node) onEndorse(from uint16, m *wire.Endorse) {
 	switch {
 	case n.byz == Equivocator:
 		// Sign regardless — the attack UCERT formation must defeat.
-	case st.endorsedCode == nil && st.status == NotVoted:
+	case st.endorsedCode == nil && (st.status == NotVoted || bytes.Equal(st.usedCode, m.Code)):
+		// First endorsement of this code — also when a VOTE_P bound the
+		// ballot to it before any ENDORSE arrived: the duty is installed in
+		// memory before its record is appended, like every other transition,
+		// so a replay rebuilds exactly this state.
 		st.endorsedCode = append([]byte(nil), m.Code...)
 		newlyEndorsed = true
 	case !bytes.Equal(st.endorsedCode, m.Code) && !bytes.Equal(st.usedCode, m.Code):
@@ -891,9 +1015,9 @@ func (n *Node) multicastVoteP(serial uint64, code []byte, share shamir.Share, sh
 }
 
 // votePCandidate carries one VOTE_P through the batch validation stages.
-// cert is the certificate that actually passed VerifyUCert for this
-// (serial, code) — not necessarily the bytes this message carried — or nil
-// when the ballot state already holds a verified certificate.
+// cert is the certificate verifyCerts returned for this (serial, code) —
+// verified signatures only, not necessarily the bytes this message carried —
+// or nil when the ballot state already holds a verified certificate.
 type votePCandidate struct {
 	from  uint16
 	m     *wire.VoteP
@@ -920,8 +1044,9 @@ func (n *Node) onVotePBatch(batch []job) {
 	// The canonical burst is all Nv-1 peers disclosing for one ballot in a
 	// single batch, every message carrying the identical UCERT: verify one
 	// certificate per (serial, code) per batch and let every later
-	// candidate reference the cert that actually verified — a candidate's
-	// own (unverified) cert bytes are never stored or re-disclosed.
+	// candidate reference what verifyCerts returned for it — a candidate's
+	// own cert bytes, which may pad Nv-fv valid signatures with garbage, are
+	// never stored or re-disclosed.
 	certSeen := make(map[collectorKey]*wire.UCert, len(batch))
 	for _, j := range batch {
 		m := j.msg.(*wire.VoteP)
@@ -952,12 +1077,10 @@ func (n *Node) onVotePBatch(batch []job) {
 		var cert *wire.UCert
 		if !certKnown {
 			if cert = certSeen[certKey]; cert == nil {
-				if !n.VerifyUCert(&m.Cert) {
+				if cert = n.verifyCerts([]*wire.UCert{&m.Cert})[0]; cert == nil {
 					n.metrics.BadMessages.Add(1)
 					continue
 				}
-				c := m.Cert
-				cert = &c
 				certSeen[certKey] = cert
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"ddemos/internal/ea"
 	"ddemos/internal/sim"
 	"ddemos/internal/transport"
+	"ddemos/internal/wire"
 )
 
 // errInjected is the journal fault injected by these tests.
@@ -240,5 +241,49 @@ func TestAvailableCountsAndContinues(t *testing.T) {
 	}
 	if s.StrictRefusals != 0 {
 		t.Fatal("available node recorded strict refusals")
+	}
+}
+
+// TestStrictLateEndorseReplaysToSameState pins the install-before-append
+// rule for the endorsement record on the one interleaving that used to
+// break it: a node is bound to a code by a peer's VOTE_P without ever
+// having seen the ENDORSE (the responder's link to it was down), and an
+// ENDORSE for that code arrives afterwards. A Strict node journals the
+// endorsement before it signs, so the duty must be in memory too — or the
+// replayed incarnation holds an endorsed code the stopped one did not.
+func TestStrictLateEndorseReplaysToSameState(t *testing.T) {
+	const late = 3
+	c := newSimClusterJ(t, 1, nil, 2, 4,
+		transport.LinkProfile{Latency: 200 * time.Microsecond}, rawStack,
+		journalDirs(t, 4), JournalOptions{Policy: PolicyStrict})
+	code := mustCode(t, c, 1, ballot.PartA, 0)
+
+	// Responder 0 cannot reach the late node: it certifies with nodes 1 and
+	// 2, whose VOTE_Ps then bind the late node.
+	c.Partition(0, late, true)
+	if _, err := c.simVote(1, ballot.PartA, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		st, used := c.node(late).BallotStatus(1)
+		return st == Voted && bytes.Equal(used, code)
+	})
+	c.Partition(0, late, false)
+	if st := c.node(late).peekState(1); st.endorsedCode != nil {
+		t.Fatal("test premise broken: the late node saw an ENDORSE before its VOTE_P")
+	}
+
+	// The late ENDORSE (a second responder asking for the same code).
+	c.node(late).onEndorse(1, &wire.Endorse{Serial: 1, Code: code})
+	if st := c.node(late).peekState(1); !bytes.Equal(st.endorsedCode, code) || !st.endorsedDurable {
+		t.Fatal("late ENDORSE was journaled without installing the endorsed code")
+	}
+
+	old := c.node(late)
+	c.StopNode(late)
+	want := old.StateHash()
+	c.RestartNode(late)
+	if got := c.node(late).StateHash(); got != want {
+		t.Fatal("replayed state differs from the stopped incarnation's after a late ENDORSE")
 	}
 }

@@ -398,26 +398,30 @@ func TestUCertVerification(t *testing.T) {
 		t.Fatalf("%d certified entries", len(entries))
 	}
 	cert := entries[0].Cert
-	if !c.nodes[1].VerifyUCert(&cert) {
+	man := c.nodes[1].manifest
+	verify := func(cert *wire.UCert) bool {
+		return VerifyUCert(cert, man.ElectionID, man.VCPublics, man.ReceiptThreshold())
+	}
+	if !verify(&cert) {
 		t.Fatal("valid UCERT rejected")
 	}
 	// Tamper: change the code.
 	bad := cert
 	bad.Code = append([]byte(nil), cert.Code...)
 	bad.Code[0] ^= 1
-	if c.nodes[1].VerifyUCert(&bad) {
+	if verify(&bad) {
 		t.Fatal("tampered UCERT accepted")
 	}
 	// Too few signatures.
 	bad2 := cert
 	bad2.Sigs = cert.Sigs[:1]
-	if c.nodes[1].VerifyUCert(&bad2) {
+	if verify(&bad2) {
 		t.Fatal("UCERT with too few sigs accepted")
 	}
 	// Duplicate signer must not inflate the count.
 	bad3 := cert
 	bad3.Sigs = []wire.SigEntry{cert.Sigs[0], cert.Sigs[0], cert.Sigs[0]}
-	if c.nodes[1].VerifyUCert(&bad3) {
+	if verify(&bad3) {
 		t.Fatal("UCERT with duplicated signer accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package vc
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"crypto/sha256"
@@ -90,8 +91,7 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 				n.metrics.SendErrors.Add(1)
 			}
 		},
-		Validate: n.validEntry,
-		Adopt:    n.adoptEntry,
+		Accept: n.acceptEntries,
 	})
 	if err != nil {
 		return nil, err
@@ -156,12 +156,13 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 	// proposal is the node's certified set (enriched by adopted announces);
 	// the inputs vector marks, per ballot, whether a certified code is
 	// locally known — each engine binds to the representation its protocol
-	// uses.
+	// uses. Both come from one snapshot of the ballot states, so an ANNOUNCE
+	// landing meanwhile cannot make them disagree.
 	proposal := n.certifiedEntries()
 	inputs := make([]byte, count)
-	n.forEachCertified(func(serial uint64, _ []byte) {
-		inputs[serial-1] = 1
-	})
+	for i := range proposal {
+		inputs[proposal[i].Serial-1] = 1
+	}
 	if n.byz == ConsensusLiar {
 		proposal = nil
 		for i := range inputs {
@@ -263,20 +264,25 @@ func (n *Node) finishConsensus(set []VotedBallot, succeeded *bool) ([]VotedBallo
 // certifiedEntries snapshots all locally certified (serial, code, UCERT).
 func (n *Node) certifiedEntries() []wire.AnnounceEntry {
 	var out []wire.AnnounceEntry
+	type serialState struct {
+		serial uint64
+		st     *ballotState
+	}
+	var states []serialState
 	for i := range n.shards {
 		sh := &n.shards[i]
+		states = states[:0]
 		sh.mu.Lock()
-		states := make(map[uint64]*ballotState, len(sh.ballots))
 		for serial, st := range sh.ballots {
-			states[serial] = st
+			states = append(states, serialState{serial, st})
 		}
 		sh.mu.Unlock()
-		for serial, st := range states {
-			st.mu.Lock()
-			if st.cert != nil {
-				out = append(out, wire.AnnounceEntry{Serial: serial, Code: st.usedCode, Cert: *st.cert})
+		for _, s := range states {
+			s.st.mu.Lock()
+			if s.st.cert != nil {
+				out = append(out, wire.AnnounceEntry{Serial: s.serial, Code: s.st.usedCode, Cert: *s.st.cert})
 			}
-			st.mu.Unlock()
+			s.st.mu.Unlock()
 		}
 	}
 	return out
@@ -289,54 +295,59 @@ func (n *Node) forEachCertified(fn func(serial uint64, code []byte)) {
 	}
 }
 
-// validEntry reports whether an announce entry carries a well-formed
-// uniqueness certificate for an in-range ballot. It is a pure function of
-// the entry and the (shared) manifest — no node-local state — so every
-// honest node judges an entry identically; the ACS engine relies on this to
-// filter delivered proposals deterministically.
-func (n *Node) validEntry(entry *wire.AnnounceEntry) bool {
-	if entry.Serial == 0 || entry.Serial > uint64(n.manifest.NumBallots) {
-		return false
+// acceptEntries judges a batch of certified codes learned from a peer
+// (ANNOUNCE, RECOVER-RESPONSE, or an ACS reliable-broadcast payload) and
+// installs the valid ones this node was missing. ok[i] reports whether
+// entries[i] carries a well-formed uniqueness certificate for an in-range
+// ballot: a pure function of the entry and the (shared) manifest, so every
+// honest node judges an entry identically — the ACS engine relies on this to
+// filter delivered proposals deterministically. Node-local state only decides
+// how much of the checking needs Ed25519 (see verifyCerts).
+func (n *Node) acceptEntries(entries []wire.AnnounceEntry) []bool {
+	certs := make([]*wire.UCert, len(entries))
+	for i := range entries {
+		e := &entries[i]
+		if e.Serial >= 1 && e.Serial <= uint64(n.manifest.NumBallots) &&
+			e.Cert.Serial == e.Serial && bytes.Equal(e.Cert.Code, e.Code) {
+			certs[i] = &e.Cert
+		}
 	}
-	cert := entry.Cert
-	return cert.Serial == entry.Serial && string(cert.Code) == string(entry.Code) && n.VerifyUCert(&cert)
+	ok := make([]bool, len(entries))
+	var recs [][]byte
+	for i, verified := range n.verifyCerts(certs) {
+		if verified == nil {
+			continue
+		}
+		ok[i] = true
+		st := n.state(entries[i].Serial)
+		st.mu.Lock()
+		if st.cert == nil { // else UCERT uniqueness: it must be the same code
+			cert := *verified
+			st.cert = &cert
+			st.usedCode = append([]byte(nil), cert.Code...)
+			if st.status == NotVoted {
+				st.status = Pending
+			}
+			// An adopted certificate feeds our consensus input: journal it
+			// so a restarted node announces the same certified set.
+			recs = append(recs, encUCert(cert.Serial, &cert))
+		}
+		st.mu.Unlock()
+	}
+	if len(recs) > 0 {
+		n.journalAppend(recs...)
+	}
+	return ok
 }
 
-// adoptEntry installs a certified code learned from a peer (ANNOUNCE,
-// RECOVER-RESPONSE, or an ACS reliable-broadcast payload). Returns false
-// for invalid entries.
-func (n *Node) adoptEntry(entry *wire.AnnounceEntry) bool {
-	if entry.Serial == 0 || entry.Serial > uint64(n.manifest.NumBallots) {
-		return false
-	}
-	st := n.state(entry.Serial)
-	st.mu.Lock()
-	already := st.cert != nil
-	st.mu.Unlock()
-	if already {
-		return true // UCERT uniqueness: it must be the same code
-	}
-	cert := entry.Cert
-	if !n.validEntry(entry) {
-		return false
-	}
-	var installed bool
-	st.mu.Lock()
-	if st.cert == nil {
-		st.cert = &cert
-		st.usedCode = append([]byte(nil), entry.Code...)
-		if st.status == NotVoted {
-			st.status = Pending
+// countRejected records the entries of a peer's message that failed
+// acceptEntries.
+func (n *Node) countRejected(ok []bool) {
+	for _, v := range ok {
+		if !v {
+			n.metrics.BadMessages.Add(1)
 		}
-		installed = true
 	}
-	st.mu.Unlock()
-	if installed {
-		// An adopted certificate feeds our consensus input: journal it so
-		// a restarted node announces the same certified set.
-		n.journalAppend(encUCert(entry.Serial, &cert))
-	}
-	return true
 }
 
 // vscEngine holds the in-flight vote-set-consensus state that is common to
@@ -398,11 +409,7 @@ func (n *Node) routeConsensus(from uint16, msg wire.Message) {
 func (n *Node) answerConsensusIdle(from uint16, msg wire.Message) {
 	switch m := msg.(type) {
 	case *wire.Announce:
-		for i := range m.Entries {
-			if !n.adoptEntry(&m.Entries[i]) {
-				n.metrics.BadMessages.Add(1)
-			}
-		}
+		n.countRejected(n.acceptEntries(m.Entries))
 		n.sendFinalTo(from)
 	case *wire.RecoverRequest:
 		n.answerRecoverRequest(from, m)
@@ -445,11 +452,7 @@ func (e *vscEngine) handle(from uint16, msg wire.Message) {
 }
 
 func (e *vscEngine) onAnnounce(from uint16, m *wire.Announce) {
-	for i := range m.Entries {
-		if !e.n.adoptEntry(&m.Entries[i]) {
-			e.n.metrics.BadMessages.Add(1)
-		}
-	}
+	e.n.countRejected(e.n.acceptEntries(m.Entries))
 	e.mu.Lock()
 	dup := e.announceFrom[from]
 	echo := dup && from != e.n.self && !e.echoed[from]
@@ -565,15 +568,15 @@ func (n *Node) answerRecoverRequest(from uint16, m *wire.RecoverRequest) {
 }
 
 func (e *vscEngine) onRecoverResponse(m *wire.RecoverResponse) {
+	ok := e.n.acceptEntries(m.Entries)
+	e.n.countRejected(ok)
 	for i := range m.Entries {
-		entry := &m.Entries[i]
-		if !e.n.adoptEntry(entry) {
-			e.n.metrics.BadMessages.Add(1)
+		if !ok[i] {
 			continue
 		}
 		e.missingMu.Lock()
-		if e.missing[entry.Serial] {
-			delete(e.missing, entry.Serial)
+		if e.missing[m.Entries[i].Serial] {
+			delete(e.missing, m.Entries[i].Serial)
 			if len(e.missing) == 0 {
 				select {
 				case e.missingDone <- struct{}{}:

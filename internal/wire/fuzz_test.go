@@ -36,7 +36,7 @@ func fuzzSeedFrames() [][]byte {
 			{Step: StepBVal, Round: 1, Value: 1, Instances: []uint32{0, 5, 9}},
 			{Step: StepDecide, Round: 3, Value: 0, Instances: []uint32{2}},
 		}},
-		&RBCEcho{Sender: 1, Broadcaster: 1, Entries: []AnnounceEntry{{Serial: 7, Code: []byte("code-7"), Cert: cert}}},
+		NewRBCEcho(1, 1, []AnnounceEntry{{Serial: 7, Code: []byte("code-7"), Cert: cert}}),
 		&RBCReady{Sender: 0, Broadcaster: 1, Hash: bytes.Repeat([]byte{0x5E}, 32)},
 		&ABA{Sender: 3, Groups: []ABAGroup{
 			{Step: ABAStepEst, Round: 1, Value: 1, Instances: []uint32{0, 2}},

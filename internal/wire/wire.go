@@ -383,6 +383,35 @@ type AnnounceEntry struct {
 	Cert   UCert
 }
 
+// appendEntries and decodeEntries are the one encoding of an entry list
+// (count, then entries) that ANNOUNCE, RECOVER-RESPONSE and RBC-ECHO share.
+func appendEntries(dst []byte, entries []AnnounceEntry) []byte {
+	dst = appendU32(dst, uint32(len(entries))) //nolint:gosec // protocol-bounded
+	for i := range entries {
+		e := &entries[i]
+		dst = appendU64(dst, e.Serial)
+		dst = appendBytes(dst, e.Code)
+		dst = appendUCert(dst, &e.Cert)
+	}
+	return dst
+}
+
+func decodeEntries(r *reader) []AnnounceEntry {
+	n := r.count("entries")
+	if r.err != nil {
+		return nil
+	}
+	entries := make([]AnnounceEntry, 0, n)
+	for i := 0; i < n; i++ {
+		entries = append(entries, AnnounceEntry{
+			Serial: r.u64("entry serial"),
+			Code:   r.bytes("entry code"),
+			Cert:   decodeUCert(r),
+		})
+	}
+	return entries
+}
+
 // Announce carries a node's complete set of known certified codes at
 // election end (entries for voted ballots only; all other ballots are
 // implicitly announced as null, batching the paper's per-ballot ANNOUNCE).
@@ -396,31 +425,11 @@ func (*Announce) Kind() Kind { return KindAnnounce }
 
 func (m *Announce) appendBody(dst []byte) []byte {
 	dst = appendU16(dst, m.Sender)
-	dst = appendU32(dst, uint32(len(m.Entries))) //nolint:gosec // protocol-bounded
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		dst = appendU64(dst, e.Serial)
-		dst = appendBytes(dst, e.Code)
-		dst = appendUCert(dst, &e.Cert)
-	}
-	return dst
+	return appendEntries(dst, m.Entries)
 }
 
 func decodeAnnounce(r *reader) *Announce {
-	m := &Announce{Sender: r.u16("sender")}
-	n := r.count("entries")
-	if r.err != nil {
-		return m
-	}
-	m.Entries = make([]AnnounceEntry, 0, n)
-	for i := 0; i < n; i++ {
-		m.Entries = append(m.Entries, AnnounceEntry{
-			Serial: r.u64("entry serial"),
-			Code:   r.bytes("entry code"),
-			Cert:   decodeUCert(r),
-		})
-	}
-	return m
+	return &Announce{Sender: r.u16("sender"), Entries: decodeEntries(r)}
 }
 
 // RecoverRequest asks peers for the certified codes of ballots that decided
@@ -461,30 +470,11 @@ type RecoverResponse struct {
 func (*RecoverResponse) Kind() Kind { return KindRecoverResponse }
 
 func (m *RecoverResponse) appendBody(dst []byte) []byte {
-	dst = appendU32(dst, uint32(len(m.Entries))) //nolint:gosec // protocol-bounded
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		dst = appendU64(dst, e.Serial)
-		dst = appendBytes(dst, e.Code)
-		dst = appendUCert(dst, &e.Cert)
-	}
-	return dst
+	return appendEntries(dst, m.Entries)
 }
 
 func decodeRecoverResponse(r *reader) *RecoverResponse {
-	n := r.count("entries")
-	if r.err != nil {
-		return &RecoverResponse{}
-	}
-	m := &RecoverResponse{Entries: make([]AnnounceEntry, 0, n)}
-	for i := 0; i < n; i++ {
-		m.Entries = append(m.Entries, AnnounceEntry{
-			Serial: r.u64("entry serial"),
-			Code:   r.bytes("entry code"),
-			Cert:   decodeUCert(r),
-		})
-	}
-	return m
+	return &RecoverResponse{Entries: decodeEntries(r)}
 }
 
 // VSCEntry is one ⟨serial, code⟩ tuple of a final agreed vote set.
@@ -609,41 +599,65 @@ func decodeConsensus(r *reader) *Consensus {
 // ECHO (Sender == Broadcaster) doubles as the SEND step: carrying the full
 // entry payload in every ECHO costs one extra fan-out over hash-based
 // echoing but removes the payload-fetch round a hash echo would need.
+//
+// The entry list travels as one canonical byte string (count, then entries)
+// that the broadcast hashes and relays as-is. Both views are fixed when the
+// message is made — NewRBCEcho encodes the entries, the decoder keeps the
+// bytes it accepted — so they cannot drift apart. The zero value carries the
+// empty proposal.
 type RBCEcho struct {
 	Sender      uint16
 	Broadcaster uint16
-	Entries     []AnnounceEntry
+
+	entries []AnnounceEntry
+	payload []byte // canonical encoding of entries; nil means noEntries
+}
+
+// noEntries is the canonical encoding of the empty entry list.
+var noEntries = appendEntries(nil, nil)
+
+// NewRBCEcho builds sender's ECHO of broadcaster's proposal, encoding the
+// entries once. The message keeps the slice: callers hand it over.
+func NewRBCEcho(sender, broadcaster uint16, entries []AnnounceEntry) *RBCEcho {
+	return &RBCEcho{Sender: sender, Broadcaster: broadcaster,
+		entries: entries, payload: appendEntries(nil, entries)}
 }
 
 // Kind implements Message.
 func (*RBCEcho) Kind() Kind { return KindRBCEcho }
 
+// Entries returns the proposal's entries. Callers must not modify them.
+func (m *RBCEcho) Entries() []AnnounceEntry { return m.entries }
+
+// Payload returns the canonical encoding of the entry list: what follows the
+// sender and broadcaster fields in the frame. Callers must not modify it.
+func (m *RBCEcho) Payload() []byte {
+	if m.payload == nil {
+		return noEntries
+	}
+	return m.payload
+}
+
+// WithSender returns the same broadcast payload echoed by another node,
+// sharing the entries and their encoding with m.
+func (m *RBCEcho) WithSender(sender uint16) *RBCEcho {
+	return &RBCEcho{Sender: sender, Broadcaster: m.Broadcaster, entries: m.entries, payload: m.payload}
+}
+
 func (m *RBCEcho) appendBody(dst []byte) []byte {
 	dst = appendU16(dst, m.Sender)
 	dst = appendU16(dst, m.Broadcaster)
-	dst = appendU32(dst, uint32(len(m.Entries))) //nolint:gosec // protocol-bounded
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		dst = appendU64(dst, e.Serial)
-		dst = appendBytes(dst, e.Code)
-		dst = appendUCert(dst, &e.Cert)
-	}
-	return dst
+	return append(dst, m.Payload()...)
 }
 
 func decodeRBCEcho(r *reader) *RBCEcho {
 	m := &RBCEcho{Sender: r.u16("sender"), Broadcaster: r.u16("broadcaster")}
-	n := r.count("entries")
-	if r.err != nil {
-		return m
-	}
-	m.Entries = make([]AnnounceEntry, 0, n)
-	for i := 0; i < n; i++ {
-		m.Entries = append(m.Entries, AnnounceEntry{
-			Serial: r.u64("entry serial"),
-			Code:   r.bytes("entry code"),
-			Cert:   decodeUCert(r),
-		})
+	body := r.buf
+	m.entries = decodeEntries(r)
+	if r.err == nil {
+		// Like every decoded byte string, the payload is a copy: the message
+		// never aliases the frame it came from.
+		m.payload = append([]byte(nil), body[:len(body)-len(r.buf)]...)
 	}
 	return m
 }

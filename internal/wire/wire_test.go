@@ -145,6 +145,47 @@ func TestConsensusRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRBCEchoPayload pins what the ACS broadcast relies on: the payload of
+// an ECHO is the frame's bytes after the sender and broadcaster fields, the
+// same whether the message was built or decoded; a decoded message keeps its
+// own copy of them; and an echo under another sender reuses them.
+func TestRBCEchoPayload(t *testing.T) {
+	built := NewRBCEcho(3, 3, []AnnounceEntry{
+		{Serial: 1, Code: []byte{1}, Cert: sampleUCert()},
+		{Serial: 2, Code: []byte{2}, Cert: sampleUCert()},
+	})
+	frame := Encode(built)
+	if !bytes.Equal(built.Payload(), frame[5:]) {
+		t.Fatal("payload is not the frame's tail")
+	}
+	got, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := got.(*RBCEcho)
+	if !reflect.DeepEqual(decoded.Entries(), built.Entries()) {
+		t.Fatalf("got %+v want %+v", decoded.Entries(), built.Entries())
+	}
+	want := append([]byte(nil), frame[5:]...)
+	for i := range frame {
+		frame[i] = 0xFF // the transport may do anything with its buffer
+	}
+	if !bytes.Equal(decoded.Payload(), want) {
+		t.Fatal("decoded payload aliases the frame")
+	}
+	relay := decoded.WithSender(1)
+	if relay.Sender != 1 || relay.Broadcaster != 3 || &relay.Payload()[0] != &decoded.Payload()[0] {
+		t.Fatalf("relay = sender %d broadcaster %d, payload shared = %v",
+			relay.Sender, relay.Broadcaster, &relay.Payload()[0] == &decoded.Payload()[0])
+	}
+	if !bytes.Equal(Encode(relay)[5:], want) {
+		t.Fatal("relayed frame carries different payload bytes")
+	}
+	if empty := (&RBCEcho{}).Payload(); !bytes.Equal(empty, []byte{0, 0, 0, 0}) {
+		t.Fatalf("empty payload = %x", empty)
+	}
+}
+
 func TestDecodeRejectsEmpty(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("empty frame must fail")
