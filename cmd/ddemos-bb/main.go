@@ -13,7 +13,7 @@ import (
 
 	"ddemos/internal/bb"
 	"ddemos/internal/httpapi"
-	"ddemos/internal/vc"
+	"ddemos/internal/journal"
 )
 
 func main() {
@@ -21,17 +21,18 @@ func main() {
 	httpAddr := flag.String("http", ":9100", "public HTTP address")
 	combineWorkers := flag.Int("combine-workers", 0, "parallelism of tally combine attempts (0 = GOMAXPROCS)")
 	noBatchVerify := flag.Bool("no-batch-verify", false, "disable batched opening verification (per-element checks)")
-	metricsEvery := flag.Duration("metrics-every", 0, "log publish-phase metrics at this interval (0 = off; also served at GET /metrics)")
+	metricsEvery := flag.Duration("metrics-every", 0, "log publish-phase metrics at this interval (0 = off; also served at GET /v1/metrics)")
 	dataDir := flag.String("data-dir", "",
-		"directory for durable runtime state (WAL + snapshot); the node recovers accepted vote sets, "+
+		"directory for durable runtime state (WAL lanes + snapshots); the node recovers accepted vote sets, "+
 			"msk shares, trustee posts and the published result from it on startup, so a crashed replica "+
 			"rejoins the board instead of staying down (empty = memory-only)")
 	fsync := flag.Bool("fsync", false,
 		"fsync the journal before every ack instead of on the batched group-commit cadence "+
 			"(per-submission durability against power loss; requires -data-dir)")
 	journalPool := flag.Int("journal-pool", 1,
-		"number of journal WAL lanes (>1 shards runtime state by submission key with per-lane "+
-			"group-commit fsync and copy-on-write snapshots; requires -data-dir)")
+		"number of journal WAL lanes runtime state is hashed over by submission key, each with its own "+
+			"group-commit fsync and copy-on-write snapshots; a directory reopens only with the lane count "+
+			"it was written under (requires -data-dir)")
 	journalPolicy := flag.String("journal-policy", "available",
 		"journal-append-error ack policy: 'available' counts errors and keeps serving from memory, "+
 			"'strict' refuses submission acks whose record did not land "+
@@ -51,12 +52,12 @@ func main() {
 	}
 	node.CombineWorkers = *combineWorkers
 	node.DisableBatchVerify = *noBatchVerify
-	policy, err := vc.ParseAckPolicy(*journalPolicy)
+	policy, err := journal.ParseAckPolicy(*journalPolicy)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *dataDir != "" {
-		jopts := vc.JournalOptions{Fsync: *fsync, Pool: *journalPool, Policy: policy}
+		jopts := journal.Options{Fsync: *fsync, Pool: *journalPool, Policy: policy}
 		if err := node.RecoverWithOptions(*dataDir, jopts); err != nil {
 			log.Fatalf("recovering runtime state from %s: %v", *dataDir, err)
 		}
@@ -69,7 +70,7 @@ func main() {
 			log.Fatal("-fsync requires -data-dir")
 		case *journalPool > 1:
 			log.Fatal("-journal-pool requires -data-dir")
-		case policy != vc.PolicyAvailable:
+		case policy != journal.PolicyAvailable:
 			log.Fatal("-journal-policy strict requires -data-dir")
 		}
 	}

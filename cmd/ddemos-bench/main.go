@@ -147,19 +147,19 @@ func main() {
 			return nil
 		},
 		"setup": func() error {
-			// The zero-copy setup-to-vote handoff at figure scale: 1M
-			// ballots is the pool where the legacy route's O(pool) peak is
-			// undeniable (GiBs) while the streaming route stays at
-			// O(segment). Expect minutes of EA key material generation.
+			// The zero-copy setup-to-vote handoff at figure scale: at 1M
+			// ballots an O(pool) peak would be GiBs, and the streaming
+			// route must stay at O(segment). Expect minutes of EA key
+			// material generation.
 			cfg := benchmark.SetupAblationConfig{Ballots: 1_000_000}
 			if *quick {
 				cfg = benchmark.SetupAblationConfig{Ballots: 50_000, SegmentBallots: 10_000}
 			}
-			points, err := benchmark.RunSetupAblation(cfg)
+			point, err := benchmark.RunSetupAblation(cfg)
 			if err != nil {
 				return err
 			}
-			benchmark.PrintSetupAblation(os.Stdout, points, cfg)
+			benchmark.PrintSetupAblation(os.Stdout, point, cfg)
 			return nil
 		},
 		"pool-election": func() error {

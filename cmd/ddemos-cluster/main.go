@@ -94,7 +94,7 @@ func run() int {
 	flag.BoolVar(&cfg.keep, "keep", false, "keep the workdir after the run")
 	flag.BoolVar(&cfg.durable, "durable", false, "give every VC and BB a journal -data-dir (required for -churn)")
 	flag.BoolVar(&cfg.fsync, "fsync", false, "pass -fsync to VC/BB nodes (requires -durable)")
-	flag.IntVar(&cfg.journalPool, "journal-pool", 1, "journal WAL lanes for VC/BB nodes (requires -durable)")
+	flag.IntVar(&cfg.journalPool, "journal-pool", 1, "number of journal WAL lanes for VC/BB nodes (requires -durable)")
 	flag.StringVar(&cfg.journalPolicy, "journal-policy", "available", "journal ack policy for VC/BB nodes")
 	flag.DurationVar(&cfg.batchWindow, "batch-window", 0, "inter-VC message batching window (0 = off)")
 	flag.DurationVar(&cfg.churn, "churn", 0, "SIGKILL + restart one node at this interval during load (0 = off; requires -durable)")

@@ -21,6 +21,7 @@ import (
 
 	"ddemos/internal/ea"
 	"ddemos/internal/httpapi"
+	"ddemos/internal/journal"
 	"ddemos/internal/store"
 	"ddemos/internal/transport"
 	"ddemos/internal/vc"
@@ -93,14 +94,15 @@ func main() {
 		"coalesce outgoing inter-VC messages per peer for up to this window (0 disables batching)")
 	batchMax := flag.Int("batch-max", 0, "max messages per batch (0 = transport default)")
 	dataDir := flag.String("data-dir", "",
-		"directory for durable runtime state (WAL + snapshot); the node recovers from it on startup, "+
+		"directory for durable runtime state (WAL lanes + snapshots); the node recovers from it on startup, "+
 			"so a crashed collector rejoins the election instead of staying down (empty = memory-only)")
 	fsync := flag.Bool("fsync", false,
 		"fsync the journal before every ack instead of on the batched group-commit cadence "+
 			"(per-transition durability against power loss; requires -data-dir)")
 	journalPool := flag.Int("journal-pool", 1,
-		"number of journal WAL lanes (>1 shards runtime state by ballot serial with per-lane "+
-			"group-commit fsync and copy-on-write snapshots — the Fig. 5a pool knob; requires -data-dir)")
+		"number of journal WAL lanes runtime state is hashed over by ballot serial, each with its own "+
+			"group-commit fsync and copy-on-write snapshots — the Fig. 5a pool knob; a directory reopens "+
+			"only with the lane count it was written under (requires -data-dir)")
 	storeSegments := flag.String("store-segments", "",
 		"segment directory for the ballot store (serial-range-sharded fixed-record files + manifest). "+
 			"If the directory has no manifest yet it is built once, streamed from the init payload; "+
@@ -189,12 +191,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	policy, err := vc.ParseAckPolicy(*journalPolicy)
+	policy, err := journal.ParseAckPolicy(*journalPolicy)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *dataDir != "" {
-		jopts := vc.JournalOptions{Fsync: *fsync, Pool: *journalPool, Policy: policy}
+		jopts := journal.Options{Fsync: *fsync, Pool: *journalPool, Policy: policy}
 		if err := node.RecoverWithOptions(*dataDir, jopts); err != nil {
 			log.Fatalf("recovering runtime state from %s: %v", *dataDir, err)
 		}
@@ -206,7 +208,7 @@ func main() {
 			log.Fatal("-fsync requires -data-dir")
 		case *journalPool > 1:
 			log.Fatal("-journal-pool requires -data-dir")
-		case policy != vc.PolicyAvailable:
+		case policy != journal.PolicyAvailable:
 			log.Fatal("-journal-policy strict requires -data-dir")
 		}
 	}

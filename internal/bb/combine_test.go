@@ -12,8 +12,8 @@ import (
 	"ddemos/internal/bb"
 	ddcore "ddemos/internal/core"
 	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/trustee"
-	"ddemos/internal/vc"
 	"ddemos/internal/voter"
 )
 
@@ -188,9 +188,8 @@ func TestByzantineTrusteeSweep(t *testing.T) {
 
 	// freshNodes boots a replica set and feeds it the agreed vote set and
 	// enough master-key shares to publish the cast data. Node 0's durability
-	// engine rotates by seed — memory-only, single WAL, 2-lane pooled WAL —
-	// so the Byzantine mixes also exercise every journaling path (the same
-	// rotation the VC restart sweeps run).
+	// rotates by seed — memory-only, one journal lane, two lanes — so the
+	// Byzantine mixes also exercise every journaling path.
 	journalDir := t.TempDir()
 	freshNodes := func(seed int) []*bb.Node {
 		nodes := make([]*bb.Node, 3)
@@ -201,7 +200,7 @@ func TestByzantineTrusteeSweep(t *testing.T) {
 			}
 			if ni == 0 && seed%3 != 0 {
 				dir := filepath.Join(journalDir, fmt.Sprintf("seed-%d", seed))
-				jopts := vc.JournalOptions{Pool: seed % 3} // 1 = single WAL, 2 = pooled
+				jopts := journal.Options{Pool: seed % 3}
 				if err := node.RecoverWithOptions(dir, jopts); err != nil {
 					t.Fatal(err)
 				}

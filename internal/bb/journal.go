@@ -2,7 +2,6 @@ package bb
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -11,30 +10,31 @@ import (
 	"sort"
 
 	"ddemos/internal/crypto/group"
+	"ddemos/internal/journal"
 	"ddemos/internal/vc"
 )
 
 // This file is the durable-runtime-state layer of a BB replica, built on the
-// same vc.JournalBackend engines (single-WAL, pooled, memory) the Vote
-// Collector uses. The journal version of the paper (arXiv:1608.00849) runs
-// all runtime state on durable storage; here every externally-visible BB
-// transition — an accepted vote-set submission, an accepted master-key
-// share, an accepted trustee post, a blame verdict, the installed Result —
-// is logged as one record.
+// internal/journal engine the Vote Collector uses. The journal version of
+// the paper (arXiv:1608.00849) runs all runtime state on durable storage;
+// here every externally-visible BB transition — an accepted vote-set
+// submission, an accepted master-key share, an accepted trustee post, a
+// blame verdict, the installed Result — is logged as one record.
 //
-// Ordering discipline: mutate, then append, then ack. The single-WAL
-// engine's snapshot captures the in-memory state and truncates the log
-// atomically, so a record appended *before* its mutation is installed could
-// be truncated away while the capture missed its effect — the record would
-// be lost. Appending after the install closes that window: a crash between
-// install and append loses the record, but no ack was given, so the
-// submitter retries. The Strict ack policy strengthens this to "no ack
-// without a durable record" via per-item durable flags: an append failure
-// refuses the ack, and the duplicate fast path re-attempts the append on
-// the retry. Result and blame installs have no ack to refuse and are
-// journaled best-effort — a lost record is re-derived after recovery by
-// recombining the journaled posts, and the perfectly-binding commitments
-// make that recombination canonical (see combine.go).
+// Ordering discipline: mutate, then append, then ack. A lane snapshot seals
+// the active segment, captures the in-memory state, and deletes the sealed
+// segment; it covers a sealed record only if that record's mutation was
+// installed before its append returned. A record appended *before* its
+// mutation could be sealed and deleted while the capture missed its effect
+// — the record would be lost. Appending after the install closes that
+// window: a crash between install and append loses the record, but no ack
+// was given, so the submitter retries. The Strict ack policy strengthens
+// this to "no ack without a durable record" via per-item durable flags: an
+// append failure refuses the ack, and the duplicate fast path re-attempts
+// the append on the retry. Result and blame installs have no ack to refuse
+// and are journaled best-effort — a lost record is re-derived after
+// recovery by recombining the journaled posts, and the perfectly-binding
+// commitments make that recombination canonical (see combine.go).
 //
 // Record kinds (payload layout, big-endian; "bytes" = u32 length prefix):
 //
@@ -44,12 +44,10 @@ import (
 //	blame:  kind u8 | trustee u64
 //	result: kind u8 | 0 u64       | gob(Result) bytes
 //
-// Every record opens with `kind u8 | key u64` so the pooled engine's lane
-// routing (bytes [1,9) of the record) applies unchanged; laneState mirrors
-// it through vc.JournalKeyLane. Kinds start at 0x11 to stay disjoint from
-// the VC's record kinds (1..6) — in particular recVSC (6), which the pooled
-// router special-cases into lane 0 — so a VC directory mistakenly opened by
-// a BB node fails loudly at replay instead of mis-routing.
+// Every record opens with `kind u8 | key u64`, the journal's routing rule;
+// laneState mirrors it through journal.KeyLane. Kinds start at 0x11 to stay
+// disjoint from the VC's record kinds (1..7), so a VC directory mistakenly
+// opened by a BB node fails loudly at replay.
 const (
 	bbRecSet byte = iota + 0x11
 	bbRecShare
@@ -67,29 +65,19 @@ var ErrClosed = errors.New("bb: node closed")
 
 // --- record encoding -------------------------------------------------------
 
-func bbAppendBytes(dst, b []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b))) //nolint:gosec // protocol-bounded
-	return append(dst, b...)
-}
-
-func bbRecHeader(kind byte, key uint64) []byte {
-	dst := append(make([]byte, 0, 9), kind)
-	return binary.BigEndian.AppendUint64(dst, key)
-}
-
 func encBBSet(vcIndex int, set []vc.VotedBallot) []byte {
-	dst := bbRecHeader(bbRecSet, uint64(vcIndex))              //nolint:gosec // validated index
+	dst := journal.Header(bbRecSet, uint64(vcIndex))           //nolint:gosec // validated index
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(set))) //nolint:gosec // protocol-bounded
 	for _, vb := range set {
 		dst = binary.BigEndian.AppendUint64(dst, vb.Serial)
-		dst = bbAppendBytes(dst, vb.Code)
+		dst = journal.AppendBytes(dst, vb.Code)
 	}
 	return dst
 }
 
 func encBBShare(index uint32, value *big.Int) []byte {
-	dst := bbRecHeader(bbRecShare, uint64(index))
-	return bbAppendBytes(dst, group.ScalarBytes(value))
+	dst := journal.Header(bbRecShare, uint64(index))
+	return journal.AppendBytes(dst, group.ScalarBytes(value))
 }
 
 // encBBPost gob-encodes the post. Gob is canonical here: TrusteePost holds
@@ -102,12 +90,12 @@ func encBBPost(p *TrusteePost) ([]byte, error) {
 	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
 		return nil, err
 	}
-	dst := bbRecHeader(bbRecPost, uint64(p.Trustee)) //nolint:gosec // validated index
-	return bbAppendBytes(dst, buf.Bytes()), nil
+	dst := journal.Header(bbRecPost, uint64(p.Trustee)) //nolint:gosec // validated index
+	return journal.AppendBytes(dst, buf.Bytes()), nil
 }
 
 func encBBBlame(trustee int) []byte {
-	return bbRecHeader(bbRecBlame, uint64(trustee)) //nolint:gosec // validated index
+	return journal.Header(bbRecBlame, uint64(trustee)) //nolint:gosec // validated index
 }
 
 func encBBResult(res *Result) ([]byte, error) {
@@ -115,55 +103,8 @@ func encBBResult(res *Result) ([]byte, error) {
 	if err := gob.NewEncoder(&buf).Encode(res); err != nil {
 		return nil, err
 	}
-	dst := bbRecHeader(bbRecResult, 0)
-	return bbAppendBytes(dst, buf.Bytes()), nil
-}
-
-// bdec is a cursor over one record payload.
-type bdec struct {
-	buf []byte
-	bad bool
-}
-
-func (d *bdec) u8() byte {
-	if d.bad || len(d.buf) < 1 {
-		d.bad = true
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *bdec) u32() uint32 {
-	if d.bad || len(d.buf) < 4 {
-		d.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v
-}
-
-func (d *bdec) u64() uint64 {
-	if d.bad || len(d.buf) < 8 {
-		d.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *bdec) bytes() []byte {
-	n := d.u32()
-	if d.bad || uint64(n) > uint64(len(d.buf)) {
-		d.bad = true
-		return nil
-	}
-	out := append([]byte(nil), d.buf[:n]...)
-	d.buf = d.buf[n:]
-	return out
+	dst := journal.Header(bbRecResult, 0)
+	return journal.AppendBytes(dst, buf.Bytes()), nil
 }
 
 // --- node recovery ---------------------------------------------------------
@@ -175,13 +116,13 @@ func (d *bdec) bytes() []byte {
 // idempotent: recovering the same directory twice yields an identical
 // StateHash.
 func (n *Node) Recover(dir string) error {
-	return n.RecoverWithOptions(dir, vc.JournalOptions{})
+	return n.RecoverWithOptions(dir, journal.Options{})
 }
 
-// RecoverWithOptions is Recover with explicit durability tuning (engine
-// selection, pool size, sync cadence, ack policy).
-func (n *Node) RecoverWithOptions(dir string, opts vc.JournalOptions) error {
-	j, err := vc.OpenJournal(dir, opts)
+// RecoverWithOptions is Recover with explicit durability tuning (pool size,
+// sync cadence, snapshot cadence, ack policy).
+func (n *Node) RecoverWithOptions(dir string, opts journal.Options) error {
+	j, err := journal.Open(dir, opts)
 	if err != nil {
 		return err
 	}
@@ -198,7 +139,7 @@ func (n *Node) RecoverWithOptions(dir string, opts vc.JournalOptions) error {
 // nil; afterwards Close closes it. The combine worker is re-kicked after
 // the journal is attached, so blame verdicts and a Result derived from the
 // replayed posts land in the journal like live ones.
-func (n *Node) RecoverBackend(j vc.JournalBackend, policy vc.AckPolicy) error {
+func (n *Node) RecoverBackend(j journal.Backend, policy journal.AckPolicy) error {
 	if err := j.Replay(n.applyJournalRecord); err != nil {
 		return err
 	}
@@ -218,20 +159,20 @@ func (n *Node) RecoverBackend(j vc.JournalBackend, policy vc.AckPolicy) error {
 // is, because a panic on hostile bytes is worse than a refused recovery.
 func (n *Node) applyJournalRecord(payload []byte) error {
 	man := &n.init.Manifest
-	d := &bdec{buf: payload}
-	kind := d.u8()
-	key := d.u64()
+	d := &journal.Dec{Buf: payload}
+	kind := d.U8()
+	key := d.U64()
 	switch kind {
 	case bbRecSet:
-		cnt := d.u32()
-		if d.bad || key >= uint64(man.NumVC) || uint64(cnt) > uint64(man.NumBallots) {
+		cnt := d.U32()
+		if d.Bad || key >= uint64(man.NumVC) || uint64(cnt) > uint64(man.NumBallots) {
 			return errBadBBRecord
 		}
 		set := make([]vc.VotedBallot, 0, cnt)
 		for i := uint32(0); i < cnt; i++ {
-			set = append(set, vc.VotedBallot{Serial: d.u64(), Code: d.bytes()})
+			set = append(set, vc.VotedBallot{Serial: d.U64(), Code: d.Bytes()})
 		}
-		if d.bad || len(d.buf) != 0 {
+		if d.Bad || len(d.Buf) != 0 {
 			return errBadBBRecord
 		}
 		vcIndex := int(key) //nolint:gosec // bounds-checked
@@ -242,8 +183,8 @@ func (n *Node) applyJournalRecord(payload []byte) error {
 		n.setDurable[vcIndex] = true
 		n.mu.Unlock()
 	case bbRecShare:
-		value := d.bytes()
-		if d.bad || len(d.buf) != 0 || key == 0 || key > uint64(man.NumVC) {
+		value := d.Bytes()
+		if d.Bad || len(d.Buf) != 0 || key == 0 || key > uint64(man.NumVC) {
 			return errBadBBRecord
 		}
 		v, err := group.DecodeScalar(value)
@@ -258,8 +199,8 @@ func (n *Node) applyJournalRecord(payload []byte) error {
 		n.shareDurable[index] = true
 		n.mu.Unlock()
 	case bbRecPost:
-		blob := d.bytes()
-		if d.bad || len(d.buf) != 0 {
+		blob := d.Bytes()
+		if d.Bad || len(d.Buf) != 0 {
 			return errBadBBRecord
 		}
 		p := new(TrusteePost)
@@ -282,15 +223,15 @@ func (n *Node) applyJournalRecord(payload []byte) error {
 		n.postDurable[p.Trustee] = true
 		n.mu.Unlock()
 	case bbRecBlame:
-		if d.bad || len(d.buf) != 0 || key >= uint64(man.NumTrustees) {
+		if d.Bad || len(d.Buf) != 0 || key >= uint64(man.NumTrustees) {
 			return errBadBBRecord
 		}
 		n.mu.Lock()
 		n.badPosts[int(key)] = true //nolint:gosec // bounds-checked
 		n.mu.Unlock()
 	case bbRecResult:
-		blob := d.bytes()
-		if d.bad || len(d.buf) != 0 || key != 0 {
+		blob := d.Bytes()
+		if d.Bad || len(d.Buf) != 0 || key != 0 {
 			return errBadBBRecord
 		}
 		res := new(Result)
@@ -424,13 +365,12 @@ func (n *Node) journaled() bool {
 func (n *Node) strictJournal() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.journal != nil && n.journalPolicy == vc.PolicyStrict
+	return n.journal != nil && n.journalPolicy == journal.PolicyStrict
 }
 
 // journalAppend logs transition records (no-op without a journal). Must not
-// be called while holding n.mu: the single-WAL engine's snapshot runs
-// synchronously inside MaybeSnapshot and serializes state via laneState,
-// which takes n.mu.
+// be called while holding n.mu: a backend may run the snapshot capture
+// inside MaybeSnapshot (MemJournal does), and laneState takes n.mu.
 func (n *Node) journalAppend(recs ...[]byte) error {
 	n.mu.Lock()
 	j := n.journal
@@ -438,19 +378,7 @@ func (n *Node) journalAppend(recs ...[]byte) error {
 	if j == nil || len(recs) == 0 {
 		return nil
 	}
-	if err := j.Append(recs); err != nil {
-		n.metrics.JournalErrors.Add(1)
-		return err
-	}
-	n.metrics.JournalRecords.Add(int64(len(recs)))
-	j.MaybeSnapshot(n.laneState, func(err error) {
-		if err != nil {
-			n.metrics.JournalErrors.Add(1)
-		} else {
-			n.metrics.Snapshots.Add(1)
-		}
-	})
-	return nil
+	return journal.Log(j, &n.metrics.Counters, n.laneState, recs)
 }
 
 // journalSubmission logs the record behind an already-installed submission
@@ -517,53 +445,36 @@ func (n *Node) Close() error {
 
 // --- state serialization ---------------------------------------------------
 
-// serializeState dumps the node's entire runtime state as journal records —
-// the basis of StateHash and the single-lane snapshot payload.
-func (n *Node) serializeState() [][]byte {
-	return n.laneState(0, 1)
+// laneKeys returns the keys of m the journal routes to lane, ascending.
+func laneKeys[K ~int | ~uint32, V any](m map[K]V, lane, lanes int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		if journal.KeyLane(uint64(k), lanes) == lane { //nolint:gosec // validated index
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
 }
 
 // laneState is the node's StateSource: lane's share of the runtime state as
 // journal records, routed by each record's key through the same hash the
-// pooled engine applied to the appends. Deterministic: every map walks in
-// sorted key order. Unencodable entries (cannot happen for state that came
-// through ingress or replay; defensive) are skipped and counted — the
-// corresponding WAL records then simply survive the truncation.
+// engine applied to the appends; (0, 1) is the whole state, the basis of
+// StateHash. Deterministic: every map walks in sorted key order.
+// Unencodable entries (cannot happen for state that came through ingress or
+// replay; defensive) are skipped and counted — the corresponding WAL records
+// then simply survive in their sealed segment.
 func (n *Node) laneState(lane, lanes int) [][]byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var out [][]byte
-	vcIdxs := make([]int, 0, len(n.setSubs))
-	for i := range n.setSubs {
-		vcIdxs = append(vcIdxs, i)
-	}
-	sort.Ints(vcIdxs)
-	for _, i := range vcIdxs {
-		if vc.JournalKeyLane(uint64(i), lanes) != lane { //nolint:gosec // validated index
-			continue
-		}
+	for _, i := range laneKeys(n.setSubs, lane, lanes) {
 		out = append(out, encBBSet(i, n.setSubs[i]))
 	}
-	shIdxs := make([]uint32, 0, len(n.mskShares))
-	for idx := range n.mskShares {
-		shIdxs = append(shIdxs, idx)
-	}
-	sort.Slice(shIdxs, func(i, k int) bool { return shIdxs[i] < shIdxs[k] })
-	for _, idx := range shIdxs {
-		if vc.JournalKeyLane(uint64(idx), lanes) != lane {
-			continue
-		}
+	for _, idx := range laneKeys(n.mskShares, lane, lanes) {
 		out = append(out, encBBShare(idx, n.mskShares[idx]))
 	}
-	tIdxs := make([]int, 0, len(n.posts))
-	for t := range n.posts {
-		tIdxs = append(tIdxs, t)
-	}
-	sort.Ints(tIdxs)
-	for _, t := range tIdxs {
-		if vc.JournalKeyLane(uint64(t), lanes) != lane { //nolint:gosec // validated index
-			continue
-		}
+	for _, t := range laneKeys(n.posts, lane, lanes) {
 		rec, err := encBBPost(n.posts[t])
 		if err != nil {
 			n.metrics.JournalErrors.Add(1)
@@ -571,18 +482,10 @@ func (n *Node) laneState(lane, lanes int) [][]byte {
 		}
 		out = append(out, rec)
 	}
-	bIdxs := make([]int, 0, len(n.badPosts))
-	for t := range n.badPosts {
-		bIdxs = append(bIdxs, t)
-	}
-	sort.Ints(bIdxs)
-	for _, t := range bIdxs {
-		if vc.JournalKeyLane(uint64(t), lanes) != lane { //nolint:gosec // validated index
-			continue
-		}
+	for _, t := range laneKeys(n.badPosts, lane, lanes) {
 		out = append(out, encBBBlame(t))
 	}
-	if n.result != nil && vc.JournalKeyLane(0, lanes) == lane {
+	if n.result != nil && journal.KeyLane(0, lanes) == lane {
 		rec, err := encBBResult(n.result)
 		if err != nil {
 			n.metrics.JournalErrors.Add(1)
@@ -597,14 +500,5 @@ func (n *Node) laneState(lane, lanes int) [][]byte {
 // and after a recover cycle) with identical state hash identically — the
 // acceptance check for recovery idempotence, mirroring vc.Node.StateHash.
 func (n *Node) StateHash() [32]byte {
-	h := sha256.New()
-	var lenBuf [4]byte
-	for _, rec := range n.serializeState() {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(rec))) //nolint:gosec // record-sized
-		h.Write(lenBuf[:])
-		h.Write(rec)
-	}
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	return journal.HashRecords(n.laneState(0, 1))
 }

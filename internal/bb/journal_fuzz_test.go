@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/vc"
 )
 
@@ -83,11 +84,11 @@ func FuzzBBJournalReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mem := vc.NewMemJournal(vc.JournalOptions{})
+		mem := journal.NewMemJournal(journal.Options{})
 		if err := mem.Append([][]byte{rec}); err != nil {
 			t.Fatal(err)
 		}
-		if err := node.RecoverBackend(mem, vc.PolicyAvailable); err != nil {
+		if err := node.RecoverBackend(mem, journal.PolicyAvailable); err != nil {
 			return // refused recovery is the correct response to garbage
 		}
 		// Accepted records must leave a node whose state round-trips: the
@@ -97,11 +98,11 @@ func FuzzBBJournalReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay := vc.NewMemJournal(vc.JournalOptions{})
-		if err := replay.Append(node.serializeState()); err != nil {
+		replay := journal.NewMemJournal(journal.Options{})
+		if err := replay.Append(node.laneState(0, 1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := second.RecoverBackend(replay, vc.PolicyAvailable); err != nil {
+		if err := second.RecoverBackend(replay, journal.PolicyAvailable); err != nil {
 			t.Fatalf("state serialized by a node failed to replay: %v", err)
 		}
 		if second.StateHash() != h1 {

@@ -10,6 +10,7 @@ import (
 
 	"ddemos/internal/bb"
 	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/trustee"
 	"ddemos/internal/vc"
 )
@@ -173,8 +174,8 @@ func TestBBJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the WAL tail mid-record.
-	wal := filepath.Join(dir, "wal")
+	// Tear the tail of the one lane's active segment mid-record.
+	wal := filepath.Join(dir, "wal-0.000001")
 	info, err := os.Stat(wal)
 	if err != nil {
 		t.Fatal(err)
@@ -222,12 +223,12 @@ func TestBBJournalResultRecordLoss(t *testing.T) {
 	cluster, data := publishSetup(t, []int{0, 1, 1}, 3)
 	posts := honestPosts(t, cluster.Reader, data, 3)
 
-	mem := vc.NewMemJournal(vc.JournalOptions{})
+	mem := journal.NewMemJournal(journal.Options{})
 	node, err := bb.NewNode(data.BB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := node.RecoverBackend(mem, vc.PolicyAvailable); err != nil {
+	if err := node.RecoverBackend(mem, journal.PolicyAvailable); err != nil {
 		t.Fatal(err)
 	}
 	entered := make(chan struct{})
@@ -271,7 +272,7 @@ func TestBBJournalResultRecordLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := recovered.RecoverBackend(mem, vc.PolicyAvailable); err != nil {
+	if err := recovered.RecoverBackend(mem, journal.PolicyAvailable); err != nil {
 		t.Fatal(err)
 	}
 	rres, err := recovered.WaitResult(ctx)
@@ -291,12 +292,12 @@ func TestBBJournalStrictRefusal(t *testing.T) {
 	posts := honestPosts(t, cluster.Reader, data, 3)
 	man := &data.BB.Manifest
 
-	mem := vc.NewMemJournal(vc.JournalOptions{})
+	mem := journal.NewMemJournal(journal.Options{})
 	node, err := bb.NewNode(data.BB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := node.RecoverBackend(mem, vc.PolicyStrict); err != nil {
+	if err := node.RecoverBackend(mem, journal.PolicyStrict); err != nil {
 		t.Fatal(err)
 	}
 	set, err := cluster.BBs[0].VoteSet()
@@ -349,34 +350,32 @@ func TestBBJournalStrictRefusal(t *testing.T) {
 	}
 }
 
-// TestBBJournalBackendDifferential runs one seeded publish phase on three
-// replicas with different durability engines — memory-only, single WAL,
-// pooled WAL — and requires identical canonical results live, plus
-// identical StateHashes after the journaled replicas recover from disk.
+// TestBBJournalBackendDifferential runs one seeded publish phase on a
+// memory-only replica and on journaled replicas at 1, 2 and 4 lanes, and
+// requires identical canonical results live, plus identical StateHashes
+// after the journaled replicas recover from disk.
 func TestBBJournalBackendDifferential(t *testing.T) {
 	cluster, data := publishSetup(t, []int{0, 1, 1, 0, -1, 1}, 3)
 	posts := honestPosts(t, cluster.Reader, data, 3)
 
-	singleDir, pooledDir := t.TempDir(), t.TempDir()
 	memNode, err := bb.NewNode(data.BB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	singleNode, err := bb.NewNode(data.BB)
-	if err != nil {
-		t.Fatal(err)
+	nodes := []*bb.Node{memNode}
+	dirs := map[string]journal.Options{}
+	for _, lanes := range []int{1, 2, 4} {
+		dir, opts := t.TempDir(), journal.Options{Pool: lanes}
+		node, err := bb.NewNode(data.BB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := node.RecoverWithOptions(dir, opts); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, node)
+		dirs[dir] = opts
 	}
-	if err := singleNode.Recover(singleDir); err != nil {
-		t.Fatal(err)
-	}
-	pooledNode, err := bb.NewNode(data.BB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pooledNode.RecoverWithOptions(pooledDir, vc.JournalOptions{Pool: 3}); err != nil {
-		t.Fatal(err)
-	}
-	nodes := []*bb.Node{memNode, singleNode, pooledNode}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	var want string
@@ -394,21 +393,19 @@ func TestBBJournalBackendDifferential(t *testing.T) {
 		if want == "" {
 			want = canonicalResult(res)
 		} else if canonicalResult(res) != want {
-			t.Fatal("engines diverged on the canonical result")
+			t.Fatal("backends diverged on the canonical result")
 		}
 	}
-	// StateHash is engine-independent: all three replicas hold the same
-	// state, and recovery reproduces it bit-for-bit.
-	if singleNode.StateHash() != memNode.StateHash() || pooledNode.StateHash() != memNode.StateHash() {
-		t.Fatal("live StateHash differs across engines")
-	}
+	// StateHash is backend-independent: all replicas hold the same state,
+	// and recovery reproduces it bit-for-bit.
 	wantHash := memNode.StateHash()
-	_ = singleNode.Close()
-	_ = pooledNode.Close()
-	for dir, opts := range map[string]vc.JournalOptions{
-		singleDir: {},
-		pooledDir: {Pool: 3},
-	} {
+	for _, node := range nodes[1:] {
+		if node.StateHash() != wantHash {
+			t.Fatal("live StateHash differs across backends")
+		}
+		_ = node.Close()
+	}
+	for dir, opts := range dirs {
 		rec, err := bb.NewNode(data.BB)
 		if err != nil {
 			t.Fatal(err)
@@ -417,7 +414,7 @@ func TestBBJournalBackendDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rec.StateHash() != wantHash {
-			t.Fatalf("recovered StateHash from %s diverges", dir)
+			t.Fatalf("recovered StateHash from %s (%d lanes) diverges", dir, opts.Pool)
 		}
 		_ = rec.Close()
 	}

@@ -3,6 +3,8 @@ package bb
 import (
 	"sync/atomic"
 	"time"
+
+	"ddemos/internal/journal"
 )
 
 // Metrics collects a BB node's operational counters for the publish phase,
@@ -17,9 +19,7 @@ type Metrics struct {
 	CombineAttempts   atomic.Int64 // combine passes over a candidate subset
 	CombineNanos      atomic.Int64 // cumulative wall time spent in combine attempts
 	BatchFallbacks    atomic.Int64 // batch-verify chunks re-checked per element
-	JournalRecords    atomic.Int64 // records appended to the runtime-state journal
-	JournalErrors     atomic.Int64 // journal append/snapshot/encode failures
-	Snapshots         atomic.Int64 // completed journal snapshots
+	journal.Counters               // JournalRecords, JournalErrors, Snapshots
 }
 
 // Snapshot is a point-in-time copy of the metrics.

@@ -24,6 +24,7 @@ import (
 	"ddemos/internal/crypto/shamir"
 	"ddemos/internal/crypto/votecode"
 	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/vc"
 )
 
@@ -79,8 +80,8 @@ type Node struct {
 	// Durability layer (journal.go). The per-item flags record which
 	// accepted submissions have a journal record on disk: Strict-policy
 	// duplicate submissions re-attempt the append until the flag is set.
-	journal       vc.JournalBackend
-	journalPolicy vc.AckPolicy
+	journal       journal.Backend
+	journalPolicy journal.AckPolicy
 	setDurable    map[int]bool
 	shareDurable  map[uint32]bool
 	postDurable   map[int]bool

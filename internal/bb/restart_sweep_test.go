@@ -11,11 +11,11 @@ import (
 	"time"
 
 	"ddemos/internal/bb"
-	"ddemos/internal/vc"
+	"ddemos/internal/journal"
 )
 
-// sweepPools rotates the journal engine across seeds: single WAL, 2-lane
-// pool, 4-lane pool — the same rotation the VC restart sweeps run.
+// sweepPools rotates the journal's lane count across seeds: 1, 2, 4 — the
+// same rotation the VC restart sweeps run.
 var sweepPools = []int{1, 2, 4}
 
 // TestBBRestartSweepPublishPhase is the crash-restart composition sweep of
@@ -58,7 +58,7 @@ func TestBBRestartSweepPublishPhase(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rnd := rand.New(rand.NewSource(int64(seed))) //nolint:gosec // deterministic test
-			jopts := vc.JournalOptions{Pool: sweepPools[seed%len(sweepPools)]}
+			jopts := journal.Options{Pool: sweepPools[seed%len(sweepPools)]}
 			dir := filepath.Join(baseDir, fmt.Sprintf("seed-%d", seed))
 			order := rnd.Perm(nt)
 

@@ -56,7 +56,7 @@ type Config struct {
 	WAL      bool
 	WALFsync bool
 	WALDir   string
-	// JournalPool shards the journal into this many WAL lanes when > 1
+	// JournalPool is the journal's WAL-lane count, <= 1 meaning one lane
 	// (the Fig. 5a pool knob applied to runtime state; requires WAL).
 	JournalPool int
 	// Consensus selects the vote-set-consensus engine every VC node runs:

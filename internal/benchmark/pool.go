@@ -8,17 +8,18 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ddemos/internal/journal"
 	"ddemos/internal/vc"
 )
 
 // PoolPoint is one column of the pool-size ablation: the journal-append
-// throughput of one backend configuration, Fig. 5a-style (the paper sweeps
-// its PostgreSQL connection pool; here the pool is the sharded journal's
-// WAL-lane count, the same knob applied to runtime state).
+// throughput at one lane count, Fig. 5a-style (the paper sweeps its
+// PostgreSQL connection pool; here the pool is the journal's WAL-lane count,
+// the same knob applied to runtime state).
 type PoolPoint struct {
-	Pool          int     // WAL lanes (1 = the single-WAL engine)
+	Pool          int     // WAL lanes
 	AppendsPerSec float64 // appended transition records per second
-	Speedup       float64 // vs the first (single-WAL) point
+	Speedup       float64 // vs the first (one-lane) point
 }
 
 // PoolAblationConfig tunes RunPoolAblation.
@@ -55,9 +56,9 @@ func (c PoolAblationConfig) withDefaults() PoolAblationConfig {
 
 // RunPoolAblation measures journal-append throughput across pool sizes:
 // Workers concurrent appenders write protocol-shaped voted-transition
-// records (distinct serials, so pooled lanes spread) for Duration per
-// point. With per-append fsync the single WAL serializes every append
-// behind one disk flush; pooled lanes flush independently, which is the
+// records (distinct serials, so they spread over the lanes) for Duration per
+// point. With per-append fsync one lane serializes every append behind one
+// disk flush; several lanes flush independently, which is the
 // scaling the paper's Fig. 5a pool sweep shows for its database-backed
 // runtime state.
 func RunPoolAblation(cfg PoolAblationConfig) ([]PoolPoint, error) {
@@ -87,7 +88,7 @@ func RunPoolAblation(cfg PoolAblationConfig) ([]PoolPoint, error) {
 }
 
 func measurePoolPoint(dir string, pool int, cfg PoolAblationConfig) (float64, error) {
-	j, err := vc.OpenJournal(dir, vc.JournalOptions{
+	j, err := journal.Open(dir, journal.Options{
 		Pool:  pool,
 		Fsync: !cfg.NoFsync,
 		// The measurement isolates append throughput; snapshots are the

@@ -13,17 +13,13 @@ import (
 	"ddemos/internal/store"
 )
 
-// SetupPoint is one route of the EA → VC setup ablation: the legacy
-// whole-pool handoff (materialize the pool, gob it, decode it, build
-// segments on first VC boot) versus the streaming zero-copy handoff (EA
-// emits segment directories through store.Writer as ballots generate; the
-// VC opens them directly).
+// SetupPoint is the measured EA → VC setup handoff: the EA emits segment
+// directories through store.Writer as ballots generate, and the VC opens
+// them directly.
 type SetupPoint struct {
-	Route        string  // legacy | streaming
 	SetupSec     float64 // EA generate + write every payload file
-	PeakHeapMB   float64 // peak Go heap above the pre-route baseline, MiB
+	PeakHeapMB   float64 // peak Go heap above the pre-run baseline, MiB
 	ColdStartSec float64 // VC boot: payload on disk → first ballot served
-	MemRatio     float64 // legacy peak heap / this route's peak heap
 }
 
 // SetupAblationConfig tunes RunSetupAblation.
@@ -40,9 +36,6 @@ type SetupAblationConfig struct {
 	SegmentBallots int
 	// Dir hosts the payload files (default: a temp dir).
 	Dir string
-	// Seed makes both routes generate the identical election
-	// (default "setup-ablation").
-	Seed string
 }
 
 func (c SetupAblationConfig) withDefaults() SetupAblationConfig {
@@ -58,15 +51,12 @@ func (c SetupAblationConfig) withDefaults() SetupAblationConfig {
 	if c.SegmentBallots <= 0 {
 		c.SegmentBallots = 10_000
 	}
-	if c.Seed == "" {
-		c.Seed = "setup-ablation"
-	}
 	return c
 }
 
 // heapSampler tracks peak heap allocation over a measured region. Sampling
 // (rather than a single before/after read) catches the transient peak —
-// exactly what O(pool) routes produce and O(segment) routes must not.
+// exactly what an O(pool) handoff produces and an O(segment) one must not.
 type heapSampler struct {
 	stop chan struct{}
 	done chan struct{}
@@ -113,10 +103,9 @@ func (s *heapSampler) Finish() uint64 {
 	return s.peak - s.base
 }
 
-// setupParams builds the common (seeded, VC-only) election parameters: the
-// ablation measures the EA → VC handoff, so the BB/trustee payloads — whose
-// ElGamal/ZK work dwarfs the handoff and is identical on both routes — are
-// left out.
+// setupParams builds the seeded, VC-only election parameters: the ablation
+// measures the EA → VC handoff, so the BB/trustee payloads — whose
+// ElGamal/ZK work dwarfs the handoff — are left out.
 func setupParams(cfg SetupAblationConfig) ea.Params {
 	return ea.Params{
 		ElectionID:  "setup-ablation",
@@ -127,7 +116,7 @@ func setupParams(cfg SetupAblationConfig) ea.Params {
 		NumTrustees: 3,
 		VotingStart: time.Unix(1700000000, 0),
 		VotingEnd:   time.Unix(1700000000, 0).Add(12 * time.Hour),
-		Seed:        []byte(cfg.Seed),
+		Seed:        []byte("setup-ablation"),
 		VCOnly:      true,
 	}
 }
@@ -140,59 +129,30 @@ func optionNames(m int) []string {
 	return out
 }
 
-// runLegacySetup is the pre-streaming pipeline: materialize the whole
-// election in memory, write whole-pool vc-<i>.gob payloads; cold start
-// decodes the pool and stream-builds a segment directory (what ddemos-vc
-// does on first boot from a legacy payload).
-func runLegacySetup(cfg SetupAblationConfig, dir string) (SetupPoint, error) {
-	pt := SetupPoint{Route: "legacy"}
-	sampler := startHeapSampler()
-	begin := time.Now()
-	data, err := ea.Setup(setupParams(cfg))
-	if err != nil {
-		return pt, err
-	}
-	for i, v := range data.VC {
-		if err := httpapi.WriteGobFile(filepath.Join(dir, fmt.Sprintf("vc-%d.gob", i)), v); err != nil {
+// RunSetupAblation measures EA → VC setup end to end over a seeded
+// election: SetupStream emits each ballot once, straight into per-VC segment
+// directories and slim payloads, and the VC's cold start opens the pre-built
+// directory. Reported: wall time to generate and write every payload, peak
+// heap while doing it, and the cold-start time from payload to first served
+// ballot. The peak must stay O(segment + reorder window) whatever the pool
+// size; the CI baseline gates it as an absolute ceiling.
+func RunSetupAblation(cfg SetupAblationConfig) (SetupPoint, error) {
+	cfg = cfg.withDefaults()
+	var pt SetupPoint
+	dir := cfg.Dir
+	if dir == "" {
+		var err error
+		dir, err = os.MkdirTemp("", "ddemos-setup-ablation")
+		if err != nil {
 			return pt, err
 		}
+		defer func() { _ = os.RemoveAll(dir) }()
 	}
-	pt.SetupSec = time.Since(begin).Seconds()
-	data = nil //nolint:ineffassign,wastedassign // release the pool before the peak reading
-	pt.PeakHeapMB = float64(sampler.Finish()) / (1 << 20)
-
-	begin = time.Now()
-	var init ea.VCInit
-	if err := httpapi.ReadGobFile(filepath.Join(dir, "vc-0.gob"), &init); err != nil {
+	// A fresh subdirectory, so a rerun into the same Dir starts clean.
+	dir = filepath.Join(dir, "payloads")
+	if err := os.RemoveAll(dir); err != nil {
 		return pt, err
 	}
-	w, err := store.NewWriter(filepath.Join(dir, "vc-0-ballots"), store.WriterOptions{SegmentBallots: cfg.SegmentBallots})
-	if err != nil {
-		return pt, err
-	}
-	for _, b := range init.Ballots {
-		if err := w.Append(b); err != nil {
-			w.Abort()
-			return pt, err
-		}
-	}
-	seg, err := w.Finish()
-	if err != nil {
-		return pt, err
-	}
-	defer func() { _ = seg.Close() }()
-	if _, err := seg.Get(uint64(cfg.Ballots)); err != nil {
-		return pt, err
-	}
-	pt.ColdStartSec = time.Since(begin).Seconds()
-	return pt, nil
-}
-
-// runStreamingSetup is the zero-copy pipeline: SetupStream emits each
-// ballot once, straight into per-VC segment directories and slim payloads;
-// cold start opens the pre-built directory.
-func runStreamingSetup(cfg SetupAblationConfig, dir string) (SetupPoint, error) {
-	pt := SetupPoint{Route: "streaming"}
 	sampler := startHeapSampler()
 	begin := time.Now()
 	writers := make([]*store.Writer, cfg.VC)
@@ -250,59 +210,11 @@ func runStreamingSetup(cfg SetupAblationConfig, dir string) (SetupPoint, error) 
 	return pt, nil
 }
 
-// RunSetupAblation measures EA → VC setup end to end on both handoff
-// routes over the identical seeded election: wall time to generate and
-// write every payload, peak heap while doing it, and the VC's cold-start
-// time from payload to first served ballot. The streaming route's peak
-// must stay O(segment + reorder window) while the legacy route's grows
-// O(pool) — their ratio (MemRatio) is machine-independent and is what the
-// CI baseline gates.
-func RunSetupAblation(cfg SetupAblationConfig) ([]SetupPoint, error) {
-	cfg = cfg.withDefaults()
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "ddemos-setup-ablation")
-		if err != nil {
-			return nil, err
-		}
-		defer func() { _ = os.RemoveAll(dir) }()
-	}
-	legacyDir := filepath.Join(dir, "legacy")
-	streamDir := filepath.Join(dir, "streaming")
-	for _, d := range []string{legacyDir, streamDir} {
-		if err := os.RemoveAll(d); err != nil {
-			return nil, err
-		}
-		if err := os.MkdirAll(d, 0o700); err != nil {
-			return nil, err
-		}
-	}
-	legacy, err := runLegacySetup(cfg, legacyDir)
-	if err != nil {
-		return nil, fmt.Errorf("setup ablation (legacy): %w", err)
-	}
-	streaming, err := runStreamingSetup(cfg, streamDir)
-	if err != nil {
-		return nil, fmt.Errorf("setup ablation (streaming): %w", err)
-	}
-	points := []SetupPoint{legacy, streaming}
-	for i := range points {
-		if points[i].PeakHeapMB > 0 {
-			points[i].MemRatio = legacy.PeakHeapMB / points[i].PeakHeapMB
-		}
-	}
-	return points, nil
-}
-
-// PrintSetupAblation formats the ablation, one row per route.
-func PrintSetupAblation(w io.Writer, points []SetupPoint, cfg SetupAblationConfig) {
+// PrintSetupAblation formats the measurement.
+func PrintSetupAblation(w io.Writer, p SetupPoint, cfg SetupAblationConfig) {
 	cfg = cfg.withDefaults()
 	fmt.Fprintf(w, "# Setup ablation: EA → VC handoff, %d-ballot pool (m=%d, %d VC, %d-ballot segments)\n",
 		cfg.Ballots, cfg.Options, cfg.VC, cfg.SegmentBallots)
-	fmt.Fprintf(w, "%-12s %-12s %-14s %-16s %-10s\n", "route", "setup-sec", "peak-heap-MB", "vc-coldstart-sec", "mem-ratio")
-	for _, p := range points {
-		fmt.Fprintf(w, "%-12s %-12.2f %-14.1f %-16.3f %-10.2f\n",
-			p.Route, p.SetupSec, p.PeakHeapMB, p.ColdStartSec, p.MemRatio)
-	}
+	fmt.Fprintf(w, "%-12s %-14s %-16s\n", "setup-sec", "peak-heap-MB", "vc-coldstart-sec")
+	fmt.Fprintf(w, "%-12.2f %-14.1f %-16.3f\n", p.SetupSec, p.PeakHeapMB, p.ColdStartSec)
 }

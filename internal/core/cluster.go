@@ -23,6 +23,7 @@ import (
 	"ddemos/internal/clock"
 	"ddemos/internal/consensus"
 	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/sim"
 	"ddemos/internal/store"
 	"ddemos/internal/transport"
@@ -79,7 +80,7 @@ type Options struct {
 	// Workers sizes each VC node's message-processing pool.
 	Workers int
 	// DataDir, when set, gives every VC node a durable runtime-state
-	// journal (WAL + snapshot) under <DataDir>/vc-<i> and every BB node
+	// journal (WAL lanes + snapshots) under <DataDir>/vc-<i> and every BB node
 	// one under <DataDir>/bb-<i>, recovered at construction — the paper's
 	// crash-and-rejoin deployment property. RestartVC and RestartBB
 	// relaunch nodes from them in place.
@@ -88,16 +89,17 @@ type Options struct {
 	// batched group-commit cadence.
 	Fsync bool
 	// SnapshotEvery overrides the journal's snapshot threshold (records
-	// between snapshot+truncate cycles; 0 = adaptive cadence).
+	// per lane between snapshot cycles; 0 = adaptive cadence).
 	SnapshotEvery int
-	// JournalPool selects the sharded journal backend when > 1: that many
-	// WAL lanes hashed by ballot serial, each with its own group-commit
-	// fsync loop and copy-on-write snapshots — the runtime-state analogue
-	// of the paper's Fig. 5a connection-pool sweep.
+	// JournalPool is the number of WAL lanes each node's journal hashes
+	// its records over (by ballot serial on a VC), each with its own
+	// group-commit fsync loop and copy-on-write snapshots — the
+	// runtime-state analogue of the paper's Fig. 5a connection-pool sweep.
+	// <= 1 means one lane.
 	JournalPool int
 	// JournalPolicy selects the journal-append-error ack policy
-	// (vc.PolicyAvailable or vc.PolicyStrict).
-	JournalPolicy vc.AckPolicy
+	// (journal.PolicyAvailable or journal.PolicyStrict).
+	JournalPolicy journal.AckPolicy
 	// Consensus selects the vote-set-consensus engine for every VC node:
 	// "interlocked" (default, the paper's per-ballot protocol) or "acs"
 	// (BKR common-subset; see vc.ParseEngine).
@@ -272,18 +274,22 @@ func (c *Cluster) buildVC(i int) (*vc.Node, error) {
 	}
 	if opts.DataDir != "" {
 		dir := filepath.Join(opts.DataDir, fmt.Sprintf("vc-%d", i))
-		jopts := vc.JournalOptions{
-			Fsync:         opts.Fsync,
-			SnapshotEvery: opts.SnapshotEvery,
-			Pool:          opts.JournalPool,
-			Policy:        opts.JournalPolicy,
-		}
-		if err := node.RecoverWithOptions(dir, jopts); err != nil {
+		if err := node.RecoverWithOptions(dir, opts.journalOptions()); err != nil {
 			return nil, fmt.Errorf("core: recovering vc %d: %w", i, err)
 		}
 	}
 	node.Start()
 	return node, nil
+}
+
+// journalOptions is the journal tuning every journaled node opens with.
+func (o Options) journalOptions() journal.Options {
+	return journal.Options{
+		Fsync:         o.Fsync,
+		SnapshotEvery: o.SnapshotEvery,
+		Pool:          o.JournalPool,
+		Policy:        o.JournalPolicy,
+	}
 }
 
 // buildBB constructs and, when DataDir is set, recovers BB node i from its
@@ -297,13 +303,7 @@ func (c *Cluster) buildBB(i int) (*bb.Node, error) {
 	node.Lying = opts.LyingBB[i]
 	if opts.DataDir != "" {
 		dir := filepath.Join(opts.DataDir, fmt.Sprintf("bb-%d", i))
-		jopts := vc.JournalOptions{
-			Fsync:         opts.Fsync,
-			SnapshotEvery: opts.SnapshotEvery,
-			Pool:          opts.JournalPool,
-			Policy:        opts.JournalPolicy,
-		}
-		if err := node.RecoverWithOptions(dir, jopts); err != nil {
+		if err := node.RecoverWithOptions(dir, opts.journalOptions()); err != nil {
 			return nil, fmt.Errorf("core: recovering bb %d: %w", i, err)
 		}
 	}

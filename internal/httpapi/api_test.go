@@ -3,7 +3,6 @@ package httpapi
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -55,13 +54,8 @@ func newTestCluster(t *testing.T) (*ea.ElectionData, *core.Cluster, *httptest.Se
 	return data, cluster, vcSrv, bbSrv
 }
 
-// decodeEnvelope reads an error response's body as the raw JSON envelope,
-// including the legacy "error" mirror the typed decoder ignores.
-func decodeEnvelope(t *testing.T, resp *http.Response) (env struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	Error   string `json:"error"`
-}) {
+// decodeEnvelope reads an error response's body as the raw JSON envelope.
+func decodeEnvelope(t *testing.T, resp *http.Response) (env ErrorEnvelope) {
 	t.Helper()
 	defer func() { _ = resp.Body.Close() }()
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
@@ -71,9 +65,8 @@ func decodeEnvelope(t *testing.T, resp *http.Response) (env struct {
 }
 
 // TestErrorEnvelopeRoundTrip pins the uniform error contract on both
-// handlers: every error path emits {code, message} (with the legacy "error"
-// mirror), and the clients surface it as a typed *APIError whose code the
-// caller can branch on.
+// handlers: every error path emits {code, message}, and the clients surface
+// it as a typed *APIError whose code the caller can branch on.
 func TestErrorEnvelopeRoundTrip(t *testing.T) {
 	_, _, vcSrv, bbSrv := newTestCluster(t)
 	ctx := context.Background()
@@ -87,7 +80,7 @@ func TestErrorEnvelopeRoundTrip(t *testing.T) {
 		t.Fatalf("malformed vote status = %d", resp.StatusCode)
 	}
 	env := decodeEnvelope(t, resp)
-	if env.Code != CodeBadRequest || env.Message == "" || env.Error != env.Message {
+	if env.Code != CodeBadRequest || env.Message == "" {
 		t.Fatalf("envelope = %+v", env)
 	}
 
@@ -200,24 +193,23 @@ func TestContextCancellationEveryClientMethod(t *testing.T) {
 	}
 }
 
-// TestUnversionedAliasCompat pins the one-release alias contract: every
-// pre-v1 path answers exactly like its /v1/ twin — except the BB's
-// unversioned GET /metrics, which deliberately keeps its legacy gob body
-// while /v1/metrics serves JSON.
-func TestUnversionedAliasCompat(t *testing.T) {
+// TestVersionedRoutesOnly pins the route contract: voting and both roles'
+// JSON metrics live under /v1/, and the unversioned paths the first release
+// shipped are gone — they answer 404 with the uniform envelope, like any
+// other unknown path.
+func TestVersionedRoutesOnly(t *testing.T) {
 	data, _, vcSrv, bbSrv := newTestCluster(t)
 	ctx := context.Background()
 
-	// Voting through the unversioned POST /vote still works and returns
-	// the same receipt the ballot carries.
+	// A plain POST /v1/vote returns the receipt the ballot carries.
 	b := data.Ballots[0]
 	body, _ := json.Marshal(VoteRequest{Serial: b.Serial, Code: ballotCodeHex(b.Parts[0].Lines[0].VoteCode)})
-	resp, err := http.Post(vcSrv.URL+"/vote", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(vcSrv.URL+"/v1/vote", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unversioned /vote status = %d", resp.StatusCode)
+		t.Fatalf("/v1/vote status = %d", resp.StatusCode)
 	}
 	var vr VoteResponse
 	if err := json.NewDecoder(resp.Body).Decode(&vr); err != nil {
@@ -228,33 +220,15 @@ func TestUnversionedAliasCompat(t *testing.T) {
 		t.Fatalf("receipt = %q", vr.Receipt)
 	}
 
-	// Unversioned and versioned BB reads answer identically — same status,
-	// byte-identical body. /voteset is pre-consensus here, so the pair also
-	// pins that the 404 envelope is aliased like the 200 gob bodies.
-	for _, path := range []string{"/manifest", "/init", "/voteset"} {
-		aStatus, aliased := rawGet(t, bbSrv.URL+path)
-		vStatus, versioned := rawGet(t, bbSrv.URL+"/v1"+path)
-		if aStatus != vStatus || !bytes.Equal(aliased, versioned) {
-			t.Fatalf("GET %s (%d) diverges from its /v1 twin (%d)", path, aStatus, vStatus)
-		}
-	}
-
-	// VC metrics exist only under /v1 (it is a new endpoint, no alias to
-	// keep); both roles serve the same JSON scrape format there.
+	// Both roles serve the same JSON scrape format under /v1/metrics.
 	vcClient := &VCClient{BaseURL: vcSrv.URL}
 	if _, err := vcClient.Metrics(ctx); err != nil {
 		t.Fatalf("vc /v1/metrics: %v", err)
 	}
-	bbClient := &BBClient{BaseURL: bbSrv.URL}
-	if _, err := bbClient.Metrics(ctx); err != nil {
-		t.Fatalf("bb /v1/metrics: %v", err)
-	}
-
-	// BB unversioned /metrics keeps the legacy gob body for old scrapers.
-	_, legacyBody := rawGet(t, bbSrv.URL+"/metrics")
+	_, bbMetricsBody := rawGet(t, bbSrv.URL+"/v1/metrics")
 	var snap bb.Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(legacyBody)).Decode(&snap); err != nil {
-		t.Fatalf("unversioned bb /metrics is no longer gob: %v", err)
+	if err := json.Unmarshal(bbMetricsBody, &snap); err != nil {
+		t.Fatalf("bb /v1/metrics is not JSON: %v", err)
 	}
 	_, vcMetricsBody := rawGet(t, vcSrv.URL+"/v1/metrics")
 	var vcSnap vc.Snapshot
@@ -270,15 +244,18 @@ func TestUnversionedAliasCompat(t *testing.T) {
 		}
 	}
 
-	// Error envelopes are identical on aliased paths, legacy "error" key
-	// included.
-	resp, err = http.Post(vcSrv.URL+"/vote", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := decodeEnvelope(t, resp)
-	if env.Code != CodeBadRequest || env.Error != env.Message {
-		t.Fatalf("aliased-path envelope = %+v", env)
+	// The unversioned aliases are gone: 404, uniform envelope.
+	for _, url := range []string{vcSrv.URL + "/vote", bbSrv.URL + "/manifest", bbSrv.URL + "/metrics"} {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s status = %d, want 404", url, resp.StatusCode)
+		}
+		if env := decodeEnvelope(t, resp); env.Code != CodeNotFound || env.Message == "" {
+			t.Fatalf("POST %s envelope = %+v", url, env)
+		}
 	}
 }
 

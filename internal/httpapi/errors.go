@@ -21,7 +21,7 @@ const (
 	// serial, strict-journal refusal).
 	CodeVoteRejected = "vote_rejected"
 	// CodeNotFound: the requested data is not (yet) published — trustees
-	// and auditors poll until it appears.
+	// and auditors poll until it appears — or the path is not a route.
 	CodeNotFound = "not_found"
 	// CodeBadSubmission: the BB node refused a write (bad signature,
 	// equivocation, wrong election).
@@ -32,14 +32,10 @@ const (
 )
 
 // ErrorEnvelope is the uniform JSON error body of every endpoint: a stable
-// machine-readable code plus a human-readable message. LegacyError mirrors
-// Message under the pre-v1 "error" key so clients that predate the
-// envelope (they read VoteResponse.Error) keep failing loudly; it is
-// removed together with the unversioned path aliases.
+// machine-readable code plus a human-readable message.
 type ErrorEnvelope struct {
-	Code        string `json:"code"`
-	Message     string `json:"message"`
-	LegacyError string `json:"error,omitempty"`
+	Code    string `json:"code"`
+	Message string `json:"message"`
 }
 
 // APIError is the typed client-side error decoded from an ErrorEnvelope.
@@ -71,7 +67,7 @@ func HasCode(err error, code string) bool {
 // writeError emits the uniform envelope. Every handler error path funnels
 // through here so clients see one shape regardless of endpoint.
 func writeError(w http.ResponseWriter, status int, code, message string) {
-	writeJSON(w, status, ErrorEnvelope{Code: code, Message: message, LegacyError: message})
+	writeJSON(w, status, ErrorEnvelope{Code: code, Message: message})
 }
 
 // decodeAPIError turns a non-2xx response into a typed error: envelope

@@ -5,17 +5,13 @@
 //
 // # API versioning
 //
-// Every route lives under /v1/. The unversioned paths the first release
-// shipped remain registered as aliases of their /v1/ twins for one release
-// and then go away; new clients and deployments must use /v1/. The one
-// deliberate exception is the BB's unversioned GET /metrics, which keeps
-// its legacy gob body for old scrapers while GET /v1/metrics serves JSON —
-// the format both roles' metrics endpoints share, so operators and the
-// load generator scrape VC and BB nodes uniformly.
+// Every route lives under /v1/ and nowhere else: any other path answers 404
+// with the error envelope. GET /v1/metrics serves JSON on both roles, so
+// operators and the load generator scrape VC and BB nodes uniformly.
 //
 // Errors are a uniform JSON envelope {code, message} (ErrorEnvelope) on
-// every endpoint; clients surface them as typed *APIError values and
-// branch on the code, never on message text.
+// every endpoint, unknown paths included; clients surface them as typed
+// *APIError values and branch on the code, never on message text.
 package httpapi
 
 import (
@@ -65,11 +61,14 @@ func ReadGobFile(path string, v any) error {
 	return nil
 }
 
-// handleBoth registers h under the versioned path and its unversioned
-// alias (kept for one release; see the package comment).
-func handleBoth(mux *http.ServeMux, method, path string, h http.HandlerFunc) {
-	mux.HandleFunc(method+" /v1"+path, h)
-	mux.HandleFunc(method+" "+path, h)
+// newMux returns a mux whose unmatched paths answer with the error envelope
+// instead of net/http's plain-text 404.
+func newMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, CodeNotFound, "no such route: "+r.Method+" "+r.URL.Path)
+	})
+	return mux
 }
 
 // --- VC voter endpoint -----------------------------------------------------
@@ -92,8 +91,8 @@ type VoteResponse struct {
 // and per-phase timing counters from vc.Snapshot, as JSON — parity with
 // the BB handler, so both roles scrape uniformly).
 func VCHandler(node *vc.Node) http.Handler {
-	mux := http.NewServeMux()
-	handleBoth(mux, http.MethodPost, "/vote", func(w http.ResponseWriter, r *http.Request) {
+	mux := newMux()
+	mux.HandleFunc("POST /v1/vote", func(w http.ResponseWriter, r *http.Request) {
 		var req VoteRequest
 		if err := json.NewDecoder(io.LimitReader(r.Body, 4096)).Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, "malformed request")
@@ -173,9 +172,9 @@ func (c *VCClient) Metrics(ctx context.Context) (*vc.Snapshot, error) {
 // writes (the submissions carry their own signatures; the BB node verifies
 // them, §III-G), and JSON metrics on GET /v1/metrics.
 func BBHandler(node *bb.Node) http.Handler {
-	mux := http.NewServeMux()
+	mux := newMux()
 	serve := func(path string, get func() (any, error)) {
-		handleBoth(mux, http.MethodGet, path, func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc("GET /v1"+path, func(w http.ResponseWriter, r *http.Request) {
 			v, err := get()
 			if err != nil {
 				writeError(w, http.StatusNotFound, CodeNotFound, err.Error())
@@ -191,21 +190,13 @@ func BBHandler(node *bb.Node) http.Handler {
 	serve("/cast", func() (any, error) { return node.Cast() })
 	serve("/result", func() (any, error) { return node.Result() })
 
-	// Metrics: /v1/metrics is JSON (the uniform scrape format shared with
-	// the VC handler); the unversioned /metrics keeps the legacy gob body
-	// for pre-v1 scrapers — the one alias that is not byte-identical.
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		s := node.Metrics()
 		writeJSON(w, http.StatusOK, &s)
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		s := node.Metrics()
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_ = gob.NewEncoder(w).Encode(&s)
-	})
 
 	submit := func(path string, accept func(r *http.Request) error) {
-		handleBoth(mux, http.MethodPost, path, func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc("POST /v1"+path, func(w http.ResponseWriter, r *http.Request) {
 			if err := accept(r); err != nil {
 				code, status := CodeBadSubmission, http.StatusBadRequest
 				if _, ok := err.(gobDecodeError); ok {

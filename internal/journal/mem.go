@@ -1,17 +1,17 @@
-package vc
+package journal
 
 import (
 	"sync"
 )
 
-// MemJournal is the in-memory journal backend: the full JournalBackend
+// MemJournal is the in-memory journal backend: the full Backend
 // contract (append, replay, snapshot compaction) without any files. It
 // backs tests — backend-differential suites, fault injection via
 // SetAppendError, and harnesses that restart nodes without a disk — and is
 // deliberately not durable: a MemJournal only survives a restart if the
 // harness hands the same object to the next incarnation.
 type MemJournal struct {
-	opts JournalOptions
+	opts Options
 
 	mu         sync.Mutex
 	snap       [][]byte
@@ -23,7 +23,7 @@ type MemJournal struct {
 
 // NewMemJournal builds an empty in-memory backend. Only the snapshot-cadence
 // fields of opts are consulted.
-func NewMemJournal(opts JournalOptions) *MemJournal {
+func NewMemJournal(opts Options) *MemJournal {
 	return &MemJournal{opts: opts.withDefaults()}
 }
 
@@ -35,7 +35,7 @@ func (m *MemJournal) SetAppendError(err error) {
 	m.failErr = err
 }
 
-// Replay implements JournalBackend.
+// Replay implements Backend.
 func (m *MemJournal) Replay(fn func(payload []byte) error) error {
 	m.mu.Lock()
 	all := make([][]byte, 0, len(m.snap)+len(m.recs))
@@ -50,7 +50,7 @@ func (m *MemJournal) Replay(fn func(payload []byte) error) error {
 	return nil
 }
 
-// Append implements JournalBackend.
+// Append implements Backend.
 func (m *MemJournal) Append(recs [][]byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -64,10 +64,10 @@ func (m *MemJournal) Append(recs [][]byte) error {
 	return nil
 }
 
-// MaybeSnapshot implements JournalBackend: a synchronous log compaction
+// MaybeSnapshot implements Backend: a synchronous log compaction
 // when the cadence triggers. Records appended while the state capture runs
 // are kept — their mutations may postdate the capture — mirroring the
-// pooled engine's seal-then-capture rule.
+// file engine's seal-then-capture rule.
 func (m *MemJournal) MaybeSnapshot(state StateSource, done func(error)) {
 	m.mu.Lock()
 	due := !m.compacting && snapshotDue(m.opts, int64(len(m.recs)), m.bytes, defaultReplayNsPerRecord)
@@ -99,13 +99,13 @@ func (m *MemJournal) Records() int {
 	return len(m.recs)
 }
 
-// Sync implements JournalBackend (a no-op: memory has no stable storage).
+// Sync implements Backend (a no-op: memory has no stable storage).
 func (m *MemJournal) Sync() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.failErr
 }
 
-// Close implements JournalBackend (a no-op: the object keeps its records,
+// Close implements Backend (a no-op: the object keeps its records,
 // so a harness can recover the next incarnation from it).
 func (m *MemJournal) Close() error { return nil }

@@ -1,4 +1,4 @@
-package vc
+package journal
 
 import (
 	"fmt"
@@ -14,11 +14,9 @@ import (
 	"ddemos/internal/store"
 )
 
-// PooledJournal is the sharded journal engine: N write-ahead-log lanes
-// hashed by ballot serial, each with its own group-commit fsync loop — the
-// runtime-state analogue of the paper's PostgreSQL connection pool (Fig. 5a
-// sweeps its size). Two properties distinguish it from the single-WAL
-// engine:
+// pool is the file-backed engine: N write-ahead-log lanes hashed by record
+// key, each with its own group-commit fsync loop (the package comment has
+// the on-disk layout). Two properties matter to callers:
 //
 //   - Appends to different lanes proceed in parallel, so the per-append
 //     fsync (or group-commit mutex) of one lane never serializes the whole
@@ -31,15 +29,9 @@ import (
 //     then captures state and writes the snapshot file in the background.
 //     Appends are never blocked by an in-flight capture — they just land in
 //     the new segment, which stays in the replay set.
-//
-// On-disk layout per lane k: segments "wal-<k>.<seq>" (ascending seq; the
-// highest is active) and the snapshot "snapshot-<k>". Replay order is
-// snapshot, then segments by seq. A crash at any point between seal,
-// snapshot write, and segment deletion only leaves extra records that the
-// snapshot already covers — idempotent replay makes the overlap benign.
-type PooledJournal struct {
+type pool struct {
 	dir       string
-	opts      JournalOptions
+	opts      Options
 	lanes     []*journalLane
 	perRecord atomic.Int64 // measured replay ns/record (adaptive cadence)
 
@@ -80,55 +72,69 @@ func laneSnapshotName(lane int) string {
 	return fmt.Sprintf("snapshot-%d", lane)
 }
 
-// openPooledJournal opens (creating if needed) a pooled journal of
-// opts.Pool lanes. The FORMAT marker pins both the engine and the lane
-// count: lane hashing and per-lane snapshots are only consistent for the
-// pool size the records were written under.
-func openPooledJournal(dir string, opts JournalOptions) (*PooledJournal, error) {
-	opts = opts.withDefaults()
-	// The legacy check must precede the marker stamp: a pre-marker
-	// single-WAL directory opened with the wrong pool flag must stay
-	// reopenable as single-WAL, not get poisoned with a pooled marker. Both
-	// legacy files count — after a snapshot cycle the state lives in
-	// `snapshot` and `wal` can legitimately be empty.
-	for _, legacyName := range []string{journalWALFile, journalSnapshotFile} {
-		if legacy, err := os.Stat(filepath.Join(dir, legacyName)); err == nil && legacy.Size() > 0 {
-			return nil, fmt.Errorf("vc: journal dir %s holds single-WAL records; "+
-				"reopen with -journal-pool 1", dir)
-		}
+// Open opens (creating if needed) the data directory as a journal of
+// opts.Pool lanes, truncating any torn tail left by a crash. The FORMAT
+// marker pins the lane count: lane hashing and per-lane snapshots are only
+// consistent for the pool size the records were written under, so a
+// mismatch fails loudly and leaves the directory as it was.
+func Open(dir string, opts Options) (Backend, error) {
+	if err := os.MkdirAll(dir, 0o700); err != nil {
+		return nil, fmt.Errorf("journal: dir %s: %w", dir, err)
 	}
-	if err := checkJournalFormat(dir, fmt.Sprintf("pooled %d", opts.Pool)); err != nil {
+	opts = opts.withDefaults()
+	// Before the marker stamp: a single-WAL directory whose marker is
+	// missing must stay reopenable with one lane, not get a pool's marker
+	// while its records sit where no lane replays them.
+	legacy := legacyFiles(dir)
+	if len(legacy) > 0 && opts.Pool > 1 {
+		return nil, fmt.Errorf("journal: dir %s holds single-WAL records; "+
+			"reopen with -journal-pool 1", dir)
+	}
+	if err := checkFormat(dir, formatMarker(opts.Pool)); err != nil {
 		return nil, err
 	}
 	// Stranding guard independent of the marker: replay only walks the
 	// configured lanes, so files from a higher lane index mean the
 	// directory was written under a larger pool.
-	if maxLane, any, err := maxLaneIndex(dir); err != nil {
+	segs, maxLane, err := laneFiles(dir)
+	if err != nil {
 		return nil, err
-	} else if any && maxLane >= opts.Pool {
-		return nil, fmt.Errorf("vc: journal dir %s holds lane %d records beyond pool %d; "+
+	}
+	if maxLane >= opts.Pool {
+		return nil, fmt.Errorf("journal: dir %s holds lane %d records beyond pool %d; "+
 			"reopen with the pool size the directory was written under", dir, maxLane, opts.Pool)
 	}
-	p := &PooledJournal{dir: dir, opts: opts}
+	p := &pool{dir: dir, opts: opts}
 	for k := 0; k < opts.Pool; k++ {
-		lane, err := openJournalLane(dir, k, opts)
+		lane, err := openJournalLane(dir, k, segs[k], opts)
 		if err != nil {
 			_ = p.Close()
 			return nil, err
 		}
 		p.lanes = append(p.lanes, lane)
 	}
+	// The single-WAL engine's files ride along as sealed segments of the one
+	// lane: replayed until its first snapshot covers and deletes them.
+	p.lanes[0].sealed = append(legacy, p.lanes[0].sealed...)
 	return p, nil
 }
 
-// openJournalLane scans the lane's existing segments: all but the newest
-// become sealed (they were rotated out by an earlier snapshot cycle that
-// did not finish deleting them) and the newest reopens for appending.
-func openJournalLane(dir string, idx int, opts JournalOptions) (*journalLane, error) {
-	segs, err := laneSegments(dir, idx)
-	if err != nil {
-		return nil, err
+// legacyFiles lists the retired single-WAL engine's files present in dir.
+func legacyFiles(dir string) []string {
+	var out []string
+	for _, name := range []string{legacySnapshotFile, legacyWALFile} {
+		path := filepath.Join(dir, name)
+		if _, err := os.Stat(path); err == nil {
+			out = append(out, path)
+		}
 	}
+	return out
+}
+
+// openJournalLane opens lane idx over its existing segments: all but the
+// newest become sealed (they were rotated out by an earlier snapshot cycle
+// that did not finish deleting them) and the newest reopens for appending.
+func openJournalLane(dir string, idx int, segs []uint64, opts Options) (*journalLane, error) {
 	lane := &journalLane{idx: idx, dir: dir, seq: 1}
 	if n := len(segs); n > 0 {
 		lane.seq = segs[n-1]
@@ -136,6 +142,7 @@ func openJournalLane(dir string, idx int, opts JournalOptions) (*journalLane, er
 			lane.sealed = append(lane.sealed, filepath.Join(dir, laneSegmentName(idx, seq)))
 		}
 	}
+	var err error
 	lane.wal, err = store.OpenWAL(filepath.Join(dir, laneSegmentName(idx, lane.seq)), store.WALOptions{
 		SyncEvery:      opts.SyncEvery,
 		SyncEachAppend: opts.Fsync,
@@ -147,91 +154,67 @@ func openJournalLane(dir string, idx int, opts JournalOptions) (*journalLane, er
 	return lane, nil
 }
 
-// maxLaneIndex scans the directory for the highest lane index any lane
-// file (segment or snapshot) refers to.
-func maxLaneIndex(dir string) (maxLane int, any bool, err error) {
+// laneFiles scans dir for lane files: every lane's segment sequence numbers,
+// ascending, and the highest lane index a segment or snapshot names (-1 when
+// there is none). A name that does not parse is a foreign file; replay
+// ignores it too.
+func laneFiles(dir string) (segs map[int][]uint64, maxLane int, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, false, fmt.Errorf("vc: journal dir %s: %w", dir, err)
+		return nil, 0, fmt.Errorf("journal: dir %s: %w", dir, err)
 	}
+	segs, maxLane = make(map[int][]uint64), -1
 	for _, e := range entries {
-		name := e.Name()
-		var lane int
-		switch {
-		case strings.HasPrefix(name, "wal-"):
-			dot := strings.IndexByte(name, '.')
-			if dot < 0 {
+		laneStr, seqStr, isSeg := "", "", false
+		if rest, ok := strings.CutPrefix(e.Name(), "wal-"); ok {
+			if laneStr, seqStr, isSeg = strings.Cut(rest, "."); !isSeg {
 				continue
 			}
-			lane64, perr := strconv.ParseInt(name[len("wal-"):dot], 10, 32)
-			if perr != nil {
-				continue
-			}
-			lane = int(lane64)
-		case strings.HasPrefix(name, "snapshot-"):
-			lane64, perr := strconv.ParseInt(name[len("snapshot-"):], 10, 32)
-			if perr != nil {
-				continue
-			}
-			lane = int(lane64)
-		default:
+		} else if laneStr, ok = strings.CutPrefix(e.Name(), "snapshot-"); !ok {
 			continue
 		}
-		if !any || lane > maxLane {
-			maxLane, any = lane, true
-		}
-	}
-	return maxLane, any, nil
-}
-
-// laneSegments lists a lane's segment sequence numbers, ascending.
-func laneSegments(dir string, lane int) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("vc: journal dir %s: %w", dir, err)
-	}
-	prefix := fmt.Sprintf("wal-%d.", lane)
-	var seqs []uint64
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), prefix) {
-			continue
-		}
-		seq, err := strconv.ParseUint(e.Name()[len(prefix):], 10, 64)
+		lane64, err := strconv.ParseInt(laneStr, 10, 32)
 		if err != nil {
-			continue // foreign file; replay ignores it too
+			continue
 		}
-		seqs = append(seqs, seq)
+		lane := int(lane64)
+		maxLane = max(maxLane, lane)
+		if seq, err := strconv.ParseUint(seqStr, 10, 64); isSeg && err == nil {
+			segs[lane] = append(segs[lane], seq)
+		}
 	}
-	sort.Slice(seqs, func(i, k int) bool { return seqs[i] < seqs[k] })
-	return seqs, nil
+	for _, seqs := range segs {
+		sort.Slice(seqs, func(i, k int) bool { return seqs[i] < seqs[k] })
+	}
+	return segs, maxLane, nil
 }
 
-// Dir returns the journal's data directory.
-func (p *PooledJournal) Dir() string { return p.dir }
-
-// Lanes returns the pool size.
-func (p *PooledJournal) Lanes() int { return len(p.lanes) }
-
-// Replay implements JournalBackend: per lane, the snapshot then every
-// segment in sequence order. Lane order is irrelevant — records are
+// Replay implements Backend: per lane, the snapshot then every segment in
+// sequence order, the one lane of a single-WAL directory preceded by that
+// engine's two files. Lane order is irrelevant — records are
 // order-independent facts.
-func (p *PooledJournal) Replay(fn func(payload []byte) error) error {
+func (p *pool) Replay(fn func(payload []byte) error) error {
 	t0 := time.Now()
 	total := 0
+	segs, _, err := laneFiles(p.dir)
+	if err != nil {
+		return err
+	}
 	for _, lane := range p.lanes {
-		n, err := store.ReplayWAL(filepath.Join(p.dir, laneSnapshotName(lane.idx)), fn)
-		if err != nil {
-			return err
+		var paths []string
+		if len(p.lanes) == 1 {
+			// Unconditional, not legacyFiles: a missing file replays nothing,
+			// an unreadable one must fail the recovery.
+			paths = append(paths, filepath.Join(p.dir, legacySnapshotFile), filepath.Join(p.dir, legacyWALFile))
 		}
-		total += n
-		segs, err := laneSegments(p.dir, lane.idx)
-		if err != nil {
-			return err
-		}
-		for _, seq := range segs {
+		paths = append(paths, filepath.Join(p.dir, laneSnapshotName(lane.idx)))
+		for _, seq := range segs[lane.idx] {
 			// The active segment is among these; ReplayWAL opens read-only,
 			// which is safe before any post-recovery append.
-			n, err = store.ReplayWAL(filepath.Join(p.dir, laneSegmentName(lane.idx, seq)), fn)
+			paths = append(paths, filepath.Join(p.dir, laneSegmentName(lane.idx, seq)))
+		}
+		for _, path := range paths {
+			n, err := store.ReplayWAL(path, fn)
 			if err != nil {
 				return err
 			}
@@ -242,20 +225,23 @@ func (p *PooledJournal) Replay(fn func(payload []byte) error) error {
 	return nil
 }
 
-// Append implements JournalBackend: records are routed to their serial's
-// lane and appended per lane in one batch. Lanes fail independently; the
+// Append implements Backend: records are routed to their key's lane and
+// appended per lane in one batch. Lanes fail independently; the
 // first error is returned (Strict nodes then refuse the dependent ack —
 // duplicate records from the lanes that did succeed are harmless on
 // replay).
-func (p *PooledJournal) Append(recs [][]byte) error {
+func (p *pool) Append(recs [][]byte) error {
+	if len(recs) == 0 {
+		return nil
+	}
 	if len(p.lanes) == 1 {
 		return p.lanes[0].append(recs)
 	}
 	// The common case is a single-ballot batch: all records share one lane.
-	first := journalRecLane(recs[0], len(p.lanes))
+	first := recLane(recs[0], len(p.lanes))
 	single := true
 	for _, r := range recs[1:] {
-		if journalRecLane(r, len(p.lanes)) != first {
+		if recLane(r, len(p.lanes)) != first {
 			single = false
 			break
 		}
@@ -265,7 +251,7 @@ func (p *PooledJournal) Append(recs [][]byte) error {
 	}
 	byLane := make(map[int][][]byte, 2)
 	for _, r := range recs {
-		k := journalRecLane(r, len(p.lanes))
+		k := recLane(r, len(p.lanes))
 		byLane[k] = append(byLane[k], r)
 	}
 	var firstErr error
@@ -293,7 +279,7 @@ func (l *journalLane) append(recs [][]byte) error {
 	return nil
 }
 
-// MaybeSnapshot implements JournalBackend. For every lane past its cadence
+// MaybeSnapshot implements Backend. For every lane past its cadence
 // threshold it seals the active segment under the lane lock (a rename-free
 // rotation: open the next segment, remember the sealed path), then captures
 // the lane's state and writes the snapshot in a background goroutine —
@@ -301,7 +287,7 @@ func (l *journalLane) append(recs [][]byte) error {
 // is taken after the seal, and every sealed record's state mutation
 // happened before its append returned, so the snapshot always covers the
 // sealed segments; records racing into the new segment replay as no-ops.
-func (p *PooledJournal) MaybeSnapshot(state StateSource, done func(error)) {
+func (p *pool) MaybeSnapshot(state StateSource, done func(error)) {
 	per := p.perRecord.Load()
 	for _, lane := range p.lanes {
 		// Lock-free not-due fast path: this sweep runs on every append, and
@@ -355,7 +341,7 @@ func (p *PooledJournal) MaybeSnapshot(state StateSource, done func(error)) {
 // opened *before* the active one is closed, so a transient open failure
 // (ENOSPC, EMFILE) leaves the lane fully serviceable on its current
 // segment and the rotation simply retries at the next cadence trigger.
-func (l *journalLane) rotateLocked(opts JournalOptions) ([]string, error) {
+func (l *journalLane) rotateLocked(opts Options) ([]string, error) {
 	next, err := store.OpenWAL(filepath.Join(l.dir, laneSegmentName(l.idx, l.seq+1)), store.WALOptions{
 		SyncEvery:      opts.SyncEvery,
 		SyncEachAppend: opts.Fsync,
@@ -363,32 +349,27 @@ func (l *journalLane) rotateLocked(opts JournalOptions) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	sealedPath := filepath.Join(l.dir, laneSegmentName(l.idx, l.seq))
-	if err := l.wal.Close(); err != nil {
-		// The sealed segment's data reached the OS on every append; the
-		// failed close only loses the final fsync. It stays in the replay
-		// set either way, so keep going on the fresh segment.
-		l.wal = next
-		l.seq++
-		l.sealed = append(l.sealed, sealedPath)
-		l.bytes = 0
-		l.fastBytes.Store(0)
-		l.fastRecords.Store(0)
-		return nil, err
-	}
-	l.sealed = append(l.sealed, sealedPath)
+	// The sealed segment's data reached the OS on every append; a failed
+	// close only loses the final fsync. It stays in the replay set either
+	// way, so the lane moves to the fresh segment regardless and the error
+	// only skips this capture.
+	cerr := l.wal.Close()
+	l.sealed = append(l.sealed, filepath.Join(l.dir, laneSegmentName(l.idx, l.seq)))
 	l.seq++
 	l.wal = next
 	l.bytes = 0
 	l.fastBytes.Store(0)
 	l.fastRecords.Store(0)
+	if cerr != nil {
+		return nil, cerr
+	}
 	return append([]string(nil), l.sealed...), nil
 }
 
 // captureLane writes the lane's snapshot (copy-on-write: no lane lock held
 // during the state capture or the file write) and deletes the sealed
 // segments it covers.
-func (p *PooledJournal) captureLane(lane *journalLane, sealedPaths []string, state StateSource) error {
+func (p *pool) captureLane(lane *journalLane, sealedPaths []string, state StateSource) error {
 	recs := state(lane.idx, len(p.lanes))
 	if err := store.WriteWALFile(filepath.Join(p.dir, laneSnapshotName(lane.idx)), recs); err != nil {
 		return err
@@ -398,28 +379,16 @@ func (p *PooledJournal) captureLane(lane *journalLane, sealedPaths []string, sta
 			return err
 		}
 	}
+	// sealedPaths was all of lane.sealed at the rotation, and sealed only
+	// grows at its end.
 	lane.mu.Lock()
-	lane.sealed = dropPaths(lane.sealed, sealedPaths)
+	lane.sealed = lane.sealed[len(sealedPaths):]
 	lane.mu.Unlock()
 	return nil
 }
 
-func dropPaths(have, gone []string) []string {
-	goneSet := make(map[string]bool, len(gone))
-	for _, g := range gone {
-		goneSet[g] = true
-	}
-	out := have[:0]
-	for _, h := range have {
-		if !goneSet[h] {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// Sync implements JournalBackend.
-func (p *PooledJournal) Sync() error {
+// Sync implements Backend.
+func (p *pool) Sync() error {
 	var firstErr error
 	for _, lane := range p.lanes {
 		lane.mu.Lock()
@@ -432,9 +401,9 @@ func (p *PooledJournal) Sync() error {
 	return firstErr
 }
 
-// Close implements JournalBackend: waits out in-flight snapshot captures,
+// Close implements Backend: waits out in-flight snapshot captures,
 // then syncs and closes every lane.
-func (p *PooledJournal) Close() error {
+func (p *pool) Close() error {
 	p.snapMu.Lock()
 	p.closed = true
 	p.snapMu.Unlock()

@@ -269,28 +269,6 @@ func (w *WAL) Records() int64 {
 	return w.records
 }
 
-// Reset truncates the log to empty — called after the state it covers has
-// been captured in a durable snapshot.
-func (w *WAL) Reset() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return ErrWALClosed
-	}
-	if err := w.f.Truncate(walHeaderSize); err != nil {
-		return fmt.Errorf("store: reset wal: %w", err)
-	}
-	if _, err := w.f.Seek(walHeaderSize, io.SeekStart); err != nil {
-		return fmt.Errorf("store: reset wal: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: reset wal: %w", err)
-	}
-	w.records = 0
-	w.dirty = false
-	return nil
-}
-
 // Close syncs and closes the log.
 func (w *WAL) Close() error {
 	w.mu.Lock()

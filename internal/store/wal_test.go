@@ -262,35 +262,6 @@ func TestWALRejectsGarbageAndOversize(t *testing.T) {
 	}
 }
 
-func TestWALReset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWAL(path, WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := w.Append([]byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Records() != 0 {
-		t.Fatalf("records after reset = %d", w.Records())
-	}
-	if err := w.Append([]byte("survivor")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := replayAll(t, path)
-	if len(got) != 1 || string(got[0]) != "survivor" {
-		t.Fatalf("after reset replayed %q", got)
-	}
-}
-
 func TestWALClosedOperationsFail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	w, err := OpenWAL(path, WALOptions{})

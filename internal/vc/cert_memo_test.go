@@ -14,6 +14,7 @@ import (
 	"ddemos/internal/consensus"
 	"ddemos/internal/crypto/group"
 	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/sig"
 	"ddemos/internal/transport"
 	"ddemos/internal/wire"
@@ -635,7 +636,7 @@ func TestACSHonestRunVerifiesNoCertSignature(t *testing.T) {
 	)
 	c := newSimClusterJE(t, 1, nil, numBallots, numVC,
 		transport.LinkProfile{Latency: 200 * time.Microsecond, Jitter: 100 * time.Microsecond},
-		rawStack, nil, JournalOptions{}, ACSEngine)
+		rawStack, nil, journal.Options{}, ACSEngine)
 	for b := 0; b < numBallots; b++ {
 		if _, err := c.simVote(uint64(b+1), ballot.PartA, b%2, b%numVC); err != nil {
 			t.Fatalf("vote %d: %v", b+1, err)

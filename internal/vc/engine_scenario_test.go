@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ddemos/internal/ballot"
+	"ddemos/internal/journal"
 	"ddemos/internal/sim"
 	"ddemos/internal/transport"
 )
@@ -113,7 +114,7 @@ func runEngineScenario(t *testing.T, seed uint64, stats *sweepStats) {
 	lp := scenarioLink(scen)
 	lp.DropRate = 0
 	c := newSimClusterJE(t, seed, byz, numBallots, numVC, lp, sweepStack(seed),
-		nil, JournalOptions{}, engine)
+		nil, journal.Options{}, engine)
 	scen.Install(c.drv, c)
 	violations := scen.InstallProbes(c.drv, []sim.Probe{{
 		Name:  "at-most-one-ucert",

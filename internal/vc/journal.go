@@ -1,29 +1,24 @@
 package vc
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"ddemos/internal/crypto/group"
-	"ddemos/internal/store"
+	"ddemos/internal/journal"
 	"ddemos/internal/wire"
 )
 
 // This file is the durable-runtime-state layer of a VC node. The paper's
 // deployment keeps per-ballot protocol state in PostgreSQL so a crashed
 // Vote Collector rejoins within the fault bound (§V); here the same role is
-// played by a write-ahead log of ballot state transitions plus a periodic
-// snapshot (both store.WAL-framed files in one data directory).
+// played by internal/journal — write-ahead-log lanes of ballot state
+// transitions plus periodic snapshots. What lives here is what is the VC's:
+// the record kinds, their encoders, replay, the snapshot payload, and the
+// strict/available ack decisions.
 //
 // Every externally visible promise is journaled before it is made: the
 // endorsed code before the ENDORSEMENT reply, the pending binding and
@@ -32,503 +27,100 @@ import (
 // (monotone transitions), so replay is order-independent and idempotent:
 // applying a record the state already reflects is a no-op. That makes
 // snapshot+log disagreement benign — a crash between snapshot rename and
-// log truncation replays records the snapshot already covers — and lets
+// segment deletion replays records the snapshot already covers — and lets
 // call sites append outside the ballot locks.
 //
-// Record kinds (payload layout, big-endian; "bytes" = u32 length prefix):
+// Record kinds (payload layout, big-endian; "bytes" = u32 length prefix).
+// Every record opens with `kind u8 | key u64`, the journal's routing rule;
+// the key is the ballot serial, and 0 (lane 0) for the vote set:
 //
 //	endorsed:  kind u8 | serial u64 | code bytes
 //	ucert:     kind u8 | serial u64 | cert
 //	pending:   kind u8 | serial u64 | code bytes | part u8 | row u32 | cert
 //	share:     kind u8 | serial u64 | index u32 | value bytes
 //	voted:     kind u8 | serial u64 | code bytes | receipt bytes
-//	vsc:       kind u8 | count u32 | { serial u64 | code bytes }*
+//	vsc:       kind u8 | 0 u64 | count u32 | { serial u64 | code bytes }*
+//
+// recVSCv0 is the vote-set record of journals that predate the routing rule
+// (kind u8 | count u32 | …, no key); it is replayed, never written.
 const (
 	recEndorsed byte = iota + 1
 	recUCert
 	recPending
 	recShare
 	recVoted
+	recVSCv0
 	recVSC
 )
 
-// Journal file names inside a node's data directory.
-const (
-	journalWALFile      = "wal"
-	journalSnapshotFile = "snapshot"
-	journalFormatFile   = "FORMAT"
+// The journal names the frozen bench/ module spells through this package.
+// Everything else journal-shaped is imported from internal/journal.
+type (
+	JournalOptions = journal.Options
+	AckPolicy      = journal.AckPolicy
 )
 
-// AckPolicy selects what a node does when a journal append fails while an
-// externally visible ack (ENDORSEMENT reply, receipt release, consensus
-// result) depends on the record.
-type AckPolicy uint8
+// PolicyStrict is journal.PolicyStrict.
+const PolicyStrict = journal.PolicyStrict
 
-// Ack policies.
-const (
-	// PolicyAvailable counts the error and keeps serving from memory —
-	// availability over durability, today's default.
-	PolicyAvailable AckPolicy = iota
-	// PolicyStrict refuses the ack: no ENDORSEMENT reply and no receipt
-	// leaves the node without a durable journal record backing it. The
-	// safer election-day default when the journal is the system of record.
-	PolicyStrict
-)
-
-// String implements fmt.Stringer.
-func (p AckPolicy) String() string {
-	if p == PolicyStrict {
-		return "strict"
-	}
-	return "available"
-}
-
-// ParseAckPolicy parses the -journal-policy flag values.
-func ParseAckPolicy(s string) (AckPolicy, error) {
-	switch s {
-	case "", "available":
-		return PolicyAvailable, nil
-	case "strict":
-		return PolicyStrict, nil
-	}
-	return 0, fmt.Errorf("vc: unknown journal policy %q (want available or strict)", s)
-}
-
-// JournalOptions tunes a node's persistence layer.
-type JournalOptions struct {
-	// Fsync syncs the log before every ack instead of on the batched
-	// cadence: per-transition durability against power loss (process
-	// crashes never lose acked state either way, since records hit the OS
-	// before the ack).
-	Fsync bool
-	// SyncEvery is the group-commit cadence when Fsync is off (default
-	// 2ms, the same order as the transport batch flush window, so journal
-	// syncs coalesce with message batches).
-	SyncEvery time.Duration
-	// SnapshotEvery, when > 0, overrides the adaptive cadence with a fixed
-	// record-count trigger (the pre-pool behaviour; 0 = adaptive).
-	SnapshotEvery int
-	// SnapshotBytes is the adaptive-cadence byte trigger: snapshot once the
-	// un-snapshotted log exceeds this many payload bytes (default 1 MiB).
-	SnapshotBytes int64
-	// TargetReplay is the adaptive-cadence replay budget: snapshot once the
-	// estimated time to replay the un-snapshotted log (records × measured
-	// per-record apply cost) exceeds it (default 200ms).
-	TargetReplay time.Duration
-	// Pool selects the sharded backend when > 1: that many WAL lanes hashed
-	// by ballot serial, each with its own group-commit fsync loop and
-	// copy-on-write snapshots (the runtime-state analogue of the paper's
-	// Fig. 5a connection-pool sweep). <= 1 keeps the single-WAL engine.
-	Pool int
-	// Policy selects the journal-append-error ack policy.
-	Policy AckPolicy
-}
-
-func (o JournalOptions) withDefaults() JournalOptions {
-	if o.SnapshotBytes <= 0 {
-		o.SnapshotBytes = 1 << 20
-	}
-	if o.TargetReplay <= 0 {
-		o.TargetReplay = 200 * time.Millisecond
-	}
-	return o
-}
-
-// StateSource serializes one lane's share of a node's runtime state as
-// journal records — the snapshot payload. lane is in [0, lanes); a single
-// lane receives the whole state. Callers invoke it without holding any
-// journal lock, so captures run concurrently with appends.
-type StateSource func(lane, lanes int) [][]byte
-
-// JournalBackend is the storage engine behind a node's runtime-state
-// journal. Three implementations ship: Journal (the single-WAL engine),
-// PooledJournal (sharded WAL lanes with concurrent snapshots), and
-// MemJournal (in-memory, for tests). Records are opaque monotone facts:
-// replay is order-independent and idempotent, which every backend relies on
-// for snapshot/log overlap tolerance.
-type JournalBackend interface {
-	// Replay streams every persisted record — snapshots first, then the
-	// logs — into fn. Backends measure the replay to calibrate the
-	// adaptive snapshot cadence.
-	Replay(fn func(payload []byte) error) error
-	// Append durably logs records (lane routing, if any, is by the ballot
-	// serial embedded in each record).
-	Append(recs [][]byte) error
-	// MaybeSnapshot captures lanes whose un-snapshotted debt crossed the
-	// cadence threshold, invoking done once per completed (nil) or failed
-	// attempt. Pooled lanes capture copy-on-write in the background, so
-	// appends are never blocked by an in-flight snapshot.
-	MaybeSnapshot(state StateSource, done func(error))
-	// Sync forces everything appended so far to stable storage.
-	Sync() error
-	// Close syncs and closes the backend, waiting out in-flight snapshots.
-	Close() error
-}
-
-// OpenJournal opens (creating if needed) the data directory and its
-// engine — single-WAL for opts.Pool <= 1, pooled otherwise — truncating any
-// torn tail left by a crash. A directory written by one engine refuses to
-// open under the other: the FORMAT marker is the fast check, and the
-// engines' own file layouts (legacy `wal` vs `wal-<k>.<seq>` lanes) are the
-// authoritative guard, so a marker torn by a crash at first open cannot
-// strand records or poison the directory.
-func OpenJournal(dir string, opts JournalOptions) (JournalBackend, error) {
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return nil, fmt.Errorf("vc: journal dir %s: %w", dir, err)
-	}
-	if opts.Pool > 1 {
-		return openPooledJournal(dir, opts)
-	}
-	// Structural guard before the marker: a directory holding pooled lane
-	// segments must not silently open (and strand them) as single-WAL.
-	if lanes, err := anyLaneSegments(dir); err != nil {
-		return nil, err
-	} else if lanes {
-		return nil, fmt.Errorf("vc: journal dir %s holds pooled lane records; "+
-			"reopen with the matching -journal-pool setting", dir)
-	}
-	if err := checkJournalFormat(dir, "single"); err != nil {
-		return nil, err
-	}
-	wal, err := store.OpenWAL(filepath.Join(dir, journalWALFile), store.WALOptions{
-		SyncEvery:      opts.SyncEvery,
-		SyncEachAppend: opts.Fsync,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Journal{dir: dir, opts: opts.withDefaults(), wal: wal}, nil
-}
-
-// anyLaneSegments reports whether dir holds pooled lane files.
-func anyLaneSegments(dir string) (bool, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false, fmt.Errorf("vc: journal dir %s: %w", dir, err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "snapshot-") {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// checkJournalFormat stamps (or verifies) the directory's engine marker.
-// The marker is written atomically (temp + fsync + rename) and an invalid
-// one — empty or torn by a crash during a previous first open — is
-// rewritten rather than trusted: cross-engine protection comes from the
-// structural layout guards, the marker only makes the mismatch error
-// friendly.
-func checkJournalFormat(dir, want string) error {
-	path := filepath.Join(dir, journalFormatFile)
-	got, err := os.ReadFile(path)
-	switch {
-	case err == nil && validFormatMarker(string(got)):
-		if s := string(got); s != want {
-			return fmt.Errorf("vc: journal dir %s holds %q records, not %q — "+
-				"reopen with the matching -journal-pool setting", dir, s, want)
-		}
-		return nil
-	case err != nil && !os.IsNotExist(err):
-		return fmt.Errorf("vc: journal format marker: %w", err)
-	}
-	return writeFormatMarker(dir, path, want)
-}
-
-// validFormatMarker recognizes intact marker contents.
-func validFormatMarker(s string) bool {
-	if s == "single" {
-		return true
-	}
-	var n int
-	_, err := fmt.Sscanf(s, "pooled %d", &n)
-	return err == nil && n > 1
-}
-
-// writeFormatMarker lands the marker atomically and durably.
-func writeFormatMarker(dir, path, want string) error {
-	tmp, err := os.CreateTemp(dir, journalFormatFile+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("vc: journal format marker: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.WriteString(want); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("vc: journal format marker: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("vc: journal format marker: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("vc: journal format marker: %w", err)
-	}
-	// Sync the directory so the marker survives power loss — it is written
-	// before any lane/log file is created, so a durable marker means the
-	// lane layout can never exist without its pool size on record.
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("vc: journal format marker: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		_ = d.Close()
-		return fmt.Errorf("vc: journal format marker: %w", err)
-	}
-	return d.Close()
-}
-
-// Journal is the single-WAL engine: one log + one snapshot file. Snapshots
-// block appends for the capture (the original engine, kept for small
-// deployments and on-disk compatibility); the pooled engine trades that
-// stall away.
-type Journal struct {
-	dir  string
-	opts JournalOptions
-	// mu gates appends against snapshots: the snapshot holds it across
-	// state-capture + snapshot-write + log-truncation, so no record can
-	// land after the capture and vanish in the truncation. Appenders
-	// therefore must never hold a ballot/shard/vsc lock while appending —
-	// the state capture takes those.
-	mu           sync.Mutex
-	wal          *store.WAL
-	bytes        int64 // payload bytes appended since the last snapshot
-	snapshotting bool
-	perRecord    atomic.Int64 // measured replay ns/record (adaptive cadence)
-}
-
-// Dir returns the journal's data directory.
-func (j *Journal) Dir() string { return j.dir }
-
-// Replay implements JournalBackend.
-func (j *Journal) Replay(fn func(payload []byte) error) error {
-	t0 := time.Now()
-	n, err := store.ReplayWAL(filepath.Join(j.dir, journalSnapshotFile), fn)
-	if err != nil {
-		return err
-	}
-	m, err := store.ReplayWAL(filepath.Join(j.dir, journalWALFile), fn)
-	if err != nil {
-		return err
-	}
-	observeReplayCost(&j.perRecord, time.Since(t0), n+m)
-	return nil
-}
-
-// Append implements JournalBackend.
-func (j *Journal) Append(recs [][]byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.wal.AppendBatch(recs); err != nil {
-		return err
-	}
-	for _, r := range recs {
-		j.bytes += int64(len(r))
-	}
-	return nil
-}
-
-// MaybeSnapshot implements JournalBackend: a synchronous snapshot + log
-// truncation when the cadence triggers. Appends block for the capture.
-func (j *Journal) MaybeSnapshot(state StateSource, done func(error)) {
-	j.mu.Lock()
-	due := !j.snapshotting &&
-		snapshotDue(j.opts, j.wal.Records(), j.bytes, j.perRecord.Load())
-	if due {
-		j.snapshotting = true
-	}
-	j.mu.Unlock()
-	if !due {
-		return
-	}
-	err := j.snapshot(state)
-	j.mu.Lock()
-	j.snapshotting = false
-	j.mu.Unlock()
-	done(err)
-}
-
-// snapshot atomically replaces the snapshot file with the records produced
-// by state and truncates the log. Appends are blocked for the duration, so
-// the capture covers every logged transition; a crash between the snapshot
-// rename and the truncation merely replays records the snapshot already
-// holds (harmless: application is idempotent).
-func (j *Journal) snapshot(state StateSource) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := store.WriteWALFile(filepath.Join(j.dir, journalSnapshotFile), state(0, 1)); err != nil {
-		return err
-	}
-	if err := j.wal.Reset(); err != nil {
-		return err
-	}
-	j.bytes = 0
-	return nil
-}
-
-// Sync implements JournalBackend.
-func (j *Journal) Sync() error { return j.wal.Sync() }
-
-// Close implements JournalBackend.
-func (j *Journal) Close() error { return j.wal.Close() }
-
-// snapshotDue is the shared cadence policy: the legacy fixed record count
-// when SnapshotEvery is set, otherwise adaptive — bytes since the last
-// snapshot, or the estimated replay time of the un-snapshotted log
-// (records × the per-record cost measured during the last recovery).
-func snapshotDue(opts JournalOptions, records, bytes, perRecordNs int64) bool {
-	if opts.SnapshotEvery > 0 {
-		return records >= int64(opts.SnapshotEvery)
-	}
-	if bytes >= opts.SnapshotBytes {
-		return true
-	}
-	if perRecordNs <= 0 {
-		perRecordNs = defaultReplayNsPerRecord
-	}
-	return time.Duration(records*perRecordNs) >= opts.TargetReplay
-}
-
-// defaultReplayNsPerRecord estimates replay cost before any measured
-// recovery: ~2µs/record, the order observed for share/pending records.
-const defaultReplayNsPerRecord = 2000
-
-// observeReplayCost records a measured per-record replay cost (floored so a
-// cached tiny replay cannot push the estimate to zero and disable the
-// replay-time trigger).
-func observeReplayCost(dst *atomic.Int64, d time.Duration, records int) {
-	if records <= 0 {
-		return
-	}
-	per := int64(d) / int64(records)
-	if per < 500 {
-		per = 500
-	}
-	dst.Store(per)
+// OpenJournal is journal.Open.
+func OpenJournal(dir string, opts journal.Options) (journal.Backend, error) {
+	return journal.Open(dir, opts)
 }
 
 // --- record encoding -------------------------------------------------------
 
-func jAppendBytes(dst, b []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b))) //nolint:gosec // protocol-bounded
-	return append(dst, b...)
-}
-
 func encEndorsed(serial uint64, code []byte) []byte {
-	dst := append(make([]byte, 0, 16+len(code)), recEndorsed)
-	dst = binary.BigEndian.AppendUint64(dst, serial)
-	return jAppendBytes(dst, code)
+	return journal.AppendBytes(journal.Header(recEndorsed, serial), code)
 }
 
 func encUCert(serial uint64, cert *wire.UCert) []byte {
-	dst := []byte{recUCert}
-	dst = binary.BigEndian.AppendUint64(dst, serial)
-	return append(dst, wire.MarshalUCert(cert)...)
+	return append(journal.Header(recUCert, serial), wire.MarshalUCert(cert)...)
 }
 
 func encPending(serial uint64, code []byte, part uint8, row int, cert *wire.UCert) []byte {
-	dst := []byte{recPending}
-	dst = binary.BigEndian.AppendUint64(dst, serial)
-	dst = jAppendBytes(dst, code)
+	dst := journal.AppendBytes(journal.Header(recPending, serial), code)
 	dst = append(dst, part)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(row)) //nolint:gosec // row < m
 	return append(dst, wire.MarshalUCert(cert)...)
 }
 
 func encShare(serial uint64, index uint32, value *big.Int) []byte {
-	dst := []byte{recShare}
-	dst = binary.BigEndian.AppendUint64(dst, serial)
-	dst = binary.BigEndian.AppendUint32(dst, index)
-	return jAppendBytes(dst, group.ScalarBytes(value))
+	dst := binary.BigEndian.AppendUint32(journal.Header(recShare, serial), index)
+	return journal.AppendBytes(dst, group.ScalarBytes(value))
 }
 
 func encVoted(serial uint64, code, receipt []byte) []byte {
-	dst := []byte{recVoted}
-	dst = binary.BigEndian.AppendUint64(dst, serial)
-	dst = jAppendBytes(dst, code)
-	return jAppendBytes(dst, receipt)
+	return journal.AppendBytes(journal.AppendBytes(journal.Header(recVoted, serial), code), receipt)
 }
 
 // EncodeVotedRecord builds a realistic voted-transition journal record —
-// exported for the journal-backend benchmarks (RunPoolAblation), which
-// drive backends directly with protocol-shaped records.
+// exported for the journal benchmarks (RunPoolAblation, bench/), which
+// drive the engine directly with protocol-shaped records.
 func EncodeVotedRecord(serial uint64, code, receipt []byte) []byte {
 	return encVoted(serial, code, receipt)
 }
 
 func encVSC(set []VotedBallot) []byte {
-	dst := []byte{recVSC}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(set))) //nolint:gosec // protocol-bounded
+	dst := binary.BigEndian.AppendUint32(journal.Header(recVSC, 0), uint32(len(set))) //nolint:gosec // protocol-bounded
 	for _, vb := range set {
 		dst = binary.BigEndian.AppendUint64(dst, vb.Serial)
-		dst = jAppendBytes(dst, vb.Code)
+		dst = journal.AppendBytes(dst, vb.Code)
 	}
 	return dst
 }
 
-// jdec is a cursor over one record payload.
-type jdec struct {
-	buf []byte
-	bad bool
-}
-
-func (d *jdec) u8() byte {
-	if d.bad || len(d.buf) < 1 {
-		d.bad = true
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *jdec) u32() uint32 {
-	if d.bad || len(d.buf) < 4 {
-		d.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v
-}
-
-func (d *jdec) u64() uint64 {
-	if d.bad || len(d.buf) < 8 {
-		d.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *jdec) bytes() []byte {
-	n := d.u32()
-	if d.bad || uint64(n) > uint64(len(d.buf)) {
-		d.bad = true
+// decCert reads a certificate off the cursor.
+func decCert(d *journal.Dec) *wire.UCert {
+	if d.Bad {
 		return nil
 	}
-	out := append([]byte(nil), d.buf[:n]...)
-	d.buf = d.buf[n:]
-	return out
-}
-
-func (d *jdec) cert() *wire.UCert {
-	if d.bad {
-		return nil
-	}
-	u, rest, err := wire.UnmarshalUCert(d.buf)
+	u, rest, err := wire.UnmarshalUCert(d.Buf)
 	if err != nil {
-		d.bad = true
+		d.Bad = true
 		return nil
 	}
-	d.buf = rest
+	d.Buf = rest
 	return &u
 }
 
@@ -544,13 +136,13 @@ var errBadRecord = errors.New("vc: malformed journal record")
 // after New and before Start. Recovery is idempotent: recovering the same
 // directory twice yields an identical StateHash.
 func (n *Node) Recover(dir string) error {
-	return n.RecoverWithOptions(dir, JournalOptions{})
+	return n.RecoverWithOptions(dir, journal.Options{})
 }
 
-// RecoverWithOptions is Recover with explicit durability tuning (engine
-// selection, pool size, sync cadence, ack policy).
-func (n *Node) RecoverWithOptions(dir string, opts JournalOptions) error {
-	j, err := OpenJournal(dir, opts)
+// RecoverWithOptions is Recover with explicit durability tuning (pool size,
+// sync cadence, snapshot cadence, ack policy).
+func (n *Node) RecoverWithOptions(dir string, opts journal.Options) error {
+	j, err := journal.Open(dir, opts)
 	if err != nil {
 		return err
 	}
@@ -565,7 +157,7 @@ func (n *Node) RecoverWithOptions(dir string, opts JournalOptions) error {
 // attaches it — the entry point for custom backends (in-memory, fault
 // injection). The caller keeps ownership of the backend until this returns
 // nil; afterwards Stop closes it.
-func (n *Node) RecoverBackend(j JournalBackend, policy AckPolicy) error {
+func (n *Node) RecoverBackend(j journal.Backend, policy journal.AckPolicy) error {
 	if err := j.Replay(n.applyJournalRecord); err != nil {
 		return err
 	}
@@ -580,18 +172,21 @@ func (n *Node) RecoverBackend(j JournalBackend, policy AckPolicy) error {
 // duplicates and stale records (snapshot+log overlap, interleaved append
 // order across goroutines) are no-ops.
 func (n *Node) applyJournalRecord(payload []byte) error {
-	d := &jdec{buf: payload}
-	kind := d.u8()
-	if kind == recVSC {
-		cnt := d.u32()
-		if d.bad || uint64(cnt) > uint64(n.manifest.NumBallots) {
+	d := &journal.Dec{Buf: payload}
+	kind := d.U8()
+	if kind == recVSC || kind == recVSCv0 {
+		if kind == recVSC && d.U64() != 0 {
+			return errBadRecord
+		}
+		cnt := d.U32()
+		if d.Bad || uint64(cnt) > uint64(n.manifest.NumBallots) {
 			return errBadRecord
 		}
 		set := make([]VotedBallot, 0, cnt)
 		for i := uint32(0); i < cnt; i++ {
-			set = append(set, VotedBallot{Serial: d.u64(), Code: d.bytes()})
+			set = append(set, VotedBallot{Serial: d.U64(), Code: d.Bytes()})
 		}
-		if d.bad || len(d.buf) != 0 {
+		if d.Bad || len(d.Buf) != 0 {
 			return errBadRecord
 		}
 		n.vscMu.Lock()
@@ -603,8 +198,8 @@ func (n *Node) applyJournalRecord(payload []byte) error {
 		n.vscMu.Unlock()
 		return nil
 	}
-	serial := d.u64()
-	if d.bad || serial == 0 || serial > uint64(n.manifest.NumBallots) {
+	serial := d.U64()
+	if d.Bad || serial == 0 || serial > uint64(n.manifest.NumBallots) {
 		return errBadRecord
 	}
 	st := n.state(serial)
@@ -612,8 +207,8 @@ func (n *Node) applyJournalRecord(payload []byte) error {
 	defer st.mu.Unlock()
 	switch kind {
 	case recEndorsed:
-		code := d.bytes()
-		if d.bad {
+		code := d.Bytes()
+		if d.Bad {
 			return errBadRecord
 		}
 		if st.endorsedCode == nil {
@@ -621,26 +216,26 @@ func (n *Node) applyJournalRecord(payload []byte) error {
 		}
 		st.endorsedDurable = true
 	case recUCert:
-		cert := d.cert()
-		if d.bad || cert == nil {
+		cert := decCert(d)
+		if d.Bad || cert == nil {
 			return errBadRecord
 		}
 		installCertLocked(st, cert.Code, cert)
 	case recPending:
-		code := d.bytes()
-		part := d.u8()
-		row := d.u32()
-		cert := d.cert()
-		if d.bad || cert == nil {
+		code := d.Bytes()
+		part := d.U8()
+		row := d.U32()
+		cert := decCert(d)
+		if d.Bad || cert == nil {
 			return errBadRecord
 		}
 		installCertLocked(st, code, cert)
 		st.part, st.row = part, int(row)
 		st.bindingDurable = true
 	case recShare:
-		index := d.u32()
-		value := d.bytes()
-		if d.bad {
+		index := d.U32()
+		value := d.Bytes()
+		if d.Bad {
 			return errBadRecord
 		}
 		v, err := group.DecodeScalar(value)
@@ -657,9 +252,9 @@ func (n *Node) applyJournalRecord(payload []byte) error {
 			st.sentVoteP = true
 		}
 	case recVoted:
-		code := d.bytes()
-		receipt := d.bytes()
-		if d.bad {
+		code := d.Bytes()
+		receipt := d.Bytes()
+		if d.Bad {
 			return errBadRecord
 		}
 		if st.usedCode == nil {
@@ -718,13 +313,13 @@ func (n *Node) finishRecovery() {
 // strictJournal reports whether a journal failure must refuse the dependent
 // ack (Policy: Strict on a journaled node).
 func (n *Node) strictJournal() bool {
-	return n.journal != nil && n.journalPolicy == PolicyStrict
+	return n.journal != nil && n.journalPolicy == journal.PolicyStrict
 }
 
 // journalAppend logs transition records (no-op without a journal), returning
 // nil once they are appended. What "appended" buys is the fsync policy's
 // call: records reach the OS before any ack (process-crash safe), and
-// JournalOptions.Fsync upgrades that to per-record power-loss durability —
+// journal.Options.Fsync upgrades that to per-record power-loss durability —
 // Strict deployments should pair with it. Must not be called while holding
 // any ballot or shard lock: a snapshot triggered here serializes state under
 // those locks. On append failure the error is counted and returned — call
@@ -732,62 +327,16 @@ func (n *Node) strictJournal() bool {
 // refusing the ack (Strict) and serving from memory (Available; DESIGN.md,
 // "Durability and recovery").
 func (n *Node) journalAppend(recs ...[]byte) error {
-	j := n.journal
-	if j == nil || len(recs) == 0 {
+	if n.journal == nil || len(recs) == 0 {
 		return nil
 	}
-	if err := j.Append(recs); err != nil {
-		n.metrics.JournalErrors.Add(1)
-		return err
-	}
-	n.metrics.JournalRecords.Add(int64(len(recs)))
-	j.MaybeSnapshot(n.laneState, func(err error) {
-		if err != nil {
-			n.metrics.JournalErrors.Add(1)
-		} else {
-			n.metrics.Snapshots.Add(1)
-		}
-	})
-	return nil
-}
-
-// journalLaneOf routes a serial to its WAL lane (identity for one lane).
-func journalLaneOf(serial uint64, lanes int) int {
-	if lanes <= 1 {
-		return 0
-	}
-	return int(serial % uint64(lanes)) //nolint:gosec // lanes is small
-}
-
-// JournalKeyLane routes an 8-byte record routing key to its WAL lane — the
-// same hash PooledJournal applies to bytes [1,9) of every appended record.
-// Exported for other subsystems that journal through JournalBackend (the BB
-// replica), whose StateSource must produce each lane's snapshot with the
-// routing the pooled engine used for the corresponding appends.
-func JournalKeyLane(key uint64, lanes int) int {
-	return journalLaneOf(key, lanes)
-}
-
-// journalRecLane routes an encoded record to its WAL lane: per-ballot
-// records hash by the serial at bytes [1,9); the vote-set-consensus record
-// (no serial) always lands in lane 0.
-func journalRecLane(rec []byte, lanes int) int {
-	if lanes <= 1 || len(rec) < 9 || rec[0] == recVSC {
-		return 0
-	}
-	return journalLaneOf(binary.BigEndian.Uint64(rec[1:9]), lanes)
-}
-
-// serializeState dumps the node's entire runtime state as journal records —
-// the basis of StateHash and the single-lane snapshot payload.
-func (n *Node) serializeState() [][]byte {
-	return n.laneState(0, 1)
+	return journal.Log(n.journal, &n.metrics.Counters, n.laneState, recs)
 }
 
 // laneState is the node's StateSource: lane's share of the runtime state
 // (every ballot whose serial hashes to lane, plus the consensus result in
-// lane 0) as journal records. Deterministic: ballots ordered by serial,
-// shares by index.
+// lane 0) as journal records; (0, 1) is the whole state, the basis of
+// StateHash. Deterministic: ballots ordered by serial, shares by index.
 func (n *Node) laneState(lane, lanes int) [][]byte {
 	type entry struct {
 		serial uint64
@@ -798,7 +347,7 @@ func (n *Node) laneState(lane, lanes int) [][]byte {
 		sh := &n.shards[i]
 		sh.mu.Lock()
 		for serial, st := range sh.ballots {
-			if journalLaneOf(serial, lanes) == lane {
+			if journal.KeyLane(serial, lanes) == lane {
 				entries = append(entries, entry{serial, st})
 			}
 		}
@@ -842,14 +391,5 @@ func (n *Node) laneState(lane, lanes int) [][]byte {
 // before and after a recover cycle) with identical state hash identically —
 // the acceptance check for recovery idempotence.
 func (n *Node) StateHash() [32]byte {
-	h := sha256.New()
-	var lenBuf [4]byte
-	for _, rec := range n.serializeState() {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(rec))) //nolint:gosec // record-sized
-		h.Write(lenBuf[:])
-		h.Write(rec)
-	}
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	return journal.HashRecords(n.laneState(0, 1))
 }

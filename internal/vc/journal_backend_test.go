@@ -5,17 +5,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
 	"ddemos/internal/ballot"
-	"ddemos/internal/store"
+	"ddemos/internal/journal"
 	"ddemos/internal/transport"
 )
 
 // backendRecords collects every record a backend replays.
-func backendRecords(t *testing.T, j JournalBackend) [][]byte {
+func backendRecords(t *testing.T, j journal.Backend) [][]byte {
 	t.Helper()
 	var out [][]byte
 	if err := j.Replay(func(p []byte) error {
@@ -28,7 +27,7 @@ func backendRecords(t *testing.T, j JournalBackend) [][]byte {
 }
 
 // backendNode builds an unstarted node recovered from backend j.
-func backendNode(t *testing.T, c *cluster, idx, netID int, j JournalBackend) *Node {
+func backendNode(t *testing.T, c *cluster, idx, netID int, j journal.Backend) *Node {
 	t.Helper()
 	node, err := New(Config{
 		Init:     c.data.VC[idx],
@@ -37,7 +36,7 @@ func backendNode(t *testing.T, c *cluster, idx, netID int, j JournalBackend) *No
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := node.RecoverBackend(j, PolicyAvailable); err != nil {
+	if err := node.RecoverBackend(j, journal.PolicyAvailable); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Stop)
@@ -45,11 +44,12 @@ func backendNode(t *testing.T, c *cluster, idx, netID int, j JournalBackend) *No
 }
 
 // TestBackendDifferentialEquivalence drives the record stream of an
-// identical seeded election through all three backends — memory,
-// single-WAL, pooled — and asserts the recovered Node.StateHash is
+// identical seeded election through the memory backend and the file engine
+// at 1, 2 and 4 lanes and asserts the recovered Node.StateHash is
 // byte-identical. The stream is harvested from a real journaled election,
 // so the equivalence claim covers real protocol records (certs, shares,
-// receipts), not synthetic ones.
+// receipts), not synthetic ones. An empty batch rides along as one more
+// input: every backend must accept it as a no-op.
 func TestBackendDifferentialEquivalence(t *testing.T) {
 	c := journaledCluster(t, 3)
 	for serial := uint64(1); serial <= 3; serial++ {
@@ -59,7 +59,7 @@ func TestBackendDifferentialEquivalence(t *testing.T) {
 	}
 	// Stop node 0 cleanly (journal synced + closed) and harvest its stream.
 	c.StopNode(0)
-	src, err := OpenJournal(c.dirs[0], JournalOptions{})
+	src, err := journal.Open(c.dirs[0], journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,54 +71,44 @@ func TestBackendDifferentialEquivalence(t *testing.T) {
 		t.Fatal("election journaled no records")
 	}
 
-	// Feed the identical stream into a fresh single-WAL, pooled, and
-	// memory backend; close and reopen the file engines (a full recovery
-	// cycle, torn-tail scan included).
-	singleDir := filepath.Join(t.TempDir(), "single")
-	pooledDir := filepath.Join(t.TempDir(), "pooled")
-	for _, b := range []struct {
-		dir  string
-		opts JournalOptions
-	}{{singleDir, JournalOptions{}}, {pooledDir, JournalOptions{Pool: 3}}} {
-		j, err := OpenJournal(b.dir, b.opts)
-		if err != nil {
-			t.Fatal(err)
+	// Feed the identical stream into a fresh backend of each shape; close
+	// and reopen the file engine (a full recovery cycle, torn-tail scan
+	// included).
+	feed := func(j journal.Backend) {
+		t.Helper()
+		if err := j.Append(nil); err != nil {
+			t.Fatalf("empty batch: %v", err)
 		}
 		if err := j.Append(recs); err != nil {
 			t.Fatal(err)
 		}
+	}
+	mem := journal.NewMemJournal(journal.Options{})
+	feed(mem)
+	hashes := map[string][32]byte{"memory": backendNode(t, c, 0, 90, mem).StateHash()}
+	for i, lanes := range []int{1, 2, 4} {
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("lanes-%d", lanes))
+		opts := journal.Options{Pool: lanes}
+		j, err := journal.Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(j)
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if j, err = journal.Open(dir, opts); err != nil {
+			t.Fatal(err)
+		}
+		hashes[fmt.Sprintf("%d lanes", lanes)] = backendNode(t, c, (i+1)%4, 91+i, j).StateHash()
 	}
-	mem := NewMemJournal(JournalOptions{})
-	if err := mem.Append(recs); err != nil {
-		t.Fatal(err)
-	}
-
-	single, err := OpenJournal(singleDir, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := OpenJournal(pooledDir, JournalOptions{Pool: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nSingle := backendNode(t, c, 0, 90, single)
-	nPooled := backendNode(t, c, 1, 91, pooled)
-	nMem := backendNode(t, c, 2, 92, mem)
-
-	hSingle, hPooled, hMem := nSingle.StateHash(), nPooled.StateHash(), nMem.StateHash()
-	if hSingle != hPooled {
-		t.Fatal("pooled backend recovered different state than single-WAL")
-	}
-	if hSingle != hMem {
-		t.Fatal("memory backend recovered different state than single-WAL")
-	}
-	// And all three match the election state the stream came from.
+	// All match the election state the stream came from.
 	c.RestartNode(0)
-	if got := c.node(0).StateHash(); got != hSingle {
-		t.Fatal("backend-recovered state differs from the origin node's recovery")
+	want := c.node(0).StateHash()
+	for name, got := range hashes {
+		if got != want {
+			t.Errorf("%s backend recovered different state than the origin node", name)
+		}
 	}
 }
 
@@ -128,7 +118,7 @@ func TestBackendDifferentialEquivalence(t *testing.T) {
 // TestRecoverRestoresVotedStateAndReceipt.
 func TestPooledElectionRecovery(t *testing.T) {
 	dirs := journalDirs(t, 4)
-	jopts := JournalOptions{Pool: 3, SnapshotEvery: 4}
+	jopts := journal.Options{Pool: 3, SnapshotEvery: 4}
 	c := newSimClusterJ(t, 1, nil, 4, 4,
 		transport.LinkProfile{Latency: 200 * time.Microsecond, Jitter: 100 * time.Microsecond},
 		rawStack, dirs, jopts)
@@ -174,345 +164,5 @@ func TestPooledElectionRecovery(t *testing.T) {
 	}
 	if snaps == 0 {
 		t.Fatal("no lane snapshot was ever written")
-	}
-}
-
-// TestPooledSnapshotNeverBlocksAppends is the acceptance check for the
-// copy-on-write snapshot protocol: with a snapshot capture artificially
-// stalled (the state source blocks), appends to the same lane must keep
-// completing — they land on the rotated segment. The single-WAL engine, by
-// design, blocks; the pooled engine must not.
-func TestPooledSnapshotNeverBlocksAppends(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{Pool: 2, SnapshotEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = j.Close() }()
-
-	rec := func(serial uint64) []byte {
-		return encVoted(serial, []byte("code"), []byte("receipt!"))
-	}
-	// Cross the lane-0 threshold (even serials hash to lane 0 of 2).
-	for s := uint64(2); s <= 8; s += 2 {
-		if err := j.Append([][]byte{rec(s)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	captureEntered := make(chan struct{})
-	captureRelease := make(chan struct{})
-	done := make(chan error, 4)
-	j.MaybeSnapshot(func(lane, lanes int) [][]byte {
-		close(captureEntered)
-		<-captureRelease
-		return [][]byte{rec(2), rec(4), rec(6), rec(8)}
-	}, func(err error) { done <- err })
-	select {
-	case <-captureEntered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("snapshot capture never started")
-	}
-
-	// The capture is mid-flight and blocked. Appends to the same lane must
-	// complete regardless.
-	appended := make(chan error, 1)
-	go func() {
-		var err error
-		for s := uint64(10); s <= 40 && err == nil; s += 2 {
-			err = j.Append([][]byte{rec(s)})
-		}
-		appended <- err
-	}()
-	select {
-	case err := <-appended:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("appends blocked behind an in-flight snapshot")
-	}
-
-	close(captureRelease)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("snapshot never completed")
-	}
-
-	// Nothing was lost: snapshot content + post-seal appends all replay.
-	seen := make(map[uint64]bool)
-	if err := j.Replay(func(p []byte) error {
-		d := &jdec{buf: p}
-		if d.u8() == recVoted {
-			seen[d.u64()] = true
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for s := uint64(2); s <= 40; s += 2 {
-		if !seen[s] {
-			t.Fatalf("record for serial %d lost across concurrent snapshot", s)
-		}
-	}
-}
-
-// TestAdaptiveSnapshotCadence exercises the two adaptive triggers (bytes
-// since snapshot, estimated replay time) and the legacy record-count
-// override.
-func TestAdaptiveSnapshotCadence(t *testing.T) {
-	opts := JournalOptions{}.withDefaults()
-	// Fixed count overrides everything.
-	fixed := opts
-	fixed.SnapshotEvery = 10
-	if snapshotDue(fixed, 9, 1<<30, 1<<30) {
-		t.Fatal("fixed cadence triggered early")
-	}
-	if !snapshotDue(fixed, 10, 0, 0) {
-		t.Fatal("fixed cadence did not trigger at the threshold")
-	}
-	// Byte trigger.
-	if snapshotDue(opts, 10, opts.SnapshotBytes-1, defaultReplayNsPerRecord) {
-		t.Fatal("byte trigger fired below the threshold")
-	}
-	if !snapshotDue(opts, 10, opts.SnapshotBytes, defaultReplayNsPerRecord) {
-		t.Fatal("byte trigger did not fire at the threshold")
-	}
-	// Replay-time trigger: records × per-record cost ≥ budget.
-	perRecord := int64(time.Millisecond) // pathological 1ms/record replay
-	records := int64(opts.TargetReplay/time.Millisecond) + 1
-	if !snapshotDue(opts, records, 0, perRecord) {
-		t.Fatal("replay-time trigger did not fire")
-	}
-	if snapshotDue(opts, 10, 0, perRecord) {
-		t.Fatal("replay-time trigger fired for a cheap log")
-	}
-
-	// Integration: a single-WAL journal with a tiny byte budget snapshots
-	// without any record-count setting.
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{SnapshotBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = j.Close() }()
-	var recs [][]byte
-	state := func(lane, lanes int) [][]byte { return recs }
-	snapped := 0
-	for s := uint64(1); s <= 8; s++ {
-		rec := encVoted(s, []byte("0123456789abcdef"), []byte("receipt!"))
-		recs = append(recs, rec)
-		if err := j.Append([][]byte{rec}); err != nil {
-			t.Fatal(err)
-		}
-		j.MaybeSnapshot(state, func(err error) {
-			if err != nil {
-				t.Error(err)
-			}
-			snapped++
-		})
-	}
-	if snapped == 0 {
-		t.Fatal("adaptive byte cadence never snapshotted")
-	}
-	if _, err := os.Stat(filepath.Join(dir, journalSnapshotFile)); err != nil {
-		t.Fatalf("no snapshot file: %v", err)
-	}
-}
-
-// TestJournalFormatGuard: a directory written by one engine must refuse to
-// open under the other (or under a different pool size) instead of
-// silently stranding records.
-func TestJournalFormatGuard(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append([][]byte{encEndorsed(1, []byte("c"))}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenJournal(dir, JournalOptions{Pool: 4}); err == nil {
-		t.Fatal("pooled open of a single-WAL dir must fail")
-	}
-	// ...and the failed pooled attempt must not poison the directory: it
-	// still opens (and replays) as single-WAL.
-	j2, err := OpenJournal(dir, JournalOptions{})
-	if err != nil {
-		t.Fatalf("single-WAL dir unusable after failed pooled open: %v", err)
-	}
-	n := 0
-	if err := j2.Replay(func([]byte) error { n++; return nil }); err != nil || n != 1 {
-		t.Fatalf("records lost after failed pooled open: n=%d err=%v", n, err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	pdir := t.TempDir()
-	p, err := OpenJournal(pdir, JournalOptions{Pool: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenJournal(pdir, JournalOptions{Pool: 2}); err == nil {
-		t.Fatal("pool-size change must fail")
-	}
-	if _, err := OpenJournal(pdir, JournalOptions{}); err == nil {
-		t.Fatal("single-WAL open of a pooled dir must fail")
-	}
-	// Same settings reopen fine.
-	p2, err := OpenJournal(pdir, JournalOptions{Pool: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// FuzzPooledReplay drives torn tails into individual pooled lanes: a
-// deterministic record set is appended across 3 lanes, the fuzzer truncates
-// each lane's active segment by an arbitrary amount, and replay must
-// deliver a per-lane prefix of what was appended — never an error, never a
-// record from beyond the tear, never corruption.
-func FuzzPooledReplay(f *testing.F) {
-	f.Add(uint16(0), uint16(0), uint16(0))
-	f.Add(uint16(1), uint16(9), uint16(40))
-	f.Add(uint16(1000), uint16(3), uint16(17))
-	f.Fuzz(func(t *testing.T, cut0, cut1, cut2 uint16) {
-		const lanes = 3
-		dir := t.TempDir()
-		j, err := OpenJournal(dir, JournalOptions{Pool: lanes, SnapshotEvery: 1 << 30})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Per lane, an ordered sequence of records with recognizable codes.
-		perLane := make([][][]byte, lanes)
-		for s := uint64(1); s <= 12; s++ {
-			lane := journalLaneOf(s, lanes)
-			rec := encVoted(s, []byte(fmt.Sprintf("code-%d-%d", s, len(perLane[lane]))), []byte("receipt!"))
-			perLane[lane] = append(perLane[lane], rec)
-			if err := j.Append([][]byte{rec}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Tear each lane's active segment independently.
-		for lane, cut := range []uint16{cut0, cut1, cut2} {
-			path := filepath.Join(dir, laneSegmentName(lane, 1))
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := int(cut)
-			if n > len(data) {
-				n = len(data)
-			}
-			if err := os.WriteFile(path, data[:len(data)-n], 0o600); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Replay must yield a prefix per lane.
-		j2, err := OpenJournal(dir, JournalOptions{Pool: lanes, SnapshotEvery: 1 << 30})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = j2.Close() }()
-		got := make([][][]byte, lanes)
-		if err := j2.Replay(func(p []byte) error {
-			d := &jdec{buf: p}
-			if d.u8() != recVoted {
-				t.Fatal("replayed record has unexpected kind")
-			}
-			serial := d.u64()
-			lane := journalLaneOf(serial, lanes)
-			got[lane] = append(got[lane], append([]byte(nil), p...))
-			return nil
-		}); err != nil {
-			t.Fatalf("torn-lane replay errored: %v", err)
-		}
-		for lane := 0; lane < lanes; lane++ {
-			if len(got[lane]) > len(perLane[lane]) {
-				t.Fatalf("lane %d replayed %d records, appended %d", lane, len(got[lane]), len(perLane[lane]))
-			}
-			for i, rec := range got[lane] {
-				if !bytes.Equal(rec, perLane[lane][i]) {
-					t.Fatalf("lane %d record %d corrupted across tear", lane, i)
-				}
-			}
-		}
-		// A lane's tear must not eat another lane's records: untorn lanes
-		// replay in full.
-		for lane, cut := range []uint16{cut0, cut1, cut2} {
-			if cut == 0 && len(got[lane]) != len(perLane[lane]) {
-				t.Fatalf("untorn lane %d lost records", lane)
-			}
-		}
-	})
-}
-
-// TestPooledConcurrentAppendReplay hammers a pooled journal from many
-// goroutines and verifies nothing is lost or reordered within a lane.
-func TestPooledConcurrentAppendReplay(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{Pool: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, per = 8, 50
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				serial := uint64(w*per + i + 1)
-				if err := j.Append([][]byte{encEndorsed(serial, []byte("x"))}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := OpenJournal(dir, JournalOptions{Pool: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = j2.Close() }()
-	count := 0
-	if err := j2.Replay(func(p []byte) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != workers*per {
-		t.Fatalf("replayed %d of %d records", count, workers*per)
-	}
-}
-
-// TestWALFileStoreGuard keeps store.ReplayWAL honest about foreign files in
-// the pooled layout: the FORMAT marker must never be parsed as a WAL.
-func TestWALFileStoreGuard(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{Pool: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = j.Close() }()
-	if _, err := store.ReplayWAL(filepath.Join(dir, journalFormatFile), nil); err == nil {
-		t.Fatal("FORMAT marker parsed as a WAL file")
 	}
 }

@@ -3,6 +3,7 @@ package vc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"ddemos/internal/ballot"
+	"ddemos/internal/journal"
 	"ddemos/internal/store"
 	"ddemos/internal/transport"
 	"ddemos/internal/wire"
@@ -109,20 +111,25 @@ func journalDirNode(t *testing.T, c *cluster, idx int, dir string) *Node {
 	return node
 }
 
-// appendRaw writes pre-encoded journal records straight into dir's WAL.
+// The one-lane layout of a journal directory (internal/journal's package
+// comment): lane 0's first segment and its snapshot.
+const (
+	lane0Segment  = "wal-0.000001"
+	lane0Snapshot = "snapshot-0"
+)
+
+// appendRaw writes pre-encoded journal records straight into dir's one-lane
+// journal.
 func appendRaw(t *testing.T, dir string, recs ...[]byte) {
 	t.Helper()
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		t.Fatal(err)
-	}
-	w, err := store.OpenWAL(filepath.Join(dir, journalWALFile), store.WALOptions{SyncEachAppend: true})
+	j, err := journal.Open(dir, journal.Options{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBatch(recs); err != nil {
+	if err := j.Append(recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -184,7 +191,7 @@ func TestReplayDuplicateRecordsIsIdempotent(t *testing.T) {
 }
 
 func TestReplaySnapshotLogDisagreement(t *testing.T) {
-	// A crash between snapshot rename and log truncation leaves a snapshot
+	// A crash between snapshot rename and segment deletion leaves a snapshot
 	// that already covers records still sitting in the log. Replay must
 	// treat the overlap as no-ops.
 	c := journaledCluster(t, 2)
@@ -198,7 +205,7 @@ func TestReplaySnapshotLogDisagreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Snapshot holds the first four transitions; the log holds all five.
-	if err := store.WriteWALFile(filepath.Join(dir, journalSnapshotFile), recs[:4]); err != nil {
+	if err := store.WriteWALFile(filepath.Join(dir, lane0Snapshot), recs[:4]); err != nil {
 		t.Fatal(err)
 	}
 	appendRaw(t, dir, recs...)
@@ -222,7 +229,7 @@ func TestReplayTornTailKeepsPrefix(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "torn")
 	appendRaw(t, dir, recs...)
 	// Tear the final (voted) record in half.
-	path := filepath.Join(dir, journalWALFile)
+	path := filepath.Join(dir, lane0Segment)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -263,6 +270,39 @@ func TestReplayRejectsGarbageRecord(t *testing.T) {
 	}
 }
 
+// TestReplayKeylessVSCRecord pins the vote-set layout journals held before
+// every record carried a routing key (kind 6, no key): it must replay to the
+// state today's keyed record produces.
+func TestReplayKeylessVSCRecord(t *testing.T) {
+	c := journaledCluster(t, 2)
+	code, err := c.data.Ballots[0].CodeFor(ballot.PartA, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := []VotedBallot{{Serial: 1, Code: code}}
+	v0 := binary.BigEndian.AppendUint32([]byte{recVSCv0}, 1)
+	v0 = binary.BigEndian.AppendUint64(v0, 1)
+	v0 = journal.AppendBytes(v0, code)
+	oldDir := filepath.Join(t.TempDir(), "keyless")
+	newDir := filepath.Join(t.TempDir(), "keyed")
+	appendRaw(t, oldDir, v0)
+	appendRaw(t, newDir, encVSC(set))
+	n1 := journalDirNode(t, c, 0, oldDir)
+	n2 := journalDirNode(t, c, 1, newDir)
+	if n1.StateHash() != n2.StateHash() {
+		t.Fatal("keyless vsc record replayed to a different state than the keyed one")
+	}
+	ctx, cancel := c.drv.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	got, err := n1.VoteSetConsensus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Serial != 1 || !bytes.Equal(got[0].Code, code) {
+		t.Fatalf("keyless vsc record replayed as %+v", got)
+	}
+}
+
 func TestSnapshotTruncatesLogAndRecovers(t *testing.T) {
 	c := journaledCluster(t, 2)
 	code, err := c.data.Ballots[0].CodeFor(ballot.PartA, 0)
@@ -278,7 +318,7 @@ func TestSnapshotTruncatesLogAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Stop()
-	if err := node.RecoverWithOptions(dir, JournalOptions{SnapshotEvery: 4}); err != nil {
+	if err := node.RecoverWithOptions(dir, journal.Options{SnapshotEvery: 4}); err != nil {
 		t.Fatal(err)
 	}
 	// Apply + journal a history long enough to cross the threshold twice.
@@ -291,21 +331,31 @@ func TestSnapshotTruncatesLogAndRecovers(t *testing.T) {
 			node.journalAppend(rec)
 		}
 	}
+	// Stop waits out the background captures before the directory is read.
+	want := node.StateHash()
+	node.Stop()
 	if s := node.Metrics(); s.Snapshots == 0 {
 		t.Fatal("snapshot threshold never triggered")
 	}
-	if _, err := os.Stat(filepath.Join(dir, journalSnapshotFile)); err != nil {
-		t.Fatalf("no snapshot file: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, lane0Snapshot)); err != nil {
+		t.Fatalf("no lane snapshot file: %v", err)
 	}
-	nWal, err := store.ReplayWAL(filepath.Join(dir, journalWALFile), nil)
+	// Each completed snapshot deleted the segments it sealed: the lane is
+	// down to its active segment, holding less than the 15 records logged.
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-0.*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 {
+		t.Fatalf("sealed segments not deleted: %v", segs)
+	}
+	nWal, err := store.ReplayWAL(segs[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nWal >= 15 {
 		t.Fatalf("log not truncated: %d records", nWal)
 	}
-	want := node.StateHash()
-	node.Stop()
 	n2 := journalDirNode(t, c, 1, dir)
 	if n2.StateHash() != want {
 		t.Fatal("snapshot+log recovery produced different state")

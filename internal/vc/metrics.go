@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ddemos/internal/journal"
 	"ddemos/internal/store"
 )
 
@@ -18,10 +19,8 @@ type Metrics struct {
 	SendErrors    atomic.Int64
 	Recoveries    atomic.Int64
 
-	JournalRecords atomic.Int64 // transitions journaled to the WAL
-	JournalErrors  atomic.Int64 // failed journal appends/syncs (alarm on this)
-	Snapshots      atomic.Int64 // snapshot + log-truncation cycles
-	StrictRefusals atomic.Int64 // acks refused under Policy: Strict
+	journal.Counters              // JournalRecords, JournalErrors, Snapshots
+	StrictRefusals   atomic.Int64 // acks refused under Policy: Strict
 
 	// UCERT signature checks (vote path and vote-set consensus alike): how
 	// many went to Ed25519, and how many the node skipped because it already

@@ -35,6 +35,7 @@ import (
 	"ddemos/internal/crypto/shamir"
 	"ddemos/internal/crypto/votecode"
 	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/sig"
 	"ddemos/internal/store"
 	"ddemos/internal/transport"
@@ -133,8 +134,8 @@ type Node struct {
 	// and recovery"). nil = memory-only node. journalPolicy decides whether
 	// a failed append refuses the dependent ack (Strict) or counts and
 	// continues (Available).
-	journal       JournalBackend
-	journalPolicy AckPolicy
+	journal       journal.Backend
+	journalPolicy journal.AckPolicy
 
 	metrics Metrics
 

@@ -16,6 +16,7 @@ import (
 	"ddemos/internal/ballot"
 	"ddemos/internal/clock"
 	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/sim"
 	"ddemos/internal/transport"
 )
@@ -240,13 +241,11 @@ func TestScenarioSweepThresholdInvariants(t *testing.T) {
 	}
 }
 
-// sweepJournalOptions rotates the journal engine across sweep seeds: a
-// third of the seeds run the single-WAL engine, the rest the pooled engine
-// at 2 and 4 lanes — every restart sweep doubles as a backend-recovery
-// sweep.
-func sweepJournalOptions(seed uint64) JournalOptions {
+// sweepJournalOptions rotates the journal's lane count across sweep seeds
+// — 1, 2, 4 — so every restart sweep doubles as a journal-recovery sweep.
+func sweepJournalOptions(seed uint64) journal.Options {
 	pools := []int{1, 2, 4}
-	return JournalOptions{Pool: pools[seed%3]}
+	return journal.Options{Pool: pools[seed%3]}
 }
 
 // journalDirs allocates per-node journal directories.

@@ -10,6 +10,7 @@ import (
 
 	"ddemos/internal/ballot"
 	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/sim"
 	"ddemos/internal/transport"
 	"ddemos/internal/wire"
@@ -22,7 +23,7 @@ var errInjected = errors.New("injected journal failure")
 // of the targeted kind — the scalpel for failing exactly the voted-record
 // append while the endorsement/share plumbing stays healthy.
 type failKindJournal struct {
-	*MemJournal
+	*journal.MemJournal
 	kind    byte
 	failing atomic.Bool
 }
@@ -40,7 +41,7 @@ func (f *failKindJournal) Append(recs [][]byte) error {
 
 // strictCluster builds a 4-node sim cluster whose nodes run on injectable
 // MemJournal-backed journals under the given ack policy.
-func strictCluster(t *testing.T, policy AckPolicy, wrap func(i int, m *MemJournal) JournalBackend) (*cluster, []*MemJournal) {
+func strictCluster(t *testing.T, policy journal.AckPolicy, wrap func(i int, m *journal.MemJournal) journal.Backend) (*cluster, []*journal.MemJournal) {
 	t.Helper()
 	start := time.Date(2026, 6, 10, 8, 0, 0, 0, time.UTC)
 	data, err := ea.Setup(ea.Params{
@@ -62,7 +63,7 @@ func strictCluster(t *testing.T, policy AckPolicy, wrap func(i int, m *MemJourna
 	net := transport.NewMemnetWithTimers(transport.LinkProfile{Latency: 200 * time.Microsecond}, drv)
 	c := &cluster{t: t, data: data, net: net, drv: drv, dirs: make([]string, 4),
 		stack: rawStack}
-	mems := make([]*MemJournal, 4)
+	mems := make([]*journal.MemJournal, 4)
 	for i := 0; i < 4; i++ {
 		node, err := New(Config{
 			Init:     data.VC[i],
@@ -72,8 +73,8 @@ func strictCluster(t *testing.T, policy AckPolicy, wrap func(i int, m *MemJourna
 		if err != nil {
 			t.Fatal(err)
 		}
-		mems[i] = NewMemJournal(JournalOptions{})
-		var backend JournalBackend = mems[i]
+		mems[i] = journal.NewMemJournal(journal.Options{})
+		var backend journal.Backend = mems[i]
 		if wrap != nil {
 			backend = wrap(i, mems[i])
 		}
@@ -93,7 +94,7 @@ func strictCluster(t *testing.T, policy AckPolicy, wrap func(i int, m *MemJourna
 // peers stay silent on ENDORSE — no endorsement signature leaves a node
 // that could forget having issued it.
 func TestStrictRefusesEndorsementAndVoteOnJournalFailure(t *testing.T) {
-	c, mems := strictCluster(t, PolicyStrict, nil)
+	c, mems := strictCluster(t, journal.PolicyStrict, nil)
 
 	// Baseline: Strict with a healthy journal behaves normally.
 	r, err := c.simVote(1, ballot.PartA, 0, 0)
@@ -155,7 +156,7 @@ func TestStrictRefusesEndorsementAndVoteOnJournalFailure(t *testing.T) {
 // resubmission re-journals and releases the identical receipt.
 func TestStrictWithholdsReceiptUntilDurable(t *testing.T) {
 	var fails []*failKindJournal
-	c, _ := strictCluster(t, PolicyStrict, func(i int, m *MemJournal) JournalBackend {
+	c, _ := strictCluster(t, journal.PolicyStrict, func(i int, m *journal.MemJournal) journal.Backend {
 		f := &failKindJournal{MemJournal: m, kind: recVoted}
 		f.failing.Store(true)
 		fails = append(fails, f)
@@ -185,7 +186,7 @@ func TestStrictWithholdsReceiptUntilDurable(t *testing.T) {
 // completes.
 func TestStrictRebindsAfterBindingAppendFailure(t *testing.T) {
 	var fails []*failKindJournal
-	c, _ := strictCluster(t, PolicyStrict, func(i int, m *MemJournal) JournalBackend {
+	c, _ := strictCluster(t, journal.PolicyStrict, func(i int, m *journal.MemJournal) journal.Backend {
 		f := &failKindJournal{MemJournal: m, kind: recPending}
 		f.failing.Store(true)
 		fails = append(fails, f)
@@ -224,7 +225,7 @@ func TestStrictRebindsAfterBindingAppendFailure(t *testing.T) {
 // Policy: Available must not cost a single receipt — errors are counted,
 // service continues from memory (the pre-policy behaviour).
 func TestAvailableCountsAndContinues(t *testing.T) {
-	c, mems := strictCluster(t, PolicyAvailable, nil)
+	c, mems := strictCluster(t, journal.PolicyAvailable, nil)
 	for _, m := range mems {
 		m.SetAppendError(errInjected)
 	}
@@ -255,7 +256,7 @@ func TestStrictLateEndorseReplaysToSameState(t *testing.T) {
 	const late = 3
 	c := newSimClusterJ(t, 1, nil, 2, 4,
 		transport.LinkProfile{Latency: 200 * time.Microsecond}, rawStack,
-		journalDirs(t, 4), JournalOptions{Policy: PolicyStrict})
+		journalDirs(t, 4), journal.Options{Policy: journal.PolicyStrict})
 	code := mustCode(t, c, 1, ballot.PartA, 0)
 
 	// Responder 0 cannot reach the late node: it certifies with nodes 1 and

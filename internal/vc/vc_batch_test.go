@@ -11,6 +11,7 @@ import (
 	"ddemos/internal/ballot"
 	"ddemos/internal/clock"
 	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/sim"
 	"ddemos/internal/transport"
 )
@@ -42,7 +43,7 @@ func newSimCluster(t *testing.T, seed uint64, byz map[int]Byzantine, numBallots,
 	stack func(i int, data *ea.ElectionData, ep transport.Endpoint, tm clock.Timers) transport.Endpoint,
 	journaled bool) *cluster {
 	t.Helper()
-	var jopts JournalOptions
+	var jopts journal.Options
 	if !journaled {
 		return newSimClusterJ(t, seed, byz, numBallots, numVC, lp, stack, nil, jopts)
 	}
@@ -56,7 +57,7 @@ func newSimCluster(t *testing.T, seed uint64, byz map[int]Byzantine, numBallots,
 func newSimClusterJ(t *testing.T, seed uint64, byz map[int]Byzantine, numBallots, numVC int,
 	lp transport.LinkProfile,
 	stack func(i int, data *ea.ElectionData, ep transport.Endpoint, tm clock.Timers) transport.Endpoint,
-	dirs []string, jopts JournalOptions) *cluster {
+	dirs []string, jopts journal.Options) *cluster {
 	return newSimClusterJE(t, seed, byz, numBallots, numVC, lp, stack, dirs, jopts, nil)
 }
 
@@ -67,7 +68,7 @@ func newSimClusterJ(t *testing.T, seed uint64, byz map[int]Byzantine, numBallots
 func newSimClusterJE(t *testing.T, seed uint64, byz map[int]Byzantine, numBallots, numVC int,
 	lp transport.LinkProfile,
 	stack func(i int, data *ea.ElectionData, ep transport.Endpoint, tm clock.Timers) transport.Endpoint,
-	dirs []string, jopts JournalOptions, engine EngineFactory) *cluster {
+	dirs []string, jopts journal.Options, engine EngineFactory) *cluster {
 	t.Helper()
 	start := time.Date(2026, 6, 10, 8, 0, 0, 0, time.UTC)
 	data, err := ea.Setup(ea.Params{

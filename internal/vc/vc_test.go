@@ -10,6 +10,7 @@ import (
 	"ddemos/internal/ballot"
 	"ddemos/internal/clock"
 	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/sim"
 	"ddemos/internal/transport"
 	"ddemos/internal/wire"
@@ -31,7 +32,7 @@ type cluster struct {
 	nodes []*Node
 
 	dirs   []string
-	jopts  JournalOptions    // journal engine config for journaled nodes
+	jopts  journal.Options   // journal engine config for journaled nodes
 	flip   map[int]Byzantine // behaviour applied from the next restart on
 	byz    map[int]Byzantine
 	engine EngineFactory // vote-set-consensus engine (nil = interlocked)

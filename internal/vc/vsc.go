@@ -231,7 +231,7 @@ type batchResult struct {
 // memory *before* the append (the mutation-before-append rule every record
 // follows): a snapshot racing the append must serialize a state that
 // already contains the result, or it would capture without it and then
-// truncate the log holding the record. The set is the input to the signed
+// delete the sealed segment holding the record. The set is the input to the signed
 // BB push, so it is journaled and synced (once per election — the fsync is
 // off the hot path) before the caller can act on it; a Strict node refuses
 // to return a result that did not land and uninstalls it for the retry.
