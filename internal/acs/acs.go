@@ -13,14 +13,15 @@
 // (ANNOUNCE echo, VSC-FINAL adoption, RECOVER for missing codes, journaled
 // result) is unchanged; this package only decides the set.
 //
-// The binary agreement is the same Mostéfaoui–Moumen–Raynal protocol the
-// interlocked engine batches, with two additions: a COIN message exchange
-// per round — nodes reveal their deterministic hash-coin flip and wait for
-// f+1 reveals (or a clock fallback) before completing the round, standing in
-// for the share exchange of a threshold-signature common coin (see DESIGN.md
-// for the substitution and its trust caveat) — and late-binding inputs: an
-// instance receives input 1 when its broadcaster's payload delivers, and 0
-// once n-f instances have decided 1 (the BKR completion rule).
+// The binary agreement is not implemented here: the engine drives a
+// consensus.Batch of n instances — the same Mostéfaoui–Moumen–Raynal core,
+// frames and hash coin the interlocked engine batches per ballot — through
+// its late-binding inputs. What this package adds is what makes it ACS: the
+// Bracha broadcast, input 1 to an instance when its broadcaster's payload
+// delivers, input 0 to the rest once n-f instances have decided 1 (the BKR
+// completion rule), and the union. A threshold-signature common coin would
+// plug in behind consensus.Coin for both engines at once (see DESIGN.md for
+// the substitution and its trust caveat).
 package acs
 
 import (
@@ -28,20 +29,12 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
-	"time"
 
-	"ddemos/internal/clock"
 	"ddemos/internal/consensus"
 	"ddemos/internal/wire"
 )
-
-// coinFallback bounds how long a round waits for f+1 COIN reveals before
-// completing with the locally computed flip. The deterministic hash coin
-// makes the reveal exchange informational (every honest node computes the
-// same value), so falling back cannot diverge honest nodes — it only drops
-// the "heard from an honest coin holder" pacing a real threshold coin gives.
-const coinFallback = 500 * time.Millisecond
 
 // Config wires an Engine into the host node.
 type Config struct {
@@ -49,8 +42,7 @@ type Config struct {
 	Self    uint16 // this node's index in [0, n)
 	Ballots uint32 // ballot pool size; decisions index serial-1
 
-	Coin  consensus.Coin // shared deterministic coin
-	Clock clock.Clock    // timer domain for the coin fallback
+	Coin consensus.Coin // shared deterministic coin
 
 	// Send multicasts an encoded frame to the other n-1 nodes. It must not
 	// call back into the engine.
@@ -70,67 +62,50 @@ type Config struct {
 
 // Engine is one election's ACS run. Feed inbound frames via Handle, start
 // with Start, await Results. All exported methods are safe for concurrent
-// use; reliable-broadcast traffic is processed from construction onward, so
-// an engine installed before its Start still counts peers that raced ahead.
+// use; broadcast and agreement traffic is processed from construction onward,
+// so an engine installed before its Start still counts peers that raced ahead.
 type Engine struct {
 	n, f    int
 	self    uint16
 	ballots uint32
-	coin    consensus.Coin
-	clk     clock.Clock
 	send    func([]byte)
 	accept  func([]wire.AnnounceEntry) []bool
 
-	mu       sync.Mutex
-	started  bool
-	rbc      []*rbcState
-	inst     []*abaInstance
-	pending  int
-	ones     int // instances decided 1
-	filled   bool
-	flushBuf map[groupKey][]uint32
-	outBox   [][]byte
-	ready    chan struct{}
-	closed   bool
-}
-
-type groupKey struct {
-	step  uint8
-	round uint16
-	value uint8
+	// mu guards everything below and is held across every call into aba, so
+	// the core's out and decision callbacks run under it too.
+	mu      sync.Mutex
+	started bool
+	rbc     []*rbcState
+	aba     *consensus.Batch // one instance per broadcaster
+	pending int              // instances still undecided
+	ones    uint64           // instances decided 1, by broadcaster index
+	outBox  [][]byte
+	ready   chan struct{}
+	closed  bool
 }
 
 // New builds an engine for n nodes tolerating f faults.
 func New(cfg Config) (*Engine, error) {
-	if cfg.N <= 3*cfg.F {
-		return nil, fmt.Errorf("acs: n=%d does not tolerate f=%d (need n > 3f)", cfg.N, cfg.F)
-	}
-	if int(cfg.Self) >= cfg.N {
-		return nil, fmt.Errorf("acs: self=%d out of range", cfg.Self)
-	}
-	if cfg.N > 64 {
-		return nil, errors.New("acs: at most 64 nodes supported (bitmask sender sets)")
-	}
 	if cfg.Send == nil || cfg.Coin == nil {
 		return nil, errors.New("acs: Send and Coin are required")
 	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.Real{}
-	}
 	e := &Engine{
 		n: cfg.N, f: cfg.F, self: cfg.Self, ballots: cfg.Ballots,
-		coin: cfg.Coin, clk: clk, send: cfg.Send,
-		accept:   cfg.Accept,
-		rbc:      make([]*rbcState, cfg.N),
-		inst:     make([]*abaInstance, cfg.N),
-		pending:  cfg.N,
-		flushBuf: make(map[groupKey][]uint32),
-		ready:    make(chan struct{}),
+		send: cfg.Send, accept: cfg.Accept,
+		pending: cfg.N,
+		ready:   make(chan struct{}),
 	}
+	aba, err := consensus.NewBatch(cfg.N, cfg.F, cfg.Self, uint32(cfg.N), cfg.Coin, func(m *wire.Consensus) {
+		e.outBox = append(e.outBox, wire.Encode(m))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("acs: %w", err)
+	}
+	aba.OnDecide(e.onDecide)
+	e.aba = aba
+	e.rbc = make([]*rbcState, cfg.N)
 	for i := range e.rbc {
 		e.rbc[i] = newRBCState()
-		e.inst[i] = newABAInstance()
 	}
 	return e, nil
 }
@@ -149,9 +124,7 @@ func (e *Engine) Start(proposal []wire.AnnounceEntry, _ []byte) error {
 	// receiving it echo the full payload onward.
 	m := wire.NewRBCEcho(e.self, e.self, proposal)
 	e.sendEcho(m, payloadHash(m))
-	frames := e.drainLocked()
-	e.mu.Unlock()
-	e.emit(frames)
+	e.unlockAndSend()
 	return nil
 }
 
@@ -171,14 +144,10 @@ func (e *Engine) Handle(from uint16, msg wire.Message) {
 		if m.Sender == from {
 			e.onReady(from, m)
 		}
-	case *wire.ABA:
-		if m.Sender == from {
-			e.onABA(from, m)
-		}
+	case *wire.Consensus:
+		e.aba.Handle(from, m)
 	}
-	frames := e.drainLocked()
-	e.mu.Unlock()
-	e.emit(frames)
+	e.unlockAndSend()
 }
 
 // Results blocks until the common subset is agreed and every decided-1
@@ -192,8 +161,8 @@ func (e *Engine) Results(ctx context.Context) ([]byte, error) {
 	}
 	decisions := make([]byte, e.ballots)
 	e.mu.Lock()
-	for i, inst := range e.inst {
-		if inst.value != 1 {
+	for i := range e.rbc {
+		if e.ones&(1<<i) == 0 {
 			continue
 		}
 		for j := range e.rbc[i].validated {
@@ -210,9 +179,7 @@ func (e *Engine) Results(ctx context.Context) ([]byte, error) {
 
 // Decided returns how many agreement instances have decided so far.
 func (e *Engine) Decided() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n - e.pending
+	return e.aba.Decided()
 }
 
 // --- reliable broadcast -----------------------------------------------------
@@ -289,7 +256,7 @@ func (e *Engine) tallyEcho(from uint16, m *wire.RBCEcho, h [32]byte) {
 	if from == m.Broadcaster && from != e.self {
 		e.sendEcho(m.WithSender(e.self), h)
 	}
-	if popcount(t.senders) >= e.n-e.f && !st.readySent {
+	if bits.OnesCount64(t.senders) >= e.n-e.f && !st.readySent {
 		st.readySent = true
 		e.sendReady(m.Broadcaster, h)
 	}
@@ -314,7 +281,7 @@ func (e *Engine) onReady(from uint16, m *wire.RBCReady) {
 	st.readies[h] |= bit
 	// f+1 READYs contain an honest one: amplify (without needing the
 	// payload), which gives Bracha totality.
-	if popcount(st.readies[h]) >= e.f+1 && !st.readySent {
+	if bits.OnesCount64(st.readies[h]) >= e.f+1 && !st.readySent {
 		st.readySent = true
 		e.sendReady(m.Broadcaster, h)
 	}
@@ -331,7 +298,7 @@ func (e *Engine) sendReady(b uint16, h [32]byte) {
 // maybeDeliver completes the broadcast once 2f+1 READYs agree on a hash
 // whose payload we hold.
 func (e *Engine) maybeDeliver(b uint16, st *rbcState, h [32]byte) {
-	if st.delivered || popcount(st.readies[h]) < 2*e.f+1 {
+	if st.delivered || bits.OnesCount64(st.readies[h]) < 2*e.f+1 {
 		return
 	}
 	t := st.echoes[h]
@@ -351,39 +318,35 @@ func (e *Engine) maybeDeliver(b uint16, st *rbcState, h [32]byte) {
 		}
 	}
 	st.echoes, st.readies = nil, nil
-	e.provideInput(uint32(b), 1)
+	e.aba.Input(uint32(b), 1)
 	e.checkOutput()
 }
 
-// --- plumbing ---------------------------------------------------------------
+// --- agreement and output ----------------------------------------------------
 
-// sendABA queues one per-instance agreement message for the next flush and
-// self-delivers it.
-func (e *Engine) sendABA(idx uint32, step uint8, round uint16, value byte) {
-	k := groupKey{step: step, round: round, value: value}
-	e.flushBuf[k] = append(e.flushBuf[k], idx)
-	e.deliverABA(e.self, idx, step, round, value)
-}
-
-// drainLocked flushes batched agreement traffic and the outbox into the
-// frame list to emit after the lock is released.
-func (e *Engine) drainLocked() [][]byte {
-	if len(e.flushBuf) != 0 {
-		msg := &wire.ABA{Sender: e.self, Groups: make([]wire.ABAGroup, 0, len(e.flushBuf))}
-		for k, idxs := range e.flushBuf {
-			msg.Groups = append(msg.Groups, wire.ABAGroup{
-				Step: k.step, Round: k.round, Value: k.value, Instances: idxs,
-			})
+// onDecide is the agreement core's per-decision hook.
+func (e *Engine) onDecide(idx uint32, v byte) {
+	e.pending--
+	if v == 1 {
+		e.ones |= 1 << idx
+		// BKR completion rule: once n-f instances carry the subset, input 0
+		// to every instance still waiting on a broadcast that may never
+		// arrive. The core ignores an input for an instance that has one.
+		if bits.OnesCount64(e.ones) == e.n-e.f {
+			for i := 0; i < e.n; i++ {
+				e.aba.Input(uint32(i), 0) //nolint:gosec // i < n <= 64
+			}
 		}
-		e.flushBuf = make(map[groupKey][]uint32)
-		e.outBox = append(e.outBox, wire.Encode(msg))
 	}
-	out := e.outBox
-	e.outBox = nil
-	return out
+	e.checkOutput()
 }
 
-func (e *Engine) emit(frames [][]byte) {
+// unlockAndSend ends a locked call: it releases the engine, then multicasts
+// the frames the call queued.
+func (e *Engine) unlockAndSend() {
+	frames := e.outBox
+	e.outBox = nil
+	e.mu.Unlock()
 	for _, f := range frames {
 		e.send(f)
 	}
@@ -397,20 +360,11 @@ func (e *Engine) checkOutput() {
 	if e.closed || e.pending != 0 {
 		return
 	}
-	for i, inst := range e.inst {
-		if inst.value == 1 && !e.rbc[i].delivered {
+	for i, st := range e.rbc {
+		if e.ones&(1<<i) != 0 && !st.delivered {
 			return
 		}
 	}
 	e.closed = true
 	close(e.ready)
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

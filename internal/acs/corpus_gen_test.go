@@ -10,9 +10,8 @@ import (
 
 // TestRegenerateFuzzCorpus rewrites the checked-in FuzzABAReplay seed
 // corpus under testdata/fuzz — interleaving schedules, not wire frames:
-// each byte picks a queued delivery (with a duplicate bit) or fires the
-// coin fallback (0xFF). Guarded by an env var so normal test runs never
-// touch the tree:
+// each byte picks a queued delivery (with a duplicate bit). Guarded by an env
+// var so normal test runs never touch the tree:
 //
 //	DDEMOS_REGEN_CORPUS=1 go test ./internal/acs -run TestRegenerateFuzzCorpus
 func TestRegenerateFuzzCorpus(t *testing.T) {
@@ -33,6 +32,5 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	write("seed-fifo", []byte{0, 0, 0, 0, 0, 0, 0, 0})             // in-order head delivery
 	write("seed-lifo", bytes.Repeat([]byte{0x3F}, 32))             // tail-biased reordering
 	write("seed-duplicates", bytes.Repeat([]byte{0x45, 0x80}, 16)) // heavy duplication bits
-	write("seed-fallbacks", []byte{0xFF, 0x00, 0xFF, 0x01, 0xFF})  // coin fallback pressure
 	write("seed-mixed", bytes.Repeat([]byte{0x45, 0x80, 0xFF, 0x13}, 16))
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"ddemos/internal/clock"
 	"ddemos/internal/consensus"
 	"ddemos/internal/wire"
 )
@@ -21,13 +20,11 @@ const replayNodes, replayFaults = 4, 1
 func buildReplayEngines(t *testing.T, queue *[]replayDelivery) []*Engine {
 	t.Helper()
 	engines := make([]*Engine, replayNodes)
-	clk := clock.NewFake(time.Unix(0, 0))
 	for i := range engines {
 		self := uint16(i)
 		e, err := New(Config{
 			N: replayNodes, F: replayFaults, Self: self, Ballots: replayNodes,
-			Coin:  consensus.NewHashCoin([]byte("fuzz-aba-replay")),
-			Clock: clk,
+			Coin: consensus.NewHashCoin([]byte("fuzz-aba-replay")),
 			Send: func(frame []byte) {
 				for to := uint16(0); to < replayNodes; to++ {
 					if to != self {
@@ -60,19 +57,15 @@ type replayDelivery struct {
 	frame    []byte
 }
 
-// fakeOf extracts the shared fake clock (all engines were built on one).
-func fakeOf(engines []*Engine) *clock.Fake { return engines[0].clk.(*clock.Fake) }
-
 // FuzzABAReplay replays one honest four-node ACS run under a fuzz-chosen
-// message interleaving: each input byte either delivers a queued frame
-// (position and a duplicate bit taken from the byte) or fires the
-// coin-fallback timers by advancing the fake clock. Channels are reliable —
-// frames are reordered and duplicated, never dropped — so the run must
-// terminate: after the schedule, draining the queue (with fallback
-// advances for rounds stuck waiting on COIN reveals) must bring every
-// engine to a fully decided, closed state within a bounded step count, with
-// no instance double-decided (decision counters consistent) and all four
-// engines agreeing on the identical decision vector.
+// message interleaving: each input byte delivers a queued frame (position and
+// a duplicate bit taken from the byte). Channels are reliable — frames are
+// reordered and duplicated, never dropped — and no timer drives the engine,
+// so the run must terminate on deliveries alone: after the schedule, draining
+// the queue must bring every engine to a fully decided, closed state before
+// it runs dry, with no instance double-decided (decision counters
+// consistent) and all four engines agreeing on the identical decision
+// vector.
 func FuzzABAReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03})
@@ -81,7 +74,6 @@ func FuzzABAReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var queue []replayDelivery
 		engines := buildReplayEngines(t, &queue)
-		clk := fakeOf(engines)
 
 		deliver := func(pick, flags byte) {
 			if len(queue) == 0 {
@@ -102,16 +94,11 @@ func FuzzABAReplay(f *testing.F) {
 
 		// Fuzz-scheduled phase: the input bytes pick the interleaving.
 		for _, b := range data {
-			if b == 0xFF {
-				clk.Advance(coinFallback)
-				continue
-			}
 			deliver(b&0x3F, b)
 		}
 
-		// Drain phase: FIFO-deliver everything still in flight; when the
-		// queue runs dry without all engines done, fire the coin fallbacks.
-		// 10k steps is far beyond any legal run at this size.
+		// Drain phase: FIFO-deliver everything still in flight. 10k steps is
+		// far beyond any legal run at this size.
 		done := func() bool {
 			for _, e := range engines {
 				e.mu.Lock()
@@ -124,40 +111,26 @@ func FuzzABAReplay(f *testing.F) {
 			return true
 		}
 		for steps := 0; !done(); steps++ {
-			if steps > 10000 {
+			if steps > 10000 || len(queue) == 0 {
 				t.Fatalf("replay hung: %d frames queued, decided %d/%d/%d/%d",
 					len(queue), engines[0].Decided(), engines[1].Decided(),
 					engines[2].Decided(), engines[3].Decided())
 			}
-			if len(queue) == 0 {
-				clk.Advance(coinFallback)
-				continue
-			}
 			deliver(0, 0)
 		}
 
-		// Terminal invariants: every instance decided exactly once (the
-		// counters decide() maintains must match a fresh recount), and all
-		// engines return the identical decision vector.
+		// Terminal invariants: the core reported every instance's decision
+		// to the engine exactly once, and all engines return the identical
+		// decision vector.
 		var want []byte
 		for i, e := range engines {
 			e.mu.Lock()
-			ones := 0
-			for idx, inst := range e.inst {
-				if !inst.decided {
-					e.mu.Unlock()
-					t.Fatalf("engine %d: instance %d not decided after close", i, idx)
-				}
-				if inst.value == 1 {
-					ones++
-				}
-			}
-			if e.ones != ones || e.pending != 0 {
-				e.mu.Unlock()
-				t.Fatalf("engine %d: decision counters corrupt (ones=%d recount=%d pending=%d) — double decide?",
-					i, e.ones, ones, e.pending)
-			}
+			pending := e.pending
 			e.mu.Unlock()
+			if decided := e.Decided(); decided != replayNodes || pending != 0 {
+				t.Fatalf("engine %d: decision counters corrupt (core decided %d, hook owes %d) — double decide?",
+					i, decided, pending)
+			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			got, err := e.Results(ctx)
 			cancel()

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"ddemos/internal/clock"
 	"ddemos/internal/consensus"
 	"ddemos/internal/wire"
 )
@@ -23,7 +22,6 @@ const rbcByz = 3
 type rbcCluster struct {
 	t       *testing.T
 	engines []*Engine
-	clk     *clock.Fake
 	queue   []replayDelivery
 	sent    [][][]byte               // per engine: every frame it multicast
 	asked   [][][]wire.AnnounceEntry // per engine: every payload its host judged
@@ -33,14 +31,12 @@ func entryValid(e *wire.AnnounceEntry) bool { return len(e.Code) == 0 || e.Code[
 
 func newRBCCluster(t *testing.T, ballots uint32) *rbcCluster {
 	t.Helper()
-	c := &rbcCluster{t: t, clk: clock.NewFake(time.Unix(0, 0)),
-		sent: make([][][]byte, rbcByz), asked: make([][][]wire.AnnounceEntry, rbcByz)}
+	c := &rbcCluster{t: t, sent: make([][][]byte, rbcByz), asked: make([][][]wire.AnnounceEntry, rbcByz)}
 	for i := 0; i < rbcByz; i++ {
 		self := uint16(i)
 		e, err := New(Config{
 			N: 4, F: 1, Self: self, Ballots: ballots,
-			Coin:  consensus.NewHashCoin([]byte("rbc-test")),
-			Clock: c.clk,
+			Coin: consensus.NewHashCoin([]byte("rbc-test")),
 			Send: func(frame []byte) {
 				c.sent[self] = append(c.sent[self], frame)
 				for to := uint16(0); to < rbcByz; to++ {
@@ -92,19 +88,11 @@ func (c *rbcCluster) finish() [][]byte {
 			c.t.Fatal(err)
 		}
 	}
-	for steps := 0; ; steps++ {
-		c.drain()
-		done := true
-		for _, e := range c.engines {
-			done = done && e.Decided() == 4
+	c.drain()
+	for i, e := range c.engines {
+		if e.Decided() != 4 {
+			c.t.Fatalf("engine %d decided %d of 4 instances with nothing left in flight", i, e.Decided())
 		}
-		if done {
-			break
-		}
-		if steps > 100 {
-			c.t.Fatal("agreement did not terminate")
-		}
-		c.clk.Advance(coinFallback)
 	}
 	out := make([][]byte, len(c.engines))
 	for i, e := range c.engines {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"ddemos/internal/wire"
@@ -13,23 +14,29 @@ import (
 // outgoing per-instance messages into batched wire.Consensus frames — the
 // paper's "binary consensus operating in batches of arbitrary size" (§V).
 //
-// Usage: create with NewBatch, feed inbound messages via Handle, start with
-// Start, and await Results. The out callback is invoked (serially per flush)
-// with batched messages to broadcast to all peers; the caller owns delivery.
+// Usage: create with NewBatch, feed inbound messages via Handle, give every
+// instance its input — all at once with Start, or one by one with Input as
+// the inputs become known — and await Results. Traffic is processed from
+// construction onward: an instance without input relays, tallies (bounded by
+// maxRoundAhead) and adopts f+1 DECIDEs, so peers that raced ahead are never
+// dropped. The out callback is invoked (serially per flush) with batched
+// messages to broadcast to all peers; the caller owns delivery.
 type Batch struct {
-	n, f  int
-	self  uint16
-	count uint32
-	coin  Coin
-	out   func(*wire.Consensus)
+	n, f     int
+	self     uint16
+	count    uint32
+	coin     Coin
+	out      func(*wire.Consensus)
+	onDecide func(idx uint32, v byte)
 
-	mu       sync.Mutex
-	started  bool
-	inst     []*abaInstance
-	pending  int
-	results  []byte
-	done     chan struct{}
-	flushBuf map[groupKey][]uint32
+	mu          sync.Mutex
+	started     bool
+	inst        []*abaInstance
+	pending     int
+	results     []byte
+	done        chan struct{}
+	flushBuf    map[groupKey][]uint32
+	justDecided []uint32 // decisions of the call in progress, owed to onDecide
 }
 
 type groupKey struct {
@@ -71,8 +78,13 @@ func NewBatch(n, f int, self uint16, count uint32, coin Coin, out func(*wire.Con
 	return b, nil
 }
 
-// Start begins all instances with the given inputs (one 0/1 byte per
-// instance).
+// OnDecide installs a hook called once per instance with its decision, after
+// the call that produced the decision has released the Batch and broadcast
+// its messages — so the hook may call Input. Install it before the first
+// Input or Handle.
+func (b *Batch) OnDecide(fn func(idx uint32, v byte)) { b.onDecide = fn }
+
+// Start gives all instances their inputs (one 0/1 byte per instance).
 func (b *Batch) Start(inputs []byte) error {
 	if uint32(len(inputs)) != b.count {
 		return fmt.Errorf("consensus: %d inputs for %d instances", len(inputs), b.count)
@@ -89,28 +101,30 @@ func (b *Batch) Start(inputs []byte) error {
 	}
 	b.started = true
 	for i, v := range inputs {
-		inst := b.inst[i]
-		inst.est = v
-		b.startRound(uint32(i), inst, 1) //nolint:gosec // i < count
+		b.input(uint32(i), v) //nolint:gosec // i < count
 	}
-	msgs := b.flushLocked()
-	b.mu.Unlock()
-	b.emit(msgs)
+	b.finish()
 	return nil
+}
+
+// Input gives instance idx its input v. An instance takes one input: a
+// second one, or one for an instance that already decided, is ignored, as is
+// an index or value out of range.
+func (b *Batch) Input(idx uint32, v byte) {
+	if idx >= b.count || v > 1 {
+		return
+	}
+	b.mu.Lock()
+	b.input(idx, v)
+	b.finish()
 }
 
 // Handle processes a batched consensus message from peer `from`.
 func (b *Batch) Handle(from uint16, msg *wire.Consensus) {
-	if int(from) >= b.n {
+	if int(from) >= b.n || msg.Sender != from {
 		return
 	}
 	b.mu.Lock()
-	if !b.started {
-		// Batches are created before any message can arrive (the caller
-		// buffers until Start); be tolerant anyway.
-		b.mu.Unlock()
-		return
-	}
 	for gi := range msg.Groups {
 		g := &msg.Groups[gi]
 		if g.Value > 1 {
@@ -123,9 +137,7 @@ func (b *Batch) Handle(from uint16, msg *wire.Consensus) {
 			b.deliver(from, idx, g.Step, g.Round, g.Value)
 		}
 	}
-	msgs := b.flushLocked()
-	b.mu.Unlock()
-	b.emit(msgs)
+	b.finish()
 }
 
 // Results blocks until every instance has decided, returning the decision
@@ -150,6 +162,30 @@ func (b *Batch) Decided() int {
 
 // --- internal -------------------------------------------------------------
 
+// finish ends a locked call: it releases the Batch, broadcasts what the call
+// queued as one grouped message, then reports the call's decisions.
+func (b *Batch) finish() {
+	var msg *wire.Consensus
+	if len(b.flushBuf) != 0 {
+		msg = &wire.Consensus{Sender: b.self, Groups: make([]wire.ConsensusGroup, 0, len(b.flushBuf))}
+		for k, idxs := range b.flushBuf {
+			msg.Groups = append(msg.Groups, wire.ConsensusGroup{
+				Step: k.step, Round: k.round, Value: k.value, Instances: idxs,
+			})
+		}
+		b.flushBuf = make(map[groupKey][]uint32)
+	}
+	decided := b.justDecided
+	b.justDecided = nil
+	b.mu.Unlock()
+	if msg != nil {
+		b.out(msg)
+	}
+	for _, idx := range decided {
+		b.onDecide(idx, b.results[idx]) // written once, before the unlock above
+	}
+}
+
 // queue an outgoing per-instance protocol message for the next flush.
 func (b *Batch) send(idx uint32, step uint8, round uint16, value byte) {
 	k := groupKey{step: step, round: round, value: value}
@@ -157,26 +193,6 @@ func (b *Batch) send(idx uint32, step uint8, round uint16, value byte) {
 	// Self-delivery: a node is one of the n parties and must process its own
 	// broadcasts.
 	b.deliver(b.self, idx, step, round, value)
-}
-
-func (b *Batch) flushLocked() []*wire.Consensus {
-	if len(b.flushBuf) == 0 {
-		return nil
-	}
-	msg := &wire.Consensus{Sender: b.self, Groups: make([]wire.ConsensusGroup, 0, len(b.flushBuf))}
-	for k, idxs := range b.flushBuf {
-		msg.Groups = append(msg.Groups, wire.ConsensusGroup{
-			Step: k.step, Round: k.round, Value: k.value, Instances: idxs,
-		})
-	}
-	b.flushBuf = make(map[groupKey][]uint32)
-	return []*wire.Consensus{msg}
-}
-
-func (b *Batch) emit(msgs []*wire.Consensus) {
-	for _, m := range msgs {
-		b.out(m)
-	}
 }
 
 func (b *Batch) deliver(from uint16, idx uint32, step uint8, round uint16, value byte) {
@@ -190,8 +206,17 @@ func (b *Batch) deliver(from uint16, idx uint32, step uint8, round uint16, value
 	case wire.StepAux:
 		b.onAux(from, idx, inst, round, value)
 	case wire.StepDecide:
-		b.onDecide(from, idx, inst, value)
+		b.onDecideMsg(from, idx, inst, value)
 	}
+}
+
+func (b *Batch) input(idx uint32, v byte) {
+	inst := b.inst[idx]
+	if inst.round != 0 || inst.decided {
+		return
+	}
+	inst.est = v
+	b.startRound(idx, inst, 1)
 }
 
 func (b *Batch) startRound(idx uint32, inst *abaInstance, round uint16) {
@@ -201,8 +226,8 @@ func (b *Batch) startRound(idx uint32, inst *abaInstance, round uint16) {
 		r.bvalSent[inst.est] = true
 		b.send(idx, wire.StepBVal, round, inst.est)
 	}
-	// Messages for this round may have arrived while we were in an earlier
-	// round; thresholds could already be satisfied.
+	// Messages for this round may have arrived while the instance had no
+	// input or was in an earlier round; thresholds could already hold.
 	b.progressRound(idx, inst, round)
 }
 
@@ -216,7 +241,7 @@ func (b *Batch) onBVal(from uint16, idx uint32, inst *abaInstance, round uint16,
 		return
 	}
 	r.bvalRecv[v] |= bit
-	cnt := popcount(r.bvalRecv[v])
+	cnt := bits.OnesCount64(r.bvalRecv[v])
 	// Relay after f+1 distinct BVALs (so honest values propagate), add to
 	// bin_values after 2f+1.
 	if cnt >= b.f+1 && !r.bvalSent[v] {
@@ -245,7 +270,8 @@ func (b *Batch) onAux(from uint16, idx uint32, inst *abaInstance, round uint16, 
 
 // progressRound checks whether the current round of an instance can advance:
 // bin_values non-empty triggers the AUX broadcast; n-f AUXes with values
-// covered by bin_values complete the round.
+// covered by bin_values complete the round. An instance without input sits
+// at round 0, which no message names, so it never advances from here.
 func (b *Batch) progressRound(idx uint32, inst *abaInstance, round uint16) {
 	if inst.halted || round != inst.round {
 		return
@@ -261,14 +287,16 @@ func (b *Batch) progressRound(idx uint32, inst *abaInstance, round uint16) {
 		case r.binValues[1]:
 			w = 1
 		}
-		if w != 255 {
-			r.auxSent = true
-			r.auxValue = w
-			b.send(idx, wire.StepAux, round, w)
+		if w == 255 {
+			return
 		}
-	}
-	if !r.auxSent {
-		return
+		r.auxSent = true
+		b.send(idx, wire.StepAux, round, w)
+		// Self-delivery may have cascaded the instance past this round; do
+		// not complete it a second time from this stale frame.
+		if inst.halted || round != inst.round {
+			return
+		}
 	}
 	// Count AUX messages whose value is in bin_values.
 	var covered uint64
@@ -279,7 +307,7 @@ func (b *Batch) progressRound(idx uint32, inst *abaInstance, round uint16) {
 			vals[v] = true
 		}
 	}
-	if popcount(covered) < b.n-b.f {
+	if bits.OnesCount64(covered) < b.n-b.f {
 		return
 	}
 	// Round completes.
@@ -291,7 +319,7 @@ func (b *Batch) progressRound(idx uint32, inst *abaInstance, round uint16) {
 			v = 1
 		}
 		inst.est = v
-		if v == c && !inst.decided {
+		if v == c {
 			b.decide(idx, inst, v)
 		}
 	default: // both values seen
@@ -311,28 +339,27 @@ func (b *Batch) decide(idx uint32, inst *abaInstance, v byte) {
 		return
 	}
 	inst.decided = true
-	inst.value = v
 	b.results[idx] = v
 	b.pending--
-	if !inst.decideSent {
-		inst.decideSent = true
-		b.send(idx, wire.StepDecide, 0, v)
+	if b.onDecide != nil {
+		b.justDecided = append(b.justDecided, idx)
 	}
+	b.send(idx, wire.StepDecide, 0, v)
 	if b.pending == 0 {
 		close(b.done)
 	}
 }
 
-func (b *Batch) onDecide(from uint16, idx uint32, inst *abaInstance, v byte) {
+func (b *Batch) onDecideMsg(from uint16, idx uint32, inst *abaInstance, v byte) {
 	bit := uint64(1) << from
 	if inst.decideFrom&bit != 0 {
 		return
 	}
 	inst.decideFrom |= bit
 	inst.decideRecv[v] |= bit
-	cnt := popcount(inst.decideRecv[v])
+	cnt := bits.OnesCount64(inst.decideRecv[v])
 	// f+1 DECIDEs contain one from an honest decider: safe to adopt.
-	if cnt >= b.f+1 && !inst.decided {
+	if cnt >= b.f+1 {
 		b.decide(idx, inst, v)
 	}
 	// 2f+1 DECIDEs mean every honest node will eventually decide without our
@@ -347,13 +374,13 @@ func (b *Batch) onDecide(from uint16, idx uint32, inst *abaInstance, v byte) {
 // messages, limiting memory a Byzantine flooder can consume.
 const maxRoundAhead = 8
 
+// abaInstance is one binary-agreement instance. Round 0 is unused: an
+// instance sits there until its input arrives.
 type abaInstance struct {
 	round      uint16
 	est        byte
 	decided    bool
 	halted     bool
-	value      byte
-	decideSent bool
 	decideFrom uint64
 	decideRecv [2]uint64
 	rounds     map[uint16]*roundState
@@ -366,7 +393,6 @@ type roundState struct {
 	auxFrom   uint64
 	auxRecv   [2]uint64
 	auxSent   bool
-	auxValue  byte
 }
 
 func newABAInstance() *abaInstance {
@@ -383,13 +409,4 @@ func (i *abaInstance) getRound(r uint16) *roundState {
 		i.rounds[r] = rs
 	}
 	return rs
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

@@ -185,11 +185,26 @@ func TestCrashFaultTolerance(t *testing.T) {
 
 func TestByzantineValueFlipper(t *testing.T) {
 	// A node that flips every value it sends must not break agreement or
-	// validity among the honest nodes.
+	// validity among the honest nodes — here with honest node 3 binding its
+	// inputs late, one instance at a time from the last to the first, after
+	// the others (who cannot decide without it) have gone quiet.
 	const n, count = 4, 16
 	h := newHarness(t, n, 1, count, NewHashCoin([]byte("byz")))
 	h.corrupt[2] = true
-	h.start(t, uniform(n, count, 1))
+	inputs := uniform(n, count, 1)
+	for i, b := range h.batches[:3] {
+		if err := b.Start(inputs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.pump()
+	if d := h.batches[0].Decided(); d != 0 {
+		t.Fatalf("%d instances decided on two honest inputs", d)
+	}
+	for j := uint32(count); j > 0; j-- {
+		h.batches[3].Input(j-1, 1)
+		h.pump()
+	}
 	for _, i := range []int{0, 1, 3} {
 		for inst, v := range h.results(t, i) {
 			if v != 1 {
@@ -348,7 +363,12 @@ func TestHandleIgnoresGarbage(t *testing.T) {
 	if err := b.Start([]byte{0, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	// Out-of-range sender, instance, value, and absurd round: all ignored.
+	// Out-of-range sender, instance, value, and absurd round: all ignored,
+	// as are frames naming a sender other than the peer they came from (two
+	// forged DECIDEs would be f+1).
+	forged := []wire.ConsensusGroup{{Step: wire.StepDecide, Value: 1, Instances: []uint32{0}}}
+	b.Handle(1, &wire.Consensus{Sender: 2, Groups: forged})
+	b.Handle(2, &wire.Consensus{Sender: 1, Groups: forged})
 	b.Handle(99, &wire.Consensus{Sender: 99, Groups: []wire.ConsensusGroup{{Step: wire.StepBVal, Round: 1, Value: 0, Instances: []uint32{0}}}})
 	b.Handle(1, &wire.Consensus{Sender: 1, Groups: []wire.ConsensusGroup{
 		{Step: wire.StepBVal, Round: 1, Value: 7, Instances: []uint32{0}},

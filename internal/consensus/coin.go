@@ -1,6 +1,10 @@
 // Package consensus implements asynchronous binary Byzantine consensus for
 // f < n/3, plus the batched multi-instance driver the Vote Set Consensus
-// protocol runs over all ballots at election end (§III-E, §V).
+// protocol runs at election end (§III-E, §V). It is the repository's only
+// binary agreement: the interlocked engine runs one instance per ballot with
+// all inputs bound at once (Batch.Start), the ACS engine (internal/acs) one
+// per broadcaster with inputs bound as its reliable broadcasts deliver
+// (Batch.Input, Batch.OnDecide), and internal/smr one per log slot.
 //
 // The single-instance protocol is the BV-broadcast consensus of
 // Mostéfaoui–Moumen–Raynal (PODC'14): signature-free, optimal resilience,
@@ -14,6 +18,11 @@
 // deciders broadcast DECIDE; f+1 matching DECIDEs let a node decide without
 // finishing its round, and 2f+1 let it halt, so every instance shuts down
 // cleanly instead of looping forever.
+//
+// The coin is the Coin interface and nothing else: a round completes on a
+// locally computed Flip, with no message step and no timer. A threshold coin
+// would add its share exchange here, behind that interface, for every caller
+// at once.
 package consensus
 
 import (

@@ -365,12 +365,10 @@ func TestAcceptEntriesMatchesColdVerify(t *testing.T) {
 // --- ACS reliable broadcast over hosts with mixed memo state ----------------
 
 // rbcHarness drives three honest ACS engines by hand (FIFO delivery over an
-// in-memory queue, fake clock for the coin fallback); seat 3 is the
-// Byzantine broadcaster, played by the test.
+// in-memory queue); seat 3 is the Byzantine broadcaster, played by the test.
 type rbcHarness struct {
 	t        *testing.T
 	engines  []*acs.Engine
-	clk      *clock.Fake
 	queue    []rbcDelivery
 	verdicts []map[string][]bool // per host: payload → what Accept answered
 }
@@ -388,7 +386,7 @@ func payloadKey(entries []wire.AnnounceEntry) string {
 
 func newRBCHarness(t *testing.T, nodes []*Node, ballots int) *rbcHarness {
 	t.Helper()
-	h := &rbcHarness{t: t, clk: clock.NewFake(time.Unix(0, 0))}
+	h := &rbcHarness{t: t}
 	for i := 0; i < byzSeat; i++ {
 		self := uint16(i) //nolint:gosec // small
 		rec := make(map[string][]bool)
@@ -396,8 +394,7 @@ func newRBCHarness(t *testing.T, nodes []*Node, ballots int) *rbcHarness {
 		accept := nodes[i].acceptEntries
 		e, err := acs.New(acs.Config{
 			N: 4, F: 1, Self: self, Ballots: uint32(ballots), //nolint:gosec // small
-			Coin:  consensus.NewHashCoin([]byte("rbc-memo-test")),
-			Clock: h.clk,
+			Coin: consensus.NewHashCoin([]byte("rbc-memo-test")),
 			Send: func(frame []byte) {
 				for to := uint16(0); to < byzSeat; to++ {
 					if to != self {
@@ -434,19 +431,11 @@ func (h *rbcHarness) drain() {
 
 // finish runs the engines to their decisions and returns them.
 func (h *rbcHarness) finish() [][]byte {
-	for steps := 0; ; steps++ {
-		h.drain()
-		done := true
-		for _, e := range h.engines {
-			done = done && e.Decided() == 4
+	h.drain()
+	for i, e := range h.engines {
+		if e.Decided() != 4 {
+			h.t.Fatalf("engine %d decided %d of 4 instances with nothing left in flight", i, e.Decided())
 		}
-		if done {
-			break
-		}
-		if steps > 100 {
-			h.t.Fatal("agreement did not terminate")
-		}
-		h.clk.Advance(time.Second) // coin fallback
 	}
 	out := make([][]byte, len(h.engines))
 	for i, e := range h.engines {

@@ -3,10 +3,8 @@ package vc
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"ddemos/internal/acs"
-	"ddemos/internal/clock"
 	"ddemos/internal/consensus"
 	"ddemos/internal/wire"
 )
@@ -42,8 +40,7 @@ type EngineConfig struct {
 	Self    uint16 // this node's index
 	Ballots uint32 // ballot pool size
 
-	Coin  consensus.Coin // shared deterministic coin
-	Clock clock.Clock    // the node's (possibly virtual) timer domain
+	Coin consensus.Coin // shared deterministic coin
 
 	// Send multicasts an encoded frame to the other N-1 nodes.
 	Send func(frame []byte)
@@ -89,58 +86,28 @@ func InterlockedEngine(cfg EngineConfig) (ConsensusEngine, error) {
 func ACSEngine(cfg EngineConfig) (ConsensusEngine, error) {
 	return acs.New(acs.Config{
 		N: cfg.N, F: cfg.F, Self: cfg.Self, Ballots: cfg.Ballots,
-		Coin: cfg.Coin, Clock: cfg.Clock,
-		Send: cfg.Send, Accept: cfg.Accept,
+		Coin: cfg.Coin, Send: cfg.Send, Accept: cfg.Accept,
 	})
 }
 
-// interlockedEngine adapts consensus.Batch to the engine interface. The
-// batch drops traffic that arrives before Start, so frames are buffered
-// until then (peers that reached their announce quorum first start early).
+// interlockedEngine adapts consensus.Batch to the engine interface.
 type interlockedEngine struct {
 	batch *consensus.Batch
-
-	mu           sync.Mutex
-	started      bool
-	preStart     []*wire.Consensus
-	preStartFrom []uint16
 }
 
 // Start implements ConsensusEngine: the proposal is unused — the batch
 // binds to the per-ballot inputs vector.
 func (e *interlockedEngine) Start(_ []wire.AnnounceEntry, inputs []byte) error {
-	if err := e.batch.Start(inputs); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	msgs := e.preStart
-	froms := e.preStartFrom
-	e.preStart, e.preStartFrom = nil, nil
-	e.started = true
-	e.mu.Unlock()
-	for i, m := range msgs {
-		e.batch.Handle(froms[i], m)
-	}
-	return nil
+	return e.batch.Start(inputs)
 }
 
-// Handle implements ConsensusEngine.
+// Handle implements ConsensusEngine. The batch takes traffic from
+// construction onward, so peers that reached their announce quorum first and
+// started early are absorbed into its (bounded) round state.
 func (e *interlockedEngine) Handle(from uint16, msg wire.Message) {
-	m, ok := msg.(*wire.Consensus)
-	if !ok {
-		return
+	if m, ok := msg.(*wire.Consensus); ok {
+		e.batch.Handle(from, m)
 	}
-	e.mu.Lock()
-	if !e.started {
-		if len(e.preStart) < maxVscBuffer {
-			e.preStart = append(e.preStart, m)
-			e.preStartFrom = append(e.preStartFrom, from)
-		}
-		e.mu.Unlock()
-		return
-	}
-	e.mu.Unlock()
-	e.batch.Handle(from, m)
 }
 
 // Results implements ConsensusEngine.

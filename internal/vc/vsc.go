@@ -25,7 +25,8 @@ type VotedBallot struct {
 	Code   []byte
 }
 
-// maxVscBuffer bounds pre-start buffering of consensus traffic.
+// maxVscBuffer bounds buffering of consensus traffic that arrives before the
+// engine is installed.
 const maxVscBuffer = 1 << 16
 
 // recoverRetryInterval paces RECOVER-REQUEST retransmissions.
@@ -85,7 +86,7 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 	}
 	eng, err := n.engine(EngineConfig{
 		N: n.nv, F: n.fv, Self: n.self, Ballots: count,
-		Coin: n.coin, Clock: n.clk,
+		Coin: n.coin,
 		Send: func(frame []byte) {
 			if err := transport.Multicast(n.ep, n.peers, frame); err != nil {
 				n.metrics.SendErrors.Add(1)
@@ -440,7 +441,7 @@ func (e *vscEngine) handle(from uint16, msg wire.Message) {
 	switch m := msg.(type) {
 	case *wire.Announce:
 		e.onAnnounce(from, m)
-	case *wire.Consensus, *wire.RBCEcho, *wire.RBCReady, *wire.ABA:
+	case *wire.Consensus, *wire.RBCEcho, *wire.RBCReady:
 		e.eng.Handle(from, msg)
 	case *wire.RecoverRequest:
 		e.onRecoverRequest(from, m)

@@ -49,7 +49,7 @@ func decodeBatch(r *reader) *Batch {
 		r.err = fmt.Errorf("%w: unsupported batch version %d", ErrMalformed, v)
 		return &Batch{}
 	}
-	n := r.count("batch frames")
+	n := r.count("batch frames", minBatchFrame)
 	if r.err != nil {
 		return &Batch{}
 	}

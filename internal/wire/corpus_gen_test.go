@@ -31,8 +31,10 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	names := []string{
 		"seed-endorse", "seed-endorsement", "seed-votep", "seed-announce",
 		"seed-recover-request", "seed-recover-response", "seed-consensus",
-		"seed-rbc-echo", "seed-rbc-ready", "seed-aba",
+		"seed-rbc-echo", "seed-rbc-ready",
 		"seed-batch", "seed-empty", "seed-unknown-kind", "seed-truncated",
+		"seed-rbc-echo-empty", "seed-consensus-decide", "seed-consensus-bare-kind",
+		"seed-rbc-ready-truncated", "seed-consensus-trailing",
 	}
 	if len(names) != len(frames) {
 		t.Fatalf("have %d seed frames for %d names", len(frames), len(names))
@@ -44,21 +46,8 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	trailing := append(append([]byte(nil), endorse...), 0x00)
 	write("FuzzDecode", "seed-trailing-bytes", trailing)
 
-	acsNames := []string{
-		"seed-rbc-echo", "seed-rbc-ready", "seed-aba",
-		"seed-rbc-echo-empty", "seed-aba-decide",
-		"seed-aba-bare-kind", "seed-rbc-ready-truncated", "seed-aba-trailing",
-	}
-	acsFrames := acsSeedFrames()
-	if len(acsNames) != len(acsFrames) {
-		t.Fatalf("have %d ACS seed frames for %d names", len(acsFrames), len(acsNames))
-	}
-	for i, name := range acsNames {
-		write("FuzzACSDecode", name, acsFrames[i])
-	}
-
 	batchOf1 := Encode(&Batch{Frames: [][]byte{endorse}})
-	write("FuzzSplitBatch", "seed-batch-3", frames[10])
+	write("FuzzSplitBatch", "seed-batch-3", frames[9])
 	write("FuzzSplitBatch", "seed-batch-1", batchOf1)
 	write("FuzzSplitBatch", "seed-batch-empty", Encode(&Batch{}))
 	write("FuzzSplitBatch", "seed-not-a-batch", endorse)

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// fuzzSeedFrames builds one representative encoded frame per message kind
-// (plus a coalesced Batch) — the in-code half of the seed corpus; the
-// checked-in half lives under testdata/fuzz.
+// fuzzSeedFrames builds one representative encoded frame per message kind,
+// a coalesced Batch, edge cases of the consensus-phase kinds and a few
+// malformed frames — the in-code half of the seed corpus; the checked-in half
+// lives under testdata/fuzz.
 func fuzzSeedFrames() [][]byte {
 	cert := UCert{
 		Serial: 7,
@@ -38,20 +39,22 @@ func fuzzSeedFrames() [][]byte {
 		}},
 		NewRBCEcho(1, 1, []AnnounceEntry{{Serial: 7, Code: []byte("code-7"), Cert: cert}}),
 		&RBCReady{Sender: 0, Broadcaster: 1, Hash: bytes.Repeat([]byte{0x5E}, 32)},
-		&ABA{Sender: 3, Groups: []ABAGroup{
-			{Step: ABAStepEst, Round: 1, Value: 1, Instances: []uint32{0, 2}},
-			{Step: ABAStepCoin, Round: 2, Value: 0, Instances: []uint32{1}},
-		}},
 	}
-	frames := make([][]byte, 0, len(msgs)+4)
+	frames := make([][]byte, 0, len(msgs)+9)
 	for _, m := range msgs {
 		frames = append(frames, Encode(m))
 	}
+	consensus, ready := frames[6], frames[8]
 	frames = append(frames,
 		Encode(&Batch{Frames: [][]byte{frames[0], frames[1], frames[2]}}),
 		[]byte{},              // empty frame
 		[]byte{0xFF, 1, 2, 3}, // unknown kind
 		Encode(msgs[0])[:3],   // truncated
+		Encode(&RBCEcho{Sender: 2, Broadcaster: 0}), // empty proposal (ConsensusLiar)
+		Encode(&Consensus{Sender: 0, Groups: []ConsensusGroup{{Step: StepDecide, Round: 0, Value: 0, Instances: []uint32{3}}}}),
+		[]byte{byte(KindConsensus)},                             // bare kind, no body
+		ready[:len(ready)-7],                                    // truncated hash
+		append(consensus[:len(consensus):len(consensus)], 0x00), // trailing byte
 	)
 	return frames
 }
@@ -70,50 +73,6 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("decode error not wrapping ErrMalformed: %v", err)
 			}
 			return
-		}
-		re := Encode(m)
-		if !bytes.Equal(re, data) {
-			t.Fatalf("round trip not canonical:\n in  %x\n out %x", data, re)
-		}
-	})
-}
-
-// acsSeedFrames builds the seed frames for the ACS-engine message kinds
-// (RBC ECHO/READY and grouped ABA traffic) plus malformed variants — the
-// in-code half of the FuzzACSDecode corpus.
-func acsSeedFrames() [][]byte {
-	all := fuzzSeedFrames()
-	echo, ready, aba := all[7], all[8], all[9]
-	return [][]byte{
-		echo, ready, aba,
-		Encode(&RBCEcho{Sender: 2, Broadcaster: 0}), // empty proposal (ConsensusLiar)
-		Encode(&ABA{Sender: 0, Groups: []ABAGroup{{Step: ABAStepDecide, Round: 0, Value: 0, Instances: []uint32{3}}}}),
-		{byte(KindABA)},                       // bare kind, no body
-		ready[:len(ready)-7],                  // truncated hash
-		append(aba[:len(aba):len(aba)], 0x00), // trailing byte
-	}
-}
-
-// FuzzACSDecode pins the decoder contract for the ACS engine's wire frames
-// specifically: arbitrary bytes never panic the decoder, and any accepted
-// RBC-ECHO, RBC-READY or ABA frame re-encodes byte-identically (canonical
-// encoding — the ACS payload hash depends on it).
-func FuzzACSDecode(f *testing.F) {
-	for _, frame := range acsSeedFrames() {
-		f.Add(frame)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(data)
-		if err != nil {
-			if !errors.Is(err, ErrMalformed) {
-				t.Fatalf("decode error not wrapping ErrMalformed: %v", err)
-			}
-			return
-		}
-		switch m.(type) {
-		case *RBCEcho, *RBCReady, *ABA:
-		default:
-			return // other kinds are FuzzDecode's job
 		}
 		re := Encode(m)
 		if !bytes.Equal(re, data) {

@@ -34,7 +34,6 @@ const (
 	KindVSCFinal
 	KindRBCEcho
 	KindRBCReady
-	KindABA
 )
 
 // String implements fmt.Stringer.
@@ -62,8 +61,6 @@ func (k Kind) String() string {
 		return "RBC-ECHO"
 	case KindRBCReady:
 		return "RBC-READY"
-	case KindABA:
-		return "ABA"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -73,6 +70,18 @@ func (k Kind) String() string {
 const (
 	maxBytesLen = 1 << 20 // single byte-string field
 	maxCount    = 1 << 22 // collection sizes
+)
+
+// Least encoded size of each counted element with variable-length parts (a
+// byte string is at least its u32 length prefix): what reader.count divides
+// the bytes left by.
+const (
+	minSigEntry       = 2 + 4            // signer, sig
+	minUCert          = 8 + 4 + 4        // serial, code, sig count
+	minAnnounceEntry  = 8 + 4 + minUCert // serial, code, cert
+	minVSCEntry       = 8 + 4            // serial, code
+	minConsensusGroup = 1 + 1 + 2 + 4    // step, value, round, instance count
+	minBatchFrame     = 4                // length prefix
 )
 
 // ErrMalformed is wrapped by all decoding errors.
@@ -119,8 +128,6 @@ func Decode(frame []byte) (Message, error) {
 		m = decodeRBCEcho(r)
 	case KindRBCReady:
 		m = decodeRBCReady(r)
-	case KindABA:
-		m = decodeABA(r)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrMalformed, frame[0])
 	}
@@ -213,12 +220,15 @@ func (r *reader) bytes(what string) []byte {
 	return out
 }
 
-func (r *reader) count(what string) int {
+// count reads a collection size. Decoders preallocate from it, so besides
+// maxCount it is bounded by what the rest of the frame could hold: minSize is
+// the least number of bytes one element encodes to.
+func (r *reader) count(what string, minSize int) int {
 	n := r.u32(what)
 	if r.err != nil {
 		return 0
 	}
-	if n > maxCount {
+	if n > maxCount || int(n) > len(r.buf)/minSize {
 		r.fail(what + " count")
 		return 0
 	}
@@ -310,7 +320,7 @@ func appendUCert(dst []byte, u *UCert) []byte {
 
 func decodeUCert(r *reader) UCert {
 	u := UCert{Serial: r.u64("ucert serial"), Code: r.bytes("ucert code")}
-	n := r.count("ucert sigs")
+	n := r.count("ucert sigs", minSigEntry)
 	if r.err != nil {
 		return u
 	}
@@ -397,7 +407,7 @@ func appendEntries(dst []byte, entries []AnnounceEntry) []byte {
 }
 
 func decodeEntries(r *reader) []AnnounceEntry {
-	n := r.count("entries")
+	n := r.count("entries", minAnnounceEntry)
 	if r.err != nil {
 		return nil
 	}
@@ -450,7 +460,7 @@ func (m *RecoverRequest) appendBody(dst []byte) []byte {
 }
 
 func decodeRecoverRequest(r *reader) *RecoverRequest {
-	n := r.count("serials")
+	n := r.count("serials", 8)
 	if r.err != nil {
 		return &RecoverRequest{}
 	}
@@ -510,7 +520,7 @@ func (m *VSCFinal) appendBody(dst []byte) []byte {
 
 func decodeVSCFinal(r *reader) *VSCFinal {
 	m := &VSCFinal{Sender: r.u16("sender")}
-	n := r.count("entries")
+	n := r.count("entries", minVSCEntry)
 	if r.err != nil {
 		return m
 	}
@@ -543,6 +553,9 @@ type ConsensusGroup struct {
 // Consensus is the batched binary-consensus message: all the per-instance
 // protocol messages a node emits in one flush, grouped for network
 // efficiency (the paper's "binary consensus in batches of arbitrary size").
+// Both vote-set-consensus engines speak it — the interlocked engine with one
+// instance per ballot, the ACS engine with one per broadcaster — and an
+// election installs exactly one of them.
 type Consensus struct {
 	Sender uint16
 	Groups []ConsensusGroup
@@ -568,7 +581,7 @@ func (m *Consensus) appendBody(dst []byte) []byte {
 
 func decodeConsensus(r *reader) *Consensus {
 	m := &Consensus{Sender: r.u16("sender")}
-	n := r.count("groups")
+	n := r.count("groups", minConsensusGroup)
 	if r.err != nil {
 		return m
 	}
@@ -579,7 +592,7 @@ func decodeConsensus(r *reader) *Consensus {
 			Value: r.u8("value"),
 			Round: r.u16("round"),
 		}
-		cnt := r.count("instances")
+		cnt := r.count("instances", 4)
 		if r.err != nil {
 			return m
 		}
@@ -592,7 +605,7 @@ func decodeConsensus(r *reader) *Consensus {
 	return m
 }
 
-// --- ACS engine messages (reliable broadcast + ABA) -------------------------
+// --- ACS engine messages (reliable broadcast) -------------------------------
 
 // RBCEcho is the ECHO step of the Bracha reliable broadcast the ACS engine
 // uses to disperse each node's candidate vote set. The broadcaster's own
@@ -685,74 +698,4 @@ func decodeRBCReady(r *reader) *RBCReady {
 		Broadcaster: r.u16("broadcaster"),
 		Hash:        r.bytes("hash"),
 	}
-}
-
-// ABA step identifiers. EST/AUX mirror the MMR BVAL/AUX steps; COIN is the
-// per-round shared-coin exchange and DECIDE the Bracha termination gadget.
-const (
-	ABAStepEst    uint8 = 1
-	ABAStepAux    uint8 = 2
-	ABAStepCoin   uint8 = 3
-	ABAStepDecide uint8 = 4
-)
-
-// ABAGroup aggregates one (step, round, value) tuple over many ABA
-// instances, identified by their broadcaster indices.
-type ABAGroup struct {
-	Step      uint8
-	Round     uint16
-	Value     uint8
-	Instances []uint32
-}
-
-// ABA is the batched binary-agreement message of the ACS engine: one
-// instance per broadcaster, flushed and grouped exactly like the interlocked
-// engine's Consensus frames so both ride the same Batch envelope.
-type ABA struct {
-	Sender uint16
-	Groups []ABAGroup
-}
-
-// Kind implements Message.
-func (*ABA) Kind() Kind { return KindABA }
-
-func (m *ABA) appendBody(dst []byte) []byte {
-	dst = appendU16(dst, m.Sender)
-	dst = appendU32(dst, uint32(len(m.Groups))) //nolint:gosec // protocol-bounded
-	for i := range m.Groups {
-		g := &m.Groups[i]
-		dst = append(dst, g.Step, g.Value)
-		dst = appendU16(dst, g.Round)
-		dst = appendU32(dst, uint32(len(g.Instances))) //nolint:gosec // protocol-bounded
-		for _, inst := range g.Instances {
-			dst = appendU32(dst, inst)
-		}
-	}
-	return dst
-}
-
-func decodeABA(r *reader) *ABA {
-	m := &ABA{Sender: r.u16("sender")}
-	n := r.count("groups")
-	if r.err != nil {
-		return m
-	}
-	m.Groups = make([]ABAGroup, 0, n)
-	for i := 0; i < n; i++ {
-		g := ABAGroup{
-			Step:  r.u8("step"),
-			Value: r.u8("value"),
-			Round: r.u16("round"),
-		}
-		cnt := r.count("instances")
-		if r.err != nil {
-			return m
-		}
-		g.Instances = make([]uint32, 0, cnt)
-		for j := 0; j < cnt; j++ {
-			g.Instances = append(g.Instances, r.u32("instance"))
-		}
-		m.Groups = append(m.Groups, g)
-	}
-	return m
 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -225,11 +227,45 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsHugeCounts: every counted collection is decoded into a
+// slice preallocated from its count, so a frame that ends right after the
+// largest count the decoder admits (a few header bytes from one Byzantine
+// peer) must be refused before anything is sized from it.
 func TestDecodeRejectsHugeCounts(t *testing.T) {
-	// Claim 2^30 announce entries with no body.
-	frame := []byte{byte(KindAnnounce), 0, 1, 0x40, 0, 0, 0}
-	if _, err := Decode(frame); err == nil {
-		t.Fatal("oversized count must fail")
+	count := func(n uint32) []byte { return appendU32(nil, n) }
+	frame := func(kind Kind, parts ...[]byte) []byte {
+		return append([]byte{byte(kind)}, bytes.Join(parts, nil)...)
+	}
+	sender := []byte{0, 0}
+	emptyCert := make([]byte, 8+4) // serial, empty code; the sig count follows
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		{"VOTE_P cert sigs", frame(KindVoteP, make([]byte, 8+4+4+4+4), emptyCert, count(maxCount))},
+		{"ANNOUNCE entries", frame(KindAnnounce, sender, count(maxCount))},
+		{"ANNOUNCE entry cert sigs", frame(KindAnnounce, sender, count(1), emptyCert, emptyCert, count(maxCount))},
+		{"RECOVER-REQUEST serials", frame(KindRecoverRequest, count(maxCount))},
+		{"RECOVER-RESPONSE entries", frame(KindRecoverResponse, count(maxCount))},
+		{"VSC-FINAL entries", frame(KindVSCFinal, sender, count(maxCount))},
+		{"CONSENSUS groups", frame(KindConsensus, sender, count(maxCount))},
+		{"CONSENSUS instances", frame(KindConsensus, sender, count(1), []byte{StepBVal, 1, 0, 1}, count(maxCount))},
+		{"RBC-ECHO entries", frame(KindRBCEcho, sender, sender, count(maxCount))},
+		{"BATCH frames", frame(KindBatch, []byte{BatchVersion}, count(MaxBatchFrames))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(tc.frame)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("decoding a %d-byte frame: err = %v, want ErrMalformed", len(tc.frame), err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+				t.Fatalf("decoding a %d-byte frame allocated %d bytes", len(tc.frame), got)
+			}
+		})
 	}
 }
 
