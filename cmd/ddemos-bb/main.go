@@ -20,7 +20,6 @@ func main() {
 	initPath := flag.String("init", "", "path to bb.gob")
 	httpAddr := flag.String("http", ":9100", "public HTTP address")
 	combineWorkers := flag.Int("combine-workers", 0, "parallelism of tally combine attempts (0 = GOMAXPROCS)")
-	noBatchVerify := flag.Bool("no-batch-verify", false, "disable batched opening verification (per-element checks)")
 	metricsEvery := flag.Duration("metrics-every", 0, "log publish-phase metrics at this interval (0 = off; also served at GET /v1/metrics)")
 	dataDir := flag.String("data-dir", "",
 		"directory for durable runtime state (WAL lanes + snapshots); the node recovers accepted vote sets, "+
@@ -51,7 +50,6 @@ func main() {
 		log.Fatal(err)
 	}
 	node.CombineWorkers = *combineWorkers
-	node.DisableBatchVerify = *noBatchVerify
 	policy, err := journal.ParseAckPolicy(*journalPolicy)
 	if err != nil {
 		log.Fatal(err)

@@ -124,10 +124,8 @@ func main() {
 			return nil
 		},
 		"tally": func() error {
-			// Publish-phase pipeline ablation plus the Byzantine combine-cost
-			// sweep. The 10k-ballot pool is the regime the ISSUE gates: the
-			// batched opening check dominates combine time, so the speedup
-			// holds even on a single CPU.
+			// Publish phase, shipped (one batch verifier) against the
+			// per-element reference, plus the Byzantine combine-cost sweep.
 			cfg := benchmark.TallyAblationConfig{Ballots: 10_000, Votes: 500}
 			sweepCfg := benchmark.TallyAblationConfig{Ballots: 600, Votes: 60, Trustees: 7}
 			if *quick {

@@ -16,12 +16,15 @@
 // published counts open the homomorphic sum of exactly the cast
 // commitments, and the challenge coins are consistent with the cast codes.
 //
-// The expensive checks — (d) and (e) — run in parallel across rows, and
-// (d) uses the batched random-linear-combination opening check; failure
-// messages are still reported in deterministic board order.
+// The expensive checks — (d), (e) and the tally opening — go through the
+// same batch verifier the BB nodes use (zkp.VerifyEach): one random-linear-
+// combination test per chunk, per-element re-checks only to name the
+// failures of a rejected chunk. Failure messages are reported in
+// deterministic board order.
 package auditor
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -31,23 +34,14 @@ import (
 	"ddemos/internal/crypto/votecode"
 	"ddemos/internal/crypto/zkp"
 	"ddemos/internal/ea"
-	"ddemos/internal/parallel"
 	"ddemos/internal/voter"
 )
-
-// auditBatchChunk is the number of openings per batched verification; the
-// multi-scalar multiplication behind the batch check only wins past a few
-// hundred terms, so chunks are large.
-const auditBatchChunk = 2048
 
 // Options tunes how the audit runs; the zero value matches Audit.
 type Options struct {
 	// Workers bounds the parallelism of checks (d) and (e)
 	// (0 = GOMAXPROCS).
 	Workers int
-	// DisableBatchVerify forces per-element opening verification instead of
-	// the batched random-linear-combination check.
-	DisableBatchVerify bool
 }
 
 // Report is the outcome of an audit.
@@ -96,6 +90,13 @@ func AuditWith(reader *bb.Reader, packages []*ballot.AuditPackage, opts Options)
 	result, err := reader.Result()
 	if err != nil {
 		return nil, fmt.Errorf("auditor: reading result: %w", err)
+	}
+
+	// The board is untrusted input: nothing below may index or dereference
+	// it before its dimensions are known to be the manifest's.
+	if err := checkShape(&man, init, cast, result); err != nil {
+		rep.failf("malformed board data: %v", err)
+		return rep, nil
 	}
 
 	m := len(man.Options)
@@ -161,8 +162,8 @@ func AuditWith(reader *bb.Reader, packages []*ballot.AuditPackage, opts Options)
 		rep.failf("vote set has %d entries but %d were located on ballots", len(voteSet), len(cast.Marks))
 	}
 
-	auditOpenings(rep, &man, init, result, ck, opts)
-	auditProofs(rep, &man, init, result, ck, master, opts)
+	auditOpenings(rep, &man, init, result, ck, opts.Workers)
+	auditProofs(rep, &man, init, result, ck, master, opts.Workers)
 
 	// Completeness: every row of every used part must carry proofs, every
 	// other row must be opened.
@@ -221,138 +222,171 @@ func AuditWith(reader *bb.Reader, packages []*ballot.AuditPackage, opts Options)
 	return rep, nil
 }
 
-// auditOpenings runs check (d): every published opening matches its
-// commitment and encodes a correctly-labeled unit vector. Per-opening
-// failure messages are buffered and merged in board order so parallelism
-// and batching never reorder the report.
-func auditOpenings(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Result, ck elgamal.CommitmentKey, opts Options) {
+// checkShape verifies that the init data, cast marks and result have the
+// dimensions the manifest dictates (a ballot per serial, m rows of m
+// commitments per part, in-range marks, m-ary non-nil result scalars), so
+// the checks can index and do arithmetic on them.
+func checkShape(man *ea.Manifest, init *ea.BBInit, cast *bb.CastData, result *bb.Result) error {
 	m := len(man.Options)
-	n := len(result.Openings)
-	msgs := make([][]string, n)
-	colOK := make([]bool, n)
+	if init == nil || cast == nil || result == nil {
+		return errors.New("init data, cast data or result missing")
+	}
+	if len(init.Ballots) != man.NumBallots {
+		return fmt.Errorf("init data has %d ballots, manifest says %d", len(init.Ballots), man.NumBallots)
+	}
+	for bi := range init.Ballots {
+		for _, rows := range init.Ballots[bi].Parts {
+			if len(rows) != m {
+				return fmt.Errorf("ballot %d: part with %d rows, want %d", bi+1, len(rows), m)
+			}
+			for _, row := range rows {
+				if len(row.Commitment) != m || len(row.BitCommits) != m {
+					return fmt.Errorf("ballot %d: row commitment arity", bi+1)
+				}
+			}
+		}
+	}
+	for _, mk := range cast.Marks {
+		if mk.Serial == 0 || mk.Serial > uint64(man.NumBallots) || mk.Part > 1 || mk.Row < 0 || mk.Row >= m {
+			return fmt.Errorf("cast mark with invalid coordinates (%d,%d,%d)", mk.Serial, mk.Part, mk.Row)
+		}
+	}
+	if err := bb.ValidateResultShape(result, m); err != nil {
+		return fmt.Errorf("result: %w", err)
+	}
+	return nil
+}
 
-	// Cheap structural pass (sequential): coordinates and arity.
+// verifyEach runs n statements through the batch verifier and returns a
+// bad[i] flag per statement.
+func verifyEach(ck elgamal.CommitmentKey, workers, n int, add func(b *zkp.Batch, i int), check func(i int) bool) []bool {
+	bad := make([]bool, n)
+	failed, _ := zkp.VerifyEach(ck, workers, n, 0, add, check)
+	for _, i := range failed {
+		bad[i] = true
+	}
+	return bad
+}
+
+// auditOpenings runs check (d): every published opening matches its
+// commitment and encodes a correctly-labeled unit vector.
+func auditOpenings(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Result, ck elgamal.CommitmentKey, workers int) {
+	m := len(man.Options)
+	// Structural pass: an opening with valid coordinates contributes one
+	// statement per column.
+	valid := make([]bool, len(result.Openings))
 	type ref struct{ oi, col int }
-	var cts []elgamal.Ciphertext
-	var ms, rs []*big.Int
 	var refs []ref
 	for oi := range result.Openings {
 		o := &result.Openings[oi]
 		if o.Serial == 0 || o.Serial > uint64(man.NumBallots) || o.Part > 1 || o.Row >= m || o.Row < 0 {
-			msgs[oi] = append(msgs[oi], fmt.Sprintf("opening with invalid coordinates (%d,%d,%d)", o.Serial, o.Part, o.Row))
 			continue
 		}
-		if len(o.Ms) != m || len(o.Rs) != m {
-			msgs[oi] = append(msgs[oi], fmt.Sprintf("opening (%d,%d,%d) has wrong arity", o.Serial, o.Part, o.Row))
-			continue
-		}
-		colOK[oi] = true
-		if !opts.DisableBatchVerify {
-			row := init.Ballots[o.Serial-1].Parts[o.Part][o.Row]
-			for col := 0; col < m; col++ {
-				cts = append(cts, row.Commitment[col])
-				ms = append(ms, o.Ms[col])
-				rs = append(rs, o.Rs[col])
-				refs = append(refs, ref{oi, col})
-			}
+		valid[oi] = true
+		for col := 0; col < m; col++ {
+			refs = append(refs, ref{oi, col})
 		}
 	}
-
-	if opts.DisableBatchVerify {
-		parallel.Run(opts.Workers, n, func(oi int) {
-			o := &result.Openings[oi]
-			if !colOK[oi] {
-				return
-			}
-			row := init.Ballots[o.Serial-1].Parts[o.Part][o.Row]
-			for col := 0; col < m; col++ {
-				if !ck.VerifyOpening(row.Commitment[col], o.Ms[col], o.Rs[col]) {
-					msgs[oi] = append(msgs[oi], fmt.Sprintf("opening (%d,%d,%d) col %d does not match commitment", o.Serial, o.Part, o.Row, col))
-					colOK[oi] = false
-				}
-			}
-		})
-	} else {
-		// Batched verification in large chunks; a failing chunk falls back
-		// to per-element checks to produce exact failure locations.
-		nChunks := (len(cts) + auditBatchChunk - 1) / auditBatchChunk
-		chunkMsgs := make([][][2]int, nChunks) // per chunk: failing (oi, col)
-		parallel.Run(opts.Workers, nChunks, func(ci int) {
-			lo := ci * auditBatchChunk
-			hi := lo + auditBatchChunk
-			if hi > len(cts) {
-				hi = len(cts)
-			}
-			ok, err := ck.VerifyOpeningsBatch(cts[lo:hi], ms[lo:hi], rs[lo:hi], nil)
-			if err == nil && ok {
-				return
-			}
-			for i := lo; i < hi; i++ {
-				if !ck.VerifyOpening(cts[i], ms[i], rs[i]) {
-					chunkMsgs[ci] = append(chunkMsgs[ci], [2]int{refs[i].oi, refs[i].col})
-				}
-			}
-		})
-		for _, fails := range chunkMsgs {
-			for _, f := range fails {
-				o := &result.Openings[f[0]]
-				msgs[f[0]] = append(msgs[f[0]], fmt.Sprintf("opening (%d,%d,%d) col %d does not match commitment", o.Serial, o.Part, o.Row, f[1]))
-				colOK[f[0]] = false
-			}
-		}
+	at := func(i int) (elgamal.Ciphertext, *big.Int, *big.Int) {
+		o := &result.Openings[refs[i].oi]
+		col := refs[i].col
+		return init.Ballots[o.Serial-1].Parts[o.Part][o.Row].Commitment[col], o.Ms[col], o.Rs[col]
 	}
+	bad := verifyEach(ck, workers, len(refs),
+		func(b *zkp.Batch, i int) { b.AddOpening(at(i)) },
+		func(i int) bool { return ck.VerifyOpening(at(i)) })
 
-	parallel.Run(opts.Workers, n, func(oi int) {
-		if !colOK[oi] {
-			return
-		}
+	next := 0 // refs and openings advance together, in board order
+	for oi := range result.Openings {
 		o := &result.Openings[oi]
-		op := elgamal.VectorOpening{Ms: o.Ms, Rs: o.Rs}
-		hot, err := op.HotIndex()
-		if err != nil {
-			msgs[oi] = append(msgs[oi], fmt.Sprintf("opening (%d,%d,%d) is not a unit vector: %v", o.Serial, o.Part, o.Row, err))
-		} else if hot != o.HotIndex {
-			msgs[oi] = append(msgs[oi], fmt.Sprintf("opening (%d,%d,%d) hot index mislabeled", o.Serial, o.Part, o.Row))
-		}
-	})
-
-	for oi := 0; oi < n; oi++ {
-		rep.Failures = append(rep.Failures, msgs[oi]...)
 		rep.OpeningsChecked++
+		if !valid[oi] {
+			rep.failf("opening with invalid coordinates (%d,%d,%d)", o.Serial, o.Part, o.Row)
+			continue
+		}
+		matches := true
+		for col := 0; col < m; col, next = col+1, next+1 {
+			if bad[next] {
+				rep.failf("opening (%d,%d,%d) col %d does not match commitment", o.Serial, o.Part, o.Row, col)
+				matches = false
+			}
+		}
+		if !matches {
+			continue
+		}
+		hot, err := (elgamal.VectorOpening{Ms: o.Ms, Rs: o.Rs}).HotIndex()
+		if err != nil {
+			rep.failf("opening (%d,%d,%d) is not a unit vector: %v", o.Serial, o.Part, o.Row, err)
+		} else if hot != o.HotIndex {
+			rep.failf("opening (%d,%d,%d) hot index mislabeled", o.Serial, o.Part, o.Row)
+		}
 	}
 }
 
 // auditProofs runs check (e): every published proof verifies under the
-// voter-coin challenge. Proofs are independent, so they verify in parallel;
-// messages merge in board order.
-func auditProofs(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Result, ck elgamal.CommitmentKey, master []byte, opts Options) {
+// voter-coin challenge.
+func auditProofs(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Result, ck elgamal.CommitmentKey, master []byte, workers int) {
 	m := len(man.Options)
-	n := len(result.Proofs)
-	msgs := make([][]string, n)
-	checked := make([]int, n)
-	parallel.Run(opts.Workers, n, func(pi int) {
+	// A proof row with valid coordinates contributes m bit-proof
+	// statements and, as column m, its sum proof.
+	valid := make([]bool, len(result.Proofs))
+	type ref struct{ pi, col int }
+	var refs []ref
+	for pi := range result.Proofs {
 		p := &result.Proofs[pi]
-		if p.Serial == 0 || p.Serial > uint64(man.NumBallots) || p.Part > 1 || p.Row >= m || p.Row < 0 || len(p.Bits) != m {
-			msgs[pi] = append(msgs[pi], fmt.Sprintf("proof with invalid coordinates (%d,%d,%d)", p.Serial, p.Part, p.Row))
-			return
+		if p.Serial == 0 || p.Serial > uint64(man.NumBallots) || p.Part > 1 || p.Row >= m || p.Row < 0 {
+			continue
 		}
-		row := init.Ballots[p.Serial-1].Parts[p.Part][p.Row]
-		for col := 0; col < m; col++ {
-			c := zkp.DeriveChallenge(master, p.Serial, p.Part, p.Row, col)
-			if !zkp.VerifyBit(ck, row.Commitment[col], row.BitCommits[col], p.Bits[col], c) {
-				msgs[pi] = append(msgs[pi], fmt.Sprintf("bit proof (%d,%d,%d) col %d invalid", p.Serial, p.Part, p.Row, col))
+		valid[pi] = true
+		for col := 0; col <= m; col++ {
+			refs = append(refs, ref{pi, col})
+		}
+	}
+	at := func(i int) (*bb.ProvenRow, *ea.BBRow, int, *big.Int) {
+		p := &result.Proofs[refs[i].pi]
+		col := refs[i].col
+		challengeCol := col
+		if col == m {
+			challengeCol = zkp.SumProofCol
+		}
+		return p, &init.Ballots[p.Serial-1].Parts[p.Part][p.Row], col,
+			zkp.DeriveChallenge(master, p.Serial, p.Part, p.Row, challengeCol)
+	}
+	bad := verifyEach(ck, workers, len(refs),
+		func(b *zkp.Batch, i int) {
+			p, row, col, c := at(i)
+			if col < m {
+				b.AddBit(row.Commitment[col], row.BitCommits[col], p.Bits[col], c)
+				return
 			}
-			checked[pi]++
+			b.AddSum(row.Commitment, 1, row.SumCommit, p.Sum, c)
+		},
+		func(i int) bool {
+			p, row, col, c := at(i)
+			if col < m {
+				return zkp.VerifyBit(ck, row.Commitment[col], row.BitCommits[col], p.Bits[col], c)
+			}
+			return zkp.VerifySum(ck, row.Commitment, 1, row.SumCommit, p.Sum, c)
+		})
+
+	next := 0
+	for pi := range result.Proofs {
+		p := &result.Proofs[pi]
+		if !valid[pi] {
+			rep.failf("proof with invalid coordinates (%d,%d,%d)", p.Serial, p.Part, p.Row)
+			continue
 		}
-		c := zkp.DeriveChallenge(master, p.Serial, p.Part, p.Row, zkp.SumProofCol)
-		if !zkp.VerifySum(ck, row.Commitment, 1, row.SumCommit, p.Sum, c) {
-			msgs[pi] = append(msgs[pi], fmt.Sprintf("sum proof (%d,%d,%d) invalid", p.Serial, p.Part, p.Row))
+		for col := 0; col <= m; col, next = col+1, next+1 {
+			rep.ProofsChecked++
+			if !bad[next] {
+				continue
+			}
+			if col < m {
+				rep.failf("bit proof (%d,%d,%d) col %d invalid", p.Serial, p.Part, p.Row, col)
+			} else {
+				rep.failf("sum proof (%d,%d,%d) invalid", p.Serial, p.Part, p.Row)
+			}
 		}
-		checked[pi]++
-	})
-	for pi := 0; pi < n; pi++ {
-		rep.Failures = append(rep.Failures, msgs[pi]...)
-		rep.ProofsChecked += checked[pi]
 	}
 }
 
@@ -384,12 +418,11 @@ func auditTally(rep *Report, man *ea.Manifest, init *ea.BBInit, cast *bb.CastDat
 		}
 		return
 	}
-	if len(result.TallyMs) != m || len(result.TallyRs) != m || len(result.Counts) != m {
-		rep.failf("tally: wrong arity")
-		return
-	}
+	bad := verifyEach(ck, 1, m,
+		func(b *zkp.Batch, j int) { b.AddOpening(sum[j], result.TallyMs[j], result.TallyRs[j]) },
+		func(j int) bool { return ck.VerifyOpening(sum[j], result.TallyMs[j], result.TallyRs[j]) })
 	for j := 0; j < m; j++ {
-		if !ck.VerifyOpening(sum[j], result.TallyMs[j], result.TallyRs[j]) {
+		if bad[j] {
 			rep.failf("tally: opening for option %d does not match the homomorphic sum", j)
 		}
 		if result.TallyMs[j].Cmp(big.NewInt(result.Counts[j])) != 0 {

@@ -2,11 +2,14 @@ package auditor_test
 
 import (
 	"context"
+	"math/big"
+	"strings"
 	"testing"
 	"time"
 
 	"ddemos/internal/auditor"
 	"ddemos/internal/ballot"
+	"ddemos/internal/bb"
 	"ddemos/internal/core"
 	"ddemos/internal/ea"
 	"ddemos/internal/voter"
@@ -165,5 +168,91 @@ func TestDetectsLyingMinorityTransparently(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Fatalf("audit failed despite honest majority: %v", rep.Failures)
+	}
+}
+
+// tamperedBoard serves an honest node's board with its Result and Init
+// replaced: what an auditor reads when every BB replica it reaches lies.
+type tamperedBoard struct {
+	bb.API
+	result *bb.Result
+	init   *ea.BBInit
+}
+
+func (b tamperedBoard) Result() (*bb.Result, error) { return b.result, nil }
+func (b tamperedBoard) Init() (*ea.BBInit, error)   { return b.init, nil }
+
+// TestMalformedBoardFailsReportWithoutPanic feeds the auditor results a
+// hostile board could serve — nil scalars (gob decodes an absent field to a
+// nil pointer), short slices, coordinates past the init data — and expects
+// a failed report every time, never a panic.
+func TestMalformedBoardFailsReportWithoutPanic(t *testing.T) {
+	cluster, _, _ := election(t, []int{0, 1, -1})
+	honest := cluster.BBs[0]
+	goodResult, err := honest.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodInit, err := honest.Init()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(goodResult.Openings) == 0 || len(goodResult.Proofs) == 0 {
+		t.Fatal("fixture publishes no openings or no proofs")
+	}
+	// clone copies the slices a case may write to (the scalars stay shared).
+	clone := func() *bb.Result {
+		r := *goodResult
+		r.Counts = append([]int64(nil), r.Counts...)
+		r.TallyMs = append([]*big.Int(nil), r.TallyMs...)
+		r.TallyRs = append([]*big.Int(nil), r.TallyRs...)
+		r.Openings = append([]bb.OpenedRow(nil), r.Openings...)
+		o := &r.Openings[0]
+		o.Ms = append([]*big.Int(nil), o.Ms...)
+		o.Rs = append([]*big.Int(nil), o.Rs...)
+		r.Proofs = append([]bb.ProvenRow(nil), r.Proofs...)
+		r.Proofs[0].Bits = append(r.Proofs[0].Bits[:0:0], r.Proofs[0].Bits...)
+		return &r
+	}
+	cases := map[string]func(r *bb.Result, init *ea.BBInit){
+		"nil opening Ms":   func(r *bb.Result, _ *ea.BBInit) { r.Openings[0].Ms[1] = nil },
+		"nil opening Rs":   func(r *bb.Result, _ *ea.BBInit) { r.Openings[0].Rs[0] = nil },
+		"short opening Ms": func(r *bb.Result, _ *ea.BBInit) { r.Openings[0].Ms = r.Openings[0].Ms[:1] },
+		"nil TallyMs":      func(r *bb.Result, _ *ea.BBInit) { r.TallyMs[0] = nil },
+		"nil TallyRs":      func(r *bb.Result, _ *ea.BBInit) { r.TallyRs[1] = nil },
+		"nil bit Z0":       func(r *bb.Result, _ *ea.BBInit) { r.Proofs[0].Bits[0].Z0 = nil },
+		"nil sum Z":        func(r *bb.Result, _ *ea.BBInit) { r.Proofs[0].Sum.Z = nil },
+		"short Bits":       func(r *bb.Result, _ *ea.BBInit) { r.Proofs[0].Bits = r.Proofs[0].Bits[:1] },
+		"short Counts":     func(r *bb.Result, _ *ea.BBInit) { r.Counts = r.Counts[:1] },
+		"serial past the init data": func(_ *bb.Result, init *ea.BBInit) {
+			init.Ballots = init.Ballots[:len(init.Ballots)-1]
+		},
+		"row with too few commitments": func(_ *bb.Result, init *ea.BBInit) {
+			ballots := append([]ea.BBBallot(nil), init.Ballots...)
+			rows := append([]ea.BBRow(nil), ballots[0].Parts[1]...)
+			rows[0].Commitment = rows[0].Commitment[:1]
+			ballots[0].Parts[1] = rows
+			init.Ballots = ballots
+		},
+	}
+	for name, tamper := range cases {
+		t.Run(name, func(t *testing.T) {
+			res, init := clone(), *goodInit
+			tamper(res, &init)
+			reader := bb.NewReader([]bb.API{tamperedBoard{API: honest, result: res, init: &init}})
+			rep, err := auditor.Audit(reader, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.OK() || !strings.Contains(rep.Failures[0], "malformed board data") {
+				t.Fatalf("failures = %v", rep.Failures)
+			}
+		})
+	}
+	// The untampered clone still audits clean through the same wrapper.
+	init := *goodInit
+	reader := bb.NewReader([]bb.API{tamperedBoard{API: honest, result: clone(), init: &init}})
+	if rep, err := auditor.Audit(reader, nil); err != nil || !rep.OK() {
+		t.Fatalf("control: err=%v report=%+v", err, rep)
 	}
 }

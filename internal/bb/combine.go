@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"ddemos/internal/crypto/elgamal"
-	"ddemos/internal/crypto/group"
 	"ddemos/internal/crypto/shamir"
 	"ddemos/internal/crypto/zkp"
 	"ddemos/internal/ea"
@@ -17,18 +15,13 @@ import (
 
 // Tuning knobs for the combine pipeline.
 const (
-	// batchChunk is the number of openings verified per random-linear-
-	// combination batch. Chunks must be large: the multi-scalar
-	// multiplication only beats per-element verification past a couple
-	// hundred terms (see internal/crypto/group).
-	batchChunk = 2048
-	// maxBlamedFailures caps how many failed rows the blame pass analyses
-	// per attempt. One failure suffices to identify one bad trustee;
-	// remaining bad posts are caught on subsequent attempts.
+	// maxBlamedFailures caps how many failed statements the blame pass
+	// analyses per attempt. One failure suffices to identify one bad
+	// trustee; remaining bad posts are caught on subsequent attempts.
 	maxBlamedFailures = 8
-	// abortFailures aborts an attempt once this many rows have failed: the
-	// attempt cannot succeed anymore, and the cap bounds the EC work a
-	// fully-garbage post can cause per attempt.
+	// abortFailures aborts an attempt once this many statements have
+	// failed: the attempt cannot succeed anymore, and the cap bounds the
+	// per-element EC work a fully-garbage post can cause per attempt.
 	abortFailures = 64
 )
 
@@ -42,13 +35,79 @@ type combinedBallot struct {
 	proofs   []ProvenRow
 }
 
-// rowCheck re-verifies one failed row under an arbitrary subset of posts;
-// the blame protocol uses it to classify candidates. A nil check marks an
-// unrecoverable failure that no trustee can be blamed for (e.g. the
-// opened row is not a unit vector — an EA fault).
+// rowCheck re-verifies one failed statement under an arbitrary subset of
+// posts; the blame protocol uses it to classify candidates. A nil check
+// marks an unrecoverable failure that no trustee can be blamed for (e.g.
+// the opened row is not a unit vector — an EA fault).
 type rowCheck struct {
 	desc  string
 	check func(sub []*TrusteePost) bool
+}
+
+// stmtKind says which relation a statement asserts.
+type stmtKind uint8
+
+const (
+	stmtOpening stmtKind = iota // ct opens to (m, r): one column of an audit row
+	stmtTally                   // the same relation, over the tally aggregate
+	stmtBit                     // ct encrypts 0 or 1
+	stmtSum                     // the row's ciphertexts sum to an encryption of 1
+)
+
+// statement is one thing a combine attempt must verify: public data fixed
+// by the setup and the cast data, plus the scalars the trustees' shares
+// interpolate to. Stage A fills the scalars under the attempt's subset,
+// stage B verifies them, and the blame protocol re-fills a copy under other
+// subsets.
+type statement struct {
+	kind stmtKind
+	bi   int                // index into init.Ballots; -1 for stmtTally
+	k    combineKey         // the row (unused for stmtTally)
+	col  int                // column of the row; the option for stmtTally
+	ct   elgamal.Ciphertext // all kinds but stmtSum
+	row  *ea.BBRow          // stmtBit, stmtSum: commitments and first moves
+	c    *big.Int           // stmtBit, stmtSum: the voter-coin challenge
+
+	m, r *big.Int     // stmtOpening, stmtTally
+	bit  zkp.BitFinal // stmtBit
+	sum  zkp.SumFinal // stmtSum
+}
+
+func (s *statement) String() string {
+	switch s.kind {
+	case stmtTally:
+		return fmt.Sprintf("tally option %d", s.col)
+	case stmtBit:
+		return fmt.Sprintf("bit proof %d/%d/%d col %d", s.k.serial, s.k.part, s.k.row, s.col)
+	case stmtSum:
+		return fmt.Sprintf("sum proof %d/%d/%d", s.k.serial, s.k.part, s.k.row)
+	default:
+		return fmt.Sprintf("opening %d/%d/%d col %d", s.k.serial, s.k.part, s.k.row, s.col)
+	}
+}
+
+// add queues the statement on a batch; verify is its per-element twin,
+// used to locate failures in a rejected batch and as the blame probe.
+func (s *statement) add(b *zkp.Batch) {
+	switch s.kind {
+	case stmtBit:
+		b.AddBit(s.ct, s.row.BitCommits[s.col], s.bit, s.c)
+	case stmtSum:
+		b.AddSum(s.row.Commitment, 1, s.row.SumCommit, s.sum, s.c)
+	default:
+		b.AddOpening(s.ct, s.m, s.r)
+	}
+}
+
+func (s *statement) verify(ck elgamal.CommitmentKey) bool {
+	switch s.kind {
+	case stmtBit:
+		return zkp.VerifyBit(ck, s.ct, s.row.BitCommits[s.col], s.bit, s.c)
+	case stmtSum:
+		return zkp.VerifySum(ck, s.row.Commitment, 1, s.row.SumCommit, s.sum, s.c)
+	default:
+		return ck.VerifyOpening(s.ct, s.m, s.r)
+	}
 }
 
 // combineEnv is the immutable context of one combine attempt, snapshotted
@@ -57,13 +116,11 @@ type combineEnv struct {
 	man     *ea.Manifest
 	ck      elgamal.CommitmentKey
 	m       int
-	order   *big.Int
 	master  []byte
 	used    map[uint64]uint8
 	agg     elgamal.VectorCiphertext
 	shares  map[int]*postShares
 	workers int
-	noBatch bool
 }
 
 func shareIndices(posts []*TrusteePost) []uint32 {
@@ -141,13 +198,11 @@ func (n *Node) combineWorker() {
 			man:     man,
 			ck:      man.CommitmentKey(),
 			m:       len(man.Options),
-			order:   group.Order(),
 			master:  zkp.MasterChallenge(man.ElectionID, n.cast.Coins),
 			used:    n.usedParts,
 			agg:     n.tallyAgg,
 			shares:  make(map[int]*postShares, len(n.shareIdx)),
 			workers: n.CombineWorkers,
-			noBatch: n.DisableBatchVerify,
 		}
 		for t, ps := range n.shareIdx {
 			env.shares[t] = ps
@@ -223,140 +278,88 @@ func (n *Node) combineAttempt(env *combineEnv, cands []*TrusteePost) (*Result, [
 	}
 	ballots := n.init.Ballots
 
-	// Stage A: per-ballot scalar combination + ZK verification, parallel
-	// across ballots. Openings are combined here but (in batch mode) only
-	// verified in stage B.
-	type pendRef struct {
-		bi, row, col int
-	}
+	// Stage A: per-ballot scalar combination, parallel across ballots. No
+	// group arithmetic happens here; every combined value becomes a
+	// statement for stage B.
 	type ballotOut struct {
-		cb      *combinedBallot
-		cached  bool
-		skipped bool
-		pendCt  []elgamal.Ciphertext
-		pendM   []*big.Int
-		pendR   []*big.Int
-		pendRef []pendRef
-		fails   []rowCheck
+		cb     *combinedBallot
+		cached bool
+		stmts  []statement
+		fails  []rowCheck
 	}
 	outs := make([]ballotOut, len(ballots))
-	var failCount atomic.Int64
 	parallel.Run(env.workers, len(ballots), func(bi int) {
 		out := &outs[bi]
 		bbb := &ballots[bi]
-		if cb, ok := n.combineCache[bbb.Serial]; ok {
-			out.cb, out.cached = cb, true
+		if _, out.cached = n.combineCache[bbb.Serial]; out.cached {
 			return
 		}
-		if failCount.Load() >= abortFailures {
-			out.skipped = true
-			return
-		}
-		cb := &combinedBallot{}
+		out.cb = &combinedBallot{}
 		usedPart, voted := env.used[bbb.Serial]
-		for part := 0; part < 2; part++ {
-			rows := bbb.Parts[part]
-			if voted && uint8(part) == usedPart { //nolint:gosec // part<2
-				for row := range rows {
-					pr, checks := env.combineProofRow(subset, bbb, part, row)
-					if len(checks) > 0 {
-						out.fails = append(out.fails, checks...)
-						failCount.Add(int64(len(checks)))
-						continue
-					}
-					cb.proofs = append(cb.proofs, pr)
-				}
-				continue
-			}
-			for row := range rows {
+		for part := range bbb.Parts {
+			proven := voted && uint8(part) == usedPart //nolint:gosec // part<2
+			for row := range bbb.Parts[part] {
 				k := combineKey{bbb.Serial, uint8(part), row} //nolint:gosec // part<2
-				ms, rs := env.combineOpeningRow(subset, lam, k)
-				if ms == nil {
-					out.fails = append(out.fails, rowCheck{desc: fmt.Sprintf("missing opening shares at %v", k)})
-					failCount.Add(1)
+				stmts := env.combineRow(subset, lam, bi, k, &bbb.Parts[part][row], proven)
+				if stmts == nil {
+					out.fails = append(out.fails, rowCheck{desc: fmt.Sprintf("missing shares at %v", k)})
 					continue
 				}
-				rowIdx := len(cb.openings)
-				rowFailed := false
-				for col := 0; col < env.m; col++ {
-					ct := rows[row].Commitment[col]
-					if env.noBatch {
-						if !env.ck.VerifyOpening(ct, ms[col], rs[col]) {
-							out.fails = append(out.fails, env.openingCheck(k, col, ct))
-							failCount.Add(1)
-							rowFailed = true
-						}
-						continue
+				out.stmts = append(out.stmts, stmts...)
+				if proven {
+					pr := ProvenRow{Serial: k.serial, Part: k.part, Row: k.row, Sum: stmts[env.m].sum}
+					for _, s := range stmts[:env.m] {
+						pr.Bits = append(pr.Bits, s.bit)
 					}
-					out.pendCt = append(out.pendCt, ct)
-					out.pendM = append(out.pendM, ms[col])
-					out.pendR = append(out.pendR, rs[col])
-					out.pendRef = append(out.pendRef, pendRef{bi: bi, row: rowIdx, col: col})
-				}
-				if rowFailed {
+					out.cb.proofs = append(out.cb.proofs, pr)
 					continue
 				}
-				cb.openings = append(cb.openings, OpenedRow{
-					Serial: bbb.Serial, Part: uint8(part), Row: row, //nolint:gosec // part<2
-					Ms: ms, Rs: rs, HotIndex: -1,
-				})
+				or := OpenedRow{Serial: k.serial, Part: k.part, Row: k.row, HotIndex: -1}
+				for _, s := range stmts {
+					or.Ms = append(or.Ms, s.m)
+					or.Rs = append(or.Rs, s.r)
+				}
+				out.cb.openings = append(out.cb.openings, or)
 			}
 		}
-		out.cb = cb
 	})
 
-	// Stage B: batched opening verification in large chunks. A failing
-	// chunk falls back to per-element checks to locate the culprit rows.
-	if !env.noBatch {
-		var cts []elgamal.Ciphertext
-		var ms, rs []*big.Int
-		var refs []pendRef
-		for bi := range outs {
-			cts = append(cts, outs[bi].pendCt...)
-			ms = append(ms, outs[bi].pendM...)
-			rs = append(rs, outs[bi].pendR...)
-			refs = append(refs, outs[bi].pendRef...)
-		}
-		nChunks := (len(cts) + batchChunk - 1) / batchChunk
-		badBallot := make([]map[int]rowCheck, nChunks) // per-chunk: bi → first failing check
-		parallel.Run(env.workers, nChunks, func(ci int) {
-			lo := ci * batchChunk
-			hi := lo + batchChunk
-			if hi > len(cts) {
-				hi = len(cts)
-			}
-			ok, err := env.ck.VerifyOpeningsBatch(cts[lo:hi], ms[lo:hi], rs[lo:hi], nil)
-			if err != nil || ok {
-				return
-			}
-			n.metrics.BatchFallbacks.Add(1)
-			bad := make(map[int]rowCheck)
-			for i := lo; i < hi; i++ {
-				if !env.ck.VerifyOpening(cts[i], ms[i], rs[i]) {
-					ref := refs[i]
-					ob := &outs[ref.bi].cb.openings[ref.row]
-					k := combineKey{ob.Serial, ob.Part, ob.Row}
-					if _, dup := bad[ref.bi]; !dup {
-						bad[ref.bi] = env.openingCheck(k, ref.col, cts[i])
-					}
-					failCount.Add(1)
-				}
-			}
-			badBallot[ci] = bad
-		})
-		for _, bad := range badBallot {
-			for bi, chk := range bad {
-				outs[bi].fails = append(outs[bi].fails, chk)
-			}
+	// Stage B: every statement of the attempt — openings, bit and sum
+	// proofs, the tally opening — goes through the one batch verifier.
+	// Only a rejected chunk is re-checked per element, to name the
+	// statements the blame protocol then probes.
+	var stmts []statement
+	for bi := range outs {
+		stmts = append(stmts, outs[bi].stmts...)
+	}
+	tally := len(stmts)
+	for j := range env.agg {
+		s := statement{kind: stmtTally, bi: -1, col: j, ct: env.agg[j]}
+		env.combine(&s, subset, lam)
+		stmts = append(stmts, s)
+	}
+	bad, fallbacks := zkp.VerifyEach(env.ck, env.workers, len(stmts), abortFailures,
+		func(b *zkp.Batch, i int) { stmts[i].add(b) },
+		func(i int) bool { return stmts[i].verify(env.ck) })
+	n.metrics.BatchFallbacks.Add(int64(fallbacks))
+	var tallyFails []rowCheck
+	for _, i := range bad {
+		if bi := stmts[i].bi; bi >= 0 {
+			outs[bi].fails = append(outs[bi].fails, env.blameCheck(stmts[i]))
+		} else {
+			tallyFails = append(tallyFails, env.blameCheck(stmts[i]))
 		}
 	}
+	// An aborted attempt stopped locating: any ballot may still hide a bad
+	// statement, so nothing it combined is trusted.
+	aborted := len(bad) >= abortFailures
 
 	// Stage C: hot-index computation for verified openings, then install
 	// fully-clean ballots into the cache (worker-owned; stages A/B only
 	// read it).
 	for bi := range outs {
 		out := &outs[bi]
-		if out.cb == nil || out.cached || out.skipped || len(out.fails) > 0 {
+		if out.cached || aborted || len(out.fails) > 0 {
 			continue
 		}
 		for i := range out.cb.openings {
@@ -376,28 +379,32 @@ func (n *Node) combineAttempt(env *combineEnv, cands []*TrusteePost) (*Result, [
 		n.combineCache[ballots[bi].Serial] = out.cb
 	}
 
-	// Stage D: tally combination and verification against the incremental
-	// homomorphic aggregate.
 	var fails []rowCheck
 	for bi := range outs {
 		fails = append(fails, outs[bi].fails...)
 	}
-	counts, tms, trs, tallyFails := env.combineTally(subset, lam)
-	fails = append(fails, tallyFails...)
-	if len(fails) > 0 {
+	if fails = append(fails, tallyFails...); len(fails) > 0 {
 		return nil, n.blameFailures(env, cands, fails)
 	}
-	for bi := range outs {
-		if outs[bi].skipped || outs[bi].cb == nil {
-			return nil, nil // aborted attempt without locatable failures
-		}
-	}
 
+	// Stage D: everything verified; the counts are the tally opening.
 	res := &Result{
-		Counts:   counts,
-		TallyMs:  tms,
-		TallyRs:  trs,
+		Counts:   make([]int64, env.m),
+		TallyMs:  make([]*big.Int, env.m),
+		TallyRs:  make([]*big.Int, env.m),
 		Trustees: shareIndices(subset),
+	}
+	for j := 0; j < env.m; j++ {
+		if env.agg == nil {
+			// No votes cast: all counts zero, nothing to open.
+			res.TallyMs[j], res.TallyRs[j] = new(big.Int), new(big.Int)
+			continue
+		}
+		s := &stmts[tally+j]
+		if !s.m.IsInt64() {
+			return nil, nil // a count past 2⁶³: not a tally any election produces
+		}
+		res.Counts[j], res.TallyMs[j], res.TallyRs[j] = s.m.Int64(), s.m, s.r
 	}
 	for bi := range ballots {
 		cb := n.combineCache[ballots[bi].Serial]
@@ -410,210 +417,86 @@ func (n *Node) combineAttempt(env *combineEnv, cands []*TrusteePost) (*Result, [
 	return res, nil
 }
 
-// combineOpeningRow interpolates one audit row's opening under lam.
-// Returns nils if any share is missing (cannot happen for ingress-validated
+// combineRow interpolates one row's statements under lam: m bit proofs and
+// the sum proof for a row of a used part, m openings for an audit row.
+// Returns nil if any share is missing (cannot happen for ingress-validated
 // posts; defensive).
-func (env *combineEnv) combineOpeningRow(subset []*TrusteePost, lam []*big.Int, k combineKey) (ms, rs []*big.Int) {
-	ms = make([]*big.Int, env.m)
-	rs = make([]*big.Int, env.m)
-	tmp := new(big.Int)
+func (env *combineEnv) combineRow(subset []*TrusteePost, lam []*big.Int, bi int, k combineKey, row *ea.BBRow, proven bool) []statement {
+	stmts := make([]statement, 0, env.m+1)
 	for col := 0; col < env.m; col++ {
-		mv := new(big.Int)
-		rv := new(big.Int)
-		for i, p := range subset {
-			o := env.shares[p.Trustee].open[k]
-			if o == nil {
-				return nil, nil
-			}
-			mv.Add(mv, tmp.Mul(lam[i], o.Ms[col]))
-			rv.Add(rv, tmp.Mul(lam[i], o.Rs[col]))
+		s := statement{kind: stmtOpening, bi: bi, k: k, col: col, ct: row.Commitment[col]}
+		if proven {
+			s.kind, s.row = stmtBit, row
+			s.c = zkp.DeriveChallenge(env.master, k.serial, k.part, k.row, col)
 		}
-		ms[col] = mv.Mod(mv, env.order)
-		rs[col] = rv.Mod(rv, env.order)
+		stmts = append(stmts, s)
 	}
-	return ms, rs
+	if proven {
+		stmts = append(stmts, statement{kind: stmtSum, bi: bi, k: k, row: row,
+			c: zkp.DeriveChallenge(env.master, k.serial, k.part, k.row, zkp.SumProofCol)})
+	}
+	for i := range stmts {
+		if !env.combine(&stmts[i], subset, lam) {
+			return nil
+		}
+	}
+	return stmts
 }
 
-// combineProofRow combines and verifies the ZK final moves for one row of
-// a used part.
-func (env *combineEnv) combineProofRow(subset []*TrusteePost, bbb *ea.BBBallot, part, row int) (ProvenRow, []rowCheck) {
-	rows := bbb.Parts[part]
-	k := combineKey{bbb.Serial, uint8(part), row} //nolint:gosec // part<2
-	var fails []rowCheck
-	bits := make([]zkp.BitFinal, env.m)
-	finals := make([]zkp.IndexedBitFinal, len(subset))
-	for col := 0; col < env.m; col++ {
-		for i, p := range subset {
-			pf := env.shares[p.Trustee].proof[k]
+// combine sets s's scalars to what sub's shares interpolate to under lam,
+// the Lagrange coefficients of sub. It reports false if a post lacks the
+// share.
+func (env *combineEnv) combine(s *statement, sub []*TrusteePost, lam []*big.Int) bool {
+	switch s.kind {
+	case stmtOpening, stmtTally:
+		ms := make([]*big.Int, len(sub))
+		rs := make([]*big.Int, len(sub))
+		for i, p := range sub {
+			shareMs, shareRs := p.TallyMs, p.TallyRs
+			if s.kind == stmtOpening {
+				o := env.shares[p.Trustee].open[s.k]
+				if o == nil {
+					return false
+				}
+				shareMs, shareRs = o.Ms, o.Rs
+			}
+			ms[i], rs[i] = shareMs[s.col], shareRs[s.col]
+		}
+		s.m, s.r = shamir.Interpolate(lam, ms), shamir.Interpolate(lam, rs)
+	case stmtBit:
+		bits := make([]zkp.BitFinal, len(sub))
+		for i, p := range sub {
+			pf := env.shares[p.Trustee].proof[s.k]
 			if pf == nil {
-				return ProvenRow{}, []rowCheck{{desc: fmt.Sprintf("missing proof share at %v", k)}}
+				return false
 			}
-			finals[i] = zkp.IndexedBitFinal{Index: p.ShareIndex, Final: pf.Bits[col]}
+			bits[i] = pf.Bits[s.col]
 		}
-		fin, err := zkp.CombineBitFinals(finals, len(subset))
-		if err != nil {
-			return ProvenRow{}, []rowCheck{{desc: fmt.Sprintf("combining bit finals at %v: %v", k, err)}}
+		s.bit = zkp.CombineBitFinals(lam, bits)
+	case stmtSum:
+		sums := make([]zkp.SumFinal, len(sub))
+		for i, p := range sub {
+			pf := env.shares[p.Trustee].proof[s.k]
+			if pf == nil {
+				return false
+			}
+			sums[i] = pf.Sum
 		}
-		c := zkp.DeriveChallenge(env.master, bbb.Serial, uint8(part), row, col) //nolint:gosec // part<2
-		if !zkp.VerifyBit(env.ck, rows[row].Commitment[col], rows[row].BitCommits[col], fin, c) {
-			fails = append(fails, env.bitProofCheck(k, rows[row].Commitment[col], rows[row].BitCommits[col], col, c))
-			continue
-		}
-		bits[col] = fin
+		s.sum = zkp.CombineSumFinals(lam, sums)
 	}
-	sumFinals := make([]zkp.IndexedSumFinal, len(subset))
-	for i, p := range subset {
-		sumFinals[i] = zkp.IndexedSumFinal{Index: p.ShareIndex, Final: env.shares[p.Trustee].proof[k].Sum}
-	}
-	sumFin, err := zkp.CombineSumFinals(sumFinals, len(subset))
-	if err != nil {
-		return ProvenRow{}, []rowCheck{{desc: fmt.Sprintf("combining sum finals at %v: %v", k, err)}}
-	}
-	cSum := zkp.DeriveChallenge(env.master, bbb.Serial, uint8(part), row, zkp.SumProofCol) //nolint:gosec // part<2
-	if !zkp.VerifySum(env.ck, rows[row].Commitment, 1, rows[row].SumCommit, sumFin, cSum) {
-		fails = append(fails, env.sumProofCheck(k, rows[row].Commitment, rows[row].SumCommit, cSum))
-	}
-	if len(fails) > 0 {
-		return ProvenRow{}, fails
-	}
-	return ProvenRow{
-		Serial: bbb.Serial, Part: uint8(part), Row: row, Bits: bits, Sum: sumFin, //nolint:gosec // part<2
-	}, nil
-}
-
-// combineTally interpolates and verifies the tally opening against the
-// incremental aggregate.
-func (env *combineEnv) combineTally(subset []*TrusteePost, lam []*big.Int) (counts []int64, tms, trs []*big.Int, fails []rowCheck) {
-	m := env.m
-	counts = make([]int64, m)
-	tms = make([]*big.Int, m)
-	trs = make([]*big.Int, m)
-	if env.agg == nil {
-		// No votes cast: all counts zero, nothing to open.
-		for j := 0; j < m; j++ {
-			tms[j] = new(big.Int)
-			trs[j] = new(big.Int)
-		}
-		return counts, tms, trs, nil
-	}
-	tmp := new(big.Int)
-	for j := 0; j < m; j++ {
-		mv := new(big.Int)
-		rv := new(big.Int)
-		for i, p := range subset {
-			mv.Add(mv, tmp.Mul(lam[i], p.TallyMs[j]))
-			rv.Add(rv, tmp.Mul(lam[i], p.TallyRs[j]))
-		}
-		mv.Mod(mv, env.order)
-		rv.Mod(rv, env.order)
-		if !env.ck.VerifyOpening(env.agg[j], mv, rv) {
-			fails = append(fails, env.tallyCheck(j))
-			continue
-		}
-		if !mv.IsInt64() {
-			fails = append(fails, rowCheck{desc: fmt.Sprintf("tally count overflows for option %d", j)})
-			continue
-		}
-		tms[j] = mv
-		trs[j] = rv
-		counts[j] = mv.Int64()
-	}
-	return counts, tms, trs, fails
+	return true
 }
 
 // --- blame protocol -------------------------------------------------------
 
-// openingCheck builds a rowCheck re-verifying one opening column under an
-// arbitrary subset.
-func (env *combineEnv) openingCheck(k combineKey, col int, ct elgamal.Ciphertext) rowCheck {
+// blameCheck builds the rowCheck that re-combines a failed statement under
+// an arbitrary subset and re-verifies it per element.
+func (env *combineEnv) blameCheck(s statement) rowCheck {
 	return rowCheck{
-		desc: fmt.Sprintf("opening %d/%d/%d col %d", k.serial, k.part, k.row, col),
+		desc: s.String(),
 		check: func(sub []*TrusteePost) bool {
 			lam, err := shamir.LagrangeCoefficients(shareIndices(sub))
-			if err != nil {
-				return false
-			}
-			mv := new(big.Int)
-			rv := new(big.Int)
-			tmp := new(big.Int)
-			for i, p := range sub {
-				o := env.shares[p.Trustee].open[k]
-				if o == nil {
-					return false
-				}
-				mv.Add(mv, tmp.Mul(lam[i], o.Ms[col]))
-				rv.Add(rv, tmp.Mul(lam[i], o.Rs[col]))
-			}
-			mv.Mod(mv, env.order)
-			rv.Mod(rv, env.order)
-			return env.ck.VerifyOpening(ct, mv, rv)
-		},
-	}
-}
-
-// bitProofCheck builds a rowCheck re-verifying one bit proof column.
-func (env *combineEnv) bitProofCheck(k combineKey, ct elgamal.Ciphertext, bc zkp.BitCommit, col int, c *big.Int) rowCheck {
-	return rowCheck{
-		desc: fmt.Sprintf("bit proof %d/%d/%d col %d", k.serial, k.part, k.row, col),
-		check: func(sub []*TrusteePost) bool {
-			finals := make([]zkp.IndexedBitFinal, len(sub))
-			for i, p := range sub {
-				pf := env.shares[p.Trustee].proof[k]
-				if pf == nil {
-					return false
-				}
-				finals[i] = zkp.IndexedBitFinal{Index: p.ShareIndex, Final: pf.Bits[col]}
-			}
-			fin, err := zkp.CombineBitFinals(finals, len(sub))
-			if err != nil {
-				return false
-			}
-			return zkp.VerifyBit(env.ck, ct, bc, fin, c)
-		},
-	}
-}
-
-// sumProofCheck builds a rowCheck re-verifying one sum proof.
-func (env *combineEnv) sumProofCheck(k combineKey, cts elgamal.VectorCiphertext, sc zkp.SumCommit, c *big.Int) rowCheck {
-	return rowCheck{
-		desc: fmt.Sprintf("sum proof %d/%d/%d", k.serial, k.part, k.row),
-		check: func(sub []*TrusteePost) bool {
-			finals := make([]zkp.IndexedSumFinal, len(sub))
-			for i, p := range sub {
-				pf := env.shares[p.Trustee].proof[k]
-				if pf == nil {
-					return false
-				}
-				finals[i] = zkp.IndexedSumFinal{Index: p.ShareIndex, Final: pf.Sum}
-			}
-			fin, err := zkp.CombineSumFinals(finals, len(sub))
-			if err != nil {
-				return false
-			}
-			return zkp.VerifySum(env.ck, cts, 1, sc, fin, c)
-		},
-	}
-}
-
-// tallyCheck builds a rowCheck re-verifying one tally column.
-func (env *combineEnv) tallyCheck(j int) rowCheck {
-	return rowCheck{
-		desc: fmt.Sprintf("tally option %d", j),
-		check: func(sub []*TrusteePost) bool {
-			lam, err := shamir.LagrangeCoefficients(shareIndices(sub))
-			if err != nil {
-				return false
-			}
-			mv := new(big.Int)
-			rv := new(big.Int)
-			tmp := new(big.Int)
-			for i, p := range sub {
-				mv.Add(mv, tmp.Mul(lam[i], p.TallyMs[j]))
-				rv.Add(rv, tmp.Mul(lam[i], p.TallyRs[j]))
-			}
-			mv.Mod(mv, env.order)
-			rv.Mod(rv, env.order)
-			return env.ck.VerifyOpening(env.agg[j], mv, rv)
+			return err == nil && env.combine(&s, sub, lam) && s.verify(env.ck)
 		},
 	}
 }

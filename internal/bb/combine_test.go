@@ -3,6 +3,7 @@ package bb_test
 import (
 	"context"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -11,8 +12,11 @@ import (
 
 	"ddemos/internal/bb"
 	ddcore "ddemos/internal/core"
+	"ddemos/internal/crypto/group"
+	"ddemos/internal/crypto/zkp"
 	"ddemos/internal/ea"
 	"ddemos/internal/journal"
+	"ddemos/internal/sig"
 	"ddemos/internal/trustee"
 	"ddemos/internal/voter"
 )
@@ -138,6 +142,103 @@ func TestCombineRunsOffLock(t *testing.T) {
 	}
 	if res.Counts[0] != 1 || res.Counts[1] != 2 {
 		t.Fatalf("counts = %v", res.Counts)
+	}
+}
+
+// TestBadSharesFallBackOncePerAttempt pins the one verification path at BB
+// level: a garbage-share trustee whose post also carries bad proof shares
+// (a bit final and a sum final, on top of GarbageShares' opening and tally
+// shares) fails the single batch chunk of each attempt that uses it — one
+// fallback per failed attempt, however many statements are bad; the
+// per-element locator names them, blame pins that trustee alone, and the
+// retry publishes exactly what a run without it publishes.
+func TestBadSharesFallBackOncePerAttempt(t *testing.T) {
+	cluster, data := publishSetup(t, []int{0, 1, 1, -1}, 3) // ht = 2
+	posts := make([]*bb.TrusteePost, 3)
+	for i := range posts {
+		tr, err := trustee.New(data.Trustees[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			tr.SetByzantine(trustee.GarbageShares)
+		}
+		if posts[i], err = tr.ComputePost(cluster.Reader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := posts[0]
+	one := big.NewInt(1)
+	pf := bad.Proofs[0]
+	pf.Bits = append([]zkp.BitFinal(nil), pf.Bits...)
+	pf.Bits[1].Z1 = group.AddScalar(pf.Bits[1].Z1, one)
+	pf.Sum.Z = group.AddScalar(pf.Sum.Z, one)
+	bad.Proofs[0] = pf
+	hash := bb.HashPost(data.Manifest.ElectionID, bad)
+	bad.Sig = sig.Sign(data.Trustees[0].Private, "ddemos/v1/trustee-post", hash[:])
+
+	// run feeds the posts to a fresh replica behind a gate, which fixes the
+	// schedule: attempt 1 starts with the first ht posts (no spare, so its
+	// failure is inconclusive), attempt 2 sees every candidate and blames,
+	// attempt 3 publishes.
+	set, err := cluster.BBs[0].VoteSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(posts []*bb.TrusteePost) (*bb.Node, *bb.Result) {
+		node, err := bb.NewNode(data.BB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = node.Close() })
+		for vi := 0; vi < data.Manifest.FaultyVC()+1; vi++ {
+			if err := node.SubmitVoteSet(vi, set, cluster.VCs[vi].SignVoteSet(set)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for vi := 0; vi < data.Manifest.ReceiptThreshold(); vi++ {
+			if err := node.SubmitMskShare(cluster.VCs[vi].MskShare()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		entered := make(chan struct{}, 8) // one token per attempt; three at most
+		release := make(chan struct{})
+		node.CombineGate = func() {
+			entered <- struct{}{}
+			<-release
+		}
+		for i, p := range posts {
+			if err := node.SubmitTrusteePost(p); err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 {
+				<-entered // attempt 1 has taken its candidates
+			}
+		}
+		close(release)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		res, err := node.WaitResult(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node, res
+	}
+
+	node, got := run(posts)
+	snap := node.Metrics()
+	if snap.CombineAttempts != 3 || snap.BatchFallbacks != 2 {
+		t.Fatalf("attempts=%d fallbacks=%d, want 3 attempts and one fallback per failed one", snap.CombineAttempts, snap.BatchFallbacks)
+	}
+	if blamed := node.BlamedTrustees(); len(blamed) != 1 || blamed[0] != 0 {
+		t.Fatalf("blamed = %v, want [0]", blamed)
+	}
+	clean, want := run(posts[1:])
+	if fb := clean.Metrics().BatchFallbacks; fb != 0 {
+		t.Fatalf("clean run fell back %d times", fb)
+	}
+	if canonicalResult(got) != canonicalResult(want) {
+		t.Fatal("result after blame differs from the clean run")
 	}
 }
 

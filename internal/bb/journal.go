@@ -238,7 +238,7 @@ func (n *Node) applyJournalRecord(payload []byte) error {
 		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(res); err != nil {
 			return fmt.Errorf("%w: result: %v", errBadBBRecord, err)
 		}
-		if err := validateResultShape(res, len(man.Options)); err != nil {
+		if err := ValidateResultShape(res, len(man.Options)); err != nil {
 			return fmt.Errorf("%w: result: %v", errBadBBRecord, err)
 		}
 		n.mu.Lock()
@@ -254,9 +254,10 @@ func (n *Node) applyJournalRecord(payload []byte) error {
 	return nil
 }
 
-// validateResultShape rejects a replayed Result whose scalar slices could
-// panic later consumers (gob decodes absent fields to nil pointers).
-func validateResultShape(res *Result, m int) error {
+// ValidateResultShape rejects a Result — replayed from a journal, or read
+// off a board by an auditor — whose scalar slices could panic its consumers
+// (gob decodes absent fields to nil pointers).
+func ValidateResultShape(res *Result, m int) error {
 	if len(res.Counts) != m || len(res.TallyMs) != m || len(res.TallyRs) != m {
 		return errors.New("tally arity")
 	}

@@ -101,9 +101,6 @@ type Node struct {
 	// CombineWorkers bounds the parallelism of combine attempts
 	// (0 = GOMAXPROCS). Set before trustee posts arrive.
 	CombineWorkers int
-	// DisableBatchVerify forces per-element opening verification instead
-	// of the batched random-linear-combination check.
-	DisableBatchVerify bool
 	// CombineGate, when set, is called (off-lock) at the start of every
 	// combine attempt. Test hook for the off-lock property.
 	CombineGate func()

@@ -56,9 +56,10 @@ func TestSmokePoolElection(t *testing.T) {
 }
 
 func TestSmokeTallyAblation(t *testing.T) {
-	// A fast pass over the publish-phase pipeline sweep: correctness of the
-	// harness and result agreement across columns, not the speedup bound
-	// (CI's bench job gates that via the baseline at a pinned pool size).
+	// A fast pass over the publish-phase ablation: correctness of the
+	// harness (the reference column rejects a result the shipped column
+	// published wrongly), not the speedup bound (CI's bench job gates that
+	// via the baseline at a pinned pool size).
 	cfg := TallyAblationConfig{Ballots: 40, Votes: 20, Seed: "smoke"}
 	points, err := RunTallyAblation(cfg)
 	if err != nil {

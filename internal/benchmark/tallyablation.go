@@ -9,23 +9,25 @@ import (
 
 	"ddemos/internal/auditor"
 	"ddemos/internal/bb"
+	"ddemos/internal/crypto/zkp"
 	"ddemos/internal/ea"
 	"ddemos/internal/trustee"
 	"ddemos/internal/vc"
 )
 
 // TallyPoint is one column of the publish-phase tally ablation: the same
-// trustee posts combined (and the same board audited) under one pipeline
-// configuration.
+// published board verified one way.
 type TallyPoint struct {
-	Config     string        // sequential | parallel | parallel+batched
-	CombineSec float64       // wall time of the successful combine attempt
-	AuditSec   float64       // wall time of a full auditor pass
-	Speedup    float64       // sequential combine time / this combine time
-	Attempts   int64         // combine attempts the node needed
-	Fallbacks  int64         // batch chunks that fell back to per-element checks
-	Result     *bb.Result    // published result (columns must agree)
-	Audit      time.Duration // raw audit duration (AuditSec rounded source)
+	// Config is "reference" — the per-element verifiers (the batch
+	// verifier's locator and test oracle) looped single-threaded over the
+	// published Result — or "shipped": the node combine and auditor.Audit
+	// as deployed.
+	Config     string
+	CombineSec float64 // reference: the per-element loop; shipped: the successful combine attempt
+	AuditSec   float64 // shipped only: wall time of a full auditor pass
+	Speedup    float64 // reference CombineSec / this CombineSec
+	Attempts   int64   // shipped only: combine attempts the node needed
+	Fallbacks  int64   // shipped only: batch chunks that fell back to per-element checks
 }
 
 // TallyAblationConfig tunes RunTallyAblation.
@@ -156,97 +158,122 @@ func (f *tallyFixture) bootNode() (*bb.Node, error) {
 	return node, nil
 }
 
-// runTallyColumn replays the fixture's posts against a fresh node under one
-// pipeline configuration and measures the combine and a full audit.
-func (f *tallyFixture) runTallyColumn(name string, workers int, noBatch bool) (TallyPoint, error) {
+// runShipped replays the fixture's posts against a fresh node and measures
+// the combine and a full audit, both as deployed. It returns the node's
+// board for the reference column to verify.
+func (f *tallyFixture) runShipped(workers int) (TallyPoint, *bb.Reader, error) {
 	node, err := f.bootNode()
 	if err != nil {
-		return TallyPoint{}, fmt.Errorf("tally ablation (%s): %w", name, err)
+		return TallyPoint{}, nil, err
 	}
 	node.CombineWorkers = workers
-	node.DisableBatchVerify = noBatch
 	for _, p := range f.posts {
 		if err := node.SubmitTrusteePost(p); err != nil {
-			return TallyPoint{}, fmt.Errorf("tally ablation (%s): post %d: %w", name, p.Trustee, err)
+			return TallyPoint{}, nil, fmt.Errorf("post %d: %w", p.Trustee, err)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	res, err := node.WaitResult(ctx)
-	if err != nil {
-		return TallyPoint{}, fmt.Errorf("tally ablation (%s): %w", name, err)
+	if _, err := node.WaitResult(ctx); err != nil {
+		return TallyPoint{}, nil, err
 	}
 	snap := node.Metrics()
 
 	reader := bb.NewReader([]bb.API{node})
 	auditStart := time.Now()
-	rep, err := auditor.AuditWith(reader, nil, auditor.Options{Workers: workers, DisableBatchVerify: noBatch})
+	rep, err := auditor.AuditWith(reader, nil, auditor.Options{Workers: workers})
 	auditTime := time.Since(auditStart)
 	if err != nil {
-		return TallyPoint{}, fmt.Errorf("tally ablation (%s): audit: %w", name, err)
+		return TallyPoint{}, nil, fmt.Errorf("audit: %w", err)
 	}
 	if !rep.OK() {
-		return TallyPoint{}, fmt.Errorf("tally ablation (%s): audit failed: %v", name, rep.Failures[0])
+		return TallyPoint{}, nil, fmt.Errorf("audit failed: %v", rep.Failures[0])
 	}
 	return TallyPoint{
-		Config:     name,
+		Config:     "shipped",
 		CombineSec: snap.CombineTime.Seconds(),
 		AuditSec:   auditTime.Seconds(),
 		Attempts:   snap.CombineAttempts,
 		Fallbacks:  snap.BatchFallbacks,
-		Result:     res,
-		Audit:      auditTime,
-	}, nil
+	}, reader, nil
 }
 
-// RunTallyAblation measures the publish-phase combine and the auditor over
-// the same election under three pipeline configurations: sequential
-// per-element verification (the seed's behaviour), parallel per-element
-// verification, and the full parallel + batch-verified pipeline. The
-// parallel+batched speedup over sequential is the `tally-speedup` ratio the
-// CI baseline gates; on a single-CPU runner it comes almost entirely from
-// the batched random-linear-combination check, so the gate is insensitive
-// to core count.
+// runReference verifies every opening and proof of the published result
+// with the per-element verifiers, single-threaded: what the publish phase
+// cost before anything was batched, and the oracle the batch verifier is
+// tested against. (The m tally openings, 0.01 % of the statements, need the
+// recomputed aggregate and are left to the audit.)
+func runReference(reader *bb.Reader) (TallyPoint, error) {
+	man, err := reader.Manifest()
+	if err != nil {
+		return TallyPoint{}, err
+	}
+	init, err := reader.Init()
+	if err != nil {
+		return TallyPoint{}, err
+	}
+	cast, err := reader.Cast()
+	if err != nil {
+		return TallyPoint{}, err
+	}
+	res, err := reader.Result()
+	if err != nil {
+		return TallyPoint{}, err
+	}
+	ck := man.CommitmentKey()
+	master := zkp.MasterChallenge(man.ElectionID, cast.Coins)
+	start := time.Now()
+	for _, o := range res.Openings {
+		row := &init.Ballots[o.Serial-1].Parts[o.Part][o.Row]
+		for col, ct := range row.Commitment {
+			if !ck.VerifyOpening(ct, o.Ms[col], o.Rs[col]) {
+				return TallyPoint{}, fmt.Errorf("opening (%d,%d,%d) col %d rejected", o.Serial, o.Part, o.Row, col)
+			}
+		}
+	}
+	for _, p := range res.Proofs {
+		row := &init.Ballots[p.Serial-1].Parts[p.Part][p.Row]
+		for col, ct := range row.Commitment {
+			c := zkp.DeriveChallenge(master, p.Serial, p.Part, p.Row, col)
+			if !zkp.VerifyBit(ck, ct, row.BitCommits[col], p.Bits[col], c) {
+				return TallyPoint{}, fmt.Errorf("bit proof (%d,%d,%d) col %d rejected", p.Serial, p.Part, p.Row, col)
+			}
+		}
+		c := zkp.DeriveChallenge(master, p.Serial, p.Part, p.Row, zkp.SumProofCol)
+		if !zkp.VerifySum(ck, row.Commitment, 1, row.SumCommit, p.Sum, c) {
+			return TallyPoint{}, fmt.Errorf("sum proof (%d,%d,%d) rejected", p.Serial, p.Part, p.Row)
+		}
+	}
+	return TallyPoint{Config: "reference", CombineSec: time.Since(start).Seconds()}, nil
+}
+
+// RunTallyAblation measures the publish phase over one election two ways:
+// "shipped" is the node combine and the auditor as deployed (scalar
+// combination plus the batch verifier, on cfg.Workers goroutines), and
+// "reference" is the per-element verifiers looped single-threaded over the
+// result the shipped node published. The shipped column's Speedup —
+// reference seconds per shipped combine second — is the `tally-speedup`
+// ratio the CI baseline gates: a ratio over identical statements, so runner
+// speed cannot flap it.
 func RunTallyAblation(cfg TallyAblationConfig) ([]TallyPoint, error) {
 	cfg = cfg.withDefaults()
 	f, err := buildTallyFixture(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cols := []struct {
-		name    string
-		workers int
-		noBatch bool
-	}{
-		{"sequential", 1, true},
-		{"parallel", cfg.Workers, true},
-		{"parallel+batched", cfg.Workers, false},
+	shipped, reader, err := f.runShipped(cfg.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("tally ablation (shipped): %w", err)
 	}
-	points := make([]TallyPoint, 0, len(cols))
-	var seqCombine float64
-	for _, col := range cols {
-		pt, err := f.runTallyColumn(col.name, col.workers, col.noBatch)
-		if err != nil {
-			return nil, err
-		}
-		if col.name == "sequential" {
-			seqCombine = pt.CombineSec
-		}
-		if pt.CombineSec > 0 && seqCombine > 0 {
-			pt.Speedup = seqCombine / pt.CombineSec
-		}
-		points = append(points, pt)
+	ref, err := runReference(reader)
+	if err != nil {
+		return nil, fmt.Errorf("tally ablation (reference): %w", err)
 	}
-	// All columns verified the same perfectly-binding commitments, so their
-	// results must agree bit-for-bit.
-	for _, pt := range points[1:] {
-		for j := range pt.Result.Counts {
-			if pt.Result.Counts[j] != points[0].Result.Counts[j] {
-				return nil, fmt.Errorf("tally ablation: %s counts diverge from sequential", pt.Config)
-			}
-		}
+	ref.Speedup = 1
+	if shipped.CombineSec > 0 {
+		shipped.Speedup = ref.CombineSec / shipped.CombineSec
 	}
-	return points, nil
+	return []TallyPoint{ref, shipped}, nil
 }
 
 // PrintTallyAblation formats the ablation, one row per configuration.

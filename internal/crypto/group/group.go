@@ -1,7 +1,8 @@
 // Package group wraps the NIST P-256 elliptic-curve group with the scalar
 // and point arithmetic the rest of the system needs: lifted-ElGamal
-// commitments, Pedersen commitments, Shamir sharing over the scalar field,
-// and hash-to-point derivation of independent generators.
+// commitments, Shamir sharing over the scalar field, hash-to-point
+// derivation of the commitment key, and the multi-scalar multiplication
+// behind batched verification (msm.go).
 //
 // All scalar arithmetic is performed modulo the group order q. Points are
 // immutable values; the identity (point at infinity) is represented by the
@@ -175,13 +176,6 @@ func HashToPoint(domain string, msg []byte) Point {
 		}
 	}
 }
-
-// altBase is the fixed second generator H used for Pedersen commitments.
-var altBase = HashToPoint("ddemos/v1/pedersen-h", nil)
-
-// AltBase returns the system-wide second generator H with unknown discrete
-// log relative to G.
-func AltBase() Point { return altBase }
 
 // RandScalar returns a uniform scalar in [0, q) read from rnd.
 func RandScalar(rnd io.Reader) (*big.Int, error) {

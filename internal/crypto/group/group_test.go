@@ -73,7 +73,7 @@ func TestBaseMulMatchesMul(t *testing.T) {
 }
 
 func TestPointEncodingRoundTrip(t *testing.T) {
-	cases := []Point{{}, Base(), AltBase()}
+	cases := []Point{{}, Base(), HashToPoint("test/encoding", nil)}
 	k, _ := RandScalar(rand.Reader)
 	cases = append(cases, BaseMul(k))
 	for _, p := range cases {
@@ -124,24 +124,15 @@ func TestDecodeScalarRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestAltBaseIndependent(t *testing.T) {
-	if AltBase().Equal(Base()) {
-		t.Fatal("H must differ from G")
-	}
-	if AltBase().IsIdentity() {
-		t.Fatal("H must not be identity")
-	}
-	if !AltBase().Equal(HashToPoint("ddemos/v1/pedersen-h", nil)) {
-		t.Fatal("H must be deterministic")
-	}
-}
-
 func TestHashToPointDomainSeparation(t *testing.T) {
 	p1 := HashToPoint("a", []byte("x"))
 	p2 := HashToPoint("b", []byte("x"))
 	p3 := HashToPoint("a", []byte("y"))
 	if p1.Equal(p2) || p1.Equal(p3) {
 		t.Fatal("different domains/messages must give different points")
+	}
+	if p1.IsIdentity() || p1.Equal(Base()) || !p1.Equal(HashToPoint("a", []byte("x"))) {
+		t.Fatal("a hash-derived generator must be deterministic, non-trivial and not G")
 	}
 }
 
@@ -239,7 +230,7 @@ func BenchmarkBaseMul(b *testing.B) {
 
 func BenchmarkPointMul(b *testing.B) {
 	k, _ := RandScalar(rand.Reader)
-	p := AltBase()
+	p := HashToPoint("bench/point-mul", nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Mul(k)

@@ -78,44 +78,22 @@ func Eval(coeffs []*big.Int, x uint32) *big.Int {
 }
 
 // Combine reconstructs the secret from at least t shares via Lagrange
-// interpolation at x=0. All provided shares are used; callers should pass
+// interpolation at x=0. The first t shares are used; callers should pass
 // exactly the shares they trust.
 func Combine(shares []Share, t int) (*big.Int, error) {
 	if len(shares) < t {
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewShares, len(shares), t)
 	}
-	use := shares[:t]
-	seen := make(map[uint32]bool, t)
-	for _, s := range use {
-		if s.Index == 0 {
-			return nil, errors.New("shamir: share index must be nonzero")
-		}
-		if seen[s.Index] {
-			return nil, fmt.Errorf("%w: index %d", ErrDuplicateShare, s.Index)
-		}
-		seen[s.Index] = true
+	indices := make([]uint32, t)
+	values := make([]*big.Int, t)
+	for i, s := range shares[:t] {
+		indices[i], values[i] = s.Index, s.Value
 	}
-	secret := new(big.Int)
-	for i, si := range use {
-		num := big.NewInt(1)
-		den := big.NewInt(1)
-		xi := big.NewInt(int64(si.Index))
-		for j, sj := range use {
-			if i == j {
-				continue
-			}
-			xj := big.NewInt(int64(sj.Index))
-			num = group.MulScalar(num, xj)
-			den = group.MulScalar(den, group.SubScalar(xj, xi))
-		}
-		invDen, err := group.InvScalar(den)
-		if err != nil {
-			return nil, err
-		}
-		lag := group.MulScalar(num, invDen)
-		secret = group.AddScalar(secret, group.MulScalar(si.Value, lag))
+	lam, err := LagrangeCoefficients(indices)
+	if err != nil {
+		return nil, err
 	}
-	return secret, nil
+	return Interpolate(lam, values), nil
 }
 
 // LagrangeCoefficients returns the interpolation weights λ_i at x=0 for the
@@ -152,6 +130,17 @@ func LagrangeCoefficients(indices []uint32) ([]*big.Int, error) {
 		out[i] = group.MulScalar(num, invDen)
 	}
 	return out, nil
+}
+
+// Interpolate returns Σ lam[i]·values[i] mod q: the secret shared by
+// values, given the Lagrange coefficients of their share indices.
+func Interpolate(lam, values []*big.Int) *big.Int {
+	acc := new(big.Int)
+	tmp := new(big.Int)
+	for i, l := range lam {
+		acc.Add(acc, tmp.Mul(l, values[i]))
+	}
+	return acc.Mod(acc, group.Order())
 }
 
 // AddShares returns the element-wise sum of two shares with the same index,

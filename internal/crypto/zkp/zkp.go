@@ -244,40 +244,23 @@ func ShareBitCoeffs(cf BitCoeffs, t, n int, rnd io.Reader) ([]BitCoeffs, error) 
 	return out, nil
 }
 
-// IndexedBitFinal is one trustee's final-move share with its share index.
-type IndexedBitFinal struct {
-	Index uint32
-	Final BitFinal
-}
-
-// CombineBitFinals reconstructs the true final move from at least t trustee
-// shares via Lagrange interpolation.
-func CombineBitFinals(shares []IndexedBitFinal, t int) (BitFinal, error) {
-	if len(shares) < t {
-		return BitFinal{}, fmt.Errorf("zkp: have %d final shares, need %d", len(shares), t)
-	}
-	use := shares[:t]
-	idx := make([]uint32, t)
-	for i, s := range use {
-		idx[i] = s.Index
-	}
-	lam, err := shamir.LagrangeCoefficients(idx)
-	if err != nil {
-		return BitFinal{}, err
-	}
-	combine := func(get func(BitFinal) *big.Int) *big.Int {
-		acc := new(big.Int)
-		for i, s := range use {
-			acc = group.AddScalar(acc, group.MulScalar(lam[i], get(s.Final)))
+// CombineBitFinals reconstructs the true final move from the trustees'
+// shares of it, given the Lagrange coefficients of their share indices
+// (shamir.LagrangeCoefficients; one coefficient per share).
+func CombineBitFinals(lam []*big.Int, shares []BitFinal) BitFinal {
+	field := func(get func(*BitFinal) *big.Int) *big.Int {
+		vals := make([]*big.Int, len(shares))
+		for i := range shares {
+			vals[i] = get(&shares[i])
 		}
-		return acc
+		return shamir.Interpolate(lam, vals)
 	}
 	return BitFinal{
-		C0: combine(func(f BitFinal) *big.Int { return f.C0 }),
-		C1: combine(func(f BitFinal) *big.Int { return f.C1 }),
-		Z0: combine(func(f BitFinal) *big.Int { return f.Z0 }),
-		Z1: combine(func(f BitFinal) *big.Int { return f.Z1 }),
-	}, nil
+		C0: field(func(f *BitFinal) *big.Int { return f.C0 }),
+		C1: field(func(f *BitFinal) *big.Int { return f.C1 }),
+		Z0: field(func(f *BitFinal) *big.Int { return f.Z0 }),
+		Z1: field(func(f *BitFinal) *big.Int { return f.Z1 }),
+	}
 }
 
 // ShareSumCoeffs secret-shares the sum-proof coefficients.
@@ -297,31 +280,14 @@ func ShareSumCoeffs(cf SumCoeffs, t, n int, rnd io.Reader) ([]SumCoeffs, error) 
 	return out, nil
 }
 
-// IndexedSumFinal is one trustee's sum-proof response share.
-type IndexedSumFinal struct {
-	Index uint32
-	Final SumFinal
-}
-
-// CombineSumFinals reconstructs the sum-proof response from t shares.
-func CombineSumFinals(shares []IndexedSumFinal, t int) (SumFinal, error) {
-	if len(shares) < t {
-		return SumFinal{}, fmt.Errorf("zkp: have %d final shares, need %d", len(shares), t)
+// CombineSumFinals reconstructs the sum-proof response from shares, as
+// CombineBitFinals does for a bit proof.
+func CombineSumFinals(lam []*big.Int, shares []SumFinal) SumFinal {
+	vals := make([]*big.Int, len(shares))
+	for i := range shares {
+		vals[i] = shares[i].Z
 	}
-	use := shares[:t]
-	idx := make([]uint32, t)
-	for i, s := range use {
-		idx[i] = s.Index
-	}
-	lam, err := shamir.LagrangeCoefficients(idx)
-	if err != nil {
-		return SumFinal{}, err
-	}
-	acc := new(big.Int)
-	for i, s := range use {
-		acc = group.AddScalar(acc, group.MulScalar(lam[i], s.Final.Z))
-	}
-	return SumFinal{Z: acc}, nil
+	return SumFinal{Z: shamir.Interpolate(lam, vals)}
 }
 
 // --- Voter-coin challenge derivation -------------------------------------

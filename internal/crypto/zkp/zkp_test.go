@@ -7,6 +7,7 @@ import (
 
 	"ddemos/internal/crypto/elgamal"
 	"ddemos/internal/crypto/group"
+	"ddemos/internal/crypto/shamir"
 )
 
 var key = elgamal.DeriveCommitmentKey("zkp-test")
@@ -163,33 +164,26 @@ func TestDistributedBitFinalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	finShares := make([]IndexedBitFinal, 0, 3)
+	var idx []uint32
+	var finShares []BitFinal
 	for _, i := range []int{4, 1, 2} { // arbitrary trustee subset
-		finShares = append(finShares, IndexedBitFinal{
-			Index: uint32(i + 1),
-			Final: shares[i].Finalize(c),
-		})
+		idx = append(idx, uint32(i+1))
+		finShares = append(finShares, shares[i].Finalize(c))
 	}
-	fin, err := CombineBitFinals(finShares, 3)
+	lam, err := shamir.LagrangeCoefficients(idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !VerifyBit(key, ct, com, fin, c) {
+	if !VerifyBit(key, ct, com, CombineBitFinals(lam, finShares), c) {
 		t.Fatal("distributed finalization did not reproduce a valid proof")
 	}
-}
-
-func TestDistributedBitFinalizationTooFewShares(t *testing.T) {
-	c := challenge()
-	ct, r, _ := key.Encrypt(big.NewInt(0), rand.Reader)
-	_, cf, _ := NewBitProofFor(key, ct, 0, r, rand.Reader)
-	shares, _ := ShareBitCoeffs(cf, 3, 5, rand.Reader)
-	two := []IndexedBitFinal{
-		{Index: 1, Final: shares[0].Finalize(c)},
-		{Index: 2, Final: shares[1].Finalize(c)},
+	// Below the threshold the interpolation lands on some other value.
+	lam2, err := shamir.LagrangeCoefficients(idx[:2])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := CombineBitFinals(two, 3); err == nil {
-		t.Fatal("2-of-3 combination must fail")
+	if VerifyBit(key, ct, com, CombineBitFinals(lam2, finShares[:2]), c) {
+		t.Fatal("2-of-3 combination must not verify")
 	}
 }
 
@@ -205,19 +199,13 @@ func TestDistributedSumFinalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	finShares := []IndexedSumFinal{
-		{Index: 3, Final: shares[2].Finalize(c)},
-		{Index: 1, Final: shares[0].Finalize(c)},
-	}
-	fin, err := CombineSumFinals(finShares, 2)
+	lam, err := shamir.LagrangeCoefficients([]uint32{3, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fin := CombineSumFinals(lam, []SumFinal{shares[2].Finalize(c), shares[0].Finalize(c)})
 	if !VerifySum(key, cts, 1, com, fin, c) {
 		t.Fatal("distributed sum finalization failed")
-	}
-	if _, err := CombineSumFinals(finShares[:1], 2); err == nil {
-		t.Fatal("too few shares must fail")
 	}
 }
 

@@ -295,42 +295,37 @@ func TestTrusteeSharesFinalizeProofs(t *testing.T) {
 	master := zkp.MasterChallenge(man.ElectionID, []byte{1, 0, 1})
 	bbb := data.BB.Ballots[3]
 	serial := bbb.Serial
+	idx := make([]uint32, ht)
+	for ti := range idx {
+		idx[ti] = uint32(ti + 1)
+	}
+	lam, err := shamir.LagrangeCoefficients(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for part := 0; part < 2; part++ {
 		for rowIdx, row := range bbb.Parts[part] {
 			m := len(row.Commitment)
 			for col := 0; col < m; col++ {
 				c := zkp.DeriveChallenge(master, serial, uint8(part), rowIdx, col)
-				finals := make([]zkp.IndexedBitFinal, 0, ht)
-				for ti := 0; ti < ht; ti++ {
+				finals := make([]zkp.BitFinal, ht)
+				for ti := range finals {
 					tr := data.Trustees[ti].Ballots[serial-1].Parts[part][rowIdx]
-					finals = append(finals, zkp.IndexedBitFinal{
-						Index: uint32(ti + 1),
-						Final: tr.BitCoeffs[col].Finalize(c),
-					})
+					finals[ti] = tr.BitCoeffs[col].Finalize(c)
 				}
-				fin, err := zkp.CombineBitFinals(finals, ht)
-				if err != nil {
-					t.Fatal(err)
-				}
+				fin := zkp.CombineBitFinals(lam, finals)
 				if !zkp.VerifyBit(ck, row.Commitment[col], row.BitCommits[col], fin, c) {
 					t.Fatalf("bit proof part %d row %d col %d fails", part, rowIdx, col)
 				}
 			}
 			// Sum proof.
 			c := zkp.DeriveChallenge(master, serial, uint8(part), rowIdx, zkp.SumProofCol)
-			finals := make([]zkp.IndexedSumFinal, 0, ht)
-			for ti := 0; ti < ht; ti++ {
+			finals := make([]zkp.SumFinal, ht)
+			for ti := range finals {
 				tr := data.Trustees[ti].Ballots[serial-1].Parts[part][rowIdx]
-				finals = append(finals, zkp.IndexedSumFinal{
-					Index: uint32(ti + 1),
-					Final: tr.SumCoeffs.Finalize(c),
-				})
+				finals[ti] = tr.SumCoeffs.Finalize(c)
 			}
-			fin, err := zkp.CombineSumFinals(finals, ht)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !zkp.VerifySum(ck, row.Commitment, 1, row.SumCommit, fin, c) {
+			if !zkp.VerifySum(ck, row.Commitment, 1, row.SumCommit, zkp.CombineSumFinals(lam, finals), c) {
 				t.Fatalf("sum proof part %d row %d fails", part, rowIdx)
 			}
 		}
