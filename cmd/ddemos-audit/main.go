@@ -35,12 +35,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("audit could not run: %v", err)
 	}
-	man, _ := reader.Manifest()
-	result, _ := reader.Result()
-	fmt.Printf("election %q\n", man.ElectionID)
-	if result != nil {
-		for i, o := range man.Options {
-			fmt.Printf("  %-20s %d\n", o, result.Counts[i])
+	// Print the board the audit read; its counts only once it passed shape.
+	fmt.Printf("election %q\n", report.Manifest.ElectionID)
+	if report.Result != nil {
+		for i, o := range report.Manifest.Options {
+			fmt.Printf("  %-20s %d\n", o, report.Result.Counts[i])
 		}
 	}
 	fmt.Printf("checked: %d ballots, %d proofs, %d openings\n",

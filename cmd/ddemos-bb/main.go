@@ -8,7 +8,6 @@ package main
 import (
 	"flag"
 	"log"
-	"net/http"
 	"time"
 
 	"ddemos/internal/bb"
@@ -85,6 +84,5 @@ func main() {
 		}()
 	}
 	log.Printf("bb node serving election %q on %s", init.Manifest.ElectionID, *httpAddr)
-	srv := &http.Server{Addr: *httpAddr, Handler: httpapi.BBHandler(node), ReadHeaderTimeout: 10 * time.Second}
-	log.Fatal(srv.ListenAndServe())
+	log.Fatal(httpapi.NewServer(*httpAddr, httpapi.BBHandler(node)).ListenAndServe())
 }

@@ -484,7 +484,7 @@ func (o *orch) awaitReady(ctx context.Context, deadline time.Time) error {
 		}
 		for _, u := range o.bbURLs {
 			c := &httpapi.BBClient{BaseURL: u, Timeouts: to}
-			if _, err := c.Manifest(ctx); err == nil {
+			if _, err := c.Read(ctx, bb.KindManifest); err == nil {
 				ready++
 			}
 		}

@@ -217,7 +217,7 @@ func main() {
 	log.Printf("vc node %d: inter-VC on %s, voters on %s", init.Index, tcp.Addr(), *httpAddr)
 
 	// Public voter endpoint.
-	srv := &http.Server{Addr: *httpAddr, Handler: httpapi.VCHandler(node), ReadHeaderTimeout: 10 * time.Second}
+	srv := httpapi.NewServer(*httpAddr, httpapi.VCHandler(node))
 	go func() {
 		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
 			log.Fatalf("http: %v", err)

@@ -53,6 +53,11 @@ type Report struct {
 	ProofsChecked   int
 	OpeningsChecked int
 	DelegatedChecks int
+	// Manifest and Result are the board the audit read. Result is nil
+	// unless the board passed its shape check, so Result.Counts lines up
+	// with Manifest.Options.
+	Manifest ea.Manifest
+	Result   *bb.Result
 }
 
 // OK reports whether the election verified completely.
@@ -71,25 +76,36 @@ func Audit(reader *bb.Reader, packages []*ballot.AuditPackage) (*Report, error) 
 // AuditWith is Audit with explicit tuning options.
 func AuditWith(reader *bb.Reader, packages []*ballot.AuditPackage, opts Options) (*Report, error) {
 	rep := &Report{}
+	// A majority that agrees on bytes that do not decode is a malformed
+	// board, which fails the report; no majority at all means the audit
+	// could not run.
+	unread := func(what string, err error) (*Report, error) {
+		if errors.Is(err, bb.ErrMalformed) {
+			rep.failf("malformed board data: %s: %v", what, err)
+			return rep, nil
+		}
+		return nil, fmt.Errorf("auditor: reading %s: %w", what, err)
+	}
 	man, err := reader.Manifest()
 	if err != nil {
-		return nil, fmt.Errorf("auditor: reading manifest: %w", err)
+		return unread("manifest", err)
 	}
+	rep.Manifest = man
 	init, err := reader.Init()
 	if err != nil {
-		return nil, fmt.Errorf("auditor: reading init data: %w", err)
+		return unread("init data", err)
 	}
 	voteSet, err := reader.VoteSet()
 	if err != nil {
-		return nil, fmt.Errorf("auditor: reading vote set: %w", err)
+		return unread("vote set", err)
 	}
 	cast, err := reader.Cast()
 	if err != nil {
-		return nil, fmt.Errorf("auditor: reading cast data: %w", err)
+		return unread("cast data", err)
 	}
 	result, err := reader.Result()
 	if err != nil {
-		return nil, fmt.Errorf("auditor: reading result: %w", err)
+		return unread("result", err)
 	}
 
 	// The board is untrusted input: nothing below may index or dereference
@@ -98,6 +114,7 @@ func AuditWith(reader *bb.Reader, packages []*ballot.AuditPackage, opts Options)
 		rep.failf("malformed board data: %v", err)
 		return rep, nil
 	}
+	rep.Result = result
 
 	m := len(man.Options)
 	ck := man.CommitmentKey()
@@ -215,24 +232,25 @@ func AuditWith(reader *bb.Reader, packages []*ballot.AuditPackage, opts Options)
 				rep.failf("delegated: ballot %d cast code missing from tally set", pkg.Serial)
 			}
 		}
-		if err := voter.VerifyUnusedPart(reader, pkg); err != nil {
+		if err := voter.CheckUnusedPart(&man, cast, result, pkg); err != nil {
 			rep.failf("delegated: ballot %d unused part: %v", pkg.Serial, err)
 		}
 	}
 	return rep, nil
 }
 
-// checkShape verifies that the init data, cast marks and result have the
-// dimensions the manifest dictates (a ballot per serial, m rows of m
-// commitments per part, in-range marks, m-ary non-nil result scalars), so
-// the checks can index and do arithmetic on them.
+// checkShape verifies that the init data, cast data and result have the
+// dimensions the manifest dictates (a ballot and a code list per serial, m
+// rows of m commitments per part, m-ary result vectors, marks, openings and
+// proofs on rows that exist), so the checks can index and do arithmetic on
+// them.
 func checkShape(man *ea.Manifest, init *ea.BBInit, cast *bb.CastData, result *bb.Result) error {
 	m := len(man.Options)
-	if init == nil || cast == nil || result == nil {
-		return errors.New("init data, cast data or result missing")
-	}
 	if len(init.Ballots) != man.NumBallots {
 		return fmt.Errorf("init data has %d ballots, manifest says %d", len(init.Ballots), man.NumBallots)
+	}
+	if len(cast.Codes) != man.NumBallots {
+		return fmt.Errorf("cast data has codes for %d ballots, manifest says %d", len(cast.Codes), man.NumBallots)
 	}
 	for bi := range init.Ballots {
 		for _, rows := range init.Ballots[bi].Parts {
@@ -246,15 +264,26 @@ func checkShape(man *ea.Manifest, init *ea.BBInit, cast *bb.CastData, result *bb
 			}
 		}
 	}
-	for _, mk := range cast.Marks {
-		if mk.Serial == 0 || mk.Serial > uint64(man.NumBallots) || mk.Part > 1 || mk.Row < 0 || mk.Row >= m {
-			return fmt.Errorf("cast mark with invalid coordinates (%d,%d,%d)", mk.Serial, mk.Part, mk.Row)
-		}
-	}
 	if err := bb.ValidateResultShape(result, m); err != nil {
 		return fmt.Errorf("result: %w", err)
 	}
-	return nil
+	// Every row a mark, an opening or a proof names must be on the board.
+	var err error
+	inRange := func(what string, serial uint64, part uint8, row int) {
+		if err == nil && (serial == 0 || serial > uint64(man.NumBallots) || part > 1 || row < 0 || row >= m) {
+			err = fmt.Errorf("%s with invalid coordinates (%d,%d,%d)", what, serial, part, row)
+		}
+	}
+	for _, mk := range cast.Marks {
+		inRange("cast mark", mk.Serial, mk.Part, mk.Row)
+	}
+	for _, o := range result.Openings {
+		inRange("opening", o.Serial, o.Part, o.Row)
+	}
+	for _, p := range result.Proofs {
+		inRange("proof", p.Serial, p.Part, p.Row)
+	}
+	return err
 }
 
 // verifyEach runs n statements through the batch verifier and returns a
@@ -269,44 +298,23 @@ func verifyEach(ck elgamal.CommitmentKey, workers, n int, add func(b *zkp.Batch,
 }
 
 // auditOpenings runs check (d): every published opening matches its
-// commitment and encodes a correctly-labeled unit vector.
+// commitment and encodes a correctly-labeled unit vector. Opening oi's
+// column col is statement oi·m + col.
 func auditOpenings(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Result, ck elgamal.CommitmentKey, workers int) {
 	m := len(man.Options)
-	// Structural pass: an opening with valid coordinates contributes one
-	// statement per column.
-	valid := make([]bool, len(result.Openings))
-	type ref struct{ oi, col int }
-	var refs []ref
-	for oi := range result.Openings {
-		o := &result.Openings[oi]
-		if o.Serial == 0 || o.Serial > uint64(man.NumBallots) || o.Part > 1 || o.Row >= m || o.Row < 0 {
-			continue
-		}
-		valid[oi] = true
-		for col := 0; col < m; col++ {
-			refs = append(refs, ref{oi, col})
-		}
-	}
 	at := func(i int) (elgamal.Ciphertext, *big.Int, *big.Int) {
-		o := &result.Openings[refs[i].oi]
-		col := refs[i].col
+		o, col := &result.Openings[i/m], i%m
 		return init.Ballots[o.Serial-1].Parts[o.Part][o.Row].Commitment[col], o.Ms[col], o.Rs[col]
 	}
-	bad := verifyEach(ck, workers, len(refs),
+	bad := verifyEach(ck, workers, len(result.Openings)*m,
 		func(b *zkp.Batch, i int) { b.AddOpening(at(i)) },
 		func(i int) bool { return ck.VerifyOpening(at(i)) })
-
-	next := 0 // refs and openings advance together, in board order
 	for oi := range result.Openings {
 		o := &result.Openings[oi]
 		rep.OpeningsChecked++
-		if !valid[oi] {
-			rep.failf("opening with invalid coordinates (%d,%d,%d)", o.Serial, o.Part, o.Row)
-			continue
-		}
 		matches := true
-		for col := 0; col < m; col, next = col+1, next+1 {
-			if bad[next] {
+		for col := 0; col < m; col++ {
+			if bad[oi*m+col] {
 				rep.failf("opening (%d,%d,%d) col %d does not match commitment", o.Serial, o.Part, o.Row, col)
 				matches = false
 			}
@@ -324,27 +332,12 @@ func auditOpenings(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Re
 }
 
 // auditProofs runs check (e): every published proof verifies under the
-// voter-coin challenge.
+// voter-coin challenge. Proof pi contributes m bit-proof statements and, as
+// column m, its sum proof: statements pi·(m+1) … pi·(m+1)+m.
 func auditProofs(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Result, ck elgamal.CommitmentKey, master []byte, workers int) {
 	m := len(man.Options)
-	// A proof row with valid coordinates contributes m bit-proof
-	// statements and, as column m, its sum proof.
-	valid := make([]bool, len(result.Proofs))
-	type ref struct{ pi, col int }
-	var refs []ref
-	for pi := range result.Proofs {
-		p := &result.Proofs[pi]
-		if p.Serial == 0 || p.Serial > uint64(man.NumBallots) || p.Part > 1 || p.Row >= m || p.Row < 0 {
-			continue
-		}
-		valid[pi] = true
-		for col := 0; col <= m; col++ {
-			refs = append(refs, ref{pi, col})
-		}
-	}
 	at := func(i int) (*bb.ProvenRow, *ea.BBRow, int, *big.Int) {
-		p := &result.Proofs[refs[i].pi]
-		col := refs[i].col
+		p, col := &result.Proofs[i/(m+1)], i%(m+1)
 		challengeCol := col
 		if col == m {
 			challengeCol = zkp.SumProofCol
@@ -352,7 +345,7 @@ func auditProofs(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Resu
 		return p, &init.Ballots[p.Serial-1].Parts[p.Part][p.Row], col,
 			zkp.DeriveChallenge(master, p.Serial, p.Part, p.Row, challengeCol)
 	}
-	bad := verifyEach(ck, workers, len(refs),
+	bad := verifyEach(ck, workers, len(result.Proofs)*(m+1),
 		func(b *zkp.Batch, i int) {
 			p, row, col, c := at(i)
 			if col < m {
@@ -368,24 +361,14 @@ func auditProofs(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Resu
 			}
 			return zkp.VerifySum(ck, row.Commitment, 1, row.SumCommit, p.Sum, c)
 		})
-
-	next := 0
-	for pi := range result.Proofs {
-		p := &result.Proofs[pi]
-		if !valid[pi] {
-			rep.failf("proof with invalid coordinates (%d,%d,%d)", p.Serial, p.Part, p.Row)
-			continue
-		}
-		for col := 0; col <= m; col, next = col+1, next+1 {
-			rep.ProofsChecked++
-			if !bad[next] {
-				continue
-			}
-			if col < m {
-				rep.failf("bit proof (%d,%d,%d) col %d invalid", p.Serial, p.Part, p.Row, col)
-			} else {
-				rep.failf("sum proof (%d,%d,%d) invalid", p.Serial, p.Part, p.Row)
-			}
+	for i, failed := range bad {
+		rep.ProofsChecked++
+		switch p, col := &result.Proofs[i/(m+1)], i%(m+1); {
+		case !failed:
+		case col < m:
+			rep.failf("bit proof (%d,%d,%d) col %d invalid", p.Serial, p.Part, p.Row, col)
+		default:
+			rep.failf("sum proof (%d,%d,%d) invalid", p.Serial, p.Part, p.Row)
 		}
 	}
 }

@@ -171,21 +171,32 @@ func TestDetectsLyingMinorityTransparently(t *testing.T) {
 	}
 }
 
-// tamperedBoard serves an honest node's board with its Result and Init
+// tamperedBoard serves an honest node's board with some artefacts
 // replaced: what an auditor reads when every BB replica it reaches lies.
 type tamperedBoard struct {
 	bb.API
 	result *bb.Result
 	init   *ea.BBInit
+	cast   *bb.CastData
 }
 
-func (b tamperedBoard) Result() (*bb.Result, error) { return b.result, nil }
-func (b tamperedBoard) Init() (*ea.BBInit, error)   { return b.init, nil }
+func (b tamperedBoard) Read(kind bb.Kind) ([]byte, error) {
+	switch {
+	case kind == bb.KindResult && b.result != nil:
+		return bb.EncodeResult(b.result), nil
+	case kind == bb.KindInit && b.init != nil:
+		return bb.EncodeInit(b.init), nil
+	case kind == bb.KindCast && b.cast != nil:
+		return bb.EncodeCast(b.cast), nil
+	}
+	return b.API.Read(kind)
+}
 
 // TestMalformedBoardFailsReportWithoutPanic feeds the auditor results a
-// hostile board could serve — nil scalars (gob decodes an absent field to a
-// nil pointer), short slices, coordinates past the init data — and expects
-// a failed report every time, never a panic.
+// hostile board could serve — scalars with no valid encoding (what a nil
+// scalar encodes as, so the majority's bytes do not decode), short slices,
+// coordinates past the init data — and expects a failed report every time,
+// never a panic.
 func TestMalformedBoardFailsReportWithoutPanic(t *testing.T) {
 	cluster, _, _ := election(t, []int{0, 1, -1})
 	honest := cluster.BBs[0]
@@ -254,5 +265,48 @@ func TestMalformedBoardFailsReportWithoutPanic(t *testing.T) {
 	reader := bb.NewReader([]bb.API{tamperedBoard{API: honest, result: clone(), init: &init}})
 	if rep, err := auditor.Audit(reader, nil); err != nil || !rep.OK() {
 		t.Fatalf("control: err=%v report=%+v", err, rep)
+	}
+}
+
+// TestHostileDelegationsFailWithoutPanic feeds the delegated check (g)
+// packages and boards that used to index past their ends: cast data with
+// codes for fewer ballots than the manifest, a package naming part 2, a
+// package for serial 0. Each must end in a failure line, never a panic.
+func TestHostileDelegationsFailWithoutPanic(t *testing.T) {
+	cluster, data, _ := election(t, []int{0, 1, -1})
+	honest := cluster.BBs[0]
+	goodCast, err := honest.Cast()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := data.Ballots[len(data.Ballots)-1]
+	cases := map[string]struct {
+		pkg  func() *ballot.AuditPackage
+		cast *bb.CastData
+	}{
+		"short Codes": {
+			pkg: last.AbstainAuditPackage,
+			cast: &bb.CastData{VoteSet: goodCast.VoteSet, Codes: goodCast.Codes[:len(goodCast.Codes)-1],
+				Marks: goodCast.Marks, Coins: goodCast.Coins},
+		},
+		"UnusedPartID 2": {pkg: func() *ballot.AuditPackage {
+			pkg := last.AbstainAuditPackage()
+			pkg.UnusedPartID = 2
+			return pkg
+		}},
+		"serial 0": {pkg: func() *ballot.AuditPackage {
+			pkg := last.AbstainAuditPackage()
+			pkg.Serial = 0
+			return pkg
+		}},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			reader := bb.NewReader([]bb.API{tamperedBoard{API: honest, cast: c.cast}})
+			rep, err := auditor.Audit(reader, []*ballot.AuditPackage{c.pkg()})
+			if err == nil && rep.OK() {
+				t.Fatal("hostile delegation audited clean")
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package bb_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -170,7 +171,7 @@ func TestReaderFailsWithoutMajority(t *testing.T) {
 }
 
 func TestByzantineTrusteeSubsetSearch(t *testing.T) {
-	cluster, _ := pipeline(t, []int{1, 1, 0}, ddcore.Options{
+	cluster, data := pipeline(t, []int{1, 1, 0}, ddcore.Options{
 		ByzantineTrustees: map[int]trustee.Byzantine{0: trustee.GarbageShares},
 	})
 	res, err := cluster.Reader.Result()
@@ -180,12 +181,29 @@ func TestByzantineTrusteeSubsetSearch(t *testing.T) {
 	if res.Counts[0] != 1 || res.Counts[1] != 2 {
 		t.Fatalf("counts %v despite honest trustee quorum", res.Counts)
 	}
-	// The surviving combination must not include the garbage trustee
-	// (share index 1).
-	for _, idx := range res.Trustees {
-		if idx == 1 {
-			t.Fatal("result combined from the Byzantine trustee's shares")
+	// The surviving combination carries no trace of the garbage trustee's
+	// shares: its bytes are what the two honest trustees alone publish.
+	got, err := cluster.Reader.Read(bb.KindResult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := bb.NewNode(data.BB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedBBState(t, cluster, clean)
+	for _, p := range honestPosts(t, cluster.Reader, data, 3)[1:] {
+		if err := clean.SubmitTrusteePost(p); err != nil {
+			t.Fatal(err)
 		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := clean.WaitResult(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := clean.Read(bb.KindResult); !bytes.Equal(got, want) {
+		t.Fatal("result published beside a garbage trustee differs from a clean run's")
 	}
 }
 

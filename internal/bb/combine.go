@@ -10,6 +10,7 @@ import (
 	"ddemos/internal/crypto/shamir"
 	"ddemos/internal/crypto/zkp"
 	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/parallel"
 )
 
@@ -218,11 +219,12 @@ func (n *Node) combineWorker() {
 		n.metrics.CombineAttempts.Add(1)
 		n.metrics.CombineNanos.Add(time.Since(start).Nanoseconds())
 
-		n.mu.Lock()
 		if res != nil {
+			rec := encode(journal.Header(bbRecResult, 0), res, (*coder).result) // encoded once, off-lock
+			n.mu.Lock()
 			installed := false
 			if n.result == nil && !n.closed {
-				n.result = res
+				n.result, n.resultRec = res, rec
 				installed = true
 			}
 			n.combineRunning = false
@@ -232,12 +234,15 @@ func (n *Node) combineWorker() {
 				// install, then append (off-lock — snapshots capture under
 				// n.mu), then release WaitResult waiters. A waiter that saw
 				// the publish can therefore immediately hard-stop the node
-				// and still find the result record on disk.
-				n.journalResult(res)
+				// and still find the result record on disk. The append is
+				// best-effort: there is no ack to refuse, and a lost record
+				// is re-derived after recovery by recombining the posts.
+				_ = n.journalAppend(rec)
 				close(n.resultCh)
 			}
 			return
 		}
+		n.mu.Lock()
 		progress := false
 		var fresh [][]byte
 		for _, t := range blamed {
@@ -389,10 +394,9 @@ func (n *Node) combineAttempt(env *combineEnv, cands []*TrusteePost) (*Result, [
 
 	// Stage D: everything verified; the counts are the tally opening.
 	res := &Result{
-		Counts:   make([]int64, env.m),
-		TallyMs:  make([]*big.Int, env.m),
-		TallyRs:  make([]*big.Int, env.m),
-		Trustees: shareIndices(subset),
+		Counts:  make([]int64, env.m),
+		TallyMs: make([]*big.Int, env.m),
+		TallyRs: make([]*big.Int, env.m),
 	}
 	for j := 0; j < env.m; j++ {
 		if env.agg == nil {

@@ -242,13 +242,11 @@ func TestBadSharesFallBackOncePerAttempt(t *testing.T) {
 	}
 }
 
-// canonicalResult renders everything subset-independent about a Result.
-// The commitments are perfectly binding, so honest nodes must agree on all
-// of it no matter which trustee subsets their combines used.
+// canonicalResult is a Result's encoding. The commitments are perfectly
+// binding, so honest nodes must publish the same bytes no matter which
+// trustee subsets their combines used.
 func canonicalResult(res *bb.Result) string {
-	c := *res
-	c.Trustees = nil
-	return fmt.Sprintf("%v", c)
+	return string(bb.EncodeResult(res))
 }
 
 // TestByzantineTrusteeSweep drives 100 seeded publish phases against fresh

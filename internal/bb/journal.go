@@ -1,17 +1,11 @@
 package bb
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"math/big"
 	"sort"
 
-	"ddemos/internal/crypto/group"
 	"ddemos/internal/journal"
-	"ddemos/internal/vc"
 )
 
 // This file is the durable-runtime-state layer of a BB replica, built on the
@@ -36,24 +30,29 @@ import (
 // recovery by recombining the journaled posts, and the perfectly-binding
 // commitments make that recombination canonical (see combine.go).
 //
-// Record kinds (payload layout, big-endian; "bytes" = u32 length prefix):
+// Record kinds (payload layout, big-endian; "bytes" = u32 length prefix,
+// codec.go the board encodings):
 //
-//	set:    kind u8 | vcIndex u64 | count u32 | { serial u64 | code bytes }*
-//	share:  kind u8 | index u64   | value bytes
-//	post:   kind u8 | trustee u64 | gob(TrusteePost) bytes
-//	blame:  kind u8 | trustee u64
-//	result: kind u8 | 0 u64       | gob(Result) bytes
+//	set:    0x11 | vcIndex u64 | vote set encoding (count u32 | { serial u64 | code bytes }*)
+//	blame:  0x14 | trustee u64
+//	post:   0x16 | trustee u64 | trustee post encoding, signature included
+//	result: 0x17 | 0 u64       | result encoding
+//	share:  0x18 | index u64   | master-key share encoding, signature included
 //
 // Every record opens with `kind u8 | key u64`, the journal's routing rule;
 // laneState mirrors it through journal.KeyLane. Kinds start at 0x11 to stay
 // disjoint from the VC's record kinds (1..7), so a VC directory mistakenly
-// opened by a BB node fails loudly at replay.
+// opened by a BB node fails loudly at replay. 0x12, 0x13 and 0x15 held bare
+// share values and gob posts and results before the board encoding; a
+// directory holding them is refused like any unknown kind — a BB journal is
+// one election's runtime state, not an archive that outlives the binary that
+// wrote it.
 const (
-	bbRecSet byte = iota + 0x11
-	bbRecShare
-	bbRecPost
-	bbRecBlame
-	bbRecResult
+	bbRecSet    byte = 0x11
+	bbRecBlame  byte = 0x14
+	bbRecPost   byte = 0x16
+	bbRecResult byte = 0x17
+	bbRecShare  byte = 0x18
 )
 
 // errBadBBRecord wraps journal decode failures (CRC passed but the payload
@@ -63,48 +62,8 @@ var errBadBBRecord = errors.New("bb: malformed journal record")
 // ErrClosed is returned by write paths after Close.
 var ErrClosed = errors.New("bb: node closed")
 
-// --- record encoding -------------------------------------------------------
-
-func encBBSet(vcIndex int, set []vc.VotedBallot) []byte {
-	dst := journal.Header(bbRecSet, uint64(vcIndex))           //nolint:gosec // validated index
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(set))) //nolint:gosec // protocol-bounded
-	for _, vb := range set {
-		dst = binary.BigEndian.AppendUint64(dst, vb.Serial)
-		dst = journal.AppendBytes(dst, vb.Code)
-	}
-	return dst
-}
-
-func encBBShare(index uint32, value *big.Int) []byte {
-	dst := journal.Header(bbRecShare, uint64(index))
-	return journal.AppendBytes(dst, group.ScalarBytes(value))
-}
-
-// encBBPost gob-encodes the post. Gob is canonical here: TrusteePost holds
-// no maps, big.Int marshals by value (sign + magnitude, normalized on
-// decode), and nil/empty slices collapse to the same omitted zero field —
-// so encode(decode(encode(p))) == encode(p), which is what makes recovery a
-// StateHash fixpoint.
-func encBBPost(p *TrusteePost) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, err
-	}
-	dst := journal.Header(bbRecPost, uint64(p.Trustee)) //nolint:gosec // validated index
-	return journal.AppendBytes(dst, buf.Bytes()), nil
-}
-
 func encBBBlame(trustee int) []byte {
 	return journal.Header(bbRecBlame, uint64(trustee)) //nolint:gosec // validated index
-}
-
-func encBBResult(res *Result) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(res); err != nil {
-		return nil, err
-	}
-	dst := journal.Header(bbRecResult, 0)
-	return journal.AppendBytes(dst, buf.Bytes()), nil
 }
 
 // --- node recovery ---------------------------------------------------------
@@ -155,142 +114,67 @@ func (n *Node) RecoverBackend(j journal.Backend, policy journal.AckPolicy) error
 // applyJournalRecord applies one persisted transition. Records are monotone
 // first-wins facts, so application is idempotent and order-independent —
 // snapshot/log overlap and duplicate retry appends are no-ops. Signatures
-// verified before a record was logged are not re-verified; structural shape
-// is, because a panic on hostile bytes is worse than a refused recovery.
+// verified before a record was logged are not re-verified; structure is,
+// because a panic on hostile bytes is worse than a refused recovery. The
+// node keeps its own copy of each record: replay reuses its buffer.
 func (n *Node) applyJournalRecord(payload []byte) error {
 	man := &n.init.Manifest
-	d := &journal.Dec{Buf: payload}
+	rec := append([]byte(nil), payload...)
+	d := &journal.Dec{Buf: rec}
 	kind := d.U8()
 	key := d.U64()
+	if d.Bad {
+		return errBadBBRecord
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	switch kind {
 	case bbRecSet:
-		cnt := d.U32()
-		if d.Bad || key >= uint64(man.NumVC) || uint64(cnt) > uint64(man.NumBallots) {
+		set, err := decode(KindVoteSet, d.Buf, (*coder).voteSet)
+		if err != nil || key >= uint64(man.NumVC) || checkSet(man, set) != nil {
 			return errBadBBRecord
 		}
-		set := make([]vc.VotedBallot, 0, cnt)
-		for i := uint32(0); i < cnt; i++ {
-			set = append(set, vc.VotedBallot{Serial: d.U64(), Code: d.Bytes()})
-		}
-		if d.Bad || len(d.Buf) != 0 {
-			return errBadBBRecord
-		}
-		vcIndex := int(key) //nolint:gosec // bounds-checked
-		n.mu.Lock()
-		if _, ok := n.setSubs[vcIndex]; !ok {
-			n.setSubs[vcIndex] = set
-		}
-		n.setDurable[vcIndex] = true
-		n.mu.Unlock()
+		replayed(n.setRecs, int(key), rec) //nolint:gosec // bounds-checked
 	case bbRecShare:
-		value := d.Bytes()
-		if d.Bad || len(d.Buf) != 0 || key == 0 || key > uint64(man.NumVC) {
+		s, err := decode(KindMskShare, d.Buf, (*coder).mskShare)
+		if err != nil || s.Index == 0 || int(s.Index) > man.NumVC || uint64(s.Index) != key {
 			return errBadBBRecord
 		}
-		v, err := group.DecodeScalar(value)
-		if err != nil {
-			return fmt.Errorf("%w: share value: %v", errBadBBRecord, err)
+		if n.shareRecs[s.Index] == nil {
+			n.mskShares[s.Index] = s.Value
 		}
-		index := uint32(key) //nolint:gosec // bounds-checked
-		n.mu.Lock()
-		if _, ok := n.mskShares[index]; !ok {
-			n.mskShares[index] = v
-		}
-		n.shareDurable[index] = true
-		n.mu.Unlock()
+		replayed(n.shareRecs, s.Index, rec)
 	case bbRecPost:
-		blob := d.Bytes()
-		if d.Bad || len(d.Buf) != 0 {
-			return errBadBBRecord
-		}
-		p := new(TrusteePost)
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(p); err != nil {
+		p, _, err := decodeTrusteePost(d.Buf)
+		if err != nil {
 			return fmt.Errorf("%w: trustee post: %v", errBadBBRecord, err)
 		}
-		if p.Trustee < 0 || p.Trustee >= man.NumTrustees || uint64(p.Trustee) != key ||
-			p.ShareIndex != uint32(p.Trustee)+1 { //nolint:gosec // bounds-checked
-			return errBadBBRecord
+		if err := checkPost(man, p); err != nil || uint64(p.Trustee) != key { //nolint:gosec // checked
+			return fmt.Errorf("%w: trustee post under key %d", errBadBBRecord, key)
 		}
-		if err := validatePostScalars(p, len(man.Options)); err != nil {
-			return fmt.Errorf("%w: trustee post: %v", errBadBBRecord, err)
-		}
-		hash := HashPost(man.ElectionID, p)
-		n.mu.Lock()
-		if _, ok := n.posts[p.Trustee]; !ok {
+		if n.postRecs[p.Trustee] == nil {
 			n.posts[p.Trustee] = p
-			n.postHash[p.Trustee] = hash
 		}
-		n.postDurable[p.Trustee] = true
-		n.mu.Unlock()
+		replayed(n.postRecs, p.Trustee, rec)
 	case bbRecBlame:
-		if d.Bad || len(d.Buf) != 0 || key >= uint64(man.NumTrustees) {
+		if len(d.Buf) != 0 || key >= uint64(man.NumTrustees) {
 			return errBadBBRecord
 		}
-		n.mu.Lock()
 		n.badPosts[int(key)] = true //nolint:gosec // bounds-checked
-		n.mu.Unlock()
 	case bbRecResult:
-		blob := d.Bytes()
-		if d.Bad || len(d.Buf) != 0 || key != 0 {
+		res, err := decode(KindResult, d.Buf, (*coder).result)
+		if err != nil || key != 0 {
 			return errBadBBRecord
 		}
-		res := new(Result)
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(res); err != nil {
+		if err := ValidateResultShape(&res, len(man.Options)); err != nil {
 			return fmt.Errorf("%w: result: %v", errBadBBRecord, err)
 		}
-		if err := ValidateResultShape(res, len(man.Options)); err != nil {
-			return fmt.Errorf("%w: result: %v", errBadBBRecord, err)
-		}
-		n.mu.Lock()
 		if n.result == nil {
-			n.result = res
+			n.result, n.resultRec = &res, rec
 			close(n.resultCh)
 		}
-		n.resultDurable = true
-		n.mu.Unlock()
 	default:
-		return fmt.Errorf("%w: unknown kind %d", errBadBBRecord, kind)
-	}
-	return nil
-}
-
-// ValidateResultShape rejects a Result — replayed from a journal, or read
-// off a board by an auditor — whose scalar slices could panic its consumers
-// (gob decodes absent fields to nil pointers).
-func ValidateResultShape(res *Result, m int) error {
-	if len(res.Counts) != m || len(res.TallyMs) != m || len(res.TallyRs) != m {
-		return errors.New("tally arity")
-	}
-	for j := 0; j < m; j++ {
-		if res.TallyMs[j] == nil || res.TallyRs[j] == nil {
-			return errors.New("nil tally opening")
-		}
-	}
-	for i := range res.Openings {
-		o := &res.Openings[i]
-		if len(o.Ms) != m || len(o.Rs) != m {
-			return errors.New("opening arity")
-		}
-		for j := 0; j < m; j++ {
-			if o.Ms[j] == nil || o.Rs[j] == nil {
-				return errors.New("nil opening")
-			}
-		}
-	}
-	for i := range res.Proofs {
-		pf := &res.Proofs[i]
-		if len(pf.Bits) != m {
-			return errors.New("proof arity")
-		}
-		for j := range pf.Bits {
-			b := &pf.Bits[j]
-			if b.C0 == nil || b.C1 == nil || b.Z0 == nil || b.Z1 == nil {
-				return errors.New("nil bit final")
-			}
-		}
-		if pf.Sum.Z == nil {
-			return errors.New("nil sum final")
-		}
+		return fmt.Errorf("%w: unknown kind %#x", errBadBBRecord, kind)
 	}
 	return nil
 }
@@ -305,25 +189,11 @@ func ValidateResultShape(res *Result, m int) error {
 // same state the live node had, whatever order records were appended in.
 // Caller holds n.mu.
 func (n *Node) finishRecoveryLocked() {
-	man := &n.init.Manifest
-	if !n.haveSet {
-		need := man.FaultyVC() + 1
-		idxs := make([]int, 0, len(n.setSubs))
-		for i := range n.setSubs {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		for _, i := range idxs {
-			set := n.setSubs[i]
-			count := 0
-			for _, other := range n.setSubs {
-				if voteSetsEqual(set, other) {
-					count++
-				}
-			}
-			if count >= need {
-				n.voteSet = set
-				n.haveSet = true
+	if n.setBytes == nil {
+		for _, it := range n.setRecs {
+			if set := it.rec[journal.HeaderLen:]; n.quorumLocked(set) {
+				n.voteSet, _ = decode(KindVoteSet, set, (*coder).voteSet) // validated at replay
+				n.setBytes = set
 				break
 			}
 		}
@@ -344,8 +214,7 @@ func (n *Node) finishRecoveryLocked() {
 		}
 		if idx == nil {
 			delete(n.posts, t)
-			delete(n.postHash, t)
-			delete(n.postDurable, t)
+			delete(n.postRecs, t)
 			continue
 		}
 		n.shareIdx[t] = idx
@@ -353,13 +222,6 @@ func (n *Node) finishRecoveryLocked() {
 }
 
 // --- journaling hooks ------------------------------------------------------
-
-// journaled reports whether a journal is attached (false after Close).
-func (n *Node) journaled() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.journal != nil
-}
 
 // strictJournal reports whether a journal failure must refuse the dependent
 // submission ack.
@@ -382,44 +244,42 @@ func (n *Node) journalAppend(recs ...[]byte) error {
 	return journal.Log(j, &n.metrics.Counters, n.laneState, recs)
 }
 
-// journalSubmission logs the record behind an already-installed submission
-// and settles the ack under the node's policy: Available counts an append
-// failure and acks from memory; Strict refuses the ack, leaving the
+// accepted is one accepted submission: its journal record, kept as
+// encoded, and whether that record is known to be durable.
+type accepted struct {
+	rec     []byte
+	durable bool
+}
+
+// replayed installs a replayed record under k (first wins) as durable.
+func replayed[K comparable](m map[K]*accepted, k K, rec []byte) {
+	if m[k] == nil {
+		m[k] = &accepted{rec: rec}
+	}
+	m[k].durable = true
+}
+
+// settleLocked journals an accepted item's record unless it is durable
+// already, and settles the ack under the node's policy: Available counts an
+// append failure and acks from memory; Strict refuses the ack, leaving the
 // duplicate fast path to re-attempt the append when the submitter retries.
-// mark runs under n.mu once the record is durable (it sets the per-item
-// durable flag the fast path consults).
-func (n *Node) journalSubmission(rec []byte, mark func()) error {
-	if err := n.journalAppend(rec); err != nil {
+// Called with n.mu held; releases it before appending.
+func (n *Node) settleLocked(it *accepted) error {
+	done := n.journal == nil || it.durable
+	n.mu.Unlock()
+	if done {
+		return nil
+	}
+	if err := n.journalAppend(it.rec); err != nil {
 		if n.strictJournal() {
 			return fmt.Errorf("bb: submission accepted but not journaled under strict policy: %w", err)
 		}
 		return nil
 	}
 	n.mu.Lock()
-	mark()
+	it.durable = true
 	n.mu.Unlock()
 	return nil
-}
-
-// journalResult makes an installed Result durable. Best-effort by design:
-// Strict governs submission acks, not installs — there is no ack to refuse
-// here, and a lost result record is re-derived after recovery by
-// recombining the journaled posts (canonically, since the commitments are
-// perfectly binding).
-func (n *Node) journalResult(res *Result) {
-	if !n.journaled() {
-		return
-	}
-	rec, err := encBBResult(res)
-	if err != nil {
-		n.metrics.JournalErrors.Add(1)
-		return
-	}
-	if n.journalAppend(rec) == nil {
-		n.mu.Lock()
-		n.resultDurable = true
-		n.mu.Unlock()
-	}
 }
 
 // Close marks the node stopped and closes its journal, flushing buffered
@@ -461,38 +321,26 @@ func laneKeys[K ~int | ~uint32, V any](m map[K]V, lane, lanes int) []K {
 // laneState is the node's StateSource: lane's share of the runtime state as
 // journal records, routed by each record's key through the same hash the
 // engine applied to the appends; (0, 1) is the whole state, the basis of
-// StateHash. Deterministic: every map walks in sorted key order.
-// Unencodable entries (cannot happen for state that came through ingress or
-// replay; defensive) are skipped and counted — the corresponding WAL records
-// then simply survive in their sealed segment.
+// StateHash. Deterministic: every map walks in sorted key order, and every
+// record but a blame is the one the node kept when it accepted the item.
 func (n *Node) laneState(lane, lanes int) [][]byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var out [][]byte
-	for _, i := range laneKeys(n.setSubs, lane, lanes) {
-		out = append(out, encBBSet(i, n.setSubs[i]))
+	for _, i := range laneKeys(n.setRecs, lane, lanes) {
+		out = append(out, n.setRecs[i].rec)
 	}
-	for _, idx := range laneKeys(n.mskShares, lane, lanes) {
-		out = append(out, encBBShare(idx, n.mskShares[idx]))
+	for _, idx := range laneKeys(n.shareRecs, lane, lanes) {
+		out = append(out, n.shareRecs[idx].rec)
 	}
-	for _, t := range laneKeys(n.posts, lane, lanes) {
-		rec, err := encBBPost(n.posts[t])
-		if err != nil {
-			n.metrics.JournalErrors.Add(1)
-			continue
-		}
-		out = append(out, rec)
+	for _, t := range laneKeys(n.postRecs, lane, lanes) {
+		out = append(out, n.postRecs[t].rec)
 	}
 	for _, t := range laneKeys(n.badPosts, lane, lanes) {
 		out = append(out, encBBBlame(t))
 	}
-	if n.result != nil && journal.KeyLane(0, lanes) == lane {
-		rec, err := encBBResult(n.result)
-		if err != nil {
-			n.metrics.JournalErrors.Add(1)
-		} else {
-			out = append(out, rec)
-		}
+	if n.resultRec != nil && journal.KeyLane(0, lanes) == lane {
+		out = append(out, n.resultRec)
 	}
 	return out
 }

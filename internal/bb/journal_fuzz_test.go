@@ -1,7 +1,9 @@
 package bb
 
 import (
+	"fmt"
 	"math/big"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,24 +19,28 @@ var (
 	fuzzInitErr  error
 )
 
-// fuzzBBInit builds one tiny election's BB init data, shared across fuzz
-// iterations (EA setup does real EC math; doing it per input would starve
-// the fuzzer).
+// FuzzElectionParams is the one-ballot election the journal and board fuzz
+// targets run against; the corpus generator (TestRegenerateFuzzCorpus)
+// runs it end to end for real records and artefacts.
+var FuzzElectionParams = ea.Params{
+	ElectionID:  "bb-journal-fuzz",
+	Options:     []string{"x", "y"},
+	NumBallots:  1,
+	NumVC:       4,
+	NumBB:       1,
+	NumTrustees: 1,
+	VotingStart: time.Date(2026, 6, 10, 8, 0, 0, 0, time.UTC),
+	VotingEnd:   time.Date(2026, 6, 10, 9, 0, 0, 0, time.UTC),
+	Seed:        []byte("bb-journal-fuzz"),
+}
+
+// fuzzBBInit builds the fuzz election's BB init data once, shared across
+// fuzz iterations (EA setup does real EC math; doing it per input would
+// starve the fuzzer).
 func fuzzBBInit(tb testing.TB) *ea.BBInit {
 	tb.Helper()
 	fuzzInitOnce.Do(func() {
-		start := time.Date(2026, 6, 10, 8, 0, 0, 0, time.UTC)
-		data, err := ea.Setup(ea.Params{
-			ElectionID:  "bb-journal-fuzz",
-			Options:     []string{"x", "y"},
-			NumBallots:  1,
-			NumVC:       4,
-			NumBB:       1,
-			NumTrustees: 1,
-			VotingStart: start,
-			VotingEnd:   start.Add(time.Hour),
-			Seed:        []byte("bb-journal-fuzz"),
-		})
+		data, err := ea.Setup(FuzzElectionParams)
 		if err != nil {
 			fuzzInitErr = err
 			return
@@ -59,23 +65,17 @@ func FuzzBBJournalReplay(f *testing.F) {
 		TallyMs:    []*big.Int{big.NewInt(1), big.NewInt(2)},
 		TallyRs:    []*big.Int{big.NewInt(3), big.NewInt(4)},
 	}
-	postRec, err := encBBPost(post)
-	if err != nil {
-		f.Fatal(err)
-	}
-	resRec, err := encBBResult(&Result{
+	result := &Result{
 		Counts:  []int64{1, 0},
 		TallyMs: []*big.Int{big.NewInt(1), big.NewInt(0)},
 		TallyRs: []*big.Int{big.NewInt(2), big.NewInt(0)},
-	})
-	if err != nil {
-		f.Fatal(err)
 	}
-	f.Add(encBBSet(0, []vc.VotedBallot{{Serial: 1, Code: []byte("code")}}))
-	f.Add(encBBShare(1, big.NewInt(42)))
+	set := []vc.VotedBallot{{Serial: 1, Code: []byte("code")}}
+	f.Add(append(journal.Header(bbRecSet, 0), EncodeVoteSet(set)...))
+	f.Add(append(journal.Header(bbRecShare, 1), EncodeMskShare(ea.MskShare{Index: 1, Value: big.NewInt(42)})...))
 	f.Add(encBBBlame(0))
-	f.Add(postRec)
-	f.Add(resRec)
+	f.Add(append(journal.Header(bbRecPost, 0), EncodeTrusteePost(post)...))
+	f.Add(append(journal.Header(bbRecResult, 0), EncodeResult(result)...))
 	f.Add([]byte{})
 	f.Add([]byte{bbRecResult, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1})
 
@@ -111,4 +111,25 @@ func FuzzBBJournalReplay(f *testing.F) {
 		_ = node.Close()
 		_ = second.Close()
 	})
+}
+
+// TestBBJournalRefusesRetiredKinds pins the journal-kind break: a directory
+// holding the share (0x12), gob post (0x13) or gob result (0x15) records of
+// the board before its canonical encoding fails recovery loudly, naming the
+// kind, with no fallback decoder.
+func TestBBJournalRefusesRetiredKinds(t *testing.T) {
+	for _, kind := range []byte{0x12, 0x13, 0x15} {
+		node, err := NewNode(fuzzBBInit(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := journal.NewMemJournal(journal.Options{})
+		if err := mem.Append([][]byte{journal.AppendBytes(journal.Header(kind, 0), []byte("gob"))}); err != nil {
+			t.Fatal(err)
+		}
+		err = node.RecoverBackend(mem, journal.PolicyAvailable)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", kind)) {
+			t.Fatalf("kind %#x: recovery error = %v, want one naming the kind", kind, err)
+		}
+	}
 }

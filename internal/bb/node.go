@@ -55,37 +55,39 @@ type CastData struct {
 	Coins []byte
 }
 
-// Node is one Bulletin Board replica.
+// Node is one Bulletin Board replica. Every artefact it accepts or
+// publishes is encoded once (codec.go) and kept as its journal record, whose
+// payload is also what Read serves.
 type Node struct {
 	init *ea.BBInit
+	// The manifest's and init data's encodings, computed on first read.
+	manifestBytes, initBytes func() []byte
 
-	mu          sync.Mutex
-	setSubs     map[int][]vc.VotedBallot // per VC index, first signature-verified set (pinned)
-	voteSet     []vc.VotedBallot
-	haveSet     bool
-	mskShares   map[uint32]*big.Int
-	msk         []byte
-	cast        *CastData
-	usedParts   map[uint64]uint8 // serial → validly-used part (§III-H)
+	mu        sync.Mutex
+	setRecs   map[int]*accepted // per VC index, its first signature-verified set (pinned)
+	voteSet   []vc.VotedBallot
+	setBytes  []byte // the agreed set's encoding; nil until fv+1 submissions agree
+	mskShares map[uint32]*big.Int
+	shareRecs map[uint32]*accepted
+	msk       []byte
+	cast      *CastData
+	castBytes []byte
+	usedParts map[uint64]uint8 // serial → validly-used part (§III-H)
+
 	tallyAgg    elgamal.VectorCiphertext
 	tallyAggErr error
 	posts       map[int]*TrusteePost
-	postHash    map[int][32]byte    // per-trustee HashPost of the accepted post (equivocation check)
+	postRecs    map[int]*accepted   // per trustee, its first accepted post (pinned)
 	shareIdx    map[int]*postShares // per-trustee share index, built at ingress
 	badPosts    map[int]bool        // posts identified as bad by the blame protocol
 	result      *Result
+	resultRec   []byte
 	resultCh    chan struct{} // closed when result is installed
 	closed      bool
 
-	// Durability layer (journal.go). The per-item flags record which
-	// accepted submissions have a journal record on disk: Strict-policy
-	// duplicate submissions re-attempt the append until the flag is set.
+	// Durability layer (journal.go).
 	journal       journal.Backend
 	journalPolicy journal.AckPolicy
-	setDurable    map[int]bool
-	shareDurable  map[uint32]bool
-	postDurable   map[int]bool
-	resultDurable bool
 
 	combineRunning bool
 	combinePending bool
@@ -113,19 +115,75 @@ func NewNode(init *ea.BBInit) (*Node, error) {
 		return nil, errors.New("bb: missing init data")
 	}
 	return &Node{
-		init:         init,
-		setSubs:      make(map[int][]vc.VotedBallot),
-		mskShares:    make(map[uint32]*big.Int),
-		posts:        make(map[int]*TrusteePost),
-		postHash:     make(map[int][32]byte),
-		shareIdx:     make(map[int]*postShares),
-		badPosts:     make(map[int]bool),
-		resultCh:     make(chan struct{}),
-		combineCache: make(map[uint64]*combinedBallot),
-		setDurable:   make(map[int]bool),
-		shareDurable: make(map[uint32]bool),
-		postDurable:  make(map[int]bool),
+		init:          init,
+		manifestBytes: sync.OnceValue(func() []byte { return EncodeManifest(&init.Manifest) }),
+		initBytes:     sync.OnceValue(func() []byte { return EncodeInit(init) }),
+		setRecs:       make(map[int]*accepted),
+		mskShares:     make(map[uint32]*big.Int),
+		shareRecs:     make(map[uint32]*accepted),
+		posts:         make(map[int]*TrusteePost),
+		postRecs:      make(map[int]*accepted),
+		shareIdx:      make(map[int]*postShares),
+		badPosts:      make(map[int]bool),
+		resultCh:      make(chan struct{}),
+		combineCache:  make(map[uint64]*combinedBallot),
 	}, nil
+}
+
+// Read serves one artefact's encoding (KindManifest … KindResult): the bytes
+// GET /v1/<kind> returns and the Reader compares. Callers must not modify
+// them. A Lying node serves its forgeries instead.
+func (n *Node) Read(kind Kind) ([]byte, error) {
+	if n.Lying {
+		return n.forged(kind)
+	}
+	switch kind {
+	case KindManifest:
+		return n.manifestBytes(), nil
+	case KindInit:
+		return n.initBytes(), nil
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var b []byte
+	switch kind {
+	case KindVoteSet:
+		b = n.setBytes
+	case KindCast:
+		b = n.castBytes
+	case KindResult:
+		if n.resultRec != nil {
+			b = n.resultRec[journal.HeaderLen:]
+		}
+	default:
+		return nil, fmt.Errorf("bb: %v is not served", kind)
+	}
+	if b == nil {
+		return nil, ErrNotReady
+	}
+	return b, nil
+}
+
+// forged encodes what the typed reads of a Lying node return.
+func (n *Node) forged(kind Kind) ([]byte, error) {
+	switch kind {
+	case KindManifest:
+		m, _ := n.Manifest()
+		return EncodeManifest(&m), nil
+	case KindInit:
+		init, _ := n.Init()
+		return EncodeInit(init), nil
+	case KindVoteSet:
+		set, err := n.VoteSet()
+		return EncodeVoteSet(set), err
+	case KindCast:
+		cast, err := n.Cast()
+		return EncodeCast(cast), err
+	case KindResult:
+		res, err := n.Result()
+		return EncodeResult(res), err
+	}
+	return nil, fmt.Errorf("bb: %v is not served", kind)
 }
 
 // Manifest returns the public election description.
@@ -149,21 +207,80 @@ func (n *Node) Init() (*ea.BBInit, error) {
 	return n.init, nil
 }
 
-// SubmitVoteSet records one VC node's final vote set. The set is accepted
-// and published once fv+1 identical copies arrive (§III-G). The first
+// Submit accepts one encoded submission — KindSetSubmission, KindMskShare or
+// KindTrusteePost, the body of POST /v1/<kind>. Bytes that are not the
+// kind's encoding fail with ErrMalformed; the typed Submit methods encode
+// and call it, so every submission takes the same path.
+func (n *Node) Submit(kind Kind, body []byte) error {
+	switch kind {
+	case KindSetSubmission:
+		return n.acceptSet(body)
+	case KindMskShare:
+		return n.acceptShare(body)
+	case KindTrusteePost:
+		return n.acceptPost(body)
+	}
+	return fmt.Errorf("%w: %v is not a submission", ErrBadSubmission, kind)
+}
+
+// SubmitVoteSet records one VC node's final vote set (see acceptSet).
+func (n *Node) SubmitVoteSet(vcIndex int, set []vc.VotedBallot, sigBytes []byte) error {
+	return n.Submit(KindSetSubmission, EncodeSetSubmission(&VoteSetSubmission{VCIndex: vcIndex, Set: set, Sig: sigBytes}))
+}
+
+// SubmitMskShare records one VC node's master-key share (see acceptShare).
+func (n *Node) SubmitMskShare(share ea.MskShare) error {
+	return n.Submit(KindMskShare, EncodeMskShare(share))
+}
+
+// acceptSet records one VC node's final vote set. The set is accepted and
+// published once fv+1 identical copies arrive (§III-G). The first
 // signature-verified set per VC index is pinned: a later submission with a
 // different set is equivocation and is rejected, so a flip-flopping
 // Byzantine VC cannot retract a submission that already counted toward the
 // fv+1 quorum. On a journaled node the record is appended after the install
 // and before the ack (see journal.go for the ordering argument).
-func (n *Node) SubmitVoteSet(vcIndex int, set []vc.VotedBallot, sigBytes []byte) error {
+func (n *Node) acceptSet(body []byte) error {
+	sub, set, err := decodeSetSubmission(body)
+	if err != nil {
+		return err
+	}
 	man := &n.init.Manifest
+	vcIndex := sub.VCIndex
 	if vcIndex < 0 || vcIndex >= man.NumVC {
 		return fmt.Errorf("%w: vc index %d", ErrBadSubmission, vcIndex)
 	}
-	if !vc.VerifyVoteSetSig(man, vcIndex, set, sigBytes) {
+	if !vc.VerifyVoteSetSig(man, vcIndex, sub.Set, sub.Sig) {
 		return fmt.Errorf("%w: bad vote set signature from vc %d", ErrBadSubmission, vcIndex)
 	}
+	if err := checkSet(man, sub.Set); err != nil {
+		return err
+	}
+	rec := append(journal.Header(bbRecSet, uint64(vcIndex)), set...) //nolint:gosec // validated index
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		return ErrClosed
+	}
+	it := n.setRecs[vcIndex]
+	switch {
+	case it == nil:
+		it = &accepted{rec: rec}
+		n.setRecs[vcIndex] = it
+		if n.setBytes == nil && n.quorumLocked(set) {
+			n.voteSet, n.setBytes = sub.Set, rec[journal.HeaderLen:]
+			n.maybePublishCastLocked()
+		}
+	case !bytes.Equal(it.rec, rec):
+		n.metrics.SetEquivocations.Add(1)
+		n.mu.Unlock()
+		return fmt.Errorf("%w: vc %d equivocated on its vote set", ErrBadSubmission, vcIndex)
+	}
+	return n.settleLocked(it)
+}
+
+// checkSet rejects a vote set with serials out of range or out of order.
+func checkSet(man *ea.Manifest, set []vc.VotedBallot) error {
 	for i := range set {
 		if set[i].Serial == 0 || set[i].Serial > uint64(man.NumBallots) {
 			return fmt.Errorf("%w: serial %d out of range", ErrBadSubmission, set[i].Serial)
@@ -172,66 +289,31 @@ func (n *Node) SubmitVoteSet(vcIndex int, set []vc.VotedBallot, sigBytes []byte)
 			return fmt.Errorf("%w: vote set not sorted", ErrBadSubmission)
 		}
 	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return ErrClosed
-	}
-	if prev, ok := n.setSubs[vcIndex]; ok {
-		if !voteSetsEqual(prev, set) {
-			n.metrics.SetEquivocations.Add(1)
-			n.mu.Unlock()
-			return fmt.Errorf("%w: vc %d equivocated on its vote set", ErrBadSubmission, vcIndex)
-		}
-		needRec := n.journal != nil && !n.setDurable[vcIndex]
-		n.mu.Unlock()
-		if !needRec {
-			return nil
-		}
-		return n.journalSubmission(encBBSet(vcIndex, prev), func() { n.setDurable[vcIndex] = true })
-	}
-	n.setSubs[vcIndex] = set
-	if !n.haveSet {
-		// Count identical submissions.
-		need := man.FaultyVC() + 1
-		count := 0
-		for _, other := range n.setSubs {
-			if voteSetsEqual(set, other) {
-				count++
-			}
-		}
-		if count >= need {
-			n.voteSet = set
-			n.haveSet = true
-			n.maybePublishCastLocked()
-		}
-	}
-	journaled := n.journal != nil
-	n.mu.Unlock()
-	if !journaled {
-		return nil
-	}
-	return n.journalSubmission(encBBSet(vcIndex, set), func() { n.setDurable[vcIndex] = true })
+	return nil
 }
 
-func voteSetsEqual(a, b []vc.VotedBallot) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Serial != b[i].Serial || !bytes.Equal(a[i].Code, b[i].Code) {
-			return false
+// quorumLocked reports whether fv+1 VC nodes submitted the set encoded as
+// set. Caller holds n.mu.
+func (n *Node) quorumLocked(set []byte) bool {
+	count := 0
+	for _, it := range n.setRecs {
+		if bytes.Equal(it.rec[journal.HeaderLen:], set) {
+			count++
 		}
 	}
-	return true
+	return count >= n.init.Manifest.FaultyVC()+1
 }
 
-// SubmitMskShare records one VC node's master-key share; with Nv-fv valid
+// acceptShare records one VC node's master-key share; with Nv-fv valid
 // shares the key is reconstructed and verified against H_msk. On a
 // journaled node the share is appended after the install and before the
 // ack; shares arriving after the key is reconstructed add nothing and are
 // acked without storage.
-func (n *Node) SubmitMskShare(share ea.MskShare) error {
+func (n *Node) acceptShare(body []byte) error {
+	share, err := decode(KindMskShare, body, (*coder).mskShare)
+	if err != nil {
+		return err
+	}
 	man := &n.init.Manifest
 	s := shamir.Share{Index: share.Index, Value: share.Value}
 	if share.Index == 0 || int(share.Index) > man.NumVC ||
@@ -247,24 +329,13 @@ func (n *Node) SubmitMskShare(share ea.MskShare) error {
 		n.mu.Unlock()
 		return nil
 	}
-	if _, dup := n.mskShares[share.Index]; dup {
-		needRec := n.journal != nil && !n.shareDurable[share.Index]
-		n.mu.Unlock()
-		if !needRec {
-			return nil
-		}
-		return n.journalSubmission(encBBShare(share.Index, share.Value),
-			func() { n.shareDurable[share.Index] = true })
+	it := n.shareRecs[share.Index]
+	if it == nil {
+		it = &accepted{rec: append(journal.Header(bbRecShare, uint64(share.Index)), body...)}
+		n.mskShares[share.Index], n.shareRecs[share.Index] = share.Value, it
+		n.tryReconstructMskLocked()
 	}
-	n.mskShares[share.Index] = share.Value
-	n.tryReconstructMskLocked()
-	journaled := n.journal != nil
-	n.mu.Unlock()
-	if !journaled {
-		return nil
-	}
-	return n.journalSubmission(encBBShare(share.Index, share.Value),
-		func() { n.shareDurable[share.Index] = true })
+	return n.settleLocked(it)
 }
 
 // tryReconstructMskLocked attempts master-key reconstruction from the
@@ -306,7 +377,7 @@ func (n *Node) tryReconstructMskLocked() {
 // maybePublishCastLocked decrypts all vote codes and locates the cast ones
 // once both the vote set and the master key are available.
 func (n *Node) maybePublishCastLocked() {
-	if n.cast != nil || !n.haveSet || n.msk == nil {
+	if n.cast != nil || n.setBytes == nil || n.msk == nil {
 		return
 	}
 	man := &n.init.Manifest
@@ -350,7 +421,7 @@ func (n *Node) maybePublishCastLocked() {
 	// retries under Byzantine posts) never recompute the ciphertext sum.
 	n.usedParts = UsedParts(man.MaxSelections, cast.Marks)
 	n.tallyAgg, n.tallyAggErr = castTallyAggregate(n.init.Ballots, cast.Marks, n.usedParts)
-	n.cast = cast
+	n.cast, n.castBytes = cast, EncodeCast(cast)
 }
 
 // UsedParts maps each validly-voted serial to its used part, applying the
@@ -415,7 +486,7 @@ func castTallyAggregate(ballots []ea.BBBallot, marks []CastMark, used map[uint64
 func (n *Node) VoteSet() ([]vc.VotedBallot, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.haveSet {
+	if n.setBytes == nil {
 		return nil, ErrNotReady
 	}
 	if n.Lying {

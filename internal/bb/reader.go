@@ -1,27 +1,25 @@
 package bb
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"errors"
-	"fmt"
-	"reflect"
-	"sync/atomic"
 
 	"ddemos/internal/ea"
 	"ddemos/internal/vc"
 )
 
-// API is the Bulletin Board read interface, implemented by local nodes and
-// by the HTTP client in cmd/. All methods are read-only and anonymous.
+// API is one Bulletin Board replica as a reader sees it: the encoded
+// artefacts it serves (codec.go). Node implements it; so do ReadFunc
+// adapters such as the HTTP client's view and forwarding handles.
 type API interface {
-	Manifest() (ea.Manifest, error)
-	Init() (*ea.BBInit, error)
-	VoteSet() ([]vc.VotedBallot, error)
-	Cast() (*CastData, error)
-	Result() (*Result, error)
+	Read(kind Kind) ([]byte, error)
 }
+
+// ReadFunc adapts a function to API.
+type ReadFunc func(kind Kind) ([]byte, error)
+
+// Read implements API.
+func (f ReadFunc) Read(kind Kind) ([]byte, error) { return f(kind) }
 
 var _ API = (*Node)(nil)
 
@@ -44,114 +42,67 @@ func NewReader(nodes []API) *Reader {
 	return &Reader{nodes: nodes, need: fb + 1}
 }
 
-// majority returns the first reply that gathers `need` matches.
-func majority[T any](r *Reader, fetch func(API) (T, error)) (T, error) {
-	return majorityBy(r, fetch, func(v T) any { return v })
-}
-
-// majorityBy is majority with a normalization hook: replies are compared by
-// canon(reply), so per-node provenance that honest replicas legitimately
-// disagree on (e.g. which trustee subset produced a Result) does not break
-// the vote. The returned value is one of the agreeing replies, provenance
-// intact.
-//
-// Replies are bucketed by a canonical-encoding digest, NOT by
-// reflect.DeepEqual: replies reach the reader both in-process and
-// gob-decoded over HTTP, and big.Int's internal representation is not
-// canonical across that boundary (a decoded zero and new(big.Int) differ in
-// abs nil vs empty), so memory equality would split value-equal honest
-// replies into separate buckets and spuriously report ErrNoMajority.
-func majorityBy[T any](r *Reader, fetch func(API) (T, error), canon func(T) any) (T, error) {
-	var zero T
+// Read returns the bytes fb+1 replicas served for kind. Replies are
+// compared by the SHA-256 of the bytes received — the encoding is
+// canonical, so equal artefacts are equal bytes — and none is parsed: a
+// minority replica's reply is hashed, never decoded. Only the typed reads
+// decode, and only the winner.
+func (r *Reader) Read(kind Kind) ([]byte, error) {
 	type bucket struct {
-		val   T
-		key   string
+		sum   [32]byte
+		val   []byte
 		count int
 	}
 	var buckets []bucket
 	for _, n := range r.nodes {
-		v, err := fetch(n)
+		b, err := n.Read(kind)
 		if err != nil {
 			continue
 		}
-		key := bucketKey(canon(v))
-		matched := false
-		for i := range buckets {
-			if buckets[i].key == key {
-				buckets[i].count++
-				matched = true
-				if buckets[i].count >= r.need {
-					return buckets[i].val, nil
-				}
-				break
-			}
+		sum := sha256.Sum256(b)
+		i := 0
+		for i < len(buckets) && buckets[i].sum != sum {
+			i++
 		}
-		if !matched {
-			if r.need == 1 {
-				return v, nil
-			}
-			buckets = append(buckets, bucket{val: v, key: key, count: 1})
+		if i == len(buckets) {
+			buckets = append(buckets, bucket{sum: sum, val: b})
+		}
+		if buckets[i].count++; buckets[i].count >= r.need {
+			return buckets[i].val, nil
 		}
 	}
-	return zero, ErrNoMajority
+	return nil, ErrNoMajority
 }
 
-// unencodableSeq disambiguates replies that fail to encode (each buckets
-// alone — conservative, since a lone bucket can never fabricate agreement).
-var unencodableSeq atomic.Uint64
+// readAs decodes the majority's bytes for kind. A majority that agrees on
+// bytes that do not decode yields ErrMalformed.
+func readAs[T any](r *Reader, kind Kind, walk func(*coder, *T)) (T, error) {
+	b, err := r.Read(kind)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return decode(kind, b, walk)
+}
 
-// bucketKey renders a canonicalized reply as a comparable digest. Gob is
-// the canonical encoding: big.Int marshals by value (sign + magnitude,
-// normalized on decode), nil and empty slices inside structs collapse to
-// the same omitted zero field, and encoding is deterministic for the
-// map-free reply types — so two value-equal replies digest identically no
-// matter which transport produced them.
-func bucketKey(v any) string {
-	if v == nil {
-		return "<nil>"
+func ptr[T any](v T, err error) (*T, error) {
+	if err != nil {
+		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).EncodeValue(reflect.ValueOf(v)); err != nil {
-		return fmt.Sprintf("<unencodable %d>", unencodableSeq.Add(1))
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return string(sum[:])
+	return &v, nil
 }
 
 // Manifest reads the election manifest by majority.
-func (r *Reader) Manifest() (ea.Manifest, error) {
-	return majority(r, API.Manifest)
-}
+func (r *Reader) Manifest() (ea.Manifest, error) { return readAs(r, KindManifest, (*coder).manifest) }
 
 // Init reads the full initialization data by majority.
-func (r *Reader) Init() (*ea.BBInit, error) {
-	return majority(r, API.Init)
-}
+func (r *Reader) Init() (*ea.BBInit, error) { return ptr(readAs(r, KindInit, (*coder).init)) }
 
 // VoteSet reads the agreed vote set by majority.
-func (r *Reader) VoteSet() ([]vc.VotedBallot, error) {
-	return majority(r, API.VoteSet)
-}
+func (r *Reader) VoteSet() ([]vc.VotedBallot, error) { return readAs(r, KindVoteSet, (*coder).voteSet) }
 
 // Cast reads the published cast data by majority.
-func (r *Reader) Cast() (*CastData, error) {
-	return majority(r, API.Cast)
-}
+func (r *Reader) Cast() (*CastData, error) { return ptr(readAs(r, KindCast, (*coder).cast)) }
 
-// Result reads the final result by majority. Replies are compared without
-// the Trustees provenance field: honest nodes publish identical election
-// content (counts, openings, proofs reconstruct the same polynomials from
-// any honest share subset), but may have combined different trustee subsets
-// depending on post arrival order — a disagreement that says nothing about
-// correctness and, uncanonicalized, made the majority vote fail spuriously
-// (the full-pipeline flake fixed in PR 2).
-func (r *Reader) Result() (*Result, error) {
-	return majorityBy(r, API.Result, func(res *Result) any {
-		if res == nil {
-			return nil
-		}
-		c := *res
-		c.Trustees = nil
-		return &c
-	})
-}
+// Result reads the final result by majority.
+func (r *Reader) Result() (*Result, error) { return ptr(readAs(r, KindResult, (*coder).result)) }

@@ -2,157 +2,81 @@ package bb_test
 
 import (
 	"bytes"
-	"encoding/gob"
+	"context"
 	"errors"
-	"math/big"
-	"reflect"
+	"net/http/httptest"
 	"testing"
 
 	"ddemos/internal/bb"
-	"ddemos/internal/ea"
-	"ddemos/internal/vc"
+	ddcore "ddemos/internal/core"
+	"ddemos/internal/httpapi"
 )
 
-// stubAPI serves fixed replies — the reader sees it exactly like an HTTP
-// client for a remote BB node.
-type stubAPI struct {
-	res     *bb.Result
-	set     []vc.VotedBallot
-	failAll bool
-}
+// down is a replica that answers nothing.
+var down = bb.ReadFunc(func(bb.Kind) ([]byte, error) { return nil, errors.New("down") })
 
-var errStub = errors.New("stub: down")
-
-func (s *stubAPI) Manifest() (ea.Manifest, error) {
-	if s.failAll {
-		return ea.Manifest{}, errStub
-	}
-	return ea.Manifest{}, nil
-}
-
-func (s *stubAPI) Init() (*ea.BBInit, error) {
-	if s.failAll {
-		return nil, errStub
-	}
-	return &ea.BBInit{}, nil
-}
-
-func (s *stubAPI) VoteSet() ([]vc.VotedBallot, error) {
-	if s.failAll {
-		return nil, errStub
-	}
-	return s.set, nil
-}
-
-func (s *stubAPI) Cast() (*bb.CastData, error) {
-	if s.failAll {
-		return nil, errStub
-	}
-	return &bb.CastData{}, nil
-}
-
-func (s *stubAPI) Result() (*bb.Result, error) {
-	if s.failAll {
-		return nil, errStub
-	}
-	return s.res, nil
-}
-
-func gobRoundTrip[T any](t *testing.T, v T) T {
+// servedOverHTTP publishes a small election and returns one replica both
+// in-process and as the HTTP client view of the same node.
+func servedOverHTTP(t *testing.T) (local *bb.Node, remote bb.API) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	var out T
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	cluster, _ := pipeline(t, []int{0, 0, 1}, ddcore.Options{})
+	srv := httptest.NewServer(httpapi.BBHandler(cluster.BBs[0]))
+	t.Cleanup(srv.Close)
+	return cluster.BBs[0], (&httpapi.BBClient{BaseURL: srv.URL}).API(context.Background())
 }
 
-// computedZero produces a zero big.Int whose internal slice is non-nil —
-// the representation arithmetic leaves behind (Mod, Sub), which a
-// gob-decoded zero never has. reflect.DeepEqual tells them apart even
-// though they are the same number.
-func computedZero() *big.Int {
-	x := new(big.Int).Mul(big.NewInt(123), big.NewInt(456))
-	return x.Sub(x, new(big.Int).Set(x))
-}
-
-// TestReaderMajorityAcrossGobBoundary is the regression test for the
-// DeepEqual bucketing bug: a reply decoded from gob (the HTTP transport)
-// and an in-process reply that are value-equal could land in different
-// majority buckets, because big.Int's internal representation is not
-// canonical across that boundary — with two honest replicas and one down,
-// the reader then spuriously returned ErrNoMajority. Bucketing by
-// canonical-encoding digest must count them as agreeing.
-func TestReaderMajorityAcrossGobBoundary(t *testing.T) {
-	res := &bb.Result{
-		Counts:  []int64{0, 2},
-		TallyMs: []*big.Int{computedZero(), big.NewInt(2)},
-		TallyRs: []*big.Int{computedZero(), big.NewInt(77)},
-		Openings: []bb.OpenedRow{{
-			Serial: 1, Part: 0, Row: 0,
-			Ms: []*big.Int{computedZero(), big.NewInt(1)},
-			Rs: []*big.Int{big.NewInt(5), computedZero()},
-		}},
-		Trustees: []uint32{1, 2},
+// TestReaderMajorityAcrossHTTPBoundary: a node's bytes are the bytes the
+// same node serves over HTTP, for every artefact — so one in-process reply
+// and one HTTP reply agree, and with the third replica down they are the
+// fb+1 = 2 a majority needs.
+func TestReaderMajorityAcrossHTTPBoundary(t *testing.T) {
+	local, remote := servedOverHTTP(t)
+	for kind := bb.KindManifest; kind <= bb.KindResult; kind++ {
+		want, err := local.Read(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := remote.Read(kind)
+		if err != nil {
+			t.Fatalf("%v over HTTP: %v", kind, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v: the node serves other bytes over HTTP than it holds", kind)
+		}
 	}
-	decoded := gobRoundTrip(t, res)
-
-	// Premise of the regression: the two replies are the number-for-number
-	// same value, yet memory comparison splits them.
-	if decoded.TallyMs[0].Cmp(res.TallyMs[0]) != 0 {
-		t.Fatal("round trip changed a value — test setup broken")
-	}
-	if reflect.DeepEqual(res, decoded) {
-		t.Skip("representations converged — DeepEqual regression premise gone")
-	}
-
-	// Two honest replicas (one local, one across the gob boundary) and one
-	// down: fb+1 = 2 identical replies are required.
-	reader := bb.NewReader([]bb.API{
-		&stubAPI{res: res},
-		&stubAPI{res: decoded},
-		&stubAPI{failAll: true},
-	})
-	got, err := reader.Result()
+	got, err := bb.NewReader([]bb.API{local, remote, down}).Result()
 	if err != nil {
-		t.Fatalf("majority read across the gob boundary: %v", err)
+		t.Fatalf("majority read across the HTTP boundary: %v", err)
 	}
-	if got.Counts[1] != 2 {
+	if got.Counts[0] != 2 || got.Counts[1] != 1 {
 		t.Fatalf("counts = %v", got.Counts)
 	}
 
 	// Genuinely different replies must still fail to reach a majority.
-	forged := gobRoundTrip(t, res)
-	forged.Counts = []int64{2, 0}
-	bad := bb.NewReader([]bb.API{
-		&stubAPI{res: res},
-		&stubAPI{res: forged},
-		&stubAPI{failAll: true},
-	})
-	if _, err := bad.Result(); !errors.Is(err, bb.ErrNoMajority) {
+	got.Counts[0], got.Counts[1] = got.Counts[1], got.Counts[0]
+	forged := bb.EncodeResult(got)
+	liar := bb.ReadFunc(func(bb.Kind) ([]byte, error) { return forged, nil })
+	if _, err := bb.NewReader([]bb.API{local, liar, down}).Result(); !errors.Is(err, bb.ErrNoMajority) {
 		t.Fatalf("divergent replies: err = %v, want ErrNoMajority", err)
 	}
 }
 
-// TestReaderVoteSetAcrossGobBoundary covers the generic (non-canonicalized)
-// majority path with a slice reply type round-tripped through gob.
-func TestReaderVoteSetAcrossGobBoundary(t *testing.T) {
-	set := []vc.VotedBallot{{Serial: 1, Code: []byte("abcd")}, {Serial: 3, Code: []byte("efgh")}}
-	decoded := gobRoundTrip(t, set)
-	reader := bb.NewReader([]bb.API{
-		&stubAPI{set: set},
-		&stubAPI{set: decoded},
-		&stubAPI{failAll: true},
-	})
-	got, err := reader.VoteSet()
+// TestReaderVoteSetAcrossHTTPBoundary: the same for the vote set, the
+// artefact every voter reads.
+func TestReaderVoteSetAcrossHTTPBoundary(t *testing.T) {
+	local, remote := servedOverHTTP(t)
+	want, err := local.Read(bb.KindVoteSet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := remote.Read(bb.KindVoteSet); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("vote set over HTTP: err = %v, equal = %v", err, bytes.Equal(got, want))
+	}
+	set, err := bb.NewReader([]bb.API{down, remote, local}).VoteSet()
 	if err != nil {
 		t.Fatalf("majority vote-set read: %v", err)
 	}
-	if len(got) != 2 || got[1].Serial != 3 {
-		t.Fatalf("got %v", got)
+	if len(set) != 3 || set[2].Serial != 3 {
+		t.Fatalf("got %v", set)
 	}
 }

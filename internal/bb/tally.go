@@ -1,12 +1,14 @@
 package bb
 
 import (
-	"crypto/sha256"
+	"bytes"
+	"errors"
 	"fmt"
 	"math/big"
 
-	"ddemos/internal/crypto/group"
 	"ddemos/internal/crypto/zkp"
+	"ddemos/internal/ea"
+	"ddemos/internal/journal"
 	"ddemos/internal/sig"
 )
 
@@ -45,47 +47,6 @@ type TrusteePost struct {
 
 const trusteePostDomain = "ddemos/v1/trustee-post"
 
-// HashPost produces the canonical digest a trustee signs.
-func HashPost(electionID string, p *TrusteePost) [32]byte {
-	h := sha256.New()
-	h.Write([]byte(electionID))
-	h.Write(sig.Uint64Bytes(uint64(p.Trustee)))    //nolint:gosec // small
-	h.Write(sig.Uint64Bytes(uint64(p.ShareIndex))) //nolint:gosec // small
-	writeScalar := func(v *big.Int) { h.Write(group.ScalarBytes(v)) }
-	for _, o := range p.Openings {
-		h.Write(sig.Uint64Bytes(o.Serial))
-		h.Write([]byte{o.Part})
-		h.Write(sig.Uint64Bytes(uint64(o.Row))) //nolint:gosec // small
-		for _, v := range o.Ms {
-			writeScalar(v)
-		}
-		for _, v := range o.Rs {
-			writeScalar(v)
-		}
-	}
-	for _, pf := range p.Proofs {
-		h.Write(sig.Uint64Bytes(pf.Serial))
-		h.Write([]byte{pf.Part})
-		h.Write(sig.Uint64Bytes(uint64(pf.Row))) //nolint:gosec // small
-		for _, b := range pf.Bits {
-			writeScalar(b.C0)
-			writeScalar(b.C1)
-			writeScalar(b.Z0)
-			writeScalar(b.Z1)
-		}
-		writeScalar(pf.Sum.Z)
-	}
-	for _, v := range p.TallyMs {
-		writeScalar(v)
-	}
-	for _, v := range p.TallyRs {
-		writeScalar(v)
-	}
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
 // OpenedRow is a published, reconstructed commitment opening for an audit
 // row, including the option it encodes.
 type OpenedRow struct {
@@ -97,14 +58,9 @@ type OpenedRow struct {
 	HotIndex int // option index encoded by the unit vector
 }
 
-// ProvenRow is a published, completed ZK proof for a used-part row.
-type ProvenRow struct {
-	Serial uint64
-	Part   uint8
-	Row    int
-	Bits   []zkp.BitFinal
-	Sum    zkp.SumFinal
-}
+// ProvenRow is a published, completed ZK proof for a used-part row: the
+// final moves the trustees' shares combine to, in a share's layout.
+type ProvenRow = ProofFinalShare
 
 // Result is the final election outcome published by each BB node.
 type Result struct {
@@ -117,35 +73,34 @@ type Result struct {
 	Openings []OpenedRow
 	// Proofs cover every row of every used part.
 	Proofs []ProvenRow
-	// Trustees lists the share indices whose posts produced this result.
-	Trustees []uint32
 }
 
-// SubmitTrusteePost verifies and stores a trustee's post. Signature and
+// SubmitTrusteePost verifies and stores a trustee's post (see acceptPost).
+func (n *Node) SubmitTrusteePost(p *TrusteePost) error {
+	return n.Submit(KindTrusteePost, EncodeTrusteePost(p))
+}
+
+// acceptPost verifies and stores an encoded trustee post. Signature and
 // structural validation run outside n.mu, and the expensive combination
 // runs in a background worker (see combine.go), so readers and later
 // submissions never stall behind EC math: the lock is held only to store
 // the post and kick the worker.
-func (n *Node) SubmitTrusteePost(p *TrusteePost) error {
-	man := &n.init.Manifest
-	if p == nil || p.Trustee < 0 || p.Trustee >= man.NumTrustees {
-		n.metrics.PostsRejected.Add(1)
-		return fmt.Errorf("%w: bad trustee index", ErrBadSubmission)
-	}
-	if p.ShareIndex != uint32(p.Trustee)+1 { //nolint:gosec // small
-		n.metrics.PostsRejected.Add(1)
-		return fmt.Errorf("%w: share index mismatch", ErrBadSubmission)
-	}
-	// Scalar-shape validation precedes hashing: a post with nil scalars
-	// (e.g. hostile gob input) must be rejected, not panic HashPost.
-	if err := validatePostScalars(p, len(man.Options)); err != nil {
+func (n *Node) acceptPost(b []byte) error {
+	reject := func(err error) error {
 		n.metrics.PostsRejected.Add(1)
 		return err
 	}
-	hash := HashPost(man.ElectionID, p)
+	p, body, err := decodeTrusteePost(b)
+	if err != nil {
+		return reject(err)
+	}
+	man := &n.init.Manifest
+	if err := checkPost(man, p); err != nil {
+		return reject(err)
+	}
+	hash := hashPostBody(man.ElectionID, body)
 	if !sig.Verify(man.TrusteePublics[p.Trustee], p.Sig, trusteePostDomain, hash[:]) {
-		n.metrics.PostsRejected.Add(1)
-		return fmt.Errorf("%w: bad trustee signature", ErrBadSubmission)
+		return reject(fmt.Errorf("%w: bad trustee signature", ErrBadSubmission))
 	}
 	n.mu.Lock()
 	used := n.usedParts
@@ -159,59 +114,31 @@ func (n *Node) SubmitTrusteePost(p *TrusteePost) error {
 	// combine worker can assume every stored post is shape-complete.
 	idx, err := n.indexPost(p, used)
 	if err != nil {
-		n.metrics.PostsRejected.Add(1)
-		return err
+		return reject(err)
 	}
+	rec := append(journal.Header(bbRecPost, uint64(p.Trustee)), b...) //nolint:gosec // validated index
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return ErrClosed
 	}
-	if prevHash, dup := n.postHash[p.Trustee]; dup {
-		// The first accepted post per trustee is pinned. A duplicate with a
-		// different signed payload is equivocation — rejected loudly, never
-		// silently swallowed — while a byte-identical resend is acked (and,
-		// under Strict, used to re-attempt a failed journal append).
-		if prevHash != hash {
-			n.metrics.PostEquivocations.Add(1)
-			n.metrics.PostsRejected.Add(1)
-			n.mu.Unlock()
-			return fmt.Errorf("%w: trustee %d equivocated on its post", ErrBadSubmission, p.Trustee)
-		}
-		stored := n.posts[p.Trustee]
-		needRec := n.journal != nil && !n.postDurable[p.Trustee]
+	it := n.postRecs[p.Trustee]
+	switch {
+	case it == nil:
+		it = &accepted{rec: rec}
+		n.posts[p.Trustee], n.postRecs[p.Trustee], n.shareIdx[p.Trustee] = p, it, idx
+		n.metrics.PostsAccepted.Add(1)
+		n.kickCombineLocked()
+	case !bytes.Equal(it.rec, rec):
+		// The first accepted post per trustee is pinned. A duplicate with
+		// different bytes is equivocation — rejected loudly, never silently
+		// swallowed — while a byte-identical resend is acked (and, under
+		// Strict, used to re-attempt a failed journal append).
+		n.metrics.PostEquivocations.Add(1)
 		n.mu.Unlock()
-		if !needRec {
-			return nil
-		}
-		return n.journalPost(stored)
+		return reject(fmt.Errorf("%w: trustee %d equivocated on its post", ErrBadSubmission, p.Trustee))
 	}
-	n.posts[p.Trustee] = p
-	n.postHash[p.Trustee] = hash
-	n.shareIdx[p.Trustee] = idx
-	n.metrics.PostsAccepted.Add(1)
-	n.kickCombineLocked()
-	journaled := n.journal != nil
-	n.mu.Unlock()
-	if !journaled {
-		return nil
-	}
-	return n.journalPost(p)
-}
-
-// journalPost logs an accepted trustee post and settles the ack under the
-// node's policy. An encoding failure (cannot happen for ingress-validated
-// posts; defensive) is treated like an append failure.
-func (n *Node) journalPost(p *TrusteePost) error {
-	rec, err := encBBPost(p)
-	if err != nil {
-		n.metrics.JournalErrors.Add(1)
-		if n.strictJournal() {
-			return fmt.Errorf("bb: submission accepted but not journaled under strict policy: %w", err)
-		}
-		return nil
-	}
-	return n.journalSubmission(rec, func() { n.postDurable[p.Trustee] = true })
+	return n.settleLocked(it)
 }
 
 // combineKey addresses one row of one ballot part.
@@ -228,41 +155,44 @@ type postShares struct {
 	proof map[combineKey]*ProofFinalShare
 }
 
-// validatePostScalars rejects posts with nil or wrongly-sized scalar
-// slices (the only shapes that could panic hashing or combination).
-func validatePostScalars(p *TrusteePost, m int) error {
+// checkPost rejects a post whose indices or vector widths are not the
+// manifest's (the decoder has already ruled out missing scalars).
+func checkPost(man *ea.Manifest, p *TrusteePost) error {
+	m := len(man.Options)
+	if p.Trustee < 0 || p.Trustee >= man.NumTrustees || p.ShareIndex != uint32(p.Trustee)+1 { //nolint:gosec // small
+		return fmt.Errorf("%w: bad trustee or share index", ErrBadSubmission)
+	}
 	if len(p.TallyMs) != m || len(p.TallyRs) != m {
 		return fmt.Errorf("%w: tally share arity", ErrBadSubmission)
 	}
-	for j := 0; j < m; j++ {
-		if p.TallyMs[j] == nil || p.TallyRs[j] == nil {
-			return fmt.Errorf("%w: nil tally share", ErrBadSubmission)
-		}
-	}
 	for i := range p.Openings {
-		o := &p.Openings[i]
-		if len(o.Ms) != m || len(o.Rs) != m {
+		if o := &p.Openings[i]; len(o.Ms) != m || len(o.Rs) != m {
 			return fmt.Errorf("%w: opening share arity at serial %d", ErrBadSubmission, o.Serial)
-		}
-		for j := 0; j < m; j++ {
-			if o.Ms[j] == nil || o.Rs[j] == nil {
-				return fmt.Errorf("%w: nil opening share at serial %d", ErrBadSubmission, o.Serial)
-			}
 		}
 	}
 	for i := range p.Proofs {
-		pf := &p.Proofs[i]
-		if len(pf.Bits) != m {
+		if pf := &p.Proofs[i]; len(pf.Bits) != m {
 			return fmt.Errorf("%w: proof share arity at serial %d", ErrBadSubmission, pf.Serial)
 		}
-		for j := range pf.Bits {
-			b := &pf.Bits[j]
-			if b.C0 == nil || b.C1 == nil || b.Z0 == nil || b.Z1 == nil {
-				return fmt.Errorf("%w: nil bit final at serial %d", ErrBadSubmission, pf.Serial)
-			}
+	}
+	return nil
+}
+
+// ValidateResultShape rejects a Result — replayed from a journal, or read
+// off a board by an auditor — whose vectors are not the manifest's m wide,
+// the only shapes that could panic its consumers.
+func ValidateResultShape(res *Result, m int) error {
+	if len(res.Counts) != m || len(res.TallyMs) != m || len(res.TallyRs) != m {
+		return errors.New("tally arity")
+	}
+	for i := range res.Openings {
+		if o := &res.Openings[i]; len(o.Ms) != m || len(o.Rs) != m {
+			return errors.New("opening arity")
 		}
-		if pf.Sum.Z == nil {
-			return fmt.Errorf("%w: nil sum final at serial %d", ErrBadSubmission, pf.Serial)
+	}
+	for i := range res.Proofs {
+		if len(res.Proofs[i].Bits) != m {
+			return errors.New("proof arity")
 		}
 	}
 	return nil

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"bytes"
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -10,21 +10,12 @@ import (
 	"ddemos/internal/sim"
 )
 
-// bbCanonical renders the subset-independent part of a Result; honest
-// replicas must agree on it regardless of which trustee subsets their
-// combines used.
-func bbCanonical(res *bb.Result) string {
-	c := *res
-	c.Trustees = nil
-	return fmt.Sprintf("%v", c)
-}
-
 // TestElectionSurvivesBBRestart runs the full pipeline with a durable
 // cluster and hard-stops BB node 0 between the push-to-BB phase and the
 // trustee publish phase: the relaunched incarnation must rebuild its
 // accepted vote sets, msk shares and published cast data from its journal
-// alone, accept the trustee posts, and publish a result canonically equal
-// to the never-crashed replicas — all through the Reader's forwarding
+// alone, accept the trustee posts, and publish a result byte-identical to
+// the never-crashed replicas — all through the Reader's forwarding
 // handles, which must follow the restart transparently.
 func TestElectionSurvivesBBRestart(t *testing.T) {
 	data := testData(t, 6)
@@ -72,15 +63,15 @@ func TestElectionSurvivesBBRestart(t *testing.T) {
 	}
 	wantCounts(t, res, []int64{2, 2, 1})
 
-	recovered, err := c.BB(0).Result()
+	recovered, err := c.BB(0).Read(bb.KindResult)
 	if err != nil {
 		t.Fatalf("recovered BB published no result: %v", err)
 	}
-	witness, err := c.BB(1).Result()
+	witness, err := c.BB(1).Read(bb.KindResult)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bbCanonical(recovered) != bbCanonical(witness) {
+	if !bytes.Equal(recovered, witness) {
 		t.Fatal("recovered replica's result diverges from a never-crashed replica")
 	}
 }

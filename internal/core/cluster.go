@@ -126,8 +126,8 @@ type Cluster struct {
 	// can race a restart goes through VC(i).
 	vcMu sync.RWMutex
 	// bbMu plays the same role for BBs against RestartBB. The Reader is
-	// built over forwarding handles (bbRef), so it always reaches the
-	// current incarnation without rebuilding.
+	// built over forwarding handles (BB(i) at read time), so it always
+	// reaches the current incarnation without rebuilding.
 	bbMu sync.RWMutex
 
 	// PhaseDurations records the measured wall time of each completed
@@ -205,7 +205,7 @@ func NewCluster(data *ea.ElectionData, opts Options) (*Cluster, error) {
 		// incarnation instead of the closed one.
 		apis := make([]bb.API, len(c.BBs))
 		for i := range c.BBs {
-			apis[i] = bbRef{c: c, index: i}
+			apis[i] = bb.ReadFunc(func(kind bb.Kind) ([]byte, error) { return c.BB(i).Read(kind) })
 		}
 		c.Reader = bb.NewReader(apis)
 		for i := 0; i < man.NumTrustees; i++ {
@@ -330,18 +330,6 @@ func (c *Cluster) bbSnapshot() []*bb.Node {
 	defer c.bbMu.RUnlock()
 	return append([]*bb.Node(nil), c.BBs...)
 }
-
-// bbRef is a forwarding bb.API handle bound to a slot, not an incarnation.
-type bbRef struct {
-	c     *Cluster
-	index int
-}
-
-func (r bbRef) Manifest() (ea.Manifest, error)     { return r.c.BB(r.index).Manifest() }
-func (r bbRef) Init() (*ea.BBInit, error)          { return r.c.BB(r.index).Init() }
-func (r bbRef) VoteSet() ([]vc.VotedBallot, error) { return r.c.BB(r.index).VoteSet() }
-func (r bbRef) Cast() (*bb.CastData, error)        { return r.c.BB(r.index).Cast() }
-func (r bbRef) Result() (*bb.Result, error)        { return r.c.BB(r.index).Result() }
 
 // Stop shuts everything down.
 func (c *Cluster) Stop() {

@@ -208,11 +208,12 @@ func HashToScalar(domain string, chunks ...[]byte) *big.Int {
 }
 
 // ScalarBytes returns the canonical 32-byte big-endian encoding of k mod q.
+// A k already in [0, q) skips the reduction.
 func ScalarBytes(k *big.Int) []byte {
-	kk := new(big.Int).Mod(k, q)
-	out := make([]byte, 32)
-	kk.FillBytes(out)
-	return out
+	if k.Sign() < 0 || k.Cmp(q) >= 0 {
+		k = new(big.Int).Mod(k, q)
+	}
+	return k.FillBytes(make([]byte, 32))
 }
 
 // DecodeScalar parses a canonical 32-byte scalar encoding.

@@ -96,19 +96,19 @@ func TestErrorEnvelopeRoundTrip(t *testing.T) {
 
 	// BB: unpublished data → typed not_found through the client.
 	bbClient := &BBClient{BaseURL: bbSrv.URL}
-	if _, err := bbClient.Result(ctx); !HasCode(err, CodeNotFound) {
+	if _, err := bbClient.Read(ctx, bb.KindResult); !HasCode(err, CodeNotFound) {
 		t.Fatalf("unpublished result error = %v", err)
 	}
 
 	// BB: undecodable submission body → bad_request; a decodable one the
 	// node refuses (bad signature) → bad_submission.
 	resp, err = http.Post(bbSrv.URL+"/v1/submit/voteset", "application/octet-stream",
-		strings.NewReader("not gob at all"))
+		strings.NewReader("not a vote set at all"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if env := decodeEnvelope(t, resp); env.Code != CodeBadRequest {
-		t.Fatalf("garbage gob envelope = %+v", env)
+		t.Fatalf("garbage body envelope = %+v", env)
 	}
 	err = bbClient.SubmitVoteSet(ctx, 0, nil, []byte("forged signature"))
 	if !HasCode(err, CodeBadSubmission) {
@@ -121,7 +121,7 @@ func TestErrorEnvelopeRoundTrip(t *testing.T) {
 		http.Error(w, "plain text failure", http.StatusBadGateway)
 	}))
 	defer legacy.Close()
-	_, err = (&BBClient{BaseURL: legacy.URL}).Manifest(ctx)
+	_, err = (&BBClient{BaseURL: legacy.URL}).Read(ctx, bb.KindManifest)
 	ae, ok := AsAPIError(err)
 	if !ok || ae.Code != CodeUnknown || ae.Status != http.StatusBadGateway ||
 		!strings.Contains(ae.Message, "plain text failure") {
@@ -150,13 +150,8 @@ func TestContextCancellationEveryClientMethod(t *testing.T) {
 			_, err := vcClient.SubmitVote(ctx, 1, []byte("code"))
 			return err
 		},
-		"VCClient.Metrics":  func(ctx context.Context) error { _, err := vcClient.Metrics(ctx); return err },
-		"BBClient.Manifest": func(ctx context.Context) error { _, err := bbClient.Manifest(ctx); return err },
-		"BBClient.Init":     func(ctx context.Context) error { _, err := bbClient.Init(ctx); return err },
-		"BBClient.VoteSet":  func(ctx context.Context) error { _, err := bbClient.VoteSet(ctx); return err },
-		"BBClient.Cast":     func(ctx context.Context) error { _, err := bbClient.Cast(ctx); return err },
-		"BBClient.Result":   func(ctx context.Context) error { _, err := bbClient.Result(ctx); return err },
-		"BBClient.Metrics":  func(ctx context.Context) error { _, err := bbClient.Metrics(ctx); return err },
+		"VCClient.Metrics": func(ctx context.Context) error { _, err := vcClient.Metrics(ctx); return err },
+		"BBClient.Metrics": func(ctx context.Context) error { _, err := bbClient.Metrics(ctx); return err },
 		"BBClient.SubmitVoteSet": func(ctx context.Context) error {
 			return bbClient.SubmitVoteSet(ctx, 0, nil, nil)
 		},
@@ -166,6 +161,11 @@ func TestContextCancellationEveryClientMethod(t *testing.T) {
 		"BBClient.SubmitTrusteePost": func(ctx context.Context) error {
 			return bbClient.SubmitTrusteePost(ctx, &bb.TrusteePost{})
 		},
+	}
+	// Every board read goes through BBClient.Read; one subtest per artefact.
+	for name, kind := range map[string]bb.Kind{"Manifest": bb.KindManifest, "Init": bb.KindInit,
+		"VoteSet": bb.KindVoteSet, "Cast": bb.KindCast, "Result": bb.KindResult} {
+		calls["BBClient."+name] = func(ctx context.Context) error { _, err := bbClient.Read(ctx, kind); return err }
 	}
 	for name, call := range calls {
 		t.Run(name, func(t *testing.T) {
@@ -188,7 +188,7 @@ func TestContextCancellationEveryClientMethod(t *testing.T) {
 	// The bound bb.API view inherits its context's cancellation too.
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if _, err := bbClient.API(ctx).Manifest(); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := bbClient.API(ctx).Read(bb.KindManifest); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("bound API view error = %v", err)
 	}
 }

@@ -1,9 +1,7 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -135,54 +133,29 @@ func (cc *clientCore) do(ctx context.Context, override *http.Client, to Timeouts
 	return resp, cancel, nil
 }
 
-// getGob fetches url and gob-decodes a 200 body into v; any other status
-// decodes the error envelope into a typed *APIError.
-func (cc *clientCore) getGob(ctx context.Context, override *http.Client, to Timeouts, defaultRequest time.Duration,
-	url string, v any) error {
+// get fetches url and returns a 200 body of at most limit bytes; any other
+// status decodes the error envelope into a typed *APIError.
+func (cc *clientCore) get(ctx context.Context, override *http.Client, to Timeouts, defaultRequest time.Duration,
+	url string, limit int64) ([]byte, error) {
 	resp, cancel, err := cc.do(ctx, override, to, defaultRequest, http.MethodGet, url, "", nil)
 	if err != nil {
-		return fmt.Errorf("httpapi: get %s: %w", url, err)
+		return nil, fmt.Errorf("httpapi: get %s: %w", url, err)
 	}
 	defer cancel()
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
-		return decodeAPIError(resp)
+		return nil, decodeAPIError(resp)
 	}
-	return gob.NewDecoder(resp.Body).Decode(v)
+	return io.ReadAll(io.LimitReader(resp.Body, limit))
 }
 
 // getJSON fetches url and JSON-decodes a 200 body into v (the metrics
 // endpoints); errors decode the envelope.
 func (cc *clientCore) getJSON(ctx context.Context, override *http.Client, to Timeouts, defaultRequest time.Duration,
 	url string, v any) error {
-	resp, cancel, err := cc.do(ctx, override, to, defaultRequest, http.MethodGet, url, "", nil)
+	body, err := cc.get(ctx, override, to, defaultRequest, url, 1<<20)
 	if err != nil {
-		return fmt.Errorf("httpapi: get %s: %w", url, err)
-	}
-	defer cancel()
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return decodeAPIError(resp)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(v)
-}
-
-// postGob gob-encodes v to url and expects a 2xx; anything else decodes
-// the error envelope.
-func (cc *clientCore) postGob(ctx context.Context, override *http.Client, to Timeouts, defaultRequest time.Duration,
-	url string, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return err
 	}
-	resp, cancel, err := cc.do(ctx, override, to, defaultRequest, http.MethodPost, url, "application/octet-stream", &buf)
-	if err != nil {
-		return fmt.Errorf("httpapi: post %s: %w", url, err)
-	}
-	defer cancel()
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode >= 300 {
-		return decodeAPIError(resp)
-	}
-	return nil
+	return json.Unmarshal(body, v)
 }

@@ -1,7 +1,8 @@
 // Package httpapi provides the HTTP servers and clients for multi-process
 // deployments: the VC voter-facing endpoint (a plain POST — voters need no
-// special software, §I), the BB read/write API, and the gob encoding of
-// initialization payloads the ddemos-ea tool writes to disk.
+// special software, §I), the BB read/write API over the board encoding of
+// internal/bb, and the gob initialization payloads the ddemos-ea tool writes
+// to disk (payload.go).
 //
 // # API versioning
 //
@@ -17,13 +18,14 @@ package httpapi
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"os"
+	"strconv"
 	"time"
 
 	"ddemos/internal/bb"
@@ -31,34 +33,38 @@ import (
 	"ddemos/internal/vc"
 )
 
-// WriteGobFile serializes v to path atomically: the value is encoded to a
-// temp file in the same directory, fsynced, and renamed over path (then the
-// directory is synced), so a crash or full disk mid-write can never leave a
-// torn payload behind — either the old file survives intact or the new one
-// is complete. Same pattern as store.WriteWALFile.
-func WriteGobFile(path string, v any) error {
-	w, err := CreateGobStream(path)
-	if err != nil {
-		return err
-	}
-	if err := w.Encode(v); err != nil {
-		w.Abort()
-		return err
-	}
-	return w.Close()
+// Server timeouts every ddemos HTTP server runs with (NewServer). A BB
+// artefact's transfer gets a deadline sized to it instead (transferBudget),
+// so these only bound what is small: headers, votes, metrics, idle
+// keep-alives.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	ReadTimeout       = 30 * time.Second
+	WriteTimeout      = 30 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// A BB body or reply may take transferGrace plus its size at
+// minTransferRate; a peer trickling slower is cut off.
+const (
+	transferGrace   = 2 * time.Second
+	minTransferRate = 64 << 10 // bytes per second
+)
+
+func transferBudget(n int64) time.Duration {
+	return transferGrace + time.Duration(n)*time.Second/minTransferRate
 }
 
-// ReadGobFile deserializes path into v.
-func ReadGobFile(path string, v any) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("httpapi: open %s: %w", path, err)
+// NewServer returns a server for h on addr with the package's timeouts.
+func NewServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		ReadTimeout:       ReadTimeout,
+		WriteTimeout:      WriteTimeout,
+		IdleTimeout:       IdleTimeout,
 	}
-	defer func() { _ = f.Close() }()
-	if err := gob.NewDecoder(f).Decode(v); err != nil {
-		return fmt.Errorf("httpapi: decode %s: %w", path, err)
-	}
-	return nil
 }
 
 // newMux returns a mux whose unmatched paths answer with the error envelope
@@ -168,82 +174,58 @@ func (c *VCClient) Metrics(ctx context.Context) (*vc.Snapshot, error) {
 
 // --- BB read/write API -------------------------------------------------------
 
-// BBHandler serves a BB node: gob-encoded reads on public paths, verified
-// writes (the submissions carry their own signatures; the BB node verifies
-// them, §III-G), and JSON metrics on GET /v1/metrics.
+// BBHandler serves a BB node: GET /v1/<kind> writes the node's encoding of
+// each artefact verbatim, POST /v1/submit/<kind> hands the body to
+// Node.Submit (the submissions carry their own signatures; the node
+// verifies them, §III-G), and GET /v1/metrics serves JSON. A submission
+// body is capped at the largest an honest submitter sends in this election
+// (bb.SubmitLimit) and must arrive within its transfer budget.
 func BBHandler(node *bb.Node) http.Handler {
 	mux := newMux()
-	serve := func(path string, get func() (any, error)) {
-		mux.HandleFunc("GET /v1"+path, func(w http.ResponseWriter, r *http.Request) {
-			v, err := get()
+	for kind := bb.KindManifest; kind <= bb.KindResult; kind++ {
+		mux.HandleFunc("GET /v1/"+kind.String(), func(w http.ResponseWriter, r *http.Request) {
+			b, err := node.Read(kind)
 			if err != nil {
 				writeError(w, http.StatusNotFound, CodeNotFound, err.Error())
 				return
 			}
+			_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(transferBudget(int64(len(b)))))
 			w.Header().Set("Content-Type", "application/octet-stream")
-			_ = gob.NewEncoder(w).Encode(v)
+			w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+			_, _ = w.Write(b)
 		})
 	}
-	serve("/manifest", func() (any, error) { m, err := node.Manifest(); return &m, err })
-	serve("/init", func() (any, error) { return node.Init() })
-	serve("/voteset", func() (any, error) { return node.VoteSet() })
-	serve("/cast", func() (any, error) { return node.Cast() })
-	serve("/result", func() (any, error) { return node.Result() })
-
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		s := node.Metrics()
 		writeJSON(w, http.StatusOK, &s)
 	})
-
-	submit := func(path string, accept func(r *http.Request) error) {
-		mux.HandleFunc("POST /v1"+path, func(w http.ResponseWriter, r *http.Request) {
-			if err := accept(r); err != nil {
-				code, status := CodeBadSubmission, http.StatusBadRequest
-				if _, ok := err.(gobDecodeError); ok {
+	man, _ := node.Manifest()
+	for kind := bb.KindSetSubmission; kind <= bb.KindTrusteePost; kind++ {
+		limit := bb.SubmitLimit(&man, kind)
+		mux.HandleFunc("POST /v1/"+kind.String(), func(w http.ResponseWriter, r *http.Request) {
+			_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(transferBudget(limit)))
+			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+			if err != nil {
+				status := http.StatusBadRequest
+				var tooBig *http.MaxBytesError
+				if errors.As(err, &tooBig) {
+					status = http.StatusRequestEntityTooLarge
+				}
+				writeError(w, status, CodeBadRequest, err.Error())
+				return
+			}
+			if err := node.Submit(kind, body); err != nil {
+				code := CodeBadSubmission
+				if errors.Is(err, bb.ErrMalformed) {
 					code = CodeBadRequest
 				}
-				writeError(w, status, code, err.Error())
+				writeError(w, http.StatusBadRequest, code, err.Error())
 				return
 			}
 			w.WriteHeader(http.StatusNoContent)
 		})
 	}
-	submit("/submit/voteset", func(r *http.Request) error {
-		var sub VoteSetSubmission
-		if err := gob.NewDecoder(r.Body).Decode(&sub); err != nil {
-			return gobDecodeError{err}
-		}
-		return node.SubmitVoteSet(sub.VCIndex, sub.Set, sub.Sig)
-	})
-	submit("/submit/mskshare", func(r *http.Request) error {
-		var share ea.MskShare
-		if err := gob.NewDecoder(r.Body).Decode(&share); err != nil {
-			return gobDecodeError{err}
-		}
-		return node.SubmitMskShare(share)
-	})
-	submit("/submit/trusteepost", func(r *http.Request) error {
-		var post bb.TrusteePost
-		if err := gob.NewDecoder(r.Body).Decode(&post); err != nil {
-			return gobDecodeError{err}
-		}
-		return node.SubmitTrusteePost(&post)
-	})
 	return mux
-}
-
-// gobDecodeError marks an undecodable submission body, so the handler maps
-// it to CodeBadRequest instead of CodeBadSubmission.
-type gobDecodeError struct{ err error }
-
-func (e gobDecodeError) Error() string { return e.err.Error() }
-func (e gobDecodeError) Unwrap() error { return e.err }
-
-// VoteSetSubmission is the gob body of /v1/submit/voteset.
-type VoteSetSubmission struct {
-	VCIndex int
-	Set     []vc.VotedBallot
-	Sig     []byte
 }
 
 // BBClient is the BB node client over HTTP, built on the shared client
@@ -263,53 +245,17 @@ type BBClient struct {
 
 const bbDefaultRequest = 60 * time.Second
 
-func (c *BBClient) get(ctx context.Context, path string, v any) error {
-	return c.core.getGob(ctx, c.HTTP, c.Timeouts, bbDefaultRequest, c.BaseURL+path, v)
+// Read fetches the bytes a replica serves for one artefact. They are not
+// parsed here: bb.Reader compares replicas by digest and decodes the winner.
+func (c *BBClient) Read(ctx context.Context, kind bb.Kind) ([]byte, error) {
+	return c.core.get(ctx, c.HTTP, c.Timeouts, bbDefaultRequest, c.BaseURL+"/v1/"+kind.String(), math.MaxInt64)
 }
 
-func (c *BBClient) post(ctx context.Context, path string, v any) error {
-	return c.core.postGob(ctx, c.HTTP, c.Timeouts, bbDefaultRequest, c.BaseURL+path, v)
-}
-
-// Manifest fetches the election manifest.
-func (c *BBClient) Manifest(ctx context.Context) (ea.Manifest, error) {
-	var m ea.Manifest
-	err := c.get(ctx, "/v1/manifest", &m)
-	return m, err
-}
-
-// Init fetches the BB initialization data.
-func (c *BBClient) Init(ctx context.Context) (*ea.BBInit, error) {
-	var v ea.BBInit
-	if err := c.get(ctx, "/v1/init", &v); err != nil {
-		return nil, err
-	}
-	return &v, nil
-}
-
-// VoteSet fetches the agreed vote set.
-func (c *BBClient) VoteSet(ctx context.Context) ([]vc.VotedBallot, error) {
-	var v []vc.VotedBallot
-	err := c.get(ctx, "/v1/voteset", &v)
-	return v, err
-}
-
-// Cast fetches the published cast data.
-func (c *BBClient) Cast(ctx context.Context) (*bb.CastData, error) {
-	var v bb.CastData
-	if err := c.get(ctx, "/v1/cast", &v); err != nil {
-		return nil, err
-	}
-	return &v, nil
-}
-
-// Result fetches the published result.
-func (c *BBClient) Result(ctx context.Context) (*bb.Result, error) {
-	var v bb.Result
-	if err := c.get(ctx, "/v1/result", &v); err != nil {
-		return nil, err
-	}
-	return &v, nil
+// API binds ctx to the client and returns the context-free bb.API view
+// that bb.Reader consumes. The bound context caps every call made through
+// the view.
+func (c *BBClient) API(ctx context.Context) bb.API {
+	return bb.ReadFunc(func(kind bb.Kind) ([]byte, error) { return c.Read(ctx, kind) })
 }
 
 // Metrics fetches the node's operational counters (publish-phase ingress
@@ -325,39 +271,35 @@ func (c *BBClient) Metrics(ctx context.Context) (*bb.Snapshot, error) {
 
 // SubmitVoteSet pushes a VC node's final set.
 func (c *BBClient) SubmitVoteSet(ctx context.Context, vcIndex int, set []vc.VotedBallot, sig []byte) error {
-	return c.post(ctx, "/v1/submit/voteset", &VoteSetSubmission{VCIndex: vcIndex, Set: set, Sig: sig})
+	return c.submit(ctx, bb.KindSetSubmission, bb.EncodeSetSubmission(&bb.VoteSetSubmission{VCIndex: vcIndex, Set: set, Sig: sig}))
 }
 
 // SubmitMskShare pushes a VC node's master-key share.
 func (c *BBClient) SubmitMskShare(ctx context.Context, share ea.MskShare) error {
-	return c.post(ctx, "/v1/submit/mskshare", &share)
+	return c.submit(ctx, bb.KindMskShare, bb.EncodeMskShare(share))
 }
 
 // SubmitTrusteePost pushes a trustee post.
 func (c *BBClient) SubmitTrusteePost(ctx context.Context, post *bb.TrusteePost) error {
-	return c.post(ctx, "/v1/submit/trusteepost", post)
+	return c.submit(ctx, bb.KindTrusteePost, bb.EncodeTrusteePost(post))
 }
 
-// API binds ctx to the client and returns the context-free bb.API view
-// that bb.Reader (and everything else written against bb.API) consumes.
-// The bound context caps every call made through the view — the replacement
-// for the removed Ctx field.
-func (c *BBClient) API(ctx context.Context) bb.API { return &boundBB{c: c, ctx: ctx} }
-
-// boundBB adapts BBClient's context-taking methods onto the context-free
-// bb.API interface by carrying one bound context.
-type boundBB struct {
-	c   *BBClient
-	ctx context.Context
+// submit POSTs an encoded submission and expects a 2xx; anything else
+// decodes the error envelope.
+func (c *BBClient) submit(ctx context.Context, kind bb.Kind, body []byte) error {
+	url := c.BaseURL + "/v1/" + kind.String()
+	resp, cancel, err := c.core.do(ctx, c.HTTP, c.Timeouts, bbDefaultRequest,
+		http.MethodPost, url, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("httpapi: post %s: %w", url, err)
+	}
+	defer cancel()
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode >= 300 {
+		return decodeAPIError(resp)
+	}
+	return nil
 }
-
-var _ bb.API = (*boundBB)(nil)
-
-func (b *boundBB) Manifest() (ea.Manifest, error)     { return b.c.Manifest(b.ctx) }
-func (b *boundBB) Init() (*ea.BBInit, error)          { return b.c.Init(b.ctx) }
-func (b *boundBB) VoteSet() ([]vc.VotedBallot, error) { return b.c.VoteSet(b.ctx) }
-func (b *boundBB) Cast() (*bb.CastData, error)        { return b.c.Cast(b.ctx) }
-func (b *boundBB) Result() (*bb.Result, error)        { return b.c.Result(b.ctx) }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -291,7 +291,7 @@ func TestClientTimeoutsSeparateDialFromRequest(t *testing.T) {
 		Timeouts: Timeouts{Dial: 150 * time.Millisecond, Request: 30 * time.Second},
 	}
 	start = time.Now()
-	if _, err := deadBB.Manifest(context.Background()); err == nil {
+	if _, err := deadBB.Read(context.Background(), bb.KindManifest); err == nil {
 		t.Fatal("read against a dead address must fail")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -306,7 +306,7 @@ func TestClientTimeoutsSeparateDialFromRequest(t *testing.T) {
 	}
 	cancelledBB := &BBClient{BaseURL: "http://192.0.2.1:9",
 		Timeouts: Timeouts{Dial: time.Second, Request: time.Second}}
-	if _, err := cancelledBB.Manifest(ctx); err == nil {
+	if _, err := cancelledBB.Read(ctx, bb.KindManifest); err == nil {
 		t.Fatal("cancelled context must abort bb reads")
 	}
 }

@@ -102,6 +102,36 @@ func (w *GobStream) Abort() {
 	_ = os.Remove(w.tmpName)
 }
 
+// WriteGobFile serializes v to path atomically: the value is encoded to a
+// temp file in the same directory, fsynced, and renamed over path (then the
+// directory is synced), so a crash or full disk mid-write can never leave a
+// torn payload behind — either the old file survives intact or the new one
+// is complete. Same pattern as store.WriteWALFile.
+func WriteGobFile(path string, v any) error {
+	w, err := CreateGobStream(path)
+	if err != nil {
+		return err
+	}
+	if err := w.Encode(v); err != nil {
+		w.Abort()
+		return err
+	}
+	return w.Close()
+}
+
+// ReadGobFile deserializes path into v.
+func ReadGobFile(path string, v any) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("httpapi: open %s: %w", path, err)
+	}
+	defer func() { _ = f.Close() }()
+	if err := gob.NewDecoder(f).Decode(v); err != nil {
+		return fmt.Errorf("httpapi: decode %s: %w", path, err)
+	}
+	return nil
+}
+
 // ReadBallotsFile loads a voter ballot pool from either format: a streamed
 // file (BallotsStreamHeader + per-ballot values) or a legacy bare
 // []*ballot.Ballot gob.

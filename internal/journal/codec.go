@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 )
 
+// HeaderLen is the length of the `kind u8 | key u64` record prefix.
+const HeaderLen = 9
+
 // Header starts a record: `kind u8 | key u64`, the prefix the routing rule
 // reads. The capacity covers the small record kinds in one allocation.
 func Header(kind byte, key uint64) []byte {
@@ -28,48 +31,56 @@ type Dec struct {
 
 // U8 reads one byte.
 func (d *Dec) U8() byte {
-	if d.Bad || len(d.Buf) < 1 {
-		d.Bad = true
-		return 0
+	if b := d.Fixed(1); !d.Bad {
+		return b[0]
 	}
-	v := d.Buf[0]
-	d.Buf = d.Buf[1:]
-	return v
+	return 0
 }
 
 // U32 reads a big-endian u32.
 func (d *Dec) U32() uint32 {
-	if d.Bad || len(d.Buf) < 4 {
-		d.Bad = true
-		return 0
+	if b := d.Fixed(4); !d.Bad {
+		return binary.BigEndian.Uint32(b)
 	}
-	v := binary.BigEndian.Uint32(d.Buf)
-	d.Buf = d.Buf[4:]
-	return v
+	return 0
 }
 
 // U64 reads a big-endian u64.
 func (d *Dec) U64() uint64 {
-	if d.Bad || len(d.Buf) < 8 {
-		d.Bad = true
-		return 0
+	if b := d.Fixed(8); !d.Bad {
+		return binary.BigEndian.Uint64(b)
 	}
-	v := binary.BigEndian.Uint64(d.Buf)
-	d.Buf = d.Buf[8:]
-	return v
+	return 0
 }
 
 // Bytes reads a length-prefixed field written by AppendBytes, copied out of
-// the payload (replay reuses its buffer).
+// the payload (replay reuses its buffer). An empty field reads as nil.
 func (d *Dec) Bytes() []byte {
-	n := d.U32()
-	if d.Bad || uint64(n) > uint64(len(d.Buf)) {
+	return append([]byte(nil), d.Fixed(int(d.U32()))...)
+}
+
+// Fixed reads an n-byte field in place: the result aliases the payload, so
+// the caller parses it before the buffer is reused.
+func (d *Dec) Fixed(n int) []byte {
+	if d.Bad || n > len(d.Buf) {
 		d.Bad = true
 		return nil
 	}
-	out := append([]byte(nil), d.Buf[:n]...)
+	out := d.Buf[:n:n]
 	d.Buf = d.Buf[n:]
 	return out
+}
+
+// Count reads a u32 collection size. Decoders preallocate from it, so it is
+// bounded by what the rest of the payload could hold: minSize is the least
+// number of bytes one element encodes to.
+func (d *Dec) Count(minSize int) int {
+	n := d.U32()
+	if d.Bad || uint64(n)*uint64(minSize) > uint64(len(d.Buf)) { //nolint:gosec // minSize > 0
+		d.Bad = true
+		return 0
+	}
+	return int(n)
 }
 
 // HashRecords digests a node's serialized state — its records, each

@@ -1,6 +1,7 @@
 package trustee_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -162,9 +163,54 @@ func TestGarbageTrusteeIsExcluded(t *testing.T) {
 	if res.Counts[0] != 1 || res.Counts[1] != 2 {
 		t.Fatalf("counts = %v", res.Counts)
 	}
-	for _, idx := range res.Trustees {
-		if idx == 1 {
-			t.Fatal("garbage trustee's shares used in the published result")
+	// No trace of the garbage shares: the published bytes are exactly what
+	// honest trustees alone publish.
+	got, err := cluster.Reader.Read(bb.KindResult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, cleanResult(t, cluster, data, []int{1, 2, 3})) {
+		t.Fatal("result published beside a garbage trustee differs from a clean run's")
+	}
+}
+
+// cleanResult publishes the election on a fresh replica from the given
+// honest trustees' posts alone and returns its result bytes.
+func cleanResult(t *testing.T, cluster *core.Cluster, data *ea.ElectionData, trustees []int) []byte {
+	t.Helper()
+	node, err := bb.NewNode(data.BB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := cluster.BBs[0].VoteSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, vcn := range cluster.VCs {
+		if err := node.SubmitVoteSet(i, set, vcn.SignVoteSet(set)); err != nil {
+			t.Fatal(err)
+		}
+		if err := node.SubmitMskShare(vcn.MskShare()); err != nil {
+			t.Fatal(err)
 		}
 	}
+	for _, i := range trustees {
+		tr, err := trustee.New(data.Trustees[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.PublishTo(cluster.Reader, []*bb.Node{node}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := node.WaitResult(ctx); err != nil {
+		t.Fatal(err)
+	}
+	b, err := node.Read(bb.KindResult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

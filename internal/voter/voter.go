@@ -23,6 +23,7 @@ import (
 	"ddemos/internal/ballot"
 	"ddemos/internal/bb"
 	"ddemos/internal/crypto/votecode"
+	"ddemos/internal/ea"
 )
 
 // Service is a voter's view of one VC node (direct handle or HTTP client).
@@ -164,9 +165,8 @@ func (c *Client) Verify(reader *bb.Reader, result *CastResult) error {
 	return VerifyUnusedPart(reader, pkg)
 }
 
-// VerifyUnusedPart checks that the opened BB rows of the package's unused
-// part match the printed ⟨code, option⟩ association. Shared by voters and
-// delegated auditors.
+// VerifyUnusedPart reads the manifest, cast data and result by majority,
+// once, and runs CheckUnusedPart against them.
 func VerifyUnusedPart(reader *bb.Reader, pkg *ballot.AuditPackage) error {
 	man, err := reader.Manifest()
 	if err != nil {
@@ -180,8 +180,18 @@ func VerifyUnusedPart(reader *bb.Reader, pkg *ballot.AuditPackage) error {
 	if err != nil {
 		return fmt.Errorf("voter: reading result: %w", err)
 	}
-	if pkg.Serial == 0 || pkg.Serial > uint64(man.NumBallots) {
+	return CheckUnusedPart(&man, cast, result, pkg)
+}
+
+// CheckUnusedPart checks, on a board already read, that the opened rows of
+// the package's unused part match the printed ⟨code, option⟩ association.
+// Shared by voters and delegated auditors; the package is untrusted input.
+func CheckUnusedPart(man *ea.Manifest, cast *bb.CastData, result *bb.Result, pkg *ballot.AuditPackage) error {
+	if pkg.Serial == 0 || pkg.Serial > uint64(man.NumBallots) || pkg.Serial > uint64(len(cast.Codes)) {
 		return fmt.Errorf("voter: serial %d out of range", pkg.Serial)
+	}
+	if !pkg.UnusedPartID.Valid() {
+		return fmt.Errorf("voter: part %d out of range", pkg.UnusedPartID)
 	}
 	// Index the published openings of this ballot's unused part.
 	opened := make(map[int]int) // row -> hot option index
