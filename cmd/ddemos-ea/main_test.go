@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -58,7 +59,9 @@ func hashBytes(h hash.Hash, b []byte) {
 // whole-pool bytes of that fixture: a change in ballot generation, the
 // shuffle, share derivation, or the segment writer shows up as a digest
 // mismatch here exactly as it would have shown up as a route divergence.
-const pinnedStreamingDigest = "4de4e1527cedbb5f35dfe55c69eba26e30f99dee26b75d73526a18688d57f59b"
+// The digest also covers the raw bb.gob and trustee-<i>.gob files, so the
+// commitments, proof first moves and trustee shares are frozen too.
+const pinnedStreamingDigest = "b233c1db3590c3fe444200ed8bfb4ecd6a051f227ccf2218323521026a0e79e1"
 
 // TestStreamingRoutePinnedElection is the regression successor of the
 // streaming-vs-legacy differential test: the legacy route is gone, so the
@@ -143,6 +146,24 @@ func TestStreamingRoutePinnedElection(t *testing.T) {
 			}
 		}
 		_ = seg.Close()
+	}
+
+	// The full-crypto payloads, byte for byte: bb.gob carries the encrypted
+	// vote codes, the option-encoding commitments and every bit and sum
+	// proof first move; trustee-<i>.gob carries each trustee's shares of the
+	// openings and of the proofs' final-move coefficients. A change to the
+	// prover's arithmetic or its randomness order shows up here.
+	files := []string{"bb.gob"}
+	for i := 0; i < nTrustees; i++ {
+		files = append(files, fmt.Sprintf("trustee-%d.gob", i))
+	}
+	for _, name := range files {
+		b, err := os.ReadFile(filepath.Join(out, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashBytes(h, []byte(name))
+		hashBytes(h, b)
 	}
 
 	got := hex.EncodeToString(h.Sum(nil))
