@@ -20,7 +20,6 @@ package elgamal
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 
 	"ddemos/internal/crypto/group"
@@ -30,13 +29,27 @@ import (
 // commitments.
 type CommitmentKey struct {
 	P group.Point
+
+	table *group.FixedBase // built on the first FixedBase call, shared by copies
 }
 
 // DeriveCommitmentKey deterministically derives the commitment key for an
 // election. Hash derivation guarantees nobody (including the EA) knows
 // log_G(P), which makes commitments binding.
 func DeriveCommitmentKey(electionID string) CommitmentKey {
-	return CommitmentKey{P: group.HashToPoint("ddemos/v1/elgamal-key", []byte(electionID))}
+	p := group.HashToPoint("ddemos/v1/elgamal-key", []byte(electionID))
+	return CommitmentKey{P: p, table: group.NewFixedBase(p)}
+}
+
+// FixedBase returns the constant-time multiplication table for P, which
+// the prover (zkp.ProveRow) multiplies by secret scalars. The table is
+// built on first use and shared by every copy of a derived key; a key not
+// made by DeriveCommitmentKey gets a fresh table on each call.
+func (k CommitmentKey) FixedBase() *group.FixedBase {
+	if k.table == nil {
+		return group.NewFixedBase(k.P)
+	}
+	return k.table
 }
 
 // Ciphertext is a lifted ElGamal ciphertext (A, B).
@@ -44,19 +57,10 @@ type Ciphertext struct {
 	A, B group.Point
 }
 
-// Encrypt produces a ciphertext of integer message m with fresh randomness
-// from rnd, returning the ciphertext and the randomness (needed for the
-// opening and the zero-knowledge proofs).
-func (k CommitmentKey) Encrypt(m *big.Int, rnd io.Reader) (Ciphertext, *big.Int, error) {
-	r, err := group.RandScalar(rnd)
-	if err != nil {
-		return Ciphertext{}, nil, err
-	}
-	return k.EncryptWith(m, r), r, nil
-}
-
 // EncryptWith produces the deterministic ciphertext for message m and
-// randomness r.
+// randomness r. It is variable-time (BaseMul skips m = 0 and Add skips the
+// identity), so it serves openings that are public by then; the EA's
+// secret commitments come from zkp.ProveRow.
 func (k CommitmentKey) EncryptWith(m, r *big.Int) Ciphertext {
 	return Ciphertext{
 		A: group.BaseMul(r),
@@ -115,30 +119,6 @@ type VectorCiphertext []Ciphertext
 type VectorOpening struct {
 	Ms []*big.Int // messages
 	Rs []*big.Int // randomness
-}
-
-// EncryptUnitVector commits to the unit vector of length m with the 1 at
-// position hot (0-based).
-func (k CommitmentKey) EncryptUnitVector(m, hot int, rnd io.Reader) (VectorCiphertext, VectorOpening, error) {
-	if hot < 0 || hot >= m {
-		return nil, VectorOpening{}, fmt.Errorf("elgamal: hot index %d out of range [0,%d)", hot, m)
-	}
-	cts := make(VectorCiphertext, m)
-	op := VectorOpening{Ms: make([]*big.Int, m), Rs: make([]*big.Int, m)}
-	for j := 0; j < m; j++ {
-		msg := big.NewInt(0)
-		if j == hot {
-			msg = big.NewInt(1)
-		}
-		ct, r, err := k.Encrypt(msg, rnd)
-		if err != nil {
-			return nil, VectorOpening{}, err
-		}
-		cts[j] = ct
-		op.Ms[j] = msg
-		op.Rs[j] = r
-	}
-	return cts, op, nil
 }
 
 // Add returns the component-wise sum of two vector ciphertexts.

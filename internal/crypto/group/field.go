@@ -1,15 +1,21 @@
-// P-256 base-field arithmetic on 4×64-bit limbs in Montgomery form,
-// private to the variable-time multi-scalar multiplication below. The
-// standard library's curve API performs every point operation through
-// marshal/unmarshal conversions (~7µs per addition on the reference
-// machine), which makes any addition-heavy algorithm built on it slower
-// than repeated ScalarMult calls; batch verification only pays off with a
-// field multiplication in the tens of nanoseconds, hence this dedicated
-// implementation.
+// P-256 base-field arithmetic on 4×64-bit limbs in Montgomery form, shared
+// by the variable-time multi-scalar multiplication (msm.go) and the
+// constant-time fixed-base table (fixedbase.go). The standard library's
+// curve API performs every point operation through marshal/unmarshal
+// conversions (~7µs per addition on the reference machine), which makes
+// any addition-heavy algorithm built on it slower than repeated
+// ScalarMult calls; batch verification and the EA's prover only pay off
+// with a field multiplication in the tens of nanoseconds, hence this
+// dedicated implementation.
 //
-// All functions here are variable-time. They are used exclusively to
-// verify public data (commitment openings, audit rows), never with
-// secrets, so timing leaks are harmless.
+// The fixed-base table feeds secret scalars through this file, so its
+// arithmetic is constant time: feMul, feSqr, feAdd and feSub end in
+// masked selects rather than conditional subtractions, feIsZeroMask and
+// feSelect are branch-free, and feInv runs the same
+// square-and-multiply sequence (fixed by the public exponent p−2) for
+// every input. The big.Int conversions (feToMont, feToBig) and the bool
+// feIsZero are variable-time; they only touch public points or values
+// the prover is about to publish.
 package group
 
 import (
@@ -264,19 +270,23 @@ func feMul(z, x, y *fe) {
 	t7, c = bits.Add64(t7, carry, 0)
 	extra += c
 
-	// The REDC output t4..t7 (+ extra·2^256) is < 2p; subtract p once when
-	// needed (extra == 1 means the value certainly exceeds p).
+	// The REDC output t4..t7 (+ extra·2^256) is < 2p; keep the difference
+	// with p when it did not borrow or when extra is set (the value then
+	// certainly exceeds p).
+	feReduceOnce(z, &fe{t4, t5, t6, t7}, extra)
+}
+
+// feReduceOnce sets z = v − p when v + carry·2^256 ≥ p and z = v
+// otherwise, for a value below 2p. The choice is a mask, not a branch.
+func feReduceOnce(z, v *fe, carry uint64) {
 	var b uint64
 	var s fe
-	s[0], b = bits.Sub64(t4, p256P[0], 0)
-	s[1], b = bits.Sub64(t5, p256P[1], b)
-	s[2], b = bits.Sub64(t6, p256P[2], b)
-	s[3], b = bits.Sub64(t7, p256P[3], b)
-	if extra != 0 || b == 0 {
-		*z = s
-	} else {
-		*z = fe{t4, t5, t6, t7}
-	}
+	s[0], b = bits.Sub64(v[0], p256P[0], 0)
+	s[1], b = bits.Sub64(v[1], p256P[1], b)
+	s[2], b = bits.Sub64(v[2], p256P[2], b)
+	s[3], b = bits.Sub64(v[3], p256P[3], b)
+	// The mask is all ones when carry == 1 or b == 0.
+	feSelect(z, &s, v, -(carry | (b ^ 1)))
 }
 
 // feSqr sets z = x² (no dedicated squaring formula; feMul is fast enough).
@@ -290,20 +300,10 @@ func feAdd(z, x, y *fe) {
 	o[1], c = bits.Add64(x[1], y[1], c)
 	o[2], c = bits.Add64(x[2], y[2], c)
 	o[3], c = bits.Add64(x[3], y[3], c)
-	var b uint64
-	var s fe
-	s[0], b = bits.Sub64(o[0], p256P[0], 0)
-	s[1], b = bits.Sub64(o[1], p256P[1], b)
-	s[2], b = bits.Sub64(o[2], p256P[2], b)
-	s[3], b = bits.Sub64(o[3], p256P[3], b)
-	if c != 0 || b == 0 {
-		*z = s
-	} else {
-		*z = o
-	}
+	feReduceOnce(z, &o, c)
 }
 
-// feSub sets z = x - y mod p.
+// feSub sets z = x - y mod p, adding p back under the borrow's mask.
 func feSub(z, x, y *fe) {
 	var b uint64
 	var o fe
@@ -311,15 +311,43 @@ func feSub(z, x, y *fe) {
 	o[1], b = bits.Sub64(x[1], y[1], b)
 	o[2], b = bits.Sub64(x[2], y[2], b)
 	o[3], b = bits.Sub64(x[3], y[3], b)
-	if b != 0 {
-		var c uint64
-		o[0], c = bits.Add64(o[0], p256P[0], 0)
-		o[1], c = bits.Add64(o[1], p256P[1], c)
-		o[2], c = bits.Add64(o[2], p256P[2], c)
-		o[3], _ = bits.Add64(o[3], p256P[3], c)
-	}
-	*z = o
+	mask := -b
+	var c uint64
+	z[0], c = bits.Add64(o[0], p256P[0]&mask, 0)
+	z[1], c = bits.Add64(o[1], p256P[1]&mask, c)
+	z[2], c = bits.Add64(o[2], p256P[2]&mask, c)
+	z[3], _ = bits.Add64(o[3], p256P[3]&mask, c)
 }
 
 // feIsZero reports x == 0 (works in any form; zero is zero in both).
+// Variable-time: msm.go's special cases only.
 func feIsZero(x *fe) bool { return x[0]|x[1]|x[2]|x[3] == 0 }
+
+// feIsZeroMask returns all ones when x == 0 and zero otherwise.
+func feIsZeroMask(x *fe) uint64 {
+	v := x[0] | x[1] | x[2] | x[3]
+	return ((v | -v) >> 63) - 1
+}
+
+// feSelect sets z = a where mask is all ones and z = b where it is zero.
+func feSelect(z, a, b *fe, mask uint64) {
+	for i := range z {
+		z[i] = b[i] ^ (mask & (a[i] ^ b[i]))
+	}
+}
+
+// feInv sets z = x^{-1} = x^{p−2} by Fermat's little theorem (z = 0 for
+// x = 0). The exponent is the public constant p−2, so every input runs the
+// same 256 squarings and 128 multiplications.
+func feInv(z, x *fe) {
+	e := p256P
+	e[0] -= 2 // p[0] = 2^64−1: no borrow
+	r := feOne
+	for i := 255; i >= 0; i-- {
+		feSqr(&r, &r)
+		if e[i/64]>>(i%64)&1 == 1 {
+			feMul(&r, &r, x)
+		}
+	}
+	*z = r
+}

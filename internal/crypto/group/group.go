@@ -1,8 +1,9 @@
 // Package group wraps the NIST P-256 elliptic-curve group with the scalar
 // and point arithmetic the rest of the system needs: lifted-ElGamal
 // commitments, Shamir sharing over the scalar field, hash-to-point
-// derivation of the commitment key, and the multi-scalar multiplication
-// behind batched verification (msm.go).
+// derivation of the commitment key, the multi-scalar multiplication
+// behind batched verification (msm.go), and the constant-time fixed-base
+// table behind the EA's prover (fixedbase.go).
 //
 // All scalar arithmetic is performed modulo the group order q. Points are
 // immutable values; the identity (point at infinity) is represented by the

@@ -57,19 +57,14 @@ func (p *jacPoint) double() {
 }
 
 // addMixed sets p = p + (ax, ay) where the addend is affine in Montgomery
-// form ("madd-2007-bl", 7M + 4S).
+// form, handling every special case by branching (public points only).
 func (p *jacPoint) addMixed(ax, ay *fe) {
 	if p.isInf() {
 		p.x, p.y, p.z = *ax, *ay, feOne
 		return
 	}
-	var z1z1, u2, s2, h fe
-	feSqr(&z1z1, &p.z)
-	feMul(&u2, ax, &z1z1)
-	feMul(&s2, ay, &p.z)
-	feMul(&s2, &s2, &z1z1)
-	feSub(&h, &u2, &p.x)
-	if feIsZero(&h) {
+	var sum jacPoint
+	if h, s2 := p.madd(&sum, ax, ay); feIsZero(&h) {
 		if s2 == p.y {
 			p.double()
 			return
@@ -77,6 +72,21 @@ func (p *jacPoint) addMixed(ax, ay *fe) {
 		p.z = fe{} // P + (-P)
 		return
 	}
+	*p = sum
+}
+
+// madd sets out = p + (ax, ay) by "madd-2007-bl" (7M + 4S) without
+// branching. The formula is incomplete: out is wrong when p is the point at
+// infinity or p = ±(ax, ay). The second case shows as h = 0, and s2 = p.y
+// then tells doubling from cancellation; callers handle both.
+func (p *jacPoint) madd(out *jacPoint, ax, ay *fe) (h, s2 fe) {
+	var z1z1, u2 fe
+	feSqr(&z1z1, &p.z)
+	feMul(&u2, ax, &z1z1)
+	feMul(&s2, ay, &p.z)
+	feMul(&s2, &s2, &z1z1)
+	feSub(&h, &u2, &p.x)
+
 	var hh, i, j, r, v fe
 	feSqr(&hh, &h)
 	feAdd(&i, &hh, &hh)
@@ -101,7 +111,8 @@ func (p *jacPoint) addMixed(ax, ay *fe) {
 	feSub(&z3, &z3, &z1z1)
 	feSub(&z3, &z3, &hh)
 
-	p.x, p.y, p.z = x3, y3, z3
+	out.x, out.y, out.z = x3, y3, z3
+	return h, s2
 }
 
 // add sets p = p + q ("add-2007-bl", 11M + 5S).

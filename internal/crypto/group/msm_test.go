@@ -48,6 +48,15 @@ func TestFieldArithmeticMatchesBigInt(t *testing.T) {
 		if got := feToBig(&am); got.Cmp(a) != 0 {
 			t.Fatalf("roundtrip %d: got %v want %v", i, got, a)
 		}
+		var inv fe
+		feInv(&inv, &am)
+		wantInv := new(big.Int).ModInverse(a, p)
+		if wantInv == nil {
+			wantInv = new(big.Int) // feInv maps 0 to 0
+		}
+		if got := feToBig(&inv); got.Cmp(wantInv) != 0 {
+			t.Fatalf("inv %d: got %v want %v", i, got, wantInv)
+		}
 		for j, b := range vals {
 			bm := feToMont(b)
 			var s, d, m fe

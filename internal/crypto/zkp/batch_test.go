@@ -64,23 +64,23 @@ func newStmt(t testing.TB, kind string, i int, rnd io.Reader) *stmt {
 	case "opening":
 		var err error
 		s.m = big.NewInt(int64(i % 3))
-		s.ct, s.r, err = key.Encrypt(s.m, rnd)
+		s.ct, s.r, err = encryptRef(key, s.m, rnd)
 		must(err)
 	case "bit":
 		bit := i % 2
-		ct, r, err := key.Encrypt(big.NewInt(int64(bit)), rnd)
+		ct, r, err := encryptRef(key, big.NewInt(int64(bit)), rnd)
 		must(err)
-		com, cf, err := NewBitProofFor(key, ct, bit, r, rnd)
+		com, cf, err := newBitProofRef(key, ct, bit, r, rnd)
 		must(err)
 		s.ct, s.bitCom, s.bitFin = ct, com, cf.Finalize(s.c)
 	case "sum":
-		cts, op, err := key.EncryptUnitVector(3, i%3, rnd)
+		cts, op, err := encryptUnitVectorRef(key, 3, i%3, rnd)
 		must(err)
 		rSum := new(big.Int)
 		for _, r := range op.Rs {
 			rSum = group.AddScalar(rSum, r)
 		}
-		com, cf, err := NewSumProof(key, rSum, rnd)
+		com, cf, err := newSumProofRef(key, rSum, rnd)
 		must(err)
 		s.cts, s.k, s.sumCom, s.sumFin = cts, 1, com, cf.Finalize(s.c)
 	}

@@ -7,7 +7,7 @@
 // exactly as the paper describes:
 //
 //  1. At setup the EA computes the first moves (commitments) and posts them
-//     on the Bulletin Board.
+//     on the Bulletin Board (ProveRow, one ballot row at a time).
 //  2. The challenge is NOT Fiat–Shamir: it is extracted from the voters' A/B
 //     part choices collected during the election (the voters' coins), giving
 //     min-entropy θ when θ honest voters participate.
@@ -24,7 +24,6 @@ package zkp
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math/big"
 
@@ -56,70 +55,6 @@ type BitCoeffs struct {
 // hold.
 type BitFinal struct {
 	C0, C1, Z0, Z1 *big.Int
-}
-
-// NewBitProofFor creates the first move and coefficients for ciphertext ct
-// encrypting bit m (0 or 1) with randomness r under key. The real branch is
-// proven honestly; the other branch is simulated backwards from a random
-// (challenge, response) pair chosen at setup.
-func NewBitProofFor(key elgamal.CommitmentKey, ct elgamal.Ciphertext, m int, r *big.Int, rnd io.Reader) (BitCommit, BitCoeffs, error) {
-	if m != 0 && m != 1 {
-		return BitCommit{}, BitCoeffs{}, fmt.Errorf("zkp: message %d is not a bit", m)
-	}
-	w, err := group.RandScalar(rnd)
-	if err != nil {
-		return BitCommit{}, BitCoeffs{}, err
-	}
-	cSim, err := group.RandScalar(rnd)
-	if err != nil {
-		return BitCommit{}, BitCoeffs{}, err
-	}
-	zSim, err := group.RandScalar(rnd)
-	if err != nil {
-		return BitCommit{}, BitCoeffs{}, err
-	}
-
-	// Statement second points: branch 0 proves (A, B) = (rG, rP);
-	// branch 1 proves (A, B-G) = (rG, rP).
-	b0 := ct.B
-	b1 := ct.B.Sub(group.Base())
-
-	realTA := group.BaseMul(w)
-	realTB := key.P.Mul(w)
-
-	var com BitCommit
-	var cf BitCoeffs
-	zero := new(big.Int)
-	one := big.NewInt(1)
-	// β coefficient of the real response: z = w + (c - cSim)*r
-	//   = r*c + (w - cSim*r)  -> α = r, β = w - cSim*r.
-	alphaReal := new(big.Int).Set(r)
-	betaReal := group.SubScalar(w, group.MulScalar(cSim, r))
-
-	if m == 0 {
-		// Real branch 0, simulated branch 1.
-		simTA := group.BaseMul(zSim).Sub(ct.A.Mul(cSim))
-		simTB := key.P.Mul(zSim).Sub(b1.Mul(cSim))
-		com = BitCommit{T0A: realTA, T0B: realTB, T1A: simTA, T1B: simTB}
-		cf = BitCoeffs{
-			AC0: one, BC0: group.NegScalar(cSim), // c0 = c - cSim
-			AC1: zero, BC1: cSim, // c1 = cSim
-			AZ0: alphaReal, BZ0: betaReal,
-			AZ1: zero, BZ1: zSim,
-		}
-	} else {
-		// Real branch 1, simulated branch 0.
-		simTA := group.BaseMul(zSim).Sub(ct.A.Mul(cSim))
-		simTB := key.P.Mul(zSim).Sub(b0.Mul(cSim))
-		com = BitCommit{T0A: simTA, T0B: simTB, T1A: realTA, T1B: realTB}
-		cf = BitCoeffs{
-			AC0: zero, BC0: cSim,
-			AC1: one, BC1: group.NegScalar(cSim),
-			AZ0: zero, BZ0: zSim,
-			AZ1: alphaReal, BZ1: betaReal,
-		}
-	}
-	return com, cf, nil
 }
 
 // Finalize evaluates the affine final move at challenge c. It works equally
@@ -177,18 +112,6 @@ type SumCoeffs struct {
 // SumFinal is the response of the sum proof.
 type SumFinal struct {
 	Z *big.Int
-}
-
-// NewSumProof proves that the component-wise sum of a part's ciphertexts is
-// an encryption of k (the number of selections) — equivalently that
-// (ΣA, ΣB - k*G) is a DDH tuple with witness rSum = Σ randomness.
-func NewSumProof(key elgamal.CommitmentKey, rSum *big.Int, rnd io.Reader) (SumCommit, SumCoeffs, error) {
-	w, err := group.RandScalar(rnd)
-	if err != nil {
-		return SumCommit{}, SumCoeffs{}, err
-	}
-	return SumCommit{TA: group.BaseMul(w), TB: key.P.Mul(w)},
-		SumCoeffs{A: new(big.Int).Set(rSum), B: w}, nil
 }
 
 // Finalize evaluates the sum-proof response at challenge c (works on shares

@@ -19,26 +19,36 @@ func challenge() *big.Int {
 
 func TestBitProofBothBranches(t *testing.T) {
 	c := challenge()
-	for m := 0; m <= 1; m++ {
-		ct, r, err := key.Encrypt(big.NewInt(int64(m)), rand.Reader)
+	rnd := group.NewDRBG([]byte("both-branches"))
+	for hot := 0; hot < 2; hot++ {
+		row, err := ProveRow(key, 2, hot, rnd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		com, cf, err := NewBitProofFor(key, ct, m, r, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
+		if !key.VerifyVectorOpening(row.Commitment, row.Opening) {
+			t.Fatalf("hot %d: opening rejected", hot)
 		}
-		fin := cf.Finalize(c)
-		if !VerifyBit(key, ct, com, fin, c) {
-			t.Fatalf("valid proof for bit %d rejected", m)
+		for j, ct := range row.Commitment {
+			if !VerifyBit(key, ct, row.BitCommits[j], row.BitCoeffs[j].Finalize(c), c) {
+				t.Fatalf("hot %d: valid proof for element %d (bit %v) rejected", hot, j, row.Opening.Ms[j])
+			}
+		}
+		if !VerifySum(key, row.Commitment, 1, row.SumCommit, row.SumCoeffs.Finalize(c), c) {
+			t.Fatalf("hot %d: valid sum proof rejected", hot)
 		}
 	}
 }
 
 func TestBitProofRejectsNonBit(t *testing.T) {
-	ct, r, _ := key.Encrypt(big.NewInt(2), rand.Reader)
-	if _, _, err := NewBitProofFor(key, ct, 2, r, rand.Reader); err == nil {
+	ct, r, _ := encryptRef(key, big.NewInt(2), rand.Reader)
+	if _, _, err := newBitProofRef(key, ct, 2, r, rand.Reader); err == nil {
 		t.Fatal("m=2 must be rejected by the prover")
+	}
+	// ProveRow places exactly one 1, so its only bad input is the position.
+	for _, hot := range []int{-1, 3} {
+		if _, err := ProveRow(key, 3, hot, rand.Reader); err == nil {
+			t.Fatalf("hot index %d of 3 must be rejected", hot)
+		}
 	}
 }
 
@@ -46,9 +56,9 @@ func TestBitProofSoundness(t *testing.T) {
 	// A ciphertext of 2 cannot be proven: forge a proof by running the
 	// honest prover with a lie and check verification fails.
 	c := challenge()
-	ct, r, _ := key.Encrypt(big.NewInt(2), rand.Reader)
+	ct, r, _ := encryptRef(key, big.NewInt(2), rand.Reader)
 	// Lie: claim it encrypts 1.
-	com, cf, err := NewBitProofFor(key, ct, 1, r, rand.Reader)
+	com, cf, err := newBitProofRef(key, ct, 1, r, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +70,8 @@ func TestBitProofSoundness(t *testing.T) {
 
 func TestBitProofWrongChallengeFails(t *testing.T) {
 	c := challenge()
-	ct, r, _ := key.Encrypt(big.NewInt(1), rand.Reader)
-	com, cf, _ := NewBitProofFor(key, ct, 1, r, rand.Reader)
+	ct, r, _ := encryptRef(key, big.NewInt(1), rand.Reader)
+	com, cf, _ := newBitProofRef(key, ct, 1, r, rand.Reader)
 	fin := cf.Finalize(c)
 	other := group.AddScalar(c, big.NewInt(1))
 	if VerifyBit(key, ct, com, fin, other) {
@@ -71,8 +81,8 @@ func TestBitProofWrongChallengeFails(t *testing.T) {
 
 func TestBitProofTamperedFinalFails(t *testing.T) {
 	c := challenge()
-	ct, r, _ := key.Encrypt(big.NewInt(0), rand.Reader)
-	com, cf, _ := NewBitProofFor(key, ct, 0, r, rand.Reader)
+	ct, r, _ := encryptRef(key, big.NewInt(0), rand.Reader)
+	com, cf, _ := newBitProofRef(key, ct, 0, r, rand.Reader)
 	fin := cf.Finalize(c)
 
 	bad := fin
@@ -92,9 +102,9 @@ func TestBitProofTamperedFinalFails(t *testing.T) {
 
 func TestBitProofMismatchedCiphertextFails(t *testing.T) {
 	c := challenge()
-	ct1, r1, _ := key.Encrypt(big.NewInt(1), rand.Reader)
-	ct2, _, _ := key.Encrypt(big.NewInt(1), rand.Reader)
-	com, cf, _ := NewBitProofFor(key, ct1, 1, r1, rand.Reader)
+	ct1, r1, _ := encryptRef(key, big.NewInt(1), rand.Reader)
+	ct2, _, _ := encryptRef(key, big.NewInt(1), rand.Reader)
+	com, cf, _ := newBitProofRef(key, ct1, 1, r1, rand.Reader)
 	fin := cf.Finalize(c)
 	if VerifyBit(key, ct2, com, fin, c) {
 		t.Fatal("proof transplanted to different ciphertext accepted")
@@ -104,7 +114,7 @@ func TestBitProofMismatchedCiphertextFails(t *testing.T) {
 func TestSumProof(t *testing.T) {
 	c := challenge()
 	// Unit vector of length 4, hot position 2: sums to 1.
-	cts, op, err := key.EncryptUnitVector(4, 2, rand.Reader)
+	cts, op, err := encryptUnitVectorRef(key, 4, 2, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestSumProof(t *testing.T) {
 	for _, r := range op.Rs {
 		rSum = group.AddScalar(rSum, r)
 	}
-	com, cf, err := NewSumProof(key, rSum, rand.Reader)
+	com, cf, err := newSumProofRef(key, rSum, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +146,8 @@ func TestSumProof(t *testing.T) {
 func TestSumProofKSelections(t *testing.T) {
 	// k-out-of-m extension: two hot positions, sum = 2.
 	c := challenge()
-	ct1, op1, _ := key.EncryptUnitVector(4, 0, rand.Reader)
-	ct2, op2, _ := key.EncryptUnitVector(4, 3, rand.Reader)
+	ct1, op1, _ := encryptUnitVectorRef(key, 4, 0, rand.Reader)
+	ct2, op2, _ := encryptUnitVectorRef(key, 4, 3, rand.Reader)
 	cts, err := ct1.Add(ct2)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +156,7 @@ func TestSumProofKSelections(t *testing.T) {
 	for _, r := range append(op1.Rs, op2.Rs...) {
 		rSum = group.AddScalar(rSum, r)
 	}
-	com, cf, _ := NewSumProof(key, rSum, rand.Reader)
+	com, cf, _ := newSumProofRef(key, rSum, rand.Reader)
 	fin := cf.Finalize(c)
 	if !VerifySum(key, cts, 2, com, fin, c) {
 		t.Fatal("k=2 sum proof rejected")
@@ -157,8 +167,8 @@ func TestDistributedBitFinalization(t *testing.T) {
 	// EA shares coefficients among 5 trustees, threshold 3. Any 3 trustees'
 	// finalized shares must combine to a verifying final move.
 	c := challenge()
-	ct, r, _ := key.Encrypt(big.NewInt(1), rand.Reader)
-	com, cf, _ := NewBitProofFor(key, ct, 1, r, rand.Reader)
+	ct, r, _ := encryptRef(key, big.NewInt(1), rand.Reader)
+	com, cf, _ := newBitProofRef(key, ct, 1, r, rand.Reader)
 
 	shares, err := ShareBitCoeffs(cf, 3, 5, rand.Reader)
 	if err != nil {
@@ -189,12 +199,12 @@ func TestDistributedBitFinalization(t *testing.T) {
 
 func TestDistributedSumFinalization(t *testing.T) {
 	c := challenge()
-	cts, op, _ := key.EncryptUnitVector(3, 1, rand.Reader)
+	cts, op, _ := encryptUnitVectorRef(key, 3, 1, rand.Reader)
 	rSum := new(big.Int)
 	for _, r := range op.Rs {
 		rSum = group.AddScalar(rSum, r)
 	}
-	com, cf, _ := NewSumProof(key, rSum, rand.Reader)
+	com, cf, _ := newSumProofRef(key, rSum, rand.Reader)
 	shares, err := ShareSumCoeffs(cf, 2, 4, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -229,12 +239,17 @@ func TestChallengeDerivation(t *testing.T) {
 	}
 }
 
-func BenchmarkNewBitProof(b *testing.B) {
-	ct, r, _ := key.Encrypt(big.NewInt(1), rand.Reader)
+// BenchmarkProveRow is one four-option ballot row: commitment, four bit
+// proofs and the sum proof.
+func BenchmarkProveRow(b *testing.B) {
 	rng := group.NewDRBG([]byte("bench"))
+	if _, err := ProveRow(key, 4, 0, rng); err != nil { // builds the key's table
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := NewBitProofFor(key, ct, 1, r, rng); err != nil {
+		if _, err := ProveRow(key, 4, i%4, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,8 +257,8 @@ func BenchmarkNewBitProof(b *testing.B) {
 
 func BenchmarkVerifyBit(b *testing.B) {
 	c := challenge()
-	ct, r, _ := key.Encrypt(big.NewInt(1), rand.Reader)
-	com, cf, _ := NewBitProofFor(key, ct, 1, r, rand.Reader)
+	ct, r, _ := encryptRef(key, big.NewInt(1), rand.Reader)
+	com, cf, _ := newBitProofRef(key, ct, 1, r, rand.Reader)
 	fin := cf.Finalize(c)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

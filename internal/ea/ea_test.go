@@ -383,3 +383,31 @@ func TestManifestOptionIndex(t *testing.T) {
 		t.Fatal("unknown option must fail")
 	}
 }
+
+// BenchmarkSetupBallot is the EA's per-ballot cost on one core: one
+// full-crypto ballot of the benchmark's election shape (four options, four
+// VC nodes, three trustees) — codes, receipt shares and their signatures,
+// the commitments and proof first moves of both parts, and the trustee
+// shares. `go test -bench SetupBallot -cpuprofile` gives the budget.
+func BenchmarkSetupBallot(b *testing.B) {
+	p := testParams()
+	p.Options = []string{"alpha", "beta", "gamma", "delta"}
+	if err := p.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	_, gen, err := setupComponents(&p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := gen.one(1); err != nil { // builds the commitment key's table
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gen.one(uint64(i%p.NumBallots) + 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ballots/s")
+}

@@ -238,7 +238,9 @@ type ballotGen struct {
 }
 
 // one generates ballot `serial` and all derived per-component data as a
-// self-contained Emission (no shared state; safe to call concurrently).
+// self-contained Emission. It shares only read-only state (the commitment
+// key's table is built once, under sync.Once), so it is safe to call
+// concurrently.
 func (g *ballotGen) one(serial uint64) (*Emission, error) {
 	var rnd io.Reader
 	if g.hasSeed {
@@ -330,35 +332,15 @@ func (g *ballotGen) one(serial uint64) (*Emission, error) {
 			if err != nil {
 				return nil, err
 			}
-			cts, opening, err := g.ck.EncryptUnitVector(g.m, optIdx, rnd)
-			if err != nil {
-				return nil, err
-			}
-			bitCommits := make([]zkp.BitCommit, g.m)
-			bitCoeffs := make([]zkp.BitCoeffs, g.m)
-			rSum := new(big.Int)
-			for col := 0; col < g.m; col++ {
-				mBit := 0
-				if opening.Ms[col].Sign() != 0 {
-					mBit = 1
-				}
-				com, cf, err := zkp.NewBitProofFor(g.ck, cts[col], mBit, opening.Rs[col], rnd)
-				if err != nil {
-					return nil, err
-				}
-				bitCommits[col] = com
-				bitCoeffs[col] = cf
-				rSum = group.AddScalar(rSum, opening.Rs[col])
-			}
-			sumCommit, sumCoeffs, err := zkp.NewSumProof(g.ck, rSum, rnd)
+			proved, err := zkp.ProveRow(g.ck, g.m, optIdx, rnd)
 			if err != nil {
 				return nil, err
 			}
 			bbRows[row] = BBRow{
 				EncCode:    encCode,
-				Commitment: cts,
-				BitCommits: bitCommits,
-				SumCommit:  sumCommit,
+				Commitment: proved.Commitment,
+				BitCommits: proved.BitCommits,
+				SumCommit:  proved.SumCommit,
 			}
 
 			// Trustee shares: openings and proof coefficients.
@@ -372,15 +354,15 @@ func (g *ballotGen) one(serial uint64) (*Emission, error) {
 				}
 			}
 			for col := 0; col < g.m; col++ {
-				mShares, err := shamir.Split(opening.Ms[col], ht, nt, rnd)
+				mShares, err := shamir.Split(proved.Opening.Ms[col], ht, nt, rnd)
 				if err != nil {
 					return nil, err
 				}
-				rShares, err := shamir.Split(opening.Rs[col], ht, nt, rnd)
+				rShares, err := shamir.Split(proved.Opening.Rs[col], ht, nt, rnd)
 				if err != nil {
 					return nil, err
 				}
-				cfShares, err := zkp.ShareBitCoeffs(bitCoeffs[col], ht, nt, rnd)
+				cfShares, err := zkp.ShareBitCoeffs(proved.BitCoeffs[col], ht, nt, rnd)
 				if err != nil {
 					return nil, err
 				}
@@ -390,7 +372,7 @@ func (g *ballotGen) one(serial uint64) (*Emission, error) {
 					tRows[ti].BitCoeffs[col] = cfShares[ti]
 				}
 			}
-			sumShares, err := zkp.ShareSumCoeffs(sumCoeffs, ht, nt, rnd)
+			sumShares, err := zkp.ShareSumCoeffs(proved.SumCoeffs, ht, nt, rnd)
 			if err != nil {
 				return nil, err
 			}
