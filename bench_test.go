@@ -135,7 +135,7 @@ func BenchmarkFig5bThroughputVsOptions(b *testing.B) {
 		var last benchmark.Fig5bRow
 		var lastSpeedup float64
 		for _, m := range []int{2, 6, 10} {
-			row, err := benchmark.Fig5bPoint(m, benchBallots, benchVotes, 400, 0, 0)
+			row, err := benchmark.Fig5bPoint(m, benchBallots, benchVotes, 400, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -23,8 +23,8 @@ func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 4a,4b,4c,4d,4e,4f,5a,5b,5c,table1,ablation,pool,pool-election,store,store-election,tally,setup,all")
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast pass")
 	authenticated := flag.Bool("authenticated", false, "sign inter-VC channels (Fig4 sweeps)")
-	batchWindow := flag.Duration("batch-window", 0,
-		"enable the batched message pipeline with this flush window (Fig4 sweeps; Fig5b always runs the batching ablation and uses this window when set)")
+	batch := flag.Bool("batch", false,
+		"enable the batched message pipeline (Fig4 sweeps; Fig5b always runs the batching ablation)")
 	batchMax := flag.Int("batch-max", 0, "max messages per batch (0 = transport default)")
 	consensus := flag.String("consensus", "interlocked",
 		"vote-set-consensus engine for full-election runs: 'interlocked' or 'acs' (times the "+
@@ -33,7 +33,7 @@ func main() {
 
 	tr := benchmark.TransportOptions{
 		Authenticated:    *authenticated,
-		BatchWindow:      *batchWindow,
+		Batch:            *batch,
 		BatchMaxMessages: *batchMax,
 	}
 
@@ -63,7 +63,7 @@ func main() {
 		},
 		"5a": func() error { return benchmark.Fig5a(os.Stdout, pools, 2000, 400) },
 		"5b": func() error {
-			return benchmark.Fig5b(os.Stdout, optionSweep, ballots, votes, 400, *batchWindow, *batchMax)
+			return benchmark.Fig5b(os.Stdout, optionSweep, ballots, votes, 400, *batchMax)
 		},
 		"5c": func() error { return benchmark.Fig5c(os.Stdout, casts, 4, 100, *consensus) },
 		"table1": func() error {

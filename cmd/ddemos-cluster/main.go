@@ -64,7 +64,7 @@ type harnessConfig struct {
 	fsync                 bool
 	journalPool           int
 	journalPolicy         string
-	batchWindow           time.Duration
+	batch                 bool
 	churn                 time.Duration
 	churnBB               bool
 	maxErrRate            float64
@@ -96,7 +96,7 @@ func run() int {
 	flag.BoolVar(&cfg.fsync, "fsync", false, "pass -fsync to VC/BB nodes (requires -durable)")
 	flag.IntVar(&cfg.journalPool, "journal-pool", 1, "number of journal WAL lanes for VC/BB nodes (requires -durable)")
 	flag.StringVar(&cfg.journalPolicy, "journal-policy", "available", "journal ack policy for VC/BB nodes")
-	flag.DurationVar(&cfg.batchWindow, "batch-window", 0, "inter-VC message batching window (0 = off)")
+	flag.BoolVar(&cfg.batch, "batch", false, "pass -batch to the VCs: inter-VC messages that queue while a link is busy leave as one batch")
 	flag.DurationVar(&cfg.churn, "churn", 0, "SIGKILL + restart one node at this interval during load (0 = off; requires -durable)")
 	flag.BoolVar(&cfg.churnBB, "churn-bb", false, "include BB replicas in the churn victim rotation")
 	flag.Float64Var(&cfg.maxErrRate, "max-error-rate", 0.01, "loadgen error fraction above which the run fails")
@@ -455,8 +455,8 @@ func (o *orch) vcArgs(i int, peers []string) []string {
 	if cfg.consensus != "" && cfg.consensus != "interlocked" {
 		args = append(args, "-consensus", cfg.consensus)
 	}
-	if cfg.batchWindow > 0 {
-		args = append(args, "-batch-window", cfg.batchWindow.String())
+	if cfg.batch {
+		args = append(args, "-batch")
 	}
 	if cfg.durable {
 		args = append(args,

@@ -90,8 +90,9 @@ func main() {
 	peersS := flag.String("peers", "", "comma-separated peer TCP addresses, in node-index order")
 	httpAddr := flag.String("http", ":8100", "public HTTP voting endpoint")
 	bbS := flag.String("bb", "", "comma-separated BB base URLs for the election-end push")
-	batchWindow := flag.Duration("batch-window", 0,
-		"coalesce outgoing inter-VC messages per peer for up to this window (0 disables batching)")
+	batch := flag.Bool("batch", false,
+		"coalesce outgoing inter-VC messages that queue for a peer while its link is busy into one batch frame "+
+			"(an idle link sends at once)")
 	batchMax := flag.Int("batch-max", 0, "max messages per batch (0 = transport default)")
 	dataDir := flag.String("data-dir", "",
 		"directory for durable runtime state (WAL lanes + snapshots); the node recovers from it on startup, "+
@@ -141,15 +142,14 @@ func main() {
 		log.Fatal(err)
 	}
 	// Batching is symmetric: every node of a deployment must run the same
-	// -batch-window setting (the receive path splits batches regardless, but
-	// mixed settings forfeit the coalescing win).
+	// -batch setting (the receive path splits batches regardless, but mixed
+	// settings forfeit the coalescing win).
 	var ep transport.Endpoint = tcp
-	if *batchWindow > 0 {
+	if *batch {
 		ep = transport.NewBatcher(tcp, transport.BatcherOptions{
-			Window:      *batchWindow,
 			MaxMessages: *batchMax,
-			// Timer flushes have no caller to return an error to; log the
-			// drops or an unreachable peer is invisible.
+			// Flushes have no caller to return an error to; log the drops
+			// or an unreachable peer is invisible.
 			OnSendError: func(to transport.NodeID, err error) {
 				log.Printf("batch flush to vc-%d failed: %v", to, err)
 			},

@@ -76,16 +76,11 @@ type TransportOptions struct {
 	// Authenticated signs inter-VC channels (the paper's authenticated
 	// channels; one Ed25519 sign+verify per message — or per batch).
 	Authenticated bool
-	// BatchWindow enables the batched message pipeline when > 0.
-	BatchWindow time.Duration
+	// Batch turns the batched message pipeline on.
+	Batch bool
 	// BatchMaxMessages caps messages per batch (0 = transport default).
 	BatchMaxMessages int
 }
-
-// DefaultBatchWindow is the flush window used by batched sweeps when the
-// caller does not pick one — the transport's own default, so benchmarks
-// measure the window deployments run.
-const DefaultBatchWindow = transport.DefaultBatchWindow
 
 // Result is the outcome of a vote-collection run.
 type Result struct {
@@ -130,9 +125,11 @@ func Run(cfg Config) (*Result, error) {
 
 	clusterOpts := core.Options{
 		Authenticated:    cfg.Authenticated,
-		BatchWindow:      cfg.BatchWindow,
 		BatchMaxMessages: cfg.BatchMaxMessages,
 		Consensus:        cfg.Consensus,
+	}
+	if cfg.Batch {
+		clusterOpts.BatchWindow = transport.DefaultBatchWindow // any value > 0 turns batching on
 	}
 	if cfg.WAN {
 		lp := transport.WANProfile

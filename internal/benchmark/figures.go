@@ -106,12 +106,12 @@ func engineLabel(consensus string) string {
 
 func (tr TransportOptions) label() string {
 	switch {
-	case tr.Authenticated && tr.BatchWindow > 0:
-		return fmt.Sprintf(", signed+batched@%v", tr.BatchWindow)
+	case tr.Authenticated && tr.Batch:
+		return ", signed+batched"
 	case tr.Authenticated:
 		return ", signed"
-	case tr.BatchWindow > 0:
-		return fmt.Sprintf(", batched@%v", tr.BatchWindow)
+	case tr.Batch:
+		return ", batched"
 	default:
 		return ""
 	}
@@ -131,10 +131,7 @@ type Fig5bRow struct {
 }
 
 // Fig5bPoint measures one m for all three channel configurations.
-func Fig5bPoint(m, ballots, votes, clients int, window time.Duration, maxMsgs int) (Fig5bRow, error) {
-	if window <= 0 {
-		window = DefaultBatchWindow
-	}
+func Fig5bPoint(m, ballots, votes, clients, maxMsgs int) (Fig5bRow, error) {
 	row := Fig5bRow{Options: m}
 	base := Config{
 		Ballots: ballots, Options: m, VC: 4,
@@ -151,7 +148,7 @@ func Fig5bPoint(m, ballots, votes, clients int, window time.Duration, maxMsgs in
 	}{
 		{&row.Plain, "plain", TransportOptions{}},
 		{&row.Signed, "signed", TransportOptions{Authenticated: true}},
-		{&row.Batched, "batched", TransportOptions{Authenticated: true, BatchWindow: window, BatchMaxMessages: maxMsgs}},
+		{&row.Batched, "batched", TransportOptions{Authenticated: true, Batch: true, BatchMaxMessages: maxMsgs}},
 	}
 	for _, c := range configs {
 		cfg := base
@@ -170,16 +167,13 @@ func Fig5bPoint(m, ballots, votes, clients int, window time.Duration, maxMsgs in
 // (one signature per message), and authenticated channels over the batched
 // pipeline (one signature per batch). Signed vs batched is the like-for-like
 // comparison quantifying the coalescing win on the LAN profile.
-func Fig5b(w io.Writer, options []int, ballots, votes, clients int, window time.Duration, maxMsgs int) error {
-	if window <= 0 {
-		window = DefaultBatchWindow
-	}
-	fmt.Fprintf(w, "# Fig5b: throughput vs m (n=%d, %d votes, %d cc, 4 VC; batch window %v)\n",
-		ballots, votes, clients, window)
+func Fig5b(w io.Writer, options []int, ballots, votes, clients, maxMsgs int) error {
+	fmt.Fprintf(w, "# Fig5b: throughput vs m (n=%d, %d votes, %d cc, 4 VC; self-clocked batching)\n",
+		ballots, votes, clients)
 	fmt.Fprintf(w, "%-6s %-16s %-16s %-20s %-10s\n",
 		"m", "plain(op/s)", "signed(op/s)", "signed+batched(op/s)", "speedup")
 	for _, m := range options {
-		row, err := Fig5bPoint(m, ballots, votes, clients, window, maxMsgs)
+		row, err := Fig5bPoint(m, ballots, votes, clients, maxMsgs)
 		if err != nil {
 			return err
 		}

@@ -53,13 +53,15 @@ type Options struct {
 	// paper's authenticated channels). Costs one sign+verify per message —
 	// or per batch when BatchWindow is set.
 	Authenticated bool
-	// BatchWindow enables the batched message pipeline when > 0: outgoing
-	// inter-VC messages to the same peer are coalesced for up to this window
-	// into one wire.Batch frame (and, with Authenticated, one signature).
-	// Zero keeps the unbatched per-message path.
+	// BatchWindow turns the batched message pipeline on when > 0: outgoing
+	// inter-VC messages that queue for a peer while its link is busy leave
+	// as one wire.Batch frame (and, with Authenticated, one signature).
+	// Zero keeps the unbatched per-message path. The transport.Batcher has
+	// no window, so any value > 0 means "batch"; the field stays a duration
+	// because the bench/ harness sets it to transport.DefaultBatchWindow.
 	BatchWindow time.Duration
-	// BatchMaxMessages flushes a batch early once it holds this many
-	// messages (default 128; only meaningful with BatchWindow > 0).
+	// BatchMaxMessages caps the messages in one batch (default 128; only
+	// meaningful with BatchWindow > 0).
 	BatchMaxMessages int
 	// VCByzantine assigns fault modes to VC nodes by index.
 	VCByzantine map[int]vc.Byzantine
@@ -238,14 +240,7 @@ func (c *Cluster) buildVC(i int) (*vc.Node, error) {
 		ep = transport.NewSigned(ep, data.VC[i].Private, pubs)
 	}
 	if opts.BatchWindow > 0 {
-		bopts := transport.BatcherOptions{
-			Window:      opts.BatchWindow,
-			MaxMessages: opts.BatchMaxMessages,
-		}
-		if c.sim != nil {
-			bopts.Timers = c.sim
-		}
-		ep = transport.NewBatcher(ep, bopts)
+		ep = transport.NewBatcher(ep, transport.BatcherOptions{MaxMessages: opts.BatchMaxMessages})
 	}
 	st := opts.Stores[i]
 	if st != nil && opts.StoreCache > 0 {

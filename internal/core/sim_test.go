@@ -55,8 +55,8 @@ func TestWANElectionRunsInVirtualTime(t *testing.T) {
 }
 
 func TestBatchedAuthenticatedElectionOnSim(t *testing.T) {
-	// The full production stack — Signed + Batcher endpoints — with every
-	// timer (link latency, flush windows) on the virtual clock.
+	// The full production stack — Signed + Batcher endpoints — with the
+	// link latency on the virtual clock.
 	drv := sim.New(sim.Config{})
 	c := newSimCluster(t, 4, drv, Options{
 		Authenticated:    true,

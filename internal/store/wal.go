@@ -26,8 +26,9 @@ import (
 // Append writes each record with a single write(2) call, so everything
 // appended before an ack survives a *process* crash; fsync is batched on a
 // background cadence (group commit), so only a whole-machine failure can
-// lose the last SyncEvery window. SyncEachAppend trades throughput for
-// per-record durability.
+// lose the last SyncEvery window. The background fsync runs outside the
+// append lock: an append never waits for it. SyncEachAppend trades
+// throughput for per-record durability.
 //
 // Replay tolerates a torn tail: a crash mid-write leaves a final record
 // with a short header, short payload, or mismatched CRC, and replay stops
@@ -40,8 +41,18 @@ type WAL struct {
 	opts    WALOptions
 	scratch []byte
 	records int64
-	dirty   bool
-	err     error // first sync/write error, sticky
+	// appended counts AppendBatch writes; synced is the value appended had
+	// when the last completed fsync started. The log is dirty while they
+	// differ.
+	appended, synced uint64
+	err              error // first sync/write error, sticky
+
+	// syncMu serializes fsyncs. It is taken before mu and never while
+	// holding it, and the fsync itself runs with only syncMu held.
+	syncMu sync.Mutex
+	// beforeSync, when set (tests), runs before each background or Sync
+	// fsync, outside mu.
+	beforeSync func()
 
 	kick    chan struct{}
 	closeCh chan struct{}
@@ -204,35 +215,55 @@ func (w *WAL) AppendBatch(payloads [][]byte) error {
 		}
 		return nil
 	}
-	if !w.dirty {
-		w.dirty = true
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
+	w.appended++
+	if w.appended == w.synced+1 {
+		w.kickLocked() // first record since the last fsync
 	}
 	return nil
 }
 
-// Sync forces everything appended so far to stable storage.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
+// kickLocked wakes the group-commit loop.
+func (w *WAL) kickLocked() {
+	select {
+	case w.kick <- struct{}{}:
+	default:
+	}
 }
 
-func (w *WAL) syncLocked() error {
-	if w.f == nil {
+// Sync forces everything appended before the call to stable storage.
+func (w *WAL) Sync() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	f, target, err := w.f, w.appended, w.err
+	clean := target == w.synced
+	w.mu.Unlock()
+	switch {
+	case f == nil:
 		return ErrWALClosed
+	case err != nil:
+		return err
+	case clean:
+		return nil
 	}
-	if w.err != nil {
+	if w.beforeSync != nil {
+		w.beforeSync()
+	}
+	// Appends go on while the fsync runs; it covers at least every record
+	// written before target was read. Close waits on syncMu, so f stays open.
+	err = f.Sync()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err != nil {
+		if w.err == nil {
+			w.err = fmt.Errorf("store: wal sync: %w", err)
+		}
 		return w.err
 	}
-	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("store: wal sync: %w", err)
-		return w.err
+	w.synced = target
+	if w.appended != target {
+		w.kickLocked() // appended during the fsync: still dirty
 	}
-	w.dirty = false
 	return nil
 }
 
@@ -254,11 +285,7 @@ func (w *WAL) syncLoop() {
 			return
 		case <-t.C:
 		}
-		w.mu.Lock()
-		if w.f != nil && w.dirty && w.err == nil {
-			_ = w.syncLocked()
-		}
-		w.mu.Unlock()
+		_ = w.Sync() // a failure is sticky: the next append reports it
 	}
 }
 
@@ -271,18 +298,27 @@ func (w *WAL) Records() int64 {
 
 // Close syncs and closes the log.
 func (w *WAL) Close() error {
+	w.syncMu.Lock()
 	w.mu.Lock()
 	if w.f == nil {
 		w.mu.Unlock()
+		w.syncMu.Unlock()
 		return nil
 	}
 	close(w.closeCh)
-	err := w.syncLocked()
+	err := w.err
+	if err == nil {
+		if serr := w.f.Sync(); serr != nil {
+			err = fmt.Errorf("store: wal sync: %w", serr)
+			w.err = err
+		}
+	}
 	cerr := w.f.Close()
 	w.f = nil
 	w.mu.Unlock()
+	w.syncMu.Unlock()
 	w.loopWG.Wait()
-	if err != nil && !errors.Is(err, ErrWALClosed) {
+	if err != nil {
 		return err
 	}
 	return cerr

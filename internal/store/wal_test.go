@@ -311,6 +311,51 @@ func TestWALConcurrentAppends(t *testing.T) {
 	}
 }
 
+func TestWALAppendDoesNotWaitForGroupCommit(t *testing.T) {
+	// The group-commit fsync runs outside the append lock: with the
+	// background sync parked before its fsync, AppendBatch still returns,
+	// and the records it wrote are synced once the parked sync finishes.
+	path := filepath.Join(t.TempDir(), "wal")
+	w, err := OpenWAL(path, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	w.beforeSync = func() { once.Do(func() { close(parked); <-release }) }
+	if err := w.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	appended := make(chan error, 1)
+	go func() { appended <- w.AppendBatch([][]byte{[]byte("second"), []byte("third")}) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("AppendBatch waited for the group-commit fsync")
+	}
+	close(release)
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	dirty := w.appended != w.synced
+	w.mu.Unlock()
+	if dirty {
+		t.Fatal("records appended during the parked sync are not synced after Sync")
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayAll(t, path); len(got) != 3 {
+		t.Fatalf("replayed %d records, want 3", len(got))
+	}
+}
+
 func TestWriteWALFileAtomicSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snapshot")

@@ -1,46 +1,36 @@
 package transport
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ddemos/internal/clock"
 	"ddemos/internal/wire"
 )
 
-// DefaultBatchWindow is the flush window used when BatcherOptions does not
-// pick one: one LAN round-trip, so coalescing never costs more latency than
-// a single extra network hop.
+// DefaultBatchWindow is kept for callers that still switch batching on with
+// a duration: core.Options.BatchWindow, which the bench/ harness and
+// internal/benchmark set to this. The Batcher has no window: any duration
+// > 0 means "batch".
 const DefaultBatchWindow = 200 * time.Microsecond
 
-// BatcherOptions tunes the coalescing behaviour of a Batcher.
+// BatcherOptions bounds the batches a Batcher cuts.
 type BatcherOptions struct {
-	// Window is how long a queued message may wait for companions before
-	// the batch is flushed (default DefaultBatchWindow).
-	Window time.Duration
-	// MaxMessages flushes a destination's queue as soon as it holds this
-	// many messages (default 128, clamped to wire.MaxBatchFrames so every
-	// flushed batch stays decodable at the receiver).
+	// MaxMessages caps the messages in one batch (default 128, clamped to
+	// wire.MaxBatchFrames so every batch stays decodable at the receiver).
 	MaxMessages int
-	// MaxBytes flushes a destination's queue as soon as its payload bytes
-	// reach this threshold (default 512 KiB), keeping batches under frame
-	// limits on every transport.
+	// MaxBytes caps one batch's payload bytes (default 512 KiB), keeping
+	// batches under frame limits on every transport.
 	MaxBytes int
-	// OnSendError, when set, observes every deferred-flush failure (timer
-	// and shutdown flushes have no caller to return an error to; without a
-	// hook those drops are invisible outside the SendErrors counter).
+	// OnSendError, when set, observes every flush that failed to send some
+	// batch (flushes run on their own goroutine and have no caller to return
+	// an error to; without a hook those drops are invisible outside the
+	// SendErrors counter).
 	OnSendError func(to NodeID, err error)
-	// Timers schedules the flush-window timer (default the real clock).
-	// Pass a sim.Driver or clock.Fake to drive flush windows in virtual
-	// time.
-	Timers clock.Timers
 }
 
 func (o BatcherOptions) withDefaults() BatcherOptions {
-	if o.Window <= 0 {
-		o.Window = DefaultBatchWindow
-	}
 	if o.MaxMessages <= 0 {
 		o.MaxMessages = 128
 	}
@@ -56,27 +46,28 @@ func (o BatcherOptions) withDefaults() BatcherOptions {
 	if o.MaxBytes > maxTCPFrame/2 {
 		o.MaxBytes = maxTCPFrame / 2
 	}
-	if o.Timers == nil {
-		o.Timers = clock.Real{}
-	}
 	return o
 }
 
 // Batcher wraps an Endpoint and coalesces outgoing payloads per destination
-// into wire.Batch envelopes: a payload waits at most Window for companions,
-// and a queue flushes early when it reaches MaxMessages or MaxBytes. The
-// receive path splits incoming Batch frames back into individual Envelopes,
-// so the layers above see the ordinary one-message-per-envelope contract on
-// both Memnet and TCP.
+// into wire.Batch envelopes. It is self-clocked, with no flush timer: Send
+// queues the payload and, when no flush is running for that destination,
+// starts one. The flusher yields once, then drains the queue until it finds
+// it empty. A frame on an idle link therefore leaves at once, and the frames
+// that queue while one batch is being signed and sent form the next batch,
+// cut at MaxMessages and MaxBytes. Batches grow with load instead of with a
+// wait. The receive path splits incoming Batch frames back into individual
+// Envelopes, so the layers above see the ordinary one-message-per-envelope
+// contract on both Memnet and TCP.
 //
 // Payloads must be wire frames (every inter-VC message is): the unbatching
 // path distinguishes batches by the leading wire.Kind byte. Stacked outside
-// a Signed endpoint, each flushed batch is signed and verified exactly once
-// — the batch-signing amortization of DESIGN.md's pipeline.
+// a Signed endpoint, each batch is signed and verified exactly once — the
+// batch-signing amortization of DESIGN.md's pipeline.
 //
-// Send never blocks on the flush: timer flushes run on their own goroutine
-// and threshold flushes run on the sender, each serialized per destination
-// so per-link FIFO ordering is preserved.
+// Send never blocks on the inner endpoint: each destination's flusher runs
+// on its own goroutine. Per-link FIFO order holds because frames leave a
+// queue only in the hands of whoever holds that link's send lock.
 type Batcher struct {
 	inner Endpoint
 	opts  BatcherOptions
@@ -85,8 +76,9 @@ type Batcher struct {
 	queues map[NodeID]*destQueue
 	closed bool
 
-	out  chan Envelope
-	done chan struct{}
+	flushers sync.WaitGroup
+	out      chan Envelope
+	done     chan struct{}
 
 	batchesSent atomic.Int64
 	msgsSent    atomic.Int64
@@ -94,16 +86,14 @@ type Batcher struct {
 	badBatches  atomic.Int64
 }
 
-// destQueue buffers pending frames for one destination. sendMu serializes
-// flushes per destination (it is acquired before the frames are taken, never
-// while holding mu), so a threshold flush cannot overtake a timer flush on
-// the same link.
+// destQueue buffers pending frames for one destination. frames and flushing
+// are guarded by Batcher.mu; sendMu is held by whoever sends on the link (the
+// flusher, an oversized pass-through, Close), and frames are taken off the
+// queue only under it.
 type destQueue struct {
-	frames [][]byte
-	bytes  int
-	timer  clock.Timer
-
-	sendMu sync.Mutex
+	frames   [][]byte
+	flushing bool // a flusher goroutine owns the queue
+	sendMu   sync.Mutex
 }
 
 var _ Endpoint = (*Batcher)(nil)
@@ -127,10 +117,11 @@ func (b *Batcher) ID() NodeID { return b.inner.ID() }
 // Recv implements Endpoint, yielding unbatched individual messages.
 func (b *Batcher) Recv() <-chan Envelope { return b.out }
 
-// Send implements Endpoint: the payload is queued and flushed to the inner
-// endpoint within the batch window. Errors from deferred flushes surface via
-// SendErrors; an error is returned only when the batcher is already closed
-// or when this call itself triggers a threshold flush that fails.
+// Send implements Endpoint: the payload is queued, and a flusher for its
+// destination is started unless one is already running. Failed batch sends
+// surface via SendErrors and OnSendError; an error is returned only when the
+// batcher is closed or when an oversized payload, which this call sends
+// itself, fails.
 func (b *Batcher) Send(to NodeID, payload []byte) error {
 	b.mu.Lock()
 	if b.closed {
@@ -144,64 +135,74 @@ func (b *Batcher) Send(to NodeID, payload []byte) error {
 	}
 	if len(payload) >= wire.MaxBatchableFrame {
 		// Too large for a batch envelope's inner-frame cap (e.g. a whole
-		// election's ANNOUNCE): flush what's queued to keep FIFO order,
-		// then pass the frame through unwrapped.
+		// election's ANNOUNCE): send what's queued to keep FIFO order, then
+		// pass the frame through unwrapped.
 		b.mu.Unlock()
-		if err := b.flushQueue(to, q); err != nil {
-			b.noteSendError(to, err)
-		}
 		q.sendMu.Lock()
-		defer q.sendMu.Unlock()
-		return b.inner.Send(to, payload)
+		qerr := b.sendChunks(to, b.take(q, false))
+		err := b.inner.Send(to, payload)
+		q.sendMu.Unlock()
+		if qerr != nil {
+			b.noteSendError(to, qerr)
+		}
+		return err
 	}
 	q.frames = append(q.frames, payload)
-	q.bytes += len(payload)
-	full := len(q.frames) >= b.opts.MaxMessages || q.bytes >= b.opts.MaxBytes
-	if !full && q.timer == nil {
-		q.timer = b.opts.Timers.AfterFunc(b.opts.Window, func() {
-			if err := b.flushQueue(to, q); err != nil {
-				b.noteSendError(to, err)
-			}
-		})
+	start := !q.flushing
+	if start {
+		q.flushing = true
+		b.flushers.Add(1)
 	}
 	b.mu.Unlock()
-	if full {
-		return b.flushQueue(to, q)
+	if start {
+		go b.flush(to, q)
 	}
 	return nil
 }
 
-// flushQueue drains and delivers one destination's queue. The per-queue
-// sendMu is taken before the frames are, so concurrent timer and threshold
-// flushes cannot reorder batches on a link: whoever wins the lock takes
-// everything pending, the loser finds the queue empty.
-func (b *Batcher) flushQueue(to NodeID, q *destQueue) error {
-	q.sendMu.Lock()
-	defer q.sendMu.Unlock()
-	return b.flushQueueLocked(to, q)
+// flush is a destination's flusher. The one yield before the first drain
+// lets senders running alongside the one that started it join the first
+// batch; after that, each batch is what queued while the previous one was
+// being sent.
+func (b *Batcher) flush(to NodeID, q *destQueue) {
+	defer b.flushers.Done()
+	runtime.Gosched()
+	for {
+		q.sendMu.Lock()
+		frames := b.take(q, true)
+		err := b.sendChunks(to, frames)
+		q.sendMu.Unlock()
+		if err != nil {
+			b.noteSendError(to, err)
+		}
+		if len(frames) == 0 {
+			return
+		}
+	}
 }
 
-// flushQueueLocked is flushQueue with q.sendMu already held.
-func (b *Batcher) flushQueueLocked(to NodeID, q *destQueue) error {
+// take empties q; the caller holds q.sendMu. A flusher that finds the queue
+// empty gives up its ownership in the same critical section, so a Send that
+// queues after it sees no flusher and starts one.
+func (b *Batcher) take(q *destQueue, flusher bool) [][]byte {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	frames := q.frames
 	q.frames = nil
-	q.bytes = 0
-	if q.timer != nil {
-		q.timer.Stop()
-		q.timer = nil
+	if flusher && len(frames) == 0 {
+		q.flushing = false
 	}
-	b.mu.Unlock()
-	if len(frames) == 0 {
-		return nil
-	}
-	// Concurrent Sends may append past the thresholds between a flush
-	// trigger and this drain (appends only block on sendMu after queueing),
-	// so re-chunk here by both caps: no batch exceeds the configured
-	// MaxMessages (≤ wire.MaxBatchFrames after withDefaults) or the
-	// MaxBytes payload bound. A chunk always takes at least one frame — a
-	// lone frame above MaxBytes still fits every transport, since batchable
-	// frames are capped at wire.MaxBatchableFrame.
+	return frames
+}
+
+// sendChunks hands frames to the inner endpoint in batches cut at
+// MaxMessages and MaxBytes. A chunk always takes at least one frame — a lone
+// frame above MaxBytes still fits every transport, since batchable frames
+// are capped at wire.MaxBatchableFrame. After a failed chunk the rest are
+// still attempted — the inner endpoint redials on failure, so one dead
+// connection must not drop the rest of the queue the way it would not have
+// dropped individually-sent messages — and the first error is returned.
+func (b *Batcher) sendChunks(to NodeID, frames [][]byte) error {
 	var firstErr error
 	for len(frames) > 0 {
 		cut, bytes := 0, 0
@@ -215,10 +216,6 @@ func (b *Batcher) flushQueueLocked(to NodeID, q *destQueue) error {
 		chunk := frames[:cut]
 		frames = frames[cut:]
 		if err := b.inner.Send(to, wire.EncodeBatch(chunk)); err != nil {
-			// Later chunks still get their attempt — the inner endpoint
-			// redials on failure, so one dead connection must not drop the
-			// rest of the queue the way it would not have dropped
-			// individually-sent messages.
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -230,40 +227,11 @@ func (b *Batcher) flushQueueLocked(to NodeID, q *destQueue) error {
 	return firstErr
 }
 
-// Flush synchronously drains every destination queue (tests, shutdown).
-func (b *Batcher) Flush() { b.flush(false) }
-
-func (b *Batcher) flush(try bool) {
-	b.mu.Lock()
-	queues := make(map[NodeID]*destQueue, len(b.queues))
-	for to, q := range b.queues {
-		queues[to] = q
-	}
-	b.mu.Unlock()
-	for to, q := range queues {
-		if try {
-			// Best-effort: an in-flight flush owns this link — possibly
-			// blocked in a write to a peer that stopped reading — and
-			// waiting for it would deadlock Close against the very
-			// inner.Close that unblocks the write. Skip; the owner drains
-			// the queue or errors out when the connection closes.
-			if !q.sendMu.TryLock() {
-				continue
-			}
-			err := b.flushQueueLocked(to, q)
-			q.sendMu.Unlock()
-			if err != nil {
-				b.noteSendError(to, err)
-			}
-			continue
-		}
-		if err := b.flushQueue(to, q); err != nil {
-			b.noteSendError(to, err)
-		}
-	}
-}
-
-// Close implements Endpoint: pending batches are flushed best-effort first.
+// Close implements Endpoint. Pending frames are sent best-effort first, but
+// only on links no flush is sending on: an in-flight send may be blocked in
+// a write to a peer that stopped reading, and only closing the inner
+// endpoint unblocks it. Close returns once every flusher has exited, so none
+// outlives the inner endpoint.
 func (b *Batcher) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -272,9 +240,20 @@ func (b *Batcher) Close() error {
 	}
 	b.closed = true
 	b.mu.Unlock()
-	b.flush(true)
+	// b.queues is only written by Send before closed is set.
+	for to, q := range b.queues {
+		if q.sendMu.TryLock() {
+			err := b.sendChunks(to, b.take(q, false))
+			q.sendMu.Unlock()
+			if err != nil {
+				b.noteSendError(to, err)
+			}
+		}
+	}
 	close(b.done)
-	return b.inner.Close()
+	err := b.inner.Close()
+	b.flushers.Wait()
+	return err
 }
 
 // Stats reports (batches sent, messages sent): the coalescing ratio.
@@ -282,11 +261,11 @@ func (b *Batcher) Stats() (batches, msgs int64) {
 	return b.batchesSent.Load(), b.msgsSent.Load()
 }
 
-// SendErrors reports how many deferred flushes failed.
+// SendErrors reports how many flushes failed to send some batch.
 func (b *Batcher) SendErrors() int64 { return b.sendErrors.Load() }
 
-// noteSendError records a deferred-flush failure and surfaces it to the
-// OnSendError hook, if any.
+// noteSendError records a failed flush and surfaces it to the OnSendError
+// hook, if any. Callers hold no lock: the hook is caller-supplied code.
 func (b *Batcher) noteSendError(to NodeID, err error) {
 	b.sendErrors.Add(1)
 	if b.opts.OnSendError != nil {

@@ -12,87 +12,112 @@ func testFrame(i int) []byte {
 	return wire.Encode(&wire.Endorse{Serial: uint64(i), Code: []byte{byte(i), byte(i >> 8)}}) //nolint:gosec // test data
 }
 
-func TestBatcherCoalescesWithinWindow(t *testing.T) {
-	net := NewMemnet(LinkProfile{})
-	defer func() { _ = net.Close() }()
-	a := NewBatcher(net.Endpoint(1), BatcherOptions{Window: 20 * time.Millisecond})
-	b := NewBatcher(net.Endpoint(2), BatcherOptions{Window: 20 * time.Millisecond})
-	defer func() { _ = a.Close() }()
-	defer func() { _ = b.Close() }()
-
-	const total = 10
-	for i := 0; i < total; i++ {
-		if err := a.Send(2, testFrame(i)); err != nil {
-			t.Fatal(err)
-		}
+// mustSend sends testFrame(i) to `to`.
+func mustSend(t *testing.T, ep Endpoint, to NodeID, i int) {
+	t.Helper()
+	if err := ep.Send(to, testFrame(i)); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < total; i++ {
-		env := recvWithTimeout(t, b, time.Second)
+}
+
+// recvSerials receives n messages on ep and checks they are the test frames
+// first, first+1, … in order, sent from `from`.
+func recvSerials(t *testing.T, ep Endpoint, from NodeID, first, n int) {
+	t.Helper()
+	for i := first; i < first+n; i++ {
+		env := recvWithTimeout(t, ep, 2*time.Second)
 		m, err := wire.Decode(env.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.(*wire.Endorse).Serial; got != uint64(i) {
+		if got := m.(*wire.Endorse).Serial; got != uint64(i) { //nolint:gosec // test data
 			t.Fatalf("message %d arrived as %d", i, got)
 		}
-		if env.From != 1 || env.To != 2 {
+		if env.From != from {
 			t.Fatalf("bad route %+v", env)
 		}
 	}
-	// All ten messages must have crossed the network as one frame.
-	if msgs, _ := net.Stats(); msgs != 1 {
-		t.Fatalf("network saw %d frames, want 1", msgs)
+}
+
+func TestBatcherCoalescesWithinWindow(t *testing.T) {
+	// Frames that queue while the link is busy leave as one batch: frame 0
+	// is held in the inner send, frames 1–9 queue behind it and cross the
+	// network as a single frame.
+	net := NewMemnet(LinkProfile{})
+	defer func() { _ = net.Close() }()
+	g := newGatedEndpoint(net.Endpoint(1))
+	a := NewBatcher(g, BatcherOptions{})
+	b := NewBatcher(net.Endpoint(2), BatcherOptions{})
+	defer func() { _ = a.Close() }()
+	defer func() { _ = b.Close() }()
+
+	const total = 10
+	mustSend(t, a, 2, 0)
+	<-g.entered
+	for i := 1; i < total; i++ {
+		mustSend(t, a, 2, i)
 	}
-	if batches, msgs := a.Stats(); batches != 1 || msgs != total {
+	close(g.pass)
+	recvSerials(t, b, 1, 0, total)
+	if msgs, _ := net.Stats(); msgs != 2 {
+		t.Fatalf("network saw %d frames, want 2", msgs)
+	}
+	if batches, msgs := a.Stats(); batches != 2 || msgs != total {
 		t.Fatalf("batcher stats: %d batches %d msgs", batches, msgs)
 	}
 }
 
 func TestBatcherFlushesOnMaxMessages(t *testing.T) {
+	// Eight frames queued behind an in-flight one leave as two batches of
+	// MaxMessages = 4.
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
-	// A window far too long to fire during the test: only the size
-	// threshold can flush.
-	a := NewBatcher(net.Endpoint(1), BatcherOptions{Window: time.Hour, MaxMessages: 4})
-	b := NewBatcher(net.Endpoint(2), BatcherOptions{Window: time.Hour})
+	g := newGatedEndpoint(net.Endpoint(1))
+	a := NewBatcher(g, BatcherOptions{MaxMessages: 4})
+	b := NewBatcher(net.Endpoint(2), BatcherOptions{})
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
-	for i := 0; i < 4; i++ {
-		if err := a.Send(2, testFrame(i)); err != nil {
-			t.Fatal(err)
-		}
+	mustSend(t, a, 2, 0)
+	<-g.entered
+	for i := 1; i <= 8; i++ {
+		mustSend(t, a, 2, i)
 	}
-	for i := 0; i < 4; i++ {
-		recvWithTimeout(t, b, time.Second)
-	}
-	if msgs, _ := net.Stats(); msgs != 1 {
-		t.Fatalf("network saw %d frames, want 1", msgs)
+	close(g.pass)
+	recvSerials(t, b, 1, 0, 9)
+	if msgs, _ := net.Stats(); msgs != 3 {
+		t.Fatalf("network saw %d frames, want 3", msgs)
 	}
 }
 
 func TestBatcherFlushesOnMaxBytes(t *testing.T) {
+	// A 16-byte cap holds one 15-byte frame: the two queued frames leave as
+	// two unwrapped singletons.
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
-	a := NewBatcher(net.Endpoint(1), BatcherOptions{Window: time.Hour, MaxBytes: 16})
-	b := NewBatcher(net.Endpoint(2), BatcherOptions{Window: time.Hour})
+	g := newGatedEndpoint(net.Endpoint(1))
+	a := NewBatcher(g, BatcherOptions{MaxBytes: 16})
+	b := NewBatcher(net.Endpoint(2), BatcherOptions{})
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
-	if err := a.Send(2, testFrame(1)); err != nil { // 15 bytes: below threshold
-		t.Fatal(err)
+	mustSend(t, a, 2, 0)
+	<-g.entered
+	mustSend(t, a, 2, 1)
+	mustSend(t, a, 2, 2)
+	close(g.pass)
+	recvSerials(t, b, 1, 0, 3)
+	for i := 0; i < 3; i++ {
+		if wire.IsBatchFrame(<-g.done) {
+			t.Fatal("byte-capped singleton chunk must pass through unwrapped")
+		}
 	}
-	if err := a.Send(2, testFrame(2)); err != nil { // crosses MaxBytes
-		t.Fatal(err)
-	}
-	recvWithTimeout(t, b, time.Second)
-	recvWithTimeout(t, b, time.Second)
 }
 
 func TestBatcherSingletonPassesThroughUnwrapped(t *testing.T) {
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
-	a := NewBatcher(net.Endpoint(1), BatcherOptions{Window: time.Millisecond})
+	a := NewBatcher(net.Endpoint(1), BatcherOptions{})
 	raw := net.Endpoint(2) // receiver without a Batcher
 	defer func() { _ = a.Close() }()
 
@@ -107,34 +132,39 @@ func TestBatcherSingletonPassesThroughUnwrapped(t *testing.T) {
 }
 
 func TestBatcherPerDestinationQueues(t *testing.T) {
+	// Each destination has its own queue and flusher: with both links busy,
+	// the frames queued for each leave as one batch per destination.
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
-	a := NewBatcher(net.Endpoint(1), BatcherOptions{Window: 5 * time.Millisecond})
-	b := NewBatcher(net.Endpoint(2), BatcherOptions{Window: 5 * time.Millisecond})
-	c := NewBatcher(net.Endpoint(3), BatcherOptions{Window: 5 * time.Millisecond})
+	g := newGatedEndpoint(net.Endpoint(1))
+	a := NewBatcher(g, BatcherOptions{})
+	b := NewBatcher(net.Endpoint(2), BatcherOptions{})
+	c := NewBatcher(net.Endpoint(3), BatcherOptions{})
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 	defer func() { _ = c.Close() }()
 
-	for i := 0; i < 6; i++ {
-		dst := NodeID(2 + NodeID(i%2))
-		if err := a.Send(dst, testFrame(i)); err != nil {
-			t.Fatal(err)
-		}
+	mustSend(t, a, 2, 0)
+	mustSend(t, a, 3, 1)
+	<-g.entered
+	<-g.entered
+	for i := 2; i < 6; i++ {
+		mustSend(t, a, NodeID(2+i%2), i)
 	}
-	for i := 0; i < 3; i++ {
-		recvWithTimeout(t, b, time.Second)
-		recvWithTimeout(t, c, time.Second)
+	close(g.pass)
+	for i := 0; i < 6; i += 2 {
+		recvSerials(t, b, 1, i, 1)
+		recvSerials(t, c, 1, i+1, 1)
 	}
-	if msgs, _ := net.Stats(); msgs != 2 {
-		t.Fatalf("network saw %d frames, want 2 (one per destination)", msgs)
+	if msgs, _ := net.Stats(); msgs != 4 {
+		t.Fatalf("network saw %d frames, want 4 (in-flight + one batch per destination)", msgs)
 	}
 }
 
 func TestBatcherCloseFlushesPending(t *testing.T) {
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
-	a := NewBatcher(net.Endpoint(1), BatcherOptions{Window: time.Hour})
+	a := NewBatcher(net.Endpoint(1), BatcherOptions{})
 	b := net.Endpoint(2)
 	if err := a.Send(2, testFrame(1)); err != nil {
 		t.Fatal(err)
@@ -152,7 +182,7 @@ func TestBatcherDropsGarbageBatches(t *testing.T) {
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
 	raw := net.Endpoint(1)
-	b := NewBatcher(net.Endpoint(2), BatcherOptions{Window: time.Millisecond})
+	b := NewBatcher(net.Endpoint(2), BatcherOptions{})
 	defer func() { _ = b.Close() }()
 
 	garbage := []byte{byte(wire.KindBatch), 0xff, 0xff} // bad version/truncated
@@ -173,43 +203,36 @@ func TestBatcherDropsGarbageBatches(t *testing.T) {
 }
 
 func TestBatcherOverSignedOneSignaturePerBatch(t *testing.T) {
-	// Stack order endpoint → Signed → Batcher: the batch is signed once and
+	// Stack order endpoint → Signed → Batcher: each batch is signed once and
 	// verified once, and unbatching yields the individual messages.
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
 	keys, pubs := makeKeys(t, 2)
-	window := 20 * time.Millisecond
-	a := NewBatcher(NewSigned(net.Endpoint(0), keys[0].Private, pubs), BatcherOptions{Window: window})
-	b := NewBatcher(NewSigned(net.Endpoint(1), keys[1].Private, pubs), BatcherOptions{Window: window})
+	g := newGatedEndpoint(net.Endpoint(0))
+	a := NewBatcher(NewSigned(g, keys[0].Private, pubs), BatcherOptions{})
+	b := NewBatcher(NewSigned(net.Endpoint(1), keys[1].Private, pubs), BatcherOptions{})
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
 	const total = 8
-	for i := 0; i < total; i++ {
-		if err := a.Send(1, testFrame(i)); err != nil {
-			t.Fatal(err)
-		}
+	mustSend(t, a, 1, 0)
+	<-g.entered
+	for i := 1; i < total; i++ {
+		mustSend(t, a, 1, i)
 	}
-	for i := 0; i < total; i++ {
-		env := recvWithTimeout(t, b, time.Second)
-		m, err := wire.Decode(env.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.(*wire.Endorse).Serial; got != uint64(i) {
-			t.Fatalf("message %d arrived as %d", i, got)
-		}
-	}
-	// One network frame: 64-byte signature + one batch envelope.
+	close(g.pass)
+	recvSerials(t, b, 0, 0, total)
+	// Two network frames (the in-flight singleton, then the batch), each a
+	// 64-byte signature + its payload.
 	msgs, bytes := net.Stats()
-	if msgs != 1 {
-		t.Fatalf("network saw %d frames, want 1", msgs)
+	if msgs != 2 {
+		t.Fatalf("network saw %d frames, want 2", msgs)
 	}
 	var inner int64
 	for i := 0; i < total; i++ {
 		inner += int64(len(testFrame(i)))
 	}
-	if overhead := bytes - inner; overhead > 64+6*int64(total)+16 {
+	if overhead := bytes - inner; overhead > 2*64+6*int64(total)+16 {
 		t.Fatalf("batch overhead %d bytes for %d messages", overhead, total)
 	}
 }
@@ -223,27 +246,16 @@ func TestBatcherOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewBatcher(cli, BatcherOptions{Window: 10 * time.Millisecond})
-	b := NewBatcher(srv, BatcherOptions{Window: 10 * time.Millisecond})
+	a := NewBatcher(cli, BatcherOptions{})
+	b := NewBatcher(srv, BatcherOptions{})
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
 	const total = 20
 	for i := 0; i < total; i++ {
-		if err := a.Send(0, testFrame(i)); err != nil {
-			t.Fatal(err)
-		}
+		mustSend(t, a, 0, i)
 	}
-	for i := 0; i < total; i++ {
-		env := recvWithTimeout(t, b, 2*time.Second)
-		m, err := wire.Decode(env.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.(*wire.Endorse).Serial; got != uint64(i) {
-			t.Fatalf("message %d arrived as %d", i, got)
-		}
-	}
+	recvSerials(t, b, 1, 0, total)
 }
 
 func TestBatcherOversizedFramePassesThrough(t *testing.T) {
@@ -253,8 +265,8 @@ func TestBatcherOversizedFramePassesThrough(t *testing.T) {
 	// case.
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
-	a := NewBatcher(net.Endpoint(1), BatcherOptions{Window: time.Hour})
-	b := NewBatcher(net.Endpoint(2), BatcherOptions{Window: time.Hour})
+	a := NewBatcher(net.Endpoint(1), BatcherOptions{})
+	b := NewBatcher(net.Endpoint(2), BatcherOptions{})
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
@@ -265,10 +277,10 @@ func TestBatcherOversizedFramePassesThrough(t *testing.T) {
 	if len(big) < wire.MaxBatchableFrame {
 		t.Fatalf("test frame too small: %d", len(big))
 	}
-	if err := a.Send(2, small); err != nil { // queued behind an hour-long window
+	if err := a.Send(2, small); err != nil { // queued, or already in flight
 		t.Fatal(err)
 	}
-	if err := a.Send(2, big); err != nil { // must flush `small` first, then pass through
+	if err := a.Send(2, big); err != nil { // must leave after `small`, unwrapped
 		t.Fatal(err)
 	}
 	env := recvWithTimeout(t, b, time.Second)
@@ -290,16 +302,14 @@ func TestBatcherFaultInjectionWholeBatches(t *testing.T) {
 	// arrive intact and correctly attributed.
 	net := NewMemnet(LinkProfile{DupRate: 0.3, Jitter: 500 * time.Microsecond})
 	defer func() { _ = net.Close() }()
-	a := NewBatcher(net.Endpoint(1), BatcherOptions{Window: time.Millisecond, MaxMessages: 5})
-	b := NewBatcher(net.Endpoint(2), BatcherOptions{Window: time.Millisecond, MaxMessages: 5})
+	a := NewBatcher(net.Endpoint(1), BatcherOptions{MaxMessages: 5})
+	b := NewBatcher(net.Endpoint(2), BatcherOptions{MaxMessages: 5})
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
 	const total = 50
 	for i := 0; i < total; i++ {
-		if err := a.Send(2, testFrame(i)); err != nil {
-			t.Fatal(err)
-		}
+		mustSend(t, a, 2, i)
 	}
 	seen := make(map[uint64]int)
 	deadline := time.After(5 * time.Second)
@@ -335,8 +345,8 @@ func TestBatcherFaultInjectionWholeBatches(t *testing.T) {
 func BenchmarkBatcherSend(b *testing.B) {
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
-	src := NewBatcher(net.Endpoint(0), BatcherOptions{Window: 100 * time.Microsecond})
-	dst := NewBatcher(net.Endpoint(1), BatcherOptions{Window: 100 * time.Microsecond})
+	src := NewBatcher(net.Endpoint(0), BatcherOptions{})
+	dst := NewBatcher(net.Endpoint(1), BatcherOptions{})
 	defer func() { _ = src.Close() }()
 	defer func() { _ = dst.Close() }()
 	frame := testFrame(1)

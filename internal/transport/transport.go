@@ -15,11 +15,11 @@
 // keys, realizing the paper's "private and authenticated channels" between
 // VC nodes without external PKI.
 //
-// The Batcher wrapper coalesces outgoing payloads per destination within a
-// flush window into single wire.Batch frames and splits inbound batches back
-// into individual envelopes — the transport stage of the batched message
-// pipeline (DESIGN.md). Stacking order is endpoint → Signed → Batcher, so an
-// entire batch is authenticated by one signature.
+// The Batcher wrapper coalesces the payloads that queue for a destination
+// while its link is busy into single wire.Batch frames, and splits inbound
+// batches back into individual envelopes — the transport stage of the
+// batched message pipeline (DESIGN.md). Stacking order is endpoint → Signed
+// → Batcher, so an entire batch is authenticated by one signature.
 package transport
 
 import (

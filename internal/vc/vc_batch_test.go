@@ -135,7 +135,6 @@ func batchedStack(opts transport.BatcherOptions) func(int, *ea.ElectionData, tra
 		for j, p := range data.Manifest.VCPublics {
 			pubs[transport.NodeID(j)] = p //nolint:gosec // small
 		}
-		opts.Timers = tm
 		return transport.NewBatcher(transport.NewSigned(ep, data.VC[i].Private, pubs), opts)
 	}
 }
@@ -148,7 +147,7 @@ func rawStack(i int, data *ea.ElectionData, ep transport.Endpoint, tm clock.Time
 func TestVoteBatchedPipeline(t *testing.T) {
 	c := newClusterStack(t, 8, 4,
 		transport.LinkProfile{Latency: 200 * time.Microsecond},
-		batchedStack(transport.BatcherOptions{Window: 500 * time.Microsecond}))
+		batchedStack(transport.BatcherOptions{}))
 	for i := 0; i < 4; i++ {
 		serial := uint64(i + 1)
 		receipt, err := c.vote(serial, ballot.PartA, i%2, i)
@@ -165,7 +164,7 @@ func TestVoteBatchedConcurrentVoters(t *testing.T) {
 	const voters = 40
 	c := newClusterStack(t, voters, 4,
 		transport.LinkProfile{Latency: 200 * time.Microsecond, Jitter: 100 * time.Microsecond},
-		batchedStack(transport.BatcherOptions{Window: time.Millisecond}))
+		batchedStack(transport.BatcherOptions{}))
 	errs := make(chan error, voters)
 	for v := 0; v < voters; v++ {
 		go func(v int) {
@@ -188,12 +187,12 @@ func TestVoteBatchedConcurrentVoters(t *testing.T) {
 func TestVoteBatchingSenderOnlyInterop(t *testing.T) {
 	// Only node 0 batches; the other nodes run raw endpoints with no
 	// unbatching wrapper, so their pumps must split wire.Batch envelopes
-	// themselves (mixed deployments with inconsistent -batch-window flags).
+	// themselves (mixed deployments with inconsistent -batch flags).
 	c := newClusterStack(t, 4, 4,
 		transport.LinkProfile{Latency: 200 * time.Microsecond},
 		func(i int, data *ea.ElectionData, ep transport.Endpoint, tm clock.Timers) transport.Endpoint {
 			if i == 0 {
-				return transport.NewBatcher(ep, transport.BatcherOptions{Window: time.Millisecond, Timers: tm})
+				return transport.NewBatcher(ep, transport.BatcherOptions{})
 			}
 			return ep
 		})
@@ -212,7 +211,7 @@ func TestBatchedDuplicationIsIdempotent(t *testing.T) {
 	const voters = 12
 	c := newClusterStack(t, voters, 4,
 		transport.LinkProfile{Latency: 200 * time.Microsecond, Jitter: 300 * time.Microsecond, DupRate: 0.4},
-		batchedStack(transport.BatcherOptions{Window: time.Millisecond, MaxMessages: 8}))
+		batchedStack(transport.BatcherOptions{MaxMessages: 8}))
 	for v := 0; v < voters; v++ {
 		serial := uint64(v + 1)
 		receipt, err := c.vote(serial, ballot.PartA, v%2, v%4)
@@ -240,7 +239,7 @@ func TestBatchedFaultInjectionAtMostOneUCert(t *testing.T) {
 			DropRate: 0.10,
 			DupRate:  0.15,
 		},
-		batchedStack(transport.BatcherOptions{Window: time.Millisecond, MaxMessages: 6}))
+		batchedStack(transport.BatcherOptions{MaxMessages: 6}))
 
 	type res struct {
 		serial  uint64
