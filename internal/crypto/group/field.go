@@ -331,9 +331,10 @@ func feIsZeroMask(x *fe) uint64 {
 
 // feSelect sets z = a where mask is all ones and z = b where it is zero.
 func feSelect(z, a, b *fe, mask uint64) {
-	for i := range z {
-		z[i] = b[i] ^ (mask & (a[i] ^ b[i]))
-	}
+	z[0] = b[0] ^ (mask & (a[0] ^ b[0]))
+	z[1] = b[1] ^ (mask & (a[1] ^ b[1]))
+	z[2] = b[2] ^ (mask & (a[2] ^ b[2]))
+	z[3] = b[3] ^ (mask & (a[3] ^ b[3]))
 }
 
 // feInv sets z = x^{-1} = x^{p−2} by Fermat's little theorem (z = 0 for

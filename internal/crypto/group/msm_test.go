@@ -2,6 +2,7 @@ package group
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"math/big"
 	"testing"
 )
@@ -201,21 +202,272 @@ func TestMultiScalarMulVartimeDegenerate(t *testing.T) {
 	}
 }
 
-func BenchmarkMultiScalarMul(b *testing.B) {
+// msmDoubleAndAdd is the reference for the bucket method: one left-to-right
+// double-and-add over all points at once, on the Jacobian formulas that
+// TestJacobianMatchesAffine checks against the standard library.
+func msmDoubleAndAdd(points []Point, scalars []*big.Int) Point {
+	var acc jacPoint
+	for bit := 255; bit >= 0; bit-- {
+		acc.double()
+		for i, p := range points {
+			if !p.IsIdentity() && new(big.Int).Mod(scalars[i], q).Bit(bit) == 1 {
+				x, y := feToMont(p.x), feToMont(p.y)
+				acc.addMixed(&x, &y)
+			}
+		}
+	}
+	return acc.toAffine()
+}
+
+// tableWidths is every window width msmWidths can pick.
+func tableWidths() []int {
+	var cs []int
+	for _, w := range msmWidths {
+		cs = append(cs, w.c)
+	}
+	return cs
+}
+
+// msmWidth is MultiScalarMulVartime with the window width c forced.
+func msmWidth(points []Point, scalars []*big.Int, c int) Point {
+	pts, ks, maxBits := msmInputs(points, scalars)
+	if len(pts) == 0 {
+		return Point{}
+	}
+	acc := pippenger(pts, ks, maxBits, c)
+	return acc.toAffine()
+}
+
+// checkMSM compares the MSM at every width the table can pick, and at the
+// width it does pick, with the double-and-add reference.
+func checkMSM(t *testing.T, name string, points []Point, scalars []*big.Int) {
+	t.Helper()
+	want := msmDoubleAndAdd(points, scalars)
+	if got := MultiScalarMulVartime(points, scalars); !got.Equal(want) {
+		t.Fatalf("%s: MultiScalarMulVartime differs from double-and-add", name)
+	}
+	for _, c := range tableWidths() {
+		if got := msmWidth(points, scalars, c); !got.Equal(want) {
+			t.Fatalf("%s, c=%d: bucket method differs from double-and-add", name, c)
+		}
+	}
+}
+
+// TestMultiScalarMulBucketCollisions is the table of inputs that put equal
+// or opposite points into one bucket, where a tree level's affine addition
+// must double or cancel instead of dividing by zero, and of the scalars the
+// signed recoding is most likely to get wrong.
+func TestMultiScalarMulBucketCollisions(t *testing.T) {
+	rnd := newDetRand("msm-collisions")
+	rand := func() *big.Int {
+		k, err := RandScalar(rnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	one := big.NewInt(1)
+	pow := func(n uint) *big.Int { return new(big.Int).Lsh(one, n) }
+	bits := func(n uint) *big.Int { return new(big.Int).Rsh(rand(), 256-n) }
+	p, r := BaseMul(rand()), BaseMul(rand())
+	repeat := func(pt Point, n int) []Point {
+		out := make([]Point, n)
+		for i := range out {
+			out[i] = pt
+		}
+		return out
+	}
+	same := func(k *big.Int, n int) []*big.Int {
+		out := make([]*big.Int, n)
+		for i := range out {
+			out[i] = k
+		}
+		return out
+	}
+	randoms := func(n int) []*big.Int {
+		out := make([]*big.Int, n)
+		for i := range out {
+			out[i] = rand()
+		}
+		return out
+	}
+	// Bucket 1 of window 0 gets P from digit 1 and −P from digit −1, which
+	// is what 2^c − 1 recodes to at every width c.
+	var oppositeDigits []*big.Int
+	var oppositePoints []Point
+	for _, c := range tableWidths() {
+		oppositeDigits = append(oppositeDigits, one, new(big.Int).Sub(pow(uint(c)), one))
+		oppositePoints = append(oppositePoints, p, p)
+	}
+	edges := []*big.Int{
+		new(big.Int).Sub(q, one), new(big.Int).Set(q), new(big.Int).Add(q, one),
+		new(big.Int).Add(q, q), new(big.Int).Sub(pow(256), one), big.NewInt(-5),
+		bits(127), bits(128), bits(129), bits(255), bits(256),
+		pow(127), pow(128), pow(255), new(big.Int).Sub(pow(128), one),
+	}
+	cases := []struct {
+		name    string
+		points  []Point
+		scalars []*big.Int
+	}{
+		{"all-equal points", repeat(p, 64), randoms(64)},
+		{"equal points, equal digits (doubling)", repeat(p, 33), same(rand(), 33)},
+		{"equal points, equal 128-bit digits", repeat(r, 40), same(bits(128), 40)},
+		{"P and −P, equal scalars (cancellation)", []Point{p, p.Neg(), p, p.Neg(), r}, same(rand(), 5)},
+		{"P and −P in one bucket via a negative digit", oppositePoints, oppositeDigits},
+		{"three equal points and one opposite", []Point{p, p, p, p.Neg()}, same(big.NewInt(7), 4)},
+		{"identity points and zero scalars", []Point{{}, p, {}, r, p},
+			[]*big.Int{rand(), new(big.Int), big.NewInt(3), new(big.Int).Set(q), rand()}},
+		{"only identity points and zero scalars", []Point{{}, p, {}}, []*big.Int{rand(), new(big.Int), big.NewInt(3)}},
+		{"edge scalars on distinct points", func() []Point {
+			out := make([]Point, len(edges))
+			for i := range out {
+				out[i] = BaseMul(rand())
+			}
+			return out
+		}(), edges},
+		{"edge scalars on one point", repeat(p, len(edges)), edges},
+		{"a single point", []Point{r}, []*big.Int{new(big.Int).Sub(q, one)}},
+	}
+	for _, tc := range cases {
+		checkMSM(t, tc.name, tc.points, tc.scalars)
+	}
+}
+
+// FuzzMultiScalarMul checks the bucket method against double-and-add on
+// inputs built to collide: each byte of pts picks the identity, G, or one
+// of two points or their negatives, so buckets fill with equal and opposite
+// points; ks spells the scalars (see fuzzScalar); c picks the window width
+// among those the table can choose.
+func FuzzMultiScalarMul(f *testing.F) {
+	one := big.NewInt(1)
+	pow := func(n uint) *big.Int { return new(big.Int).Lsh(one, n) }
+	below := func(n uint) *big.Int { return new(big.Int).Sub(pow(n), one) }
+	spell := func(ks ...*big.Int) []byte {
+		var out []byte
+		for _, k := range ks {
+			n := max(1, (k.BitLen()+7)/8)
+			out = append(out, byte(5+8*(n-1)))
+			out = append(out, k.FillBytes(make([]byte, n))...)
+		}
+		return out
+	}
+	x := new(big.Int).SetBytes([]byte("sixteen byte val"))
+	f.Add([]byte{1, 1, 1, 1}, spell(x, x, x, x), uint8(0))              // equal points, equal digits
+	f.Add([]byte{1, 4, 1, 4, 2, 5}, []byte{1, 1, 1, 1, 1, 1}, uint8(3)) // P and −P, all q−1
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, append([]byte{0, 1, 2, 3, 4}, spell(pow(127), below(128), below(129))...), uint8(5))
+	f.Add([]byte{1, 2, 3, 5, 6, 7}, spell(below(127), pow(127), below(129), pow(128), pow(255), below(256)), uint8(7))
+	f.Add([]byte{3, 3, 3, 6}, spell(below(255), below(255), pow(255), below(256)), uint8(2))
+	f.Add([]byte{1, 1}, spell(one, below(9)), uint8(7)) // digits 1 and −1 in one bucket at width 9
+	f.Fuzz(func(t *testing.T, pts, ks []byte, c uint8) {
+		if len(pts) > 24 {
+			t.Skip()
+		}
+		pool := fuzzPool()
+		points := make([]Point, len(pts))
+		scalars := make([]*big.Int, len(pts))
+		for i, b := range pts {
+			points[i] = pool[int(b)%len(pool)]
+			scalars[i], ks = fuzzScalar(ks)
+		}
+		cs := tableWidths()
+		width := cs[int(c)%len(cs)]
+		want := msmDoubleAndAdd(points, scalars)
+		if got := msmWidth(points, scalars, width); !got.Equal(want) {
+			t.Fatalf("c=%d: bucket method differs from double-and-add", width)
+		}
+		if got := MultiScalarMulVartime(points, scalars); !got.Equal(want) {
+			t.Fatal("MultiScalarMulVartime differs from double-and-add")
+		}
+	})
+}
+
+// fuzzPool is the fuzzer's point alphabet: identity, two points, G and the
+// negatives of all three.
+func fuzzPool() []Point {
+	a := HashToPoint("ddemos/test/msm-fuzz", []byte{0})
+	b := HashToPoint("ddemos/test/msm-fuzz", []byte{1})
+	g := Base()
+	return []Point{{}, a, b, g, a.Neg(), b.Neg(), g.Neg(), a}
+}
+
+// fuzzScalar reads one scalar off the front of ks: a tag byte t, then by
+// t%8 zero, q−1, q, q+1, 2^256−1, or the next (t>>3)+1 bytes big-endian —
+// so the length of a spelled scalar, up to 256 bits, is under the
+// fuzzer's control. Missing bytes are left out, and no bytes spell zero.
+func fuzzScalar(ks []byte) (*big.Int, []byte) {
+	if len(ks) == 0 {
+		return new(big.Int), ks
+	}
+	t, ks := ks[0], ks[1:]
+	one := big.NewInt(1)
+	switch t % 8 {
+	case 0:
+		return new(big.Int), ks
+	case 1:
+		return new(big.Int).Sub(q, one), ks
+	case 2:
+		return new(big.Int).Set(q), ks
+	case 3:
+		return new(big.Int).Add(q, one), ks
+	case 4:
+		return new(big.Int).Sub(new(big.Int).Lsh(one, 256), one), ks
+	}
+	n := min(int(t>>3)+1, len(ks))
+	return new(big.Int).SetBytes(ks[:n]), ks[n:]
+}
+
+// boardMix returns n points with the scalars zkp.Batch gives the MSM: a
+// 128-bit γ on two of every three points and a 256-bit product of γ and a
+// challenge on the third, as in a bit proof's six terms.
+func boardMix(n int) ([]Point, []*big.Int) {
 	rnd := newDetRand("msm-bench")
-	const n = 2048
 	points := make([]Point, n)
 	scalars := make([]*big.Int, n)
 	for i := range points {
 		k, _ := RandScalar(rnd)
 		points[i] = BaseMul(k)
 		s, _ := RandScalar(rnd)
-		scalars[i] = new(big.Int).Rsh(s, 128) // 128-bit like batch γ
+		if i%3 != 2 {
+			s.Rsh(s, 128)
+		}
+		scalars[i] = s
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MultiScalarMulVartime(points, scalars)
+	return points, scalars
+}
+
+// msmSink keeps the benchmarks' results alive.
+var msmSink Point
+
+// BenchmarkMultiScalarMul times the MSM per point on the board's scalar mix
+// at the sizes a verifying chunk feeds it.
+func BenchmarkMultiScalarMul(b *testing.B) {
+	for _, n := range []int{2048, 8192, 16384} {
+		points, scalars := boardMix(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				msmSink = MultiScalarMulVartime(points, scalars)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/point")
+}
+
+// BenchmarkMultiScalarMulWindow sweeps the window width around the table's
+// choice at each size on the board's mix: the measurement msmWidths is
+// read from. Run it with -cpu 1.
+func BenchmarkMultiScalarMulWindow(b *testing.B) {
+	for _, n := range []int{3, 8, 24, 64, 200, 512, 1024, 2048, 4096, 8192, 16384, 32768} {
+		points, scalars := boardMix(n)
+		pts, ks, maxBits := msmInputs(points, scalars)
+		for c := max(2, windowBits(n)-2); c <= windowBits(n)+2; c++ {
+			b.Run(fmt.Sprintf("n=%d/c=%d", n, c), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					acc := pippenger(pts, ks, maxBits, c)
+					msmSink = acc.toAffine()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+			})
+		}
+	}
 }

@@ -25,6 +25,7 @@ type Batch struct {
 	key     elgamal.CommitmentKey
 	points  []group.Point
 	scalars []*big.Int
+	bitCts  []int   // per AddBit, the index of its ciphertext's A term (B follows)
 	g, p    big.Int // coefficients of G and key.P, folded across equations
 	tmp     big.Int
 	bad     bool // a scalar-only check failed, or γ could not be sampled
@@ -58,9 +59,7 @@ func (b *Batch) sub(acc *big.Int, x, y *big.Int) { acc.Sub(acc, b.tmp.Mul(x, y))
 
 // mulAdd returns x₀·y₀ + x₁·y₁ mod q.
 func mulAdd(x0, y0, x1, y1 *big.Int) *big.Int {
-	k := new(big.Int).Mul(x0, y0)
-	k.Add(k, new(big.Int).Mul(x1, y1))
-	return k.Mod(k, group.Order())
+	return group.AddScalar(new(big.Int).Mul(x0, y0), new(big.Int).Mul(x1, y1))
 }
 
 // AddOpening queues elgamal.VerifyOpening(ct, m, r):
@@ -91,6 +90,7 @@ func (b *Batch) AddBit(ct elgamal.Ciphertext, com BitCommit, fin BitFinal, c *bi
 	b.term(com.T0B, y[1])
 	b.term(com.T1A, y[2])
 	b.term(com.T1B, y[3])
+	b.bitCts = append(b.bitCts, len(b.points))
 	b.term(ct.A, mulAdd(y[0], fin.C0, y[2], fin.C1))
 	b.term(ct.B, mulAdd(y[1], fin.C0, y[3], fin.C1))
 	b.sub(&b.g, y[0], fin.Z0)
@@ -100,28 +100,49 @@ func (b *Batch) AddBit(ct elgamal.Ciphertext, com BitCommit, fin BitFinal, c *bi
 	b.sub(&b.p, y[3], fin.Z1)
 }
 
-// AddSum queues VerifySum(key, cts, k, com, fin, c): with (ΣA, ΣB) the
-// component-wise sum of cts,
+// AddSum queues VerifySum(key, cts, k, com, fin, c):
 //
-//	TA + c·ΣA − z·G = O,  TB + c·(ΣB − k·G) − z·P = O.
+//	TA + Σ c·Aᵢ − z·G = O,  TB + Σ c·Bᵢ − c·k·G − z·P = O.
+//
+// The row is never summed: each Aᵢ and Bᵢ gets its γc directly. A voted
+// row's m bit proofs come just before its sum proof and range over the same
+// ciphertexts, so when one of the last len(cts) AddBit calls of this batch
+// queued a ciphertext equal to cts[i], γc is added to that call's A and B
+// scalars and the row costs 6m + 2 points; otherwise (a chunk boundary
+// split the row) Aᵢ and Bᵢ are queued as terms of their own.
 func (b *Batch) AddSum(cts elgamal.VectorCiphertext, k int, com SumCommit, fin SumFinal, c *big.Int) {
 	if fin.Z == nil || len(cts) == 0 {
 		b.bad = true
 		return
 	}
-	sum := cts[0]
-	for _, ct := range cts[1:] {
-		sum = sum.Add(ct)
-	}
 	y := b.gammas(2)
-	yc := group.MulScalar(y[1], c)
+	ya, yb := group.MulScalar(y[0], c), group.MulScalar(y[1], c)
 	b.term(com.TA, y[0])
 	b.term(com.TB, y[1])
-	b.term(sum.A, group.MulScalar(y[0], c))
-	b.term(sum.B, yc)
+	row := b.bitCts[max(0, len(b.bitCts)-len(cts)):]
+	for _, ct := range cts {
+		if j := b.queued(row, ct); j >= 0 {
+			b.scalars[j] = group.AddScalar(b.scalars[j], ya)
+			b.scalars[j+1] = group.AddScalar(b.scalars[j+1], yb)
+			continue
+		}
+		b.term(ct.A, ya)
+		b.term(ct.B, yb)
+	}
 	b.sub(&b.g, y[0], fin.Z)
-	b.sub(&b.g, yc, big.NewInt(int64(k)))
+	b.sub(&b.g, yb, big.NewInt(int64(k)))
 	b.sub(&b.p, y[1], fin.Z)
+}
+
+// queued returns the index of the A term of the first ciphertext at idx
+// (a subset of bitCts) equal to ct, or −1.
+func (b *Batch) queued(idx []int, ct elgamal.Ciphertext) int {
+	for _, j := range idx {
+		if b.points[j].Equal(ct.A) && b.points[j+1].Equal(ct.B) {
+			return j
+		}
+	}
+	return -1
 }
 
 // Verify reports whether every queued statement holds (up to the 2⁻¹²⁸
@@ -137,11 +158,11 @@ func (b *Batch) Verify() bool {
 }
 
 // batchChunk is the number of statements verified per batch: enough points
-// (2 to 6 per statement) that the multi-scalar multiplication is within a
-// tenth of its cost per point at four times the size, few enough that a
-// board has chunks for every core and a located failure re-checks only
-// part of it. docs/publish-phase.md has the measurement.
-const batchChunk = 2048
+// (2 per opening, 6 per bit proof, 2 per folded sum proof) that a statement
+// costs within about a tenth of what it does at twice the size, few enough
+// that a board has chunks for every core and a located failure re-checks
+// only part of it. docs/board-verify.md has the measurement.
+const batchChunk = 4096
 
 // VerifyEach checks n statements and returns the indices, ascending, of
 // those that do not hold, with the number of chunks that had to be

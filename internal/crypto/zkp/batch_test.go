@@ -87,6 +87,34 @@ func newStmt(t testing.TB, kind string, i int, rnd io.Reader) *stmt {
 	return s
 }
 
+// newRow builds one voted row the way the board queues it: the m bit proofs
+// over the row's ciphertexts, then the sum proof over all of them.
+func newRow(t testing.TB, i, m int, rnd io.Reader) []*stmt {
+	t.Helper()
+	row, err := ProveRow(key, m, i%m, rnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*stmt
+	for col, ct := range row.Commitment {
+		c := DeriveChallenge([]byte("batch-test"), uint64(i), 0, i, col)
+		out = append(out, &stmt{kind: "bit", c: c, ct: ct, bitCom: row.BitCommits[col], bitFin: row.BitCoeffs[col].Finalize(c)})
+	}
+	c := DeriveChallenge([]byte("batch-test"), uint64(i), 0, i, SumProofCol)
+	return append(out, &stmt{kind: "sum", c: c, cts: row.Commitment, k: 1, sumCom: row.SumCommit, sumFin: row.SumCoeffs.Finalize(c)})
+}
+
+// clone copies the statements, so that mutating a copy leaves the
+// originals valid.
+func clone(stmts []*stmt) []*stmt {
+	out := make([]*stmt, len(stmts))
+	for i, s := range stmts {
+		c := *s
+		out[i] = &c
+	}
+	return out
+}
+
 // inc returns v+1; nil (an earlier mutation) stays nil.
 func inc(v *big.Int) *big.Int {
 	if v == nil {
@@ -197,6 +225,39 @@ func TestBatchRelations(t *testing.T) {
 			}
 		}
 	}
+
+	// Voted rows: the sum proof's γc is folded into the A and B terms its
+	// row's bit proofs queued, so a row is 6m + 2 points. Mutating only the
+	// sum proof, or only one bit proof, of one row among valid rows must be
+	// rejected all the same.
+	const m = 4
+	var rows []*stmt
+	for i := 0; i < 3; i++ {
+		rows = append(rows, newRow(t, 20+i, m, rnd)...)
+	}
+	target := newRow(t, 30, m, rnd)
+	if b := batchOf(target...); len(b.points) != 6*m+2 || !b.Verify() {
+		t.Fatalf("one row: %d points, want %d, or rejected", len(b.points), 6*m+2)
+	}
+	if !batchOf(append(append([]*stmt(nil), rows...), target...)...).Verify() {
+		t.Fatal("batch of valid rows rejected")
+	}
+	for _, at := range []int{m, 1} { // the sum proof; one bit proof
+		kind := target[at].kind
+		for _, mu := range mutations[kind] {
+			bad := clone(target)
+			mu.apply(bad[at])
+			if bad[at].ok() {
+				t.Fatalf("row %s/%s: oracle accepts the mutation", kind, mu.name)
+			}
+			if batchOf(bad...).Verify() {
+				t.Fatalf("row %s/%s: mutated row accepted alone", kind, mu.name)
+			}
+			if batchOf(append(append(append([]*stmt(nil), rows[:m+1]...), bad...), rows[m+1:]...)...).Verify() {
+				t.Fatalf("row %s/%s: mutated row accepted among valid rows", kind, mu.name)
+			}
+		}
+	}
 }
 
 func verifyEach(stmts []*stmt, limit int) ([]int, int) {
@@ -222,9 +283,27 @@ func TestVerifyEachLocatesFailures(t *testing.T) {
 		}
 		stmts[i] = newStmt(t, kind, i, rnd)
 	}
+	// The same board with a voted row across the chunk boundary: two bit
+	// proofs end the first chunk; two more and the sum proof start the
+	// second, whose batch cannot fold the first two.
+	split := clone(stmts)
+	second := (n + 1) / 2
+	copy(split[second-2:], newRow(t, 0, 4, rnd))
 	if bad, fb := verifyEach(stmts, 0); len(bad) != 0 || fb != 0 {
 		t.Fatalf("valid board: bad=%v fallbacks=%d", bad, fb)
 	}
+	if bad, fb := verifyEach(split, 0); len(bad) != 0 || fb != 0 {
+		t.Fatalf("valid board, split row: bad=%v fallbacks=%d", bad, fb)
+	}
+	mutations["sum"][0].apply(split[second+2])
+	if bad, fb := verifyEach(split, 0); !reflect.DeepEqual(bad, []int{second + 2}) || fb != 1 {
+		t.Fatalf("split row, bad sum proof: bad=%v fallbacks=%d, want [%d] and 1", bad, fb, second+2)
+	}
+	mutations["bit"][0].apply(split[second-1])
+	if bad, fb := verifyEach(split, 0); !reflect.DeepEqual(bad, []int{second - 1, second + 2}) || fb != 2 {
+		t.Fatalf("split row, bad sum and bit proofs: bad=%v fallbacks=%d, want [%d %d] and 2", bad, fb, second-1, second+2)
+	}
+
 	want := []int{3, 16, 17}
 	for _, i := range want {
 		mutations[stmts[i].kind][1].apply(stmts[i])
@@ -247,27 +326,39 @@ func TestVerifyEachLocatesFailures(t *testing.T) {
 // path over mixed boards of openings, bit proofs and sum proofs with
 // fuzzer-chosen single-field mutations: the batch accepts iff every
 // per-element verifier does, and the driver names exactly the mutated
-// statements. (The 2⁻¹²⁸ false accept is out of a fuzzer's reach: γ comes
-// from crypto/rand after the board is built.)
+// statements. With n's top bit set each sum proof comes as a voted row —
+// its three bit proofs just before it — so the batch folds it. (The 2⁻¹²⁸
+// false accept is out of a fuzzer's reach: γ comes from crypto/rand after
+// the board is built.)
 func FuzzBatchVerify(f *testing.F) {
 	f.Add([]byte("seed"), uint8(8), []byte{})
 	f.Add([]byte("mixed"), uint8(24), []byte{3, 0, 7, 1, 20, 5})
 	f.Add([]byte("x"), uint8(1), []byte{0, 2})
 	f.Add([]byte("k"), uint8(9), []byte{2, 7, 2, 8, 5, 11})
+	f.Add([]byte("rows"), uint8(0x80|8), []byte{})
+	f.Add([]byte("rows"), uint8(0x80|8), []byte{3, 0, 7, 1, 20, 5, 11, 2})
+	f.Add([]byte("mixed"), uint8(0x80|12), []byte{1, 9, 2, 10, 30, 6})
 	f.Fuzz(func(t *testing.T, seed []byte, n uint8, muts []byte) {
+		rows := n&0x80 != 0
+		n &^= 0x80
 		if n == 0 || n > 24 || len(muts) > 16 {
 			t.Skip()
 		}
 		rnd := group.NewDRBG(seed)
 		var pick [1]byte
-		stmts := make([]*stmt, n)
-		for i := range stmts {
+		var stmts []*stmt
+		for i := 0; i < int(n); i++ {
 			_, _ = rnd.Read(pick[:])
-			stmts[i] = newStmt(t, kinds[int(pick[0])%3], i, rnd)
+			kind := kinds[int(pick[0])%3]
+			if rows && kind == "sum" {
+				stmts = append(stmts, newRow(t, i, 3, rnd)...)
+				continue
+			}
+			stmts = append(stmts, newStmt(t, kind, i, rnd))
 		}
 		mutated := map[int]bool{}
 		for j := 0; j+1 < len(muts); j += 2 {
-			i := int(muts[j]) % int(n)
+			i := int(muts[j]) % len(stmts)
 			ms := mutations[stmts[i].kind]
 			ms[int(muts[j+1])%len(ms)].apply(stmts[i])
 			mutated[i] = true
@@ -294,27 +385,36 @@ func FuzzBatchVerify(f *testing.F) {
 	})
 }
 
-// BenchmarkVerifyBitBatch is BenchmarkVerifyBit's batched sibling: n bit
-// proofs through one Batch, reported per proof.
-func BenchmarkVerifyBitBatch(b *testing.B) {
+// BenchmarkBatchVerify is the per-element verifiers' batched sibling
+// (BenchmarkVerifyBit): n distinct statements through one Batch, reported
+// per statement — openings, bit proofs, or the statements of voted rows
+// (m = 4: four bit proofs and the folded sum proof, n rounded up to whole
+// rows). Run it with -cpu 1; VerifyEach's chunk size is read from it.
+func BenchmarkBatchVerify(b *testing.B) {
+	sizes := []int{1, 16, 256, 1024, 2048, 4096, 8192}
 	rnd := group.NewDRBG([]byte("bench"))
-	base := make([]*stmt, 64)
-	for i := range base {
-		base[i] = newStmt(b, "bit", i, rnd)
+	last := sizes[len(sizes)-1]
+	pool := map[string][]*stmt{}
+	for i := 0; i < last; i++ {
+		pool["opening"] = append(pool["opening"], newStmt(b, "opening", i, rnd))
+		pool["bit"] = append(pool["bit"], newStmt(b, "bit", i, rnd))
 	}
-	for _, n := range []int{64, 2048} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bt := NewBatch(key)
-				for j := 0; j < n; j++ {
-					base[j%len(base)].add(bt)
-				}
-				if !bt.Verify() {
-					b.Fatal("must verify")
-				}
+	for i := 0; len(pool["row"]) < last+4; i++ {
+		pool["row"] = append(pool["row"], newRow(b, i, 4, rnd)...)
+	}
+	for _, kind := range []string{"opening", "bit", "row"} {
+		for _, n := range sizes {
+			if kind == "row" {
+				n = (n + 4) / 5 * 5
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "µs/proof")
-		})
+			b.Run(fmt.Sprintf("%s/n=%d", kind, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if !batchOf(pool[kind][:n]...).Verify() {
+						b.Fatal("must verify")
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n)/1e3, "µs/stmt")
+			})
+		}
 	}
 }
