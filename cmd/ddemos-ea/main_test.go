@@ -53,15 +53,18 @@ func hashBytes(h hash.Hash, b []byte) {
 }
 
 // pinnedStreamingDigest is the canonical hash of everything the streaming
-// route emits for the fixed "route-differential" seed below, recorded while
-// the removed -legacy-payload route still existed and was verified
-// byte-identical against it (the PR 9 differential test). It freezes the
-// whole-pool bytes of that fixture: a change in ballot generation, the
-// shuffle, share derivation, or the segment writer shows up as a digest
-// mismatch here exactly as it would have shown up as a route divergence.
-// The digest also covers the raw bb.gob and trustee-<i>.gob files, so the
-// commitments, proof first moves and trustee shares are frozen too.
-const pinnedStreamingDigest = "b233c1db3590c3fe444200ed8bfb4ecd6a051f227ccf2218323521026a0e79e1"
+// route emits for the fixed "route-differential" seed below that does not
+// depend on how the EA signs receipt shares: the voter ballots, every VC
+// line's hash commitment, salt and receipt share, and the raw bb.gob and
+// trustee-<i>.gob files. It freezes the whole-pool bytes of that fixture: a
+// change in ballot generation, the shuffle, share derivation, the prover or
+// the trustee sharing shows up as a digest mismatch here.
+const pinnedStreamingDigest = "c31d23d6457445e11232714e4d5c9027200c0c5a37d0d7efbecbaf5e4afaabca"
+
+// pinnedShareSigDigest is the hash of the EA's receipt-share signatures in
+// the same fixture, pinned apart so that a change to the signature scheme
+// moves this digest alone.
+const pinnedShareSigDigest = "c19b84bc3052015e0f2614c2ccbe7c885f3766b887e891c76eea9b407d87f3e6"
 
 // TestStreamingRoutePinnedElection is the regression successor of the
 // streaming-vs-legacy differential test: the legacy route is gone, so the
@@ -82,7 +85,7 @@ func TestStreamingRoutePinnedElection(t *testing.T) {
 		t.Fatalf("streaming route: %v", err)
 	}
 
-	h := sha256.New()
+	h, hs := sha256.New(), sha256.New()
 
 	// Voter ballots, in pool order.
 	ballots, err := httpapi.ReadBallotsFile(filepath.Join(out, "ballots.gob"))
@@ -135,15 +138,16 @@ func TestStreamingRoutePinnedElection(t *testing.T) {
 				t.Fatalf("vc-%d Get(%d): %v", i, serial, err)
 			}
 			hashU64(h, bd.Serial)
+			hashU64(hs, bd.Serial)
 			for p := 0; p < 2; p++ {
 				hashU64(h, uint64(len(bd.Lines[p])))
 				for _, l := range bd.Lines[p] {
 					h.Write(l.Hash[:])
 					h.Write(l.Salt[:])
 					h.Write(l.Share[:])
-					h.Write(l.ShareSig[:])
 				}
 			}
+			hs.Write(bd.ShareSig[:])
 		}
 		_ = seg.Close()
 	}
@@ -166,10 +170,14 @@ func TestStreamingRoutePinnedElection(t *testing.T) {
 		hashBytes(h, b)
 	}
 
-	got := hex.EncodeToString(h.Sum(nil))
-	if got != pinnedStreamingDigest {
-		t.Fatalf("streaming route digest changed:\n got %s\nwant %s\n"+
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedStreamingDigest {
+		t.Errorf("streaming route digest changed:\n got %s\nwant %s\n"+
 			"(ballot generation or the segment writer changed the emitted bytes; "+
 			"re-pin only if the change is intentional)", got, pinnedStreamingDigest)
+	}
+	if got := hex.EncodeToString(hs.Sum(nil)); got != pinnedShareSigDigest {
+		t.Errorf("receipt-share signature digest changed:\n got %s\nwant %s\n"+
+			"(the EA signs receipt shares differently; re-pin only if the change is intentional)",
+			got, pinnedShareSigDigest)
 	}
 }

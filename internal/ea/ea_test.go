@@ -177,16 +177,17 @@ func TestReceiptSharesReconstruct(t *testing.T) {
 	}
 	shares := make([]shamir.Share, 0, hv)
 	for i := 0; i < hv; i++ {
-		sl := data.VC[i].Ballots[b.Serial-1].Lines[1][row]
+		bd := data.VC[i].Ballots[b.Serial-1]
+		sl := bd.Lines[1][row]
 		v, err := group.DecodeScalar(sl.Share[:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		share := shamir.Share{Index: uint32(i + 1), Value: v}
-		if !VerifyReceiptShare(data.Manifest.EAPublic, sl.ShareSig[:], data.Manifest.ElectionID, b.Serial, sl.Hash, share) {
-			t.Fatalf("share sig invalid for node %d", i)
+		root, ok := FoldSharePath(bd, 1, row, sl.Share, SharePath(bd, 1, row))
+		if !ok || !VerifyReceiptShare(data.Manifest.EAPublic, bd.ShareSig[:], data.Manifest.ElectionID, b.Serial, uint32(i+1), root) {
+			t.Fatalf("share of node %d does not verify through its path", i)
 		}
-		shares = append(shares, share)
+		shares = append(shares, shamir.Share{Index: uint32(i + 1), Value: v})
 	}
 	rec, err := shamir.Combine(shares, hv)
 	if err != nil {
@@ -198,6 +199,49 @@ func TestReceiptSharesReconstruct(t *testing.T) {
 	}
 	if !bytes.Equal(receipt, l.Receipt) {
 		t.Fatalf("reconstructed %x want %x", receipt, l.Receipt)
+	}
+}
+
+// TestSetupSignsOneRootPerNode: a seeded setup gives every ballot exactly
+// Nv root signatures, one per VC node and all distinct, each binding its
+// node's index and the ballot's serial; every one of a node's 2m shares
+// verifies through its path under that one signature.
+func TestSetupSignsOneRootPerNode(t *testing.T) {
+	for _, vcOnly := range []bool{true, false} {
+		p := testParams()
+		p.VCOnly = vcOnly
+		data, err := Setup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man := &data.Manifest
+		for serial := uint64(1); serial <= uint64(p.NumBallots); serial++ {
+			sigs := map[[64]byte]bool{}
+			for i, v := range data.VC {
+				bd := v.Ballots[serial-1]
+				sigs[bd.ShareSig] = true
+				index := uint32(i + 1)
+				root := ShareRoot(bd)
+				if !VerifyReceiptShare(man.EAPublic, bd.ShareSig[:], man.ElectionID, serial, index, root) {
+					t.Fatalf("VCOnly=%v ballot %d node %d: root signature does not verify", vcOnly, serial, i)
+				}
+				if VerifyReceiptShare(man.EAPublic, bd.ShareSig[:], man.ElectionID, serial, index%uint32(p.NumVC)+1, root) ||
+					VerifyReceiptShare(man.EAPublic, bd.ShareSig[:], man.ElectionID, serial%uint64(p.NumBallots)+1, index, root) {
+					t.Fatalf("VCOnly=%v ballot %d node %d: signature verifies for another node or ballot", vcOnly, serial, i)
+				}
+				for part := uint8(0); part < 2; part++ {
+					for row, l := range bd.Lines[part] {
+						got, ok := FoldSharePath(bd, part, row, l.Share, SharePath(bd, part, row))
+						if !ok || got != root {
+							t.Fatalf("VCOnly=%v ballot %d node %d: share (%d, %d) does not verify through its path", vcOnly, serial, i, part, row)
+						}
+					}
+				}
+			}
+			if len(sigs) != p.NumVC {
+				t.Fatalf("VCOnly=%v ballot %d: %d distinct root signatures, want %d", vcOnly, serial, len(sigs), p.NumVC)
+			}
+		}
 	}
 }
 
@@ -384,30 +428,39 @@ func TestManifestOptionIndex(t *testing.T) {
 	}
 }
 
-// BenchmarkSetupBallot is the EA's per-ballot cost on one core: one
-// full-crypto ballot of the benchmark's election shape (four options, four
-// VC nodes, three trustees) — codes, receipt shares and their signatures,
-// the commitments and proof first moves of both parts, and the trustee
-// shares. `go test -bench SetupBallot -cpuprofile` gives the budget.
+// BenchmarkSetupBallot is the EA's per-ballot cost on one core at the
+// benchmark's election shape (four options, four VC nodes, three trustees).
+// vc-only is a collect-* ballot: codes, receipt shares and the EA's
+// signatures over them. full is an election-full ballot: the same plus the
+// commitments and proof first moves of both parts and the trustee shares.
+// `go test -bench SetupBallot -cpuprofile` gives the budget.
 func BenchmarkSetupBallot(b *testing.B) {
-	p := testParams()
-	p.Options = []string{"alpha", "beta", "gamma", "delta"}
-	if err := p.Validate(); err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name   string
+		vcOnly bool
+	}{{"vc-only", true}, {"full", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := testParams()
+			p.Options = []string{"alpha", "beta", "gamma", "delta"}
+			p.VCOnly = bc.vcOnly
+			if err := p.Validate(); err != nil {
+				b.Fatal(err)
+			}
+			_, gen, err := setupComponents(&p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := gen.one(1); err != nil { // builds the commitment key's table
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := gen.one(uint64(i%p.NumBallots) + 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ballots/s")
+		})
 	}
-	_, gen, err := setupComponents(&p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := gen.one(1); err != nil { // builds the commitment key's table
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gen.one(uint64(i%p.NumBallots) + 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ballots/s")
 }

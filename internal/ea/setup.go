@@ -18,24 +18,6 @@ import (
 	"ddemos/internal/store"
 )
 
-// shareParts is the canonical signed-parts layout for share signatures —
-// the single source for signShare, verifyShare and ReceiptShareItem, so the
-// single-message and batch verification paths can never desynchronize.
-func shareParts(electionID string, serial uint64, extra []byte, share shamir.Share) [][]byte {
-	return [][]byte{
-		[]byte(electionID), sig.Uint64Bytes(serial), extra,
-		sig.Uint64Bytes(uint64(share.Index)), group.ScalarBytes(share.Value),
-	}
-}
-
-func signShare(priv ed25519.PrivateKey, domain, electionID string, serial uint64, extra []byte, share shamir.Share) []byte {
-	return sig.Sign(priv, domain, shareParts(electionID, serial, extra, share)...)
-}
-
-func verifyShare(pub ed25519.PublicKey, sigBytes []byte, domain, electionID string, serial uint64, extra []byte, share shamir.Share) bool {
-	return sig.Verify(pub, sigBytes, domain, shareParts(electionID, serial, extra, share)...)
-}
-
 // Setup runs the Election Authority: it generates all keys, ballots and
 // component initialization data for the given parameters, holding the whole
 // pool in memory. Ballots are processed in parallel across CPUs; with
@@ -306,7 +288,8 @@ func (g *ballotGen) one(serial uint64) (*Emission, error) {
 			}
 			hash := votecode.HashCommit(line.VoteCode, salt)
 
-			// Receipt sharing (Nv-fv, Nv) with EA-signed shares.
+			// Receipt sharing (Nv-fv, Nv); the shares are signed per node
+			// once the ballot is complete.
 			rScalar, err := shamir.SecretToScalar(line.Receipt)
 			if err != nil {
 				return nil, err
@@ -320,7 +303,6 @@ func (g *ballotGen) one(serial uint64) (*Emission, error) {
 				sl.Hash = hash
 				copy(sl.Salt[:], salt)
 				copy(sl.Share[:], group.ScalarBytes(rShares[i].Value))
-				copy(sl.ShareSig[:], SignReceiptShare(g.eaPriv, g.p.ElectionID, serial, hash, rShares[i]))
 			}
 
 			if !full {
@@ -390,6 +372,12 @@ func (g *ballotGen) one(serial uint64) (*Emission, error) {
 			bbBallot.Parts[part] = bbRows
 		}
 		b.Parts[part] = ballot.Part{Lines: lines}
+	}
+	// One signature per node over the Merkle root of its 2m shares. Ed25519
+	// signing draws no randomness, so where it happens does not change what
+	// a seeded setup reads from its DRBG.
+	for i, bd := range vcData {
+		copy(bd.ShareSig[:], SignReceiptShare(g.eaPriv, g.p.ElectionID, serial, uint32(i)+1, ShareRoot(bd))) //nolint:gosec // i < 64
 	}
 
 	e := &Emission{Serial: serial, Voter: b, VC: vcData}

@@ -16,6 +16,7 @@ import (
 
 	"ddemos/internal/ballot"
 	"ddemos/internal/crypto/elgamal"
+	"ddemos/internal/crypto/group"
 	"ddemos/internal/crypto/shamir"
 	"ddemos/internal/crypto/zkp"
 	"ddemos/internal/sig"
@@ -236,11 +237,13 @@ type ElectionData struct {
 	Trustees []*TrusteeInit
 }
 
-// Receipt share signature binding. The EA signs every receipt share with
-// the line's hash commitment so any VC node can verify a disclosed share
-// against its own store (§V: "VSS with honest dealer").
+// Receipt share signature binding. The EA signs, per ballot and VC node,
+// the Merkle root over the node's receipt shares of the ballot, each leaf
+// bound to its line's hash commitment (sharetree.go), so any VC node can
+// verify a disclosed share against its own store (§V: "VSS with honest
+// dealer").
 const (
-	receiptShareDomain = "ddemos/v1/receipt-share"
+	receiptShareDomain = "ddemos/v1/receipt-share-root"
 	mskShareDomain     = "ddemos/v1/msk-share"
 )
 
@@ -248,29 +251,49 @@ const (
 // verification (sig.VerifyMany) in the VC message pipeline.
 const ReceiptShareDomain = receiptShareDomain
 
-// ReceiptShareItem builds the sig.VerifyMany item for one receipt-share
-// signature, letting VC nodes validate a whole batch of disclosed shares in
-// one pass instead of per-message sig.Verify calls.
-func ReceiptShareItem(pub ed25519.PublicKey, sigBytes []byte, electionID string, serial uint64, lineHash [32]byte, share shamir.Share) sig.Item {
-	return sig.Item{Pub: pub, Sig: sigBytes, Parts: shareParts(electionID, serial, lineHash[:], share)}
+// rootParts is the signed-parts layout of a receipt-share root signature:
+// the one source for SignReceiptShare, VerifyReceiptShare and
+// ReceiptShareItem, so the single-message and batch verification paths
+// cannot desynchronize.
+func rootParts(electionID string, serial uint64, index uint32, root [32]byte) [][]byte {
+	return [][]byte{[]byte(electionID), sig.Uint64Bytes(serial), sig.Uint64Bytes(uint64(index)), root[:]}
 }
 
-// SignReceiptShare produces the EA signature for a receipt share.
-func SignReceiptShare(priv ed25519.PrivateKey, electionID string, serial uint64, lineHash [32]byte, share shamir.Share) []byte {
-	return signShare(priv, receiptShareDomain, electionID, serial, lineHash[:], share)
+// ReceiptShareItem builds the sig.VerifyMany item for the root signature
+// that covers one disclosed receipt share, letting VC nodes validate a whole
+// batch of disclosed shares in one pass. index is the share index (the
+// node's index + 1), root the root the share folds up to (FoldSharePath).
+func ReceiptShareItem(pub ed25519.PublicKey, sigBytes []byte, electionID string, serial uint64, index uint32, root [32]byte) sig.Item {
+	return sig.Item{Pub: pub, Sig: sigBytes, Parts: rootParts(electionID, serial, index, root)}
 }
 
-// VerifyReceiptShare checks a receipt share signature.
-func VerifyReceiptShare(pub ed25519.PublicKey, sigBytes []byte, electionID string, serial uint64, lineHash [32]byte, share shamir.Share) bool {
-	return verifyShare(pub, sigBytes, receiptShareDomain, electionID, serial, lineHash[:], share)
+// SignReceiptShare produces the EA signature over the root of share index's
+// receipt shares of ballot serial.
+func SignReceiptShare(priv ed25519.PrivateKey, electionID string, serial uint64, index uint32, root [32]byte) []byte {
+	return sig.Sign(priv, receiptShareDomain, rootParts(electionID, serial, index, root)...)
+}
+
+// VerifyReceiptShare checks a receipt-share root signature.
+func VerifyReceiptShare(pub ed25519.PublicKey, sigBytes []byte, electionID string, serial uint64, index uint32, root [32]byte) bool {
+	return sig.Verify(pub, sigBytes, receiptShareDomain, rootParts(electionID, serial, index, root)...)
+}
+
+// mskParts is the signed-parts layout of a master-key share signature. Its
+// zero serial and empty third part are fixed: they are in every signature
+// the EA has issued over a master-key share.
+func mskParts(electionID string, share shamir.Share) [][]byte {
+	return [][]byte{
+		[]byte(electionID), sig.Uint64Bytes(0), nil,
+		sig.Uint64Bytes(uint64(share.Index)), group.ScalarBytes(share.Value),
+	}
 }
 
 // SignMskShare produces the EA signature for a master-key share.
 func SignMskShare(priv ed25519.PrivateKey, electionID string, share shamir.Share) []byte {
-	return signShare(priv, mskShareDomain, electionID, 0, nil, share)
+	return sig.Sign(priv, mskShareDomain, mskParts(electionID, share)...)
 }
 
 // VerifyMskShare checks a master-key share signature.
 func VerifyMskShare(pub ed25519.PublicKey, sigBytes []byte, electionID string, share shamir.Share) bool {
-	return verifyShare(pub, sigBytes, mskShareDomain, electionID, 0, nil, share)
+	return sig.Verify(pub, sigBytes, mskShareDomain, mskParts(electionID, share)...)
 }

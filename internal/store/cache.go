@@ -156,12 +156,12 @@ func (c *Cached) shardFor(serial uint64) *cacheShard {
 	return &c.shards[(h>>32)&c.mask]
 }
 
-// ballotCost estimates an entry's resident size: the line payloads plus
-// fixed per-entry overhead (struct, slice headers, map and list bookkeeping).
+// ballotCost estimates an entry's resident size: the ballot's payload, as
+// many bytes as its disk record, plus fixed per-entry overhead (struct,
+// slice headers, map and list bookkeeping).
 func ballotCost(bd *BallotData) int64 {
-	const lineBytes = 32 + 8 + 32 + 64 // Line field bytes
 	const overhead = 160
-	return overhead + int64(len(bd.Lines[0])+len(bd.Lines[1]))*lineBytes
+	return overhead + int64(recordSize(len(bd.Lines[0])+len(bd.Lines[1])))
 }
 
 // Get implements Store.

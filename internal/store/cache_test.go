@@ -1,6 +1,8 @@
 package store
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -43,6 +45,28 @@ func newSingleShardCache(t *testing.T, inner Store, maxBytes int64, pureLRU bool
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestCacheChargesTheRecord: a cached ballot costs its on-disk record —
+// lines and signature — plus a fixed overhead, so the byte budget follows
+// the record layout.
+func TestCacheChargesTheRecord(t *testing.T) {
+	const n, m = 3, 4
+	ballots := fabricateBallots(1, n, m)
+	path := filepath.Join(t.TempDir(), "cost.store")
+	d, err := CreateDisk(path, ballots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = d.Close()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := (fi.Size() - headerSize) / n
+	if got := ballotCost(ballots[0]) - record; got != 160 {
+		t.Fatalf("a %d-byte record costs %d bytes in the cache, want the record plus 160", record, ballotCost(ballots[0]))
+	}
 }
 
 // TestCacheSingleFlight: N racing Gets for one absent serial cost exactly
@@ -189,7 +213,7 @@ func TestCacheAdmissionResistsScan(t *testing.T) {
 // TestCacheOversizedEntryNeverAdmitted: size admission — an entry costing
 // more than MaxBytes/8 is served but not cached.
 func TestCacheOversizedEntryNeverAdmitted(t *testing.T) {
-	big := fabricateBallots(1, 3, 64) // 64 options: cost ~ 17KiB
+	big := fabricateBallots(1, 3, 64) // 64 options: cost ~ 9KiB
 	inner := &countingStore{Store: NewMem(big)}
 	c := newSingleShardCache(t, inner, 32*1024, true)
 	for i := 0; i < 3; i++ {

@@ -13,31 +13,40 @@ import (
 // cost one positional read, and performance degrades gracefully as the pool
 // outgrows the page cache (the Fig. 5a effect).
 //
-// File layout:
+// File layout (v2):
 //
 //	header: magic "DDVC" | version u16 | m u16 | firstSerial u64 | count u64
-//	then count records of 2*m lines, each line Hash(32)|Salt(8)|Share(32)|Sig(64)
+//	then count records of recordSize(2*m) bytes: 2*m lines, each
+//	Hash(32)|Salt(8)|Share(32), then the ballot's ShareSig(64)
+//
+// v1 carried a signature per line and no per-ballot one; it is refused.
 type Disk struct {
 	mu          sync.RWMutex // guards f against Close racing Get
 	f           *os.File
 	m           int // options per part
 	firstSerial uint64
 	count       uint64
-	bufs        sync.Pool // per-Get record buffers (*[]byte, 2*m*lineSize each)
+	bufs        sync.Pool // per-Get record buffers (*[]byte, recordSize(2*m) each)
 }
 
 var _ Store = (*Disk)(nil)
 
 const (
 	diskMagic    = "DDVC"
-	diskVersion  = 1
-	lineSize     = 32 + 8 + 32 + 64
+	diskVersion  = 2
+	lineSize     = 32 + 8 + 32 // Line: Hash | Salt | Share
+	sigSize      = 64          // BallotData.ShareSig
 	headerSize   = 4 + 2 + 2 + 8 + 8
 	maxDiskLines = 1 << 16
 )
 
+// recordSize is the encoded size of a ballot with the given number of
+// lines: its lines, then its signature. It is also what Cached charges for
+// the ballot's payload.
+func recordSize(lines int) int { return lines*lineSize + sigSize }
+
 // encodeDiskHeader builds the fixed file header (shared with the segment
-// Writer, whose segment files are v1 flat stores for their serial range).
+// Writer, whose segment files are flat stores for their serial range).
 func encodeDiskHeader(m int, first, count uint64) []byte {
 	header := make([]byte, headerSize)
 	copy(header, diskMagic)
@@ -48,7 +57,7 @@ func encodeDiskHeader(m int, first, count uint64) []byte {
 	return header
 }
 
-// encodeRecord serializes one ballot's 2*m lines into rec (len 2*m*lineSize).
+// encodeRecord serializes one ballot into rec (len recordSize(2*m)).
 func encodeRecord(rec []byte, b *BallotData, m int) {
 	off := 0
 	for part := 0; part < 2; part++ {
@@ -57,10 +66,10 @@ func encodeRecord(rec []byte, b *BallotData, m int) {
 			copy(rec[off:], l.Hash[:])
 			copy(rec[off+32:], l.Salt[:])
 			copy(rec[off+40:], l.Share[:])
-			copy(rec[off+72:], l.ShareSig[:])
 			off += lineSize
 		}
 	}
+	copy(rec[off:], b.ShareSig[:])
 }
 
 // CreateDisk writes all ballots to path. Ballots must have dense serials
@@ -82,7 +91,7 @@ func CreateDisk(path string, ballots []*BallotData) (*Disk, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("store: write header: %w", err)
 	}
-	rec := make([]byte, 2*m*lineSize)
+	rec := make([]byte, recordSize(2*m))
 	for i, b := range ballots {
 		if b.Serial != first+uint64(i) { //nolint:gosec // dense serials
 			_ = f.Close()
@@ -122,7 +131,7 @@ func OpenDisk(path string) (*Disk, error) {
 	}
 	if v := binary.BigEndian.Uint16(header[4:]); v != diskVersion {
 		_ = f.Close()
-		return nil, fmt.Errorf("store: unsupported version %d", v)
+		return nil, fmt.Errorf("store: %s is a v%d ballot store, this build reads v%d (re-run setup)", path, v, diskVersion)
 	}
 	m := int(binary.BigEndian.Uint16(header[6:]))
 	if m == 0 || m > maxDiskLines {
@@ -138,11 +147,11 @@ func OpenDisk(path string) (*Disk, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("store: stat %s: %w", path, err)
 	}
-	if count > uint64(1)<<40/uint64(2*m*lineSize) {
+	if count > uint64(1)<<40/uint64(recordSize(2*m)) {
 		_ = f.Close()
 		return nil, fmt.Errorf("store: implausible ballot count %d", count)
 	}
-	want := int64(headerSize) + int64(count)*int64(2*m*lineSize) //nolint:gosec // bounded above
+	want := int64(headerSize) + int64(count)*int64(recordSize(2*m)) //nolint:gosec // bounded above
 	if st.Size() != want {
 		_ = f.Close()
 		return nil, fmt.Errorf("store: %s holds %d bytes, want %d for %d ballots of %d options",
@@ -168,7 +177,7 @@ func (d *Disk) Get(serial uint64) (*BallotData, error) {
 	if d.f == nil {
 		return nil, fmt.Errorf("store: read serial %d: store closed", serial)
 	}
-	recSize := int64(2 * d.m * lineSize)
+	recSize := int64(recordSize(2 * d.m))
 	off := int64(headerSize) + int64(serial-d.firstSerial)*recSize
 	// The read buffer is pooled: every Get used to allocate it fresh, which
 	// at millions of ballots made the read path GC-bound before it was
@@ -192,10 +201,10 @@ func (d *Disk) Get(serial uint64) (*BallotData, error) {
 			copy(l.Hash[:], rec[pos:])
 			copy(l.Salt[:], rec[pos+32:])
 			copy(l.Share[:], rec[pos+40:])
-			copy(l.ShareSig[:], rec[pos+72:])
 			pos += lineSize
 		}
 	}
+	copy(b.ShareSig[:], rec[pos:])
 	return b, nil
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Segmented is the millions-of-ballots ballot store: the pool is sharded by
 // serial range across fixed-record segment files (ballots-<k>.seg, each a
-// valid v1 flat store for its range) described by a MANIFEST.json. Lookups
+// valid flat store for its range) described by a MANIFEST.json. Lookups
 // stay one positional read — segment index is computed, not searched — and
 // EA setup can stream-write segments through a Writer without ever holding
 // the whole pool in memory, which the single flat file's CreateDisk
@@ -259,7 +259,7 @@ func (w *Writer) Append(b *BallotData) error {
 		}
 		w.first = b.Serial
 		w.next = b.Serial
-		w.rec = make([]byte, 2*w.m*lineSize)
+		w.rec = make([]byte, recordSize(2*w.m))
 	}
 	if b.Serial != w.next {
 		return fmt.Errorf("store: serial %d not dense (want %d)", b.Serial, w.next)

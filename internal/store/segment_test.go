@@ -25,9 +25,9 @@ func fabricateBallots(first uint64, n, m int) []*BallotData {
 				l.Hash[9] = byte(row)
 				binary.BigEndian.PutUint64(l.Salt[:], b.Serial^0xDEAD)
 				binary.BigEndian.PutUint64(l.Share[:], b.Serial*31+uint64(row))
-				binary.BigEndian.PutUint64(l.ShareSig[:], b.Serial*37+uint64(part))
 			}
 		}
+		binary.BigEndian.PutUint64(b.ShareSig[:], b.Serial*37)
 		out[i] = b
 	}
 	return out
@@ -41,6 +41,9 @@ func checkBallot(t *testing.T, st Store, want *BallotData) {
 	}
 	if got.Serial != want.Serial {
 		t.Fatalf("Get(%d) returned serial %d", want.Serial, got.Serial)
+	}
+	if got.ShareSig != want.ShareSig {
+		t.Fatalf("Get(%d) returned another signature", want.Serial)
 	}
 	for part := 0; part < 2; part++ {
 		if len(got.Lines[part]) != len(want.Lines[part]) {
@@ -103,10 +106,10 @@ func TestSegmentedRoundTrip100k(t *testing.T) {
 	}
 }
 
-// TestSegmentFilesAreV1Stores opens an individual segment file with
-// OpenDisk: the segment format is the v1 flat format for its range, so the
-// old tooling keeps working on shards.
-func TestSegmentFilesAreV1Stores(t *testing.T) {
+// TestSegmentFilesAreFlatStores opens an individual segment file with
+// OpenDisk: the segment format is the flat format for its range, so the
+// flat-file tooling keeps working on shards.
+func TestSegmentFilesAreFlatStores(t *testing.T) {
 	ballots := fabricateBallots(1, 100, 3)
 	dir := t.TempDir()
 	if s, err := CreateSegmented(dir, ballots, WriterOptions{SegmentBallots: 40}); err != nil {
@@ -117,7 +120,7 @@ func TestSegmentFilesAreV1Stores(t *testing.T) {
 	// Middle segment holds serials 41..80.
 	d, err := OpenDisk(filepath.Join(dir, "ballots-1.seg"))
 	if err != nil {
-		t.Fatalf("segment not a v1 store: %v", err)
+		t.Fatalf("segment not a flat store: %v", err)
 	}
 	defer func() { _ = d.Close() }()
 	if d.Count() != 40 {
@@ -130,9 +133,9 @@ func TestSegmentFilesAreV1Stores(t *testing.T) {
 	}
 }
 
-// TestOpenDiskV1Compat round-trips the original single flat file — the v1
-// path must keep working alongside the segmented store.
-func TestOpenDiskV1Compat(t *testing.T) {
+// TestOpenDiskFlatFile round-trips the single flat file — that path must
+// keep working alongside the segmented store.
+func TestOpenDiskFlatFile(t *testing.T) {
 	ballots := fabricateBallots(7, 500, 4)
 	path := filepath.Join(t.TempDir(), "flat.store")
 	d, err := CreateDisk(path, ballots)

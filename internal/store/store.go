@@ -6,12 +6,12 @@
 //
 //   - Mem: an in-memory map — the paper's "database eliminated" cache
 //     configuration used for the Fig. 4 scalability runs.
-//   - Disk: one flat fixed-record file (v1), standing in for the paper's
+//   - Disk: one flat fixed-record file (v2), standing in for the paper's
 //     PostgreSQL store; lookups cost one positional read.
 //   - Segmented: the pool sharded by serial range across fixed-record
 //     segment files plus a manifest. A streaming Writer lets EA setup emit
 //     segments without holding the whole pool in memory; each segment file
-//     is itself a valid v1 flat store, so OpenDisk keeps working.
+//     is itself a valid flat store, so OpenDisk keeps working.
 //   - Cached: a byte-bounded, admission-controlled LRU over any Store with
 //     single-flight loading, recovering most of Mem's speed on pools that
 //     outgrow the budget (the cache-vs-database effect of Fig. 5a).
@@ -29,10 +29,9 @@ import (
 // Line is one stored ballot line (one vote-code row on one part, in
 // shuffled order).
 type Line struct {
-	Hash     [32]byte // SHA256(vote-code || salt)
-	Salt     [8]byte
-	Share    [32]byte // this node's receipt share (scalar, 32 bytes)
-	ShareSig [64]byte // EA signature over the share
+	Hash  [32]byte // SHA256(vote-code || salt)
+	Salt  [8]byte
+	Share [32]byte // this node's receipt share (scalar, 32 bytes)
 }
 
 // BallotData is everything a VC node knows about one ballot at setup.
@@ -40,6 +39,9 @@ type BallotData struct {
 	Serial uint64
 	// Lines[part][row], rows in the same shuffled order as the BB payload.
 	Lines [2][]Line
+	// ShareSig is the EA's signature over the Merkle root of this node's
+	// receipt shares of the ballot (ea.ShareRoot).
+	ShareSig [64]byte
 }
 
 // Store is the ballot-data access interface used by the VC node. Get must

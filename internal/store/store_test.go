@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -21,9 +23,9 @@ func makeBallots(t *testing.T, first uint64, n, m int) []*BallotData {
 				l.Hash[2] = byte(row)
 				l.Salt[0] = byte(i + 1)
 				l.Share[0] = byte(row + 7)
-				l.ShareSig[0] = byte(part + 9)
 			}
 		}
+		b.ShareSig[0] = byte(i + 9)
 		out[i] = b
 	}
 	return out
@@ -64,8 +66,8 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := ballots[serial-1]
-		if got.Serial != want.Serial {
-			t.Fatalf("serial %d != %d", got.Serial, want.Serial)
+		if got.Serial != want.Serial || got.ShareSig != want.ShareSig {
+			t.Fatalf("serial %d: got serial %d, signature match %v", want.Serial, got.Serial, got.ShareSig == want.ShareSig)
 		}
 		for part := 0; part < 2; part++ {
 			for row := 0; row < 4; row++ {
@@ -133,6 +135,48 @@ func TestOpenDiskRejectsGarbage(t *testing.T) {
 	}
 	if _, err := OpenDisk(path); err == nil {
 		t.Fatal("garbage file must fail")
+	}
+}
+
+// TestOpenDiskVersions: only the current record layout opens. A file of
+// another version — v1 carried a signature per line — is refused with an
+// error that names its version, before any record is read.
+func TestOpenDiskVersions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "versioned.store")
+	d, err := CreateDisk(path, makeBallots(t, 1, 3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		version uint16
+		refusal string // "" means it opens
+	}{
+		{0, "is a v0 ballot store"},
+		{1, "is a v1 ballot store"},
+		{2, ""},
+		{3, "is a v3 ballot store"},
+	} {
+		binary.BigEndian.PutUint16(data[4:], tc.version)
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDisk(path)
+		switch {
+		case tc.refusal == "" && err != nil:
+			t.Errorf("v%d: %v", tc.version, err)
+		case tc.refusal != "" && (err == nil || !strings.Contains(err.Error(), tc.refusal)):
+			t.Errorf("v%d: error %v, want one containing %q", tc.version, err, tc.refusal)
+		}
+		if err == nil {
+			_ = d.Close()
+		}
 	}
 }
 

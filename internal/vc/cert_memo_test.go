@@ -201,20 +201,21 @@ func TestVerifyCertsMemoAndTrim(t *testing.T) {
 }
 
 // votePFrom builds the VOTE_P sender would disclose for (serial, code) — its
-// real EA-signed receipt share — carrying cert.
+// real receipt share, audit path and EA root signature — carrying cert.
 func votePFrom(t *testing.T, sender *Node, serial uint64, code []byte, cert wire.UCert) job {
 	t.Helper()
 	bd, part, row, err := sender.locate(serial, code)
 	if err != nil {
 		t.Fatal(err)
 	}
-	share, shareSig, err := sender.ownShare(bd, part, row)
+	share, err := sender.ownShare(bd, part, row)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return job{from: sender.self, msg: &wire.VoteP{
 		Serial: serial, Code: code,
-		ShareIndex: share.Index, ShareValue: group.ScalarBytes(share.Value), ShareSig: shareSig,
+		ShareIndex: share.Index, ShareValue: group.ScalarBytes(share.Value),
+		ShareSig: bd.ShareSig[:], SharePath: ea.SharePath(bd, part, row),
 		Cert: cert,
 	}}
 }

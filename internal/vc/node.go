@@ -507,13 +507,12 @@ func (n *Node) locate(serial uint64, code []byte) (*store.BallotData, uint8, int
 }
 
 // ownShare extracts and validates this node's receipt share for a line.
-func (n *Node) ownShare(bd *store.BallotData, part uint8, row int) (shamir.Share, []byte, error) {
-	l := &bd.Lines[part][row]
-	v, err := group.DecodeScalar(l.Share[:])
+func (n *Node) ownShare(bd *store.BallotData, part uint8, row int) (shamir.Share, error) {
+	v, err := group.DecodeScalar(bd.Lines[part][row].Share[:])
 	if err != nil {
-		return shamir.Share{}, nil, fmt.Errorf("vc: corrupt stored share: %w", err)
+		return shamir.Share{}, fmt.Errorf("vc: corrupt stored share: %w", err)
 	}
-	return shamir.Share{Index: uint32(n.self) + 1, Value: v}, l.ShareSig[:], nil
+	return shamir.Share{Index: uint32(n.self) + 1, Value: v}, nil
 }
 
 // SubmitVote is the voter-facing entry point (the responder role). It
@@ -600,7 +599,7 @@ func (n *Node) SubmitVote(ctx context.Context, serial uint64, code []byte) ([]by
 	}
 	n.metrics.observeEndorse(time.Since(t0))
 
-	share, shareSig, err := n.ownShare(bd, part, row)
+	share, err := n.ownShare(bd, part, row)
 	if err != nil {
 		return nil, err
 	}
@@ -672,7 +671,7 @@ func (n *Node) SubmitVote(ctx context.Context, serial uint64, code []byte) ([]by
 		st.bindingDurable = true
 		st.mu.Unlock()
 	}
-	n.multicastVoteP(serial, code, share, shareSig, cert)
+	n.multicastVoteP(serial, code, share, bd, part, row, cert)
 	receipt, err := n.awaitOutcome(ctx, ch)
 	if err == nil {
 		n.metrics.observeVote(time.Since(t0))
@@ -995,8 +994,10 @@ func (n *Node) onEndorsementBatch(batch []job) {
 	}
 }
 
-// multicastVoteP discloses a receipt share (a ShareCorruptor corrupts it).
-func (n *Node) multicastVoteP(serial uint64, code []byte, share shamir.Share, shareSig []byte, cert *wire.UCert) {
+// multicastVoteP discloses the receipt share of line (part, row) of bd, with
+// the EA's root signature and the share's audit path (a ShareCorruptor
+// corrupts the share).
+func (n *Node) multicastVoteP(serial uint64, code []byte, share shamir.Share, bd *store.BallotData, part uint8, row int, cert *wire.UCert) {
 	value := group.ScalarBytes(share.Value)
 	if n.byz == ShareCorruptor {
 		value = make([]byte, 32)
@@ -1007,7 +1008,8 @@ func (n *Node) multicastVoteP(serial uint64, code []byte, share shamir.Share, sh
 		Code:       code,
 		ShareIndex: share.Index,
 		ShareValue: value,
-		ShareSig:   shareSig,
+		ShareSig:   bd.ShareSig[:],
+		SharePath:  ea.SharePath(bd, part, row),
 		Cert:       *cert,
 	}
 	if err := transport.Multicast(n.ep, n.peers, wire.Encode(msg)); err != nil {
@@ -1031,11 +1033,14 @@ type votePCandidate struct {
 
 // onVotePBatch validates a batch of disclosed shares (UCERT first, per
 // §III-E) and joins the disclosure round; reconstruction fires at Nv-fv
-// shares. The batch path amortizes the two expensive steps: certificates the
-// ballot state already accepted are not re-verified (every VOTE_P for a
-// ballot carries the same UCERT), all EA share signatures are checked in one
-// sig.VerifyMany pass, and each serial's shares are applied under a single
-// state-lock acquisition.
+// shares. Each share is folded up its audit path at the (part, row) this
+// node located from the vote code, and the EA's signature over the sender's
+// root for the ballot is checked on the result. The batch path amortizes
+// the two expensive steps: certificates the ballot state already accepted
+// are not re-verified (every VOTE_P for a ballot carries the same UCERT),
+// the EA root signatures, one per share, are checked in one sig.VerifyMany
+// pass, and each serial's shares are applied under a single state-lock
+// acquisition.
 func (n *Node) onVotePBatch(batch []job) {
 	if !n.withinHours() {
 		return
@@ -1090,10 +1095,15 @@ func (n *Node) onVotePBatch(batch []job) {
 			n.metrics.BadMessages.Add(1)
 			continue
 		}
+		root, ok := ea.FoldSharePath(bd, part, row, [32]byte(m.ShareValue), m.SharePath)
+		if !ok {
+			n.metrics.BadShares.Add(1)
+			continue
+		}
 		sh := shamir.Share{Index: m.ShareIndex, Value: shareVal}
 		cands = append(cands, votePCandidate{from: j.from, m: m, cert: cert, bd: bd, part: part, row: row, share: sh})
 		items = append(items, ea.ReceiptShareItem(n.eaPub, m.ShareSig,
-			n.manifest.ElectionID, m.Serial, bd.Lines[part][row].Hash, sh))
+			n.manifest.ElectionID, m.Serial, m.ShareIndex, root))
 	}
 	if len(cands) == 0 {
 		return
@@ -1129,7 +1139,7 @@ func (n *Node) applyShares(serial uint64, cands []votePCandidate, idxs []int) {
 	st := n.state(serial)
 	var disclose, bound bool
 	var ownSh shamir.Share
-	var ownSig []byte
+	var ownLine *votePCandidate // the candidate whose (bd, part, row) we disclose for
 	var discloseCode []byte
 	var discloseCert *wire.UCert
 	var recs [][]byte
@@ -1171,12 +1181,12 @@ func (n *Node) applyShares(serial uint64, cands []votePCandidate, idxs []int) {
 		}
 		if !st.sentVoteP {
 			st.sentVoteP = true
-			own, sg, err := n.ownShare(c.bd, c.part, c.row)
+			own, err := n.ownShare(c.bd, c.part, c.row)
 			if err == nil {
 				st.shares[own.Index] = own.Value
 				recs = append(recs, encShare(serial, own.Index, own.Value))
 				disclose = true
-				ownSh, ownSig = own, sg
+				ownSh, ownLine = own, c
 				discloseCode = st.usedCode
 				discloseCert = st.cert
 			}
@@ -1234,7 +1244,7 @@ func (n *Node) applyShares(serial uint64, cands []votePCandidate, idxs []int) {
 		ch <- voteOutcome{receipt: receipt}
 	}
 	if disclose {
-		n.multicastVoteP(serial, discloseCode, ownSh, ownSig, discloseCert)
+		n.multicastVoteP(serial, discloseCode, ownSh, ownLine.bd, ownLine.part, ownLine.row, discloseCert)
 	}
 }
 
@@ -1260,7 +1270,7 @@ func (n *Node) maybeReconstructLocked(serial uint64, st *ballotState) (rec []byt
 	}
 	receipt, err = shamir.ScalarToSecret(secret)
 	if err != nil || len(receipt) != votecode.ReceiptSize {
-		// Cannot happen when all shares carried valid EA signatures.
+		// Cannot happen when every share folded to an EA-signed root.
 		n.metrics.BadShares.Add(1)
 		return nil, nil, nil
 	}

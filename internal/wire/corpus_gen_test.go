@@ -34,7 +34,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		"seed-rbc-echo", "seed-rbc-ready",
 		"seed-batch", "seed-empty", "seed-unknown-kind", "seed-truncated",
 		"seed-rbc-echo-empty", "seed-consensus-decide", "seed-consensus-bare-kind",
-		"seed-rbc-ready-truncated", "seed-consensus-trailing",
+		"seed-rbc-ready-truncated", "seed-consensus-trailing", "seed-votep-path",
 	}
 	if len(names) != len(frames) {
 		t.Fatalf("have %d seed frames for %d names", len(frames), len(names))

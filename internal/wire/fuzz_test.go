@@ -40,7 +40,7 @@ func fuzzSeedFrames() [][]byte {
 		NewRBCEcho(1, 1, []AnnounceEntry{{Serial: 7, Code: []byte("code-7"), Cert: cert}}),
 		&RBCReady{Sender: 0, Broadcaster: 1, Hash: bytes.Repeat([]byte{0x5E}, 32)},
 	}
-	frames := make([][]byte, 0, len(msgs)+9)
+	frames := make([][]byte, 0, len(msgs)+10)
 	for _, m := range msgs {
 		frames = append(frames, Encode(m))
 	}
@@ -55,6 +55,15 @@ func fuzzSeedFrames() [][]byte {
 		[]byte{byte(KindConsensus)},                             // bare kind, no body
 		ready[:len(ready)-7],                                    // truncated hash
 		append(consensus[:len(consensus):len(consensus)], 0x00), // trailing byte
+		Encode(&VoteP{ // a share with its three-hash audit path (m = 4)
+			Serial:     7,
+			Code:       []byte("code-7"),
+			ShareIndex: 2,
+			ShareValue: bytes.Repeat([]byte{0x11}, 32),
+			ShareSig:   bytes.Repeat([]byte{0x22}, 64),
+			SharePath:  bytes.Repeat([]byte{0x33}, 3*32),
+			Cert:       cert,
+		}),
 	)
 	return frames
 }

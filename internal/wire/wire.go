@@ -72,6 +72,14 @@ const (
 	maxCount    = 1 << 22 // collection sizes
 )
 
+// A VOTE_P share path is whole SHA-256 hashes, at most maxSharePathHashes of
+// them: a ballot store holds at most 2^16 options per part (store
+// maxDiskLines), so a node's share tree has at most 2^17 leaves.
+const (
+	sharePathHash      = 32
+	maxSharePathHashes = 17
+)
+
 // Least encoded size of each counted element with variable-length parts (a
 // byte string is at least its u32 length prefix): what reader.count divides
 // the bytes left by.
@@ -207,10 +215,18 @@ func (r *reader) u64(what string) uint64 {
 
 func (r *reader) bytes(what string) []byte {
 	n := r.u32(what)
+	if n > maxBytesLen {
+		r.fail(what)
+	}
+	return r.take(n, what)
+}
+
+// take copies the next n bytes out of the frame.
+func (r *reader) take(n uint32, what string) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n > maxBytesLen || int(n) > len(r.buf) {
+	if int(n) > len(r.buf) {
 		r.fail(what)
 		return nil
 	}
@@ -357,8 +373,12 @@ type VoteP struct {
 	Code       []byte
 	ShareIndex uint32
 	ShareValue []byte // 32-byte scalar
-	ShareSig   []byte // EA signature binding (serial, line, index, value)
-	Cert       UCert
+	// ShareSig is the EA's signature over the root of the sender's share
+	// tree for the ballot; SharePath is the share's audit path up to that
+	// root, concatenated 32-byte hashes.
+	ShareSig  []byte
+	SharePath []byte
+	Cert      UCert
 }
 
 // Kind implements Message.
@@ -370,6 +390,7 @@ func (m *VoteP) appendBody(dst []byte) []byte {
 	dst = appendU32(dst, m.ShareIndex)
 	dst = appendBytes(dst, m.ShareValue)
 	dst = appendBytes(dst, m.ShareSig)
+	dst = appendBytes(dst, m.SharePath)
 	return appendUCert(dst, &m.Cert)
 }
 
@@ -380,8 +401,19 @@ func decodeVoteP(r *reader) *VoteP {
 		ShareIndex: r.u32("share index"),
 		ShareValue: r.bytes("share value"),
 		ShareSig:   r.bytes("share sig"),
+		SharePath:  r.sharePath(),
 		Cert:       decodeUCert(r),
 	}
+}
+
+// sharePath reads a VOTE_P share path, refusing before it copies anything
+// a length that is not whole hashes or exceeds maxSharePathHashes.
+func (r *reader) sharePath() []byte {
+	n := r.u32("share path")
+	if r.err == nil && (n%sharePathHash != 0 || n > maxSharePathHashes*sharePathHash) {
+		r.err = fmt.Errorf("%w: share path of %d bytes", ErrMalformed, n)
+	}
+	return r.take(n, "share path")
 }
 
 // --- vote set consensus messages ------------------------------------------

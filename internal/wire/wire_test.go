@@ -57,11 +57,66 @@ func TestVotePRoundTrip(t *testing.T) {
 		ShareIndex: 2,
 		ShareValue: bytes.Repeat([]byte{0xbb}, 32),
 		ShareSig:   bytes.Repeat([]byte{0xcc}, 64),
+		SharePath:  bytes.Repeat([]byte{0xdd}, 3*32),
 		Cert:       sampleUCert(),
 	}
 	got := roundTrip(t, m).(*VoteP)
 	if !reflect.DeepEqual(m, got) {
 		t.Fatalf("got %+v want %+v", got, m)
+	}
+	// A VOTE_P built without a path still encodes and decodes.
+	m.SharePath = nil
+	got = roundTrip(t, m).(*VoteP)
+	if len(got.SharePath) != 0 || !bytes.Equal(Encode(got), Encode(m)) {
+		t.Fatalf("path-less VOTE_P came back as %+v", got)
+	}
+}
+
+// TestDecodeBoundsSharePath: a VOTE_P share path is whole 32-byte hashes, at
+// most maxSharePathHashes of them, and a length outside that is refused
+// before anything is copied or allocated for it.
+func TestDecodeBoundsSharePath(t *testing.T) {
+	head := Encode(&VoteP{Serial: 1, Code: []byte{1}, ShareIndex: 1,
+		ShareValue: make([]byte, 32), ShareSig: make([]byte, 64)})
+	head = head[:len(head)-4-len(appendUCert(nil, &UCert{}))] // up to the path length
+	cert := appendUCert(nil, &UCert{Serial: 1, Code: []byte{1}})
+	for _, tc := range []struct {
+		name   string
+		length uint32
+		body   int // path bytes actually present
+		ok     bool
+	}{
+		{"empty", 0, 0, true},
+		{"one hash", 32, 32, true},
+		{"the most hashes", maxSharePathHashes * 32, maxSharePathHashes * 32, true},
+		{"one hash too many", (maxSharePathHashes + 1) * 32, (maxSharePathHashes + 1) * 32, false},
+		{"not whole hashes", 33, 33, false},
+		{"huge, nothing behind it", 1<<32 - 32, 0, false},
+		{"truncated", 3 * 32, 2 * 32, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frame := append(appendU32(append([]byte(nil), head...), tc.length), make([]byte, tc.body)...)
+			frame = append(frame, cert...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := Decode(frame)
+			runtime.ReadMemStats(&after)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("a %d-byte path: %v", tc.length, err)
+				}
+				if got := len(m.(*VoteP).SharePath); got != tc.body {
+					t.Fatalf("decoded a %d-byte path, want %d", got, tc.body)
+				}
+				return
+			}
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("a %d-byte path: err = %v, want ErrMalformed", tc.length, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+				t.Fatalf("refusing a %d-byte path allocated %d bytes", tc.length, got)
+			}
+		})
 	}
 }
 
@@ -210,6 +265,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		ShareIndex: 2,
 		ShareValue: bytes.Repeat([]byte{0xbb}, 32),
 		ShareSig:   bytes.Repeat([]byte{0xcc}, 64),
+		SharePath:  bytes.Repeat([]byte{0xdd}, 3*32),
 		Cert:       sampleUCert(),
 	}
 	frame := Encode(m)
@@ -242,7 +298,7 @@ func TestDecodeRejectsHugeCounts(t *testing.T) {
 		name  string
 		frame []byte
 	}{
-		{"VOTE_P cert sigs", frame(KindVoteP, make([]byte, 8+4+4+4+4), emptyCert, count(maxCount))},
+		{"VOTE_P cert sigs", frame(KindVoteP, make([]byte, 8+4+4+4+4+4), emptyCert, count(maxCount))},
 		{"ANNOUNCE entries", frame(KindAnnounce, sender, count(maxCount))},
 		{"ANNOUNCE entry cert sigs", frame(KindAnnounce, sender, count(1), emptyCert, emptyCert, count(maxCount))},
 		{"RECOVER-REQUEST serials", frame(KindRecoverRequest, count(maxCount))},
@@ -314,6 +370,7 @@ func BenchmarkEncodeVoteP(b *testing.B) {
 		ShareIndex: 2,
 		ShareValue: bytes.Repeat([]byte{0xbb}, 32),
 		ShareSig:   bytes.Repeat([]byte{0xcc}, 64),
+		SharePath:  bytes.Repeat([]byte{0xdd}, 3*32),
 		Cert:       sampleUCert(),
 	}
 	b.ReportAllocs()
@@ -329,6 +386,7 @@ func BenchmarkDecodeVoteP(b *testing.B) {
 		ShareIndex: 2,
 		ShareValue: bytes.Repeat([]byte{0xbb}, 32),
 		ShareSig:   bytes.Repeat([]byte{0xcc}, 64),
+		SharePath:  bytes.Repeat([]byte{0xdd}, 3*32),
 		Cert:       sampleUCert(),
 	})
 	b.ReportAllocs()
