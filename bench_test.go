@@ -3,7 +3,8 @@
 // representative slice of the paper's parameter sweep and prints the same
 // series rows the paper plots; cmd/ddemos-bench runs the full sweeps.
 // Parameter scales (ballot pools, cast counts) are documented in DESIGN.md
-// ("Substitutions"); measured trends live in docs/BENCH.md.
+// ("Substitutions"). These reproduce the paper's exhibits; performance is
+// judged end to end by the benchmark under bench/ (BENCHMARK.json).
 package ddemos
 
 import (
@@ -179,31 +180,11 @@ func BenchmarkFig5cPhaseBreakdown(b *testing.B) {
 	}
 }
 
-// BenchmarkWALAblation — the durability tax: the identical vote-collection
-// workload with runtime-state journaling (WAL + snapshot, batched fsync)
-// off and on. The on/off ratio is machine-independent and is the metric the
-// CI benchmark-tracking job gates on: at default group-commit batching, the
-// journaled hot path must stay within 30% of memory-only throughput.
-func BenchmarkWALAblation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		row, err := benchmark.RunWALAblation(benchBallots, benchVotes, 400, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wal-off=%.1f op/s wal-on=%.1f op/s ratio=%.3f", row.Off, row.On, row.Ratio())
-		b.ReportMetric(row.Off, "wal-off-votes/sec")
-		b.ReportMetric(row.On, "wal-on-votes/sec")
-		b.ReportMetric(row.Ratio(), "wal-ratio")
-	}
-}
-
 // BenchmarkPoolAblation — the journal pool sweep (the paper's Fig. 5a
 // applied to runtime state): concurrent appenders writing protocol-shaped
 // transition records through one WAL lane and through pools of 2, 4 and 8
-// lanes, per-append fsync. One column per pool size lands in the benchjson
-// artifact; the baseline gates the pooled speedups (pool>=4 must stay
-// >= 1.3x one lane).
+// lanes, per-append fsync, reporting appends/sec and the speedup over one
+// lane for each pool size.
 func BenchmarkPoolAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		points, err := benchmark.RunPoolAblation(benchmark.PoolAblationConfig{
@@ -222,99 +203,6 @@ func BenchmarkPoolAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreAblation — the ballot-store read path (the paper's Fig.
-// 4/5a database-vs-cache ablation): the same protocol-shaped read workload
-// (every serial touched ~3 times within a short window, streaming once
-// through a pool that outgrows the cache budget) against the in-memory
-// store, the v1 flat file, the segmented store, and the segmented store
-// behind the admission-controlled LRU. The CI baseline gates cache-speedup
-// (segmented+cache vs uncached flat-disk) — a ratio, so runner speed and
-// page-cache state cannot flap the gate.
-func BenchmarkStoreAblation(b *testing.B) {
-	cfg := benchmark.StoreAblationConfig{Ballots: 60_000, CacheBytes: 4 << 20}
-	for i := 0; i < b.N; i++ {
-		points, err := benchmark.RunStoreAblation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		byName := map[string]benchmark.StorePoint{}
-		for _, pt := range points {
-			byName[pt.Config] = pt
-			b.Logf("config=%s gets/sec=%.0f vs-flat=%.2f", pt.Config, pt.GetsPerSec, pt.Speedup)
-		}
-		b.ReportMetric(byName["mem"].GetsPerSec, "mem-gets/sec")
-		b.ReportMetric(byName["flat-disk"].GetsPerSec, "flat-gets/sec")
-		b.ReportMetric(byName["segmented"].GetsPerSec, "seg-gets/sec")
-		b.ReportMetric(byName["segmented+cache"].GetsPerSec, "segcache-gets/sec")
-		b.ReportMetric(byName["segmented"].Speedup, "seg-speedup")
-		b.ReportMetric(byName["segmented+cache"].Speedup, "cache-speedup")
-		b.ReportMetric(byName["segmented+cache"].HitRate, "cache-hit-rate")
-	}
-}
-
-// BenchmarkSetupAblation — the EA → VC setup handoff (the zero-copy
-// setup-to-vote path): a seeded election generated by SetupStream straight
-// into per-VC segment directories the VC opens directly. Reported: setup
-// wall time, peak heap while setting up, and the VC's cold-start time. The
-// CI baseline gates setup-peak-heap-mb as an absolute ceiling — the peak is
-// O(segment + reorder window), so it must not grow with the pool — the same
-// 64 MiB TestStreamingBuildMemoryCeiling1M holds the segment writer to.
-func BenchmarkSetupAblation(b *testing.B) {
-	cfg := benchmark.SetupAblationConfig{Ballots: 10_000, SegmentBallots: 1_000}
-	for i := 0; i < b.N; i++ {
-		pt, err := benchmark.RunSetupAblation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("setup=%.2fs peak-heap=%.1fMB coldstart=%.3fs", pt.SetupSec, pt.PeakHeapMB, pt.ColdStartSec)
-		b.ReportMetric(pt.SetupSec, "setup-sec")
-		b.ReportMetric(pt.PeakHeapMB, "setup-peak-heap-mb")
-		b.ReportMetric(pt.ColdStartSec, "coldstart-sec")
-	}
-}
-
-// BenchmarkTallyAblation — the publish phase verified two ways over one
-// election: "reference" loops the per-element verifiers single-threaded
-// over the published Result, "shipped" is the node combine and auditor as
-// deployed (one batch verifier). The CI baseline gates tally-speedup
-// (reference seconds per shipped combine second) — a ratio over identical
-// statements, so runner speed cannot flap the gate. The Byzantine sweep
-// rides along: combine cost must grow linearly with the number of
-// garbage-share trustees (blame, not the seed's exponential subset search).
-func BenchmarkTallyAblation(b *testing.B) {
-	cfg := benchmark.TallyAblationConfig{Ballots: 2_000, Votes: 200}
-	sweepCfg := benchmark.TallyAblationConfig{Ballots: 200, Votes: 30, Trustees: 7}
-	for i := 0; i < b.N; i++ {
-		points, err := benchmark.RunTallyAblation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		byName := map[string]benchmark.TallyPoint{}
-		for _, pt := range points {
-			byName[pt.Config] = pt
-			b.Logf("config=%s combine=%.3fs audit=%.3fs speedup=%.2f fallbacks=%d",
-				pt.Config, pt.CombineSec, pt.AuditSec, pt.Speedup, pt.Fallbacks)
-		}
-		b.ReportMetric(byName["reference"].CombineSec, "reference-verify-sec")
-		b.ReportMetric(byName["shipped"].CombineSec, "shipped-combine-sec")
-		b.ReportMetric(byName["shipped"].AuditSec, "shipped-audit-sec")
-		b.ReportMetric(byName["shipped"].Speedup, "tally-speedup")
-
-		sweep, err := benchmark.RunByzantineTallySweep(sweepCfg, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, pt := range sweep {
-			b.Logf("garbage=%d combine=%.3fs attempts=%d blames=%d",
-				pt.Garbage, pt.CombineSec, pt.Attempts, pt.Blames)
-		}
-		if n := len(sweep); n >= 2 && sweep[0].CombineSec > 0 {
-			b.ReportMetric(sweep[n-1].CombineSec/sweep[0].CombineSec,
-				fmt.Sprintf("byz-combine-cost@%d", sweep[n-1].Garbage))
-		}
-	}
-}
-
 // BenchmarkTable1StepBounds — Table I: evaluates the liveness time upper
 // bounds for every protocol step from measured Tcomp and the simulated
 // network's δ, and checks the measured end-to-end latency against Twait.
@@ -327,9 +215,8 @@ func BenchmarkTable1StepBounds(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		delay := 300 * time.Microsecond // LAN profile latency + jitter/2
-		benchmark.PrintTableOne(os.Stdout, 4, tcomp, 0, delay, avgVote)
-		tw := benchmark.Twait(4, tcomp, 0, delay)
+		benchmark.PrintTableOne(os.Stdout, 4, tcomp, 0, benchmark.LANDelay, avgVote)
+		tw := benchmark.Twait(4, tcomp, 0, benchmark.LANDelay)
 		b.ReportMetric(float64(tw.Microseconds()), "Twait-us")
 	}
 }

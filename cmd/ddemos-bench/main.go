@@ -14,13 +14,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"ddemos/internal/benchmark"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 4a,4b,4c,4d,4e,4f,5a,5b,5c,table1,ablation,pool,pool-election,store,store-election,tally,setup,all")
+	fig := flag.String("fig", "all", "figure to regenerate: 4a,4b,4c,4d,4e,4f,5a,5b,5c,table1,ablation,pool,pool-election,all")
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast pass")
 	authenticated := flag.Bool("authenticated", false, "sign inter-VC channels (Fig4 sweeps)")
 	batch := flag.Bool("batch", false,
@@ -73,7 +72,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			benchmark.PrintTableOne(os.Stdout, 4, tcomp, 0, 300*time.Microsecond, avgVote)
+			benchmark.PrintTableOne(os.Stdout, 4, tcomp, 0, benchmark.LANDelay, avgVote)
 			return nil
 		},
 		"ablation": func() error {
@@ -94,72 +93,6 @@ func main() {
 			benchmark.PrintPoolAblation(os.Stdout, points)
 			return nil
 		},
-		"store": func() error {
-			// The pool deliberately outgrows the cache: the default 240k
-			// ballots (~125MiB of records) against a 16MiB budget is the
-			// regime where the paper's database-vs-cache ablation runs.
-			cfg := benchmark.StoreAblationConfig{Ballots: 240_000, CacheBytes: 16 << 20}
-			if *quick {
-				cfg = benchmark.StoreAblationConfig{Ballots: 40_000, CacheBytes: 2 << 20}
-			}
-			points, err := benchmark.RunStoreAblation(cfg)
-			if err != nil {
-				return err
-			}
-			benchmark.PrintStoreAblation(os.Stdout, points, cfg)
-			return nil
-		},
-		"store-election": func() error {
-			ballotsS, votesS, clientsS := 20_000, 2000, 200
-			cacheBytes := int64(1 << 20)
-			if *quick {
-				ballotsS, votesS, clientsS = 4000, 600, 100
-				cacheBytes = 256 << 10
-			}
-			points, err := benchmark.RunStoreElectionAblation(ballotsS, votesS, clientsS, 4, cacheBytes)
-			if err != nil {
-				return err
-			}
-			benchmark.PrintStoreElectionAblation(os.Stdout, points, ballotsS, cacheBytes)
-			return nil
-		},
-		"tally": func() error {
-			// Publish phase, shipped (one batch verifier) against the
-			// per-element reference, plus the Byzantine combine-cost sweep.
-			cfg := benchmark.TallyAblationConfig{Ballots: 10_000, Votes: 500}
-			sweepCfg := benchmark.TallyAblationConfig{Ballots: 600, Votes: 60, Trustees: 7}
-			if *quick {
-				cfg = benchmark.TallyAblationConfig{Ballots: 1500, Votes: 150}
-				sweepCfg = benchmark.TallyAblationConfig{Ballots: 200, Votes: 30, Trustees: 7}
-			}
-			points, err := benchmark.RunTallyAblation(cfg)
-			if err != nil {
-				return err
-			}
-			benchmark.PrintTallyAblation(os.Stdout, points, cfg)
-			sweep, err := benchmark.RunByzantineTallySweep(sweepCfg, 3)
-			if err != nil {
-				return err
-			}
-			benchmark.PrintByzantineTallySweep(os.Stdout, sweep, sweepCfg)
-			return nil
-		},
-		"setup": func() error {
-			// The zero-copy setup-to-vote handoff at figure scale: at 1M
-			// ballots an O(pool) peak would be GiBs, and the streaming
-			// route must stay at O(segment). Expect minutes of EA key
-			// material generation.
-			cfg := benchmark.SetupAblationConfig{Ballots: 1_000_000}
-			if *quick {
-				cfg = benchmark.SetupAblationConfig{Ballots: 50_000, SegmentBallots: 10_000}
-			}
-			point, err := benchmark.RunSetupAblation(cfg)
-			if err != nil {
-				return err
-			}
-			benchmark.PrintSetupAblation(os.Stdout, point, cfg)
-			return nil
-		},
 		"pool-election": func() error {
 			votesP, clientsP := 1200, 200
 			if *quick {
@@ -176,7 +109,7 @@ func main() {
 
 	// 4a/4b and 4d/4e share one sweep (latency and throughput of the same
 	// runs); dedupe when running everything.
-	order := []string{"4a", "4c", "4d", "4f", "5a", "5b", "5c", "table1", "ablation", "pool", "store", "tally", "setup"}
+	order := []string{"4a", "4c", "4d", "4f", "5a", "5b", "5c", "table1", "ablation", "pool"}
 	if *fig == "all" {
 		for _, name := range order {
 			fmt.Printf("\n===== figure %s =====\n", name)

@@ -4,10 +4,11 @@
 // localhost, drives paced open-loop vote traffic through ddemos-loadgen,
 // waits for vote-set consensus, the BB push and the trustee tally, and
 // verifies a majority-readable published Result — then writes the whole run
-// as one benchjson Report artifact.
+// as one JSON report: ddemos-loadgen's benchmark.LoadReport with the phase
+// durations filled in.
 //
 //	ddemos-cluster -vc 4 -bb 3 -ballots 1000 -rate 200 -duration 60s \
-//	               -out cluster.json -history BENCH_HISTORY.jsonl
+//	               -out cluster.json
 //
 // With -churn > 0 and -durable, the harness SIGKILLs a round-robin victim
 // (VC or BB) at that interval during the load phase and relaunches it
@@ -35,7 +36,7 @@ import (
 	"time"
 
 	"ddemos/internal/bb"
-	"ddemos/internal/benchjson"
+	"ddemos/internal/benchmark"
 	"ddemos/internal/ea"
 	"ddemos/internal/httpapi"
 	"ddemos/internal/store"
@@ -69,7 +70,6 @@ type harnessConfig struct {
 	churnBB               bool
 	maxErrRate            float64
 	out                   string
-	history               string
 	verbose               bool
 }
 
@@ -100,8 +100,7 @@ func run() int {
 	flag.DurationVar(&cfg.churn, "churn", 0, "SIGKILL + restart one node at this interval during load (0 = off; requires -durable)")
 	flag.BoolVar(&cfg.churnBB, "churn-bb", false, "include BB replicas in the churn victim rotation")
 	flag.Float64Var(&cfg.maxErrRate, "max-error-rate", 0.01, "loadgen error fraction above which the run fails")
-	flag.StringVar(&cfg.out, "out", "", "write the combined benchjson Report artifact here")
-	flag.StringVar(&cfg.history, "history", "", "append the report to this BENCH_HISTORY.jsonl chain")
+	flag.StringVar(&cfg.out, "out", "", "write the run's JSON report (load and phase durations) here")
 	flag.BoolVar(&cfg.verbose, "v", false, "forward child process output")
 	flag.Parse()
 	log.SetFlags(0)
@@ -365,7 +364,6 @@ func (o *orch) runElection(ctx context.Context) error {
 		"-timeout", cfg.timeout.String(),
 		"-max-error-rate", fmt.Sprint(cfg.maxErrRate),
 		"-out", loadOut,
-		"-label", fmt.Sprintf("ClusterLoad/vc=%d/bb=%d/rate=%g", cfg.nv, cfg.nb, cfg.rate),
 		"-scrape",
 	}
 	if cfg.workers > 0 {
@@ -586,18 +584,12 @@ func (o *orch) awaitResult(ctx context.Context, patience time.Duration) (*bb.Res
 	}
 }
 
-// report merges the loadgen artifact with the orchestrator's phase metrics,
-// verifies the tally against the load, and writes -out / -history.
+// report reads the loadgen report, verifies the tally against the load,
+// and writes the report with the orchestrator's phase durations to -out.
 func (o *orch) report(electionDir, loadOut string, result *bb.Result, consensusPush, publish time.Duration) error {
-	cfg := o.cfg
-	f, err := os.Open(loadOut)
+	rep, err := benchmark.ReadLoadReport(loadOut)
 	if err != nil {
-		return fmt.Errorf("loadgen artifact: %w", err)
-	}
-	rep, err := benchjson.ReadReport(f)
-	_ = f.Close()
-	if err != nil {
-		return fmt.Errorf("loadgen artifact: %w", err)
+		return fmt.Errorf("loadgen report: %w", err)
 	}
 
 	var manifest ea.Manifest
@@ -615,51 +607,36 @@ func (o *orch) report(electionDir, loadOut string, result *bb.Result, consensusP
 		parts[i] = fmt.Sprintf("%s=%d", name, c)
 	}
 	log.Printf("cluster: result published — %s (%d votes tallied)", strings.Join(parts, " "), total)
+	if err := checkTally(total, rep); err != nil {
+		return err
+	}
 
-	// With zero load errors every distinct serial's vote must be in the
-	// tally; with errors the tally can only miss those serials.
-	lm := rep.Rows[0].Metrics
-	distinct, errs := int64(lm[benchjson.MetricDistinctSerials]), int64(lm[benchjson.MetricErrors])
+	o.mu.Lock()
+	rep.ChurnRestarts = o.churnRestarts
+	o.mu.Unlock()
+	rep.ConsensusPushS = consensusPush.Seconds()
+	rep.PublishS = publish.Seconds()
+	log.Printf("cluster: consensus+push %.1fs, publish %.1fs, churn restarts %d",
+		rep.ConsensusPushS, rep.PublishS, rep.ChurnRestarts)
+
+	if o.cfg.out != "" {
+		if err := rep.WriteFile(o.cfg.out); err != nil {
+			return err
+		}
+		log.Printf("cluster: wrote %s", o.cfg.out)
+	}
+	log.Print("cluster: PASS — result published")
+	return nil
+}
+
+// checkTally is the run's correctness check against the load: with zero load
+// errors every distinct serial's vote is in the tally, and with errors the
+// tally can miss only those serials.
+func checkTally(total int64, load benchmark.LoadReport) error {
+	distinct, errs := int64(load.DistinctSerials), int64(load.Errors)
 	if total > distinct || total < distinct-errs {
 		return fmt.Errorf("tally %d inconsistent with load (%d distinct serials, %d errors)",
 			total, distinct, errs)
 	}
-
-	o.mu.Lock()
-	restarts := o.churnRestarts
-	o.mu.Unlock()
-	rep.Rows = append(rep.Rows, benchjson.Row{
-		Benchmark:  fmt.Sprintf("ClusterPhases/vc=%d/bb=%d/ballots=%d", cfg.nv, cfg.nb, cfg.ballots),
-		Iterations: 1,
-		Metrics: map[string]float64{
-			benchjson.MetricConsensusPushSec: consensusPush.Seconds(),
-			benchjson.MetricPublishSec:       publish.Seconds(),
-			benchjson.MetricChurnRestarts:    float64(restarts),
-		},
-	})
-	log.Printf("cluster: consensus+push %.1fs, publish %.1fs, churn restarts %d",
-		consensusPush.Seconds(), publish.Seconds(), restarts)
-
-	if cfg.out != "" {
-		f, err := os.Create(cfg.out)
-		if err != nil {
-			return err
-		}
-		if err := benchjson.WriteReport(f, rep); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		log.Printf("cluster: wrote %s", cfg.out)
-	}
-	if cfg.history != "" {
-		if err := benchjson.AppendHistoryFile(cfg.history, rep); err != nil {
-			return err
-		}
-		log.Printf("cluster: appended to %s", cfg.history)
-	}
-	log.Print("cluster: PASS — result published")
 	return nil
 }

@@ -7,14 +7,14 @@
 //
 //	ddemos-loadgen -vc http://localhost:8100,http://localhost:8101 \
 //	               -ballots election/ballots.gob -rate 500 -duration 60s \
-//	               -out load.json -history BENCH_HISTORY.jsonl
+//	               -out load.json
 //
 // Each scheduled op casts a deterministic (serial, part, option) tuple;
 // serials cycle through the ballot pool, and re-votes of the same line are
 // idempotent on the VC (same receipt), so the generator can run longer than
-// the pool without manufacturing rejections. -out writes the run as a
-// benchjson Report JSON document — the format ddemos-benchjson -in accepts
-// and -history/-dashboard chain and render.
+// the pool without manufacturing rejections. -out writes the run as one
+// JSON document (benchmark.LoadReport): target and achieved rate, latency
+// quantiles against the schedule, outcome counts and distinct serials.
 //
 // Exit status: 0 = run completed within -max-error-rate, 1 = too many
 // errors or nothing completed, 2 = usage error.
@@ -28,13 +28,11 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
 	"ddemos/internal/ballot"
-	"ddemos/internal/benchjson"
 	"ddemos/internal/benchmark"
 	"ddemos/internal/httpapi"
 )
@@ -48,9 +46,7 @@ func main() {
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout")
 	votes := flag.Int("votes", 0, "distinct serials to cycle through (0 = whole pool)")
 	seed := flag.Int64("seed", 1, "seed for the part/option choice per serial")
-	label := flag.String("label", "", "benchmark row name (default ClusterLoad/vc=<n>/rate=<rate>)")
-	out := flag.String("out", "", "write the run as a benchjson Report JSON artifact")
-	historyPath := flag.String("history", "", "append the report to this BENCH_HISTORY.jsonl chain")
+	out := flag.String("out", "", "write the run as a JSON report here")
 	maxErrRate := flag.Float64("max-error-rate", 0.01, "error fraction above which the run exits 1")
 	scrape := flag.Bool("scrape", false, "log each VC's /v1/metrics snapshot after the run")
 	flag.Parse()
@@ -105,12 +101,8 @@ func main() {
 		plan[i] = plannedVote{serial: b.Serial, code: code}
 	}
 
-	name := *label
-	if name == "" {
-		name = fmt.Sprintf("ClusterLoad/vc=%d/rate=%g", len(clients), *rate)
-	}
-	log.Printf("loadgen: %s — %d VC nodes, %d-serial pool, %v schedule at %g/sec",
-		name, len(clients), pool, *duration, *rate)
+	log.Printf("loadgen: %d VC nodes, %d-serial pool, %v schedule at %g/sec",
+		len(clients), pool, *duration, *rate)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -133,53 +125,12 @@ func main() {
 		log.Printf("loadgen: first error: %v", res.FirstErr)
 	}
 
-	distinct := pool
-	if res.Scheduled < distinct {
-		distinct = res.Scheduled
-	}
-	rep := benchjson.Report{
-		Date: time.Now().UTC().Format("2006-01-02"),
-		Go:   runtime.Version(),
-		Rows: []benchjson.Row{{
-			Benchmark:  name,
-			Iterations: int64(res.Completed),
-			Metrics: map[string]float64{
-				benchjson.MetricTargetRate:      *rate,
-				benchjson.MetricVotesPerSec:     res.Throughput,
-				benchjson.MetricP50Ms:           benchjson.Ms(res.Hist.Quantile(0.50)),
-				benchjson.MetricP99Ms:           benchjson.Ms(res.Hist.Quantile(0.99)),
-				benchjson.MetricP999Ms:          benchjson.Ms(res.Hist.Quantile(0.999)),
-				benchjson.MetricMaxMs:           benchjson.Ms(res.Hist.Max()),
-				benchjson.MetricSent:            float64(res.Scheduled),
-				benchjson.MetricErrors:          float64(res.Errors),
-				benchjson.MetricSkipped:         float64(res.Skipped),
-				benchjson.MetricSchedLagMs:      benchjson.Ms(res.MaxStartLag),
-				benchjson.MetricDistinctSerials: float64(distinct),
-			},
-		}},
-	}
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Printf("loadgen: %v", err)
-			os.Exit(2)
-		}
-		if err := benchjson.WriteReport(f, rep); err != nil {
-			log.Printf("loadgen: %v", err)
-			os.Exit(2)
-		}
-		if err := f.Close(); err != nil {
+		if err := res.Report(*rate, min(pool, res.Scheduled)).WriteFile(*out); err != nil {
 			log.Printf("loadgen: %v", err)
 			os.Exit(2)
 		}
 		log.Printf("loadgen: wrote %s", *out)
-	}
-	if *historyPath != "" {
-		if err := benchjson.AppendHistoryFile(*historyPath, rep); err != nil {
-			log.Printf("loadgen: %v", err)
-			os.Exit(2)
-		}
-		log.Printf("loadgen: appended to %s", *historyPath)
 	}
 
 	if *scrape {

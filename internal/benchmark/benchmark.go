@@ -2,8 +2,9 @@
 // of the paper's evaluation (§V). It is shared by the repository-root
 // testing.B benchmarks (one per figure/table, representative points) and by
 // cmd/ddemos-bench (full parameter sweeps printing the same series the
-// paper plots). See DESIGN.md ("Substitutions") for the parameter scaling
-// and docs/BENCH.md for the measured trend dashboard.
+// paper plots). See DESIGN.md ("Substitutions") for the parameter scaling.
+// It reproduces the paper's exhibits; it does not judge performance. The
+// end-to-end benchmark under bench/ (BENCHMARK.json) is that judge.
 package benchmark
 
 import (
@@ -37,25 +38,11 @@ type Config struct {
 	// memory (Fig. 5a).
 	Disk    bool
 	DiskDir string
-	// Segmented stores each VC node's data in a serial-range-sharded
-	// segment directory (store.Segmented) instead of one flat file — the
-	// millions-of-ballots read path. Implies a disk-backed store; DiskDir
-	// hosts the segment directories when set.
-	Segmented bool
-	// SegmentBallots overrides the ballots-per-segment capacity (0 = the
-	// store default).
-	SegmentBallots int
-	// StoreCacheBytes wraps every node's disk-backed store with the
-	// admission-controlled LRU of this byte budget (0 = uncached). The
-	// cache-vs-database ablation sizes this deliberately below the pool.
-	StoreCacheBytes int64
 	// WAL gives every VC node a durable runtime-state journal (the
-	// crash-recovery configuration); WALFsync syncs per transition instead
-	// of on the batched group-commit cadence. The WAL-on/WAL-off delta is
-	// the durability tax tracked by the CI benchmark pipeline.
+	// crash-recovery configuration) in a temporary directory; WALFsync
+	// syncs per transition instead of on the batched group-commit cadence.
 	WAL      bool
 	WALFsync bool
-	WALDir   string
 	// JournalPool is the journal's WAL-lane count, <= 1 meaning one lane
 	// (the Fig. 5a pool knob applied to runtime state; requires WAL).
 	JournalPool int
@@ -136,19 +123,16 @@ func Run(cfg Config) (*Result, error) {
 		clusterOpts.LinkProfile = &lp
 	}
 	if cfg.WAL {
-		dir := cfg.WALDir
-		if dir == "" {
-			dir, err = os.MkdirTemp("", "ddemos-bench-wal")
-			if err != nil {
-				return nil, err
-			}
-			defer func() { _ = os.RemoveAll(dir) }()
+		dir, err := os.MkdirTemp("", "ddemos-bench-wal")
+		if err != nil {
+			return nil, err
 		}
+		defer func() { _ = os.RemoveAll(dir) }()
 		clusterOpts.DataDir = dir
 		clusterOpts.Fsync = cfg.WALFsync
 		clusterOpts.JournalPool = cfg.JournalPool
 	}
-	if cfg.Disk || cfg.Segmented {
+	if cfg.Disk {
 		dir := cfg.DiskDir
 		if dir == "" {
 			dir, err = os.MkdirTemp("", "ddemos-bench")
@@ -158,22 +142,9 @@ func Run(cfg Config) (*Result, error) {
 			defer func() { _ = os.RemoveAll(dir) }()
 		}
 		clusterOpts.Stores = make(map[int]store.Store, cfg.VC)
-		clusterOpts.StoreCache = cfg.StoreCacheBytes
 		for i := 0; i < cfg.VC; i++ {
-			var st store.Store
-			if cfg.Segmented {
-				segDir := filepath.Join(dir, fmt.Sprintf("vc-%d-seg", i))
-				// A reused DiskDir (sweeps re-running configs) holds stale
-				// segment builds; the writer refuses to overwrite them.
-				if err := os.RemoveAll(segDir); err != nil {
-					return nil, err
-				}
-				st, err = store.CreateSegmented(segDir, data.VC[i].Ballots,
-					store.WriterOptions{SegmentBallots: cfg.SegmentBallots})
-			} else {
-				st, err = store.CreateDisk(
-					filepath.Join(dir, fmt.Sprintf("vc-%d.store", i)), data.VC[i].Ballots)
-			}
+			st, err := store.CreateDisk(
+				filepath.Join(dir, fmt.Sprintf("vc-%d.store", i)), data.VC[i].Ballots)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"ddemos/internal/transport"
 )
 
 // Standard sweep axes, matching the paper's figures. Scales are documented
@@ -95,7 +97,6 @@ func Fig5a(w io.Writer, pools []int, votes, clients int) error {
 	return nil
 }
 
-// label annotates a figure header with the non-default channel setup.
 // engineLabel names the vote-set-consensus engine for figure headers.
 func engineLabel(consensus string) string {
 	if consensus == "" {
@@ -104,6 +105,7 @@ func engineLabel(consensus string) string {
 	return consensus
 }
 
+// label annotates a figure header with the non-default channel setup.
 func (tr TransportOptions) label() string {
 	switch {
 	case tr.Authenticated && tr.Batch:
@@ -187,57 +189,6 @@ func Fig5b(w io.Writer, options []int, ballots, votes, clients, maxMsgs int) err
 	return nil
 }
 
-// WALAblationRow quantifies the durability tax: the identical vote-collection
-// workload with runtime-state journaling off and on (batched group-commit
-// fsync). The On/Off ratio is the machine-independent number the CI
-// benchmark pipeline tracks — at the default fsync batching it must stay
-// within 30% of the memory-only configuration.
-type WALAblationRow struct {
-	Off float64 // throughput, memory-only runtime state (op/s)
-	On  float64 // throughput, WAL + snapshot journaling (op/s)
-}
-
-// Ratio is On/Off (1.0 = free durability; 0 when Off is unmeasurable).
-func (r WALAblationRow) Ratio() float64 {
-	if r.Off <= 0 {
-		return 0
-	}
-	return r.On / r.Off
-}
-
-// RunWALAblation measures both configurations under the same seed, client
-// load and election parameters.
-func RunWALAblation(ballots, votes, clients, nv int) (WALAblationRow, error) {
-	var row WALAblationRow
-	base := Config{
-		Ballots: ballots, Options: 4, VC: nv,
-		Clients: clients, Votes: votes,
-		Seed: fmt.Sprintf("wal-ablation-%d-%d", nv, votes),
-	}
-	for _, c := range []struct {
-		out *float64
-		wal bool
-	}{{&row.Off, false}, {&row.On, true}} {
-		cfg := base
-		cfg.WAL = c.wal
-		res, err := Run(cfg)
-		if err != nil {
-			return row, fmt.Errorf("wal ablation (wal=%v): %w", c.wal, err)
-		}
-		*c.out = res.Throughput
-	}
-	return row, nil
-}
-
-// PrintWALAblation formats the comparison.
-func PrintWALAblation(w io.Writer, row WALAblationRow) {
-	fmt.Fprintf(w, "# WAL ablation: vote collection with durable runtime state off vs on\n")
-	fmt.Fprintf(w, "%-28s %-18s\n", "configuration", "throughput(op/s)")
-	fmt.Fprintf(w, "%-28s %-18.1f\n", "memory-only", row.Off)
-	fmt.Fprintf(w, "%-28s %-18.1f\n", "wal+snapshot (batched sync)", row.On)
-	fmt.Fprintf(w, "durability tax: on/off = %.3f\n", row.Ratio())
-}
-
 // Fig5c runs the phase-duration breakdown.
 func Fig5c(w io.Writer, casts []int, options, clients int, consensus string) error {
 	fmt.Fprintf(w, "# Fig5c: phase durations vs ballots cast (m=%d, 4 VC, 3 BB, 3 trustees, %s consensus)\n",
@@ -289,6 +240,11 @@ func TableOne(nv int) []TableOneRow {
 		{"V obtains her receipt", 2*nv + 4, 11, 6},
 	}
 }
+
+// LANDelay is Table I's δ on the in-process LAN profile: the longest one
+// Memnet hop takes, since Memnet adds jitter uniform in [0, Jitter) on top
+// of the profile's fixed latency.
+var LANDelay = transport.LANProfile.Latency + transport.LANProfile.Jitter
 
 // Twait evaluates the paper's patience bound (2Nv+4)Tcomp + 12Δ + 6δ.
 func Twait(nv int, tcomp, drift, delay time.Duration) time.Duration {

@@ -2,8 +2,10 @@ package benchmark
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -137,6 +139,73 @@ func RunLoad(ctx context.Context, cfg LoadConfig, send func(ctx context.Context,
 		res.Throughput = float64(res.Completed) / res.Wall.Seconds()
 	}
 	return res, nil
+}
+
+// LoadReport is the JSON document ddemos-loadgen -out writes. ddemos-cluster
+// reads it back, fills in the phases only the orchestrator observes, and
+// writes it to its own -out. Latencies are milliseconds against the
+// scheduled send time.
+type LoadReport struct {
+	TargetRate  float64 `json:"target_rate"`
+	VotesPerSec float64 `json:"votes_per_s"`
+	P50Ms       float64 `json:"p50_ms"`
+	P99Ms       float64 `json:"p99_ms"`
+	P999Ms      float64 `json:"p999_ms"`
+	MaxMs       float64 `json:"max_ms"`
+	Sent        int     `json:"sent"`
+	Errors      int     `json:"errors"`
+	Skipped     int     `json:"skipped"`
+	// SchedLagMs is the generator's worst pickup lateness (MaxStartLag).
+	SchedLagMs float64 `json:"sched_lag_ms"`
+	// DistinctSerials is how many distinct ballot serials the run voted:
+	// with zero errors the published tally must sum to exactly this.
+	DistinctSerials int `json:"distinct_serials"`
+
+	// ConsensusPushS runs from the election end to the last VC's exit
+	// (vote-set consensus and BB push), PublishS from there to a
+	// majority-readable Result, and ChurnRestarts counts -churn restarts.
+	// ddemos-cluster sets them; a loadgen-only report leaves them out.
+	ConsensusPushS float64 `json:"consensus_push_s,omitempty"`
+	PublishS       float64 `json:"publish_s,omitempty"`
+	ChurnRestarts  int     `json:"churn_restarts,omitempty"`
+}
+
+// Report condenses r into the LoadReport of a run at targetRate that voted
+// distinctSerials serials.
+func (r *LoadResult) Report(targetRate float64, distinctSerials int) LoadReport {
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return LoadReport{
+		TargetRate:      targetRate,
+		VotesPerSec:     r.Throughput,
+		P50Ms:           ms(r.Hist.Quantile(0.50)),
+		P99Ms:           ms(r.Hist.Quantile(0.99)),
+		P999Ms:          ms(r.Hist.Quantile(0.999)),
+		MaxMs:           ms(r.Hist.Max()),
+		Sent:            r.Scheduled,
+		Errors:          r.Errors,
+		Skipped:         r.Skipped,
+		SchedLagMs:      ms(r.MaxStartLag),
+		DistinctSerials: distinctSerials,
+	}
+}
+
+// WriteFile writes the report to path as indented JSON.
+func (r LoadReport) WriteFile(path string) error {
+	b, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644) //nolint:gosec // a report, not a secret
+}
+
+// ReadLoadReport reads a report WriteFile wrote.
+func ReadLoadReport(path string) (LoadReport, error) {
+	var rep LoadReport
+	b, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(b, &rep)
+	}
+	return rep, err
 }
 
 // Summary renders the one-line human-readable digest the load tools print.

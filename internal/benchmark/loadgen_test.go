@@ -2,7 +2,10 @@ package benchmark
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,6 +102,51 @@ func TestRunLoadCountsErrors(t *testing.T) {
 	// Only successes are in the histogram.
 	if res.Hist.Count() != int64(res.Completed) {
 		t.Fatalf("hist count = %d, completed = %d", res.Hist.Count(), res.Completed)
+	}
+}
+
+func TestLoadReportCarriesTheRun(t *testing.T) {
+	boom := errors.New("boom")
+	res, err := RunLoad(context.Background(), LoadConfig{Rate: 1000, Duration: 20 * time.Millisecond},
+		func(ctx context.Context, op int) error {
+			if op == 0 {
+				return boom
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Report(1000, 7)
+	if rep.TargetRate != 1000 || rep.Sent != res.Scheduled || rep.Errors != 1 ||
+		rep.Skipped != 0 || rep.DistinctSerials != 7 || rep.P50Ms <= 0 || rep.MaxMs < rep.P50Ms {
+		t.Fatalf("report = %+v from %+v", rep, res)
+	}
+	path := filepath.Join(t.TempDir(), "load.json")
+	if err := rep.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := ReadLoadReport(path); err != nil || back != rep {
+		t.Fatalf("read back %+v, %v; wrote %+v", back, err, rep)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(b, &fields); err != nil {
+		t.Fatal(err)
+	}
+	// The orchestrator's phase fields stay out of a loadgen-only report.
+	for _, k := range []string{"errors", "distinct_serials", "p999_ms", "sched_lag_ms"} {
+		if _, ok := fields[k]; !ok {
+			t.Errorf("report JSON lacks %q: %s", k, b)
+		}
+	}
+	for _, k := range []string{"consensus_push_s", "publish_s", "churn_restarts"} {
+		if _, ok := fields[k]; ok {
+			t.Errorf("loadgen-only report JSON carries %q: %s", k, b)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func TestSmokePhases(t *testing.T) {
 }
 func TestSmokePoolAblation(t *testing.T) {
 	// A fast pass over the journal pool sweep: correctness of the harness,
-	// not the speedup bound (CI's bench job gates that via the baseline).
+	// not the speedup.
 	points, err := RunPoolAblation(PoolAblationConfig{
 		Pools: []int{1, 4}, Workers: 8, Duration: 60 * time.Millisecond,
 	})
@@ -38,8 +38,7 @@ func TestSmokePoolAblation(t *testing.T) {
 		}
 	}
 	// No speedup assertion here: a 60ms window under full-suite load is
-	// noise; the >=1.3x bound is gated by the bench job's baseline at a
-	// pinned 500ms window.
+	// noise. BenchmarkPoolAblation measures it at a 500ms window.
 }
 
 func TestSmokePoolElection(t *testing.T) {
@@ -52,36 +51,6 @@ func TestSmokePoolElection(t *testing.T) {
 	}
 	for _, p := range points {
 		t.Logf("pool=%d votes/sec=%.1f speedup=%.2f", p.Pool, p.AppendsPerSec, p.Speedup)
-	}
-}
-
-func TestSmokeTallyAblation(t *testing.T) {
-	// A fast pass over the publish-phase ablation: correctness of the
-	// harness (the reference column rejects a result the shipped column
-	// published wrongly), not the speedup bound (CI's bench job gates that
-	// via the baseline at a pinned pool size).
-	cfg := TallyAblationConfig{Ballots: 40, Votes: 20, Seed: "smoke"}
-	points, err := RunTallyAblation(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range points {
-		t.Logf("config=%s combine=%.3fs audit=%.3fs speedup=%.2f attempts=%d",
-			p.Config, p.CombineSec, p.AuditSec, p.Speedup, p.Attempts)
-		if p.CombineSec <= 0 {
-			t.Fatalf("%s measured no combine time", p.Config)
-		}
-	}
-	sweep, err := RunByzantineTallySweep(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range sweep {
-		t.Logf("garbage=%d combine=%.3fs attempts=%d blames=%d",
-			p.Garbage, p.CombineSec, p.Attempts, p.Blames)
-	}
-	if sweep[1].Blames == 0 {
-		t.Fatal("garbage trustee was never blamed")
 	}
 }
 

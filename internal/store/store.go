@@ -17,8 +17,9 @@
 //     outgrow the budget (the cache-vs-database effect of Fig. 5a).
 //
 // See DESIGN.md "Ballot store read path" for the layout and the eviction /
-// admission rationale, and benchmark.RunStoreAblation (ddemos-bench -fig
-// store) for the measured mem / flat / segmented / segmented+cache columns.
+// admission rationale. The end-to-end benchmark under bench/ measures the
+// shipped Segmented+Cached read path under live voting (store.get_us_p50,
+// store.hit_rate).
 package store
 
 import (
