@@ -21,7 +21,6 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 4a,4b,4c,4d,4e,4f,5a,5b,5c,table1,ablation,pool,pool-election,all")
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast pass")
-	authenticated := flag.Bool("authenticated", false, "sign inter-VC channels (Fig4 sweeps)")
 	batch := flag.Bool("batch", false,
 		"enable the batched message pipeline (Fig4 sweeps; Fig5b always runs the batching ablation)")
 	batchMax := flag.Int("batch-max", 0, "max messages per batch (0 = transport default)")
@@ -31,7 +30,6 @@ func main() {
 	flag.Parse()
 
 	tr := benchmark.TransportOptions{
-		Authenticated:    *authenticated,
 		Batch:            *batch,
 		BatchMaxMessages: *batchMax,
 	}

@@ -61,10 +61,10 @@ func hashBytes(h hash.Hash, b []byte) {
 // the trustee sharing shows up as a digest mismatch here.
 const pinnedStreamingDigest = "c31d23d6457445e11232714e4d5c9027200c0c5a37d0d7efbecbaf5e4afaabca"
 
-// pinnedShareSigDigest is the hash of the EA's receipt-share signatures in
-// the same fixture, pinned apart so that a change to the signature scheme
-// moves this digest alone.
-const pinnedShareSigDigest = "c19b84bc3052015e0f2614c2ccbe7c885f3766b887e891c76eea9b407d87f3e6"
+// pinnedShareSigDigest is the hash of the EA's receipt-share signatures and
+// of every node's path to the signed ballot root in the same fixture, pinned
+// apart so that a change to the signature scheme moves this digest alone.
+const pinnedShareSigDigest = "27b822d26989f0a4f58d0eee6a319c6170190a53eb1ecb1cd7cb146d715b0eae"
 
 // TestStreamingRoutePinnedElection is the regression successor of the
 // streaming-vs-legacy differential test: the legacy route is gone, so the
@@ -148,6 +148,7 @@ func TestStreamingRoutePinnedElection(t *testing.T) {
 				}
 			}
 			hs.Write(bd.ShareSig[:])
+			hashBytes(hs, bd.NodePath)
 		}
 		_ = seg.Close()
 	}

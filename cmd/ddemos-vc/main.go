@@ -84,6 +84,46 @@ func openOrBuildSegments(dir string, init *ea.VCInit, cacheBytes int64) (store.S
 	return cached, nil
 }
 
+// vcEndpoint is the inter-VC endpoint a node runs: TCP, then pairwise-MAC
+// link authentication under the EA-dealt keys, then, with -batch, the
+// Batcher. tcp and auth are its lower layers.
+type vcEndpoint struct {
+	transport.Endpoint
+	tcp  *transport.TCPNode
+	auth *transport.Authenticated
+}
+
+// openEndpoint builds node init.Index's inter-VC endpoint, listening on
+// listen and dialing peers (id -> host:port). A payload without link keys is
+// refused: the node would have no way to tell its peers' frames from
+// anyone's.
+func openEndpoint(init *ea.VCInit, listen string, peers map[transport.NodeID]string, batch bool, batchMax int) (*vcEndpoint, error) {
+	tcp, err := transport.NewTCPNode(transport.NodeID(init.Index), listen, peers) //nolint:gosec // small
+	if err != nil {
+		return nil, err
+	}
+	auth, err := transport.NewAuthenticated(tcp, init.LinkKeys)
+	if err != nil {
+		_ = tcp.Close()
+		return nil, fmt.Errorf("%w (a vc-<i>.gob from an older ddemos-ea: re-run it)", err)
+	}
+	ep := &vcEndpoint{Endpoint: auth, tcp: tcp, auth: auth}
+	// Batching is symmetric: every node of a deployment must run the same
+	// -batch setting (the receive path splits batches regardless, but mixed
+	// settings forfeit the coalescing win).
+	if batch {
+		ep.Endpoint = transport.NewBatcher(auth, transport.BatcherOptions{
+			MaxMessages: batchMax,
+			// Flushes have no caller to return an error to; log the drops
+			// or an unreachable peer is invisible.
+			OnSendError: func(to transport.NodeID, err error) {
+				log.Printf("batch flush to vc-%d failed: %v", to, err)
+			},
+		})
+	}
+	return ep, nil
+}
+
 func main() {
 	initPath := flag.String("init", "", "path to vc-<i>.gob")
 	listen := flag.String("listen", ":7100", "TCP listen address for inter-VC traffic")
@@ -137,23 +177,9 @@ func main() {
 			peers[transport.NodeID(i)] = addr //nolint:gosec // small
 		}
 	}
-	tcp, err := transport.NewTCPNode(transport.NodeID(init.Index), *listen, peers) //nolint:gosec // small
+	ep, err := openEndpoint(&init, *listen, peers, *batch, *batchMax)
 	if err != nil {
 		log.Fatal(err)
-	}
-	// Batching is symmetric: every node of a deployment must run the same
-	// -batch setting (the receive path splits batches regardless, but mixed
-	// settings forfeit the coalescing win).
-	var ep transport.Endpoint = tcp
-	if *batch {
-		ep = transport.NewBatcher(tcp, transport.BatcherOptions{
-			MaxMessages: *batchMax,
-			// Flushes have no caller to return an error to; log the drops
-			// or an unreachable peer is invisible.
-			OnSendError: func(to transport.NodeID, err error) {
-				log.Printf("batch flush to vc-%d failed: %v", to, err)
-			},
-		})
 	}
 	// Resolve the ballot store: an explicit -store-segments dir wins;
 	// otherwise a segment-emitting EA handoff names its pre-built directory
@@ -214,7 +240,7 @@ func main() {
 	}
 	node.Start()
 	defer node.Stop()
-	log.Printf("vc node %d: inter-VC on %s, voters on %s", init.Index, tcp.Addr(), *httpAddr)
+	log.Printf("vc node %d: inter-VC on %s (authenticated links), voters on %s", init.Index, ep.tcp.Addr(), *httpAddr)
 
 	// Public voter endpoint.
 	srv := httpapi.NewServer(*httpAddr, httpapi.VCHandler(node))
@@ -237,7 +263,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("vote set consensus: %v", err)
 	}
-	log.Printf("agreed on %d voted ballots", len(set))
+	log.Printf("agreed on %d voted ballots (%d inter-VC frames dropped for failing authentication)",
+		len(set), ep.auth.Dropped())
 
 	sg := node.SignVoteSet(set)
 	for _, base := range strings.Split(*bbS, ",") {

@@ -58,11 +58,9 @@ type Config struct {
 }
 
 // TransportOptions selects the inter-VC channel configuration of a figure
-// sweep; the zero value is the plain unbatched, unauthenticated network.
+// sweep; the zero value is the unbatched network. Links are always
+// authenticated (one MAC per frame, or per batch).
 type TransportOptions struct {
-	// Authenticated signs inter-VC channels (the paper's authenticated
-	// channels; one Ed25519 sign+verify per message — or per batch).
-	Authenticated bool
 	// Batch turns the batched message pipeline on.
 	Batch bool
 	// BatchMaxMessages caps messages per batch (0 = transport default).
@@ -111,7 +109,6 @@ func Run(cfg Config) (*Result, error) {
 	setupTime := time.Since(setupStart)
 
 	clusterOpts := core.Options{
-		Authenticated:    cfg.Authenticated,
 		BatchMaxMessages: cfg.BatchMaxMessages,
 		Consensus:        cfg.Consensus,
 	}

@@ -107,50 +107,41 @@ func engineLabel(consensus string) string {
 
 // label annotates a figure header with the non-default channel setup.
 func (tr TransportOptions) label() string {
-	switch {
-	case tr.Authenticated && tr.Batch:
-		return ", signed+batched"
-	case tr.Authenticated:
-		return ", signed"
-	case tr.Batch:
+	if tr.Batch {
 		return ", batched"
-	default:
-		return ""
 	}
+	return ""
 }
 
 // Fig5bRow is one row of the Fig. 5b ablation: throughput at m options for
-// each channel configuration.
+// each channel configuration, both over the authenticated links.
 type Fig5bRow struct {
 	Options int
-	// Plain is the paper's configuration: unauthenticated, unbatched.
-	Plain float64
-	// Signed adds per-message Ed25519 channel authentication.
-	Signed float64
-	// Batched is Signed plus the batched message pipeline — like-for-like
-	// with Signed, so the delta isolates the batching win.
+	// Unbatched sends every protocol message as a frame of its own, one MAC
+	// each.
+	Unbatched float64
+	// Batched adds the batched message pipeline — like-for-like with
+	// Unbatched, so the delta isolates the batching win.
 	Batched float64
 }
 
-// Fig5bPoint measures one m for all three channel configurations.
+// Fig5bPoint measures one m for both channel configurations.
 func Fig5bPoint(m, ballots, votes, clients, maxMsgs int) (Fig5bRow, error) {
 	row := Fig5bRow{Options: m}
 	base := Config{
 		Ballots: ballots, Options: m, VC: 4,
 		Clients: clients, Votes: votes,
 	}
-	// One seed per m across all three columns: every configuration votes
-	// the identical generated election, so the signed-vs-batched delta is
-	// transport-only.
+	// One seed per m across both columns: each configuration votes the
+	// identical generated election, so the delta is transport-only.
 	base.Seed = fmt.Sprintf("fig5b-%d", m)
 	configs := []struct {
 		out  *float64
 		name string
 		tr   TransportOptions
 	}{
-		{&row.Plain, "plain", TransportOptions{}},
-		{&row.Signed, "signed", TransportOptions{Authenticated: true}},
-		{&row.Batched, "batched", TransportOptions{Authenticated: true, Batch: true, BatchMaxMessages: maxMsgs}},
+		{&row.Unbatched, "unbatched", TransportOptions{}},
+		{&row.Batched, "batched", TransportOptions{Batch: true, BatchMaxMessages: maxMsgs}},
 	}
 	for _, c := range configs {
 		cfg := base
@@ -165,28 +156,29 @@ func Fig5bPoint(m, ballots, votes, clients, maxMsgs int) (Fig5bRow, error) {
 }
 
 // Fig5b runs the throughput-vs-options sweep with the batched-vs-unbatched
-// ablation columns: the paper's plain configuration, authenticated channels
-// (one signature per message), and authenticated channels over the batched
-// pipeline (one signature per batch). Signed vs batched is the like-for-like
-// comparison quantifying the coalescing win on the LAN profile.
+// ablation columns, both over the authenticated links: one MAC per message,
+// and one per batch. The delta quantifies the coalescing win on the LAN
+// profile.
 func Fig5b(w io.Writer, options []int, ballots, votes, clients, maxMsgs int) error {
-	fmt.Fprintf(w, "# Fig5b: throughput vs m (n=%d, %d votes, %d cc, 4 VC; self-clocked batching)\n",
+	fmt.Fprintf(w, "# Fig5b: throughput vs m (n=%d, %d votes, %d cc, 4 VC; authenticated links, self-clocked batching)\n",
 		ballots, votes, clients)
-	fmt.Fprintf(w, "%-6s %-16s %-16s %-20s %-10s\n",
-		"m", "plain(op/s)", "signed(op/s)", "signed+batched(op/s)", "speedup")
+	fmt.Fprintf(w, "%-6s %-18s %-16s %-10s\n", "m", "unbatched(op/s)", "batched(op/s)", "speedup")
 	for _, m := range options {
 		row, err := Fig5bPoint(m, ballots, votes, clients, maxMsgs)
 		if err != nil {
 			return err
 		}
-		speedup := 0.0
-		if row.Signed > 0 {
-			speedup = row.Batched / row.Signed
-		}
-		fmt.Fprintf(w, "%-6d %-16.1f %-16.1f %-20.1f %-10.2f\n",
-			m, row.Plain, row.Signed, row.Batched, speedup)
+		fmt.Fprintf(w, "%-6d %-18.1f %-16.1f %-10.2f\n", m, row.Unbatched, row.Batched, row.Speedup())
 	}
 	return nil
+}
+
+// Speedup is Batched over Unbatched (0 when Unbatched is 0).
+func (r Fig5bRow) Speedup() float64 {
+	if r.Unbatched <= 0 {
+		return 0
+	}
+	return r.Batched / r.Unbatched
 }
 
 // Fig5c runs the phase-duration breakdown.

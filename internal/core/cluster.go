@@ -12,7 +12,6 @@ package core
 
 import (
 	"context"
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -49,13 +48,13 @@ type Options struct {
 	// to a fake clock set inside the voting window, letting the caller
 	// drive phases; pass clock.Real{} for wall-clock elections.
 	Clock clock.Clock
-	// Authenticated wraps inter-VC channels with Ed25519 signing (the
-	// paper's authenticated channels). Costs one sign+verify per message —
-	// or per batch when BatchWindow is set.
+	// Authenticated does nothing. Inter-VC links are always authenticated
+	// (transport.NewAuthenticated, under the EA-dealt link keys); the field
+	// stays only because the bench/ harness sets it.
 	Authenticated bool
 	// BatchWindow turns the batched message pipeline on when > 0: outgoing
 	// inter-VC messages that queue for a peer while its link is busy leave
-	// as one wire.Batch frame (and, with Authenticated, one signature).
+	// as one wire.Batch frame under one link tag.
 	// Zero keeps the unbatched per-message path. The transport.Batcher has
 	// no window, so any value > 0 means "batch"; the field stays a duration
 	// because the bench/ harness sets it to transport.DefaultBatchWindow.
@@ -228,17 +227,14 @@ func NewCluster(data *ea.ElectionData, opts Options) (*Cluster, error) {
 // shared by construction and in-place restart.
 func (c *Cluster) buildVC(i int) (*vc.Node, error) {
 	data, opts, man := c.Data, c.opts, c.Data.Manifest
-	// Endpoint stack: network → Signed → Batcher, so a coalesced batch
-	// is framed and signed exactly once (DESIGN.md, "Batched message
+	// Endpoint stack: network → Authenticated → Batcher, so a coalesced
+	// batch is framed and tagged exactly once (DESIGN.md, "Batched message
 	// pipeline").
-	var ep transport.Endpoint = c.Net.Endpoint(transport.NodeID(i)) //nolint:gosec // <=64
-	if opts.Authenticated {
-		pubs := make(map[transport.NodeID]ed25519.PublicKey, man.NumVC)
-		for j, p := range man.VCPublics {
-			pubs[transport.NodeID(j)] = p //nolint:gosec // <=64
-		}
-		ep = transport.NewSigned(ep, data.VC[i].Private, pubs)
+	auth, err := transport.NewAuthenticated(c.Net.Endpoint(transport.NodeID(i)), data.VC[i].LinkKeys) //nolint:gosec // <=64
+	if err != nil {
+		return nil, fmt.Errorf("core: vc %d: %w", i, err)
 	}
+	var ep transport.Endpoint = auth
 	if opts.BatchWindow > 0 {
 		ep = transport.NewBatcher(ep, transport.BatcherOptions{MaxMessages: opts.BatchMaxMessages})
 	}

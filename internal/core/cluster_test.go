@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -10,9 +11,11 @@ import (
 	"ddemos/internal/bb"
 	"ddemos/internal/ea"
 	"ddemos/internal/sim"
+	"ddemos/internal/transport"
 	"ddemos/internal/trustee"
 	"ddemos/internal/vc"
 	"ddemos/internal/voter"
+	"ddemos/internal/wire"
 )
 
 func testData(t *testing.T, numBallots int, opts ...func(*ea.Params)) *ea.ElectionData {
@@ -279,13 +282,37 @@ func TestElectionWithCrashedVC(t *testing.T) {
 	wantCounts(t, res, []int64{1, 1, 0})
 }
 
+// injectUnauthenticated puts malformed frames on VC 0's network seat towards
+// VC 1 without a link tag, as any host that reaches a VC's port could, and
+// checks that none reached VC 1's node: one that did would fail to decode
+// there and be counted as a bad message.
+func injectUnauthenticated(t *testing.T, c *Cluster) {
+	t.Helper()
+	before := c.VC(1).Metrics().BadMessages
+	seat := c.Net.Endpoint(0)
+	junk := bytes.Repeat([]byte{0xFF}, 2*transport.TagSize) // no such wire kind
+	for _, f := range [][]byte{junk, wire.Encode(&wire.Batch{Frames: [][]byte{junk}})} {
+		if err := seat.Send(1, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(100 * time.Millisecond) // many LAN hops
+	if got := c.VC(1).Metrics().BadMessages - before; got != 0 {
+		t.Fatalf("%d unauthenticated frames reached VC 1's node", got)
+	}
+}
+
+// TestAuthenticatedChannels: links are authenticated with no option set;
+// frames in VC 0's name without its tag never reach VC 1, and the election
+// runs.
 func TestAuthenticatedChannels(t *testing.T) {
 	data := testData(t, 3)
-	c, err := NewCluster(data, Options{Authenticated: true})
+	c, err := NewCluster(data, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
+	injectUnauthenticated(t, c)
 	castAll(t, c, []int{0, 1, 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -297,12 +324,11 @@ func TestAuthenticatedChannels(t *testing.T) {
 }
 
 func TestBatchedPipelineFullElection(t *testing.T) {
-	// The batched message pipeline (Signed + Batcher endpoints) must run the
-	// complete election — collection, vote-set consensus, push, tally —
-	// exactly like the unbatched path.
+	// The batched message pipeline (Authenticated + Batcher endpoints) must
+	// run the complete election — collection, vote-set consensus, push,
+	// tally — exactly like the unbatched path.
 	data := testData(t, 4)
 	c, err := NewCluster(data, Options{
-		Authenticated:    true,
 		BatchWindow:      500 * time.Microsecond,
 		BatchMaxMessages: 32,
 	})
@@ -321,14 +347,16 @@ func TestBatchedPipelineFullElection(t *testing.T) {
 }
 
 func TestBatchedUnauthenticatedPipeline(t *testing.T) {
-	// Batching without channel authentication (the knob combinations are
-	// independent).
+	// Unauthenticated frames on a batched cluster: the Batcher sits above
+	// the link authentication, so a forged batch is dropped whole before it
+	// is split.
 	data := testData(t, 3)
 	c, err := NewCluster(data, Options{BatchWindow: 300 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
+	injectUnauthenticated(t, c)
 	castAll(t, c, []int{2, 2, 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

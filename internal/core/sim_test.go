@@ -55,11 +55,10 @@ func TestWANElectionRunsInVirtualTime(t *testing.T) {
 }
 
 func TestBatchedAuthenticatedElectionOnSim(t *testing.T) {
-	// The full production stack — Signed + Batcher endpoints — with the
-	// link latency on the virtual clock.
+	// The full production stack — Authenticated + Batcher endpoints — with
+	// the link latency on the virtual clock.
 	drv := sim.New(sim.Config{})
 	c := newSimCluster(t, 4, drv, Options{
-		Authenticated:    true,
 		BatchWindow:      500 * time.Microsecond,
 		BatchMaxMessages: 32,
 	})

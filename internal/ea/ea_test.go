@@ -183,8 +183,8 @@ func TestReceiptSharesReconstruct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		root, ok := FoldSharePath(bd, 1, row, sl.Share, SharePath(bd, 1, row))
-		if !ok || !VerifyReceiptShare(data.Manifest.EAPublic, bd.ShareSig[:], data.Manifest.ElectionID, b.Serial, uint32(i+1), root) {
+		root, ok := FoldSharePath(bd, 1, row, i, data.Manifest.NumVC, sl.Share, SharePath(bd, 1, row))
+		if !ok || !VerifyReceiptShare(data.Manifest.EAPublic, bd.ShareSig[:], data.Manifest.ElectionID, b.Serial, root) {
 			t.Fatalf("share of node %d does not verify through its path", i)
 		}
 		shares = append(shares, shamir.Share{Index: uint32(i + 1), Value: v})
@@ -202,11 +202,12 @@ func TestReceiptSharesReconstruct(t *testing.T) {
 	}
 }
 
-// TestSetupSignsOneRootPerNode: a seeded setup gives every ballot exactly
-// Nv root signatures, one per VC node and all distinct, each binding its
-// node's index and the ballot's serial; every one of a node's 2m shares
-// verifies through its path under that one signature.
-func TestSetupSignsOneRootPerNode(t *testing.T) {
+// TestSetupSignsOneRootPerBallot: a seeded setup gives every ballot exactly
+// one root signature, the same on every VC node, binding the ballot's
+// serial; each node's path to the ballot root has the length its position
+// needs, and every one of every node's 2m shares verifies through its path
+// under that one signature, at its own node index only.
+func TestSetupSignsOneRootPerBallot(t *testing.T) {
 	for _, vcOnly := range []bool{true, false} {
 		p := testParams()
 		p.VCOnly = vcOnly
@@ -216,30 +217,38 @@ func TestSetupSignsOneRootPerNode(t *testing.T) {
 		}
 		man := &data.Manifest
 		for serial := uint64(1); serial <= uint64(p.NumBallots); serial++ {
-			sigs := map[[64]byte]bool{}
+			first := data.VC[0].Ballots[serial-1]
+			roots := make([][32]byte, p.NumVC)
+			for i, v := range data.VC {
+				roots[i] = ShareRoot(v.Ballots[serial-1])
+			}
+			root := shareTreeRoot(roots)
+			if !VerifyReceiptShare(man.EAPublic, first.ShareSig[:], man.ElectionID, serial, root) {
+				t.Fatalf("VCOnly=%v ballot %d: root signature does not verify", vcOnly, serial)
+			}
+			if VerifyReceiptShare(man.EAPublic, first.ShareSig[:], man.ElectionID, serial%uint64(p.NumBallots)+1, root) {
+				t.Fatalf("VCOnly=%v ballot %d: signature verifies for another ballot", vcOnly, serial)
+			}
 			for i, v := range data.VC {
 				bd := v.Ballots[serial-1]
-				sigs[bd.ShareSig] = true
-				index := uint32(i + 1)
-				root := ShareRoot(bd)
-				if !VerifyReceiptShare(man.EAPublic, bd.ShareSig[:], man.ElectionID, serial, index, root) {
-					t.Fatalf("VCOnly=%v ballot %d node %d: root signature does not verify", vcOnly, serial, i)
+				if bd.ShareSig != first.ShareSig {
+					t.Fatalf("VCOnly=%v ballot %d node %d: a signature of its own", vcOnly, serial, i)
 				}
-				if VerifyReceiptShare(man.EAPublic, bd.ShareSig[:], man.ElectionID, serial, index%uint32(p.NumVC)+1, root) ||
-					VerifyReceiptShare(man.EAPublic, bd.ShareSig[:], man.ElectionID, serial%uint64(p.NumBallots)+1, index, root) {
-					t.Fatalf("VCOnly=%v ballot %d node %d: signature verifies for another node or ballot", vcOnly, serial, i)
+				if len(bd.NodePath) != pathHashes(i, p.NumVC)*ShareHashSize {
+					t.Fatalf("VCOnly=%v ballot %d node %d: node path of %d bytes", vcOnly, serial, i, len(bd.NodePath))
 				}
 				for part := uint8(0); part < 2; part++ {
 					for row, l := range bd.Lines[part] {
-						got, ok := FoldSharePath(bd, part, row, l.Share, SharePath(bd, part, row))
-						if !ok || got != root {
+						path := SharePath(bd, part, row)
+						if got, ok := FoldSharePath(bd, part, row, i, p.NumVC, l.Share, path); !ok || got != root {
 							t.Fatalf("VCOnly=%v ballot %d node %d: share (%d, %d) does not verify through its path", vcOnly, serial, i, part, row)
+						}
+						other := (i + 1) % p.NumVC
+						if got, ok := FoldSharePath(bd, part, row, other, p.NumVC, l.Share, path); ok && got == root {
+							t.Fatalf("VCOnly=%v ballot %d: node %d's share folds to the root as node %d's", vcOnly, serial, i, other)
 						}
 					}
 				}
-			}
-			if len(sigs) != p.NumVC {
-				t.Fatalf("VCOnly=%v ballot %d: %d distinct root signatures, want %d", vcOnly, serial, len(sigs), p.NumVC)
 			}
 		}
 	}
@@ -462,5 +471,48 @@ func BenchmarkSetupBallot(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ballots/s")
 		})
+	}
+}
+
+// TestSetupDealsLinkKeys: every pair of VC nodes shares one 32-byte link
+// key, held by both at each other's index and by no other pair; a node has
+// no key with itself; a seeded setup deals the same keys again, and an
+// unseeded one deals fresh keys.
+func TestSetupDealsLinkKeys(t *testing.T) {
+	p := testParams()
+	d1, err := Setup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for i, v := range d1.VC {
+		if len(v.LinkKeys) != p.NumVC || v.LinkKeys[i] != nil {
+			t.Fatalf("node %d: %d link keys, own entry %x", i, len(v.LinkKeys), v.LinkKeys[i])
+		}
+		for j := i + 1; j < p.NumVC; j++ {
+			k := v.LinkKeys[j]
+			if len(k) != 32 || !bytes.Equal(k, d1.VC[j].LinkKeys[i]) {
+				t.Fatalf("link %d-%d: keys %x / %x", i, j, k, d1.VC[j].LinkKeys[i])
+			}
+			if seen[string(k)] {
+				t.Fatalf("link %d-%d reuses another link's key", i, j)
+			}
+			seen[string(k)] = true
+		}
+	}
+	d2, err := Setup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(d1.VC[0].LinkKeys[1], d2.VC[0].LinkKeys[1]) {
+		t.Fatal("a seeded setup dealt different link keys")
+	}
+	p.Seed = nil
+	d3, err := Setup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(d1.VC[0].LinkKeys[1], d3.VC[0].LinkKeys[1]) {
+		t.Fatal("an unseeded setup dealt the seeded link keys")
 	}
 }

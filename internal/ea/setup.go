@@ -16,6 +16,7 @@ import (
 	"ddemos/internal/crypto/zkp"
 	"ddemos/internal/sig"
 	"ddemos/internal/store"
+	"ddemos/internal/transport"
 )
 
 // Setup runs the Election Authority: it generates all keys, ballots and
@@ -162,7 +163,11 @@ func setupComponents(p *Params) (*StreamData, *ballotGen, error) {
 				Value: mskShares[i].Value,
 				Sig:   SignMskShare(eaKeys.Private, p.ElectionID, mskShares[i]),
 			},
+			LinkKeys: make([][]byte, p.NumVC),
 		}
+	}
+	if err := dealLinkKeys(p, sd.VC); err != nil {
+		return nil, nil, err
 	}
 	if !p.VCOnly {
 		sd.BB = &BBInit{Manifest: manifest}
@@ -191,6 +196,23 @@ func setupComponents(p *Params) (*StreamData, *ballotGen, error) {
 		hasSeed: p.Seed != nil,
 	}
 	return sd, gen, nil
+}
+
+// dealLinkKeys gives every pair of VC nodes a 32-byte link key, K_{i,j} for
+// i < j, in that order. The keys come from a stream of their own, so dealing
+// them changes nothing else a seeded setup draws.
+func dealLinkKeys(p *Params, vcs []*VCInit) error {
+	rnd := newRand(p.Seed, "link-keys", 0)
+	for i := range vcs {
+		for j := i + 1; j < len(vcs); j++ {
+			k := make([]byte, transport.LinkKeySize)
+			if _, err := io.ReadFull(rnd, k); err != nil {
+				return fmt.Errorf("ea: dealing link keys: %w", err)
+			}
+			vcs[i].LinkKeys[j], vcs[j].LinkKeys[i] = k, k
+		}
+	}
+	return nil
 }
 
 // newRand builds the randomness source for a scope: a deterministic DRBG if
@@ -373,11 +395,18 @@ func (g *ballotGen) one(serial uint64) (*Emission, error) {
 		}
 		b.Parts[part] = ballot.Part{Lines: lines}
 	}
-	// One signature per node over the Merkle root of its 2m shares. Ed25519
-	// signing draws no randomness, so where it happens does not change what
-	// a seeded setup reads from its DRBG.
+	// One signature per ballot, over the root of the nodes' share roots;
+	// each node keeps it with its root's path. Ed25519 signing draws no
+	// randomness, so where it happens does not change what a seeded setup
+	// reads from its DRBG.
+	roots := make([][32]byte, len(vcData))
 	for i, bd := range vcData {
-		copy(bd.ShareSig[:], SignReceiptShare(g.eaPriv, g.p.ElectionID, serial, uint32(i)+1, ShareRoot(bd))) //nolint:gosec // i < 64
+		roots[i] = ShareRoot(bd)
+	}
+	sg := SignReceiptShare(g.eaPriv, g.p.ElectionID, serial, shareTreeRoot(roots))
+	for i, bd := range vcData {
+		copy(bd.ShareSig[:], sg)
+		bd.NodePath = sharePath(roots, i)
 	}
 
 	e := &Emission{Serial: serial, Voter: b, VC: vcData}

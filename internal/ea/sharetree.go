@@ -6,18 +6,22 @@ import (
 	"ddemos/internal/store"
 )
 
-// A VC node's receipt shares of one ballot are bound by one EA signature
-// over a Merkle tree (RFC 6962 hashing and shape). The leaves are the
-// node's 2m lines in (part, row) order, leaf i = part·m + row:
+// A ballot's receipt shares are bound by one EA signature over a two-level
+// Merkle tree (RFC 6962 hashing and shape). Each VC node's 2m lines, in
+// (part, row) order, are the leaves of the node's share tree, leaf
+// i = part·m + row:
 //
 //	leaf = SHA-256(0x00 ‖ lineHash ‖ share)
 //	node = SHA-256(0x01 ‖ left ‖ right)
 //
-// and a tree of n > 1 leaves splits at the largest power of two below n. A
-// share is disclosed with its audit path: the sibling hashes from its leaf
-// up to the root, concatenated. The receiver folds the share up the path at
-// the position it located itself from the vote code, so a share cannot be
-// moved to another row, and checks the EA's signature on the root it gets.
+// and the Nv share-tree roots, in node order, are the leaves of the ballot
+// tree, whose root the EA signs. A tree of n > 1 leaves splits at the
+// largest power of two below n. A share is disclosed with its audit path:
+// the sibling hashes from its leaf up to its node's root, then those from
+// that root up to the ballot root, concatenated. The receiver folds the
+// share up the path at the row it located itself from the vote code and at
+// the sender's node index, so a share cannot be moved to another row or
+// node, and checks the EA's signature on the root it gets.
 
 // ShareHashSize is the length of one hash on a share's audit path.
 const ShareHashSize = sha256.Size
@@ -67,15 +71,16 @@ func shareTreeRoot(leaves [][32]byte) [32]byte {
 }
 
 // ShareRoot is the Merkle root over a node's receipt shares of one ballot:
-// what the EA signs into bd.ShareSig.
+// its leaf in the ballot tree.
 func ShareRoot(bd *store.BallotData) [32]byte {
 	return shareTreeRoot(shareLeaves(bd))
 }
 
-// SharePath is the audit path of the share at (part, row) in bd: the
-// sibling hashes from its leaf to the root, ShareHashSize bytes each.
+// SharePath is the audit path of the share at (part, row) in bd up to the
+// ballot root: the sibling hashes from its leaf to the node's root, then the
+// node's path in the ballot tree (bd.NodePath), ShareHashSize bytes each.
 func SharePath(bd *store.BallotData, part uint8, row int) []byte {
-	return sharePath(shareLeaves(bd), int(part)*len(bd.Lines[0])+row)
+	return append(sharePath(shareLeaves(bd), int(part)*len(bd.Lines[0])+row), bd.NodePath...)
 }
 
 // sharePath is the audit path of leaf i: the path within the subtree that
@@ -93,15 +98,39 @@ func sharePath(leaves [][32]byte, i int) []byte {
 	return append(sharePath(leaves[k:], i-k), sib[:]...)
 }
 
-// FoldSharePath recomputes the root a share claims: the share as the leaf
-// at (part, row) of the node's own record bd — the line's hash commitment
-// and the tree's shape come from bd, the share and path from the sender. It
-// reports false when the path does not have the length that position
-// needs.
-func FoldSharePath(bd *store.BallotData, part uint8, row int, share [32]byte, path []byte) ([32]byte, bool) {
+// FoldSharePath recomputes the ballot root a share claims: the share as the
+// leaf at (part, row) of node's share tree, that tree's root as leaf node of
+// the nv-leaf ballot tree. The line's hash commitment and the share tree's
+// shape come from the receiver's own record bd, the share and path from the
+// sender. It reports false when the path does not have the length those
+// positions need.
+func FoldSharePath(bd *store.BallotData, part uint8, row, node, nv int, share [32]byte, path []byte) ([32]byte, bool) {
 	m := len(bd.Lines[0])
+	i := int(part)*m + row
+	cut := pathHashes(i, 2*m) * ShareHashSize
+	if len(path) < cut {
+		return [32]byte{}, false
+	}
 	leaf := shareHash(leafPrefix, &bd.Lines[part][row].Hash, &share)
-	return foldShare(leaf, int(part)*m+row, 2*m, path)
+	root, ok := foldShare(leaf, i, 2*m, path[:cut])
+	if !ok {
+		return root, false
+	}
+	return foldShare(root, node, nv, path[cut:])
+}
+
+// pathHashes is the length, in hashes, of leaf i's audit path in an n-leaf
+// tree.
+func pathHashes(i, n int) int {
+	d := 0
+	for ; n > 1; d++ {
+		if k := shareSplit(n); i < k {
+			n = k
+		} else {
+			i, n = i-k, n-k
+		}
+	}
+	return d
 }
 
 // foldShare folds h, the leaf at index i of an n-leaf tree, up path.

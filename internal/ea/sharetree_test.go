@@ -37,6 +37,11 @@ func levelRoot(bd *store.BallotData) [32]byte {
 			level = append(level, sha256.Sum256(append(append([]byte{0x00}, l.Hash[:]...), l.Share[:]...)))
 		}
 	}
+	return levelFold(level)
+}
+
+// levelFold folds one level of hashes to its root, pairwise.
+func levelFold(level [][32]byte) [32]byte {
 	for len(level) > 1 {
 		var next [][32]byte
 		for i := 0; i+1 < len(level); i += 2 {
@@ -73,7 +78,7 @@ func TestShareTreeRootAndPaths(t *testing.T) {
 				if len(path)%ShareHashSize != 0 || len(path)/ShareHashSize > depth {
 					t.Fatalf("m = %d (%d, %d): path of %d bytes", m, part, row, len(path))
 				}
-				if got, ok := FoldSharePath(bd, part, row, share, path); !ok || got != root {
+				if got, ok := FoldSharePath(bd, part, row, 0, 1, share, path); !ok || got != root {
 					t.Fatalf("m = %d (%d, %d): share does not fold to the root", m, part, row)
 				}
 				for p := uint8(0); p < 2; p++ {
@@ -81,7 +86,7 @@ func TestShareTreeRootAndPaths(t *testing.T) {
 						if p == part && r == row {
 							continue
 						}
-						if got, ok := FoldSharePath(bd, p, r, share, path); ok && got == root {
+						if got, ok := FoldSharePath(bd, p, r, 0, 1, share, path); ok && got == root {
 							t.Fatalf("m = %d: the share of (%d, %d) folds to the root at (%d, %d)", m, part, row, p, r)
 						}
 					}
@@ -89,7 +94,7 @@ func TestShareTreeRootAndPaths(t *testing.T) {
 				for bit := 0; bit < 8*len(path); bit++ {
 					bad := bytes.Clone(path)
 					bad[bit/8] ^= 1 << (bit % 8)
-					if got, ok := FoldSharePath(bd, part, row, share, bad); ok && got == root {
+					if got, ok := FoldSharePath(bd, part, row, 0, 1, share, bad); ok && got == root {
 						t.Fatalf("m = %d (%d, %d): path with bit %d flipped still folds to the root", m, part, row, bit)
 					}
 				}
@@ -97,8 +102,65 @@ func TestShareTreeRootAndPaths(t *testing.T) {
 					path[:len(path)-ShareHashSize],
 					append(bytes.Clone(path), make([]byte, ShareHashSize)...),
 				} {
-					if _, ok := FoldSharePath(bd, part, row, share, bad); ok {
+					if _, ok := FoldSharePath(bd, part, row, 0, 1, share, bad); ok {
 						t.Fatalf("m = %d (%d, %d): a %d-byte path for a %d-byte one was accepted", m, part, row, len(bad), len(path))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBallotTreeBindsNodes checks the ballot level at every node count from
+// Nv = 1 to 9: the ballot root is the reference construction over the node
+// roots, every share of every node folds up its full path (share path, then
+// node path) to it at its own node index only, and a node path one hash
+// short, or one taken from another node, does not reach it.
+func TestBallotTreeBindsNodes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(37, 0x5EED)) //nolint:gosec // test data only
+	const m = 3
+	for nv := 1; nv <= 9; nv++ {
+		bds := make([]*store.BallotData, nv)
+		roots := make([][32]byte, nv)
+		for j := range bds {
+			bds[j] = randomRecord(rng, m)
+			roots[j] = ShareRoot(bds[j])
+		}
+		root := shareTreeRoot(roots)
+		if root != levelFold(roots) {
+			t.Fatalf("Nv = %d: ballot root differs from the reference construction", nv)
+		}
+		for j, bd := range bds {
+			bd.NodePath = sharePath(roots, j)
+			if len(bd.NodePath) != pathHashes(j, nv)*ShareHashSize {
+				t.Fatalf("Nv = %d node %d: node path of %d bytes", nv, j, len(bd.NodePath))
+			}
+		}
+		for j, bd := range bds {
+			for part := uint8(0); part < 2; part++ {
+				for row := 0; row < m; row++ {
+					share := bd.Lines[part][row].Share
+					path := SharePath(bd, part, row)
+					if got, ok := FoldSharePath(bd, part, row, j, nv, share, path); !ok || got != root {
+						t.Fatalf("Nv = %d node %d (%d, %d): share does not fold to the ballot root", nv, j, part, row)
+					}
+					own := path[:len(path)-len(bd.NodePath)]
+					for k := 0; k < nv; k++ {
+						if k == j {
+							continue
+						}
+						if got, ok := FoldSharePath(bd, part, row, k, nv, share, path); ok && got == root {
+							t.Fatalf("Nv = %d: node %d's share folds to the root as node %d's", nv, j, k)
+						}
+						moved := append(bytes.Clone(own), bds[k].NodePath...)
+						if got, ok := FoldSharePath(bd, part, row, j, nv, share, moved); ok && got == root {
+							t.Fatalf("Nv = %d: node %d's share folds to the root along node %d's node path", nv, j, k)
+						}
+					}
+					if nv > 1 {
+						if _, ok := FoldSharePath(bd, part, row, j, nv, share, path[:len(path)-ShareHashSize]); ok {
+							t.Fatalf("Nv = %d node %d: a node path one hash short was accepted", nv, j)
+						}
 					}
 				}
 			}

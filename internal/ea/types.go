@@ -160,6 +160,10 @@ type VCInit struct {
 	Index   int
 	Private ed25519.PrivateKey
 	Msk     MskShare
+	// LinkKeys[j] is the 32-byte key this node shares with VC node j for
+	// authenticating their link (transport.NewAuthenticated); the own entry
+	// is nil. Node j's payload holds the same key at index Index.
+	LinkKeys [][]byte
 	// Ballots is the node's ballot store content (hash commitments, salts,
 	// receipt shares), rows in the same shuffled order as the BB. Legacy
 	// whole-pool payloads carry it inline; segment-emitting setups leave it
@@ -237,13 +241,13 @@ type ElectionData struct {
 	Trustees []*TrusteeInit
 }
 
-// Receipt share signature binding. The EA signs, per ballot and VC node,
-// the Merkle root over the node's receipt shares of the ballot, each leaf
-// bound to its line's hash commitment (sharetree.go), so any VC node can
-// verify a disclosed share against its own store (§V: "VSS with honest
-// dealer").
+// Receipt share signature binding. The EA signs, per ballot, one Merkle
+// root: the root over the Nv nodes' share roots, each of those the root over
+// a node's receipt shares of the ballot with every leaf bound to its line's
+// hash commitment (sharetree.go). Any VC node can so verify a disclosed
+// share against its own store (§V: "VSS with honest dealer").
 const (
-	receiptShareDomain = "ddemos/v1/receipt-share-root"
+	receiptShareDomain = "ddemos/v1/receipt-ballot-root"
 	mskShareDomain     = "ddemos/v1/msk-share"
 )
 
@@ -251,31 +255,29 @@ const (
 // verification (sig.VerifyMany) in the VC message pipeline.
 const ReceiptShareDomain = receiptShareDomain
 
-// rootParts is the signed-parts layout of a receipt-share root signature:
-// the one source for SignReceiptShare, VerifyReceiptShare and
-// ReceiptShareItem, so the single-message and batch verification paths
-// cannot desynchronize.
-func rootParts(electionID string, serial uint64, index uint32, root [32]byte) [][]byte {
-	return [][]byte{[]byte(electionID), sig.Uint64Bytes(serial), sig.Uint64Bytes(uint64(index)), root[:]}
+// rootParts is the signed-parts layout of a ballot-root signature: the one
+// source for SignReceiptShare, VerifyReceiptShare and ReceiptShareItem, so
+// the single-message and batch verification paths cannot desynchronize.
+func rootParts(electionID string, serial uint64, root [32]byte) [][]byte {
+	return [][]byte{[]byte(electionID), sig.Uint64Bytes(serial), root[:]}
 }
 
-// ReceiptShareItem builds the sig.VerifyMany item for the root signature
-// that covers one disclosed receipt share, letting VC nodes validate a whole
-// batch of disclosed shares in one pass. index is the share index (the
-// node's index + 1), root the root the share folds up to (FoldSharePath).
-func ReceiptShareItem(pub ed25519.PublicKey, sigBytes []byte, electionID string, serial uint64, index uint32, root [32]byte) sig.Item {
-	return sig.Item{Pub: pub, Sig: sigBytes, Parts: rootParts(electionID, serial, index, root)}
+// ReceiptShareItem builds the sig.VerifyMany item for the signature over
+// ballot serial's root, the root a disclosed share folds up to
+// (FoldSharePath), letting VC nodes validate a batch of shares in one pass.
+func ReceiptShareItem(pub ed25519.PublicKey, sigBytes []byte, electionID string, serial uint64, root [32]byte) sig.Item {
+	return sig.Item{Pub: pub, Sig: sigBytes, Parts: rootParts(electionID, serial, root)}
 }
 
-// SignReceiptShare produces the EA signature over the root of share index's
-// receipt shares of ballot serial.
-func SignReceiptShare(priv ed25519.PrivateKey, electionID string, serial uint64, index uint32, root [32]byte) []byte {
-	return sig.Sign(priv, receiptShareDomain, rootParts(electionID, serial, index, root)...)
+// SignReceiptShare produces the EA signature over the root of ballot
+// serial's receipt shares.
+func SignReceiptShare(priv ed25519.PrivateKey, electionID string, serial uint64, root [32]byte) []byte {
+	return sig.Sign(priv, receiptShareDomain, rootParts(electionID, serial, root)...)
 }
 
-// VerifyReceiptShare checks a receipt-share root signature.
-func VerifyReceiptShare(pub ed25519.PublicKey, sigBytes []byte, electionID string, serial uint64, index uint32, root [32]byte) bool {
-	return sig.Verify(pub, sigBytes, receiptShareDomain, rootParts(electionID, serial, index, root)...)
+// VerifyReceiptShare checks a ballot-root signature.
+func VerifyReceiptShare(pub ed25519.PublicKey, sigBytes []byte, electionID string, serial uint64, root [32]byte) bool {
+	return sig.Verify(pub, sigBytes, receiptShareDomain, rootParts(electionID, serial, root)...)
 }
 
 // mskParts is the signed-parts layout of a master-key share signature. Its

@@ -8,47 +8,16 @@ import (
 	"sync"
 )
 
-// Batch signing and verification. Two complementary amortizations serve the
-// batched message pipeline (DESIGN.md, "Batched message pipeline"):
-//
-//   - SignBatch/VerifyBatch: one Ed25519 signature over the digest of a
-//     whole batch of messages from a single signer. This is what the
-//     authenticated channel layer uses — a flushed transport batch costs one
-//     signature and one verification regardless of how many protocol
-//     messages it carries.
-//   - VerifyMany: verification of many independent (signer, message,
-//     signature) tuples at once — the fallback for mixed-sender batches such
-//     as a worker's backlog of ENDORSEMENTs, where each signature must stand
-//     on its own because it later becomes UCERT evidence. Identical tuples
-//     are verified once and large batches fan out across CPUs.
+// VerifyMany is the mixed-sender batch path: many independent (signer,
+// message, signature) tuples at once, such as a worker's backlog of
+// ENDORSEMENTs, where each signature must stand on its own because it later
+// becomes UCERT evidence. Identical tuples are verified once and large
+// batches fan out across CPUs.
 //
 // True cofactored Ed25519 batch verification (one multi-scalar equation for
 // k signatures) needs curve internals crypto/ed25519 does not expose; the
 // dedup + parallel path keeps the API shape so the arithmetic can be swapped
 // in without touching callers.
-
-// batchDigest hashes a batch of messages into one 64-byte digest with
-// the package's canonical length framing (count || len‖msg ...).
-func batchDigest(msgs [][]byte) []byte {
-	h := sha512.New()
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(msgs)))
-	h.Write(n[:])
-	hashFramed(h, msgs...)
-	return h.Sum(nil)
-}
-
-// SignBatch signs one signature over the digest of a batch of messages, all
-// from the same signer. Verification requires the identical batch in the
-// identical order.
-func SignBatch(priv ed25519.PrivateKey, domain string, msgs ...[]byte) []byte {
-	return Sign(priv, domain, batchDigest(msgs))
-}
-
-// VerifyBatch checks a signature produced by SignBatch.
-func VerifyBatch(pub ed25519.PublicKey, sigBytes []byte, domain string, msgs ...[]byte) bool {
-	return Verify(pub, sigBytes, domain, batchDigest(msgs))
-}
 
 // Item is one signature to check in VerifyMany: a signature over the
 // domain-separated parts, expected from Pub.

@@ -4,32 +4,6 @@ import (
 	"testing"
 )
 
-func TestSignBatchRoundTrip(t *testing.T) {
-	kp, err := NewKeyPair(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")}
-	sg := SignBatch(kp.Private, "test/batch", msgs...)
-	if !VerifyBatch(kp.Public, sg, "test/batch", msgs...) {
-		t.Fatal("valid batch signature rejected")
-	}
-	if VerifyBatch(kp.Public, sg, "test/other", msgs...) {
-		t.Fatal("wrong domain accepted")
-	}
-	if VerifyBatch(kp.Public, sg, "test/batch", msgs[0], msgs[1]) {
-		t.Fatal("shorter batch accepted")
-	}
-	if VerifyBatch(kp.Public, sg, "test/batch", msgs[1], msgs[0], msgs[2]) {
-		t.Fatal("reordered batch accepted")
-	}
-	// The length framing must distinguish ("ab", "c") from ("a", "bc").
-	s2 := SignBatch(kp.Private, "test/batch", []byte("ab"), []byte("c"))
-	if VerifyBatch(kp.Public, s2, "test/batch", []byte("a"), []byte("bc")) {
-		t.Fatal("ambiguous batch framing")
-	}
-}
-
 func TestVerifyMany(t *testing.T) {
 	const domain = "test/many"
 	keys := make([]KeyPair, 3)

@@ -1,7 +1,9 @@
 // Package sig provides domain-separated Ed25519 signing helpers. The
 // Election Authority generates every key pair in the system (§III-D: no
-// external PKI), and all inter-node authentication reduces to these
-// signatures.
+// external PKI). Signatures are kept where they are evidence: endorsements
+// and the certificates built from them, the EA's receipt-share and
+// master-key-share signatures, signed vote sets. Links between VC nodes are
+// authenticated with pairwise MACs instead (internal/transport).
 package sig
 
 import (
@@ -29,7 +31,7 @@ func NewKeyPair(rnd io.Reader) (KeyPair, error) {
 // The canonical framing of this package: every part is prefixed with its
 // u64 big-endian length, so no two distinct part sequences collide.
 // appendFramed builds framed byte strings (signed messages); hashFramed
-// streams the identical framing into a hash (batch digests, fingerprints).
+// streams the identical framing into a hash (VerifyMany's fingerprints).
 // The two must stay byte-for-byte equivalent.
 
 func appendFramed(buf []byte, parts ...[]byte) []byte {

@@ -161,7 +161,7 @@ func (c *Cached) shardFor(serial uint64) *cacheShard {
 // slice headers, map and list bookkeeping).
 func ballotCost(bd *BallotData) int64 {
 	const overhead = 160
-	return overhead + int64(recordSize(len(bd.Lines[0])+len(bd.Lines[1])))
+	return overhead + int64(recordSize(len(bd.Lines[0])+len(bd.Lines[1]), len(bd.NodePath)/hashSize))
 }
 
 // Get implements Store.

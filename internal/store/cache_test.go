@@ -48,7 +48,7 @@ func newSingleShardCache(t *testing.T, inner Store, maxBytes int64, pureLRU bool
 }
 
 // TestCacheChargesTheRecord: a cached ballot costs its on-disk record —
-// lines and signature — plus a fixed overhead, so the byte budget follows
+// lines, signature and node path — plus a fixed overhead, so the byte budget follows
 // the record layout.
 func TestCacheChargesTheRecord(t *testing.T) {
 	const n, m = 3, 4

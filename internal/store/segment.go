@@ -111,11 +111,12 @@ func OpenSegmented(dir string) (*Segmented, error) {
 			s.closeAll()
 			return nil, err
 		}
-		if d.m != man.Options || d.firstSerial != ms.FirstSerial || d.count != ms.Count {
+		if d.m != man.Options || d.firstSerial != ms.FirstSerial || d.count != ms.Count ||
+			(len(s.segs) > 0 && d.path != s.segs[0].path) {
 			_ = d.Close()
 			s.closeAll()
-			return nil, fmt.Errorf("store: segment %s header (m=%d first=%d count=%d) disagrees with manifest (m=%d first=%d count=%d)",
-				ms.File, d.m, d.firstSerial, d.count, man.Options, ms.FirstSerial, ms.Count)
+			return nil, fmt.Errorf("store: segment %s header (m=%d first=%d count=%d path=%d) disagrees with manifest (m=%d first=%d count=%d) or segment 0",
+				ms.File, d.m, d.firstSerial, d.count, d.path, man.Options, ms.FirstSerial, ms.Count)
 		}
 		s.segs = append(s.segs, d)
 		next += ms.Count
@@ -188,6 +189,7 @@ type Writer struct {
 	segBallots int
 
 	m     int    // options per part, fixed by the first ballot
+	path  int    // NodePath hashes, fixed by the first ballot
 	first uint64 // first serial of the pool
 	next  uint64 // next expected serial
 	rec   []byte // reusable record buffer
@@ -253,19 +255,20 @@ func (w *Writer) Append(b *BallotData) error {
 	}
 	if w.cur == nil && w.next == 0 {
 		// First ballot fixes the geometry.
-		w.m = len(b.Lines[0])
-		if w.m == 0 || w.m > maxDiskLines {
-			return fmt.Errorf("store: invalid option count %d", w.m)
+		m, path, err := ballotGeometry(b)
+		if err != nil {
+			return err
 		}
+		w.m, w.path = m, path
 		w.first = b.Serial
 		w.next = b.Serial
-		w.rec = make([]byte, recordSize(2*w.m))
+		w.rec = make([]byte, recordSize(2*w.m, w.path))
 	}
 	if b.Serial != w.next {
 		return fmt.Errorf("store: serial %d not dense (want %d)", b.Serial, w.next)
 	}
-	if len(b.Lines[0]) != w.m || len(b.Lines[1]) != w.m {
-		return fmt.Errorf("store: ballot %d has inconsistent line count", b.Serial)
+	if err := checkGeometry(b, w.m, w.path); err != nil {
+		return err
 	}
 	if w.cur == nil {
 		if err := w.openSegment(b.Serial); err != nil {
@@ -293,7 +296,7 @@ func (w *Writer) openSegment(first uint64) error {
 	}
 	// The count field is patched in closeSegment once known; until the
 	// manifest lands the directory is unopenable either way.
-	if _, err := f.Write(encodeDiskHeader(w.m, first, 0)); err != nil {
+	if _, err := f.Write(encodeDiskHeader(w.m, w.path, first, 0)); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("store: segment header: %w", err)
 	}
@@ -303,7 +306,7 @@ func (w *Writer) openSegment(first uint64) error {
 
 // closeSegment patches the header count, syncs and records the segment.
 func (w *Writer) closeSegment() error {
-	hdr := encodeDiskHeader(w.m, w.curFirst, w.curCount)
+	hdr := encodeDiskHeader(w.m, w.path, w.curFirst, w.curCount)
 	if _, err := w.cur.WriteAt(hdr, 0); err != nil {
 		_ = w.cur.Close()
 		return fmt.Errorf("store: patch segment header: %w", err)

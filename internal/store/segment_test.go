@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -28,6 +29,9 @@ func fabricateBallots(first uint64, n, m int) []*BallotData {
 			}
 		}
 		binary.BigEndian.PutUint64(b.ShareSig[:], b.Serial*37)
+		b.NodePath = make([]byte, 2*hashSize)
+		binary.BigEndian.PutUint64(b.NodePath, b.Serial*41)
+		binary.BigEndian.PutUint64(b.NodePath[hashSize:], b.Serial*43)
 		out[i] = b
 	}
 	return out
@@ -42,8 +46,8 @@ func checkBallot(t *testing.T, st Store, want *BallotData) {
 	if got.Serial != want.Serial {
 		t.Fatalf("Get(%d) returned serial %d", want.Serial, got.Serial)
 	}
-	if got.ShareSig != want.ShareSig {
-		t.Fatalf("Get(%d) returned another signature", want.Serial)
+	if got.ShareSig != want.ShareSig || !bytes.Equal(got.NodePath, want.NodePath) {
+		t.Fatalf("Get(%d) returned another signature or node path", want.Serial)
 	}
 	for part := 0; part < 2; part++ {
 		if len(got.Lines[part]) != len(want.Lines[part]) {

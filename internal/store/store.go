@@ -6,7 +6,7 @@
 //
 //   - Mem: an in-memory map — the paper's "database eliminated" cache
 //     configuration used for the Fig. 4 scalability runs.
-//   - Disk: one flat fixed-record file (v2), standing in for the paper's
+//   - Disk: one flat fixed-record file (v3), standing in for the paper's
 //     PostgreSQL store; lookups cost one positional read.
 //   - Segmented: the pool sharded by serial range across fixed-record
 //     segment files plus a manifest. A streaming Writer lets EA setup emit
@@ -40,9 +40,12 @@ type BallotData struct {
 	Serial uint64
 	// Lines[part][row], rows in the same shuffled order as the BB payload.
 	Lines [2][]Line
-	// ShareSig is the EA's signature over the Merkle root of this node's
-	// receipt shares of the ballot (ea.ShareRoot).
+	// ShareSig is the EA's signature over the ballot's root: the Merkle root
+	// over every node's share root (ea.ShareRoot). All nodes hold the same.
 	ShareSig [64]byte
+	// NodePath is this node's share root's audit path in that tree, 32-byte
+	// hashes, the same number for every ballot of a node.
+	NodePath []byte
 }
 
 // Store is the ballot-data access interface used by the VC node. Get must

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -26,6 +27,8 @@ func makeBallots(t *testing.T, first uint64, n, m int) []*BallotData {
 			}
 		}
 		b.ShareSig[0] = byte(i + 9)
+		b.NodePath = make([]byte, 2*hashSize)
+		b.NodePath[0], b.NodePath[hashSize] = byte(i+11), byte(i+13)
 		out[i] = b
 	}
 	return out
@@ -66,8 +69,9 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := ballots[serial-1]
-		if got.Serial != want.Serial || got.ShareSig != want.ShareSig {
-			t.Fatalf("serial %d: got serial %d, signature match %v", want.Serial, got.Serial, got.ShareSig == want.ShareSig)
+		if got.Serial != want.Serial || got.ShareSig != want.ShareSig || !bytes.Equal(got.NodePath, want.NodePath) {
+			t.Fatalf("serial %d: got serial %d, signature match %v, node path match %v", want.Serial, got.Serial,
+				got.ShareSig == want.ShareSig, bytes.Equal(got.NodePath, want.NodePath))
 		}
 		for part := 0; part < 2; part++ {
 			for row := 0; row < 4; row++ {
@@ -122,6 +126,19 @@ func TestDiskStoreValidation(t *testing.T) {
 	if _, err := CreateDisk(filepath.Join(dir, "z"), bad2); err == nil {
 		t.Fatal("inconsistent lines must fail")
 	}
+	// Node paths of another length, or not whole hashes.
+	bad3 := makeBallots(t, 1, 2, 2)
+	bad3[1].NodePath = bad3[1].NodePath[:hashSize]
+	if _, err := CreateDisk(filepath.Join(dir, "p"), bad3); err == nil {
+		t.Fatal("inconsistent node paths must fail")
+	}
+	bad4 := makeBallots(t, 1, 2, 2)
+	for _, b := range bad4 {
+		b.NodePath = b.NodePath[:hashSize+1]
+	}
+	if _, err := CreateDisk(filepath.Join(dir, "q"), bad4); err == nil {
+		t.Fatal("a node path that is not whole hashes must fail")
+	}
 }
 
 func TestOpenDiskRejectsGarbage(t *testing.T) {
@@ -139,8 +156,9 @@ func TestOpenDiskRejectsGarbage(t *testing.T) {
 }
 
 // TestOpenDiskVersions: only the current record layout opens. A file of
-// another version — v1 carried a signature per line — is refused with an
-// error that names its version, before any record is read.
+// another version — v1 carried a signature per line, v2 one per node and no
+// node path — is refused with an error that names its version, before any
+// record is read, by OpenDisk and by OpenSegmented.
 func TestOpenDiskVersions(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "versioned.store")
 	d, err := CreateDisk(path, makeBallots(t, 1, 3, 2))
@@ -160,8 +178,9 @@ func TestOpenDiskVersions(t *testing.T) {
 	}{
 		{0, "is a v0 ballot store"},
 		{1, "is a v1 ballot store"},
-		{2, ""},
-		{3, "is a v3 ballot store"},
+		{2, "is a v2 ballot store"},
+		{3, ""},
+		{4, "is a v4 ballot store"},
 	} {
 		binary.BigEndian.PutUint16(data[4:], tc.version)
 		if err := os.WriteFile(path, data, 0o600); err != nil {
@@ -177,6 +196,25 @@ func TestOpenDiskVersions(t *testing.T) {
 		if err == nil {
 			_ = d.Close()
 		}
+	}
+
+	dir := filepath.Join(t.TempDir(), "segments")
+	seg, err := CreateSegmented(dir, makeBallots(t, 1, 3, 2), WriterOptions{SegmentBallots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = seg.Close()
+	segPath := filepath.Join(dir, "ballots-1.seg")
+	data, err = os.ReadFile(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint16(data[4:], 2)
+	if err := os.WriteFile(segPath, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSegmented(dir); err == nil || !strings.Contains(err.Error(), "is a v2 ballot store") {
+		t.Fatalf("segment dir with a v2 segment: error %v, want one naming v2", err)
 	}
 }
 

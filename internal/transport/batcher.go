@@ -54,7 +54,7 @@ func (o BatcherOptions) withDefaults() BatcherOptions {
 // queues the payload and, when no flush is running for that destination,
 // starts one. The flusher yields once, then drains the queue until it finds
 // it empty. A frame on an idle link therefore leaves at once, and the frames
-// that queue while one batch is being signed and sent form the next batch,
+// that queue while one batch is being tagged and sent form the next batch,
 // cut at MaxMessages and MaxBytes. Batches grow with load instead of with a
 // wait. The receive path splits incoming Batch frames back into individual
 // Envelopes, so the layers above see the ordinary one-message-per-envelope
@@ -62,8 +62,7 @@ func (o BatcherOptions) withDefaults() BatcherOptions {
 //
 // Payloads must be wire frames (every inter-VC message is): the unbatching
 // path distinguishes batches by the leading wire.Kind byte. Stacked outside
-// a Signed endpoint, each batch is signed and verified exactly once — the
-// batch-signing amortization of DESIGN.md's pipeline.
+// an Authenticated endpoint, each batch is tagged and checked exactly once.
 //
 // Send never blocks on the inner endpoint: each destination's flusher runs
 // on its own goroutine. Per-link FIFO order holds because frames leave a

@@ -202,15 +202,15 @@ func TestBatcherDropsGarbageBatches(t *testing.T) {
 	}
 }
 
-func TestBatcherOverSignedOneSignaturePerBatch(t *testing.T) {
-	// Stack order endpoint → Signed → Batcher: each batch is signed once and
-	// verified once, and unbatching yields the individual messages.
+func TestBatcherOverAuthenticatedOneTagPerBatch(t *testing.T) {
+	// Stack order endpoint → Authenticated → Batcher: each batch is tagged
+	// once and checked once, and unbatching yields the individual messages.
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
-	keys, pubs := makeKeys(t, 2)
+	keys := linkKeys(2)
 	g := newGatedEndpoint(net.Endpoint(0))
-	a := NewBatcher(NewSigned(g, keys[0].Private, pubs), BatcherOptions{})
-	b := NewBatcher(NewSigned(net.Endpoint(1), keys[1].Private, pubs), BatcherOptions{})
+	a := NewBatcher(mustAuth(t, g, keys[0]), BatcherOptions{})
+	b := NewBatcher(mustAuth(t, net.Endpoint(1), keys[1]), BatcherOptions{})
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
@@ -223,7 +223,7 @@ func TestBatcherOverSignedOneSignaturePerBatch(t *testing.T) {
 	close(g.pass)
 	recvSerials(t, b, 0, 0, total)
 	// Two network frames (the in-flight singleton, then the batch), each a
-	// 64-byte signature + its payload.
+	// tag + its payload.
 	msgs, bytes := net.Stats()
 	if msgs != 2 {
 		t.Fatalf("network saw %d frames, want 2", msgs)
@@ -232,7 +232,7 @@ func TestBatcherOverSignedOneSignaturePerBatch(t *testing.T) {
 	for i := 0; i < total; i++ {
 		inner += int64(len(testFrame(i)))
 	}
-	if overhead := bytes - inner; overhead > 2*64+6*int64(total)+16 {
+	if overhead := bytes - inner; overhead > 2*TagSize+6*int64(total)+16 {
 		t.Fatalf("batch overhead %d bytes for %d messages", overhead, total)
 	}
 }

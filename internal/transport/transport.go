@@ -11,15 +11,15 @@
 //   - TCP: a real TCP transport with length-prefixed frames for multi-process
 //     deployments (cmd/ddemos-vc and friends).
 //
-// The Signed wrapper adds Ed25519 authentication using the EA-issued node
-// keys, realizing the paper's "private and authenticated channels" between
-// VC nodes without external PKI.
+// The Authenticated wrapper tags every frame with HMAC-SHA256 under the
+// pairwise link key the EA dealt to its two ends, realizing the paper's
+// authenticated channels between VC nodes without external PKI.
 //
 // The Batcher wrapper coalesces the payloads that queue for a destination
 // while its link is busy into single wire.Batch frames, and splits inbound
 // batches back into individual envelopes — the transport stage of the
-// batched message pipeline (DESIGN.md). Stacking order is endpoint → Signed
-// → Batcher, so an entire batch is authenticated by one signature.
+// batched message pipeline (DESIGN.md). Stacking order is endpoint →
+// Authenticated → Batcher, so an entire batch is authenticated by one tag.
 package transport
 
 import (

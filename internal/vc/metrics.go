@@ -28,6 +28,13 @@ type Metrics struct {
 	CertSigVerifies atomic.Int64
 	CertSigMemoHits atomic.Int64
 
+	// EA ballot-root signature checks on disclosed shares: how many went to
+	// sig.VerifyMany (which checks identical ones once), and how many shares
+	// folded to the root the node already holds verified for that ballot
+	// (see onVotePBatch).
+	RootSigVerifies atomic.Int64
+	RootSigMemoHits atomic.Int64
+
 	EndorseNanos atomic.Int64 // cumulative endorsement-phase time (responder)
 	EndorseCount atomic.Int64
 	VoteNanos    atomic.Int64 // cumulative full vote time (responder)
@@ -59,6 +66,8 @@ type Snapshot struct {
 
 	CertSigVerifies int64
 	CertSigMemoHits int64
+	RootSigVerifies int64
+	RootSigMemoHits int64
 
 	// Ballot-store cache counters, populated when the node's store is a
 	// store.Cached (zero otherwise). StoreShared counts misses that joined
@@ -89,6 +98,8 @@ func (n *Node) Metrics() Snapshot {
 
 		CertSigVerifies: n.metrics.CertSigVerifies.Load(),
 		CertSigMemoHits: n.metrics.CertSigMemoHits.Load(),
+		RootSigVerifies: n.metrics.RootSigVerifies.Load(),
+		RootSigMemoHits: n.metrics.RootSigMemoHits.Load(),
 	}
 	if c, ok := n.st.(*store.Cached); ok {
 		cs := c.Stats()

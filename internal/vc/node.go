@@ -180,6 +180,7 @@ type ballotState struct {
 	part         uint8
 	row          int
 	cert         *wire.UCert
+	root         *[32]byte // the ballot's EA-signed root; held only once verified
 	shares       map[uint32]*big.Int
 	sentVoteP    bool
 	receipt      []byte
@@ -1020,7 +1021,8 @@ func (n *Node) multicastVoteP(serial uint64, code []byte, share shamir.Share, bd
 // votePCandidate carries one VOTE_P through the batch validation stages.
 // cert is the certificate verifyCerts returned for this (serial, code) —
 // verified signatures only, not necessarily the bytes this message carried —
-// or nil when the ballot state already holds a verified certificate.
+// or nil when the ballot state already holds a verified certificate. root is
+// the ballot root the share folds up to.
 type votePCandidate struct {
 	from  uint16
 	m     *wire.VoteP
@@ -1029,24 +1031,29 @@ type votePCandidate struct {
 	part  uint8
 	row   int
 	share shamir.Share
+	root  [32]byte
 }
 
 // onVotePBatch validates a batch of disclosed shares (UCERT first, per
 // §III-E) and joins the disclosure round; reconstruction fires at Nv-fv
 // shares. Each share is folded up its audit path at the (part, row) this
-// node located from the vote code, and the EA's signature over the sender's
-// root for the ballot is checked on the result. The batch path amortizes
-// the two expensive steps: certificates the ballot state already accepted
-// are not re-verified (every VOTE_P for a ballot carries the same UCERT),
-// the EA root signatures, one per share, are checked in one sig.VerifyMany
-// pass, and each serial's shares are applied under a single state-lock
-// acquisition.
+// node located from the vote code and at the sender's node index, and the
+// result must be the ballot root the EA signed. The batch path amortizes the
+// two expensive steps: certificates the ballot state already accepted are
+// not re-verified (every VOTE_P for a ballot carries the same UCERT), and
+// neither is a root the state already holds. A root is held only after its
+// signature verified, so "held ⇒ verified" (as for verifyCerts): once one
+// share of a ballot has checked, every later share of it costs hashing
+// alone. The other shares' root signatures go through one sig.VerifyMany
+// pass, which checks the identical ones of a burst once, and each serial's
+// shares are applied under a single state-lock acquisition.
 func (n *Node) onVotePBatch(batch []job) {
 	if !n.withinHours() {
 		return
 	}
 	cands := make([]votePCandidate, 0, len(batch))
 	items := make([]sig.Item, 0, len(batch))
+	checked := make([]int, 0, len(batch)) // the candidate each item checks
 	// The canonical burst is all Nv-1 peers disclosing for one ballot in a
 	// single batch, every message carrying the identical UCERT: verify one
 	// certificate per (serial, code) per batch and let every later
@@ -1071,12 +1078,14 @@ func (n *Node) onVotePBatch(batch []job) {
 			continue
 		}
 		// Peek, never allocate: state is only created in applyShares, after
-		// the cert and share signature both verified, preserving the old
+		// the cert and root signature both verified, preserving the old
 		// path's validate-then-allocate order.
 		var certKnown bool
+		var held *[32]byte
 		if st := n.peekState(m.Serial); st != nil {
 			st.mu.Lock()
 			certKnown = st.cert != nil && bytes.Equal(st.usedCode, m.Code)
+			held = st.root
 			st.mu.Unlock()
 		}
 		certKey := collectorKey{serial: m.Serial, code: string(m.Code)}
@@ -1095,27 +1104,35 @@ func (n *Node) onVotePBatch(batch []job) {
 			n.metrics.BadMessages.Add(1)
 			continue
 		}
-		root, ok := ea.FoldSharePath(bd, part, row, [32]byte(m.ShareValue), m.SharePath)
-		if !ok {
+		root, ok := ea.FoldSharePath(bd, part, row, int(j.from), n.nv, [32]byte(m.ShareValue), m.SharePath)
+		if !ok || (held != nil && root != *held) {
 			n.metrics.BadShares.Add(1)
 			continue
 		}
 		sh := shamir.Share{Index: m.ShareIndex, Value: shareVal}
-		cands = append(cands, votePCandidate{from: j.from, m: m, cert: cert, bd: bd, part: part, row: row, share: sh})
-		items = append(items, ea.ReceiptShareItem(n.eaPub, m.ShareSig,
-			n.manifest.ElectionID, m.Serial, m.ShareIndex, root))
+		cands = append(cands, votePCandidate{from: j.from, m: m, cert: cert, bd: bd, part: part, row: row, share: sh, root: root})
+		if held != nil {
+			n.metrics.RootSigMemoHits.Add(1)
+			continue
+		}
+		checked = append(checked, len(cands)-1)
+		items = append(items, ea.ReceiptShareItem(n.eaPub, m.ShareSig, n.manifest.ElectionID, m.Serial, root))
 	}
 	if len(cands) == 0 {
 		return
 	}
-	ok := sig.VerifyMany(ea.ReceiptShareDomain, items)
+	n.metrics.RootSigVerifies.Add(int64(len(items)))
+	bad := make([]bool, len(cands))
+	for k, ok := range sig.VerifyMany(ea.ReceiptShareDomain, items) {
+		bad[checked[k]] = !ok
+	}
 
 	// Group surviving shares by serial and apply each group in one state
 	// visit; candidate order is preserved within a group.
 	bySerial := make(map[uint64][]int, len(cands))
 	var order []uint64
 	for i := range cands {
-		if !ok[i] {
+		if bad[i] {
 			n.metrics.BadShares.Add(1)
 			continue
 		}
@@ -1145,6 +1162,10 @@ func (n *Node) applyShares(serial uint64, cands []votePCandidate, idxs []int) {
 	var recs [][]byte
 
 	st.mu.Lock()
+	if st.root == nil {
+		root := cands[idxs[0]].root // every candidate here folded to a verified root
+		st.root = &root
+	}
 	for _, i := range idxs {
 		c := &cands[i]
 		switch st.status {

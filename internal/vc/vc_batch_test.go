@@ -3,7 +3,6 @@ package vc
 import (
 	"bytes"
 	"context"
-	"crypto/ed25519"
 	"sync"
 	"testing"
 	"time"
@@ -128,14 +127,15 @@ func newSimClusterJE(t *testing.T, seed uint64, byz map[int]Byzantine, numBallot
 	return c
 }
 
-// batchedStack is the production endpoint stack: network → Signed → Batcher.
+// batchedStack is the production endpoint stack: network → Authenticated →
+// Batcher.
 func batchedStack(opts transport.BatcherOptions) func(int, *ea.ElectionData, transport.Endpoint, clock.Timers) transport.Endpoint {
 	return func(i int, data *ea.ElectionData, ep transport.Endpoint, tm clock.Timers) transport.Endpoint {
-		pubs := make(map[transport.NodeID]ed25519.PublicKey, data.Manifest.NumVC)
-		for j, p := range data.Manifest.VCPublics {
-			pubs[transport.NodeID(j)] = p //nolint:gosec // small
+		auth, err := transport.NewAuthenticated(ep, data.VC[i].LinkKeys)
+		if err != nil {
+			panic(err)
 		}
-		return transport.NewBatcher(transport.NewSigned(ep, data.VC[i].Private, pubs), opts)
+		return transport.NewBatcher(auth, opts)
 	}
 }
 

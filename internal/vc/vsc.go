@@ -3,7 +3,6 @@ package vc
 import (
 	"bytes"
 	"context"
-	"crypto/ed25519"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -685,14 +684,6 @@ func CanonicalVoteSetHash(electionID string, set []VotedBallot) [32]byte {
 func (n *Node) SignVoteSet(set []VotedBallot) []byte {
 	hash := CanonicalVoteSetHash(n.manifest.ElectionID, set)
 	return sig.Sign(n.priv, voteSetDomain, hash[:])
-}
-
-// SignVoteSetWith signs a vote set with an explicit VC private key, for
-// benchmark and offline tooling that holds the election data without
-// running a VC node.
-func SignVoteSetWith(priv ed25519.PrivateKey, electionID string, set []VotedBallot) []byte {
-	hash := CanonicalVoteSetHash(electionID, set)
-	return sig.Sign(priv, voteSetDomain, hash[:])
 }
 
 // VerifyVoteSetSig checks a vote-set signature from VC node `index`.

@@ -55,13 +55,13 @@ func fuzzSeedFrames() [][]byte {
 		[]byte{byte(KindConsensus)},                             // bare kind, no body
 		ready[:len(ready)-7],                                    // truncated hash
 		append(consensus[:len(consensus):len(consensus)], 0x00), // trailing byte
-		Encode(&VoteP{ // a share with its three-hash audit path (m = 4)
+		Encode(&VoteP{ // a share with its audit path: three hashes in its node's tree (m = 4), two to the ballot root (Nv = 4)
 			Serial:     7,
 			Code:       []byte("code-7"),
 			ShareIndex: 2,
 			ShareValue: bytes.Repeat([]byte{0x11}, 32),
 			ShareSig:   bytes.Repeat([]byte{0x22}, 64),
-			SharePath:  bytes.Repeat([]byte{0x33}, 3*32),
+			SharePath:  bytes.Repeat([]byte{0x33}, 5*32),
 			Cert:       cert,
 		}),
 	)

@@ -74,10 +74,11 @@ const (
 
 // A VOTE_P share path is whole SHA-256 hashes, at most maxSharePathHashes of
 // them: a ballot store holds at most 2^16 options per part (store
-// maxDiskLines), so a node's share tree has at most 2^17 leaves.
+// maxDiskLines), so a node's share tree has at most 2^17 leaves, and the
+// ballot tree over at most 64 nodes' roots adds at most 6 hashes.
 const (
 	sharePathHash      = 32
-	maxSharePathHashes = 17
+	maxSharePathHashes = 17 + 6
 )
 
 // Least encoded size of each counted element with variable-length parts (a
@@ -373,9 +374,9 @@ type VoteP struct {
 	Code       []byte
 	ShareIndex uint32
 	ShareValue []byte // 32-byte scalar
-	// ShareSig is the EA's signature over the root of the sender's share
-	// tree for the ballot; SharePath is the share's audit path up to that
-	// root, concatenated 32-byte hashes.
+	// ShareSig is the EA's signature over the ballot's root; SharePath is
+	// the share's audit path up to that root (through the sender's share
+	// tree, then the ballot tree), concatenated 32-byte hashes.
 	ShareSig  []byte
 	SharePath []byte
 	Cert      UCert
