@@ -424,6 +424,50 @@ func TestAuthenticatedEndpointRejectsForgery(t *testing.T) {
 	}
 }
 
+// TestSignedEndpointRejectsForgery: neither an untagged frame from 0's seat
+// nor a frame node 2 tags with the 0-1 link key is delivered to node 1.
+func TestSignedEndpointRejectsForgery(t *testing.T) {
+	net := NewMemnet(LinkProfile{})
+	defer func() { _ = net.Close() }()
+	keys := linkKeys(3)
+	b := mustAuth(t, net.Endpoint(1), keys[1])
+	if err := net.Endpoint(0).Send(1, []byte("unsigned junk")); err != nil {
+		t.Fatal(err)
+	}
+	evil := mustAuth(t, net.Endpoint(2), [][]byte{keys[2][0], keys[0][1], nil})
+	if err := evil.Send(1, []byte("forged")); err != nil {
+		t.Fatal(err)
+	}
+	expectNothing(t, b)
+	if b.Dropped() != 2 {
+		t.Fatalf("dropped = %d, want 2", b.Dropped())
+	}
+}
+
+// TestSignedEndpointCannotReplayAcrossRoutes: a frame node 1 accepts on
+// route 0 -> 1 is dropped when replayed from 0's seat to node 2.
+func TestSignedEndpointCannotReplayAcrossRoutes(t *testing.T) {
+	net := NewMemnet(LinkProfile{})
+	defer func() { _ = net.Close() }()
+	keys := linkKeys(3)
+	b := mustAuth(t, net.Endpoint(1), keys[1])
+	c := mustAuth(t, net.Endpoint(2), keys[2])
+	frame := tagged(keys[0][1], 0, 1, []byte("for b only"))
+	if err := net.Endpoint(0).Send(1, frame); err != nil {
+		t.Fatal(err)
+	}
+	if env := recvWithTimeout(t, b, time.Second); string(env.Payload) != "for b only" || env.From != 0 {
+		t.Fatalf("got %+v", env)
+	}
+	if err := net.Endpoint(0).Send(2, frame); err != nil {
+		t.Fatal(err)
+	}
+	expectNothing(t, c)
+	if c.Dropped() != 1 {
+		t.Fatalf("dropped = %d, want 1", c.Dropped())
+	}
+}
+
 // TestByzantineVCCannotAuthenticateHonestLink: a Byzantine node holds every
 // key of its own links and none of the link between two honest nodes. Given
 // the network seat of node 0, nothing it can tag reaches node 1 as node 0's,
