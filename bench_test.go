@@ -99,10 +99,9 @@ func BenchmarkFig4cThroughputVsClientsLan(b *testing.B) { runFig4Clients(b, fals
 func BenchmarkFig4fThroughputVsClientsWan(b *testing.B) { runFig4Clients(b, true) }
 
 // BenchmarkFig5aThroughputVsPool — Fig. 5a: throughput vs ballot-pool size
-// with the disk-backed store (the paper sweeps 50M–250M on PostgreSQL;
+// with the segmented disk store (the paper sweeps 50M–250M on PostgreSQL;
 // scaled here, same ×5 pool growth).
 func BenchmarkFig5aThroughputVsPool(b *testing.B) {
-	dir := b.TempDir()
 	pools := []int{10000, 30000, 50000}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -110,7 +109,7 @@ func BenchmarkFig5aThroughputVsPool(b *testing.B) {
 		for _, n := range pools {
 			res, err := benchmark.Run(benchmark.Config{
 				Ballots: n, Options: 2, VC: 4,
-				Clients: 400, Votes: 2000, Disk: true, DiskDir: dir,
+				Clients: 400, Votes: 2000, Disk: true,
 				Seed: b.Name(),
 			})
 			if err != nil {
@@ -124,27 +123,21 @@ func BenchmarkFig5aThroughputVsPool(b *testing.B) {
 }
 
 // BenchmarkFig5bThroughputVsOptions — Fig. 5b: throughput vs number of
-// options m (paper: 2–10; throughput should stay nearly flat), extended with
-// the batched-vs-unbatched transport ablation: each m is measured with one
-// frame per message and over the batched pipeline, both on the
-// authenticated links (one MAC per frame). The delta isolates the coalescing
-// win on the LAN profile.
+// options m (paper: 2–10; throughput should stay nearly flat), over the
+// authenticated, batched links every VC node runs.
 func BenchmarkFig5bThroughputVsOptions(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var last benchmark.Fig5bRow
+		var last float64
 		for _, m := range []int{2, 6, 10} {
-			row, err := benchmark.Fig5bPoint(m, benchBallots, benchVotes, 400, 0)
+			throughput, err := benchmark.Fig5bPoint(m, benchBallots, benchVotes, 400)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Logf("m=%d unbatched=%.1f batched=%.1f op/s (batching speedup %.2fx)",
-				m, row.Unbatched, row.Batched, row.Speedup())
-			last = row
+			b.Logf("m=%d throughput=%.1f op/s", m, throughput)
+			last = throughput
 		}
-		b.ReportMetric(last.Unbatched, "votes/sec@m=10")
-		b.ReportMetric(last.Batched, "batched-votes/sec@m=10")
-		b.ReportMetric(last.Speedup(), "batched-speedup@m=10")
+		b.ReportMetric(last, "votes/sec@m=10")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ddemos/internal/bb"
+	"ddemos/internal/ea"
 	"ddemos/internal/httpapi"
 	"ddemos/internal/journal"
 )
@@ -40,11 +41,11 @@ func main() {
 	if *initPath == "" {
 		log.Fatal("-init is required")
 	}
-	init, err := httpapi.ReadBBInitFile(*initPath)
-	if err != nil {
+	var init ea.BBInit
+	if err := httpapi.ReadInitFile(*initPath, &init, &init.Manifest, &init.Ballots); err != nil {
 		log.Fatal(err)
 	}
-	node, err := bb.NewNode(init)
+	node, err := bb.NewNode(&init)
 	if err != nil {
 		log.Fatal(err)
 	}

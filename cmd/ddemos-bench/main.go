@@ -21,18 +21,10 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 4a,4b,4c,4d,4e,4f,5a,5b,5c,table1,ablation,pool,pool-election,all")
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast pass")
-	batch := flag.Bool("batch", false,
-		"enable the batched message pipeline (Fig4 sweeps; Fig5b always runs the batching ablation)")
-	batchMax := flag.Int("batch-max", 0, "max messages per batch (0 = transport default)")
 	consensus := flag.String("consensus", "interlocked",
 		"vote-set-consensus engine for full-election runs: 'interlocked' or 'acs' (times the "+
 			"consensus phase of Fig5c on the chosen engine)")
 	flag.Parse()
-
-	tr := benchmark.TransportOptions{
-		Batch:            *batch,
-		BatchMaxMessages: *batchMax,
-	}
 
 	ballots, votes := 10000, 5000
 	vcs, clients, series := benchmark.VCSweep, benchmark.ClientSweep, benchmark.ClientSeries
@@ -48,20 +40,18 @@ func main() {
 	}
 
 	runs := map[string]func() error{
-		"4a": func() error { return benchmark.Fig4(os.Stdout, false, vcs, series, ballots, votes, 4, tr) },
-		"4b": func() error { return benchmark.Fig4(os.Stdout, false, vcs, series, ballots, votes, 4, tr) },
+		"4a": func() error { return benchmark.Fig4(os.Stdout, false, vcs, series, ballots, votes, 4) },
+		"4b": func() error { return benchmark.Fig4(os.Stdout, false, vcs, series, ballots, votes, 4) },
 		"4c": func() error {
-			return benchmark.Fig4Clients(os.Stdout, false, []int{4, 7, 10, 13, 16}, clients, ballots, votes, 4, tr)
+			return benchmark.Fig4Clients(os.Stdout, false, []int{4, 7, 10, 13, 16}, clients, ballots, votes, 4)
 		},
-		"4d": func() error { return benchmark.Fig4(os.Stdout, true, vcs, series, ballots, votes, 4, tr) },
-		"4e": func() error { return benchmark.Fig4(os.Stdout, true, vcs, series, ballots, votes, 4, tr) },
+		"4d": func() error { return benchmark.Fig4(os.Stdout, true, vcs, series, ballots, votes, 4) },
+		"4e": func() error { return benchmark.Fig4(os.Stdout, true, vcs, series, ballots, votes, 4) },
 		"4f": func() error {
-			return benchmark.Fig4Clients(os.Stdout, true, []int{4, 7, 10, 13, 16}, clients, ballots, votes, 4, tr)
+			return benchmark.Fig4Clients(os.Stdout, true, []int{4, 7, 10, 13, 16}, clients, ballots, votes, 4)
 		},
 		"5a": func() error { return benchmark.Fig5a(os.Stdout, pools, 2000, 400) },
-		"5b": func() error {
-			return benchmark.Fig5b(os.Stdout, optionSweep, ballots, votes, 400, *batchMax)
-		},
+		"5b": func() error { return benchmark.Fig5b(os.Stdout, optionSweep, ballots, votes, 400) },
 		"5c": func() error { return benchmark.Fig5c(os.Stdout, casts, 4, 100, *consensus) },
 		"table1": func() error {
 			tcomp, avgVote, err := benchmark.VoteMetricsSample(benchmark.Config{

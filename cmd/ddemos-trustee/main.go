@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ddemos/internal/bb"
+	"ddemos/internal/ea"
 	"ddemos/internal/httpapi"
 	"ddemos/internal/trustee"
 )
@@ -27,11 +28,11 @@ func main() {
 	if *initPath == "" || *bbS == "" {
 		log.Fatal("-init and -bb are required")
 	}
-	init, err := httpapi.ReadTrusteeInitFile(*initPath)
-	if err != nil {
+	var init ea.TrusteeInit
+	if err := httpapi.ReadInitFile(*initPath, &init, &init.Manifest, &init.Ballots); err != nil {
 		log.Fatal(err)
 	}
-	tr, err := trustee.New(init)
+	tr, err := trustee.New(&init)
 	if err != nil {
 		log.Fatal(err)
 	}

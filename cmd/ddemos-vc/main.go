@@ -10,11 +10,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
@@ -27,66 +27,39 @@ import (
 	"ddemos/internal/vc"
 )
 
-// openOrBuildSegments serves the -store-segments flag and the init
-// payload's BallotsDir reference: open an existing segment directory, or
-// materialize one from the init payload's ballot pool (a one-time streaming
-// build) when the manifest is missing. A crash mid-build leaves orphaned
-// ballots-*.seg files and no manifest; the rebuild clears them explicitly
-// so a reboot converges on a clean store instead of mixing stale and fresh
-// segments. With cacheBytes > 0 the opened store is wrapped in the
-// admission-controlled LRU.
-func openOrBuildSegments(dir string, init *ea.VCInit, cacheBytes int64) (store.Store, error) {
-	var seg *store.Segmented
-	if _, err := os.Stat(filepath.Join(dir, store.ManifestName)); err == nil {
-		seg, err = store.OpenSegmented(dir)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("ballot store: %d ballots from %d segments in %s", seg.Count(), seg.Segments(), dir)
-	} else {
-		if len(init.Ballots) == 0 {
-			return nil, fmt.Errorf("segment dir %s has no %s and the init payload carries no inline pool — "+
-				"point the node at the EA-emitted segment directory (BallotsDir/-store-segments)",
-				dir, store.ManifestName)
-		}
-		w, err := store.NewWriter(dir, store.WriterOptions{})
-		if err != nil {
-			// A crash mid-build leaves segment files without a manifest;
-			// NewWriter refuses them so a rebuild cannot silently mix stale
-			// and fresh segments. Clearing them here is safe — without a
-			// manifest the directory never served anything.
-			log.Printf("ballot store: %v; clearing and rebuilding", err)
-			if w, err = store.NewWriter(dir, store.WriterOptions{ClearStale: true}); err != nil {
-				return nil, err
-			}
-		}
-		for _, b := range init.Ballots {
-			if err := w.Append(b); err != nil {
-				w.Abort()
-				return nil, err
-			}
-		}
-		seg, err = w.Finish()
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("ballot store: built %d segments (%d ballots) in %s", seg.Segments(), seg.Count(), dir)
+// openBallotStore opens the segment directory ddemos-ea emitted for the node
+// (init.BallotsDir; a relative path resolves against initPath's directory)
+// behind the admission-controlled LRU of cacheBytes bytes. A payload that
+// names no directory is refused, as is a cache budget that is not positive.
+func openBallotStore(init *ea.VCInit, initPath string, cacheBytes int64) (store.Store, error) {
+	if init.BallotsDir == "" {
+		return nil, errors.New("the init payload names no ballot segment directory " +
+			"(a vc-<i>.gob from an older ddemos-ea: re-run it)")
 	}
 	if cacheBytes <= 0 {
-		return seg, nil
+		return nil, fmt.Errorf("-store-cache %d: the ballot cache needs a positive byte budget", cacheBytes)
+	}
+	dir := init.BallotsDir
+	if !filepath.IsAbs(dir) {
+		dir = filepath.Join(filepath.Dir(initPath), dir)
+	}
+	seg, err := store.OpenSegmented(dir)
+	if err != nil {
+		return nil, err
 	}
 	cached, err := store.NewCached(seg, store.CachedOptions{MaxBytes: cacheBytes})
 	if err != nil {
 		_ = seg.Close()
 		return nil, err
 	}
-	log.Printf("ballot store: %d byte LRU cache (admission-controlled, single-flight)", cacheBytes)
+	log.Printf("ballot store: %d ballots from %d segments in %s, %d byte cache",
+		seg.Count(), seg.Segments(), dir, cacheBytes)
 	return cached, nil
 }
 
 // vcEndpoint is the inter-VC endpoint a node runs: TCP, then pairwise-MAC
-// link authentication under the EA-dealt keys, then, with -batch, the
-// Batcher. tcp and auth are its lower layers.
+// link authentication under the EA-dealt keys, then the Batcher. tcp and
+// auth are its lower layers.
 type vcEndpoint struct {
 	transport.Endpoint
 	tcp  *transport.TCPNode
@@ -97,7 +70,7 @@ type vcEndpoint struct {
 // listen and dialing peers (id -> host:port). A payload without link keys is
 // refused: the node would have no way to tell its peers' frames from
 // anyone's.
-func openEndpoint(init *ea.VCInit, listen string, peers map[transport.NodeID]string, batch bool, batchMax int) (*vcEndpoint, error) {
+func openEndpoint(init *ea.VCInit, listen string, peers map[transport.NodeID]string) (*vcEndpoint, error) {
 	tcp, err := transport.NewTCPNode(transport.NodeID(init.Index), listen, peers) //nolint:gosec // small
 	if err != nil {
 		return nil, err
@@ -107,21 +80,14 @@ func openEndpoint(init *ea.VCInit, listen string, peers map[transport.NodeID]str
 		_ = tcp.Close()
 		return nil, fmt.Errorf("%w (a vc-<i>.gob from an older ddemos-ea: re-run it)", err)
 	}
-	ep := &vcEndpoint{Endpoint: auth, tcp: tcp, auth: auth}
-	// Batching is symmetric: every node of a deployment must run the same
-	// -batch setting (the receive path splits batches regardless, but mixed
-	// settings forfeit the coalescing win).
-	if batch {
-		ep.Endpoint = transport.NewBatcher(auth, transport.BatcherOptions{
-			MaxMessages: batchMax,
-			// Flushes have no caller to return an error to; log the drops
-			// or an unreachable peer is invisible.
-			OnSendError: func(to transport.NodeID, err error) {
-				log.Printf("batch flush to vc-%d failed: %v", to, err)
-			},
-		})
-	}
-	return ep, nil
+	batcher := transport.NewBatcher(auth, transport.BatcherOptions{
+		// Flushes have no caller to return an error to; log the drops or an
+		// unreachable peer is invisible.
+		OnSendError: func(to transport.NodeID, err error) {
+			log.Printf("batch flush to vc-%d failed: %v", to, err)
+		},
+	})
+	return &vcEndpoint{Endpoint: batcher, tcp: tcp, auth: auth}, nil
 }
 
 func main() {
@@ -130,10 +96,6 @@ func main() {
 	peersS := flag.String("peers", "", "comma-separated peer TCP addresses, in node-index order")
 	httpAddr := flag.String("http", ":8100", "public HTTP voting endpoint")
 	bbS := flag.String("bb", "", "comma-separated BB base URLs for the election-end push")
-	batch := flag.Bool("batch", false,
-		"coalesce outgoing inter-VC messages that queue for a peer while its link is busy into one batch frame "+
-			"(an idle link sends at once)")
-	batchMax := flag.Int("batch-max", 0, "max messages per batch (0 = transport default)")
 	dataDir := flag.String("data-dir", "",
 		"directory for durable runtime state (WAL lanes + snapshots); the node recovers from it on startup, "+
 			"so a crashed collector rejoins the election instead of staying down (empty = memory-only)")
@@ -144,15 +106,10 @@ func main() {
 		"number of journal WAL lanes runtime state is hashed over by ballot serial, each with its own "+
 			"group-commit fsync and copy-on-write snapshots — the Fig. 5a pool knob; a directory reopens "+
 			"only with the lane count it was written under (requires -data-dir)")
-	storeSegments := flag.String("store-segments", "",
-		"segment directory for the ballot store (serial-range-sharded fixed-record files + manifest). "+
-			"If the directory has no manifest yet it is built once, streamed from the init payload; "+
-			"afterwards the node serves ballots from segments instead of holding the pool in memory — "+
-			"the millions-of-ballots configuration (empty = in-memory store)")
-	storeCache := flag.Int64("store-cache", 0,
-		"ballot-store cache budget in bytes (e.g. 67108864 for 64MiB): wraps the segmented store with "+
-			"an admission-controlled LRU with single-flight loading, so the protocol's per-ballot fan-in "+
-			"costs one positional read (0 = no cache; requires -store-segments)")
+	storeCache := flag.Int64("store-cache", 64<<20,
+		"memory budget in bytes of the admission-controlled LRU with single-flight loading in front of "+
+			"the node's ballot segments, so the protocol's per-ballot fan-in costs one positional read "+
+			"(must be positive)")
 	consensusEngine := flag.String("consensus", "interlocked",
 		"vote-set-consensus engine: 'interlocked' (the paper's per-ballot binary consensus) or "+
 			"'acs' (BKR common-subset: reliable broadcast per node + one binary agreement per "+
@@ -177,38 +134,15 @@ func main() {
 			peers[transport.NodeID(i)] = addr //nolint:gosec // small
 		}
 	}
-	ep, err := openEndpoint(&init, *listen, peers, *batch, *batchMax)
+	ep, err := openEndpoint(&init, *listen, peers)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Resolve the ballot store: an explicit -store-segments dir wins;
-	// otherwise a segment-emitting EA handoff names its pre-built directory
-	// in the init payload (relative paths resolve against the payload
-	// file), and the node opens it without ever decoding a pool.
-	segDir := *storeSegments
-	if segDir == "" && init.BallotsDir != "" {
-		segDir = init.BallotsDir
-		if !filepath.IsAbs(segDir) {
-			segDir = filepath.Join(filepath.Dir(*initPath), segDir)
-		}
-		log.Printf("ballot store: init payload references segment dir %s", segDir)
+	ballotStore, err := openBallotStore(&init, *initPath, *storeCache)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *storeCache > 0 && segDir == "" {
-		log.Fatal("-store-cache requires -store-segments (or a segment-emitting init payload)")
-	}
-	var ballotStore store.Store
-	if segDir != "" {
-		ballotStore, err = openOrBuildSegments(segDir, &init, *storeCache)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() { _ = ballotStore.Close() }()
-		// The gob-decoded pool (if any) has served its purpose (segment
-		// build); drop it so the process actually runs at cache-budget
-		// memory — holding it would defeat the flag at the
-		// millions-of-ballots scale.
-		init.Ballots = nil
-	}
+	defer func() { _ = ballotStore.Close() }()
 	engine, err := vc.ParseEngine(*consensusEngine)
 	if err != nil {
 		log.Fatal(err)
@@ -240,7 +174,7 @@ func main() {
 	}
 	node.Start()
 	defer node.Stop()
-	log.Printf("vc node %d: inter-VC on %s (authenticated links), voters on %s", init.Index, ep.tcp.Addr(), *httpAddr)
+	log.Printf("vc node %d: inter-VC on %s (authenticated, batched links), voters on %s", init.Index, ep.tcp.Addr(), *httpAddr)
 
 	// Public voter endpoint.
 	srv := httpapi.NewServer(*httpAddr, httpapi.VCHandler(node))

@@ -46,8 +46,8 @@ func main() {
 	}
 	fmt.Printf("done in %v\n", time.Since(t0).Round(time.Millisecond))
 
-	// Disk-backed ballot stores, one file per VC node (the paper's
-	// PostgreSQL role).
+	// Disk-backed ballot stores, one segment directory per VC node (the
+	// paper's PostgreSQL role).
 	dir, err := os.MkdirTemp("", "referendum")
 	if err != nil {
 		log.Fatal(err)
@@ -55,7 +55,7 @@ func main() {
 	defer func() { _ = os.RemoveAll(dir) }()
 	stores := make(map[int]store.Store, params.NumVC)
 	for i := 0; i < params.NumVC; i++ {
-		ds, err := store.CreateDisk(filepath.Join(dir, fmt.Sprintf("vc%d.store", i)), data.VC[i].Ballots)
+		ds, err := store.CreateSegmented(filepath.Join(dir, fmt.Sprintf("vc%d", i)), data.VC[i].Ballots, store.WriterOptions{})
 		if err != nil {
 			log.Fatalf("store %d: %v", i, err)
 		}

@@ -34,10 +34,9 @@ type Config struct {
 	Clients int // concurrent clients ("cc" in the paper's figures)
 	Votes   int // total ballots to cast (<= Ballots)
 	WAN     bool
-	// Disk stores each VC node's data in a fixed-record file instead of
-	// memory (Fig. 5a).
-	Disk    bool
-	DiskDir string
+	// Disk stores each VC node's data in a segment directory (in a
+	// temporary directory) instead of memory (Fig. 5a).
+	Disk bool
 	// WAL gives every VC node a durable runtime-state journal (the
 	// crash-recovery configuration) in a temporary directory; WALFsync
 	// syncs per transition instead of on the batched group-commit cadence.
@@ -52,19 +51,6 @@ type Config struct {
 	// consensus phase of a long election benchmark.
 	Consensus string
 	Seed      string
-	// TransportOptions selects the inter-VC channel configuration (the
-	// batched-vs-unbatched ablation of Fig. 5b).
-	TransportOptions
-}
-
-// TransportOptions selects the inter-VC channel configuration of a figure
-// sweep; the zero value is the unbatched network. Links are always
-// authenticated (one MAC per frame, or per batch).
-type TransportOptions struct {
-	// Batch turns the batched message pipeline on.
-	Batch bool
-	// BatchMaxMessages caps messages per batch (0 = transport default).
-	BatchMaxMessages int
 }
 
 // Result is the outcome of a vote-collection run.
@@ -108,13 +94,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	setupTime := time.Since(setupStart)
 
-	clusterOpts := core.Options{
-		BatchMaxMessages: cfg.BatchMaxMessages,
-		Consensus:        cfg.Consensus,
-	}
-	if cfg.Batch {
-		clusterOpts.BatchWindow = transport.DefaultBatchWindow // any value > 0 turns batching on
-	}
+	clusterOpts := core.Options{Consensus: cfg.Consensus}
 	if cfg.WAN {
 		lp := transport.WANProfile
 		clusterOpts.LinkProfile = &lp
@@ -130,18 +110,15 @@ func Run(cfg Config) (*Result, error) {
 		clusterOpts.JournalPool = cfg.JournalPool
 	}
 	if cfg.Disk {
-		dir := cfg.DiskDir
-		if dir == "" {
-			dir, err = os.MkdirTemp("", "ddemos-bench")
-			if err != nil {
-				return nil, err
-			}
-			defer func() { _ = os.RemoveAll(dir) }()
+		dir, err := os.MkdirTemp("", "ddemos-bench")
+		if err != nil {
+			return nil, err
 		}
+		defer func() { _ = os.RemoveAll(dir) }()
 		clusterOpts.Stores = make(map[int]store.Store, cfg.VC)
 		for i := 0; i < cfg.VC; i++ {
-			st, err := store.CreateDisk(
-				filepath.Join(dir, fmt.Sprintf("vc-%d.store", i)), data.VC[i].Ballots)
+			st, err := store.CreateSegmented(
+				filepath.Join(dir, fmt.Sprintf("vc-%d", i)), data.VC[i].Ballots, store.WriterOptions{})
 			if err != nil {
 				return nil, err
 			}

@@ -27,21 +27,19 @@ var (
 
 // Fig4 runs the latency/throughput-vs-Nv sweeps (4a/4b LAN, 4d/4e WAN) and
 // prints one row per (Nv, clients) point.
-func Fig4(w io.Writer, wan bool, vcs, clients []int, ballots, votesPer, options int, tr TransportOptions) error {
+func Fig4(w io.Writer, wan bool, vcs, clients []int, ballots, votesPer, options int) error {
 	net := "LAN"
 	if wan {
 		net = "WAN"
 	}
-	fmt.Fprintf(w, "# Fig4 %s: vote collection vs #VC (n=%d ballots, m=%d%s)\n",
-		net, ballots, options, tr.label())
+	fmt.Fprintf(w, "# Fig4 %s: vote collection vs #VC (n=%d ballots, m=%d)\n", net, ballots, options)
 	fmt.Fprintf(w, "%-6s %-8s %-14s %-16s\n", "#VC", "cc", "latency(ms)", "throughput(op/s)")
 	for _, cc := range clients {
 		for _, nv := range vcs {
 			res, err := Run(Config{
 				Ballots: ballots, Options: options, VC: nv,
 				Clients: cc, Votes: votesPer, WAN: wan,
-				TransportOptions: tr,
-				Seed:             fmt.Sprintf("fig4-%s-%d-%d", net, nv, cc),
+				Seed: fmt.Sprintf("fig4-%s-%d-%d", net, nv, cc),
 			})
 			if err != nil {
 				return fmt.Errorf("fig4 %s nv=%d cc=%d: %w", net, nv, cc, err)
@@ -54,21 +52,19 @@ func Fig4(w io.Writer, wan bool, vcs, clients []int, ballots, votesPer, options 
 }
 
 // Fig4Clients runs the throughput-vs-concurrency sweeps (4c LAN, 4f WAN).
-func Fig4Clients(w io.Writer, wan bool, vcs, clients []int, ballots, votesPer, options int, tr TransportOptions) error {
+func Fig4Clients(w io.Writer, wan bool, vcs, clients []int, ballots, votesPer, options int) error {
 	net := "LAN"
 	if wan {
 		net = "WAN"
 	}
-	fmt.Fprintf(w, "# Fig4 %s: throughput vs #cc (n=%d ballots, m=%d%s)\n",
-		net, ballots, options, tr.label())
+	fmt.Fprintf(w, "# Fig4 %s: throughput vs #cc (n=%d ballots, m=%d)\n", net, ballots, options)
 	fmt.Fprintf(w, "%-8s %-6s %-16s\n", "cc", "#VC", "throughput(op/s)")
 	for _, nv := range vcs {
 		for _, cc := range clients {
 			res, err := Run(Config{
 				Ballots: ballots, Options: options, VC: nv,
 				Clients: cc, Votes: votesPer, WAN: wan,
-				TransportOptions: tr,
-				Seed:             fmt.Sprintf("fig4c-%s-%d-%d", net, nv, cc),
+				Seed: fmt.Sprintf("fig4c-%s-%d-%d", net, nv, cc),
 			})
 			if err != nil {
 				return fmt.Errorf("fig4c %s nv=%d cc=%d: %w", net, nv, cc, err)
@@ -79,9 +75,9 @@ func Fig4Clients(w io.Writer, wan bool, vcs, clients []int, ballots, votesPer, o
 	return nil
 }
 
-// Fig5a runs the throughput-vs-pool-size sweep on the disk store.
+// Fig5a runs the throughput-vs-pool-size sweep on the segmented disk store.
 func Fig5a(w io.Writer, pools []int, votes, clients int) error {
-	fmt.Fprintf(w, "# Fig5a: throughput vs n (disk store, m=2, %d votes, %d cc)\n", votes, clients)
+	fmt.Fprintf(w, "# Fig5a: throughput vs n (segmented disk store, m=2, %d votes, %d cc)\n", votes, clients)
 	fmt.Fprintf(w, "%-12s %-16s %-12s\n", "n(ballots)", "throughput(op/s)", "setup(s)")
 	for _, n := range pools {
 		res, err := Run(Config{
@@ -105,80 +101,32 @@ func engineLabel(consensus string) string {
 	return consensus
 }
 
-// label annotates a figure header with the non-default channel setup.
-func (tr TransportOptions) label() string {
-	if tr.Batch {
-		return ", batched"
-	}
-	return ""
-}
-
-// Fig5bRow is one row of the Fig. 5b ablation: throughput at m options for
-// each channel configuration, both over the authenticated links.
-type Fig5bRow struct {
-	Options int
-	// Unbatched sends every protocol message as a frame of its own, one MAC
-	// each.
-	Unbatched float64
-	// Batched adds the batched message pipeline — like-for-like with
-	// Unbatched, so the delta isolates the batching win.
-	Batched float64
-}
-
-// Fig5bPoint measures one m for both channel configurations.
-func Fig5bPoint(m, ballots, votes, clients, maxMsgs int) (Fig5bRow, error) {
-	row := Fig5bRow{Options: m}
-	base := Config{
+// Fig5bPoint measures the throughput (receipts per second) at m options.
+func Fig5bPoint(m, ballots, votes, clients int) (float64, error) {
+	res, err := Run(Config{
 		Ballots: ballots, Options: m, VC: 4,
 		Clients: clients, Votes: votes,
+		Seed: fmt.Sprintf("fig5b-%d", m),
+	})
+	if err != nil {
+		return 0, fmt.Errorf("fig5b m=%d: %w", m, err)
 	}
-	// One seed per m across both columns: each configuration votes the
-	// identical generated election, so the delta is transport-only.
-	base.Seed = fmt.Sprintf("fig5b-%d", m)
-	configs := []struct {
-		out  *float64
-		name string
-		tr   TransportOptions
-	}{
-		{&row.Unbatched, "unbatched", TransportOptions{}},
-		{&row.Batched, "batched", TransportOptions{Batch: true, BatchMaxMessages: maxMsgs}},
-	}
-	for _, c := range configs {
-		cfg := base
-		cfg.TransportOptions = c.tr
-		res, err := Run(cfg)
-		if err != nil {
-			return row, fmt.Errorf("fig5b m=%d %s: %w", m, c.name, err)
-		}
-		*c.out = res.Throughput
-	}
-	return row, nil
+	return res.Throughput, nil
 }
 
-// Fig5b runs the throughput-vs-options sweep with the batched-vs-unbatched
-// ablation columns, both over the authenticated links: one MAC per message,
-// and one per batch. The delta quantifies the coalescing win on the LAN
-// profile.
-func Fig5b(w io.Writer, options []int, ballots, votes, clients, maxMsgs int) error {
+// Fig5b runs the throughput-vs-options sweep.
+func Fig5b(w io.Writer, options []int, ballots, votes, clients int) error {
 	fmt.Fprintf(w, "# Fig5b: throughput vs m (n=%d, %d votes, %d cc, 4 VC; authenticated links, self-clocked batching)\n",
 		ballots, votes, clients)
-	fmt.Fprintf(w, "%-6s %-18s %-16s %-10s\n", "m", "unbatched(op/s)", "batched(op/s)", "speedup")
+	fmt.Fprintf(w, "%-6s %-16s\n", "m", "throughput(op/s)")
 	for _, m := range options {
-		row, err := Fig5bPoint(m, ballots, votes, clients, maxMsgs)
+		throughput, err := Fig5bPoint(m, ballots, votes, clients)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-6d %-18.1f %-16.1f %-10.2f\n", m, row.Unbatched, row.Batched, row.Speedup())
+		fmt.Fprintf(w, "%-6d %-16.1f\n", m, throughput)
 	}
 	return nil
-}
-
-// Speedup is Batched over Unbatched (0 when Unbatched is 0).
-func (r Fig5bRow) Speedup() float64 {
-	if r.Unbatched <= 0 {
-		return 0
-	}
-	return r.Batched / r.Unbatched
 }
 
 // Fig5c runs the phase-duration breakdown.

@@ -52,16 +52,10 @@ type Options struct {
 	// (transport.NewAuthenticated, under the EA-dealt link keys); the field
 	// stays only because the bench/ harness sets it.
 	Authenticated bool
-	// BatchWindow turns the batched message pipeline on when > 0: outgoing
-	// inter-VC messages that queue for a peer while its link is busy leave
-	// as one wire.Batch frame under one link tag.
-	// Zero keeps the unbatched per-message path. The transport.Batcher has
-	// no window, so any value > 0 means "batch"; the field stays a duration
-	// because the bench/ harness sets it to transport.DefaultBatchWindow.
+	// BatchWindow does nothing. Inter-VC links are always batched
+	// (transport.NewBatcher over the authenticated link); the field stays
+	// only because the bench/ harness sets it.
 	BatchWindow time.Duration
-	// BatchMaxMessages caps the messages in one batch (default 128; only
-	// meaningful with BatchWindow > 0).
-	BatchMaxMessages int
 	// VCByzantine assigns fault modes to VC nodes by index.
 	VCByzantine map[int]vc.Byzantine
 	// LyingBB marks BB nodes (by index) that serve corrupted reads.
@@ -69,15 +63,8 @@ type Options struct {
 	// ByzantineTrustees marks trustees (by index) that post garbage shares.
 	ByzantineTrustees map[int]trustee.Byzantine
 	// Stores optionally supplies a custom ballot store per VC node index
-	// (e.g. the disk or segmented store for the Fig. 5a experiment).
+	// (e.g. the segmented store for the Fig. 5a experiment).
 	Stores map[int]store.Store
-	// StoreCache wraps every supplied ballot store with the byte-bounded
-	// admission-controlled LRU (store.Cached) of this many bytes — the
-	// paper's cache-vs-database knob for pools that outgrow memory. The
-	// cache is per node incarnation (a restarted node comes back cold) and
-	// is ignored for nodes using the default in-memory store, which has
-	// nothing to cache.
-	StoreCache int64
 	// Workers sizes each VC node's message-processing pool.
 	Workers int
 	// DataDir, when set, gives every VC node a durable runtime-state
@@ -234,26 +221,14 @@ func (c *Cluster) buildVC(i int) (*vc.Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: vc %d: %w", i, err)
 	}
-	var ep transport.Endpoint = auth
-	if opts.BatchWindow > 0 {
-		ep = transport.NewBatcher(ep, transport.BatcherOptions{MaxMessages: opts.BatchMaxMessages})
-	}
-	st := opts.Stores[i]
-	if st != nil && opts.StoreCache > 0 {
-		cached, err := store.NewCached(st, store.CachedOptions{MaxBytes: opts.StoreCache})
-		if err != nil {
-			return nil, fmt.Errorf("core: caching store for vc %d: %w", i, err)
-		}
-		st = cached
-	}
 	engine, err := vc.ParseEngine(opts.Consensus)
 	if err != nil {
 		return nil, err
 	}
 	node, err := vc.New(vc.Config{
 		Init:      data.VC[i],
-		Store:     st,
-		Endpoint:  ep,
+		Store:     opts.Stores[i],
+		Endpoint:  transport.NewBatcher(auth, transport.BatcherOptions{}),
 		Clock:     c.Clock,
 		Coin:      consensus.NewHashCoin([]byte(man.ElectionID)),
 		Engine:    engine,

@@ -302,9 +302,10 @@ func injectUnauthenticated(t *testing.T, c *Cluster) {
 	}
 }
 
-// TestAuthenticatedChannels: links are authenticated with no option set;
-// frames in VC 0's name without its tag never reach VC 1, and the election
-// runs.
+// TestAuthenticatedChannels: links are authenticated and batched with no
+// option set; frames in VC 0's name without its tag never reach VC 1 — the
+// Batcher sits above the link authentication, so a forged batch is dropped
+// whole before it is split — and the election runs.
 func TestAuthenticatedChannels(t *testing.T) {
 	data := testData(t, 3)
 	c, err := NewCluster(data, Options{})
@@ -324,14 +325,11 @@ func TestAuthenticatedChannels(t *testing.T) {
 }
 
 func TestBatchedPipelineFullElection(t *testing.T) {
-	// The batched message pipeline (Authenticated + Batcher endpoints) must
-	// run the complete election — collection, vote-set consensus, push,
-	// tally — exactly like the unbatched path.
+	// The batched message pipeline (Authenticated + Batcher endpoints), with
+	// no option set, runs the complete election — collection, vote-set
+	// consensus, push, tally.
 	data := testData(t, 4)
-	c, err := NewCluster(data, Options{
-		BatchWindow:      500 * time.Microsecond,
-		BatchMaxMessages: 32,
-	})
+	c, err := NewCluster(data, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,27 +342,6 @@ func TestBatchedPipelineFullElection(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCounts(t, res, []int64{2, 1, 1})
-}
-
-func TestBatchedUnauthenticatedPipeline(t *testing.T) {
-	// Unauthenticated frames on a batched cluster: the Batcher sits above
-	// the link authentication, so a forged batch is dropped whole before it
-	// is split.
-	data := testData(t, 3)
-	c, err := NewCluster(data, Options{BatchWindow: 300 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	injectUnauthenticated(t, c)
-	castAll(t, c, []int{2, 2, 1})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	res, err := c.RunPipeline(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCounts(t, res, []int64{0, 1, 2})
 }
 
 func TestSafetyReceiptImpliesTallied(t *testing.T) {

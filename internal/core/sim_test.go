@@ -58,10 +58,7 @@ func TestBatchedAuthenticatedElectionOnSim(t *testing.T) {
 	// The full production stack — Authenticated + Batcher endpoints — with
 	// the link latency on the virtual clock.
 	drv := sim.New(sim.Config{})
-	c := newSimCluster(t, 4, drv, Options{
-		BatchWindow:      500 * time.Microsecond,
-		BatchMaxMessages: 32,
-	})
+	c := newSimCluster(t, 4, drv, Options{})
 	castAll(t, c, []int{0, 1, 2, 0})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()

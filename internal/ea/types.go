@@ -165,13 +165,13 @@ type VCInit struct {
 	// is nil. Node j's payload holds the same key at index Index.
 	LinkKeys [][]byte
 	// Ballots is the node's ballot store content (hash commitments, salts,
-	// receipt shares), rows in the same shuffled order as the BB. Legacy
-	// whole-pool payloads carry it inline; segment-emitting setups leave it
+	// receipt shares), rows in the same shuffled order as the BB. In-process
+	// setups carry it inline; the vc-<i>.gob files ddemos-ea writes leave it
 	// nil and set BallotsDir instead.
 	Ballots []*store.BallotData
-	// BallotsDir, when non-empty, points at a pre-built segment directory
-	// (store.OpenSegmented layout) holding the node's ballot pool, so the
-	// VC boots without ever decoding the pool into memory.
+	// BallotsDir points at a pre-built segment directory (store.OpenSegmented
+	// layout) holding the node's ballot pool, so the VC boots without ever
+	// decoding the pool into memory. ddemos-vc refuses a payload without it.
 	BallotsDir string
 }
 

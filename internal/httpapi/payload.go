@@ -3,8 +3,8 @@ package httpapi
 import (
 	"bufio"
 	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -14,21 +14,15 @@ import (
 
 // Streaming init payloads.
 //
-// Legacy EA payloads are one gob value holding the whole pool
-// ([]*ballot.Ballot in ballots.gob; BBInit/TrusteeInit with populated
-// Ballots), so both ends need O(pool) memory just to move data. Streamed
-// payloads keep the gob stream but split it into values: a slim header
-// value first (the init struct with Ballots nil, or BallotsStreamHeader for
-// the voter pool), then one value per ballot in serial order. A reader can
-// consume them one at a time; a writer emits them as setup generates them.
-//
-// BBInit/TrusteeInit readers sniff the format for free: decode the struct,
-// and if Ballots is empty while the manifest says the pool is not, the
-// per-ballot values follow on the stream. ballots.gob needs an explicit
-// header because its legacy form is a bare slice.
+// EA payloads are gob streams split into values: a slim header value first
+// (the init struct with Ballots nil, or BallotsStreamHeader for the voter
+// pool), then one value per ballot in serial order. A reader can consume
+// them one at a time; a writer emits them as setup generates them. The
+// retired layout held the whole pool in one gob value (a bare
+// []*ballot.Ballot in ballots.gob, BBInit/TrusteeInit with Ballots filled);
+// the readers refuse it by name.
 
-// BallotsStreamMagic marks a streamed ballots.gob; legacy files hold a bare
-// []*ballot.Ballot gob value instead.
+// BallotsStreamMagic marks a streamed ballots.gob.
 const BallotsStreamMagic = "ddemos-ballots-stream-v1"
 
 // BallotsStreamHeader is the first gob value of a streamed ballots.gob;
@@ -132,88 +126,63 @@ func ReadGobFile(path string, v any) error {
 	return nil
 }
 
-// ReadBallotsFile loads a voter ballot pool from either format: a streamed
-// file (BallotsStreamHeader + per-ballot values) or a legacy bare
-// []*ballot.Ballot gob.
+// errWholePool refuses the retired payload layout that held a whole ballot
+// pool in one gob value.
+var errWholePool = errors.New("a whole-pool payload from an older ddemos-ea is not read: re-run ddemos-ea")
+
+// readStream reads the streamed payload at path: its header value into hdr,
+// then count() values of V. count runs once the header is decoded and may
+// refuse it.
+func readStream[V any](path string, hdr any, count func() (int, error)) ([]V, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("httpapi: open %s: %w", path, err)
+	}
+	defer func() { _ = f.Close() }()
+	dec := gob.NewDecoder(bufio.NewReaderSize(f, 1<<20))
+	if err := dec.Decode(hdr); err != nil {
+		return nil, fmt.Errorf("httpapi: decode %s: %w; if an older ddemos-ea wrote it, re-run ddemos-ea", path, err)
+	}
+	n, err := count()
+	if err == nil && n < 0 {
+		err = fmt.Errorf("header promises %d values", n)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("httpapi: %s: %w", path, err)
+	}
+	vals := make([]V, n)
+	for i := range vals {
+		if err := dec.Decode(&vals[i]); err != nil {
+			return nil, fmt.Errorf("httpapi: decode %s value %d/%d: %w", path, i+1, n, err)
+		}
+	}
+	return vals, nil
+}
+
+// ReadBallotsFile loads a voter ballot pool: a BallotsStreamHeader, then one
+// value per ballot.
 func ReadBallotsFile(path string) ([]*ballot.Ballot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: open %s: %w", path, err)
-	}
-	defer func() { _ = f.Close() }()
-	dec := gob.NewDecoder(bufio.NewReaderSize(f, 1<<20))
 	var hdr BallotsStreamHeader
-	if err := dec.Decode(&hdr); err == nil && hdr.Magic == BallotsStreamMagic {
-		ballots := make([]*ballot.Ballot, 0, hdr.NumBallots)
-		for i := 0; i < hdr.NumBallots; i++ {
-			var b ballot.Ballot
-			if err := dec.Decode(&b); err != nil {
-				return nil, fmt.Errorf("httpapi: decode %s ballot %d/%d: %w", path, i+1, hdr.NumBallots, err)
-			}
-			ballots = append(ballots, &b)
+	return readStream[*ballot.Ballot](path, &hdr, func() (int, error) {
+		if hdr.Magic != BallotsStreamMagic {
+			return 0, errWholePool
 		}
-		return ballots, nil
-	}
-	// Legacy format: one gob value holding the whole slice.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("httpapi: rewind %s: %w", path, err)
-	}
-	var ballots []*ballot.Ballot
-	if err := gob.NewDecoder(bufio.NewReaderSize(f, 1<<20)).Decode(&ballots); err != nil {
-		return nil, fmt.Errorf("httpapi: decode %s: %w", path, err)
-	}
-	return ballots, nil
+		return hdr.NumBallots, nil
+	})
 }
 
-// ReadBBInitFile loads a BB initialization payload from either format. A
-// streamed file carries the slim BBInit first and NumBallots BBBallot
-// values after it; a legacy file carries everything in the struct.
-func ReadBBInitFile(path string) (*ea.BBInit, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: open %s: %w", path, err)
-	}
-	defer func() { _ = f.Close() }()
-	dec := gob.NewDecoder(bufio.NewReaderSize(f, 1<<20))
-	var init ea.BBInit
-	if err := dec.Decode(&init); err != nil {
-		return nil, fmt.Errorf("httpapi: decode %s: %w", path, err)
-	}
-	if len(init.Ballots) == 0 && init.Manifest.NumBallots > 0 {
-		init.Ballots = make([]ea.BBBallot, 0, init.Manifest.NumBallots)
-		for i := 0; i < init.Manifest.NumBallots; i++ {
-			var b ea.BBBallot
-			if err := dec.Decode(&b); err != nil {
-				return nil, fmt.Errorf("httpapi: decode %s bb ballot %d/%d: %w", path, i+1, init.Manifest.NumBallots, err)
-			}
-			init.Ballots = append(init.Ballots, b)
+// ReadInitFile loads a streamed BB or trustee init payload (ea.BBInit,
+// ea.TrusteeInit) into init: the slim struct, then one B value per ballot of
+// *manifest into *ballots. manifest and ballots point into init. A struct
+// that carries its ballots inline is the retired whole-pool layout and is
+// refused.
+func ReadInitFile[B any](path string, init any, manifest *ea.Manifest, ballots *[]B) error {
+	vals, err := readStream[B](path, init, func() (int, error) {
+		if len(*ballots) > 0 {
+			return 0, errWholePool
 		}
-	}
-	return &init, nil
-}
-
-// ReadTrusteeInitFile loads a trustee initialization payload from either
-// format (same convention as ReadBBInitFile).
-func ReadTrusteeInitFile(path string) (*ea.TrusteeInit, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: open %s: %w", path, err)
-	}
-	defer func() { _ = f.Close() }()
-	dec := gob.NewDecoder(bufio.NewReaderSize(f, 1<<20))
-	var init ea.TrusteeInit
-	if err := dec.Decode(&init); err != nil {
-		return nil, fmt.Errorf("httpapi: decode %s: %w", path, err)
-	}
-	if len(init.Ballots) == 0 && init.Manifest.NumBallots > 0 {
-		init.Ballots = make([]ea.TrusteeBallot, 0, init.Manifest.NumBallots)
-		for i := 0; i < init.Manifest.NumBallots; i++ {
-			var b ea.TrusteeBallot
-			if err := dec.Decode(&b); err != nil {
-				return nil, fmt.Errorf("httpapi: decode %s trustee ballot %d/%d: %w", path, i+1, init.Manifest.NumBallots, err)
-			}
-			init.Ballots = append(init.Ballots, b)
-		}
-	}
-	return &init, nil
+		return manifest.NumBallots, nil
+	})
+	*ballots = vals
+	return err
 }

@@ -25,10 +25,8 @@
 // and segment deletion only leaves extra records the snapshot already
 // covers.
 //
-// A directory written by the retired single-WAL engine (marker "single",
-// files "wal" and "snapshot") opens as one lane: its two files replay ahead
-// of lane 0 and are deleted, like sealed segments, by the first completed
-// lane-0 snapshot.
+// A directory written by the retired single-WAL engine (files "wal" and
+// "snapshot") is refused at open, naming that engine, and left untouched.
 package journal
 
 import (
@@ -40,13 +38,8 @@ import (
 	"time"
 )
 
-// File names inside a data directory. The two legacy names are what the
-// retired single-WAL engine wrote.
-const (
-	formatFile         = "FORMAT"
-	legacyWALFile      = "wal"
-	legacySnapshotFile = "snapshot"
-)
+// formatFile is the lane-count marker inside a data directory.
+const formatFile = "FORMAT"
 
 // AckPolicy selects what a node does when a journal append fails while an
 // externally visible ack (ENDORSEMENT reply, receipt release, consensus
@@ -199,9 +192,8 @@ func recLane(rec []byte, lanes int) int {
 }
 
 // formatMarker is the FORMAT file's content for a lane count. One lane keeps
-// the retired single-WAL engine's spelling, so its directories need no
-// rewrite and a binary that predates this package refuses a lane-layout
-// directory on structure rather than misreading the marker.
+// the retired single-WAL engine's spelling, "single", so existing one-lane
+// directories keep their marker.
 func formatMarker(lanes int) string {
 	if lanes == 1 {
 		return "single"

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -244,10 +246,10 @@ func writeLegacyDir(t *testing.T, dir string, marker bool, snap, log [][]byte) {
 			t.Fatal(err)
 		}
 	}
-	if err := store.WriteWALFile(filepath.Join(dir, legacySnapshotFile), snap); err != nil {
+	if err := store.WriteWALFile(filepath.Join(dir, "snapshot"), snap); err != nil {
 		t.Fatal(err)
 	}
-	w, err := store.OpenWAL(filepath.Join(dir, legacyWALFile), store.WALOptions{})
+	w, err := store.OpenWAL(filepath.Join(dir, "wal"), store.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,55 +261,45 @@ func writeLegacyDir(t *testing.T, dir string, marker bool, snap, log [][]byte) {
 	}
 }
 
-// TestLegacySingleDirAdopted: a directory written by the retired single-WAL
-// engine opens as one lane, replays the same records, refuses a pool
-// without being poisoned (marker or no marker), and loses its `wal` and
-// `snapshot` to the first completed lane-0 snapshot — after which it still
-// replays the same state.
-func TestLegacySingleDirAdopted(t *testing.T) {
-	snap := [][]byte{testRec(1, "a"), testRec(2, "b")}
-	log := [][]byte{testRec(2, "b"), testRec(3, "c")}
+// dirFiles maps every file name in dir to its content.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// TestLegacySingleDirRefused: a directory written by the retired single-WAL
+// engine (marker or no marker) is refused at any pool size, with an error
+// that names that engine, and no file in it is created, changed or removed.
+func TestLegacySingleDirRefused(t *testing.T) {
 	for _, marker := range []bool{true, false} {
 		t.Run(fmt.Sprintf("marker=%v", marker), func(t *testing.T) {
 			dir := t.TempDir()
-			writeLegacyDir(t, dir, marker, snap, log)
-			if _, err := Open(dir, Options{Pool: 4}); err == nil {
-				t.Fatal("4-lane open of a single-WAL dir must fail")
-			}
-
-			j := mustOpen(t, dir, Options{SnapshotEvery: 2})
-			got := replayAll(t, j)
-			if want := append(append([][]byte(nil), snap...), log...); !equalRecs(got, want) {
-				t.Fatalf("adopted dir replayed %q, want %q", got, want)
-			}
-			// New appends land in the lane layout; the second crosses the
-			// cadence, and the capture deletes the legacy files.
-			state := [][]byte{testRec(1, "a"), testRec(2, "b"), testRec(3, "c"), testRec(4, "d"), testRec(5, "e")}
-			if err := j.Append(state[3:]); err != nil {
-				t.Fatal(err)
-			}
-			done := make(chan error, 1)
-			j.MaybeSnapshot(func(lane, lanes int) [][]byte { return state }, func(err error) { done <- err })
-			if err := j.Close(); err != nil { // waits out the capture
-				t.Fatal(err)
-			}
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
+			writeLegacyDir(t, dir, marker, [][]byte{testRec(1, "a")}, [][]byte{testRec(2, "b")})
+			before := dirFiles(t, dir)
+			for _, pool := range []int{1, 4} {
+				j, err := Open(dir, Options{Pool: pool})
+				if err == nil {
+					_ = j.Close()
+					t.Fatalf("pool %d opened a single-WAL dir", pool)
 				}
-			default:
-				t.Fatal("snapshot cadence did not trigger")
-			}
-			for _, name := range []string{legacyWALFile, legacySnapshotFile} {
-				if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-					t.Fatalf("legacy file %q survived the first snapshot (err=%v)", name, err)
+				if !strings.Contains(err.Error(), "single-WAL") {
+					t.Fatalf("pool %d: error %q does not name the single-WAL engine", pool, err)
 				}
 			}
-			j2 := mustOpen(t, dir, Options{})
-			defer func() { _ = j2.Close() }()
-			if got := replayAll(t, j2); !equalRecs(got, state) {
-				t.Fatalf("after the snapshot cycle the dir replays %q, want %q", got, state)
+			if after := dirFiles(t, dir); !maps.Equal(after, before) {
+				t.Fatalf("refused dir changed: %d files before, %d after", len(before), len(after))
 			}
 		})
 	}

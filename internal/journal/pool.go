@@ -82,13 +82,12 @@ func Open(dir string, opts Options) (Backend, error) {
 		return nil, fmt.Errorf("journal: dir %s: %w", dir, err)
 	}
 	opts = opts.withDefaults()
-	// Before the marker stamp: a single-WAL directory whose marker is
-	// missing must stay reopenable with one lane, not get a pool's marker
-	// while its records sit where no lane replays them.
-	legacy := legacyFiles(dir)
-	if len(legacy) > 0 && opts.Pool > 1 {
-		return nil, fmt.Errorf("journal: dir %s holds single-WAL records; "+
-			"reopen with -journal-pool 1", dir)
+	// Before the marker stamp, so a refused directory is left as it was.
+	for _, name := range []string{"wal", "snapshot"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return nil, fmt.Errorf("journal: dir %s holds %q, written by the retired single-WAL engine, "+
+				"which this build does not replay; start the node on a fresh directory", dir, name)
+		}
 	}
 	if err := checkFormat(dir, formatMarker(opts.Pool)); err != nil {
 		return nil, err
@@ -113,22 +112,7 @@ func Open(dir string, opts Options) (Backend, error) {
 		}
 		p.lanes = append(p.lanes, lane)
 	}
-	// The single-WAL engine's files ride along as sealed segments of the one
-	// lane: replayed until its first snapshot covers and deletes them.
-	p.lanes[0].sealed = append(legacy, p.lanes[0].sealed...)
 	return p, nil
-}
-
-// legacyFiles lists the retired single-WAL engine's files present in dir.
-func legacyFiles(dir string) []string {
-	var out []string
-	for _, name := range []string{legacySnapshotFile, legacyWALFile} {
-		path := filepath.Join(dir, name)
-		if _, err := os.Stat(path); err == nil {
-			out = append(out, path)
-		}
-	}
-	return out
 }
 
 // openJournalLane opens lane idx over its existing segments: all but the
@@ -190,9 +174,8 @@ func laneFiles(dir string) (segs map[int][]uint64, maxLane int, err error) {
 }
 
 // Replay implements Backend: per lane, the snapshot then every segment in
-// sequence order, the one lane of a single-WAL directory preceded by that
-// engine's two files. Lane order is irrelevant — records are
-// order-independent facts.
+// sequence order. Lane order is irrelevant — records are order-independent
+// facts.
 func (p *pool) Replay(fn func(payload []byte) error) error {
 	t0 := time.Now()
 	total := 0
@@ -201,13 +184,7 @@ func (p *pool) Replay(fn func(payload []byte) error) error {
 		return err
 	}
 	for _, lane := range p.lanes {
-		var paths []string
-		if len(p.lanes) == 1 {
-			// Unconditional, not legacyFiles: a missing file replays nothing,
-			// an unreadable one must fail the recovery.
-			paths = append(paths, filepath.Join(p.dir, legacySnapshotFile), filepath.Join(p.dir, legacyWALFile))
-		}
-		paths = append(paths, filepath.Join(p.dir, laneSnapshotName(lane.idx)))
+		paths := []string{filepath.Join(p.dir, laneSnapshotName(lane.idx))}
 		for _, seq := range segs[lane.idx] {
 			// The active segment is among these; ReplayWAL opens read-only,
 			// which is safe before any post-recovery append.

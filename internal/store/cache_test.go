@@ -2,7 +2,6 @@ package store
 
 import (
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -53,8 +52,7 @@ func newSingleShardCache(t *testing.T, inner Store, maxBytes int64, pureLRU bool
 func TestCacheChargesTheRecord(t *testing.T) {
 	const n, m = 3, 4
 	ballots := fabricateBallots(1, n, m)
-	path := filepath.Join(t.TempDir(), "cost.store")
-	d, err := CreateDisk(path, ballots)
+	d, path, err := createDisk(t.TempDir(), ballots)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,50 +103,7 @@ func encodeRecord(rec []byte, b *BallotData, m int) {
 	copy(rec[off+sigSize:], b.NodePath)
 }
 
-// CreateDisk writes all ballots to the file name. Ballots must have dense
-// serials (first, first+1, ...) in order, all with the same number of
-// options and of NodePath hashes.
-func CreateDisk(name string, ballots []*BallotData) (*Disk, error) {
-	if len(ballots) == 0 {
-		return nil, fmt.Errorf("store: no ballots to write")
-	}
-	m, path, err := ballotGeometry(ballots[0])
-	if err != nil {
-		return nil, err
-	}
-	first := ballots[0].Serial
-	f, err := os.Create(name)
-	if err != nil {
-		return nil, fmt.Errorf("store: create %s: %w", name, err)
-	}
-	if _, err := f.Write(encodeDiskHeader(m, path, first, uint64(len(ballots)))); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("store: write header: %w", err)
-	}
-	rec := make([]byte, recordSize(2*m, path))
-	for i, b := range ballots {
-		if b.Serial != first+uint64(i) { //nolint:gosec // dense serials
-			_ = f.Close()
-			return nil, fmt.Errorf("store: serial %d not dense (want %d)", b.Serial, first+uint64(i))
-		}
-		if err := checkGeometry(b, m, path); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		encodeRecord(rec, b, m)
-		if _, err := f.Write(rec); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("store: write ballot %d: %w", b.Serial, err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("store: sync: %w", err)
-	}
-	return &Disk{f: f, m: m, path: path, firstSerial: first, count: uint64(len(ballots))}, nil
-}
-
-// OpenDisk opens an existing store file.
+// OpenDisk opens an existing store file (one segment of a Segmented store).
 func OpenDisk(name string) (*Disk, error) {
 	f, err := os.Open(name)
 	if err != nil {

@@ -13,8 +13,7 @@ import (
 // valid flat store for its range) described by a MANIFEST.json. Lookups
 // stay one positional read — segment index is computed, not searched — and
 // EA setup can stream-write segments through a Writer without ever holding
-// the whole pool in memory, which the single flat file's CreateDisk
-// requires.
+// the whole pool in memory.
 //
 // Directory layout:
 //
@@ -182,8 +181,7 @@ type WriterOptions struct {
 // Finish leaves an unopenable (clearly partial) directory.
 //
 // Ballots must arrive with dense ascending serials and a consistent option
-// count, exactly as CreateDisk requires. Writer is not safe for concurrent
-// use.
+// count and NodePath length. Writer is not safe for concurrent use.
 type Writer struct {
 	dir        string
 	segBallots int

@@ -137,12 +137,11 @@ func TestSegmentFilesAreFlatStores(t *testing.T) {
 	}
 }
 
-// TestOpenDiskFlatFile round-trips the single flat file — that path must
-// keep working alongside the segmented store.
+// TestOpenDiskFlatFile round-trips a whole pool through one flat file (a
+// one-segment store's only segment), reopened with OpenDisk.
 func TestOpenDiskFlatFile(t *testing.T) {
 	ballots := fabricateBallots(7, 500, 4)
-	path := filepath.Join(t.TempDir(), "flat.store")
-	d, err := CreateDisk(path, ballots)
+	d, path, err := createDisk(t.TempDir(), ballots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +229,8 @@ func TestSegmentedManifestOverhangRejected(t *testing.T) {
 	}
 }
 
-// TestWriterRejectsSparseSerials: the dense-serial contract of CreateDisk
-// holds for the streaming path too.
+// TestWriterRejectsSparseSerials: the Writer takes dense serials only, one
+// Append at a time.
 func TestWriterRejectsSparseSerials(t *testing.T) {
 	w, err := NewWriter(t.TempDir(), WriterOptions{})
 	if err != nil {

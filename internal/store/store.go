@@ -7,7 +7,8 @@
 //   - Mem: an in-memory map — the paper's "database eliminated" cache
 //     configuration used for the Fig. 4 scalability runs.
 //   - Disk: one flat fixed-record file (v3), standing in for the paper's
-//     PostgreSQL store; lookups cost one positional read.
+//     PostgreSQL store; lookups cost one positional read. Disk files are
+//     only written as the segments of a Segmented store.
 //   - Segmented: the pool sharded by serial range across fixed-record
 //     segment files plus a manifest. A streaming Writer lets EA setup emit
 //     segments without holding the whole pool in memory; each segment file

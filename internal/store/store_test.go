@@ -34,6 +34,22 @@ func makeBallots(t *testing.T, first uint64, n, m int) []*BallotData {
 	return out
 }
 
+// createDisk writes ballots into dir as a one-segment store and opens that
+// segment, a flat store for its range, as a Disk; it also returns the
+// segment file's path.
+func createDisk(dir string, ballots []*BallotData) (*Disk, string, error) {
+	seg, err := CreateSegmented(dir, ballots, WriterOptions{SegmentBallots: max(1, len(ballots))})
+	if err != nil {
+		return nil, "", err
+	}
+	if err := seg.Close(); err != nil {
+		return nil, "", err
+	}
+	path := filepath.Join(dir, "ballots-0.seg")
+	d, err := OpenDisk(path)
+	return d, path, err
+}
+
 func TestMemStore(t *testing.T) {
 	ballots := makeBallots(t, 1, 10, 3)
 	s := NewMem(ballots)
@@ -54,9 +70,8 @@ func TestMemStore(t *testing.T) {
 }
 
 func TestDiskStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "vc.store")
 	ballots := makeBallots(t, 1, 25, 4)
-	d, err := CreateDisk(path, ballots)
+	d, path, err := createDisk(t.TempDir(), ballots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,32 +126,32 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 
 func TestDiskStoreValidation(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := CreateDisk(filepath.Join(dir, "x"), nil); err == nil {
+	if _, _, err := createDisk(filepath.Join(dir, "x"), nil); err == nil {
 		t.Fatal("empty ballots must fail")
 	}
 	// Non-dense serials.
 	bad := makeBallots(t, 1, 3, 2)
 	bad[2].Serial = 9
-	if _, err := CreateDisk(filepath.Join(dir, "y"), bad); err == nil {
+	if _, _, err := createDisk(filepath.Join(dir, "y"), bad); err == nil {
 		t.Fatal("non-dense serials must fail")
 	}
 	// Inconsistent line counts.
 	bad2 := makeBallots(t, 1, 2, 2)
 	bad2[1].Lines[0] = bad2[1].Lines[0][:1]
-	if _, err := CreateDisk(filepath.Join(dir, "z"), bad2); err == nil {
+	if _, _, err := createDisk(filepath.Join(dir, "z"), bad2); err == nil {
 		t.Fatal("inconsistent lines must fail")
 	}
 	// Node paths of another length, or not whole hashes.
 	bad3 := makeBallots(t, 1, 2, 2)
 	bad3[1].NodePath = bad3[1].NodePath[:hashSize]
-	if _, err := CreateDisk(filepath.Join(dir, "p"), bad3); err == nil {
+	if _, _, err := createDisk(filepath.Join(dir, "p"), bad3); err == nil {
 		t.Fatal("inconsistent node paths must fail")
 	}
 	bad4 := makeBallots(t, 1, 2, 2)
 	for _, b := range bad4 {
 		b.NodePath = b.NodePath[:hashSize+1]
 	}
-	if _, err := CreateDisk(filepath.Join(dir, "q"), bad4); err == nil {
+	if _, _, err := createDisk(filepath.Join(dir, "q"), bad4); err == nil {
 		t.Fatal("a node path that is not whole hashes must fail")
 	}
 }
@@ -160,8 +175,7 @@ func TestOpenDiskRejectsGarbage(t *testing.T) {
 // node path — is refused with an error that names its version, before any
 // record is read, by OpenDisk and by OpenSegmented.
 func TestOpenDiskVersions(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "versioned.store")
-	d, err := CreateDisk(path, makeBallots(t, 1, 3, 2))
+	d, path, err := createDisk(t.TempDir(), makeBallots(t, 1, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +233,7 @@ func TestOpenDiskVersions(t *testing.T) {
 }
 
 func TestDiskStoreConcurrentReads(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "conc.store")
-	ballots := makeBallots(t, 1, 100, 2)
-	d, err := CreateDisk(path, ballots)
+	d, _, err := createDisk(t.TempDir(), makeBallots(t, 1, 100, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +266,7 @@ func TestDiskStoreConcurrentReads(t *testing.T) {
 }
 
 func TestOpenDiskRejectsTruncatedStore(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "trunc.store")
-	ballots := makeBallots(t, 1, 10, 3)
-	d, err := CreateDisk(path, ballots)
+	d, path, err := createDisk(t.TempDir(), makeBallots(t, 1, 10, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +294,7 @@ func TestOpenDiskRejectsTruncatedStore(t *testing.T) {
 }
 
 func TestDiskGetAfterCloseFailsCleanly(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "closed.store")
-	d, err := CreateDisk(path, makeBallots(t, 1, 5, 2))
+	d, _, err := createDisk(t.TempDir(), makeBallots(t, 1, 5, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +309,7 @@ func TestDiskGetAfterCloseFailsCleanly(t *testing.T) {
 // TestDiskGetCloseRace drives Get concurrently with Close: every Get must
 // either succeed or return an error — never nil-deref the closed file.
 func TestDiskGetCloseRace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "race.store")
-	d, err := CreateDisk(path, makeBallots(t, 1, 50, 2))
+	d, _, err := createDisk(t.TempDir(), makeBallots(t, 1, 50, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,14 +348,13 @@ func BenchmarkMemGet(b *testing.B) {
 }
 
 func BenchmarkDiskGet(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "bench.store")
 	ballots := make([]*BallotData, 10000)
 	for i := range ballots {
 		ballots[i] = &BallotData{Serial: uint64(i + 1)}
 		ballots[i].Lines[0] = make([]Line, 4)
 		ballots[i].Lines[1] = make([]Line, 4)
 	}
-	d, err := CreateDisk(path, ballots)
+	d, _, err := createDisk(b.TempDir(), ballots)
 	if err != nil {
 		b.Fatal(err)
 	}

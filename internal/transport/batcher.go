@@ -9,44 +9,27 @@ import (
 	"ddemos/internal/wire"
 )
 
-// DefaultBatchWindow is kept for callers that still switch batching on with
-// a duration: core.Options.BatchWindow, which the bench/ harness and
-// internal/benchmark set to this. The Batcher has no window: any duration
-// > 0 means "batch".
+// DefaultBatchWindow does nothing. Every VC node batches and the Batcher has
+// no window; the constant stays only because the bench/ harness reads it.
 const DefaultBatchWindow = 200 * time.Microsecond
 
-// BatcherOptions bounds the batches a Batcher cuts.
+// Batch bounds. batchMaxMessages stays within wire.MaxBatchFrames so every
+// batch is decodable at the receiver. batchMaxBytes keeps every encoded batch
+// (payload + one possible frame over the threshold + per-frame length
+// prefixes) well under maxTCPFrame, or a flush would be rejected by the
+// receiving TCP read loop.
+const (
+	batchMaxMessages = min(128, wire.MaxBatchFrames)
+	batchMaxBytes    = min(512<<10, maxTCPFrame/2)
+)
+
+// BatcherOptions configures a Batcher.
 type BatcherOptions struct {
-	// MaxMessages caps the messages in one batch (default 128, clamped to
-	// wire.MaxBatchFrames so every batch stays decodable at the receiver).
-	MaxMessages int
-	// MaxBytes caps one batch's payload bytes (default 512 KiB), keeping
-	// batches under frame limits on every transport.
-	MaxBytes int
 	// OnSendError, when set, observes every flush that failed to send some
 	// batch (flushes run on their own goroutine and have no caller to return
 	// an error to; without a hook those drops are invisible outside the
 	// SendErrors counter).
 	OnSendError func(to NodeID, err error)
-}
-
-func (o BatcherOptions) withDefaults() BatcherOptions {
-	if o.MaxMessages <= 0 {
-		o.MaxMessages = 128
-	}
-	if o.MaxMessages > wire.MaxBatchFrames {
-		o.MaxMessages = wire.MaxBatchFrames
-	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 512 << 10
-	}
-	// Keep every encoded batch (payload + one possible frame over the
-	// threshold + per-frame length prefixes) well under maxTCPFrame, or a
-	// flush would be rejected by the receiving TCP read loop.
-	if o.MaxBytes > maxTCPFrame/2 {
-		o.MaxBytes = maxTCPFrame / 2
-	}
-	return o
 }
 
 // Batcher wraps an Endpoint and coalesces outgoing payloads per destination
@@ -55,10 +38,10 @@ func (o BatcherOptions) withDefaults() BatcherOptions {
 // starts one. The flusher yields once, then drains the queue until it finds
 // it empty. A frame on an idle link therefore leaves at once, and the frames
 // that queue while one batch is being tagged and sent form the next batch,
-// cut at MaxMessages and MaxBytes. Batches grow with load instead of with a
-// wait. The receive path splits incoming Batch frames back into individual
-// Envelopes, so the layers above see the ordinary one-message-per-envelope
-// contract on both Memnet and TCP.
+// cut at batchMaxMessages and batchMaxBytes. Batches grow with load instead
+// of with a wait. The receive path splits incoming Batch frames back into
+// individual Envelopes and passes plain frames on, so the layers above see
+// the ordinary one-message-per-envelope contract on both Memnet and TCP.
 //
 // Payloads must be wire frames (every inter-VC message is): the unbatching
 // path distinguishes batches by the leading wire.Kind byte. Stacked outside
@@ -101,7 +84,7 @@ var _ Endpoint = (*Batcher)(nil)
 func NewBatcher(inner Endpoint, opts BatcherOptions) *Batcher {
 	b := &Batcher{
 		inner:  inner,
-		opts:   opts.withDefaults(),
+		opts:   opts,
 		queues: make(map[NodeID]*destQueue),
 		out:    make(chan Envelope, 256),
 		done:   make(chan struct{}),
@@ -195,8 +178,8 @@ func (b *Batcher) take(q *destQueue, flusher bool) [][]byte {
 }
 
 // sendChunks hands frames to the inner endpoint in batches cut at
-// MaxMessages and MaxBytes. A chunk always takes at least one frame — a lone
-// frame above MaxBytes still fits every transport, since batchable frames
+// batchMaxMessages and batchMaxBytes. A chunk always takes at least one frame
+// — a lone frame above batchMaxBytes still fits every transport, since batchable frames
 // are capped at wire.MaxBatchableFrame. After a failed chunk the rest are
 // still attempted — the inner endpoint redials on failure, so one dead
 // connection must not drop the rest of the queue the way it would not have
@@ -205,8 +188,8 @@ func (b *Batcher) sendChunks(to NodeID, frames [][]byte) error {
 	var firstErr error
 	for len(frames) > 0 {
 		cut, bytes := 0, 0
-		for cut < len(frames) && cut < b.opts.MaxMessages {
-			if cut > 0 && bytes+len(frames[cut]) > b.opts.MaxBytes {
+		for cut < len(frames) && cut < batchMaxMessages {
+			if cut > 0 && bytes+len(frames[cut]) > batchMaxBytes {
 				break
 			}
 			bytes += len(frames[cut])

@@ -121,6 +121,15 @@ func serials(t *testing.T, payload []byte) []uint64 {
 	return out
 }
 
+// serialRange is the serials first..last.
+func serialRange(first, last int) []uint64 {
+	out := make([]uint64, 0, last-first+1)
+	for i := first; i <= last; i++ {
+		out = append(out, uint64(i)) //nolint:gosec // test data
+	}
+	return out
+}
+
 func TestBatcherIdleLinkSendsAtOnce(t *testing.T) {
 	// No timer stands between an idle link and the inner endpoint: the
 	// frame is handed on unwrapped with no clock in the test at all.
@@ -133,24 +142,29 @@ func TestBatcherIdleLinkSendsAtOnce(t *testing.T) {
 }
 
 func TestBatcherQueuedFramesFormTheNextBatch(t *testing.T) {
-	// One frame in flight, five queued behind it: when the in-flight send
+	// One frame in flight, more queued behind it: when the in-flight send
 	// returns, the queue leaves in order as the next send, cut at
-	// MaxMessages and MaxBytes.
+	// batchMaxMessages and batchMaxBytes.
 	for _, tc := range []struct {
 		name   string
-		opts   BatcherOptions
+		frame  func(int) []byte
+		queued int
 		chunks [][]uint64
 	}{
-		{"one batch", BatcherOptions{}, [][]uint64{{1, 2, 3, 4, 5}}},
-		{"MaxMessages", BatcherOptions{MaxMessages: 2}, [][]uint64{{1, 2}, {3, 4}, {5}}},
-		{"MaxBytes", BatcherOptions{MaxBytes: 2 * len(testFrame(0))}, [][]uint64{{1, 2}, {3, 4}, {5}}},
+		{"one batch", testFrame, 5, [][]uint64{{1, 2, 3, 4, 5}}},
+		{"MaxMessages", testFrame, batchMaxMessages + 1, [][]uint64{
+			serialRange(1, batchMaxMessages), {batchMaxMessages + 1},
+		}},
+		{"MaxBytes", bigFrame, 5, [][]uint64{{1, 2}, {3, 4}, {5}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b, g := newGatedBatcher(t, tc.opts)
+			b, g := newGatedBatcher(t, BatcherOptions{})
 			mustSend(t, b, 2, 0)
 			<-g.entered // frame 0 is held in the inner send
-			for i := 1; i <= 5; i++ {
-				mustSend(t, b, 2, i)
+			for i := 1; i <= tc.queued; i++ {
+				if err := b.Send(2, tc.frame(i)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			close(g.pass)
 			want := append([][]uint64{{0}}, tc.chunks...)
@@ -179,7 +193,6 @@ func TestBatcherDeferredFlushErrorSurfacesAndDropsOnlyThatChunk(t *testing.T) {
 	// later chunks from being attempted.
 	hooked := make(chan NodeID, 2) // one per failing flush
 	b, g := newGatedBatcher(t, BatcherOptions{
-		MaxMessages: 2,
 		OnSendError: func(to NodeID, err error) { hooked <- to },
 	})
 	g.fail = map[int]bool{1: true, 3: true}
@@ -196,12 +209,14 @@ func TestBatcherDeferredFlushErrorSurfacesAndDropsOnlyThatChunk(t *testing.T) {
 	}
 	<-g.done
 
-	// Frame 10 in flight, 11–15 queued: the drain cuts [11 12] [13 14] [15]
-	// and only the first chunk fails.
+	// Frame 10 in flight, big frames 11–15 queued: the drain cuts [11 12]
+	// [13 14] [15] at the byte budget and only the first chunk fails.
 	mustSend(t, b, 3, 10)
 	<-g.entered
 	for i := 11; i <= 15; i++ {
-		mustSend(t, b, 3, i)
+		if err := b.Send(3, bigFrame(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(g.pass)
 	for i := 0; i < 4; i++ {

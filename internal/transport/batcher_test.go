@@ -67,49 +67,58 @@ func TestBatcherCoalescesWithinWindow(t *testing.T) {
 	}
 }
 
+// bigFrame is test frame i padded so that two fit in one batch's byte budget
+// and three do not.
+func bigFrame(i int) []byte {
+	return wire.Encode(&wire.Endorse{Serial: uint64(i), Code: make([]byte, batchMaxBytes*2/5)}) //nolint:gosec // test data
+}
+
 func TestBatcherFlushesOnMaxMessages(t *testing.T) {
-	// Eight frames queued behind an in-flight one leave as two batches of
-	// MaxMessages = 4.
+	// Two full batches' worth of frames queued behind an in-flight one leave
+	// as two batches of batchMaxMessages.
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
 	g := newGatedEndpoint(net.Endpoint(1))
-	a := NewBatcher(g, BatcherOptions{MaxMessages: 4})
+	a := NewBatcher(g, BatcherOptions{})
 	b := NewBatcher(net.Endpoint(2), BatcherOptions{})
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
 	mustSend(t, a, 2, 0)
 	<-g.entered
-	for i := 1; i <= 8; i++ {
+	for i := 1; i <= 2*batchMaxMessages; i++ {
 		mustSend(t, a, 2, i)
 	}
 	close(g.pass)
-	recvSerials(t, b, 1, 0, 9)
+	recvSerials(t, b, 1, 0, 2*batchMaxMessages+1)
 	if msgs, _ := net.Stats(); msgs != 3 {
 		t.Fatalf("network saw %d frames, want 3", msgs)
 	}
 }
 
 func TestBatcherFlushesOnMaxBytes(t *testing.T) {
-	// A 16-byte cap holds one 15-byte frame: the two queued frames leave as
-	// two unwrapped singletons.
+	// The byte budget holds two big frames: three queued behind an in-flight
+	// one leave as a batch of two and an unwrapped singleton.
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
 	g := newGatedEndpoint(net.Endpoint(1))
-	a := NewBatcher(g, BatcherOptions{MaxBytes: 16})
+	a := NewBatcher(g, BatcherOptions{})
 	b := NewBatcher(net.Endpoint(2), BatcherOptions{})
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 
 	mustSend(t, a, 2, 0)
 	<-g.entered
-	mustSend(t, a, 2, 1)
-	mustSend(t, a, 2, 2)
+	for i := 1; i <= 3; i++ {
+		if err := a.Send(2, bigFrame(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	close(g.pass)
-	recvSerials(t, b, 1, 0, 3)
-	for i := 0; i < 3; i++ {
-		if wire.IsBatchFrame(<-g.done) {
-			t.Fatal("byte-capped singleton chunk must pass through unwrapped")
+	recvSerials(t, b, 1, 0, 4)
+	for i, batch := range []bool{false, true, false} {
+		if got := wire.IsBatchFrame(<-g.done); got != batch {
+			t.Fatalf("send %d: batch frame = %v, want %v", i, got, batch)
 		}
 	}
 }
@@ -302,8 +311,8 @@ func TestBatcherFaultInjectionWholeBatches(t *testing.T) {
 	// arrive intact and correctly attributed.
 	net := NewMemnet(LinkProfile{DupRate: 0.3, Jitter: 500 * time.Microsecond})
 	defer func() { _ = net.Close() }()
-	a := NewBatcher(net.Endpoint(1), BatcherOptions{MaxMessages: 5})
-	b := NewBatcher(net.Endpoint(2), BatcherOptions{MaxMessages: 5})
+	a := NewBatcher(net.Endpoint(1), BatcherOptions{})
+	b := NewBatcher(net.Endpoint(2), BatcherOptions{})
 	defer func() { _ = a.Close() }()
 	defer func() { _ = b.Close() }()
 

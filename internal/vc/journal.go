@@ -41,15 +41,15 @@ import (
 //	voted:     kind u8 | serial u64 | code bytes | receipt bytes
 //	vsc:       kind u8 | 0 u64 | count u32 | { serial u64 | code bytes }*
 //
-// recVSCv0 is the vote-set record of journals that predate the routing rule
-// (kind u8 | count u32 | …, no key); it is replayed, never written.
+// Kind 6 was the keyless vote-set record of journals that predate the
+// routing rule; it now fails replay as an unknown kind.
 const (
 	recEndorsed byte = iota + 1
 	recUCert
 	recPending
 	recShare
 	recVoted
-	recVSCv0
+	_
 	recVSC
 )
 
@@ -174,8 +174,8 @@ func (n *Node) RecoverBackend(j journal.Backend, policy journal.AckPolicy) error
 func (n *Node) applyJournalRecord(payload []byte) error {
 	d := &journal.Dec{Buf: payload}
 	kind := d.U8()
-	if kind == recVSC || kind == recVSCv0 {
-		if kind == recVSC && d.U64() != 0 {
+	if kind == recVSC {
+		if d.U64() != 0 {
 			return errBadRecord
 		}
 		cnt := d.U32()

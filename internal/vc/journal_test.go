@@ -270,36 +270,43 @@ func TestReplayRejectsGarbageRecord(t *testing.T) {
 	}
 }
 
-// TestReplayKeylessVSCRecord pins the vote-set layout journals held before
-// every record carried a routing key (kind 6, no key): it must replay to the
-// state today's keyed record produces.
+// TestReplayKeylessVSCRecord: the vote-set layout journals held before every
+// record carried a routing key (kind 6, no key) is not replayed — recovery
+// fails on it — while today's keyed record of the same set recovers.
 func TestReplayKeylessVSCRecord(t *testing.T) {
 	c := journaledCluster(t, 2)
 	code, err := c.data.Ballots[0].CodeFor(ballot.PartA, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := []VotedBallot{{Serial: 1, Code: code}}
-	v0 := binary.BigEndian.AppendUint32([]byte{recVSCv0}, 1)
+	v0 := binary.BigEndian.AppendUint32([]byte{6}, 1)
 	v0 = binary.BigEndian.AppendUint64(v0, 1)
 	v0 = journal.AppendBytes(v0, code)
 	oldDir := filepath.Join(t.TempDir(), "keyless")
-	newDir := filepath.Join(t.TempDir(), "keyed")
 	appendRaw(t, oldDir, v0)
-	appendRaw(t, newDir, encVSC(set))
-	n1 := journalDirNode(t, c, 0, oldDir)
-	n2 := journalDirNode(t, c, 1, newDir)
-	if n1.StateHash() != n2.StateHash() {
-		t.Fatal("keyless vsc record replayed to a different state than the keyed one")
+	node, err := New(Config{
+		Init:     c.data.VC[0],
+		Endpoint: c.net.Endpoint(transport.NodeID(97)),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer node.Stop()
+	if err := node.Recover(oldDir); err == nil {
+		t.Fatal("a keyless vsc record replayed")
+	}
+
+	newDir := filepath.Join(t.TempDir(), "keyed")
+	appendRaw(t, newDir, encVSC([]VotedBallot{{Serial: 1, Code: code}}))
+	n := journalDirNode(t, c, 1, newDir)
 	ctx, cancel := c.drv.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	got, err := n1.VoteSetConsensus(ctx)
+	got, err := n.VoteSetConsensus(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].Serial != 1 || !bytes.Equal(got[0].Code, code) {
-		t.Fatalf("keyless vsc record replayed as %+v", got)
+		t.Fatalf("keyed vsc record replayed as %+v", got)
 	}
 }
 

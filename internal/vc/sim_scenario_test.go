@@ -75,7 +75,7 @@ func equivocatorSeats(scen sim.Scenario) map[int]Byzantine {
 // batched pipeline, odd seeds the raw one.
 func sweepStack(seed uint64) func(int, *ea.ElectionData, transport.Endpoint, clock.Timers) transport.Endpoint {
 	if seed%2 == 0 {
-		return batchedStack(transport.BatcherOptions{MaxMessages: 8})
+		return batchedStack
 	}
 	return rawStack
 }

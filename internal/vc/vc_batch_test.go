@@ -129,14 +129,12 @@ func newSimClusterJE(t *testing.T, seed uint64, byz map[int]Byzantine, numBallot
 
 // batchedStack is the production endpoint stack: network → Authenticated →
 // Batcher.
-func batchedStack(opts transport.BatcherOptions) func(int, *ea.ElectionData, transport.Endpoint, clock.Timers) transport.Endpoint {
-	return func(i int, data *ea.ElectionData, ep transport.Endpoint, tm clock.Timers) transport.Endpoint {
-		auth, err := transport.NewAuthenticated(ep, data.VC[i].LinkKeys)
-		if err != nil {
-			panic(err)
-		}
-		return transport.NewBatcher(auth, opts)
+func batchedStack(i int, data *ea.ElectionData, ep transport.Endpoint, tm clock.Timers) transport.Endpoint {
+	auth, err := transport.NewAuthenticated(ep, data.VC[i].LinkKeys)
+	if err != nil {
+		panic(err)
 	}
+	return transport.NewBatcher(auth, transport.BatcherOptions{})
 }
 
 // rawStack attaches nodes directly to the network.
@@ -147,7 +145,7 @@ func rawStack(i int, data *ea.ElectionData, ep transport.Endpoint, tm clock.Time
 func TestVoteBatchedPipeline(t *testing.T) {
 	c := newClusterStack(t, 8, 4,
 		transport.LinkProfile{Latency: 200 * time.Microsecond},
-		batchedStack(transport.BatcherOptions{}))
+		batchedStack)
 	for i := 0; i < 4; i++ {
 		serial := uint64(i + 1)
 		receipt, err := c.vote(serial, ballot.PartA, i%2, i)
@@ -164,7 +162,7 @@ func TestVoteBatchedConcurrentVoters(t *testing.T) {
 	const voters = 40
 	c := newClusterStack(t, voters, 4,
 		transport.LinkProfile{Latency: 200 * time.Microsecond, Jitter: 100 * time.Microsecond},
-		batchedStack(transport.BatcherOptions{}))
+		batchedStack)
 	errs := make(chan error, voters)
 	for v := 0; v < voters; v++ {
 		go func(v int) {
@@ -187,7 +185,7 @@ func TestVoteBatchedConcurrentVoters(t *testing.T) {
 func TestVoteBatchingSenderOnlyInterop(t *testing.T) {
 	// Only node 0 batches; the other nodes run raw endpoints with no
 	// unbatching wrapper, so their pumps must split wire.Batch envelopes
-	// themselves (mixed deployments with inconsistent -batch flags).
+	// themselves (a rolling restart that meets nodes predating batching).
 	c := newClusterStack(t, 4, 4,
 		transport.LinkProfile{Latency: 200 * time.Microsecond},
 		func(i int, data *ea.ElectionData, ep transport.Endpoint, tm clock.Timers) transport.Endpoint {
@@ -211,7 +209,7 @@ func TestBatchedDuplicationIsIdempotent(t *testing.T) {
 	const voters = 12
 	c := newClusterStack(t, voters, 4,
 		transport.LinkProfile{Latency: 200 * time.Microsecond, Jitter: 300 * time.Microsecond, DupRate: 0.4},
-		batchedStack(transport.BatcherOptions{MaxMessages: 8}))
+		batchedStack)
 	for v := 0; v < voters; v++ {
 		serial := uint64(v + 1)
 		receipt, err := c.vote(serial, ballot.PartA, v%2, v%4)
@@ -239,7 +237,7 @@ func TestBatchedFaultInjectionAtMostOneUCert(t *testing.T) {
 			DropRate: 0.10,
 			DupRate:  0.15,
 		},
-		batchedStack(transport.BatcherOptions{MaxMessages: 6}))
+		batchedStack)
 
 	type res struct {
 		serial  uint64
