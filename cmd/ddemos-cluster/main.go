@@ -2,8 +2,9 @@
 // launches a real multi-process cluster (VC nodes with TCP inter-VC links
 // and HTTP voter endpoints, BB replicas, trustees) as child processes on
 // localhost, drives paced open-loop vote traffic through ddemos-loadgen,
-// waits for vote-set consensus, the BB push and the trustee tally, and
-// verifies a majority-readable published Result — then writes the whole run
+// waits for vote-set consensus, the BB push and the trustee tally, verifies
+// a majority-readable published Result and audits the election through the
+// same reader (auditor.Audit) — then writes the whole run
 // as one JSON report: ddemos-loadgen's benchmark.LoadReport with the phase
 // durations filled in.
 //
@@ -15,8 +16,8 @@
 // against its journal directory — the crash-restart composition under live
 // traffic.
 //
-// Exit status: 0 = result published and consistent with the load, 1 = any
-// phase failed, 2 = usage error.
+// Exit status: 0 = result published, audited and consistent with the load,
+// 1 = any phase or audit check failed, 2 = usage error.
 package main
 
 import (
@@ -35,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"ddemos/internal/auditor"
 	"ddemos/internal/bb"
 	"ddemos/internal/benchmark"
 	"ddemos/internal/ea"
@@ -412,12 +414,22 @@ func (o *orch) runElection(ctx context.Context) error {
 	}
 
 	// Phase 5: poll the majority reader until the Result publishes.
-	result, err := o.awaitResult(ctx, 3*time.Minute)
+	var apis []bb.API
+	for _, u := range o.bbURLs {
+		c := &httpapi.BBClient{BaseURL: u, Timeouts: httpapi.Timeouts{Request: 10 * time.Second}}
+		apis = append(apis, c.API(ctx))
+	}
+	reader := bb.NewReader(apis)
+	result, err := awaitResult(ctx, reader, 3*time.Minute)
 	if err != nil {
 		return err
 	}
 	publish := time.Since(lastVCExit)
 
+	// Phase 6: audit the published election through the same reader.
+	if err := audit(reader); err != nil {
+		return err
+	}
 	return o.report(electionDir, loadOut, result, consensusPush, publish)
 }
 
@@ -555,13 +567,7 @@ func (o *orch) currentVCs() []*proc {
 
 // awaitResult polls the BB majority reader until fb+1 replicas agree on a
 // published Result.
-func (o *orch) awaitResult(ctx context.Context, patience time.Duration) (*bb.Result, error) {
-	var apis []bb.API
-	for _, u := range o.bbURLs {
-		c := &httpapi.BBClient{BaseURL: u, Timeouts: httpapi.Timeouts{Request: 10 * time.Second}}
-		apis = append(apis, c.API(ctx))
-	}
-	reader := bb.NewReader(apis)
+func awaitResult(ctx context.Context, reader *bb.Reader, patience time.Duration) (*bb.Result, error) {
 	deadline := time.Now().Add(patience)
 	for {
 		res, err := reader.Result()
@@ -577,6 +583,21 @@ func (o *orch) awaitResult(ctx context.Context, patience time.Duration) (*bb.Res
 		case <-time.After(time.Second):
 		}
 	}
+}
+
+// audit runs the full election verification (auditor.Audit, as ddemos-audit
+// does) over the majority reader; a failed check fails the run.
+func audit(reader *bb.Reader) error {
+	rep, err := auditor.Audit(reader, nil)
+	if err != nil {
+		return fmt.Errorf("audit: %w", err)
+	}
+	if !rep.OK() {
+		return fmt.Errorf("audit: %d checks failed, the first: %s", len(rep.Failures), rep.Failures[0])
+	}
+	log.Printf("cluster: audit PASSED — %d ballots, %d proofs, %d openings checked",
+		rep.BallotsChecked, rep.ProofsChecked, rep.OpeningsChecked)
+	return nil
 }
 
 // report reads the loadgen report, verifies the tally against the load,
@@ -620,7 +641,7 @@ func (o *orch) report(electionDir, loadOut string, result *bb.Result, consensusP
 		}
 		log.Printf("cluster: wrote %s", o.cfg.out)
 	}
-	log.Print("cluster: PASS — result published")
+	log.Print("cluster: PASS — result published and audited")
 	return nil
 }
 

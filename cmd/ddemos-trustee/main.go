@@ -38,29 +38,30 @@ func main() {
 	}
 	ctx := context.Background()
 	var apis []bb.API
-	var clients []*httpapi.BBClient
-	for _, base := range strings.Split(*bbS, ",") {
+	var boards []bb.Submitter
+	urls := strings.Split(*bbS, ",")
+	for _, base := range urls {
 		c := &httpapi.BBClient{BaseURL: base}
 		apis = append(apis, c.API(ctx))
-		clients = append(clients, c)
+		boards = append(boards, c.Submitter(ctx))
 	}
 	reader := bb.NewReader(apis)
 
-	var post *bb.TrusteePost
 	for {
-		post, err = tr.ComputePost(reader)
-		if err == nil {
-			break
-		}
-		log.Printf("cast data not ready (%v); retrying in %v", err, *wait)
-		time.Sleep(*wait)
-	}
-	for _, c := range clients {
-		if err := c.SubmitTrusteePost(ctx, post); err != nil {
-			log.Printf("post to %s: %v", c.BaseURL, err)
+		errs, err := tr.PublishTo(reader, boards)
+		if err != nil {
+			log.Printf("cast data not ready (%v); retrying in %v", err, *wait)
+			time.Sleep(*wait)
 			continue
 		}
-		fmt.Println("posted shares to", c.BaseURL)
+		for i, err := range errs {
+			if err != nil {
+				log.Printf("post to %s: %v", urls[i], err)
+				continue
+			}
+			fmt.Println("posted shares to", urls[i])
+		}
+		break
 	}
 	log.Printf("trustee %d done", init.Index)
 }

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"ddemos/internal/bb"
 	"ddemos/internal/ea"
 	"ddemos/internal/httpapi"
 	"ddemos/internal/journal"
@@ -57,55 +58,13 @@ func openBallotStore(init *ea.VCInit, initPath string, cacheBytes int64) (store.
 	return cached, nil
 }
 
-// vcEndpoint is the inter-VC endpoint a node runs: TCP, then pairwise-MAC
-// link authentication under the EA-dealt keys, then the Batcher. tcp and
-// auth are its lower layers.
-type vcEndpoint struct {
-	transport.Endpoint
-	tcp  *transport.TCPNode
-	auth *transport.Authenticated
-}
-
-// openEndpoint builds node init.Index's inter-VC endpoint, listening on
-// listen and dialing peers (id -> host:port). A payload without link keys is
-// refused: the node would have no way to tell its peers' frames from
-// anyone's.
-func openEndpoint(init *ea.VCInit, listen string, peers map[transport.NodeID]string) (*vcEndpoint, error) {
-	tcp, err := transport.NewTCPNode(transport.NodeID(init.Index), listen, peers) //nolint:gosec // small
-	if err != nil {
-		return nil, err
-	}
-	auth, err := transport.NewAuthenticated(tcp, init.LinkKeys)
-	if err != nil {
-		_ = tcp.Close()
-		return nil, fmt.Errorf("%w (a vc-<i>.gob from an older ddemos-ea: re-run it)", err)
-	}
-	batcher := transport.NewBatcher(auth, transport.BatcherOptions{
-		// Flushes have no caller to return an error to; log the drops or an
-		// unreachable peer is invisible.
-		OnSendError: func(to transport.NodeID, err error) {
-			log.Printf("batch flush to vc-%d failed: %v", to, err)
-		},
-	})
-	return &vcEndpoint{Endpoint: batcher, tcp: tcp, auth: auth}, nil
-}
-
 func main() {
 	initPath := flag.String("init", "", "path to vc-<i>.gob")
 	listen := flag.String("listen", ":7100", "TCP listen address for inter-VC traffic")
 	peersS := flag.String("peers", "", "comma-separated peer TCP addresses, in node-index order")
 	httpAddr := flag.String("http", ":8100", "public HTTP voting endpoint")
 	bbS := flag.String("bb", "", "comma-separated BB base URLs for the election-end push")
-	dataDir := flag.String("data-dir", "",
-		"directory for durable runtime state (WAL lanes + snapshots); the node recovers from it on startup, "+
-			"so a crashed collector rejoins the election instead of staying down (empty = memory-only)")
-	fsync := flag.Bool("fsync", false,
-		"fsync the journal before every ack instead of on the batched group-commit cadence "+
-			"(per-transition durability against power loss; requires -data-dir)")
-	journalPool := flag.Int("journal-pool", 1,
-		"number of journal WAL lanes runtime state is hashed over by ballot serial, each with its own "+
-			"group-commit fsync and copy-on-write snapshots — the Fig. 5a pool knob; a directory reopens "+
-			"only with the lane count it was written under (requires -data-dir)")
+	journalFlags := journal.RegisterFlags(flag.CommandLine, "ballot serial")
 	storeCache := flag.Int64("store-cache", 64<<20,
 		"memory budget in bytes of the admission-controlled LRU with single-flight loading in front of "+
 			"the node's ballot segments, so the protocol's per-ballot fan-in costs one positional read "+
@@ -114,28 +73,21 @@ func main() {
 		"vote-set-consensus engine: 'interlocked' (the paper's per-ballot binary consensus) or "+
 			"'acs' (BKR common-subset: reliable broadcast per node + one binary agreement per "+
 			"broadcaster). Every node of a deployment must run the same engine")
-	journalPolicy := flag.String("journal-policy", "available",
-		"journal-append-error ack policy: 'available' counts errors and keeps serving from memory, "+
-			"'strict' refuses ENDORSEMENT replies and receipts whose record did not land "+
-			"(the safer election-day setting; requires -data-dir, pair with -fsync for "+
-			"power-loss durability of every ack)")
 	flag.Parse()
 	if *initPath == "" {
 		log.Fatal("-init is required")
 	}
+	dataDir, jopts, err := journalFlags.Options()
+	if err != nil {
+		log.Fatal(err)
+	}
+	engine, err := vc.ParseEngine(*consensusEngine)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var init ea.VCInit
 	if err := httpapi.ReadGobFile(*initPath, &init); err != nil {
-		log.Fatal(err)
-	}
-	peers := map[transport.NodeID]string{}
-	for i, addr := range strings.Split(*peersS, ",") {
-		if i != init.Index && addr != "" {
-			peers[transport.NodeID(i)] = addr //nolint:gosec // small
-		}
-	}
-	ep, err := openEndpoint(&init, *listen, peers)
-	if err != nil {
 		log.Fatal(err)
 	}
 	ballotStore, err := openBallotStore(&init, *initPath, *storeCache)
@@ -143,38 +95,27 @@ func main() {
 		log.Fatal(err)
 	}
 	defer func() { _ = ballotStore.Close() }()
-	engine, err := vc.ParseEngine(*consensusEngine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	node, err := vc.New(vc.Config{Init: &init, Endpoint: ep, Store: ballotStore, Engine: engine})
-	if err != nil {
-		log.Fatal(err)
-	}
-	policy, err := journal.ParseAckPolicy(*journalPolicy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *dataDir != "" {
-		jopts := journal.Options{Fsync: *fsync, Pool: *journalPool, Policy: policy}
-		if err := node.RecoverWithOptions(*dataDir, jopts); err != nil {
-			log.Fatalf("recovering runtime state from %s: %v", *dataDir, err)
-		}
-		log.Printf("recovered runtime state from %s (fsync=%v pool=%d policy=%s)",
-			*dataDir, *fsync, *journalPool, policy)
-	} else {
-		switch {
-		case *fsync:
-			log.Fatal("-fsync requires -data-dir")
-		case *journalPool > 1:
-			log.Fatal("-journal-pool requires -data-dir")
-		case policy != journal.PolicyAvailable:
-			log.Fatal("-journal-policy strict requires -data-dir")
+	peers := map[transport.NodeID]string{}
+	for i, addr := range strings.Split(*peersS, ",") {
+		if i != init.Index && addr != "" {
+			peers[transport.NodeID(i)] = addr //nolint:gosec // small
 		}
 	}
-	node.Start()
+	tcp, err := transport.NewTCPNode(transport.NodeID(init.Index), *listen, peers) //nolint:gosec // small
+	if err != nil {
+		log.Fatal(err)
+	}
+	node, err := vc.Open(vc.Config{Init: &init, Endpoint: tcp, Store: ballotStore, Engine: engine}, dataDir, jopts,
+		func(to transport.NodeID, err error) { log.Printf("batch flush to vc-%d failed: %v", to, err) })
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer node.Stop()
-	log.Printf("vc node %d: inter-VC on %s (authenticated, batched links), voters on %s", init.Index, ep.tcp.Addr(), *httpAddr)
+	if dataDir != "" {
+		log.Printf("recovered runtime state from %s (fsync=%v pool=%d policy=%s)",
+			dataDir, jopts.Fsync, jopts.Pool, jopts.Policy)
+	}
+	log.Printf("vc node %d: inter-VC on %s (authenticated, batched links), voters on %s", init.Index, tcp.Addr(), *httpAddr)
 
 	// Public voter endpoint.
 	srv := httpapi.NewServer(*httpAddr, httpapi.VCHandler(node))
@@ -198,22 +139,21 @@ func main() {
 		log.Fatalf("vote set consensus: %v", err)
 	}
 	log.Printf("agreed on %d voted ballots (%d inter-VC frames dropped for failing authentication)",
-		len(set), ep.auth.Dropped())
+		len(set), node.Metrics().LinkDrops)
 
-	sg := node.SignVoteSet(set)
+	var urls []string
+	var boards []bb.Submitter
 	for _, base := range strings.Split(*bbS, ",") {
-		if base == "" {
+		if base != "" {
+			urls = append(urls, base)
+			boards = append(boards, (&httpapi.BBClient{BaseURL: base}).Submitter(ctx))
+		}
+	}
+	for i, err := range bb.Push(node, set, boards) {
+		if err != nil {
+			log.Printf("push to %s: %v", urls[i], err)
 			continue
 		}
-		client := &httpapi.BBClient{BaseURL: base}
-		if err := client.SubmitVoteSet(ctx, init.Index, set, sg); err != nil {
-			log.Printf("push to %s: %v", base, err)
-			continue
-		}
-		if err := client.SubmitMskShare(ctx, node.MskShare()); err != nil {
-			log.Printf("msk share to %s: %v", base, err)
-			continue
-		}
-		fmt.Println("pushed vote set and key share to", base)
+		fmt.Println("pushed vote set and key share to", urls[i])
 	}
 }

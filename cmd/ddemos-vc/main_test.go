@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"net"
 	"path/filepath"
@@ -9,10 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"ddemos/internal/clock"
 	"ddemos/internal/ea"
 	"ddemos/internal/httpapi"
+	"ddemos/internal/journal"
 	"ddemos/internal/store"
 	"ddemos/internal/transport"
+	"ddemos/internal/vc"
 	"ddemos/internal/wire"
 )
 
@@ -40,37 +44,67 @@ func rawFrame(from uint16, payload []byte) []byte {
 	return append(f, payload...)
 }
 
-// recvFrom0 waits for the next message on ep and checks it is want, from
-// node 0.
-func recvFrom0(t *testing.T, ep transport.Endpoint, want []byte) {
+// openNodes opens every VC node of data as ddemos-vc does — a TCP node on
+// a loopback port under vc.Open — on a clock inside the voting window, and
+// returns them with their TCP addresses.
+func openNodes(t *testing.T, data *ea.ElectionData) ([]*vc.Node, []string) {
 	t.Helper()
-	select {
-	case env := <-ep.Recv():
-		if env.From != 0 || !bytes.Equal(env.Payload, want) {
-			t.Fatalf("got %+v, want node 0's frame %x", env, want)
+	addrs := make([]string, len(data.VC))
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("node 0's authenticated frame never arrived")
+		addrs[i] = ln.Addr().String()
+		_ = ln.Close()
+	}
+	clk := clock.NewFake(data.Manifest.VotingStart.Add(time.Minute))
+	nodes := make([]*vc.Node, len(data.VC))
+	for i, init := range data.VC {
+		peers := map[transport.NodeID]string{}
+		for j, addr := range addrs {
+			if j != i {
+				peers[transport.NodeID(j)] = addr //nolint:gosec // small
+			}
+		}
+		tcp, err := transport.NewTCPNode(transport.NodeID(i), addrs[i], peers) //nolint:gosec // small
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i], err = vc.Open(vc.Config{Init: init, Endpoint: tcp, Clock: clk}, "", journal.Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nodes[i].Stop)
+	}
+	return nodes, addrs
+}
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 
-// TestEndpointDropsUnauthenticatedFrames opens the endpoint ddemos-vc builds
-// for node 1. A raw TCP client that claims to be node 0 gets nothing through,
-// with no tag or with a bad one, and each such frame is counted. A peer that
-// tags its frames under node 0's link key but does not batch — a node that
-// predates batching, met in a rolling restart — gets a plain frame and a
-// wire.Batch through. Node 0's own endpoint, built the same way as node 1's,
-// gets its frames through.
+// TestEndpointDropsUnauthenticatedFrames opens the four nodes as ddemos-vc
+// does. A raw TCP client that claims to be node 0 gets nothing through to
+// node 1, with no tag or with a bad one, and each such frame is counted as a
+// link drop. A peer that tags its frames under node 0's link key but does
+// not batch — a node that predates batching, met in a rolling restart — gets
+// a plain frame and a wire.Batch through: node 1's protocol layer sees their
+// junk payloads and counts them as bad messages. The four nodes' own links
+// then carry a vote through node 1 to its receipt.
 func TestEndpointDropsUnauthenticatedFrames(t *testing.T) {
 	data := testElection(t)
-	node1, err := openEndpoint(data.VC[1], "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = node1.Close() }()
+	nodes, addrs := openNodes(t, data)
+	node1 := nodes[1]
 
 	msg := wire.Encode(&wire.Endorse{Serial: 1, Code: []byte("claimed-by-node-0")})
-	conn, err := net.Dial("tcp", node1.tcp.Addr())
+	conn, err := net.Dial("tcp", addrs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,16 +117,12 @@ func TestEndpointDropsUnauthenticatedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for node1.auth.Dropped() < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := node1.auth.Dropped(); got != 2 {
-		t.Fatalf("dropped %d frames, want 2", got)
+	waitFor(t, "two link drops", func() bool { return node1.Metrics().LinkDrops == 2 })
+	if bad := node1.Metrics().BadMessages; bad != 0 {
+		t.Fatalf("%d dropped frames reached the protocol layer", bad)
 	}
 
-	peers := map[transport.NodeID]string{1: node1.tcp.Addr()}
-	tcp0, err := transport.NewTCPNode(0, "127.0.0.1:0", peers)
+	tcp0, err := transport.NewTCPNode(0, "127.0.0.1:0", map[transport.NodeID]string{1: addrs[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,35 +131,37 @@ func TestEndpointDropsUnauthenticatedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = unbatched0.Close() }()
-	other := wire.Encode(&wire.Endorse{Serial: 2, Code: []byte("also-from-node-0")})
+	junk := []byte("not a protocol message")
+	var want int64
 	for _, tc := range []struct {
 		name  string
 		frame []byte
-		want  [][]byte
+		msgs  int64
 	}{
-		{"tagged frame", msg, [][]byte{msg}},
-		{"tagged batch", wire.EncodeBatch([][]byte{msg, other}), [][]byte{msg, other}},
+		{"tagged frame", junk, 1},
+		{"tagged batch", wire.EncodeBatch([][]byte{junk, junk}), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := unbatched0.Send(1, tc.frame); err != nil {
 				t.Fatal(err)
 			}
-			for _, want := range tc.want {
-				recvFrom0(t, node1, want)
-			}
+			want += tc.msgs
+			waitFor(t, "the frame at node 1's protocol layer", func() bool { return node1.Metrics().BadMessages == want })
 		})
 	}
 
-	node0, err := openEndpoint(data.VC[0], "127.0.0.1:0", peers)
+	ballot := data.Ballots[0]
+	line := ballot.Parts[0].Lines[0]
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	receipt, err := node1.SubmitVote(ctx, ballot.Serial, line.VoteCode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = node0.Close() }()
-	if err := node0.Send(1, msg); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(receipt, line.Receipt) {
+		t.Fatalf("receipt %x, want %x", receipt, line.Receipt)
 	}
-	recvFrom0(t, node1, msg)
-	if got := node1.auth.Dropped(); got != 2 {
+	if got := node1.Metrics().LinkDrops; got != 2 {
 		t.Fatalf("dropped %d frames after the honest ones, want 2", got)
 	}
 }
@@ -147,13 +179,17 @@ func TestEndpointRefusesPayloadWithoutLinkKeys(t *testing.T) {
 	if err := httpapi.ReadGobFile(path, &read); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := openEndpoint(&read, "127.0.0.1:0", nil)
-	if err == nil {
-		_ = ep.Close()
-		t.Fatal("a payload without link keys opened an endpoint")
+	tcp, err := transport.NewTCPNode(2, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "link keys") {
-		t.Fatalf("error %q does not name the missing link keys", err)
+	node, err := vc.Open(vc.Config{Init: &read, Endpoint: tcp}, "", journal.Options{}, nil)
+	if err == nil {
+		node.Stop()
+		t.Fatal("a payload without link keys opened a node")
+	}
+	if !strings.Contains(err.Error(), "link keys") || !strings.Contains(err.Error(), "ddemos-ea") {
+		t.Fatalf("error %q does not name the missing link keys and ddemos-ea", err)
 	}
 }
 

@@ -37,13 +37,6 @@ import (
 	"ddemos/internal/voter"
 )
 
-// Options tunes how the audit runs; the zero value matches Audit.
-type Options struct {
-	// Workers bounds the parallelism of checks (d) and (e)
-	// (0 = GOMAXPROCS).
-	Workers int
-}
-
 // Report is the outcome of an audit.
 type Report struct {
 	// Failures lists every violated check, human-readable.
@@ -70,11 +63,6 @@ func (r *Report) failf(format string, args ...any) {
 // Audit runs the full election verification, plus delegated checks for any
 // provided voter packages.
 func Audit(reader *bb.Reader, packages []*ballot.AuditPackage) (*Report, error) {
-	return AuditWith(reader, packages, Options{})
-}
-
-// AuditWith is Audit with explicit tuning options.
-func AuditWith(reader *bb.Reader, packages []*ballot.AuditPackage, opts Options) (*Report, error) {
 	rep := &Report{}
 	// A majority that agrees on bytes that do not decode is a malformed
 	// board, which fails the report; no majority at all means the audit
@@ -179,8 +167,8 @@ func AuditWith(reader *bb.Reader, packages []*ballot.AuditPackage, opts Options)
 		rep.failf("vote set has %d entries but %d were located on ballots", len(voteSet), len(cast.Marks))
 	}
 
-	auditOpenings(rep, &man, init, result, ck, opts.Workers)
-	auditProofs(rep, &man, init, result, ck, master, opts.Workers)
+	auditOpenings(rep, &man, init, result, ck)
+	auditProofs(rep, &man, init, result, ck, master)
 
 	// Completeness: every row of every used part must carry proofs, every
 	// other row must be opened.
@@ -287,7 +275,7 @@ func checkShape(man *ea.Manifest, init *ea.BBInit, cast *bb.CastData, result *bb
 }
 
 // verifyEach runs n statements through the batch verifier and returns a
-// bad[i] flag per statement.
+// bad[i] flag per statement (workers 0 = one per CPU).
 func verifyEach(ck elgamal.CommitmentKey, workers, n int, add func(b *zkp.Batch, i int), check func(i int) bool) []bool {
 	bad := make([]bool, n)
 	failed, _ := zkp.VerifyEach(ck, workers, n, 0, add, check)
@@ -300,13 +288,13 @@ func verifyEach(ck elgamal.CommitmentKey, workers, n int, add func(b *zkp.Batch,
 // auditOpenings runs check (d): every published opening matches its
 // commitment and encodes a correctly-labeled unit vector. Opening oi's
 // column col is statement oi·m + col.
-func auditOpenings(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Result, ck elgamal.CommitmentKey, workers int) {
+func auditOpenings(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Result, ck elgamal.CommitmentKey) {
 	m := len(man.Options)
 	at := func(i int) (elgamal.Ciphertext, *big.Int, *big.Int) {
 		o, col := &result.Openings[i/m], i%m
 		return init.Ballots[o.Serial-1].Parts[o.Part][o.Row].Commitment[col], o.Ms[col], o.Rs[col]
 	}
-	bad := verifyEach(ck, workers, len(result.Openings)*m,
+	bad := verifyEach(ck, 0, len(result.Openings)*m,
 		func(b *zkp.Batch, i int) { b.AddOpening(at(i)) },
 		func(i int) bool { return ck.VerifyOpening(at(i)) })
 	for oi := range result.Openings {
@@ -334,7 +322,7 @@ func auditOpenings(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Re
 // auditProofs runs check (e): every published proof verifies under the
 // voter-coin challenge. Proof pi contributes m bit-proof statements and, as
 // column m, its sum proof: statements pi·(m+1) … pi·(m+1)+m.
-func auditProofs(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Result, ck elgamal.CommitmentKey, master []byte, workers int) {
+func auditProofs(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Result, ck elgamal.CommitmentKey, master []byte) {
 	m := len(man.Options)
 	at := func(i int) (*bb.ProvenRow, *ea.BBRow, int, *big.Int) {
 		p, col := &result.Proofs[i/(m+1)], i%(m+1)
@@ -345,7 +333,7 @@ func auditProofs(rep *Report, man *ea.Manifest, init *ea.BBInit, result *bb.Resu
 		return p, &init.Ballots[p.Serial-1].Parts[p.Part][p.Row], col,
 			zkp.DeriveChallenge(master, p.Serial, p.Part, p.Row, challengeCol)
 	}
-	bad := verifyEach(ck, workers, len(result.Proofs)*(m+1),
+	bad := verifyEach(ck, 0, len(result.Proofs)*(m+1),
 		func(b *zkp.Batch, i int) {
 			p, row, col, c := at(i)
 			if col < m {

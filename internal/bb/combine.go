@@ -114,14 +114,13 @@ func (s *statement) verify(ck elgamal.CommitmentKey) bool {
 // combineEnv is the immutable context of one combine attempt, snapshotted
 // under n.mu so the attempt itself runs entirely off-lock.
 type combineEnv struct {
-	man     *ea.Manifest
-	ck      elgamal.CommitmentKey
-	m       int
-	master  []byte
-	used    map[uint64]uint8
-	agg     elgamal.VectorCiphertext
-	shares  map[int]*postShares
-	workers int
+	man    *ea.Manifest
+	ck     elgamal.CommitmentKey
+	m      int
+	master []byte
+	used   map[uint64]uint8
+	agg    elgamal.VectorCiphertext
+	shares map[int]*postShares
 }
 
 func shareIndices(posts []*TrusteePost) []uint32 {
@@ -196,14 +195,13 @@ func (n *Node) combineWorker() {
 		}
 		man := &n.init.Manifest
 		env := &combineEnv{
-			man:     man,
-			ck:      man.CommitmentKey(),
-			m:       len(man.Options),
-			master:  zkp.MasterChallenge(man.ElectionID, n.cast.Coins),
-			used:    n.usedParts,
-			agg:     n.tallyAgg,
-			shares:  make(map[int]*postShares, len(n.shareIdx)),
-			workers: n.CombineWorkers,
+			man:    man,
+			ck:     man.CommitmentKey(),
+			m:      len(man.Options),
+			master: zkp.MasterChallenge(man.ElectionID, n.cast.Coins),
+			used:   n.usedParts,
+			agg:    n.tallyAgg,
+			shares: make(map[int]*postShares, len(n.shareIdx)),
 		}
 		for t, ps := range n.shareIdx {
 			env.shares[t] = ps
@@ -293,7 +291,7 @@ func (n *Node) combineAttempt(env *combineEnv, cands []*TrusteePost) (*Result, [
 		fails  []rowCheck
 	}
 	outs := make([]ballotOut, len(ballots))
-	parallel.Run(env.workers, len(ballots), func(bi int) {
+	parallel.Run(0, len(ballots), func(bi int) { // 0 workers: one per CPU, as for VerifyEach below
 		out := &outs[bi]
 		bbb := &ballots[bi]
 		if _, out.cached = n.combineCache[bbb.Serial]; out.cached {
@@ -343,7 +341,7 @@ func (n *Node) combineAttempt(env *combineEnv, cands []*TrusteePost) (*Result, [
 		env.combine(&s, subset, lam)
 		stmts = append(stmts, s)
 	}
-	bad, fallbacks := zkp.VerifyEach(env.ck, env.workers, len(stmts), abortFailures,
+	bad, fallbacks := zkp.VerifyEach(env.ck, 0, len(stmts), abortFailures,
 		func(b *zkp.Batch, i int) { stmts[i].add(b) },
 		func(i int) bool { return stmts[i].verify(env.ck) })
 	n.metrics.BatchFallbacks.Add(int64(fallbacks))

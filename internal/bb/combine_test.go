@@ -2,6 +2,7 @@ package bb_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -348,7 +349,12 @@ func TestByzantineTrusteeSweep(t *testing.T) {
 			switch {
 			case ti == equiv:
 				trustees[ti].SetByzantine(trustee.Equivocate)
-				if err := trustees[ti].PublishTo(cluster.Reader, nodes); err != nil {
+				boards := make([]bb.Submitter, len(nodes))
+				for i, node := range nodes {
+					boards[i] = node
+				}
+				errs, err := trustees[ti].PublishTo(cluster.Reader, boards)
+				if err := errors.Join(append(errs, err)...); err != nil {
 					t.Fatalf("seed %d: equivocator publish: %v", seed, err)
 				}
 				trustees[ti].SetByzantine(trustee.Honest)

@@ -68,18 +68,12 @@ func encBBBlame(trustee int) []byte {
 
 // --- node recovery ---------------------------------------------------------
 
-// Recover rebuilds the node's runtime state (vote-set submissions, msk
-// shares, trustee posts, blame verdicts, the Result) from the snapshot and
-// write-ahead log in dir (both may be absent on first boot) and attaches
-// the journal so every later transition is logged there. Recovery is
-// idempotent: recovering the same directory twice yields an identical
-// StateHash.
-func (n *Node) Recover(dir string) error {
-	return n.RecoverWithOptions(dir, journal.Options{})
-}
-
-// RecoverWithOptions is Recover with explicit durability tuning (pool size,
-// sync cadence, snapshot cadence, ack policy).
+// RecoverWithOptions rebuilds the node's runtime state (vote-set
+// submissions, msk shares, trustee posts, blame verdicts, the Result) from
+// the snapshot and write-ahead log in dir (both may be absent on first
+// boot), opened with opts, and attaches the journal so every later
+// transition is logged there; Open calls it. Recovery is idempotent:
+// recovering the same directory twice yields an identical StateHash.
 func (n *Node) RecoverWithOptions(dir string, opts journal.Options) error {
 	j, err := journal.Open(dir, opts)
 	if err != nil {

@@ -45,7 +45,7 @@ func TestBBJournalRecoverMidPosting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := node.Recover(dir); err != nil {
+	if err := node.RecoverWithOptions(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	feedBBState(t, cluster, node)
@@ -63,7 +63,7 @@ func TestBBJournalRecoverMidPosting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := recovered.Recover(dir); err != nil {
+	if err := recovered.RecoverWithOptions(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := recovered.Cast(); err != nil {
@@ -108,7 +108,7 @@ func TestBBJournalRecoverMidPosting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := again.Recover(dir); err != nil {
+	if err := again.RecoverWithOptions(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if again.StateHash() != recovered.StateHash() {
@@ -163,7 +163,7 @@ func TestBBJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := node.Recover(dir); err != nil {
+	if err := node.RecoverWithOptions(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	feedBBState(t, cluster, node)
@@ -191,7 +191,7 @@ func TestBBJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := recovered.Recover(dir); err != nil {
+	if err := recovered.RecoverWithOptions(dir, journal.Options{}); err != nil {
 		t.Fatalf("torn-tail recovery failed: %v", err)
 	}
 	t.Cleanup(func() { _ = recovered.Close() })

@@ -100,9 +100,6 @@ type Node struct {
 	// Lying simulates a Byzantine BB node: reads return corrupted data.
 	// Writes are processed normally so the rest of the pipeline proceeds.
 	Lying bool
-	// CombineWorkers bounds the parallelism of combine attempts
-	// (0 = GOMAXPROCS). Set before trustee posts arrive.
-	CombineWorkers int
 	// CombineGate, when set, is called (off-lock) at the start of every
 	// combine attempt. Test hook for the off-lock property.
 	CombineGate func()

@@ -24,8 +24,6 @@ type LoadConfig struct {
 	// Duration is the length of the send schedule; the run itself lasts
 	// until the last response (or timeout) lands.
 	Duration time.Duration
-	// MaxOps caps the schedule length (0 = Rate*Duration ops).
-	MaxOps int
 	// Workers bounds in-flight operations (0 = DefaultLoadWorkers). If all
 	// workers are busy when an op's scheduled time arrives, the op starts
 	// late and the lateness is part of its measured latency — that is the
@@ -73,9 +71,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig, send func(ctx context.Context,
 	n := int(cfg.Rate * cfg.Duration.Seconds())
 	if n < 1 {
 		n = 1
-	}
-	if cfg.MaxOps > 0 && n > cfg.MaxOps {
-		n = cfg.MaxOps
 	}
 	workers := cfg.Workers
 	if workers <= 0 {

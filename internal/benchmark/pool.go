@@ -33,12 +33,6 @@ type PoolAblationConfig struct {
 	Workers int
 	// Duration is the measured window per pool point (default 300ms).
 	Duration time.Duration
-	// NoFsync disables the per-append fsync. The zero value (fsync on) is
-	// the strongest durability, where lane parallelism pays the most — and
-	// the configuration the paper's database pool runs.
-	NoFsync bool
-	// Dir hosts the per-point journal directories (default: a temp dir).
-	Dir string
 }
 
 func (c PoolAblationConfig) withDefaults() PoolAblationConfig {
@@ -63,15 +57,11 @@ func (c PoolAblationConfig) withDefaults() PoolAblationConfig {
 // runtime state.
 func RunPoolAblation(cfg PoolAblationConfig) ([]PoolPoint, error) {
 	cfg = cfg.withDefaults()
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "ddemos-pool-ablation")
-		if err != nil {
-			return nil, err
-		}
-		defer func() { _ = os.RemoveAll(dir) }()
+	dir, err := os.MkdirTemp("", "ddemos-pool-ablation")
+	if err != nil {
+		return nil, err
 	}
+	defer func() { _ = os.RemoveAll(dir) }()
 	var points []PoolPoint
 	for i, pool := range cfg.Pools {
 		tput, err := measurePoolPoint(fmt.Sprintf("%s/pool-%d-%d", dir, i, pool), pool, cfg)
@@ -88,9 +78,12 @@ func RunPoolAblation(cfg PoolAblationConfig) ([]PoolPoint, error) {
 }
 
 func measurePoolPoint(dir string, pool int, cfg PoolAblationConfig) (float64, error) {
+	// Every append is fsynced: the strongest durability, where lane
+	// parallelism pays the most, and the configuration the paper's database
+	// pool runs.
 	j, err := journal.Open(dir, journal.Options{
 		Pool:  pool,
-		Fsync: !cfg.NoFsync,
+		Fsync: true,
 		// The measurement isolates append throughput; snapshots are the
 		// concurrent-capture path benchmarked separately.
 		SnapshotEvery: 1 << 30,

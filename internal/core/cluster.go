@@ -65,8 +65,6 @@ type Options struct {
 	// Stores optionally supplies a custom ballot store per VC node index
 	// (e.g. the segmented store for the Fig. 5a experiment).
 	Stores map[int]store.Store
-	// Workers sizes each VC node's message-processing pool.
-	Workers int
 	// DataDir, when set, gives every VC node a durable runtime-state
 	// journal (WAL lanes + snapshots) under <DataDir>/vc-<i> and every BB node
 	// one under <DataDir>/bb-<i>, recovered at construction — the paper's
@@ -76,9 +74,6 @@ type Options struct {
 	// Fsync makes journaled nodes sync before every ack instead of on the
 	// batched group-commit cadence.
 	Fsync bool
-	// SnapshotEvery overrides the journal's snapshot threshold (records
-	// per lane between snapshot cycles; 0 = adaptive cadence).
-	SnapshotEvery int
 	// JournalPool is the number of WAL lanes each node's journal hashes
 	// its records over (by ballot serial on a VC), each with its own
 	// group-commit fsync loop and copy-on-write snapshots — the
@@ -210,69 +205,50 @@ func NewCluster(data *ea.ElectionData, opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// buildVC constructs, recovers (when DataDir is set) and starts VC node i —
-// shared by construction and in-place restart.
+// buildVC opens VC node i through vc.Open, the call ddemos-vc makes, on
+// the node's Memnet endpoint — shared by construction and in-place restart.
 func (c *Cluster) buildVC(i int) (*vc.Node, error) {
-	data, opts, man := c.Data, c.opts, c.Data.Manifest
-	// Endpoint stack: network → Authenticated → Batcher, so a coalesced
-	// batch is framed and tagged exactly once (DESIGN.md, "Batched message
-	// pipeline").
-	auth, err := transport.NewAuthenticated(c.Net.Endpoint(transport.NodeID(i)), data.VC[i].LinkKeys) //nolint:gosec // <=64
-	if err != nil {
-		return nil, fmt.Errorf("core: vc %d: %w", i, err)
-	}
+	data, opts := c.Data, c.opts
 	engine, err := vc.ParseEngine(opts.Consensus)
 	if err != nil {
 		return nil, err
 	}
-	node, err := vc.New(vc.Config{
+	node, err := vc.Open(vc.Config{
 		Init:      data.VC[i],
 		Store:     opts.Stores[i],
-		Endpoint:  transport.NewBatcher(auth, transport.BatcherOptions{}),
+		Endpoint:  c.Net.Endpoint(transport.NodeID(i)), //nolint:gosec // <=64
 		Clock:     c.Clock,
-		Coin:      consensus.NewHashCoin([]byte(man.ElectionID)),
+		Coin:      consensus.NewHashCoin([]byte(data.Manifest.ElectionID)),
 		Engine:    engine,
 		Byzantine: opts.VCByzantine[i],
-		Workers:   opts.Workers,
-	})
+	}, opts.dataDir("vc", i), opts.journalOptions(), nil)
 	if err != nil {
-		return nil, fmt.Errorf("core: building vc %d: %w", i, err)
+		return nil, fmt.Errorf("core: vc %d: %w", i, err)
 	}
-	if opts.DataDir != "" {
-		dir := filepath.Join(opts.DataDir, fmt.Sprintf("vc-%d", i))
-		if err := node.RecoverWithOptions(dir, opts.journalOptions()); err != nil {
-			return nil, fmt.Errorf("core: recovering vc %d: %w", i, err)
-		}
-	}
-	node.Start()
 	return node, nil
+}
+
+// dataDir is node <kind>-<i>'s journal directory, empty without DataDir.
+func (o Options) dataDir(kind string, i int) string {
+	if o.DataDir == "" {
+		return ""
+	}
+	return filepath.Join(o.DataDir, fmt.Sprintf("%s-%d", kind, i))
 }
 
 // journalOptions is the journal tuning every journaled node opens with.
 func (o Options) journalOptions() journal.Options {
-	return journal.Options{
-		Fsync:         o.Fsync,
-		SnapshotEvery: o.SnapshotEvery,
-		Pool:          o.JournalPool,
-		Policy:        o.JournalPolicy,
-	}
+	return journal.Options{Fsync: o.Fsync, Pool: o.JournalPool, Policy: o.JournalPolicy}
 }
 
-// buildBB constructs and, when DataDir is set, recovers BB node i from its
-// journal — shared by construction and in-place restart.
+// buildBB opens BB node i through bb.Open, the call ddemos-bb makes —
+// shared by construction and in-place restart.
 func (c *Cluster) buildBB(i int) (*bb.Node, error) {
-	opts := c.opts
-	node, err := bb.NewNode(c.Data.BB)
+	node, err := bb.Open(c.Data.BB, c.opts.dataDir("bb", i), c.opts.journalOptions())
 	if err != nil {
-		return nil, fmt.Errorf("core: building bb %d: %w", i, err)
+		return nil, fmt.Errorf("core: bb %d: %w", i, err)
 	}
-	node.Lying = opts.LyingBB[i]
-	if opts.DataDir != "" {
-		dir := filepath.Join(opts.DataDir, fmt.Sprintf("bb-%d", i))
-		if err := node.RecoverWithOptions(dir, opts.journalOptions()); err != nil {
-			return nil, fmt.Errorf("core: recovering bb %d: %w", i, err)
-		}
-	}
+	node.Lying = c.opts.LyingBB[i]
 	return node, nil
 }
 
@@ -295,6 +271,17 @@ func (c *Cluster) bbSnapshot() []*bb.Node {
 	c.bbMu.RLock()
 	defer c.bbMu.RUnlock()
 	return append([]*bb.Node(nil), c.BBs...)
+}
+
+// Boards returns the current BB incarnations as the submitters bb.Push and
+// trustee.PublishTo write to.
+func (c *Cluster) Boards() []bb.Submitter {
+	nodes := c.bbSnapshot()
+	boards := make([]bb.Submitter, len(nodes))
+	for i, n := range nodes {
+		boards[i] = n
+	}
+	return boards
 }
 
 // Stop shuts everything down.
@@ -487,9 +474,10 @@ func (c *Cluster) RunVoteSetConsensus(ctx context.Context, skip map[int]bool) (m
 	return sets, nil
 }
 
-// PushToBB has every non-skipped VC node submit its final vote set and msk
-// share to every BB node; the phase ends when every BB node has published
-// the cast data (encrypted tally available).
+// PushToBB has every non-skipped VC node push its final vote set and msk
+// share to every BB node through bb.Push, the call ddemos-vc makes; the
+// phase ends when every BB node has published the cast data (encrypted
+// tally available).
 func (c *Cluster) PushToBB(sets map[int][]vc.VotedBallot) error {
 	if len(c.BBs) == 0 {
 		return errors.New("core: cluster has no BB nodes")
@@ -498,23 +486,17 @@ func (c *Cluster) PushToBB(sets map[int][]vc.VotedBallot) error {
 	c.vcMu.RLock()
 	vcs := append([]*vc.Node(nil), c.VCs...)
 	c.vcMu.RUnlock()
-	bbs := c.bbSnapshot()
+	boards := c.Boards()
 	for i, n := range vcs {
 		set, ok := sets[i]
 		if !ok {
 			continue
 		}
-		sg := n.SignVoteSet(set)
-		for _, bnode := range bbs {
-			if err := bnode.SubmitVoteSet(i, set, sg); err != nil {
-				return fmt.Errorf("core: vc %d pushing set: %w", i, err)
-			}
-			if err := bnode.SubmitMskShare(n.MskShare()); err != nil {
-				return fmt.Errorf("core: vc %d pushing msk share: %w", i, err)
-			}
+		if err := errors.Join(bb.Push(n, set, boards)...); err != nil {
+			return fmt.Errorf("core: vc %d pushing to the board: %w", i, err)
 		}
 	}
-	for i, bnode := range bbs {
+	for i, bnode := range c.bbSnapshot() {
 		if _, err := bnode.Cast(); err != nil {
 			return fmt.Errorf("core: bb %d did not publish cast data: %w", i, err)
 		}
@@ -523,18 +505,20 @@ func (c *Cluster) PushToBB(sets map[int][]vc.VotedBallot) error {
 	return nil
 }
 
-// RunTrustees computes and submits every trustee's post, then waits for the
-// BB nodes to publish the combined result.
+// RunTrustees has every trustee publish through trustee.PublishTo, the call
+// ddemos-trustee makes, then waits for the BB nodes to publish the combined
+// result.
 func (c *Cluster) RunTrustees() error {
 	start := time.Now()
-	bbs := c.bbSnapshot()
+	boards := c.Boards()
 	var wg sync.WaitGroup
 	errs := make([]error, len(c.Trustees))
 	for i, tr := range c.Trustees {
 		wg.Add(1)
 		go func(i int, tr *trustee.Trustee) {
 			defer wg.Done()
-			errs[i] = tr.PublishTo(c.Reader, bbs)
+			refusals, err := tr.PublishTo(c.Reader, boards)
+			errs[i] = errors.Join(append(refusals, err)...)
 		}(i, tr)
 	}
 	wg.Wait()
@@ -549,7 +533,7 @@ func (c *Cluster) RunTrustees() error {
 	// node without a valid subset).
 	waitCtx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	for i := range bbs {
+	for i := range boards {
 		// Re-resolve the slot at wait time: a replica restarted while the
 		// trustees were posting is awaited on its recovered incarnation, not
 		// the closed one (whose result channel would never fire).

@@ -32,18 +32,9 @@ type StreamData struct {
 	Trustees []*TrusteeInit // nil when Params.VCOnly
 }
 
-// StreamOptions tunes the SetupStream pipeline. The zero value is ready to
-// use.
+// StreamOptions hooks into the SetupStream pipeline. The zero value is
+// ready to use.
 type StreamOptions struct {
-	// Workers is the number of concurrent ballot generators; 0 means
-	// GOMAXPROCS.
-	Workers int
-	// Window bounds how many ballots may be in flight (generated but not
-	// yet emitted) at once — the reorder buffer between parallel workers
-	// and the strictly-ordered sink. 0 means DefaultStreamWindow. Peak
-	// memory of a streaming setup is O(Window + segment), independent of
-	// NumBallots.
-	Window int
 	// OnComponents, when set, is called with the completed StreamData
 	// after key/component generation and before the first ballot is
 	// emitted — the hook a streaming sink uses to write slim init headers
@@ -51,10 +42,13 @@ type StreamOptions struct {
 	OnComponents func(*StreamData) error
 }
 
-// DefaultStreamWindow is the default reorder-window size: large enough to
-// keep every core busy even when per-ballot generation times vary, small
-// next to any segment size.
-const DefaultStreamWindow = 256
+// streamWindow bounds how many ballots may be in flight (generated but not
+// yet emitted) at once — the reorder buffer between the parallel workers,
+// one per CPU, and the strictly-ordered sink: large enough to keep every
+// core busy even when per-ballot generation times vary, small next to any
+// segment size. Peak memory of a streaming setup is O(streamWindow +
+// segment), independent of NumBallots.
+const streamWindow = 256
 
 // SetupStream runs EA setup with O(window) memory: components and keys are
 // generated first (returned as StreamData), then ballots are generated in
@@ -63,7 +57,7 @@ const DefaultStreamWindow = 256
 // SetupStream returns that error.
 //
 // With Params.Seed set the emitted data is byte-identical to Setup's for
-// the same Params, regardless of Workers/Window: each ballot derives its
+// the same Params, regardless of scheduling: each ballot derives its
 // own DRBG from (seed, serial) and the master randomness is consumed before
 // any ballot work starts.
 func SetupStream(p Params, opts StreamOptions, sink func(*Emission) error) (*StreamData, error) {
@@ -83,17 +77,11 @@ func SetupStream(p Params, opts StreamOptions, sink func(*Emission) error) (*Str
 		}
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > p.NumBallots {
 		workers = p.NumBallots
 	}
-	window := opts.Window
-	if window <= 0 {
-		window = DefaultStreamWindow
-	}
+	window := streamWindow
 	if window < workers {
 		window = workers
 	}

@@ -110,7 +110,8 @@ func TestErrorEnvelopeRoundTrip(t *testing.T) {
 	if env := decodeEnvelope(t, resp); env.Code != CodeBadRequest {
 		t.Fatalf("garbage body envelope = %+v", env)
 	}
-	err = bbClient.SubmitVoteSet(ctx, 0, nil, []byte("forged signature"))
+	err = bbClient.Submitter(ctx).Submit(bb.KindSetSubmission,
+		bb.EncodeSetSubmission(&bb.VoteSetSubmission{Sig: []byte("forged signature")}))
 	if !HasCode(err, CodeBadSubmission) {
 		t.Fatalf("forged vote set error = %v", err)
 	}
@@ -152,15 +153,12 @@ func TestContextCancellationEveryClientMethod(t *testing.T) {
 		},
 		"VCClient.Metrics": func(ctx context.Context) error { _, err := vcClient.Metrics(ctx); return err },
 		"BBClient.Metrics": func(ctx context.Context) error { _, err := bbClient.Metrics(ctx); return err },
-		"BBClient.SubmitVoteSet": func(ctx context.Context) error {
-			return bbClient.SubmitVoteSet(ctx, 0, nil, nil)
-		},
-		"BBClient.SubmitMskShare": func(ctx context.Context) error {
-			return bbClient.SubmitMskShare(ctx, ea.MskShare{})
-		},
-		"BBClient.SubmitTrusteePost": func(ctx context.Context) error {
-			return bbClient.SubmitTrusteePost(ctx, &bb.TrusteePost{})
-		},
+	}
+	// Every submission goes through the BBClient.Submitter view; one subtest
+	// per kind.
+	for name, kind := range map[string]bb.Kind{"SubmitVoteSet": bb.KindSetSubmission,
+		"SubmitMskShare": bb.KindMskShare, "SubmitTrusteePost": bb.KindTrusteePost} {
+		calls["BBClient."+name] = func(ctx context.Context) error { return bbClient.Submitter(ctx).Submit(kind, nil) }
 	}
 	// Every board read goes through BBClient.Read; one subtest per artefact.
 	for name, kind := range map[string]bb.Kind{"Manifest": bb.KindManifest, "Init": bb.KindInit,

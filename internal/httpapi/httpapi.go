@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"ddemos/internal/bb"
-	"ddemos/internal/ea"
 	"ddemos/internal/vc"
 )
 
@@ -231,7 +230,8 @@ func BBHandler(node *bb.Node) http.Handler {
 // BBClient is the BB node client over HTTP, built on the shared client
 // core: every method takes a context.Context, with the two-deadline
 // Timeouts model and the process-shared tuned transport. The context-free
-// bb.API view the majority reader consumes is obtained with API(ctx).
+// bb.API view the majority reader consumes is obtained with API(ctx), and
+// the bb.Submitter view writers use with Submitter(ctx).
 type BBClient struct {
 	BaseURL string
 	// HTTP overrides the transport entirely (Timeouts.Dial then unused).
@@ -269,24 +269,22 @@ func (c *BBClient) Metrics(ctx context.Context) (*bb.Snapshot, error) {
 	return &s, nil
 }
 
-// SubmitVoteSet pushes a VC node's final set.
-func (c *BBClient) SubmitVoteSet(ctx context.Context, vcIndex int, set []vc.VotedBallot, sig []byte) error {
-	return c.submit(ctx, bb.KindSetSubmission, bb.EncodeSetSubmission(&bb.VoteSetSubmission{VCIndex: vcIndex, Set: set, Sig: sig}))
-}
-
-// SubmitMskShare pushes a VC node's master-key share.
-func (c *BBClient) SubmitMskShare(ctx context.Context, share ea.MskShare) error {
-	return c.submit(ctx, bb.KindMskShare, bb.EncodeMskShare(share))
-}
-
-// SubmitTrusteePost pushes a trustee post.
-func (c *BBClient) SubmitTrusteePost(ctx context.Context, post *bb.TrusteePost) error {
-	return c.submit(ctx, bb.KindTrusteePost, bb.EncodeTrusteePost(post))
+// Submitter binds ctx to the client and returns the context-free
+// bb.Submitter view that bb.Push and trustee.PublishTo write through,
+// mirroring API. The bound context caps every call made through the view.
+func (c *BBClient) Submitter(ctx context.Context) bb.Submitter {
+	return bb.SubmitFunc(func(kind bb.Kind, body []byte) error { return c.submit(ctx, kind, body) })
 }
 
 // submit POSTs an encoded submission and expects a 2xx; anything else
-// decodes the error envelope.
+// decodes the error envelope. A kind that is not a submission, and a body
+// the node refused as one, fail with bb.ErrBadSubmission as they do on an
+// in-process node, so writers see one error whichever side of HTTP the
+// board is on.
 func (c *BBClient) submit(ctx context.Context, kind bb.Kind, body []byte) error {
+	if kind < bb.KindSetSubmission || kind > bb.KindTrusteePost {
+		return fmt.Errorf("%w: %v is not a submission", bb.ErrBadSubmission, kind)
+	}
 	url := c.BaseURL + "/v1/" + kind.String()
 	resp, cancel, err := c.core.do(ctx, c.HTTP, c.Timeouts, bbDefaultRequest,
 		http.MethodPost, url, "application/octet-stream", bytes.NewReader(body))
@@ -296,7 +294,11 @@ func (c *BBClient) submit(ctx context.Context, kind bb.Kind, body []byte) error 
 	defer cancel()
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode >= 300 {
-		return decodeAPIError(resp)
+		err := decodeAPIError(resp)
+		if HasCode(err, CodeBadSubmission) {
+			return fmt.Errorf("%w: %w", bb.ErrBadSubmission, err)
+		}
+		return err
 	}
 	return nil
 }

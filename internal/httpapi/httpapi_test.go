@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -60,13 +61,13 @@ func TestHTTPDeploymentEndToEnd(t *testing.T) {
 	}
 	// BB nodes behind HTTP.
 	var apis []bb.API
-	var bbClients []*BBClient
+	var boards []bb.Submitter
 	for _, n := range cluster.BBs {
 		srv := httptest.NewServer(BBHandler(n))
 		defer srv.Close()
 		c := &BBClient{BaseURL: srv.URL}
 		apis = append(apis, c.API(ctx))
-		bbClients = append(bbClients, c)
+		boards = append(boards, c.Submitter(ctx))
 	}
 	reader := bb.NewReader(apis)
 	votes := []int{0, 1, 0, 0}
@@ -92,15 +93,8 @@ func TestHTTPDeploymentEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, n := range cluster.VCs {
-		set := sets[i]
-		sg := n.SignVoteSet(set)
-		for _, c := range bbClients {
-			if err := c.SubmitVoteSet(ctx, i, set, sg); err != nil {
-				t.Fatalf("vc %d push: %v", i, err)
-			}
-			if err := c.SubmitMskShare(ctx, n.MskShare()); err != nil {
-				t.Fatalf("vc %d msk: %v", i, err)
-			}
+		if err := errors.Join(bb.Push(n, sets[i], boards)...); err != nil {
+			t.Fatalf("vc %d push: %v", i, err)
 		}
 	}
 
@@ -110,14 +104,20 @@ func TestHTTPDeploymentEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		post, err := tr.ComputePost(reader)
+		errs, err := tr.PublishTo(reader, boards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range bbClients {
-			if err := c.SubmitTrusteePost(ctx, post); err != nil {
-				t.Fatalf("trustee %d post: %v", i, err)
-			}
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("trustee %d post: %v", i, err)
+		}
+	}
+
+	// Combination runs in each replica's background worker: a post being
+	// accepted does not mean the result exists yet.
+	for i, n := range cluster.BBs {
+		if _, err := n.WaitResult(ctx); err != nil {
+			t.Fatalf("bb %d did not publish a result: %v", i, err)
 		}
 	}
 

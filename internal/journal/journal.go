@@ -83,20 +83,9 @@ type Options struct {
 	// crashes never lose acked state either way, since records hit the OS
 	// before the ack).
 	Fsync bool
-	// SyncEvery is the group-commit cadence when Fsync is off (default
-	// 2ms, the same order as the transport batch flush window, so journal
-	// syncs coalesce with message batches).
-	SyncEvery time.Duration
 	// SnapshotEvery, when > 0, overrides the adaptive cadence with a fixed
-	// record-count trigger (0 = adaptive).
+	// record-count trigger (0 = adaptive: see snapshotBytes, targetReplay).
 	SnapshotEvery int
-	// SnapshotBytes is the adaptive-cadence byte trigger: snapshot once the
-	// un-snapshotted log exceeds this many payload bytes (default 1 MiB).
-	SnapshotBytes int64
-	// TargetReplay is the adaptive-cadence replay budget: snapshot once the
-	// estimated time to replay the un-snapshotted log (records × measured
-	// per-record apply cost) exceeds it (default 200ms).
-	TargetReplay time.Duration
 	// Pool is the number of WAL lanes records are hashed over by key, each
 	// with its own group-commit fsync loop and copy-on-write snapshots (the
 	// runtime-state analogue of the paper's Fig. 5a connection-pool sweep).
@@ -106,13 +95,15 @@ type Options struct {
 	Policy AckPolicy
 }
 
+// The adaptive snapshot cadence: a lane snapshots once its un-snapshotted
+// log holds snapshotBytes payload bytes, or once replaying it would take
+// targetReplay (records × the measured per-record apply cost).
+const (
+	snapshotBytes = 1 << 20
+	targetReplay  = 200 * time.Millisecond
+)
+
 func (o Options) withDefaults() Options {
-	if o.SnapshotBytes <= 0 {
-		o.SnapshotBytes = 1 << 20
-	}
-	if o.TargetReplay <= 0 {
-		o.TargetReplay = 200 * time.Millisecond
-	}
 	if o.Pool < 1 {
 		o.Pool = 1
 	}
@@ -278,13 +269,13 @@ func snapshotDue(opts Options, records, bytes, perRecordNs int64) bool {
 	if opts.SnapshotEvery > 0 {
 		return records >= int64(opts.SnapshotEvery)
 	}
-	if bytes >= opts.SnapshotBytes {
+	if bytes >= snapshotBytes {
 		return true
 	}
 	if perRecordNs <= 0 {
 		perRecordNs = defaultReplayNsPerRecord
 	}
-	return time.Duration(records*perRecordNs) >= opts.TargetReplay
+	return time.Duration(records*perRecordNs) >= targetReplay
 }
 
 // defaultReplayNsPerRecord estimates replay cost before any measured

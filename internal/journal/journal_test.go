@@ -136,15 +136,15 @@ func TestAdaptiveSnapshotCadence(t *testing.T) {
 		t.Fatal("fixed cadence did not trigger at the threshold")
 	}
 	// Byte trigger.
-	if snapshotDue(opts, 10, opts.SnapshotBytes-1, defaultReplayNsPerRecord) {
+	if snapshotDue(opts, 10, snapshotBytes-1, defaultReplayNsPerRecord) {
 		t.Fatal("byte trigger fired below the threshold")
 	}
-	if !snapshotDue(opts, 10, opts.SnapshotBytes, defaultReplayNsPerRecord) {
+	if !snapshotDue(opts, 10, snapshotBytes, defaultReplayNsPerRecord) {
 		t.Fatal("byte trigger did not fire at the threshold")
 	}
 	// Replay-time trigger: records × per-record cost ≥ budget.
 	perRecord := int64(time.Millisecond) // pathological 1ms/record replay
-	records := int64(opts.TargetReplay/time.Millisecond) + 1
+	records := int64(targetReplay/time.Millisecond) + 1
 	if !snapshotDue(opts, records, 0, perRecord) {
 		t.Fatal("replay-time trigger did not fire")
 	}
@@ -152,10 +152,11 @@ func TestAdaptiveSnapshotCadence(t *testing.T) {
 		t.Fatal("replay-time trigger fired for a cheap log")
 	}
 
-	// Integration: a one-lane journal with a tiny byte budget snapshots
-	// without any record-count setting.
+	// Integration: a one-lane journal snapshots once its log passes the
+	// byte budget, without any record-count setting.
 	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{SnapshotBytes: 64})
+	j := mustOpen(t, dir, Options{})
+	body := strings.Repeat("r", snapshotBytes/4)
 	var mu sync.Mutex
 	var recs [][]byte
 	state := func(lane, lanes int) [][]byte {
@@ -165,7 +166,7 @@ func TestAdaptiveSnapshotCadence(t *testing.T) {
 	}
 	snapped := make(chan error, 8)
 	for s := uint64(1); s <= 8; s++ {
-		rec := testRec(s, "0123456789abcdef|receipt!")
+		rec := testRec(s, body)
 		mu.Lock()
 		recs = append(recs, rec)
 		mu.Unlock()

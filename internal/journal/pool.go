@@ -128,7 +128,6 @@ func openJournalLane(dir string, idx int, segs []uint64, opts Options) (*journal
 	}
 	var err error
 	lane.wal, err = store.OpenWAL(filepath.Join(dir, laneSegmentName(idx, lane.seq)), store.WALOptions{
-		SyncEvery:      opts.SyncEvery,
 		SyncEachAppend: opts.Fsync,
 	})
 	if err != nil {
@@ -320,7 +319,6 @@ func (p *pool) MaybeSnapshot(state StateSource, done func(error)) {
 // segment and the rotation simply retries at the next cadence trigger.
 func (l *journalLane) rotateLocked(opts Options) ([]string, error) {
 	next, err := store.OpenWAL(filepath.Join(l.dir, laneSegmentName(l.idx, l.seq+1)), store.WALOptions{
-		SyncEvery:      opts.SyncEvery,
 		SyncEachAppend: opts.Fsync,
 	})
 	if err != nil {

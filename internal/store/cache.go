@@ -81,14 +81,10 @@ type CachedOptions struct {
 	// MaxBytes bounds the cached ballot data across all shards (required,
 	// > 0).
 	MaxBytes int64
-	// Shards is the number of independently locked cache shards, rounded up
-	// to a power of two (default 16, minimum 1).
-	Shards int
-	// DisableAdmission turns off the probationary region: every loaded
-	// entry goes straight into one LRU list over the full budget. Useful
-	// when the access pattern is known to have no scan component.
-	DisableAdmission bool
 }
+
+// cacheShards is the number of independently locked cache shards.
+const cacheShards = 16
 
 type centry struct {
 	serial uint64
@@ -106,38 +102,32 @@ type flight struct {
 
 // NewCached wraps inner. Closing the Cached closes inner.
 func NewCached(inner Store, opts CachedOptions) (*Cached, error) {
-	if opts.MaxBytes <= 0 {
+	return newCached(inner, opts.MaxBytes, cacheShards)
+}
+
+// newCached builds a cache of n shards, a power of two; tests that need
+// exact LRU order and byte accounting use one.
+func newCached(inner Store, maxBytes int64, n int) (*Cached, error) {
+	if maxBytes <= 0 {
 		return nil, fmt.Errorf("store: cache needs a positive byte bound")
-	}
-	n := opts.Shards
-	if n <= 0 {
-		n = 16
-	}
-	for n&(n-1) != 0 {
-		n++
 	}
 	c := &Cached{
 		inner:  inner,
-		max:    opts.MaxBytes,
+		max:    maxBytes,
 		shards: make([]cacheShard, n),
 		mask:   uint64(n - 1), //nolint:gosec // n >= 1
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
-		budget := opts.MaxBytes / int64(n)
+		budget := maxBytes / int64(n)
 		if budget < 1 {
 			budget = 1
 		}
-		if opts.DisableAdmission {
-			// Pure LRU: loads insert directly into the protected list.
-			s.probMax, s.protMax = 0, budget
-		} else {
-			s.probMax = budget / 5
-			s.protMax = budget - s.probMax
-		}
+		s.probMax = budget / 5
+		s.protMax = budget - s.probMax
 		// Size admission: bounded by 1/8 of the whole budget, and by half
 		// the shard budget so one entry can never own a shard outright.
-		s.sizeCap = opts.MaxBytes / 8
+		s.sizeCap = maxBytes / 8
 		if half := budget / 2; s.sizeCap > half {
 			s.sizeCap = half
 		}
@@ -228,9 +218,8 @@ func (c *Cached) promote(s *cacheShard, el *list.Element, e *centry) {
 }
 
 // trimProtected shrinks the protected list to its budget, demoting tails
-// back to probation (classic segmented-LRU) — or evicting them outright
-// when admission control is off and there is no probation region. Never
-// touches keep. Called with the shard lock held.
+// back to probation (classic segmented-LRU). Never touches keep. Called
+// with the shard lock held.
 func (c *Cached) trimProtected(s *cacheShard, keep *centry) {
 	for s.protBy > s.protMax {
 		back := s.prot.Back()
@@ -240,14 +229,9 @@ func (c *Cached) trimProtected(s *cacheShard, keep *centry) {
 		d := back.Value.(*centry)
 		s.prot.Remove(back)
 		s.protBy -= d.cost
-		if s.probMax > 0 {
-			d.region = regionProbation
-			s.entries[d.serial] = s.prob.PushFront(d)
-			s.probBy += d.cost
-		} else {
-			delete(s.entries, d.serial)
-			c.evictions.Add(1)
-		}
+		d.region = regionProbation
+		s.entries[d.serial] = s.prob.PushFront(d)
+		s.probBy += d.cost
 	}
 }
 
@@ -277,9 +261,9 @@ func (c *Cached) admit(s *cacheShard, serial uint64, bd *BallotData, sharedFligh
 		return
 	}
 	e := &centry{serial: serial, bd: bd, cost: cost}
-	if sharedFlight || s.probMax == 0 {
-		// Concurrent Gets already proved reuse (or admission control is
-		// off): straight into the protected region.
+	if sharedFlight {
+		// Concurrent Gets already proved reuse: straight into the
+		// protected region.
 		e.region = regionProtected
 		s.entries[serial] = s.prot.PushFront(e)
 		s.protBy += cost

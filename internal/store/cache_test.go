@@ -26,9 +26,9 @@ func (c *countingStore) Get(serial uint64) (*BallotData, error) {
 	return c.Store.Get(serial)
 }
 
-func newCacheOver(t *testing.T, inner Store, maxBytes int64, pureLRU bool) *Cached {
+func newCacheOver(t *testing.T, inner Store, maxBytes int64) *Cached {
 	t.Helper()
-	c, err := NewCached(inner, CachedOptions{MaxBytes: maxBytes, DisableAdmission: pureLRU})
+	c, err := NewCached(inner, CachedOptions{MaxBytes: maxBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +37,9 @@ func newCacheOver(t *testing.T, inner Store, maxBytes int64, pureLRU bool) *Cach
 
 // newSingleShardCache builds a one-shard cache, so LRU order and byte
 // accounting are exact rather than spread across shard budgets.
-func newSingleShardCache(t *testing.T, inner Store, maxBytes int64, pureLRU bool) *Cached {
+func newSingleShardCache(t *testing.T, inner Store, maxBytes int64) *Cached {
 	t.Helper()
-	c, err := NewCached(inner, CachedOptions{MaxBytes: maxBytes, Shards: 1, DisableAdmission: pureLRU})
+	c, err := newCached(inner, maxBytes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCacheChargesTheRecord(t *testing.T) {
 func TestCacheSingleFlight(t *testing.T) {
 	ballots := fabricateBallots(1, 10, 2)
 	inner := &countingStore{Store: NewMem(ballots), gate: make(chan struct{})}
-	c := newCacheOver(t, inner, 1<<20, false)
+	c := newCacheOver(t, inner, 1<<20)
 
 	const racers = 32
 	var wg sync.WaitGroup
@@ -122,18 +122,22 @@ func TestCacheSingleFlight(t *testing.T) {
 }
 
 // TestCacheEvictionByteBound: the cache never holds more than MaxBytes and
-// evicts in LRU order.
+// evicts in LRU order. Every serial is touched twice, so each is promoted
+// and the protected region's overflow demotes through probation: the 10
+// most recent serials stay resident (8 protected, 2 in probation).
 func TestCacheEvictionByteBound(t *testing.T) {
 	const m = 2
 	ballots := fabricateBallots(1, 100, m)
 	cost := ballotCost(ballots[0])
 	maxBytes := cost * 10 // room for exactly 10 entries
 	inner := &countingStore{Store: NewMem(ballots)}
-	c := newSingleShardCache(t, inner, maxBytes, true) // pure LRU: admission off
+	c := newSingleShardCache(t, inner, maxBytes)
 
 	for s := uint64(1); s <= 30; s++ {
-		if _, err := c.Get(s); err != nil {
-			t.Fatal(err)
+		for touch := 0; touch < 2; touch++ {
+			if _, err := c.Get(s); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	st := c.Stats()
@@ -173,7 +177,7 @@ func TestCacheAdmissionResistsScan(t *testing.T) {
 	cost := ballotCost(ballots[0])
 	inner := &countingStore{Store: NewMem(ballots)}
 	// Budget for 25 entries: probation holds 5, protected 20.
-	c := newSingleShardCache(t, inner, cost*25, false)
+	c := newSingleShardCache(t, inner, cost*25)
 
 	// Build a hot working set: serials 1..20, touched twice in quick
 	// succession — the second touch promotes each out of probation.
@@ -213,7 +217,7 @@ func TestCacheAdmissionResistsScan(t *testing.T) {
 func TestCacheOversizedEntryNeverAdmitted(t *testing.T) {
 	big := fabricateBallots(1, 3, 64) // 64 options: cost ~ 9KiB
 	inner := &countingStore{Store: NewMem(big)}
-	c := newSingleShardCache(t, inner, 32*1024, true)
+	c := newSingleShardCache(t, inner, 32*1024)
 	for i := 0; i < 3; i++ {
 		if _, err := c.Get(1); err != nil {
 			t.Fatal(err)
@@ -238,7 +242,7 @@ func TestCacheGetRacingClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newCacheOver(t, seg, 1<<20, false)
+	c := newCacheOver(t, seg, 1<<20)
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -286,7 +290,7 @@ func TestCachedOverSegmentedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cost := ballotCost(ballots[0])
-	c := newCacheOver(t, seg, cost*512, false) // ~2.5% of the pool
+	c := newCacheOver(t, seg, cost*512) // ~2.5% of the pool
 	defer func() { _ = c.Close() }()
 
 	// Protocol-shaped access: every serial touched three times in a narrow

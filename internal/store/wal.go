@@ -26,7 +26,7 @@ import (
 // Append writes each record with a single write(2) call, so everything
 // appended before an ack survives a *process* crash; fsync is batched on a
 // background cadence (group commit), so only a whole-machine failure can
-// lose the last SyncEvery window. The background fsync runs outside the
+// lose the last syncEvery window. The background fsync runs outside the
 // append lock: an append never waits for it. SyncEachAppend trades
 // throughput for per-record durability.
 //
@@ -61,22 +61,16 @@ type WAL struct {
 
 // WALOptions tunes durability.
 type WALOptions struct {
-	// SyncEvery is the group-commit cadence: appended records are fsynced
-	// at most this long after Append returns (default 2ms). Ignored when
-	// SyncEachAppend is set.
-	SyncEvery time.Duration
 	// SyncEachAppend fsyncs before every Append returns (the -fsync flag
 	// of ddemos-vc): per-record durability against power loss, at the cost
 	// of one fsync per transition.
 	SyncEachAppend bool
 }
 
-func (o WALOptions) withDefaults() WALOptions {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 2 * time.Millisecond
-	}
-	return o
-}
+// syncEvery is the group-commit cadence: without SyncEachAppend, appended
+// records are fsynced at most this long after Append returns — the same
+// order as an inter-VC hop, so journal syncs coalesce with message batches.
+const syncEvery = 2 * time.Millisecond
 
 const (
 	walMagic      = "DDWL"
@@ -106,7 +100,7 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 	w := &WAL{
 		f:       f,
 		path:    path,
-		opts:    opts.withDefaults(),
+		opts:    opts,
 		kick:    make(chan struct{}, 1),
 		closeCh: make(chan struct{}),
 	}
@@ -278,7 +272,7 @@ func (w *WAL) syncLoop() {
 			return
 		case <-w.kick:
 		}
-		t := time.NewTimer(w.opts.SyncEvery)
+		t := time.NewTimer(syncEvery)
 		select {
 		case <-w.closeCh:
 			t.Stop()

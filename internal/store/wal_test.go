@@ -284,7 +284,7 @@ func TestWALClosedOperationsFail(t *testing.T) {
 
 func TestWALConcurrentAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := OpenWAL(path, WALOptions{SyncEvery: time.Millisecond})
+	w, err := OpenWAL(path, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

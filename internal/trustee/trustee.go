@@ -46,10 +46,6 @@ const (
 type Trustee struct {
 	init *ea.TrusteeInit
 	byz  Byzantine
-
-	// Workers bounds the parallelism of post computation
-	// (0 = GOMAXPROCS).
-	Workers int
 }
 
 // New builds a trustee from its initialization data.
@@ -101,7 +97,7 @@ func (t *Trustee) post(cast *bb.CastData) (*bb.TrusteePost, error) {
 		tallyRs  []*big.Int
 	}
 	outs := make([]ballotOut, len(t.init.Ballots))
-	parallel.Run(t.Workers, len(t.init.Ballots), func(bi int) {
+	parallel.Run(0, len(t.init.Ballots), func(bi int) { // one worker per CPU
 		out := &outs[bi]
 		tb := &t.init.Ballots[bi]
 		usedPart, voted := used[tb.Serial]
@@ -214,27 +210,32 @@ func (t *Trustee) equivocatePost(honest *bb.TrusteePost) *bb.TrusteePost {
 	return &alt
 }
 
-// PublishTo computes the post once and submits it to every BB node.
-func (t *Trustee) PublishTo(reader *bb.Reader, nodes []*bb.Node) error {
+// PublishTo is the one way a trustee publishes, in ddemos-trustee and
+// core.Cluster alike: it computes the post once and submits it to every
+// board. It fails before submitting anything when the cast data cannot be
+// read; otherwise errs[i] is board i's refusal, nil when board i took the
+// post.
+func (t *Trustee) PublishTo(reader *bb.Reader, boards []bb.Submitter) (errs []error, err error) {
 	post, err := t.ComputePost(reader)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var alt *bb.TrusteePost
+	body := bb.EncodeTrusteePost(post)
+	var alt []byte
 	if t.byz == Equivocate {
-		alt = t.equivocatePost(post)
+		alt = bb.EncodeTrusteePost(t.equivocatePost(post))
 	}
-	var firstErr error
-	for i, n := range nodes {
-		p := post
+	errs = make([]error, len(boards))
+	for i, b := range boards {
+		p := body
 		if alt != nil && i%2 == 1 {
 			p = alt
 		}
-		if err := n.SubmitTrusteePost(p); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("trustee %d: submitting post: %w", t.init.Index, err)
+		if err := b.Submit(bb.KindTrusteePost, p); err != nil {
+			errs[i] = err
 		}
 	}
-	return firstErr
+	return errs, nil
 }
 
 func zeroScalars(n int) []*big.Int {

@@ -3,6 +3,7 @@ package trustee_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -62,6 +63,15 @@ func setup(t *testing.T, votes []int) (*core.Cluster, *ea.ElectionData) {
 	return cluster, data
 }
 
+// publish runs PublishTo and folds the boards' refusals into one error.
+func publish(tr *trustee.Trustee, reader *bb.Reader, boards []bb.Submitter) error {
+	errs, err := tr.PublishTo(reader, boards)
+	if err != nil {
+		return err
+	}
+	return errors.Join(errs...)
+}
+
 // waitResults blocks until every honest BB node publishes its result;
 // combination runs in a background worker, so PublishTo returning does not
 // mean the results exist yet.
@@ -87,7 +97,7 @@ func TestThresholdOfTrusteesSuffices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.PublishTo(cluster.Reader, cluster.BBs); err != nil {
+		if err := publish(tr, cluster.Reader, cluster.Boards()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +119,7 @@ func TestBelowThresholdRevealsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.PublishTo(cluster.Reader, cluster.BBs); err != nil {
+		if err := publish(tr, cluster.Reader, cluster.Boards()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +161,7 @@ func TestGarbageTrusteeIsExcluded(t *testing.T) {
 		if i == 0 {
 			tr.SetByzantine(trustee.GarbageShares)
 		}
-		if err := tr.PublishTo(cluster.Reader, cluster.BBs); err != nil {
+		if err := publish(tr, cluster.Reader, cluster.Boards()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +209,7 @@ func cleanResult(t *testing.T, cluster *core.Cluster, data *ea.ElectionData, tru
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.PublishTo(cluster.Reader, []*bb.Node{node}); err != nil {
+		if err := publish(tr, cluster.Reader, []bb.Submitter{node}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -130,17 +130,12 @@ var errBadRecord = errors.New("vc: malformed journal record")
 
 // --- node recovery ---------------------------------------------------------
 
-// Recover rebuilds the node's runtime ballot state from the snapshot and
-// write-ahead log in dir (both may be absent on first boot) and attaches
-// the journal so every later transition is logged there. It must be called
-// after New and before Start. Recovery is idempotent: recovering the same
-// directory twice yields an identical StateHash.
-func (n *Node) Recover(dir string) error {
-	return n.RecoverWithOptions(dir, journal.Options{})
-}
-
-// RecoverWithOptions is Recover with explicit durability tuning (pool size,
-// sync cadence, snapshot cadence, ack policy).
+// RecoverWithOptions rebuilds the node's runtime ballot state from the
+// snapshot and write-ahead log in dir (both may be absent on first boot),
+// opened with opts, and attaches the journal so every later transition is
+// logged there. It must be called after New and before Start; Open calls
+// it. Recovery is idempotent: recovering the same directory twice yields an
+// identical StateHash.
 func (n *Node) RecoverWithOptions(dir string, opts journal.Options) error {
 	j, err := journal.Open(dir, opts)
 	if err != nil {

@@ -104,7 +104,7 @@ func journalDirNode(t *testing.T, c *cluster, idx int, dir string) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := node.Recover(dir); err != nil {
+	if err := node.RecoverWithOptions(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Stop)
@@ -265,7 +265,7 @@ func TestReplayRejectsGarbageRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Stop()
-	if err := node.Recover(dir); err == nil {
+	if err := node.RecoverWithOptions(dir, journal.Options{}); err == nil {
 		t.Fatal("garbage journal record must fail recovery")
 	}
 }
@@ -292,7 +292,7 @@ func TestReplayKeylessVSCRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Stop()
-	if err := node.Recover(oldDir); err == nil {
+	if err := node.RecoverWithOptions(oldDir, journal.Options{}); err == nil {
 		t.Fatal("a keyless vsc record replayed")
 	}
 

@@ -58,6 +58,9 @@ type Snapshot struct {
 	BadShares     int64
 	SendErrors    int64
 	Recoveries    int64
+	// LinkDrops counts inter-VC frames whose link tag failed, on a node
+	// brought up by Open (zero otherwise).
+	LinkDrops int64
 
 	JournalRecords int64
 	JournalErrors  int64
@@ -100,6 +103,9 @@ func (n *Node) Metrics() Snapshot {
 		CertSigMemoHits: n.metrics.CertSigMemoHits.Load(),
 		RootSigVerifies: n.metrics.RootSigVerifies.Load(),
 		RootSigMemoHits: n.metrics.RootSigMemoHits.Load(),
+	}
+	if n.links != nil {
+		s.LinkDrops = n.links.Dropped()
 	}
 	if c, ok := n.st.(*store.Cached); ok {
 		cs := c.Stats()

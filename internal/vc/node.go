@@ -95,9 +95,10 @@ type Config struct {
 	Engine EngineFactory
 	// Byzantine selects fault injection (tests only).
 	Byzantine Byzantine
-	// Workers sizes the message-processing pool (default 8).
-	Workers int
 }
+
+// numWorkers sizes the message-processing pool.
+const numWorkers = 8
 
 // Node is one Vote Collector.
 type Node struct {
@@ -129,11 +130,11 @@ type Node struct {
 	vscDurable bool          // the vsc record landed in the journal (Strict duty)
 	vscResult  []VotedBallot // the agreed set, stable across restarts
 
-	// journal, when attached via Recover/RecoverBackend, logs every ballot
-	// state transition before the node acts on it (DESIGN.md, "Durability
-	// and recovery"). nil = memory-only node. journalPolicy decides whether
-	// a failed append refuses the dependent ack (Strict) or counts and
-	// continues (Available).
+	// journal, when attached via RecoverWithOptions/RecoverBackend, logs
+	// every ballot state transition before the node acts on it (DESIGN.md,
+	// "Durability and recovery"). nil = memory-only node. journalPolicy
+	// decides whether a failed append refuses the dependent ack (Strict) or
+	// counts and continues (Available).
 	journal       journal.Backend
 	journalPolicy journal.AckPolicy
 
@@ -143,6 +144,8 @@ type Node struct {
 	done    chan struct{}
 	stopped sync.Once
 	wg      sync.WaitGroup
+
+	links *transport.Authenticated // set by Open: the tag check under ep
 }
 
 type shard struct {
@@ -259,11 +262,7 @@ func New(cfg Config) (*Node, error) {
 	for i := range n.peers {
 		n.peers[i] = transport.NodeID(i) //nolint:gosec // <= 64
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 8
-	}
-	n.workers = make([]chan []job, workers)
+	n.workers = make([]chan []job, numWorkers)
 	for i := range n.workers {
 		n.workers[i] = make(chan []job, 256)
 	}
@@ -282,7 +281,7 @@ func (n *Node) Start() {
 
 // Stop shuts the node down and waits for its goroutines. An attached
 // journal is synced and closed, so a clean stop loses nothing and a later
-// Recover on the same directory resumes exactly here.
+// recovery from the same directory resumes exactly here.
 func (n *Node) Stop() {
 	n.stopped.Do(func() {
 		close(n.done)
