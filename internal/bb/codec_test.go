@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/big"
-	"runtime"
 	"testing"
 	"time"
 
+	"ddemos/internal/codec"
+	"ddemos/internal/codec/codectest"
 	"ddemos/internal/crypto/group"
 	"ddemos/internal/crypto/zkp"
 	"ddemos/internal/ea"
-	"ddemos/internal/journal"
 	"ddemos/internal/vc"
+	"ddemos/internal/wire"
 )
 
 // boardDecoders runs every codec decoder; an accepted input comes back with
@@ -22,23 +23,23 @@ var boardDecoders = []struct {
 	decode func(b []byte) (func() []byte, error)
 }{
 	{KindManifest, func(b []byte) (func() []byte, error) {
-		m, err := decode(KindManifest, b, (*coder).manifest)
+		m, err := decode(KindManifest, b, walkManifest)
 		return func() []byte { return EncodeManifest(&m) }, err
 	}},
 	{KindInit, func(b []byte) (func() []byte, error) {
-		in, err := decode(KindInit, b, (*coder).init)
+		in, err := decode(KindInit, b, walkInit)
 		return func() []byte { return EncodeInit(&in) }, err
 	}},
 	{KindVoteSet, func(b []byte) (func() []byte, error) {
-		set, err := decode(KindVoteSet, b, (*coder).voteSet)
+		set, err := decode(KindVoteSet, b, wire.WalkVoteSet)
 		return func() []byte { return EncodeVoteSet(set) }, err
 	}},
 	{KindCast, func(b []byte) (func() []byte, error) {
-		c, err := decode(KindCast, b, (*coder).cast)
+		c, err := decode(KindCast, b, walkCast)
 		return func() []byte { return EncodeCast(&c) }, err
 	}},
 	{KindResult, func(b []byte) (func() []byte, error) {
-		r, err := decode(KindResult, b, (*coder).result)
+		r, err := decode(KindResult, b, walkResult)
 		return func() []byte { return EncodeResult(&r) }, err
 	}},
 	{KindSetSubmission, func(b []byte) (func() []byte, error) {
@@ -46,7 +47,7 @@ var boardDecoders = []struct {
 		return func() []byte { return EncodeSetSubmission(&s) }, err
 	}},
 	{KindMskShare, func(b []byte) (func() []byte, error) {
-		s, err := decode(KindMskShare, b, (*coder).mskShare)
+		s, err := decode(KindMskShare, b, walkMskShare)
 		return func() []byte { return EncodeMskShare(s) }, err
 	}},
 	{KindTrusteePost, func(b []byte) (func() []byte, error) {
@@ -112,19 +113,19 @@ func TestBoardFieldsAreStrict(t *testing.T) {
 	zeroPrefixed := append([]byte{0}, gen[1:]...)
 	nanos := func(n uint32) []byte { return binary.BigEndian.AppendUint32(make([]byte, 8), n) }
 	var nilScalar *big.Int
-	scalar := func(c *coder) { var k *big.Int; c.scalar(&k) }
-	point := func(c *coder) { c.points(new(group.Point)) }
-	when := func(c *coder) { c.time(new(time.Time)) }
-	set := func(c *coder) { c.voteSet(new([]vc.VotedBallot)) }
+	oneScalar := func(c *codec.Coder) { var k *big.Int; scalar(c, &k) }
+	point := func(c *codec.Coder) { points(c, new(group.Point)) }
+	when := func(c *codec.Coder) { instant(c, new(time.Time)) }
+	set := func(c *codec.Coder) { wire.WalkVoteSet(c, new([]vc.VotedBallot)) }
 	cases := []struct {
 		name string
 		in   []byte
-		walk func(*coder)
+		walk func(*codec.Coder)
 		ok   bool
 	}{
-		{"scalar q-1", qMinus1, scalar, true},
-		{"scalar q", q, scalar, false},
-		{"nil scalar's encoding", encode(nil, &nilScalar, (*coder).scalar), scalar, false},
+		{"scalar q-1", qMinus1, oneScalar, true},
+		{"scalar q", q, oneScalar, false},
+		{"nil scalar's encoding", encode(nil, &nilScalar, scalar), oneScalar, false},
 		{"generator", gen, point, true},
 		{"identity", make([]byte, pointLen), point, true},
 		{"uncompressed prefix", offCurve, point, false},
@@ -135,18 +136,17 @@ func TestBoardFieldsAreStrict(t *testing.T) {
 		{"count past the bytes", []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}, set, false},
 	}
 	for _, c := range cases {
-		d := &journal.Dec{Buf: c.in}
-		c.walk(&coder{in: d})
-		if ok := !d.Bad && len(d.Buf) == 0; ok != c.ok {
-			t.Errorf("%s: accepted = %v, want %v", c.name, ok, c.ok)
+		d := codec.Decoder(c.in)
+		if c.walk(d); d.Done() != c.ok {
+			t.Errorf("%s: accepted = %v, want %v", c.name, d.Done(), c.ok)
 		}
 	}
 	identity := group.Base()
-	(&coder{in: &journal.Dec{Buf: make([]byte, pointLen)}}).points(&identity)
+	points(codec.Decoder(make([]byte, pointLen)), &identity)
 	if !identity.IsIdentity() {
 		t.Fatal("33 zero bytes must decode to the identity")
 	}
-	if !bytes.Equal(encode(nil, &group.Point{}, func(c *coder, p *group.Point) { c.points(p) }), make([]byte, pointLen)) {
+	if !bytes.Equal(encode(nil, &group.Point{}, func(c *codec.Coder, p *group.Point) { points(c, p) }), make([]byte, pointLen)) {
 		t.Fatal("the identity must encode as 33 zero bytes")
 	}
 }
@@ -197,30 +197,22 @@ func TestReaderDecodesOnlyTheWinner(t *testing.T) {
 	serve := func(b []byte) API { return ReadFunc(func(Kind) ([]byte, error) { return b, nil }) }
 	reader := NewReader([]API{serve(garbage), serve(honest), serve(lie), serve(honest), serve(honest)})
 	decodes := 0
-	set, err := readAs(reader, KindVoteSet, func(c *coder, set *[]vc.VotedBallot) {
+	set, err := readAs(reader, KindVoteSet, func(c *codec.Coder, set *[]vc.VotedBallot) {
 		decodes++
-		if !bytes.Equal(c.in.Buf, honest) {
+		if !bytes.Equal(c.Rest(), honest) {
 			panic("a minority replica's bytes reached a decoder")
 		}
-		c.voteSet(set)
+		wire.WalkVoteSet(c, set)
 	})
 	if err != nil || decodes != 1 || len(set) != 1 || set[0].Serial != 1 {
 		t.Fatalf("set = %v, err = %v, decodes = %d", set, err, decodes)
 	}
 }
 
-// Allocation bound of FuzzBoardDecode: a decoder may allocate at most
-// allocPerByte bytes per input byte, plus allocSlack.
-const (
-	allocPerByte = 16
-	allocSlack   = 64 << 10
-)
-
-// FuzzBoardDecode feeds arbitrary bytes to every board decoder. None may
-// panic; none may allocate more than allocPerByte·len(input) + allocSlack
-// (counts are bounded by the bytes left, so a short input cannot claim a
-// large preallocation); and anything a decoder accepts must re-encode to the
-// same bytes — the property the Reader's digest comparison rests on.
+// FuzzBoardDecode feeds arbitrary bytes to every board decoder, under the
+// decoder oracle (codectest.Check): none may panic or allocate past its
+// bound, and anything a decoder accepts must re-encode to the same bytes —
+// the property the Reader's digest comparison rests on.
 func FuzzBoardDecode(f *testing.F) {
 	for _, b := range sampleArtefacts(f) {
 		f.Add(b)
@@ -229,16 +221,7 @@ func FuzzBoardDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, c := range boardDecoders {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			reencode, err := c.decode(b)
-			runtime.ReadMemStats(&after)
-			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(allocPerByte*len(b)+allocSlack) {
-				t.Fatalf("%v: decoding %d bytes allocated %d", c.kind, len(b), alloc)
-			}
-			if err == nil && !bytes.Equal(reencode(), b) {
-				t.Fatalf("%v: accepted bytes re-encode differently", c.kind)
-			}
+			_ = codectest.Check(t, b, c.decode)
 		}
 	})
 }

@@ -218,7 +218,7 @@ func (n *Node) combineWorker() {
 		n.metrics.CombineNanos.Add(time.Since(start).Nanoseconds())
 
 		if res != nil {
-			rec := encode(journal.Header(bbRecResult, 0), res, (*coder).result) // encoded once, off-lock
+			rec := encode(journal.Header(bbRecResult, 0), res, walkResult) // encoded once, off-lock
 			n.mu.Lock()
 			installed := false
 			if n.result == nil && !n.closed {

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"sort"
 
+	"ddemos/internal/codec"
 	"ddemos/internal/journal"
+	"ddemos/internal/wire"
 )
 
 // This file is the durable-runtime-state layer of a BB replica, built on the
@@ -114,23 +116,25 @@ func (n *Node) RecoverBackend(j journal.Backend, policy journal.AckPolicy) error
 func (n *Node) applyJournalRecord(payload []byte) error {
 	man := &n.init.Manifest
 	rec := append([]byte(nil), payload...)
-	d := &journal.Dec{Buf: rec}
-	kind := d.U8()
-	key := d.U64()
-	if d.Bad {
+	c := codec.Decoder(rec)
+	var kind uint8
+	var key uint64
+	c.U8(&kind)
+	if c.U64(&key); c.Bad() {
 		return errBadBBRecord
 	}
+	body := c.Rest()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	switch kind {
 	case bbRecSet:
-		set, err := decode(KindVoteSet, d.Buf, (*coder).voteSet)
+		set, err := decode(KindVoteSet, body, wire.WalkVoteSet)
 		if err != nil || key >= uint64(man.NumVC) || checkSet(man, set) != nil {
 			return errBadBBRecord
 		}
 		replayed(n.setRecs, int(key), rec) //nolint:gosec // bounds-checked
 	case bbRecShare:
-		s, err := decode(KindMskShare, d.Buf, (*coder).mskShare)
+		s, err := decode(KindMskShare, body, walkMskShare)
 		if err != nil || s.Index == 0 || int(s.Index) > man.NumVC || uint64(s.Index) != key {
 			return errBadBBRecord
 		}
@@ -139,7 +143,7 @@ func (n *Node) applyJournalRecord(payload []byte) error {
 		}
 		replayed(n.shareRecs, s.Index, rec)
 	case bbRecPost:
-		p, _, err := decodeTrusteePost(d.Buf)
+		p, _, err := decodeTrusteePost(body)
 		if err != nil {
 			return fmt.Errorf("%w: trustee post: %v", errBadBBRecord, err)
 		}
@@ -151,12 +155,12 @@ func (n *Node) applyJournalRecord(payload []byte) error {
 		}
 		replayed(n.postRecs, p.Trustee, rec)
 	case bbRecBlame:
-		if len(d.Buf) != 0 || key >= uint64(man.NumTrustees) {
+		if len(body) != 0 || key >= uint64(man.NumTrustees) {
 			return errBadBBRecord
 		}
 		n.badPosts[int(key)] = true //nolint:gosec // bounds-checked
 	case bbRecResult:
-		res, err := decode(KindResult, d.Buf, (*coder).result)
+		res, err := decode(KindResult, body, walkResult)
 		if err != nil || key != 0 {
 			return errBadBBRecord
 		}
@@ -186,7 +190,7 @@ func (n *Node) finishRecoveryLocked() {
 	if n.setBytes == nil {
 		for _, it := range n.setRecs {
 			if set := it.rec[journal.HeaderLen:]; n.quorumLocked(set) {
-				n.voteSet, _ = decode(KindVoteSet, set, (*coder).voteSet) // validated at replay
+				n.voteSet, _ = decode(KindVoteSet, set, wire.WalkVoteSet) // validated at replay
 				n.setBytes = set
 				break
 			}

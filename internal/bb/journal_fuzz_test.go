@@ -124,7 +124,8 @@ func TestBBJournalRefusesRetiredKinds(t *testing.T) {
 			t.Fatal(err)
 		}
 		mem := journal.NewMemJournal(journal.Options{})
-		if err := mem.Append([][]byte{journal.AppendBytes(journal.Header(kind, 0), []byte("gob"))}); err != nil {
+		gob := []byte("gob")
+		if err := mem.Append([][]byte{append(journal.Header(kind, 0), encode(nil, &gob, anyBytes)...)}); err != nil {
 			t.Fatal(err)
 		}
 		err = node.RecoverBackend(mem, journal.PolicyAvailable)

@@ -307,7 +307,7 @@ func (n *Node) quorumLocked(set []byte) bool {
 // ack; shares arriving after the key is reconstructed add nothing and are
 // acked without storage.
 func (n *Node) acceptShare(body []byte) error {
-	share, err := decode(KindMskShare, body, (*coder).mskShare)
+	share, err := decode(KindMskShare, body, walkMskShare)
 	if err != nil {
 		return err
 	}

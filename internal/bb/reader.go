@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"errors"
 
+	"ddemos/internal/codec"
 	"ddemos/internal/ea"
 	"ddemos/internal/vc"
+	"ddemos/internal/wire"
 )
 
 // API is one Bulletin Board replica as a reader sees it: the encoded
@@ -76,7 +78,7 @@ func (r *Reader) Read(kind Kind) ([]byte, error) {
 
 // readAs decodes the majority's bytes for kind. A majority that agrees on
 // bytes that do not decode yields ErrMalformed.
-func readAs[T any](r *Reader, kind Kind, walk func(*coder, *T)) (T, error) {
+func readAs[T any](r *Reader, kind Kind, walk func(*codec.Coder, *T)) (T, error) {
 	b, err := r.Read(kind)
 	if err != nil {
 		var zero T
@@ -93,16 +95,16 @@ func ptr[T any](v T, err error) (*T, error) {
 }
 
 // Manifest reads the election manifest by majority.
-func (r *Reader) Manifest() (ea.Manifest, error) { return readAs(r, KindManifest, (*coder).manifest) }
+func (r *Reader) Manifest() (ea.Manifest, error) { return readAs(r, KindManifest, walkManifest) }
 
 // Init reads the full initialization data by majority.
-func (r *Reader) Init() (*ea.BBInit, error) { return ptr(readAs(r, KindInit, (*coder).init)) }
+func (r *Reader) Init() (*ea.BBInit, error) { return ptr(readAs(r, KindInit, walkInit)) }
 
 // VoteSet reads the agreed vote set by majority.
-func (r *Reader) VoteSet() ([]vc.VotedBallot, error) { return readAs(r, KindVoteSet, (*coder).voteSet) }
+func (r *Reader) VoteSet() ([]vc.VotedBallot, error) { return readAs(r, KindVoteSet, wire.WalkVoteSet) }
 
 // Cast reads the published cast data by majority.
-func (r *Reader) Cast() (*CastData, error) { return ptr(readAs(r, KindCast, (*coder).cast)) }
+func (r *Reader) Cast() (*CastData, error) { return ptr(readAs(r, KindCast, walkCast)) }
 
 // Result reads the final result by majority.
-func (r *Reader) Result() (*Result, error) { return ptr(readAs(r, KindResult, (*coder).result)) }
+func (r *Reader) Result() (*Result, error) { return ptr(readAs(r, KindResult, walkResult)) }

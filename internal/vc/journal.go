@@ -1,13 +1,14 @@
 package vc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
 	"sort"
 
+	"ddemos/internal/codec"
 	"ddemos/internal/crypto/group"
+	"ddemos/internal/crypto/shamir"
 	"ddemos/internal/journal"
 	"ddemos/internal/wire"
 )
@@ -17,8 +18,8 @@ import (
 // Vote Collector rejoins within the fault bound (§V); here the same role is
 // played by internal/journal — write-ahead-log lanes of ballot state
 // transitions plus periodic snapshots. What lives here is what is the VC's:
-// the record kinds, their encoders, replay, the snapshot payload, and the
-// strict/available ack decisions.
+// the record kinds and their one walk (record.walk), replay, the snapshot
+// payload, and the strict/available ack decisions.
 //
 // Every externally visible promise is journaled before it is made: the
 // endorsed code before the ENDORSEMENT reply, the pending binding and
@@ -30,7 +31,8 @@ import (
 // segment deletion replays records the snapshot already covers — and lets
 // call sites append outside the ballot locks.
 //
-// Record kinds (payload layout, big-endian; "bytes" = u32 length prefix).
+// Record kinds (payload layout over internal/codec; "bytes" = u32 length
+// prefix, "cert" = wire.UCert.Walk, the vote set = wire.WalkVoteSet).
 // Every record opens with `kind u8 | key u64`, the journal's routing rule;
 // the key is the ballot serial, and 0 (lane 0) for the vote set:
 //
@@ -68,60 +70,77 @@ func OpenJournal(dir string, opts journal.Options) (journal.Backend, error) {
 	return journal.Open(dir, opts)
 }
 
-// --- record encoding -------------------------------------------------------
+// --- records ----------------------------------------------------------------
 
-func encEndorsed(serial uint64, code []byte) []byte {
-	return journal.AppendBytes(journal.Header(recEndorsed, serial), code)
+// record is one journal record: its kind, its key (the ballot serial, 0 for
+// the vote set) and the fields its kind lays out.
+type record struct {
+	kind    byte
+	serial  uint64
+	code    []byte
+	part    uint8
+	row     int
+	cert    *wire.UCert
+	share   shamir.Share
+	receipt []byte
+	set     *[]VotedBallot
 }
 
-func encUCert(serial uint64, cert *wire.UCert) []byte {
-	return append(journal.Header(recUCert, serial), wire.MarshalUCert(cert)...)
+// walk is the one layout of each record kind, for the appends, the state
+// capture and replay alike.
+func (r *record) walk(c *codec.Coder) {
+	c.U8(&r.kind)
+	c.U64(&r.serial)
+	switch r.kind {
+	case recEndorsed:
+		c.Bytes(&r.code, codec.AnyLen)
+	case recPending:
+		c.Bytes(&r.code, codec.AnyLen)
+		c.U8(&r.part)
+		c.Int(&r.row)
+		fallthrough
+	case recUCert:
+		if c.Decoding() {
+			r.cert = new(wire.UCert)
+		}
+		r.cert.Walk(c)
+	case recShare:
+		c.U32(&r.share.Index)
+		var value []byte
+		if !c.Decoding() {
+			value = group.ScalarBytes(r.share.Value)
+		}
+		if c.Bytes(&value, codec.AnyLen); c.Decoding() {
+			var err error
+			if r.share.Value, err = group.DecodeScalar(value); err != nil {
+				c.Fail()
+			}
+		}
+	case recVoted:
+		c.Bytes(&r.code, codec.AnyLen)
+		c.Bytes(&r.receipt, codec.AnyLen)
+	case recVSC:
+		if c.Decoding() {
+			r.set = new([]VotedBallot)
+		}
+		wire.WalkVoteSet(c, r.set)
+	default:
+		c.Fail()
+	}
 }
 
-func encPending(serial uint64, code []byte, part uint8, row int, cert *wire.UCert) []byte {
-	dst := journal.AppendBytes(journal.Header(recPending, serial), code)
-	dst = append(dst, part)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(row)) //nolint:gosec // row < m
-	return append(dst, wire.MarshalUCert(cert)...)
-}
-
-func encShare(serial uint64, index uint32, value *big.Int) []byte {
-	dst := binary.BigEndian.AppendUint32(journal.Header(recShare, serial), index)
-	return journal.AppendBytes(dst, group.ScalarBytes(value))
-}
-
-func encVoted(serial uint64, code, receipt []byte) []byte {
-	return journal.AppendBytes(journal.AppendBytes(journal.Header(recVoted, serial), code), receipt)
+// bytes encodes the record. The first allocation holds the small kinds whole.
+func (r record) bytes() []byte {
+	c := codec.Encoder(make([]byte, 0, 64))
+	r.walk(c)
+	return c.Out()
 }
 
 // EncodeVotedRecord builds a realistic voted-transition journal record —
 // exported for the journal benchmarks (RunPoolAblation, bench/), which
 // drive the engine directly with protocol-shaped records.
 func EncodeVotedRecord(serial uint64, code, receipt []byte) []byte {
-	return encVoted(serial, code, receipt)
-}
-
-func encVSC(set []VotedBallot) []byte {
-	dst := binary.BigEndian.AppendUint32(journal.Header(recVSC, 0), uint32(len(set))) //nolint:gosec // protocol-bounded
-	for _, vb := range set {
-		dst = binary.BigEndian.AppendUint64(dst, vb.Serial)
-		dst = journal.AppendBytes(dst, vb.Code)
-	}
-	return dst
-}
-
-// decCert reads a certificate off the cursor.
-func decCert(d *journal.Dec) *wire.UCert {
-	if d.Bad {
-		return nil
-	}
-	u, rest, err := wire.UnmarshalUCert(d.Buf)
-	if err != nil {
-		d.Bad = true
-		return nil
-	}
-	d.Buf = rest
-	return &u
+	return record{kind: recVoted, serial: serial, code: code, receipt: receipt}.bytes()
 }
 
 // errBadRecord wraps journal decode failures (CRC passed but the payload
@@ -167,101 +186,61 @@ func (n *Node) RecoverBackend(j journal.Backend, policy journal.AckPolicy) error
 // duplicates and stale records (snapshot+log overlap, interleaved append
 // order across goroutines) are no-ops.
 func (n *Node) applyJournalRecord(payload []byte) error {
-	d := &journal.Dec{Buf: payload}
-	kind := d.U8()
-	if kind == recVSC {
-		if d.U64() != 0 {
-			return errBadRecord
-		}
-		cnt := d.U32()
-		if d.Bad || uint64(cnt) > uint64(n.manifest.NumBallots) {
-			return errBadRecord
-		}
-		set := make([]VotedBallot, 0, cnt)
-		for i := uint32(0); i < cnt; i++ {
-			set = append(set, VotedBallot{Serial: d.U64(), Code: d.Bytes()})
-		}
-		if d.Bad || len(d.Buf) != 0 {
+	var r record
+	c := codec.Decoder(payload)
+	if r.walk(c); !c.Done() {
+		return fmt.Errorf("%w: kind %d", errBadRecord, r.kind)
+	}
+	if r.kind == recVSC {
+		if r.serial != 0 || len(*r.set) > n.manifest.NumBallots {
 			return errBadRecord
 		}
 		n.vscMu.Lock()
 		if !n.vscDone {
 			n.vscDone = true
-			n.vscResult = set
+			n.vscResult = *r.set
 		}
 		n.vscDurable = true // replayed from the journal, so it is on disk
 		n.vscMu.Unlock()
 		return nil
 	}
-	serial := d.U64()
-	if d.Bad || serial == 0 || serial > uint64(n.manifest.NumBallots) {
+	if r.serial == 0 || r.serial > uint64(n.manifest.NumBallots) {
 		return errBadRecord
 	}
-	st := n.state(serial)
+	st := n.state(r.serial)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	switch kind {
+	switch r.kind {
 	case recEndorsed:
-		code := d.Bytes()
-		if d.Bad {
-			return errBadRecord
-		}
 		if st.endorsedCode == nil {
-			st.endorsedCode = code
+			st.endorsedCode = r.code
 		}
 		st.endorsedDurable = true
 	case recUCert:
-		cert := decCert(d)
-		if d.Bad || cert == nil {
-			return errBadRecord
-		}
-		installCertLocked(st, cert.Code, cert)
+		installCertLocked(st, r.cert.Code, r.cert)
 	case recPending:
-		code := d.Bytes()
-		part := d.U8()
-		row := d.U32()
-		cert := decCert(d)
-		if d.Bad || cert == nil {
-			return errBadRecord
-		}
-		installCertLocked(st, code, cert)
-		st.part, st.row = part, int(row)
+		installCertLocked(st, r.code, r.cert)
+		st.part, st.row = r.part, r.row
 		st.bindingDurable = true
 	case recShare:
-		index := d.U32()
-		value := d.Bytes()
-		if d.Bad {
-			return errBadRecord
-		}
-		v, err := group.DecodeScalar(value)
-		if err != nil {
-			return fmt.Errorf("%w: share value: %v", errBadRecord, err)
-		}
 		if st.shares == nil {
 			st.shares = make(map[uint32]*big.Int, n.hv)
 		}
-		if _, ok := st.shares[index]; !ok {
-			st.shares[index] = v
+		if _, ok := st.shares[r.share.Index]; !ok {
+			st.shares[r.share.Index] = r.share.Value
 		}
-		if index == uint32(n.self)+1 {
+		if r.share.Index == uint32(n.self)+1 {
 			st.sentVoteP = true
 		}
 	case recVoted:
-		code := d.Bytes()
-		receipt := d.Bytes()
-		if d.Bad {
-			return errBadRecord
-		}
 		if st.usedCode == nil {
-			st.usedCode = code
+			st.usedCode = r.code
 		}
 		st.status = Voted
 		if st.receipt == nil {
-			st.receipt = receipt
+			st.receipt = r.receipt
 		}
 		st.receiptDurable = true
-	default:
-		return fmt.Errorf("%w: unknown kind %d", errBadRecord, kind)
 	}
 	return nil
 }
@@ -354,10 +333,11 @@ func (n *Node) laneState(lane, lanes int) [][]byte {
 		st := e.st
 		st.mu.Lock()
 		if st.endorsedCode != nil {
-			out = append(out, encEndorsed(e.serial, st.endorsedCode))
+			out = append(out, record{kind: recEndorsed, serial: e.serial, code: st.endorsedCode}.bytes())
 		}
 		if st.cert != nil {
-			out = append(out, encPending(e.serial, st.usedCode, st.part, st.row, st.cert))
+			out = append(out, record{kind: recPending, serial: e.serial, code: st.usedCode,
+				part: st.part, row: st.row, cert: st.cert}.bytes())
 		}
 		idxs := make([]uint32, 0, len(st.shares))
 		for idx := range st.shares {
@@ -365,17 +345,18 @@ func (n *Node) laneState(lane, lanes int) [][]byte {
 		}
 		sort.Slice(idxs, func(i, k int) bool { return idxs[i] < idxs[k] })
 		for _, idx := range idxs {
-			out = append(out, encShare(e.serial, idx, st.shares[idx]))
+			out = append(out, record{kind: recShare, serial: e.serial,
+				share: shamir.Share{Index: idx, Value: st.shares[idx]}}.bytes())
 		}
 		if st.status == Voted {
-			out = append(out, encVoted(e.serial, st.usedCode, st.receipt))
+			out = append(out, record{kind: recVoted, serial: e.serial, code: st.usedCode, receipt: st.receipt}.bytes())
 		}
 		st.mu.Unlock()
 	}
 	if lane == 0 {
 		n.vscMu.Lock()
 		if n.vscDone {
-			out = append(out, encVSC(n.vscResult))
+			out = append(out, record{kind: recVSC, set: &n.vscResult}.bytes())
 		}
 		n.vscMu.Unlock()
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ddemos/internal/ballot"
+	"ddemos/internal/crypto/shamir"
 	"ddemos/internal/journal"
 	"ddemos/internal/store"
 	"ddemos/internal/transport"
@@ -145,11 +146,11 @@ func syntheticRecords(code []byte) (recs [][]byte) {
 	}}
 	receipt := bytes.Repeat([]byte{0xAB}, 8)
 	return [][]byte{
-		encEndorsed(1, code),
-		encPending(1, code, 0, 1, cert),
-		encShare(1, 1, big.NewInt(11)),
-		encShare(1, 2, big.NewInt(22)),
-		encVoted(1, code, receipt),
+		record{kind: recEndorsed, serial: 1, code: code}.bytes(),
+		record{kind: recPending, serial: 1, code: code, part: 0, row: 1, cert: cert}.bytes(),
+		record{kind: recShare, serial: 1, share: shamir.Share{Index: 1, Value: big.NewInt(11)}}.bytes(),
+		record{kind: recShare, serial: 1, share: shamir.Share{Index: 2, Value: big.NewInt(22)}}.bytes(),
+		record{kind: recVoted, serial: 1, code: code, receipt: receipt}.bytes(),
 	}
 }
 
@@ -281,7 +282,7 @@ func TestReplayKeylessVSCRecord(t *testing.T) {
 	}
 	v0 := binary.BigEndian.AppendUint32([]byte{6}, 1)
 	v0 = binary.BigEndian.AppendUint64(v0, 1)
-	v0 = journal.AppendBytes(v0, code)
+	v0 = append(binary.BigEndian.AppendUint32(v0, uint32(len(code))), code...) //nolint:gosec // a vote code
 	oldDir := filepath.Join(t.TempDir(), "keyless")
 	appendRaw(t, oldDir, v0)
 	node, err := New(Config{
@@ -297,7 +298,7 @@ func TestReplayKeylessVSCRecord(t *testing.T) {
 	}
 
 	newDir := filepath.Join(t.TempDir(), "keyed")
-	appendRaw(t, newDir, encVSC([]VotedBallot{{Serial: 1, Code: code}}))
+	appendRaw(t, newDir, record{kind: recVSC, set: &[]VotedBallot{{Serial: 1, Code: code}}}.bytes())
 	n := journalDirNode(t, c, 1, newDir)
 	ctx, cancel := c.drv.WithTimeout(context.Background(), time.Second)
 	defer cancel()

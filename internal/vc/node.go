@@ -580,7 +580,7 @@ func (n *Node) SubmitVote(ctx context.Context, serial uint64, code []byte) ([]by
 	st.mu.Unlock()
 	if newlyEndorsed || (n.strictJournal() && !endorseDurable) {
 		// Journal the endorsement duty before asking peers to match it.
-		if err := n.journalAppend(encEndorsed(serial, code)); err != nil {
+		if err := n.journalAppend(record{kind: recEndorsed, serial: serial, code: code}.bytes()); err != nil {
 			if n.strictJournal() {
 				n.metrics.StrictRefusals.Add(1)
 				return nil, fmt.Errorf("vc: endorsement not durable: %w", err)
@@ -616,8 +616,8 @@ func (n *Node) SubmitVote(ctx context.Context, serial uint64, code []byte) ([]by
 		st.shares = map[uint32]*big.Int{share.Index: share.Value}
 		st.sentVoteP = true
 		recs = append(recs,
-			encPending(serial, code, part, row, cert),
-			encShare(serial, share.Index, share.Value))
+			record{kind: recPending, serial: serial, code: code, part: part, row: row, cert: cert}.bytes(),
+			record{kind: recShare, serial: serial, share: share}.bytes())
 	case n.strictJournal() && !st.bindingDurable &&
 		st.status == Pending && bytes.Equal(st.usedCode, code):
 		// A racing flow bound the ballot but its binding append failed (or
@@ -626,8 +626,8 @@ func (n *Node) SubmitVote(ctx context.Context, serial uint64, code []byte) ([]by
 		// (part, row) come from this flow's own locate() — the state's pair
 		// is unset when the binding arrived via an adopted cert.
 		recs = append(recs,
-			encPending(serial, st.usedCode, part, row, st.cert),
-			encShare(serial, share.Index, share.Value))
+			record{kind: recPending, serial: serial, code: st.usedCode, part: part, row: row, cert: st.cert}.bytes(),
+			record{kind: recShare, serial: serial, share: share}.bytes())
 	}
 	switch {
 	case st.status == Voted && bytes.Equal(st.usedCode, code):
@@ -688,7 +688,7 @@ func (n *Node) ensureReceiptDurable(st *ballotState, serial uint64, code, receip
 	if !n.strictJournal() || durable {
 		return nil
 	}
-	if err := n.journalAppend(encVoted(serial, code, receipt)); err != nil {
+	if err := n.journalAppend(record{kind: recVoted, serial: serial, code: code, receipt: receipt}.bytes()); err != nil {
 		n.metrics.StrictRefusals.Add(1)
 		return fmt.Errorf("vc: receipt not durable: %w", err)
 	}
@@ -933,7 +933,7 @@ func (n *Node) onEndorse(from uint16, m *wire.Endorse) {
 		// reply carries it away, or a restarted node could endorse a
 		// different code for the same ballot. A Strict node stays silent
 		// when the record did not land — no signature without durability.
-		if err := n.journalAppend(encEndorsed(m.Serial, m.Code)); err != nil {
+		if err := n.journalAppend(record{kind: recEndorsed, serial: m.Serial, code: m.Code}.bytes()); err != nil {
 			if n.strictJournal() {
 				n.metrics.StrictRefusals.Add(1)
 				return
@@ -1183,8 +1183,8 @@ func (n *Node) applyShares(serial uint64, cands []votePCandidate, idxs []int) {
 			st.shares = map[uint32]*big.Int{c.share.Index: c.share.Value}
 			bound = true
 			recs = append(recs,
-				encPending(serial, c.m.Code, c.part, c.row, c.cert),
-				encShare(serial, c.share.Index, c.share.Value))
+				record{kind: recPending, serial: serial, code: c.m.Code, part: c.part, row: c.row, cert: c.cert}.bytes(),
+				record{kind: recShare, serial: serial, share: c.share}.bytes())
 		case Pending, Voted:
 			if !bytes.Equal(st.usedCode, c.m.Code) {
 				// Impossible with honest-majority UCERTs; drop defensively.
@@ -1195,7 +1195,7 @@ func (n *Node) applyShares(serial uint64, cands []votePCandidate, idxs []int) {
 				st.shares = make(map[uint32]*big.Int, n.hv)
 			}
 			if _, dup := st.shares[c.share.Index]; !dup {
-				recs = append(recs, encShare(serial, c.share.Index, c.share.Value))
+				recs = append(recs, record{kind: recShare, serial: serial, share: c.share}.bytes())
 			}
 			st.shares[c.share.Index] = c.share.Value
 		}
@@ -1204,7 +1204,7 @@ func (n *Node) applyShares(serial uint64, cands []votePCandidate, idxs []int) {
 			own, err := n.ownShare(c.bd, c.part, c.row)
 			if err == nil {
 				st.shares[own.Index] = own.Value
-				recs = append(recs, encShare(serial, own.Index, own.Value))
+				recs = append(recs, record{kind: recShare, serial: serial, share: own}.bytes())
 				disclose = true
 				ownSh, ownLine = own, c
 				discloseCode = st.usedCode
@@ -1216,10 +1216,10 @@ func (n *Node) applyShares(serial uint64, cands []votePCandidate, idxs []int) {
 	// append (bound here via a peer's VOTE_P, or adopted during consensus)
 	// re-journals its certificate before anything else leaves for it — a
 	// restart must never find disclosed shares without the binding behind
-	// them. encUCert rather than encPending: an adopted cert has no known
-	// (part, row), and replay recovers both from the next VOTE_P anyway.
+	// them. A ucert record rather than a pending one: an adopted cert has no
+	// known (part, row), and replay recovers both from the next VOTE_P anyway.
 	if n.strictJournal() && !bound && !st.bindingDurable && st.cert != nil {
-		recs = append([][]byte{encUCert(serial, st.cert)}, recs...)
+		recs = append([][]byte{record{kind: recUCert, serial: serial, cert: st.cert}.bytes()}, recs...)
 		bound = true
 	}
 	rec, notify, receipt := n.maybeReconstructLocked(serial, st)
@@ -1298,7 +1298,7 @@ func (n *Node) maybeReconstructLocked(serial uint64, st *ballotState) (rec []byt
 	st.receipt = receipt
 	notify = st.waiters
 	st.waiters = nil
-	return encVoted(serial, st.usedCode, receipt), notify, receipt
+	return record{kind: recVoted, serial: serial, code: st.usedCode, receipt: receipt}.bytes(), notify, receipt
 }
 
 // BallotStatus reports a ballot's current state (tests and recovery).

@@ -19,10 +19,9 @@ import (
 )
 
 // VotedBallot is one ⟨serial-no, vote-code⟩ tuple of the agreed vote set.
-type VotedBallot struct {
-	Serial uint64
-	Code   []byte
-}
+// It is the wire's VSCEntry, so the set has one layout (wire.WalkVoteSet) in
+// VSC-FINAL, in the journal and on the board.
+type VotedBallot = wire.VSCEntry
 
 // maxVscBuffer bounds buffering of consensus traffic that arrives before the
 // engine is installed.
@@ -56,7 +55,7 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 		durable := n.vscDurable
 		n.vscMu.Unlock()
 		if n.strictJournal() && !durable {
-			err := n.journalAppend(encVSC(set))
+			err := n.journalAppend(record{kind: recVSC, set: &set}.bytes())
 			if err == nil {
 				err = n.journal.Sync()
 			}
@@ -240,7 +239,7 @@ func (n *Node) finishConsensus(set []VotedBallot, succeeded *bool) ([]VotedBallo
 	n.vscDone = true
 	n.vscResult = append([]VotedBallot(nil), set...)
 	n.vscMu.Unlock()
-	err := n.journalAppend(encVSC(set))
+	err := n.journalAppend(record{kind: recVSC, set: &set}.bytes())
 	if err == nil && n.journal != nil {
 		if err = n.journal.Sync(); err != nil {
 			n.metrics.JournalErrors.Add(1)
@@ -330,7 +329,7 @@ func (n *Node) acceptEntries(entries []wire.AnnounceEntry) []bool {
 			}
 			// An adopted certificate feeds our consensus input: journal it
 			// so a restarted node announces the same certified set.
-			recs = append(recs, encUCert(cert.Serial, &cert))
+			recs = append(recs, record{kind: recUCert, serial: cert.Serial, cert: &cert}.bytes())
 		}
 		st.mu.Unlock()
 	}
@@ -426,11 +425,7 @@ func (n *Node) sendFinalTo(to uint16) {
 	}
 	set := append([]VotedBallot(nil), n.vscResult...)
 	n.vscMu.Unlock()
-	entries := make([]wire.VSCEntry, 0, len(set))
-	for _, vb := range set {
-		entries = append(entries, wire.VSCEntry{Serial: vb.Serial, Code: vb.Code})
-	}
-	msg := &wire.VSCFinal{Sender: n.self, Entries: entries, Sig: n.SignVoteSet(set)}
+	msg := &wire.VSCFinal{Sender: n.self, Entries: set, Sig: n.SignVoteSet(set)}
 	if err := n.ep.Send(transport.NodeID(to), wire.Encode(msg)); err != nil {
 		n.metrics.SendErrors.Add(1)
 	}
@@ -492,10 +487,7 @@ func (e *vscEngine) onVSCFinal(from uint16, m *wire.VSCFinal) {
 		n.metrics.BadMessages.Add(1)
 		return
 	}
-	set := make([]VotedBallot, 0, len(m.Entries))
-	for i := range m.Entries {
-		set = append(set, VotedBallot{Serial: m.Entries[i].Serial, Code: m.Entries[i].Code})
-	}
+	set := m.Entries
 	if !VerifyVoteSetSig(&n.manifest, int(from), set, m.Sig) {
 		n.metrics.BadMessages.Add(1)
 		return

@@ -1,6 +1,10 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+
+	"ddemos/internal/codec"
+)
 
 // BatchVersion is the current encoding version of the Batch envelope. The
 // version byte leads the body so the format can evolve (e.g. compressed
@@ -8,7 +12,7 @@ import "fmt"
 const BatchVersion uint8 = 1
 
 // MaxBatchFrames bounds the number of frames one Batch may carry,
-// protecting decoders from hostile counts independently of maxCount.
+// protecting decoders from hostile counts independently of codec.MaxCount.
 // Senders (transport.Batcher) must keep batches within this cap or the
 // receiver rejects them as malformed.
 const MaxBatchFrames = 1 << 16
@@ -31,49 +35,25 @@ type Batch struct {
 // Kind implements Message.
 func (*Batch) Kind() Kind { return KindBatch }
 
-func (m *Batch) appendBody(dst []byte) []byte {
-	dst = append(dst, BatchVersion)
-	dst = appendU32(dst, uint32(len(m.Frames))) //nolint:gosec // bounded by callers
-	for _, f := range m.Frames {
-		dst = appendBytes(dst, f)
+func (m *Batch) walk(c *codec.Coder) {
+	v := BatchVersion
+	if c.U8(&v); v != BatchVersion {
+		c.Fail()
 	}
-	return dst
-}
-
-func decodeBatch(r *reader) *Batch {
-	v := r.u8("batch version")
-	if r.err != nil {
-		return &Batch{}
-	}
-	if v != BatchVersion {
-		r.err = fmt.Errorf("%w: unsupported batch version %d", ErrMalformed, v)
-		return &Batch{}
-	}
-	n := r.count("batch frames", minBatchFrame)
-	if r.err != nil {
-		return &Batch{}
-	}
-	if n > MaxBatchFrames {
-		r.err = fmt.Errorf("%w: batch of %d frames", ErrMalformed, n)
-		return &Batch{}
-	}
-	m := &Batch{Frames: make([][]byte, 0, n)}
-	for i := 0; i < n; i++ {
-		f := r.bytes("batch frame")
-		if r.err != nil {
-			return m
+	n := c.Count(len(m.Frames), minBatchFrame)
+	if c.Decoding() {
+		if n > MaxBatchFrames {
+			c.Fail()
+			n = 0
 		}
-		if len(f) == 0 {
-			r.err = fmt.Errorf("%w: empty batch frame", ErrMalformed)
-			return m
-		}
-		if Kind(f[0]) == KindBatch {
-			r.err = fmt.Errorf("%w: nested batch", ErrMalformed)
-			return m
-		}
-		m.Frames = append(m.Frames, f)
+		m.Frames = make([][]byte, n)
 	}
-	return m
+	for i := range m.Frames {
+		f := &m.Frames[i]
+		if c.Bytes(f, maxBytesLen); c.Decoding() && (len(*f) == 0 || Kind((*f)[0]) == KindBatch) {
+			c.Fail() // an empty or nested frame
+		}
+	}
 }
 
 // Unpack decodes every inner frame. Nested batches are rejected at decode

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"ddemos/internal/codec/codectest"
 )
 
 // fuzzSeedFrames builds one representative encoded frame per message kind,
@@ -68,31 +70,28 @@ func fuzzSeedFrames() [][]byte {
 	return frames
 }
 
-// FuzzDecode checks the decoder's contract on arbitrary bytes: it never
-// panics, and whatever it accepts re-encodes to the identical frame
-// (encoding is canonical, decoding is strict).
+// FuzzDecode holds the decoder to the oracle (codectest.Check) on
+// arbitrary bytes: it never panics or allocates past its bound, whatever it
+// accepts re-encodes to the identical frame (encoding is canonical, decoding
+// is strict), and every refusal wraps ErrMalformed.
 func FuzzDecode(f *testing.F) {
 	for _, frame := range fuzzSeedFrames() {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(data)
-		if err != nil {
-			if !errors.Is(err, ErrMalformed) {
-				t.Fatalf("decode error not wrapping ErrMalformed: %v", err)
-			}
-			return
-		}
-		re := Encode(m)
-		if !bytes.Equal(re, data) {
-			t.Fatalf("round trip not canonical:\n in  %x\n out %x", data, re)
+		err := codectest.Check(t, data, func(b []byte) (func() []byte, error) {
+			m, err := Decode(b)
+			return func() []byte { return Encode(m) }, err
+		})
+		if err != nil && !errors.Is(err, ErrMalformed) {
+			t.Fatalf("decode error not wrapping ErrMalformed: %v", err)
 		}
 	})
 }
 
-// FuzzSplitBatch checks the transport unbatching path: SplitBatch never
-// panics, every frame it returns is a non-empty non-batch frame, and the
-// split re-assembles into the identical batch envelope.
+// FuzzSplitBatch checks the transport unbatching path under the oracle:
+// SplitBatch never panics, every frame it returns is a non-empty non-batch
+// frame, and the split re-assembles into the identical batch envelope.
 func FuzzSplitBatch(f *testing.F) {
 	seeds := fuzzSeedFrames()
 	f.Add(Encode(&Batch{Frames: [][]byte{seeds[0], seeds[1]}}))
@@ -101,7 +100,12 @@ func FuzzSplitBatch(f *testing.F) {
 	f.Add([]byte{byte(KindBatch), BatchVersion, 0, 0, 0, 2}) // truncated count
 	f.Add(seeds[0])                                          // not a batch
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, err := SplitBatch(data)
+		var frames [][]byte
+		err := codectest.Check(t, data, func(b []byte) (func() []byte, error) {
+			var err error
+			frames, err = SplitBatch(b)
+			return func() []byte { return Encode(&Batch{Frames: frames}) }, err
+		})
 		if err != nil {
 			if !errors.Is(err, ErrMalformed) {
 				t.Fatalf("split error not wrapping ErrMalformed: %v", err)
@@ -118,10 +122,6 @@ func FuzzSplitBatch(f *testing.F) {
 		}
 		if len(frames) > MaxBatchFrames {
 			t.Fatalf("accepted %d frames, cap is %d", len(frames), MaxBatchFrames)
-		}
-		re := Encode(&Batch{Frames: frames})
-		if !bytes.Equal(re, data) {
-			t.Fatalf("split/re-encode not canonical:\n in  %x\n out %x", data, re)
 		}
 	})
 }

@@ -4,18 +4,19 @@
 // RECOVER-REQUEST, RECOVER-RESPONSE), the batched binary-consensus
 // payloads, and the Batch envelope that coalesces many protocol messages
 // into one frame for the high-throughput transport pipeline (DESIGN.md,
-// "Batched message pipeline"). Encoding is hand-rolled: these messages are
-// the hot path of the system, mirroring the paper's use of protocol buffers
-// over Netty.
+// "Batched message pipeline").
 //
-// Every frame is Kind (1 byte) || body. Deserialization is strict: trailing
+// Every frame is Kind (1 byte) || body, and each message lays its body out
+// once, as a walk over internal/codec. Deserialization is strict: trailing
 // bytes, truncation and oversized counts are errors.
 package wire
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
+
+	"ddemos/internal/codec"
 )
 
 // Kind identifies the message type of a frame.
@@ -36,41 +37,34 @@ const (
 	KindRBCReady
 )
 
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case KindEndorse:
-		return "ENDORSE"
-	case KindEndorsement:
-		return "ENDORSEMENT"
-	case KindVoteP:
-		return "VOTE_P"
-	case KindAnnounce:
-		return "ANNOUNCE"
-	case KindRecoverRequest:
-		return "RECOVER-REQUEST"
-	case KindRecoverResponse:
-		return "RECOVER-RESPONSE"
-	case KindConsensus:
-		return "CONSENSUS"
-	case KindBatch:
-		return "BATCH"
-	case KindVSCFinal:
-		return "VSC-FINAL"
-	case KindRBCEcho:
-		return "RBC-ECHO"
-	case KindRBCReady:
-		return "RBC-READY"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
+// kinds names each message kind and makes the empty message Decode walks.
+var kinds = [...]struct {
+	name string
+	new  func() Message
+}{
+	KindEndorse:         {"ENDORSE", func() Message { return new(Endorse) }},
+	KindEndorsement:     {"ENDORSEMENT", func() Message { return new(Endorsement) }},
+	KindVoteP:           {"VOTE_P", func() Message { return new(VoteP) }},
+	KindAnnounce:        {"ANNOUNCE", func() Message { return new(Announce) }},
+	KindRecoverRequest:  {"RECOVER-REQUEST", func() Message { return new(RecoverRequest) }},
+	KindRecoverResponse: {"RECOVER-RESPONSE", func() Message { return new(RecoverResponse) }},
+	KindConsensus:       {"CONSENSUS", func() Message { return new(Consensus) }},
+	KindBatch:           {"BATCH", func() Message { return new(Batch) }},
+	KindVSCFinal:        {"VSC-FINAL", func() Message { return new(VSCFinal) }},
+	KindRBCEcho:         {"RBC-ECHO", func() Message { return new(RBCEcho) }},
+	KindRBCReady:        {"RBC-READY", func() Message { return new(RBCReady) }},
 }
 
-// Limits protecting decoders from hostile inputs.
-const (
-	maxBytesLen = 1 << 20 // single byte-string field
-	maxCount    = 1 << 22 // collection sizes
-)
+// String implements fmt.Stringer.
+func (k Kind) String() string {
+	if int(k) < len(kinds) && kinds[k].new != nil {
+		return kinds[k].name
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// maxBytesLen bounds a single byte-string field.
+const maxBytesLen = 1 << 20
 
 // A VOTE_P share path is whole SHA-256 hashes, at most maxSharePathHashes of
 // them: a ballot store holds at most 2^16 options per part (store
@@ -82,7 +76,7 @@ const (
 )
 
 // Least encoded size of each counted element with variable-length parts (a
-// byte string is at least its u32 length prefix): what reader.count divides
+// byte string is at least its u32 length prefix): what codec.Count divides
 // the bytes left by.
 const (
 	minSigEntry       = 2 + 4            // signer, sig
@@ -99,12 +93,15 @@ var ErrMalformed = errors.New("wire: malformed message")
 // Message is implemented by every protocol message.
 type Message interface {
 	Kind() Kind
-	appendBody(dst []byte) []byte
+	walk(c *codec.Coder)
 }
 
-// Encode serializes a message to a framed byte slice.
+// Encode serializes a message to a framed byte slice. The first allocation
+// holds the small frames whole.
 func Encode(m Message) []byte {
-	return m.appendBody([]byte{byte(m.Kind())})
+	c := codec.Encoder(append(make([]byte, 0, 64), byte(m.Kind())))
+	m.walk(c)
+	return c.Out()
 }
 
 // Decode parses a framed message.
@@ -112,153 +109,16 @@ func Decode(frame []byte) (Message, error) {
 	if len(frame) < 1 {
 		return nil, fmt.Errorf("%w: empty frame", ErrMalformed)
 	}
-	r := &reader{buf: frame[1:]}
-	var m Message
-	switch Kind(frame[0]) {
-	case KindEndorse:
-		m = decodeEndorse(r)
-	case KindEndorsement:
-		m = decodeEndorsement(r)
-	case KindVoteP:
-		m = decodeVoteP(r)
-	case KindAnnounce:
-		m = decodeAnnounce(r)
-	case KindRecoverRequest:
-		m = decodeRecoverRequest(r)
-	case KindRecoverResponse:
-		m = decodeRecoverResponse(r)
-	case KindConsensus:
-		m = decodeConsensus(r)
-	case KindBatch:
-		m = decodeBatch(r)
-	case KindVSCFinal:
-		m = decodeVSCFinal(r)
-	case KindRBCEcho:
-		m = decodeRBCEcho(r)
-	case KindRBCReady:
-		m = decodeRBCReady(r)
-	default:
+	k := Kind(frame[0])
+	if int(k) >= len(kinds) || kinds[k].new == nil {
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrMalformed, frame[0])
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.buf))
+	m := kinds[k].new()
+	c := codec.Decoder(frame[1:])
+	if m.walk(c); !c.Done() {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, k)
 	}
 	return m, nil
-}
-
-// --- primitives -----------------------------------------------------------
-
-type reader struct {
-	buf []byte
-	err error
-}
-
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated %s", ErrMalformed, what)
-	}
-}
-
-func (r *reader) u8(what string) uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 1 {
-		r.fail(what)
-		return 0
-	}
-	v := r.buf[0]
-	r.buf = r.buf[1:]
-	return v
-}
-
-func (r *reader) u16(what string) uint16 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 2 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.buf)
-	r.buf = r.buf[2:]
-	return v
-}
-
-func (r *reader) u32(what string) uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 4 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.buf)
-	r.buf = r.buf[4:]
-	return v
-}
-
-func (r *reader) u64(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return v
-}
-
-func (r *reader) bytes(what string) []byte {
-	n := r.u32(what)
-	if n > maxBytesLen {
-		r.fail(what)
-	}
-	return r.take(n, what)
-}
-
-// take copies the next n bytes out of the frame.
-func (r *reader) take(n uint32, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if int(n) > len(r.buf) {
-		r.fail(what)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[:n])
-	r.buf = r.buf[n:]
-	return out
-}
-
-// count reads a collection size. Decoders preallocate from it, so besides
-// maxCount it is bounded by what the rest of the frame could hold: minSize is
-// the least number of bytes one element encodes to.
-func (r *reader) count(what string, minSize int) int {
-	n := r.u32(what)
-	if r.err != nil {
-		return 0
-	}
-	if n > maxCount || int(n) > len(r.buf)/minSize {
-		r.fail(what + " count")
-		return 0
-	}
-	return int(n)
-}
-
-func appendU16(dst []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(dst, v) }
-func appendU32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
-func appendU64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
-
-func appendBytes(dst, b []byte) []byte {
-	dst = appendU32(dst, uint32(len(b))) //nolint:gosec // bounded by callers
-	return append(dst, b...)
 }
 
 // --- voting protocol messages ---------------------------------------------
@@ -273,13 +133,9 @@ type Endorse struct {
 // Kind implements Message.
 func (*Endorse) Kind() Kind { return KindEndorse }
 
-func (m *Endorse) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.Serial)
-	return appendBytes(dst, m.Code)
-}
-
-func decodeEndorse(r *reader) *Endorse {
-	return &Endorse{Serial: r.u64("serial"), Code: r.bytes("code")}
+func (m *Endorse) walk(c *codec.Coder) {
+	c.U64(&m.Serial)
+	c.Bytes(&m.Code, maxBytesLen)
 }
 
 // Endorsement is a VC node's signature endorsing (serial, vote-code).
@@ -293,20 +149,11 @@ type Endorsement struct {
 // Kind implements Message.
 func (*Endorsement) Kind() Kind { return KindEndorsement }
 
-func (m *Endorsement) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.Serial)
-	dst = appendBytes(dst, m.Code)
-	dst = appendU16(dst, m.Signer)
-	return appendBytes(dst, m.Sig)
-}
-
-func decodeEndorsement(r *reader) *Endorsement {
-	return &Endorsement{
-		Serial: r.u64("serial"),
-		Code:   r.bytes("code"),
-		Signer: r.u16("signer"),
-		Sig:    r.bytes("sig"),
-	}
+func (m *Endorsement) walk(c *codec.Coder) {
+	c.U64(&m.Serial)
+	c.Bytes(&m.Code, maxBytesLen)
+	c.U16(&m.Signer)
+	c.Bytes(&m.Sig, maxBytesLen)
 }
 
 // SigEntry is one endorsement signature inside a uniqueness certificate.
@@ -324,46 +171,15 @@ type UCert struct {
 	Sigs   []SigEntry
 }
 
-func appendUCert(dst []byte, u *UCert) []byte {
-	dst = appendU64(dst, u.Serial)
-	dst = appendBytes(dst, u.Code)
-	dst = appendU32(dst, uint32(len(u.Sigs))) //nolint:gosec // protocol-bounded
-	for _, s := range u.Sigs {
-		dst = appendU16(dst, s.Signer)
-		dst = appendBytes(dst, s.Sig)
-	}
-	return dst
-}
-
-func decodeUCert(r *reader) UCert {
-	u := UCert{Serial: r.u64("ucert serial"), Code: r.bytes("ucert code")}
-	n := r.count("ucert sigs", minSigEntry)
-	if r.err != nil {
-		return u
-	}
-	u.Sigs = make([]SigEntry, 0, n)
-	for i := 0; i < n; i++ {
-		u.Sigs = append(u.Sigs, SigEntry{Signer: r.u16("sig signer"), Sig: r.bytes("sig bytes")})
-	}
-	return u
-}
-
-// MarshalUCert serializes a certificate standalone — the journal and
-// snapshot records of the VC persistence layer embed certificates outside
-// any protocol frame.
-func MarshalUCert(u *UCert) []byte {
-	return appendUCert(nil, u)
-}
-
-// UnmarshalUCert parses a standalone certificate produced by MarshalUCert,
-// returning the unconsumed rest of buf.
-func UnmarshalUCert(buf []byte) (UCert, []byte, error) {
-	r := &reader{buf: buf}
-	u := decodeUCert(r)
-	if r.err != nil {
-		return UCert{}, nil, r.err
-	}
-	return u, r.buf, nil
+// Walk codes the certificate: the one layout of a UCERT in frames and in
+// the VC journal's records.
+func (u *UCert) Walk(c *codec.Coder) {
+	c.U64(&u.Serial)
+	c.Bytes(&u.Code, maxBytesLen)
+	codec.List(c, &u.Sigs, minSigEntry, func(c *codec.Coder, s *SigEntry) {
+		c.U16(&s.Signer)
+		c.Bytes(&s.Sig, maxBytesLen)
+	})
 }
 
 // VoteP discloses a node's receipt share for a certified (serial, code),
@@ -385,36 +201,24 @@ type VoteP struct {
 // Kind implements Message.
 func (*VoteP) Kind() Kind { return KindVoteP }
 
-func (m *VoteP) appendBody(dst []byte) []byte {
-	dst = appendU64(dst, m.Serial)
-	dst = appendBytes(dst, m.Code)
-	dst = appendU32(dst, m.ShareIndex)
-	dst = appendBytes(dst, m.ShareValue)
-	dst = appendBytes(dst, m.ShareSig)
-	dst = appendBytes(dst, m.SharePath)
-	return appendUCert(dst, &m.Cert)
-}
-
-func decodeVoteP(r *reader) *VoteP {
-	return &VoteP{
-		Serial:     r.u64("serial"),
-		Code:       r.bytes("code"),
-		ShareIndex: r.u32("share index"),
-		ShareValue: r.bytes("share value"),
-		ShareSig:   r.bytes("share sig"),
-		SharePath:  r.sharePath(),
-		Cert:       decodeUCert(r),
+func (m *VoteP) walk(c *codec.Coder) {
+	c.U64(&m.Serial)
+	c.Bytes(&m.Code, maxBytesLen)
+	c.U32(&m.ShareIndex)
+	c.Bytes(&m.ShareValue, maxBytesLen)
+	c.Bytes(&m.ShareSig, maxBytesLen)
+	// The share path is refused before anything is copied when its length
+	// is not whole hashes or exceeds maxSharePathHashes.
+	n := uint32(len(m.SharePath)) //nolint:gosec // bounded below
+	if c.U32(&n); n%sharePathHash != 0 || n > maxSharePathHashes*sharePathHash {
+		c.Fail()
 	}
-}
-
-// sharePath reads a VOTE_P share path, refusing before it copies anything
-// a length that is not whole hashes or exceeds maxSharePathHashes.
-func (r *reader) sharePath() []byte {
-	n := r.u32("share path")
-	if r.err == nil && (n%sharePathHash != 0 || n > maxSharePathHashes*sharePathHash) {
-		r.err = fmt.Errorf("%w: share path of %d bytes", ErrMalformed, n)
+	if c.Decoding() {
+		m.SharePath = bytes.Clone(c.Next(int(n)))
+	} else {
+		c.Fixed(m.SharePath)
 	}
-	return r.take(n, "share path")
+	m.Cert.Walk(c)
 }
 
 // --- vote set consensus messages ------------------------------------------
@@ -426,33 +230,14 @@ type AnnounceEntry struct {
 	Cert   UCert
 }
 
-// appendEntries and decodeEntries are the one encoding of an entry list
-// (count, then entries) that ANNOUNCE, RECOVER-RESPONSE and RBC-ECHO share.
-func appendEntries(dst []byte, entries []AnnounceEntry) []byte {
-	dst = appendU32(dst, uint32(len(entries))) //nolint:gosec // protocol-bounded
-	for i := range entries {
-		e := &entries[i]
-		dst = appendU64(dst, e.Serial)
-		dst = appendBytes(dst, e.Code)
-		dst = appendUCert(dst, &e.Cert)
-	}
-	return dst
-}
-
-func decodeEntries(r *reader) []AnnounceEntry {
-	n := r.count("entries", minAnnounceEntry)
-	if r.err != nil {
-		return nil
-	}
-	entries := make([]AnnounceEntry, 0, n)
-	for i := 0; i < n; i++ {
-		entries = append(entries, AnnounceEntry{
-			Serial: r.u64("entry serial"),
-			Code:   r.bytes("entry code"),
-			Cert:   decodeUCert(r),
-		})
-	}
-	return entries
+// walkEntries is the one layout of an entry list (count, then entries) that
+// ANNOUNCE, RECOVER-RESPONSE and RBC-ECHO share.
+func walkEntries(c *codec.Coder, entries *[]AnnounceEntry) {
+	codec.List(c, entries, minAnnounceEntry, func(c *codec.Coder, e *AnnounceEntry) {
+		c.U64(&e.Serial)
+		c.Bytes(&e.Code, maxBytesLen)
+		e.Cert.Walk(c)
+	})
 }
 
 // Announce carries a node's complete set of known certified codes at
@@ -466,13 +251,9 @@ type Announce struct {
 // Kind implements Message.
 func (*Announce) Kind() Kind { return KindAnnounce }
 
-func (m *Announce) appendBody(dst []byte) []byte {
-	dst = appendU16(dst, m.Sender)
-	return appendEntries(dst, m.Entries)
-}
-
-func decodeAnnounce(r *reader) *Announce {
-	return &Announce{Sender: r.u16("sender"), Entries: decodeEntries(r)}
+func (m *Announce) walk(c *codec.Coder) {
+	c.U16(&m.Sender)
+	walkEntries(c, &m.Entries)
 }
 
 // RecoverRequest asks peers for the certified codes of ballots that decided
@@ -484,25 +265,7 @@ type RecoverRequest struct {
 // Kind implements Message.
 func (*RecoverRequest) Kind() Kind { return KindRecoverRequest }
 
-func (m *RecoverRequest) appendBody(dst []byte) []byte {
-	dst = appendU32(dst, uint32(len(m.Serials))) //nolint:gosec // protocol-bounded
-	for _, s := range m.Serials {
-		dst = appendU64(dst, s)
-	}
-	return dst
-}
-
-func decodeRecoverRequest(r *reader) *RecoverRequest {
-	n := r.count("serials", 8)
-	if r.err != nil {
-		return &RecoverRequest{}
-	}
-	m := &RecoverRequest{Serials: make([]uint64, 0, n)}
-	for i := 0; i < n; i++ {
-		m.Serials = append(m.Serials, r.u64("serial"))
-	}
-	return m
-}
+func (m *RecoverRequest) walk(c *codec.Coder) { codec.List(c, &m.Serials, 8, (*codec.Coder).U64) }
 
 // RecoverResponse answers a RecoverRequest with certified codes.
 type RecoverResponse struct {
@@ -512,18 +275,21 @@ type RecoverResponse struct {
 // Kind implements Message.
 func (*RecoverResponse) Kind() Kind { return KindRecoverResponse }
 
-func (m *RecoverResponse) appendBody(dst []byte) []byte {
-	return appendEntries(dst, m.Entries)
-}
-
-func decodeRecoverResponse(r *reader) *RecoverResponse {
-	return &RecoverResponse{Entries: decodeEntries(r)}
-}
+func (m *RecoverResponse) walk(c *codec.Coder) { walkEntries(c, &m.Entries) }
 
 // VSCEntry is one ⟨serial, code⟩ tuple of a final agreed vote set.
 type VSCEntry struct {
 	Serial uint64
 	Code   []byte
+}
+
+// WalkVoteSet codes a vote set, count | {serial u64 | code bytes}: the one
+// layout of the set in VSC-FINAL, in the VC journal and on the board.
+func WalkVoteSet(c *codec.Coder, set *[]VSCEntry) {
+	codec.List(c, set, minVSCEntry, func(c *codec.Coder, e *VSCEntry) {
+		c.U64(&e.Serial)
+		c.Bytes(&e.Code, maxBytesLen)
+	})
 }
 
 // VSCFinal carries a node's completed vote-set-consensus result, signed with
@@ -541,28 +307,10 @@ type VSCFinal struct {
 // Kind implements Message.
 func (*VSCFinal) Kind() Kind { return KindVSCFinal }
 
-func (m *VSCFinal) appendBody(dst []byte) []byte {
-	dst = appendU16(dst, m.Sender)
-	dst = appendU32(dst, uint32(len(m.Entries))) //nolint:gosec // protocol-bounded
-	for i := range m.Entries {
-		dst = appendU64(dst, m.Entries[i].Serial)
-		dst = appendBytes(dst, m.Entries[i].Code)
-	}
-	return appendBytes(dst, m.Sig)
-}
-
-func decodeVSCFinal(r *reader) *VSCFinal {
-	m := &VSCFinal{Sender: r.u16("sender")}
-	n := r.count("entries", minVSCEntry)
-	if r.err != nil {
-		return m
-	}
-	m.Entries = make([]VSCEntry, 0, n)
-	for i := 0; i < n; i++ {
-		m.Entries = append(m.Entries, VSCEntry{Serial: r.u64("entry serial"), Code: r.bytes("entry code")})
-	}
-	m.Sig = r.bytes("sig")
-	return m
+func (m *VSCFinal) walk(c *codec.Coder) {
+	c.U16(&m.Sender)
+	WalkVoteSet(c, &m.Entries)
+	c.Bytes(&m.Sig, maxBytesLen)
 }
 
 // --- batched binary consensus ---------------------------------------------
@@ -597,45 +345,14 @@ type Consensus struct {
 // Kind implements Message.
 func (*Consensus) Kind() Kind { return KindConsensus }
 
-func (m *Consensus) appendBody(dst []byte) []byte {
-	dst = appendU16(dst, m.Sender)
-	dst = appendU32(dst, uint32(len(m.Groups))) //nolint:gosec // protocol-bounded
-	for i := range m.Groups {
-		g := &m.Groups[i]
-		dst = append(dst, g.Step, byte(g.Value))
-		dst = appendU16(dst, g.Round)
-		dst = appendU32(dst, uint32(len(g.Instances))) //nolint:gosec // protocol-bounded
-		for _, inst := range g.Instances {
-			dst = appendU32(dst, inst)
-		}
-	}
-	return dst
-}
-
-func decodeConsensus(r *reader) *Consensus {
-	m := &Consensus{Sender: r.u16("sender")}
-	n := r.count("groups", minConsensusGroup)
-	if r.err != nil {
-		return m
-	}
-	m.Groups = make([]ConsensusGroup, 0, n)
-	for i := 0; i < n; i++ {
-		g := ConsensusGroup{
-			Step:  r.u8("step"),
-			Value: r.u8("value"),
-			Round: r.u16("round"),
-		}
-		cnt := r.count("instances", 4)
-		if r.err != nil {
-			return m
-		}
-		g.Instances = make([]uint32, 0, cnt)
-		for j := 0; j < cnt; j++ {
-			g.Instances = append(g.Instances, r.u32("instance"))
-		}
-		m.Groups = append(m.Groups, g)
-	}
-	return m
+func (m *Consensus) walk(c *codec.Coder) {
+	c.U16(&m.Sender)
+	codec.List(c, &m.Groups, minConsensusGroup, func(c *codec.Coder, g *ConsensusGroup) {
+		c.U8(&g.Step)
+		c.U8(&g.Value)
+		c.U16(&g.Round)
+		codec.List(c, &g.Instances, 4, (*codec.Coder).U32)
+	})
 }
 
 // --- ACS engine messages (reliable broadcast) -------------------------------
@@ -660,13 +377,19 @@ type RBCEcho struct {
 }
 
 // noEntries is the canonical encoding of the empty entry list.
-var noEntries = appendEntries(nil, nil)
+var noEntries = encodeEntries(nil)
+
+func encodeEntries(entries []AnnounceEntry) []byte {
+	c := codec.Encoder(nil)
+	walkEntries(c, &entries)
+	return c.Out()
+}
 
 // NewRBCEcho builds sender's ECHO of broadcaster's proposal, encoding the
 // entries once. The message keeps the slice: callers hand it over.
 func NewRBCEcho(sender, broadcaster uint16, entries []AnnounceEntry) *RBCEcho {
 	return &RBCEcho{Sender: sender, Broadcaster: broadcaster,
-		entries: entries, payload: appendEntries(nil, entries)}
+		entries: entries, payload: encodeEntries(entries)}
 }
 
 // Kind implements Message.
@@ -690,22 +413,19 @@ func (m *RBCEcho) WithSender(sender uint16) *RBCEcho {
 	return &RBCEcho{Sender: sender, Broadcaster: m.Broadcaster, entries: m.entries, payload: m.payload}
 }
 
-func (m *RBCEcho) appendBody(dst []byte) []byte {
-	dst = appendU16(dst, m.Sender)
-	dst = appendU16(dst, m.Broadcaster)
-	return append(dst, m.Payload()...)
-}
-
-func decodeRBCEcho(r *reader) *RBCEcho {
-	m := &RBCEcho{Sender: r.u16("sender"), Broadcaster: r.u16("broadcaster")}
-	body := r.buf
-	m.entries = decodeEntries(r)
-	if r.err == nil {
+func (m *RBCEcho) walk(c *codec.Coder) {
+	c.U16(&m.Sender)
+	c.U16(&m.Broadcaster)
+	if !c.Decoding() {
+		c.Fixed(m.Payload())
+		return
+	}
+	body := c.Rest()
+	if walkEntries(c, &m.entries); !c.Bad() {
 		// Like every decoded byte string, the payload is a copy: the message
 		// never aliases the frame it came from.
-		m.payload = append([]byte(nil), body[:len(body)-len(r.buf)]...)
+		m.payload = bytes.Clone(body[:len(body)-len(c.Rest())])
 	}
-	return m
 }
 
 // RBCReady is the READY step of the Bracha reliable broadcast: a vote that
@@ -719,16 +439,8 @@ type RBCReady struct {
 // Kind implements Message.
 func (*RBCReady) Kind() Kind { return KindRBCReady }
 
-func (m *RBCReady) appendBody(dst []byte) []byte {
-	dst = appendU16(dst, m.Sender)
-	dst = appendU16(dst, m.Broadcaster)
-	return appendBytes(dst, m.Hash)
-}
-
-func decodeRBCReady(r *reader) *RBCReady {
-	return &RBCReady{
-		Sender:      r.u16("sender"),
-		Broadcaster: r.u16("broadcaster"),
-		Hash:        r.bytes("hash"),
-	}
+func (m *RBCReady) walk(c *codec.Coder) {
+	c.U16(&m.Sender)
+	c.U16(&m.Broadcaster)
+	c.Bytes(&m.Hash, maxBytesLen)
 }

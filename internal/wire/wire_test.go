@@ -2,12 +2,23 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"ddemos/internal/codec"
 )
+
+// encodeCert lays a certificate out on its own, as a VC journal record
+// embeds it.
+func encodeCert(u *UCert) []byte {
+	c := codec.Encoder(nil)
+	u.Walk(c)
+	return c.Out()
+}
 
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
@@ -78,8 +89,8 @@ func TestVotePRoundTrip(t *testing.T) {
 func TestDecodeBoundsSharePath(t *testing.T) {
 	head := Encode(&VoteP{Serial: 1, Code: []byte{1}, ShareIndex: 1,
 		ShareValue: make([]byte, 32), ShareSig: make([]byte, 64)})
-	head = head[:len(head)-4-len(appendUCert(nil, &UCert{}))] // up to the path length
-	cert := appendUCert(nil, &UCert{Serial: 1, Code: []byte{1}})
+	head = head[:len(head)-4-len(encodeCert(&UCert{}))] // up to the path length
+	cert := encodeCert(&UCert{Serial: 1, Code: []byte{1}})
 	for _, tc := range []struct {
 		name   string
 		length uint32
@@ -95,7 +106,7 @@ func TestDecodeBoundsSharePath(t *testing.T) {
 		{"truncated", 3 * 32, 2 * 32, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			frame := append(appendU32(append([]byte(nil), head...), tc.length), make([]byte, tc.body)...)
+			frame := append(binary.BigEndian.AppendUint32(append([]byte(nil), head...), tc.length), make([]byte, tc.body)...)
 			frame = append(frame, cert...)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -288,7 +299,7 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 // largest count the decoder admits (a few header bytes from one Byzantine
 // peer) must be refused before anything is sized from it.
 func TestDecodeRejectsHugeCounts(t *testing.T) {
-	count := func(n uint32) []byte { return appendU32(nil, n) }
+	count := func(n uint32) []byte { return binary.BigEndian.AppendUint32(nil, n) }
 	frame := func(kind Kind, parts ...[]byte) []byte {
 		return append([]byte{byte(kind)}, bytes.Join(parts, nil)...)
 	}
@@ -298,15 +309,15 @@ func TestDecodeRejectsHugeCounts(t *testing.T) {
 		name  string
 		frame []byte
 	}{
-		{"VOTE_P cert sigs", frame(KindVoteP, make([]byte, 8+4+4+4+4+4), emptyCert, count(maxCount))},
-		{"ANNOUNCE entries", frame(KindAnnounce, sender, count(maxCount))},
-		{"ANNOUNCE entry cert sigs", frame(KindAnnounce, sender, count(1), emptyCert, emptyCert, count(maxCount))},
-		{"RECOVER-REQUEST serials", frame(KindRecoverRequest, count(maxCount))},
-		{"RECOVER-RESPONSE entries", frame(KindRecoverResponse, count(maxCount))},
-		{"VSC-FINAL entries", frame(KindVSCFinal, sender, count(maxCount))},
-		{"CONSENSUS groups", frame(KindConsensus, sender, count(maxCount))},
-		{"CONSENSUS instances", frame(KindConsensus, sender, count(1), []byte{StepBVal, 1, 0, 1}, count(maxCount))},
-		{"RBC-ECHO entries", frame(KindRBCEcho, sender, sender, count(maxCount))},
+		{"VOTE_P cert sigs", frame(KindVoteP, make([]byte, 8+4+4+4+4+4), emptyCert, count(codec.MaxCount))},
+		{"ANNOUNCE entries", frame(KindAnnounce, sender, count(codec.MaxCount))},
+		{"ANNOUNCE entry cert sigs", frame(KindAnnounce, sender, count(1), emptyCert, emptyCert, count(codec.MaxCount))},
+		{"RECOVER-REQUEST serials", frame(KindRecoverRequest, count(codec.MaxCount))},
+		{"RECOVER-RESPONSE entries", frame(KindRecoverResponse, count(codec.MaxCount))},
+		{"VSC-FINAL entries", frame(KindVSCFinal, sender, count(codec.MaxCount))},
+		{"CONSENSUS groups", frame(KindConsensus, sender, count(codec.MaxCount))},
+		{"CONSENSUS instances", frame(KindConsensus, sender, count(1), []byte{StepBVal, 1, 0, 1}, count(codec.MaxCount))},
+		{"RBC-ECHO entries", frame(KindRBCEcho, sender, sender, count(codec.MaxCount))},
 		{"BATCH frames", frame(KindBatch, []byte{BatchVersion}, count(MaxBatchFrames))},
 	}
 	for _, tc := range cases {
