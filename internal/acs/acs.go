@@ -17,7 +17,8 @@
 // consensus.Batch of n instances — the same Mostéfaoui–Moumen–Raynal core,
 // frames and hash coin the interlocked engine batches per ballot — through
 // its late-binding inputs. What this package adds is what makes it ACS: the
-// Bracha broadcast, input 1 to an instance when its broadcaster's payload
+// Bracha broadcast (over payload digests, with payloads pulled only by a
+// node that lacks one), input 1 to an instance when its broadcaster's payload
 // delivers, input 0 to the rest once n-f instances have decided 1 (the BKR
 // completion rule), and the union. A threshold-signature common coin would
 // plug in behind consensus.Coin for both engines at once (see DESIGN.md for
@@ -26,7 +27,6 @@ package acs
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -44,9 +44,10 @@ type Config struct {
 
 	Coin consensus.Coin // shared deterministic coin
 
-	// Send multicasts an encoded frame to the other n-1 nodes. It must not
-	// call back into the engine.
-	Send func(frame []byte)
+	// Send multicasts an encoded frame to the other n-1 nodes; SendTo
+	// unicasts one to node `to`. Neither may call back into the engine.
+	Send   func(frame []byte)
+	SendTo func(to uint16, frame []byte)
 
 	// Accept judges one delivered proposal as a batch: verdict i reports
 	// whether entries[i] carries a well-formed uniqueness certificate for an
@@ -69,34 +70,46 @@ type Engine struct {
 	self    uint16
 	ballots uint32
 	send    func([]byte)
+	sendTo  func(uint16, []byte)
 	accept  func([]wire.AnnounceEntry) []bool
 
 	// mu guards everything below and is held across every call into aba, so
 	// the core's out and decision callbacks run under it too.
 	mu      sync.Mutex
 	started bool
+	held    map[[32]byte]*wire.RBCEcho // payloads this node holds, by digest
 	rbc     []*rbcState
 	aba     *consensus.Batch // one instance per broadcaster
 	pending int              // instances still undecided
 	ones    uint64           // instances decided 1, by broadcaster index
-	outBox  [][]byte
+	outBox  []outFrame
 	ready   chan struct{}
 	closed  bool
 }
 
+// outFrame is one frame a locked call queued: for node `to`, or for every
+// peer when to is multicast.
+type outFrame struct {
+	to    int
+	frame []byte
+}
+
+const multicast = -1
+
 // New builds an engine for n nodes tolerating f faults.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Send == nil || cfg.Coin == nil {
-		return nil, errors.New("acs: Send and Coin are required")
+	if cfg.Send == nil || cfg.SendTo == nil || cfg.Coin == nil {
+		return nil, errors.New("acs: Send, SendTo and Coin are required")
 	}
 	e := &Engine{
 		n: cfg.N, f: cfg.F, self: cfg.Self, ballots: cfg.Ballots,
-		send: cfg.Send, accept: cfg.Accept,
+		send: cfg.Send, sendTo: cfg.SendTo, accept: cfg.Accept,
+		held:    make(map[[32]byte]*wire.RBCEcho, 1),
 		pending: cfg.N,
 		ready:   make(chan struct{}),
 	}
 	aba, err := consensus.NewBatch(cfg.N, cfg.F, cfg.Self, uint32(cfg.N), cfg.Coin, func(m *wire.Consensus) {
-		e.outBox = append(e.outBox, wire.Encode(m))
+		e.queue(multicast, m)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("acs: %w", err)
@@ -105,7 +118,10 @@ func New(cfg Config) (*Engine, error) {
 	e.aba = aba
 	e.rbc = make([]*rbcState, cfg.N)
 	for i := range e.rbc {
-		e.rbc[i] = newRBCState()
+		e.rbc[i] = &rbcState{
+			echoes:  make(map[[32]byte]uint64, 1),
+			readies: make(map[[32]byte]uint64, 1),
+		}
 	}
 	return e, nil
 }
@@ -113,6 +129,10 @@ func New(cfg Config) (*Engine, error) {
 // Start reliably broadcasts this node's proposal. The per-ballot inputs
 // vector of the interlocked engine is unused here: ACS inputs bind per
 // broadcaster, 1 on payload delivery and 0 by the completion rule.
+//
+// Until Start the node holds no payload, so it neither echoes nor pulls:
+// the broadcasts of peers that started first wait here, and every one whose
+// digest equals this node's own proposal's is echoed without a pull.
 func (e *Engine) Start(proposal []wire.AnnounceEntry, _ []byte) error {
 	e.mu.Lock()
 	if e.started {
@@ -120,10 +140,12 @@ func (e *Engine) Start(proposal []wire.AnnounceEntry, _ []byte) error {
 		return errors.New("acs: already started")
 	}
 	e.started = true
-	// The broadcaster's own ECHO doubles as the Bracha SEND step; peers
-	// receiving it echo the full payload onward.
 	m := wire.NewRBCEcho(e.self, e.self, proposal)
-	e.sendEcho(m, payloadHash(m))
+	h := m.Digest()
+	e.held[h] = m
+	st := e.rbc[e.self]
+	st.sent, st.sendHash = true, h // advance sends the SEND as its ECHO
+	e.advanceAll()
 	e.unlockAndSend()
 	return nil
 }
@@ -136,9 +158,17 @@ func (e *Engine) Handle(from uint16, msg wire.Message) {
 	}
 	e.mu.Lock()
 	switch m := msg.(type) {
+	case *wire.RBCDigest:
+		if m.Sender == from {
+			e.onDigest(from, m)
+		}
+	case *wire.RBCPull:
+		if m.Sender == from {
+			e.onPull(from, m)
+		}
 	case *wire.RBCEcho:
 		if m.Sender == from {
-			e.onEcho(from, m)
+			e.onPayload(from, m)
 		}
 	case *wire.RBCReady:
 		if m.Sender == from {
@@ -183,141 +213,207 @@ func (e *Engine) Decided() int {
 }
 
 // --- reliable broadcast -----------------------------------------------------
+//
+// SEND, ECHO and READY carry the digest of the broadcaster's payload, never
+// the payload. A node ECHOes the digest the broadcaster SENT once it holds
+// a payload with that digest: its own proposal, when that hashes the same,
+// or one it pulled from the broadcaster. A node that sees a READY quorum
+// for a digest it does not hold pulls the payload from every node that
+// ECHOed it; the first reply that hashes right is kept. DESIGN.md, "The
+// ACS engine", has the totality argument.
 
 type rbcState struct {
-	echoSent  bool
-	readySent bool
-	delivered bool
-	echoes    map[[32]byte]*payloadTally
-	readies   map[[32]byte]uint64
-	validated []wire.AnnounceEntry
+	sent       bool     // the broadcaster's SEND arrived
+	sendHash   [32]byte // and named this digest
+	echoSent   bool
+	readySent  bool
+	quorum     bool // 2f+1 READYs agree on quorumHash
+	quorumHash [32]byte
+	delivered  bool
+	echoed     uint64              // peers whose ECHO counted: one each
+	readied    uint64              // peers whose READY counted: one each
+	echoes     map[[32]byte]uint64 // ECHO senders, by digest
+	readies    map[[32]byte]uint64 // READY senders, by digest
+	pulled     uint64              // peers this node pulled the payload from
+	asked      map[uint16][32]byte // of those, the ones yet to reply: the digest asked for
+	served     uint64              // peers whose pull this node answered
+	validated  []wire.AnnounceEntry
 }
 
-type payloadTally struct {
-	senders uint64
-	entries []wire.AnnounceEntry
-}
-
-func newRBCState() *rbcState {
-	return &rbcState{
-		echoes:  make(map[[32]byte]*payloadTally, 1),
-		readies: make(map[[32]byte]uint64, 1),
-	}
-}
-
-// payloadHash binds a proposal payload to its broadcaster. It hashes the
-// canonical payload bytes the message already carries — the ones the strict
-// decoder accepted, or the broadcaster's single encoding — so no receipt
-// re-encodes the entries.
-func payloadHash(m *wire.RBCEcho) [32]byte {
-	h := sha256.New()
-	h.Write([]byte{byte(wire.KindRBCEcho), byte(m.Broadcaster >> 8), byte(m.Broadcaster)})
-	h.Write(m.Payload())
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
-}
-
-func (e *Engine) onEcho(from uint16, m *wire.RBCEcho) {
-	if int(m.Broadcaster) >= e.n || e.rbc[m.Broadcaster].delivered {
+func (e *Engine) onDigest(from uint16, m *wire.RBCDigest) {
+	b := m.Broadcaster
+	if int(b) >= e.n {
 		return
 	}
-	e.tallyEcho(from, m, payloadHash(m))
+	st := e.rbc[b]
+	if from == b {
+		if st.sent {
+			return // one SEND per broadcaster
+		}
+		st.sent, st.sendHash = true, m.Hash
+	}
+	e.tallyEcho(b, from, m.Hash)
+	e.advance(b)
 }
 
-// sendEcho multicasts this node's ECHO of the payload hashing to h — at most
-// one per broadcaster — and counts it locally.
-func (e *Engine) sendEcho(m *wire.RBCEcho, h [32]byte) {
-	st := e.rbc[m.Broadcaster]
-	if st.echoSent || st.delivered {
+// tallyEcho counts a peer's ECHO of the digest h — its first for b only, as
+// an honest node sends one — and READYs on n-f of them.
+func (e *Engine) tallyEcho(b, from uint16, h [32]byte) {
+	st := e.rbc[b]
+	if st.delivered || st.echoed&(1<<from) != 0 {
 		return
 	}
-	st.echoSent = true
-	e.outBox = append(e.outBox, wire.Encode(m))
-	e.tallyEcho(e.self, m, h)
-}
-
-// tallyEcho counts one ECHO of the undelivered payload hashing to h. A
-// payload is hashed once per receipt: the relay of a broadcaster's ECHO
-// reuses its bytes and its hash.
-func (e *Engine) tallyEcho(from uint16, m *wire.RBCEcho, h [32]byte) {
-	st := e.rbc[m.Broadcaster]
-	t := st.echoes[h]
-	if t == nil {
-		t = &payloadTally{entries: m.Entries()}
-		st.echoes[h] = t
+	st.echoed |= 1 << from
+	st.echoes[h] |= 1 << from
+	if bits.OnesCount64(st.echoes[h]) >= e.n-e.f {
+		e.sendReady(b, h)
 	}
-	bit := uint64(1) << from
-	if t.senders&bit != 0 {
-		return
-	}
-	t.senders |= bit
-	// The broadcaster's own ECHO is the SEND step: echo the payload onward.
-	if from == m.Broadcaster && from != e.self {
-		e.sendEcho(m.WithSender(e.self), h)
-	}
-	if bits.OnesCount64(t.senders) >= e.n-e.f && !st.readySent {
-		st.readySent = true
-		e.sendReady(m.Broadcaster, h)
-	}
-	// A READY quorum may have formed before the payload arrived.
-	e.maybeDeliver(m.Broadcaster, st, h)
 }
 
 func (e *Engine) onReady(from uint16, m *wire.RBCReady) {
 	if int(m.Broadcaster) >= e.n || len(m.Hash) != 32 {
 		return
 	}
-	st := e.rbc[m.Broadcaster]
-	if st.delivered {
-		return
-	}
-	var h [32]byte
-	copy(h[:], m.Hash)
-	bit := uint64(1) << from
-	if st.readies[h]&bit != 0 {
-		return
-	}
-	st.readies[h] |= bit
-	// f+1 READYs contain an honest one: amplify (without needing the
-	// payload), which gives Bracha totality.
-	if bits.OnesCount64(st.readies[h]) >= e.f+1 && !st.readySent {
-		st.readySent = true
-		e.sendReady(m.Broadcaster, h)
-	}
-	e.maybeDeliver(m.Broadcaster, st, h)
+	e.tallyReady(m.Broadcaster, from, [32]byte(m.Hash))
+	e.advance(m.Broadcaster)
 }
 
-// sendReady queues this node's READY for multicast and counts it locally.
+// tallyReady counts a peer's READY for the digest h, its first for b only.
+// f+1 READYs contain an honest one: amplify (without needing the payload),
+// which gives Bracha totality. 2f+1 form the quorum delivery waits on.
+func (e *Engine) tallyReady(b, from uint16, h [32]byte) {
+	st := e.rbc[b]
+	if st.delivered || st.readied&(1<<from) != 0 {
+		return
+	}
+	st.readied |= 1 << from
+	st.readies[h] |= 1 << from
+	votes := bits.OnesCount64(st.readies[h])
+	if votes >= e.f+1 {
+		e.sendReady(b, h)
+	}
+	if votes >= 2*e.f+1 && !st.quorum {
+		st.quorum, st.quorumHash = true, h
+	}
+}
+
+// sendReady multicasts this node's READY — at most one per broadcaster —
+// and counts it locally.
 func (e *Engine) sendReady(b uint16, h [32]byte) {
-	m := &wire.RBCReady{Sender: e.self, Broadcaster: b, Hash: h[:]}
-	e.outBox = append(e.outBox, wire.Encode(m))
-	e.onReady(e.self, m)
-}
-
-// maybeDeliver completes the broadcast once 2f+1 READYs agree on a hash
-// whose payload we hold.
-func (e *Engine) maybeDeliver(b uint16, st *rbcState, h [32]byte) {
-	if st.delivered || bits.OnesCount64(st.readies[h]) < 2*e.f+1 {
+	st := e.rbc[b]
+	if st.readySent {
 		return
 	}
-	t := st.echoes[h]
-	if t == nil {
-		return // payload not yet seen; a later ECHO completes it
+	st.readySent = true
+	e.queue(multicast, &wire.RBCReady{Sender: e.self, Broadcaster: b, Hash: h[:]})
+	e.tallyReady(b, e.self, h)
+}
+
+// advance takes b's broadcast as far as what this node holds allows: ECHO
+// the SENT digest, or pull its payload from the broadcaster; on a READY
+// quorum, deliver, or pull the payload from every node that ECHOed it.
+// Nothing happens before Start.
+func (e *Engine) advance(b uint16) {
+	st := e.rbc[b]
+	if !e.started || st.delivered {
+		return
 	}
+	if st.sent && !st.echoSent {
+		if e.held[st.sendHash] != nil {
+			st.echoSent = true // one ECHO per broadcaster
+			e.queue(multicast, &wire.RBCDigest{Sender: e.self, Broadcaster: b, Hash: st.sendHash})
+			e.tallyEcho(b, e.self, st.sendHash)
+		} else {
+			e.pull(b, b, st.sendHash)
+		}
+	}
+	if !st.quorum || st.delivered {
+		return
+	}
+	if p := e.held[st.quorumHash]; p != nil {
+		e.deliver(b, p)
+		return
+	}
+	for peers := st.echoes[st.quorumHash]; peers != 0; peers &= peers - 1 {
+		e.pull(b, uint16(bits.TrailingZeros64(peers)), st.quorumHash) //nolint:gosec // < 64
+	}
+}
+
+// advanceAll advances every broadcast: a payload just came to be held may
+// be the one several of them wait on.
+func (e *Engine) advanceAll() {
+	for b := range e.rbc {
+		e.advance(uint16(b)) //nolint:gosec // b < n <= 64
+	}
+}
+
+// pull asks peer `to` for b's payload with digest h, at most once per peer
+// and broadcaster.
+func (e *Engine) pull(b, to uint16, h [32]byte) {
+	st := e.rbc[b]
+	if to == e.self || st.pulled&(1<<to) != 0 {
+		return
+	}
+	st.pulled |= 1 << to
+	if st.asked == nil {
+		st.asked = make(map[uint16][32]byte, 1)
+	}
+	st.asked[to] = h
+	e.queue(int(to), &wire.RBCPull{Sender: e.self, Broadcaster: b, Hash: h})
+}
+
+// onPull answers a peer's pull with the payload it names, once per
+// (requester, broadcaster) and only while this node holds it.
+func (e *Engine) onPull(from uint16, m *wire.RBCPull) {
+	if int(m.Broadcaster) >= e.n || from == e.self {
+		return
+	}
+	st := e.rbc[m.Broadcaster]
+	p := e.held[m.Hash]
+	if p == nil || st.served&(1<<from) != 0 {
+		return
+	}
+	st.served |= 1 << from
+	e.queue(int(from), p.Relay(e.self, m.Broadcaster))
+}
+
+// onPayload takes the reply to a pull: kept if this node asked `from` for
+// b's payload and it hashes to the digest asked for, dropped otherwise.
+func (e *Engine) onPayload(from uint16, m *wire.RBCEcho) {
+	if int(m.Broadcaster) >= e.n {
+		return
+	}
+	st := e.rbc[m.Broadcaster]
+	h, ok := st.asked[from]
+	if !ok {
+		return // unsolicited, or a second reply
+	}
+	delete(st.asked, from)
+	if e.held[h] != nil || m.Digest() != h {
+		return
+	}
+	e.held[h] = m
+	e.advanceAll()
+}
+
+// deliver completes b's broadcast with payload p and inputs 1 to its
+// agreement instance.
+func (e *Engine) deliver(b uint16, p *wire.RBCEcho) {
+	st := e.rbc[b]
 	st.delivered = true
-	st.validated = t.entries
+	entries := p.Entries()
+	st.validated = entries
 	if e.accept != nil {
 		// Deterministic filter: every honest node drops the same entries.
-		verdicts := e.accept(t.entries)
-		st.validated = make([]wire.AnnounceEntry, 0, len(t.entries))
-		for i := range t.entries {
+		verdicts := e.accept(entries)
+		st.validated = make([]wire.AnnounceEntry, 0, len(entries))
+		for i := range entries {
 			if verdicts[i] {
-				st.validated = append(st.validated, t.entries[i])
+				st.validated = append(st.validated, entries[i])
 			}
 		}
 	}
-	st.echoes, st.readies = nil, nil
+	st.echoes, st.readies, st.asked = nil, nil, nil
 	e.aba.Input(uint32(b), 1)
 	e.checkOutput()
 }
@@ -341,14 +437,24 @@ func (e *Engine) onDecide(idx uint32, v byte) {
 	e.checkOutput()
 }
 
-// unlockAndSend ends a locked call: it releases the engine, then multicasts
-// the frames the call queued.
+// queue encodes a frame for unlockAndSend to send to node `to`, or to every
+// peer.
+func (e *Engine) queue(to int, m wire.Message) {
+	e.outBox = append(e.outBox, outFrame{to, wire.Encode(m)})
+}
+
+// unlockAndSend ends a locked call: it releases the engine, then sends the
+// frames the call queued.
 func (e *Engine) unlockAndSend() {
 	frames := e.outBox
 	e.outBox = nil
 	e.mu.Unlock()
 	for _, f := range frames {
-		e.send(f)
+		if f.to == multicast {
+			e.send(f.frame)
+		} else {
+			e.sendTo(uint16(f.to), f.frame) //nolint:gosec // a node index
+		}
 	}
 }
 

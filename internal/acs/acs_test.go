@@ -53,17 +53,9 @@ func TestBKRCompletionRule(t *testing.T) {
 		d := queue[0]
 		queue = queue[1:]
 		msg := decode(d)
-		switch m := msg.(type) {
-		case *wire.RBCEcho:
-			if m.Broadcaster == late {
-				held = append(held, d)
-				continue
-			}
-		case *wire.RBCReady:
-			if m.Broadcaster == late {
-				held = append(held, d)
-				continue
-			}
+		if broadcaster(msg) == late {
+			held = append(held, d)
+			continue
 		}
 		sent := len(queue)
 		engines[d.to].Handle(d.from, msg)

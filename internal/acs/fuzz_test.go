@@ -16,7 +16,7 @@ const replayNodes, replayFaults = 4, 1
 
 // buildReplayEngines wires four engines over an in-memory queue of
 // (from, to, frame) deliveries. Send fans each frame out to the other
-// three; self-delivery happens inside the engine.
+// three, SendTo queues it for one; self-delivery happens inside the engine.
 func buildReplayEngines(t *testing.T, queue *[]replayDelivery) []*Engine {
 	t.Helper()
 	engines := make([]*Engine, replayNodes)
@@ -32,6 +32,9 @@ func buildReplayEngines(t *testing.T, queue *[]replayDelivery) []*Engine {
 					}
 				}
 			},
+			SendTo: func(to uint16, frame []byte) {
+				*queue = append(*queue, replayDelivery{from: self, to: to, frame: frame})
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -39,7 +42,8 @@ func buildReplayEngines(t *testing.T, queue *[]replayDelivery) []*Engine {
 		engines[i] = e
 	}
 	// Distinct overlapping proposals: node i certifies serials 1..i+1, so
-	// the union depends on which broadcasts land in the common subset.
+	// the union depends on which broadcasts land in the common subset, and
+	// every payload crosses the wire through pulls.
 	for i, e := range engines {
 		var proposal []wire.AnnounceEntry
 		for s := uint64(1); s <= uint64(i+1); s++ {

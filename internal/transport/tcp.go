@@ -16,7 +16,8 @@ import (
 //
 // Connections are established lazily per peer and re-dialed with backoff on
 // failure. A hello frame (length 2, the sender id) opens every inbound
-// connection.
+// connection. Peers never write on a connection they accepted, so each
+// outbound connection is read only to notice its peer closing it.
 type TCPNode struct {
 	id    NodeID
 	ln    net.Listener
@@ -76,8 +77,11 @@ func (n *TCPNode) Recv() <-chan Envelope { return n.out }
 // Send implements Endpoint. A write error evicts the cached connection and
 // the send is retried once over a fresh dial: a peer that restarted would
 // otherwise eat one errored write per cached conn before traffic flows
-// again. (A dead conn's first write can still succeed into the OS buffer
-// and be lost silently — only retransmission above this layer covers that.)
+// again. A connection the peer closed is evicted as soon as the close
+// arrives (see watch), so the first frame after a peer restart goes over a
+// fresh dial. (A write that races the close can still succeed into the OS
+// buffer and be lost silently — only retransmission above this layer covers
+// that.)
 func (n *TCPNode) Send(to NodeID, payload []byte) error {
 	frame := make([]byte, 6+len(payload))
 	binary.BigEndian.PutUint32(frame, uint32(2+len(payload))) //nolint:gosec // bounded
@@ -186,7 +190,22 @@ func (n *TCPNode) conn(to NodeID) (*outConn, error) {
 	}
 	oc := &outConn{c: c}
 	n.conns[to] = oc
+	n.wg.Add(1)
+	go n.watch(to, oc)
 	return oc, nil
+}
+
+// watch reads an outbound connection until the peer closes or resets it,
+// then evicts it, unless a fresh connection already replaced it.
+func (n *TCPNode) watch(to NodeID, oc *outConn) {
+	defer n.wg.Done()
+	_, _ = io.Copy(io.Discard, oc.c)
+	n.mu.Lock()
+	if n.conns[to] == oc {
+		delete(n.conns, to)
+	}
+	n.mu.Unlock()
+	_ = oc.c.Close()
 }
 
 func (n *TCPNode) acceptLoop() {

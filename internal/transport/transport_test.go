@@ -534,6 +534,55 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTCPOutboundNoticesPeerRestart: when a peer closes and comes back on
+// the same address, the cached outbound connection is evicted on the close
+// itself, and the first frame sent after the restart reaches the new
+// incarnation instead of vanishing into the dead socket.
+func TestTCPOutboundNoticesPeerRestart(t *testing.T) {
+	b, err := NewTCPNode(1, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := b.Addr()
+	a, err := NewTCPNode(0, "127.0.0.1:0", map[NodeID]string{1: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = a.Close() }()
+	if err := a.Send(1, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	if env := recvWithTimeout(t, b, 2*time.Second); string(env.Payload) != "before" {
+		t.Fatalf("got %+v", env)
+	}
+
+	_ = b.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		a.mu.Lock()
+		_, cached := a.conns[1]
+		a.mu.Unlock()
+		if !cached {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the connection to the closed peer is still cached")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	b, err = NewTCPNode(1, addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = b.Close() }()
+	if err := a.Send(1, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if env := recvWithTimeout(t, b, 2*time.Second); string(env.Payload) != "after" {
+		t.Fatalf("got %+v", env)
+	}
+}
+
 func TestTCPUnknownPeer(t *testing.T) {
 	a, err := NewTCPNode(0, "127.0.0.1:0", nil)
 	if err != nil {

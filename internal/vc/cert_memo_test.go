@@ -366,12 +366,14 @@ func TestAcceptEntriesMatchesColdVerify(t *testing.T) {
 // --- ACS reliable broadcast over hosts with mixed memo state ----------------
 
 // rbcHarness drives three honest ACS engines by hand (FIFO delivery over an
-// in-memory queue); seat 3 is the Byzantine broadcaster, played by the test.
+// in-memory queue); seat 3 is the Byzantine broadcaster, played by the test:
+// it answers honest node k's pull with byzPayloads[k].
 type rbcHarness struct {
-	t        *testing.T
-	engines  []*acs.Engine
-	queue    []rbcDelivery
-	verdicts []map[string][]bool // per host: payload → what Accept answered
+	t           *testing.T
+	engines     []*acs.Engine
+	queue       []rbcDelivery
+	verdicts    []map[string][]bool // per host: payload → what Accept answered
+	byzPayloads []*wire.RBCEcho
 }
 
 type rbcDelivery struct {
@@ -403,6 +405,9 @@ func newRBCHarness(t *testing.T, nodes []*Node, ballots int) *rbcHarness {
 					}
 				}
 			},
+			SendTo: func(to uint16, frame []byte) {
+				h.queue = append(h.queue, rbcDelivery{from: self, to: to, frame: frame})
+			},
 			Accept: func(entries []wire.AnnounceEntry) []bool {
 				v := accept(entries)
 				rec[payloadKey(entries)] = v
@@ -426,7 +431,11 @@ func (h *rbcHarness) drain() {
 		if err != nil {
 			h.t.Fatalf("engine %d emitted a malformed frame: %v", d.from, err)
 		}
-		h.engines[d.to].Handle(d.from, msg)
+		if d.to != byzSeat {
+			h.engines[d.to].Handle(d.from, msg)
+		} else if _, pull := msg.(*wire.RBCPull); pull && h.byzPayloads[d.from] != nil {
+			h.queue = append(h.queue, rbcDelivery{from: byzSeat, to: d.from, frame: wire.Encode(h.byzPayloads[d.from])})
+		}
 	}
 }
 
@@ -543,16 +552,18 @@ func TestRBCByzantineBroadcasterMixedMemo(t *testing.T) {
 			}
 			h := newRBCHarness(t, nodes, memoBallots)
 
-			// The broadcaster's ECHO (its SEND step) goes out first and the
-			// honest engines relay it among themselves.
+			// The broadcaster's SEND goes out first; each honest engine pulls
+			// the payload it names from the broadcaster, then ECHOes it.
 			sent := make([][]wire.AnnounceEntry, byzSeat)
+			h.byzPayloads = make([]*wire.RBCEcho, byzSeat)
 			for k := range sent {
 				fn := tc.proposals[0]
 				if len(tc.proposals) > 1 {
 					fn = tc.proposals[k]
 				}
 				sent[k] = append(fn(t, data, base), onlyByz...)
-				frame := wire.Encode(wire.NewRBCEcho(byzSeat, byzSeat, sent[k]))
+				h.byzPayloads[k] = wire.NewRBCEcho(byzSeat, byzSeat, sent[k])
+				frame := wire.Encode(&wire.RBCDigest{Sender: byzSeat, Broadcaster: byzSeat, Hash: h.byzPayloads[k].Digest()})
 				h.queue = append(h.queue, rbcDelivery{from: byzSeat, to: uint16(k), frame: frame}) //nolint:gosec // small
 			}
 			h.drain()
@@ -660,5 +671,32 @@ func TestACSHonestRunVerifiesNoCertSignature(t *testing.T) {
 		if d := after.CertSigMemoHits - before[i].CertSigMemoHits; d < int64(2*hv*hv*numBallots) {
 			t.Errorf("node %d resolved only %d signatures from its ballot state", i, d)
 		}
+	}
+}
+
+// TestCertifiedEntriesInSerialOrder: two nodes that learned the same
+// certificates in different orders — and over more ballots than there are
+// state shards, so shard order is not serial order — propose the same bytes,
+// in serial order. The ACS engine echoes a peer's proposal without pulling
+// it only when its own hashes the same.
+func TestCertifiedEntriesInSerialOrder(t *testing.T) {
+	const ballots = 150
+	data, nodes := memoHosts(t, ballots)
+	var all []wire.AnnounceEntry
+	for s := uint64(1); s <= ballots; s++ {
+		all = append(all, signedEntry(data, s, optionCode(t, data, s, int(s%2)), 0, 1, 2))
+	}
+	rng := rand.New(rand.NewPCG(7, 7)) //nolint:gosec // test order only
+	for _, n := range nodes[:2] {
+		order := slices.Clone(all)
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		warm(t, n, order...)
+	}
+	got := nodes[0].certifiedEntries()
+	if !slices.IsSortedFunc(got, func(a, b wire.AnnounceEntry) int { return int(a.Serial) - int(b.Serial) }) {
+		t.Fatal("certified entries are not in serial order")
+	}
+	if !bytes.Equal(wire.NewRBCEcho(0, 0, got).Payload(), wire.NewRBCEcho(0, 0, nodes[1].certifiedEntries()).Payload()) {
+		t.Fatal("two nodes holding the same certificates propose different bytes")
 	}
 }

@@ -42,8 +42,10 @@ type EngineConfig struct {
 
 	Coin consensus.Coin // shared deterministic coin
 
-	// Send multicasts an encoded frame to the other N-1 nodes.
-	Send func(frame []byte)
+	// Send multicasts an encoded frame to the other N-1 nodes; SendTo
+	// unicasts one to node `to`.
+	Send   func(frame []byte)
+	SendTo func(to uint16, frame []byte)
 	// Accept judges a batch of announce entries — verdict i reports whether
 	// entries[i] carries a well-formed uniqueness certificate, identically at
 	// every honest node — and installs the accepted ones into the node and
@@ -81,12 +83,13 @@ func InterlockedEngine(cfg EngineConfig) (ConsensusEngine, error) {
 }
 
 // ACSEngine is the BKR Agreement-on-Common-Subset engine (internal/acs):
-// reliable broadcast of each node's candidate set plus one binary-agreement
+// reliable broadcast of each node's candidate set — by digest, so a node
+// that proposes the same set never receives it — plus one binary-agreement
 // instance per broadcaster.
 func ACSEngine(cfg EngineConfig) (ConsensusEngine, error) {
 	return acs.New(acs.Config{
 		N: cfg.N, F: cfg.F, Self: cfg.Self, Ballots: cfg.Ballots,
-		Coin: cfg.Coin, Send: cfg.Send, Accept: cfg.Accept,
+		Coin: cfg.Coin, Send: cfg.Send, SendTo: cfg.SendTo, Accept: cfg.Accept,
 	})
 }
 

@@ -135,6 +135,19 @@ func runEngineScenario(t *testing.T, seed uint64, stats *sweepStats) {
 
 	winners := tallyOutcomes(t, c, seed, outcomes, violations, stats, numBallots)
 
+	// Every other seed, one honest node enters consensus holding other valid
+	// certificates than its peers — another signer subset, as a second
+	// responder for the same code would have built. Its proposal hashes
+	// differently from theirs, so on the ACS engine it must pull their
+	// payloads and they must pull its.
+	if seed%2 == 1 {
+		odd := int(seed) % numVC
+		for skip[odd] {
+			odd = (odd + 1) % numVC
+		}
+		c.recertify(odd)
+	}
+
 	results := runConsensusAll(t, c, seed, skip, numVC)
 	var want [32]byte
 	first := -1
@@ -167,13 +180,44 @@ func runEngineScenario(t *testing.T, seed uint64, stats *sweepStats) {
 	}
 }
 
+// recertify swaps node i's certificate for every ballot it holds one for
+// with an equally valid one from another signer subset: the first signer
+// gives way to one the certificate lacks (or, on a certificate every node
+// signed, is dropped).
+func (c *cluster) recertify(i int) {
+	n := c.node(i)
+	for _, e := range n.certifiedEntries() {
+		var signers []int
+		signed := make(map[int]bool, len(e.Cert.Sigs))
+		for k, s := range e.Cert.Sigs {
+			signed[int(s.Signer)] = true
+			if k > 0 {
+				signers = append(signers, int(s.Signer))
+			}
+		}
+		for s := range c.data.VC {
+			if !signed[s] {
+				signers = append(signers, s)
+				break
+			}
+		}
+		fresh := signedEntry(c.data, e.Serial, e.Code, signers...)
+		st := n.peekState(e.Serial)
+		st.mu.Lock()
+		st.cert = &fresh.Cert
+		st.mu.Unlock()
+	}
+}
+
 // TestScenarioSweepConsensusEngines sweeps ≥100 seeded fault schedules with
 // the vote-set-consensus engine rotating across seeds (see sweepEngine):
 // half the seeds agree via the paper's interlocked per-ballot protocol,
 // half via the BKR/ACS engine, under the same crash/partition/WAN/Byzantine
-// mixes, probes and receipt checks as the threshold sweep. Replay one seed
-// with -run 'TestScenarioSweepConsensusEngines/seed=N'; CI adds a rotating
-// seed via DDEMOS_ACS_SEED.
+// mixes, probes and receipt checks as the threshold sweep; on every other
+// seed one honest node holds other certificates than its peers (recertify),
+// which drives the ACS engine's payload pulls. Replay one seed with -run
+// 'TestScenarioSweepConsensusEngines/seed=N'; CI adds a rotating seed via
+// DDEMOS_ACS_SEED.
 func TestScenarioSweepConsensusEngines(t *testing.T) {
 	numSeeds := 100
 	if testing.Short() {

@@ -392,7 +392,7 @@ func (n *Node) stage(from uint16, msg wire.Message, byWorker [][]job) int {
 	case *wire.VoteP:
 		serial = m.Serial
 	case *wire.Announce, *wire.Consensus, *wire.RecoverRequest, *wire.RecoverResponse, *wire.VSCFinal,
-		*wire.RBCEcho, *wire.RBCReady:
+		*wire.RBCDigest, *wire.RBCPull, *wire.RBCEcho, *wire.RBCReady:
 		n.routeConsensus(from, msg)
 		return 0
 	default:

@@ -2,12 +2,13 @@ package vc
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -87,6 +88,11 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 		Coin: n.coin,
 		Send: func(frame []byte) {
 			if err := transport.Multicast(n.ep, n.peers, frame); err != nil {
+				n.metrics.SendErrors.Add(1)
+			}
+		},
+		SendTo: func(to uint16, frame []byte) {
+			if err := n.ep.Send(transport.NodeID(to), frame); err != nil {
 				n.metrics.SendErrors.Add(1)
 			}
 		},
@@ -205,7 +211,6 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 			set = append(set, VotedBallot{Serial: serial, Code: code})
 		}
 	})
-	sort.Slice(set, func(i, j int) bool { return set[i].Serial < set[j].Serial })
 	// Sanity: every decided-1 ballot must now have a code.
 	decidedOnes := 0
 	for _, d := range decisions {
@@ -260,7 +265,9 @@ func (n *Node) finishConsensus(set []VotedBallot, succeeded *bool) ([]VotedBallo
 	return set, nil
 }
 
-// certifiedEntries snapshots all locally certified (serial, code, UCERT).
+// certifiedEntries snapshots all locally certified (serial, code, UCERT) in
+// serial order: nodes holding the same certificates announce and propose the
+// same bytes, so the ACS engine's digests of their proposals match.
 func (n *Node) certifiedEntries() []wire.AnnounceEntry {
 	var out []wire.AnnounceEntry
 	type serialState struct {
@@ -284,10 +291,12 @@ func (n *Node) certifiedEntries() []wire.AnnounceEntry {
 			s.st.mu.Unlock()
 		}
 	}
+	slices.SortFunc(out, func(a, b wire.AnnounceEntry) int { return cmp.Compare(a.Serial, b.Serial) })
 	return out
 }
 
-// forEachCertified calls fn for every ballot with a certified code.
+// forEachCertified calls fn for every ballot with a certified code, in
+// serial order.
 func (n *Node) forEachCertified(fn func(serial uint64, code []byte)) {
 	for _, e := range n.certifiedEntries() {
 		fn(e.Serial, e.Code)
@@ -435,7 +444,7 @@ func (e *vscEngine) handle(from uint16, msg wire.Message) {
 	switch m := msg.(type) {
 	case *wire.Announce:
 		e.onAnnounce(from, m)
-	case *wire.Consensus, *wire.RBCEcho, *wire.RBCReady:
+	case *wire.Consensus, *wire.RBCDigest, *wire.RBCPull, *wire.RBCEcho, *wire.RBCReady:
 		e.eng.Handle(from, msg)
 	case *wire.RecoverRequest:
 		e.onRecoverRequest(from, m)

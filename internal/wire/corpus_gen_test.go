@@ -35,6 +35,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		"seed-batch", "seed-empty", "seed-unknown-kind", "seed-truncated",
 		"seed-rbc-echo-empty", "seed-consensus-decide", "seed-consensus-bare-kind",
 		"seed-rbc-ready-truncated", "seed-consensus-trailing", "seed-votep-path",
+		"seed-rbc-digest", "seed-rbc-pull", "seed-rbc-pull-truncated",
 	}
 	if len(names) != len(frames) {
 		t.Fatalf("have %d seed frames for %d names", len(frames), len(names))

@@ -66,6 +66,9 @@ func fuzzSeedFrames() [][]byte {
 			SharePath:  bytes.Repeat([]byte{0x33}, 5*32),
 			Cert:       cert,
 		}),
+		Encode(&RBCDigest{Sender: 2, Broadcaster: 1, Hash: [32]byte{0x5E, 0x01}}),
+		Encode(&RBCPull{Sender: 0, Broadcaster: 3, Hash: [32]byte{0xD1, 0x6E}}),
+		Encode(&RBCPull{Sender: 0, Broadcaster: 3})[:20], // truncated digest
 	)
 	return frames
 }

@@ -44,6 +44,8 @@ func TestLayoutsPinned(t *testing.T) {
 			Sig: bytes.Repeat([]byte{0x44}, 64)}, "ea640616bf3169520bcb1eda4421dc0157fd97833f45658254d746f71190f489"},
 		{KindRBCEcho, NewRBCEcho(1, 2, entries), "bc8b8550b6d64261a1be857d50b9cf753517914d6ee7faf0a815b1cc56671391"},
 		{KindRBCReady, &RBCReady{Sender: 0, Broadcaster: 1, Hash: bytes.Repeat([]byte{0x5E}, 32)}, "8ec8b9aa03e9d80f88007eb32f53fea6dec7d380afb673b2a5f2b6dc9e25ab9d"},
+		{KindRBCDigest, &RBCDigest{Sender: 2, Broadcaster: 1, Hash: [32]byte(bytes.Repeat([]byte{0x5E}, 32))}, "fa195f0926adac92ec2577bed6221098e93fc958fa6e1534369c53e9642eef03"},
+		{KindRBCPull, &RBCPull{Sender: 0, Broadcaster: 3, Hash: [32]byte(bytes.Repeat([]byte{0xD1}, 32))}, "48d5fa83dd70844c34cdd0989670c08360f560762bc2e87eea2bac2f861702a3"},
 	}
 	for _, p := range pinned {
 		frame := Encode(p.msg)
@@ -62,6 +64,7 @@ func TestLayoutsPinned(t *testing.T) {
 	malformed := map[string]bool{
 		"seed-empty": true, "seed-unknown-kind": true, "seed-truncated": true, "seed-trailing-bytes": true,
 		"seed-consensus-bare-kind": true, "seed-rbc-ready-truncated": true, "seed-consensus-trailing": true,
+		"seed-rbc-pull-truncated": true,
 	}
 	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecode", "*"))
 	if err != nil || len(seeds) == 0 {

@@ -2,9 +2,10 @@
 // Collector nodes: the voting protocol messages of §III-E (ENDORSE,
 // ENDORSEMENT, VOTE_P), the vote-set-consensus messages (ANNOUNCE,
 // RECOVER-REQUEST, RECOVER-RESPONSE), the batched binary-consensus
-// payloads, and the Batch envelope that coalesces many protocol messages
-// into one frame for the high-throughput transport pipeline (DESIGN.md,
-// "Batched message pipeline").
+// payloads, the ACS engine's reliable-broadcast messages, and the Batch
+// envelope that coalesces many protocol messages into one frame for the
+// high-throughput transport pipeline (DESIGN.md, "Batched message
+// pipeline").
 //
 // Every frame is Kind (1 byte) || body, and each message lays its body out
 // once, as a walk over internal/codec. Deserialization is strict: trailing
@@ -13,6 +14,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 
@@ -35,6 +37,8 @@ const (
 	KindVSCFinal
 	KindRBCEcho
 	KindRBCReady
+	KindRBCDigest
+	KindRBCPull
 )
 
 // kinds names each message kind and makes the empty message Decode walks.
@@ -53,6 +57,8 @@ var kinds = [...]struct {
 	KindVSCFinal:        {"VSC-FINAL", func() Message { return new(VSCFinal) }},
 	KindRBCEcho:         {"RBC-ECHO", func() Message { return new(RBCEcho) }},
 	KindRBCReady:        {"RBC-READY", func() Message { return new(RBCReady) }},
+	KindRBCDigest:       {"RBC-DIGEST", func() Message { return new(RBCDigest) }},
+	KindRBCPull:         {"RBC-PULL", func() Message { return new(RBCPull) }},
 }
 
 // String implements fmt.Stringer.
@@ -357,11 +363,10 @@ func (m *Consensus) walk(c *codec.Coder) {
 
 // --- ACS engine messages (reliable broadcast) -------------------------------
 
-// RBCEcho is the ECHO step of the Bracha reliable broadcast the ACS engine
-// uses to disperse each node's candidate vote set. The broadcaster's own
-// ECHO (Sender == Broadcaster) doubles as the SEND step: carrying the full
-// entry payload in every ECHO costs one extra fan-out over hash-based
-// echoing but removes the payload-fetch round a hash echo would need.
+// RBCEcho carries one proposal payload of the ACS engine's reliable
+// broadcast: it is the answer to an RBC-PULL, sent by a node that holds the
+// payload the pull names. The broadcast itself — SEND, ECHO and READY —
+// votes on the payload's Digest and never carries it.
 //
 // The entry list travels as one canonical byte string (count, then entries)
 // that the broadcast hashes and relays as-is. Both views are fixed when the
@@ -385,7 +390,7 @@ func encodeEntries(entries []AnnounceEntry) []byte {
 	return c.Out()
 }
 
-// NewRBCEcho builds sender's ECHO of broadcaster's proposal, encoding the
+// NewRBCEcho builds sender's copy of broadcaster's proposal, encoding the
 // entries once. The message keeps the slice: callers hand it over.
 func NewRBCEcho(sender, broadcaster uint16, entries []AnnounceEntry) *RBCEcho {
 	return &RBCEcho{Sender: sender, Broadcaster: broadcaster,
@@ -407,10 +412,14 @@ func (m *RBCEcho) Payload() []byte {
 	return m.payload
 }
 
-// WithSender returns the same broadcast payload echoed by another node,
+// Digest is the SHA-256 of Payload: the name of the proposal in RBC-DIGEST,
+// RBC-READY and RBC-PULL.
+func (m *RBCEcho) Digest() [32]byte { return sha256.Sum256(m.Payload()) }
+
+// Relay returns the same payload sent by sender as broadcaster's proposal,
 // sharing the entries and their encoding with m.
-func (m *RBCEcho) WithSender(sender uint16) *RBCEcho {
-	return &RBCEcho{Sender: sender, Broadcaster: m.Broadcaster, entries: m.entries, payload: m.payload}
+func (m *RBCEcho) Relay(sender, broadcaster uint16) *RBCEcho {
+	return &RBCEcho{Sender: sender, Broadcaster: broadcaster, entries: m.entries, payload: m.payload}
 }
 
 func (m *RBCEcho) walk(c *codec.Coder) {
@@ -429,7 +438,7 @@ func (m *RBCEcho) walk(c *codec.Coder) {
 }
 
 // RBCReady is the READY step of the Bracha reliable broadcast: a vote that
-// the payload hashing to Hash is the broadcaster's unique proposal.
+// the payload whose Digest is Hash is the broadcaster's unique proposal.
 type RBCReady struct {
 	Sender      uint16
 	Broadcaster uint16
@@ -444,3 +453,33 @@ func (m *RBCReady) walk(c *codec.Coder) {
 	c.U16(&m.Broadcaster)
 	c.Bytes(&m.Hash, maxBytesLen)
 }
+
+// RBCDigest is the SEND and ECHO steps of the Bracha reliable broadcast: a
+// vote that the broadcaster's proposal is the payload whose Digest is Hash.
+// The broadcaster's own (Sender == Broadcaster) is the SEND. A node sends
+// the ECHO only while it holds that payload, so every ECHO names a node a
+// pull can fetch the payload from.
+type RBCDigest struct {
+	Sender      uint16
+	Broadcaster uint16
+	Hash        [32]byte
+}
+
+// Kind implements Message.
+func (*RBCDigest) Kind() Kind { return KindRBCDigest }
+
+func (m *RBCDigest) walk(c *codec.Coder) {
+	c.U16(&m.Sender)
+	c.U16(&m.Broadcaster)
+	c.Fixed(m.Hash[:])
+}
+
+// RBCPull asks one peer for the payload whose Digest is Hash, as
+// broadcaster's proposal. The answer is an RBCEcho carrying it. It is laid
+// out as an RBCDigest.
+type RBCPull RBCDigest
+
+// Kind implements Message.
+func (*RBCPull) Kind() Kind { return KindRBCPull }
+
+func (m *RBCPull) walk(c *codec.Coder) { (*RBCDigest)(m).walk(c) }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"reflect"
@@ -213,10 +214,11 @@ func TestConsensusRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRBCEchoPayload pins what the ACS broadcast relies on: the payload of
-// an ECHO is the frame's bytes after the sender and broadcaster fields, the
-// same whether the message was built or decoded; a decoded message keeps its
-// own copy of them; and an echo under another sender reuses them.
+// TestRBCEchoPayload pins what the ACS broadcast relies on: the payload a
+// pull reply carries is the frame's bytes after the sender and broadcaster
+// fields, the same whether the message was built or decoded; a decoded
+// message keeps its own copy of them; its Digest is their SHA-256; and a
+// relay under another sender and broadcaster reuses them.
 func TestRBCEchoPayload(t *testing.T) {
 	built := NewRBCEcho(3, 3, []AnnounceEntry{
 		{Serial: 1, Code: []byte{1}, Cert: sampleUCert()},
@@ -241,8 +243,11 @@ func TestRBCEchoPayload(t *testing.T) {
 	if !bytes.Equal(decoded.Payload(), want) {
 		t.Fatal("decoded payload aliases the frame")
 	}
-	relay := decoded.WithSender(1)
-	if relay.Sender != 1 || relay.Broadcaster != 3 || &relay.Payload()[0] != &decoded.Payload()[0] {
+	if decoded.Digest() != sha256.Sum256(want) || built.Digest() != decoded.Digest() {
+		t.Fatal("the digest is not the SHA-256 of the payload bytes")
+	}
+	relay := decoded.Relay(1, 2)
+	if relay.Sender != 1 || relay.Broadcaster != 2 || &relay.Payload()[0] != &decoded.Payload()[0] {
 		t.Fatalf("relay = sender %d broadcaster %d, payload shared = %v",
 			relay.Sender, relay.Broadcaster, &relay.Payload()[0] == &decoded.Payload()[0])
 	}
