@@ -2,7 +2,7 @@
 // API plus signature-verified write endpoints. BB nodes never talk to each
 // other (§III-G); readers query several and take the majority answer.
 //
-//	ddemos-bb -init election/bb.gob -http :9100
+//	ddemos-bb -init election/bb.bin -http :9100
 package main
 
 import (
@@ -10,13 +10,12 @@ import (
 	"log"
 
 	"ddemos/internal/bb"
-	"ddemos/internal/ea"
 	"ddemos/internal/httpapi"
 	"ddemos/internal/journal"
 )
 
 func main() {
-	initPath := flag.String("init", "", "path to bb.gob")
+	initPath := flag.String("init", "", "path to bb.bin")
 	httpAddr := flag.String("http", ":9100", "public HTTP address (publish-phase metrics at GET /v1/metrics)")
 	journalFlags := journal.RegisterFlags(flag.CommandLine, "submission key")
 	flag.Parse()
@@ -27,8 +26,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var init ea.BBInit
-	if err := httpapi.ReadInitFile(*initPath, &init, &init.Manifest, &init.Ballots); err != nil {
+	init, err := bb.InitFile.Read(*initPath)
+	if err != nil {
 		log.Fatal(err)
 	}
 	node, err := bb.Open(&init, dataDir, jopts)

@@ -39,7 +39,6 @@ import (
 	"ddemos/internal/auditor"
 	"ddemos/internal/bb"
 	"ddemos/internal/benchmark"
-	"ddemos/internal/ea"
 	"ddemos/internal/httpapi"
 	"ddemos/internal/store"
 )
@@ -290,7 +289,7 @@ func (o *orch) runElection(ctx context.Context) error {
 		return fmt.Errorf("ea setup: %w", err)
 	}
 	// The zero-copy handoff contract: the EA emitted one pre-built segment
-	// directory per VC, and the VCs will open them directly (vc-<i>.gob
+	// directory per VC, and the VCs will open them directly (vc-<i>.bin
 	// names the directory, carries no inline pool). Verify here so a silent
 	// regression to inline pools fails the harness.
 	for i := 0; i < cfg.nv; i++ {
@@ -358,7 +357,7 @@ func (o *orch) runElection(ctx context.Context) error {
 	loadOut := filepath.Join(cfg.workdir, "load.json")
 	loadArgs := []string{
 		"-vc", strings.Join(o.vcURLs, ","),
-		"-ballots", filepath.Join(electionDir, "ballots.gob"),
+		"-ballots", filepath.Join(electionDir, "ballots.bin"),
 		"-rate", fmt.Sprint(cfg.rate),
 		"-duration", cfg.duration.String(),
 		"-timeout", cfg.timeout.String(),
@@ -402,7 +401,7 @@ func (o *orch) runElection(ctx context.Context) error {
 	// Phase 4: trustees read the cast data and post their shares.
 	for i := 0; i < cfg.nt; i++ {
 		p, err := o.startProc(fmt.Sprintf("trustee-%d", i), "ddemos-trustee",
-			"-init", filepath.Join(electionDir, fmt.Sprintf("trustee-%d.gob", i)),
+			"-init", filepath.Join(electionDir, fmt.Sprintf("trustee-%d.bin", i)),
 			"-bb", strings.Join(o.bbURLs, ","),
 			"-wait", "2s")
 		if err != nil {
@@ -436,7 +435,7 @@ func (o *orch) runElection(ctx context.Context) error {
 func (o *orch) bbArgs(i int) []string {
 	cfg := o.cfg
 	args := []string{
-		"-init", filepath.Join(cfg.workdir, "election", "bb.gob"),
+		"-init", filepath.Join(cfg.workdir, "election", "bb.bin"),
 		"-http", strings.TrimPrefix(o.bbURLs[i], "http://"),
 	}
 	if cfg.durable {
@@ -454,7 +453,7 @@ func (o *orch) bbArgs(i int) []string {
 func (o *orch) vcArgs(i int, peers []string) []string {
 	cfg := o.cfg
 	args := []string{
-		"-init", filepath.Join(cfg.workdir, "election", fmt.Sprintf("vc-%d.gob", i)),
+		"-init", filepath.Join(cfg.workdir, "election", fmt.Sprintf("vc-%d.bin", i)),
 		"-listen", peers[i],
 		"-peers", strings.Join(peers, ","),
 		"-http", strings.TrimPrefix(o.vcURLs[i], "http://"),
@@ -608,8 +607,8 @@ func (o *orch) report(electionDir, loadOut string, result *bb.Result, consensusP
 		return fmt.Errorf("loadgen report: %w", err)
 	}
 
-	var manifest ea.Manifest
-	if err := httpapi.ReadGobFile(filepath.Join(electionDir, "manifest.gob"), &manifest); err != nil {
+	manifest, err := bb.ManifestFile.Read(filepath.Join(electionDir, "manifest.bin"))
+	if err != nil {
 		return err
 	}
 	var total int64

@@ -8,18 +8,19 @@
 //
 // Output files:
 //
-//	manifest.gob            public election description (give to everyone)
-//	ballots.gob             all voter ballots (for the distribution channel)
-//	vc-<i>.gob              VC node i's private initialization data
-//	vc-<i>-ballots/         VC node i's pre-built segment store (default mode)
-//	bb.gob                  BB node initialization data (identical per node)
-//	trustee-<i>.gob         trustee i's private shares
+//	manifest.bin            public election description (give to everyone)
+//	ballots.bin             all voter ballots (for the distribution channel)
+//	vc-<i>.bin              VC node i's private initialization data
+//	vc-<i>-ballots/         VC node i's pre-built segment store
+//	bb.bin                  BB node initialization data (identical per node)
+//	trustee-<i>.bin         trustee i's private shares
 //
-// Ballots stream straight to disk as they are generated — each VC's pool
-// lands in a vc-<i>-ballots/ segment directory (store.Writer) the node
-// opens directly, and ballots.gob/bb.gob/trustee-<i>.gob are gob streams —
-// so setup memory is O(segment), not O(pool). The whole-pool -legacy-payload
-// route was removed after its one-release deprecation window.
+// Each .bin file is a header naming its kind, then one walk over the board's
+// byte codec (bb.File); bb.bin's body is the init artefact every BB replica
+// serves. Ballots stream straight to disk as they are generated — each VC's
+// pool lands in a vc-<i>-ballots/ segment directory (store.Writer) the node
+// opens directly, and ballots.bin/bb.bin/trustee-<i>.bin are written ballot
+// by ballot — so setup memory is O(segment), not O(pool).
 package main
 
 import (
@@ -35,8 +36,8 @@ import (
 	"time"
 
 	"ddemos"
+	"ddemos/internal/bb"
 	"ddemos/internal/ea"
-	"ddemos/internal/httpapi"
 	"ddemos/internal/store"
 )
 
@@ -128,83 +129,85 @@ func run(cfg eaConfig, w io.Writer) error {
 
 // runStreaming is the zero-copy path: SetupStream emits each ballot once,
 // and every per-ballot artifact goes straight to disk — voter ballots and
-// BB/trustee payloads as gob streams, each VC's pool through a store.Writer
+// BB/trustee payloads as bb.Streams, each VC's pool through a store.Writer
 // into its own segment directory. Peak memory is O(segment + stream
 // window) regardless of pool size.
 func runStreaming(cfg eaConfig, p ddemos.Params, w io.Writer) error {
-	wrote := func(name string) {
-		fmt.Fprintln(w, "wrote", filepath.Join(cfg.out, name))
+	path := func(name string) string { return filepath.Join(cfg.out, name) }
+	// outs are closed in order once setup is done, and all aborted on a
+	// failure.
+	type output struct {
+		name  string
+		close func() error
+		abort func()
+	}
+	var outs []output
+	stream := func(name string, s interface {
+		Close() error
+		Abort()
+	}) {
+		outs = append(outs, output{name, s.Close, s.Abort})
+	}
+	fail := func(err error) error {
+		for _, o := range outs {
+			o.abort()
+		}
+		return err
 	}
 
-	ballotsOut, err := httpapi.CreateGobStream(filepath.Join(cfg.out, "ballots.gob"))
+	ballotsOut, err := bb.BallotsFile.Create(path("ballots.bin"), nil, p.NumBallots)
 	if err != nil {
 		return err
 	}
-	var streams []*httpapi.GobStream // everything to abort on failure
-	streams = append(streams, ballotsOut)
-	var segWriters []*store.Writer
-	fail := func(err error) error {
-		for _, s := range streams {
-			s.Abort()
-		}
-		for _, sw := range segWriters {
-			sw.Abort()
-		}
-		return err
-	}
-	if err := ballotsOut.Encode(httpapi.BallotsStreamHeader{
-		Magic:      httpapi.BallotsStreamMagic,
-		NumBallots: p.NumBallots,
-	}); err != nil {
-		return fail(err)
-	}
-
-	var bbOut *httpapi.GobStream
-	var trusteeOuts []*httpapi.GobStream
-	vcDirs := make([]string, p.NumVC)
-	for i := range vcDirs {
-		vcDirs[i] = fmt.Sprintf("vc-%d-ballots", i)
-		sw, err := store.NewWriter(filepath.Join(cfg.out, vcDirs[i]), store.WriterOptions{
+	stream("ballots.bin", ballotsOut)
+	segWriters := make([]*store.Writer, p.NumVC)
+	for i := range segWriters {
+		dir := fmt.Sprintf("vc-%d-ballots", i)
+		sw, err := store.NewWriter(path(dir), store.WriterOptions{
 			SegmentBallots: cfg.segmentBallots,
 			ClearStale:     true,
 		})
 		if err != nil {
 			return fail(err)
 		}
-		segWriters = append(segWriters, sw)
+		segWriters[i] = sw
+		outs = append(outs, output{dir + string(os.PathSeparator), func() error {
+			seg, err := sw.Finish()
+			if err == nil {
+				_ = seg.Close()
+			}
+			return err
+		}, sw.Abort})
 	}
 
 	// OnComponents fires after key generation and before the first ballot:
-	// open the BB/trustee streams and write their slim init headers, so
-	// the sink below only ever appends per-ballot values.
+	// open the BB/trustee streams with their heads written, so the sink
+	// below only ever appends per-ballot values.
+	var bbOut *bb.Stream[ea.BBBallot]
+	var trusteeOuts []*bb.Stream[ea.TrusteeBallot]
 	opts := ea.StreamOptions{
 		OnComponents: func(sd *ea.StreamData) error {
 			if sd.BB == nil {
 				return nil
 			}
 			var err error
-			if bbOut, err = httpapi.CreateGobStream(filepath.Join(cfg.out, "bb.gob")); err != nil {
+			if bbOut, err = bb.InitFile.Create(path("bb.bin"), sd.BB, p.NumBallots); err != nil {
 				return err
 			}
-			streams = append(streams, bbOut)
-			if err := bbOut.Encode(sd.BB); err != nil {
-				return err
-			}
-			trusteeOuts = make([]*httpapi.GobStream, len(sd.Trustees))
+			stream("bb.bin", bbOut)
+			trusteeOuts = make([]*bb.Stream[ea.TrusteeBallot], len(sd.Trustees))
 			for i, t := range sd.Trustees {
-				if trusteeOuts[i], err = httpapi.CreateGobStream(filepath.Join(cfg.out, fmt.Sprintf("trustee-%d.gob", i))); err != nil {
+				name := fmt.Sprintf("trustee-%d.bin", i)
+				if trusteeOuts[i], err = bb.TrusteeFile.Create(path(name), t, p.NumBallots); err != nil {
 					return err
 				}
-				streams = append(streams, trusteeOuts[i])
-				if err := trusteeOuts[i].Encode(t); err != nil {
-					return err
-				}
+				stream(name, trusteeOuts[i])
 			}
 			return nil
 		},
 	}
 	sd, err := ea.SetupStream(p, opts, func(e *ea.Emission) error {
-		if err := ballotsOut.Encode(e.Voter); err != nil {
+		if err := ballotsOut.Append(&e.Voter); err != nil {
 			return err
 		}
 		for i, sw := range segWriters {
@@ -213,11 +216,11 @@ func runStreaming(cfg eaConfig, p ddemos.Params, w io.Writer) error {
 			}
 		}
 		if e.BB != nil {
-			if err := bbOut.Encode(e.BB); err != nil {
+			if err := bbOut.Append(e.BB); err != nil {
 				return err
 			}
 			for i := range e.Trustees {
-				if err := trusteeOuts[i].Encode(&e.Trustees[i]); err != nil {
+				if err := trusteeOuts[i].Append(&e.Trustees[i]); err != nil {
 					return err
 				}
 			}
@@ -227,40 +230,17 @@ func runStreaming(cfg eaConfig, p ddemos.Params, w io.Writer) error {
 	if err != nil {
 		return fail(fmt.Errorf("setup: %w", err))
 	}
-	if err := ballotsOut.Close(); err != nil {
-		return fail(err)
-	}
-	wrote("ballots.gob")
-	for i, sw := range segWriters {
-		seg, err := sw.Finish()
-		if err != nil {
-			return fail(err)
-		}
-		_ = seg.Close()
-		wrote(vcDirs[i] + string(os.PathSeparator))
-	}
-	if bbOut != nil {
-		if err := bbOut.Close(); err != nil {
-			return fail(err)
-		}
-		wrote("bb.gob")
-		for i, t := range trusteeOuts {
-			if err := t.Close(); err != nil {
-				return fail(err)
-			}
-			wrote(fmt.Sprintf("trustee-%d.gob", i))
-		}
-	}
-	if err := httpapi.WriteGobFile(filepath.Join(cfg.out, "manifest.gob"), &sd.Manifest); err != nil {
-		return fail(err)
-	}
-	wrote("manifest.gob")
+	outs = append(outs, output{"manifest.bin", func() error { return bb.ManifestFile.Write(path("manifest.bin"), &sd.Manifest) }, func() {}})
 	for i, v := range sd.VC {
-		v.BallotsDir = vcDirs[i] // relative to the payload file's directory
-		if err := httpapi.WriteGobFile(filepath.Join(cfg.out, fmt.Sprintf("vc-%d.gob", i)), v); err != nil {
+		v.BallotsDir = fmt.Sprintf("vc-%d-ballots", i) // relative to the payload file's directory
+		name := fmt.Sprintf("vc-%d.bin", i)
+		outs = append(outs, output{name, func() error { return bb.VCFile.Write(path(name), v) }, func() {}})
+	}
+	for _, o := range outs {
+		if err := o.close(); err != nil {
 			return fail(err)
 		}
-		wrote(fmt.Sprintf("vc-%d.gob", i))
+		fmt.Fprintln(w, "wrote", path(o.name))
 	}
 	return nil
 }

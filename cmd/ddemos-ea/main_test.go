@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -13,8 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"ddemos/internal/bb"
 	"ddemos/internal/ea"
-	"ddemos/internal/httpapi"
 	"ddemos/internal/store"
 )
 
@@ -55,11 +56,11 @@ func hashBytes(h hash.Hash, b []byte) {
 // pinnedStreamingDigest is the canonical hash of everything the streaming
 // route emits for the fixed "route-differential" seed below that does not
 // depend on how the EA signs receipt shares: the voter ballots, every VC
-// line's hash commitment, salt and receipt share, and the raw bb.gob and
-// trustee-<i>.gob files. It freezes the whole-pool bytes of that fixture: a
+// line's hash commitment, salt and receipt share, and the raw bb.bin and
+// trustee-<i>.bin files. It freezes the whole-pool bytes of that fixture: a
 // change in ballot generation, the shuffle, share derivation, the prover or
 // the trustee sharing shows up as a digest mismatch here.
-const pinnedStreamingDigest = "c31d23d6457445e11232714e4d5c9027200c0c5a37d0d7efbecbaf5e4afaabca"
+const pinnedStreamingDigest = "6a9ab245f597100310e2d72c9389319446cee8783e909a19276a794afc9f53ff"
 
 // pinnedShareSigDigest is the hash of the EA's receipt-share signatures and
 // of every node's path to the signed ballot root in the same fixture, pinned
@@ -69,26 +70,17 @@ const pinnedShareSigDigest = "27b822d26989f0a4f58d0eee6a319c6170190a53eb1ecb1cd7
 // TestStreamingRoutePinnedElection is the regression successor of the
 // streaming-vs-legacy differential test: the legacy route is gone, so the
 // seeded election it cross-checked is pinned by digest instead. It also
-// keeps the structural handoff contract: slim vc-<i>.gob payloads (no
+// keeps the structural handoff contract: slim vc-<i>.bin payloads (no
 // inline pool), a BallotsDir that resolves the way ddemos-vc resolves it,
 // and segment directories that open and serve every ballot.
 func TestStreamingRoutePinnedElection(t *testing.T) {
-	const nBallots, nVC, nTrustees = 40, 4, 3
-	out := filepath.Join(t.TempDir(), "streaming")
-	cfg := eaConfig{
-		out: out, ballots: nBallots, options: "yes,no", nv: nVC, nb: 3, nt: nTrustees,
-		startS: "2026-06-10T08:00:00Z", endS: "2026-06-10T20:00:00Z",
-		segmentBallots: 16, // several segments from the 40-ballot pool
-		electionID:     "route-differential", seed: []byte("route-differential"),
-	}
-	if err := run(cfg, io.Discard); err != nil {
-		t.Fatalf("streaming route: %v", err)
-	}
+	out, cfg := runPinned(t)
+	nBallots, nVC, nTrustees := cfg.ballots, cfg.nv, cfg.nt
 
 	h, hs := sha256.New(), sha256.New()
 
 	// Voter ballots, in pool order.
-	ballots, err := httpapi.ReadBallotsFile(filepath.Join(out, "ballots.gob"))
+	ballots, err := bb.BallotsFile.Read(filepath.Join(out, "ballots.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +102,9 @@ func TestStreamingRoutePinnedElection(t *testing.T) {
 	// Per-VC payloads: slim init plus every stored ballot line, opened the
 	// way ddemos-vc opens them.
 	for i := 0; i < nVC; i++ {
-		initPath := filepath.Join(out, fmt.Sprintf("vc-%d.gob", i))
-		var init ea.VCInit
-		if err := httpapi.ReadGobFile(initPath, &init); err != nil {
+		initPath := filepath.Join(out, fmt.Sprintf("vc-%d.bin", i))
+		init, err := bb.VCFile.Read(initPath)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(init.Ballots) != 0 {
@@ -132,7 +124,7 @@ func TestStreamingRoutePinnedElection(t *testing.T) {
 		if seg.Count() != nBallots {
 			t.Fatalf("vc-%d: segment dir holds %d ballots, want %d", i, seg.Count(), nBallots)
 		}
-		for serial := uint64(1); serial <= nBallots; serial++ {
+		for serial := uint64(1); serial <= uint64(nBallots); serial++ {
 			bd, err := seg.Get(serial)
 			if err != nil {
 				t.Fatalf("vc-%d Get(%d): %v", i, serial, err)
@@ -153,14 +145,14 @@ func TestStreamingRoutePinnedElection(t *testing.T) {
 		_ = seg.Close()
 	}
 
-	// The full-crypto payloads, byte for byte: bb.gob carries the encrypted
+	// The full-crypto payloads, byte for byte: bb.bin carries the encrypted
 	// vote codes, the option-encoding commitments and every bit and sum
-	// proof first move; trustee-<i>.gob carries each trustee's shares of the
+	// proof first move; trustee-<i>.bin carries each trustee's shares of the
 	// openings and of the proofs' final-move coefficients. A change to the
 	// prover's arithmetic or its randomness order shows up here.
-	files := []string{"bb.gob"}
+	files := []string{"bb.bin"}
 	for i := 0; i < nTrustees; i++ {
-		files = append(files, fmt.Sprintf("trustee-%d.gob", i))
+		files = append(files, fmt.Sprintf("trustee-%d.bin", i))
 	}
 	for _, name := range files {
 		b, err := os.ReadFile(filepath.Join(out, name))
@@ -180,5 +172,87 @@ func TestStreamingRoutePinnedElection(t *testing.T) {
 		t.Errorf("receipt-share signature digest changed:\n got %s\nwant %s\n"+
 			"(the EA signs receipt shares differently; re-pin only if the change is intentional)",
 			got, pinnedShareSigDigest)
+	}
+}
+
+// pinnedConfig is the seeded election the tests below run ddemos-ea on.
+var pinnedConfig = eaConfig{
+	ballots: 40, options: "yes,no", nv: 4, nb: 3, nt: 3,
+	startS: "2026-06-10T08:00:00Z", endS: "2026-06-10T20:00:00Z",
+	segmentBallots: 16, // several segments from the 40-ballot pool
+	electionID:     "route-differential", seed: []byte("route-differential"),
+}
+
+// runPinned runs ddemos-ea on pinnedConfig into a temp directory.
+func runPinned(t *testing.T) (string, eaConfig) {
+	t.Helper()
+	cfg := pinnedConfig
+	cfg.out = filepath.Join(t.TempDir(), "streaming")
+	if err := run(cfg, io.Discard); err != nil {
+		t.Fatalf("streaming route: %v", err)
+	}
+	return cfg.out, cfg
+}
+
+// TestStreamedFilesEqualSetup is the differential of the streamed files
+// against the in-process setup of the same seeded election: every file
+// ddemos-ea writes ballot by ballot is byte for byte the header plus the
+// one walk of ea.Setup's data, the BB file's body is bb.EncodeInit of it,
+// and a replica booted from the BB file serves that body as its init.
+func TestStreamedFilesEqualSetup(t *testing.T) {
+	out, cfg := runPinned(t)
+	start, _ := time.Parse(time.RFC3339, cfg.startS)
+	end, _ := time.Parse(time.RFC3339, cfg.endS)
+	data, err := ea.Setup(ea.Params{
+		ElectionID: cfg.electionID, Options: strings.Split(cfg.options, ","), NumBallots: cfg.ballots,
+		NumVC: cfg.nv, NumBB: cfg.nb, NumTrustees: cfg.nt, VotingStart: start, VotingEnd: end, Seed: cfg.seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(out, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := map[string][]byte{
+		"ballots.bin":  bb.BallotsFile.Encode(&data.Ballots),
+		"bb.bin":       bb.InitFile.Encode(data.BB),
+		"manifest.bin": bb.ManifestFile.Encode(&data.Manifest),
+	}
+	for i, tr := range data.Trustees {
+		want[fmt.Sprintf("trustee-%d.bin", i)] = bb.TrusteeFile.Encode(tr)
+	}
+	for i, v := range data.VC {
+		slim := *v
+		slim.BallotsDir = fmt.Sprintf("vc-%d-ballots", i)
+		want[fmt.Sprintf("vc-%d.bin", i)] = bb.VCFile.Encode(&slim)
+	}
+	for name, b := range want {
+		if !bytes.Equal(read(name), b) {
+			t.Errorf("%s differs from the encoding of ea.Setup's data", name)
+		}
+	}
+
+	initBody := bb.EncodeInit(data.BB)
+	if !bytes.HasSuffix(read("bb.bin"), initBody) || !bytes.HasSuffix(read("manifest.bin"), bb.EncodeManifest(&data.Manifest)) {
+		t.Fatal("the BB and manifest files' bodies are not the board's init and manifest artefacts")
+	}
+	init, err := bb.InitFile.Read(filepath.Join(out, "bb.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := bb.NewNode(&init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := node.Read(bb.KindInit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, initBody) {
+		t.Fatal("a replica booted from bb.bin serves another init")
 	}
 }

@@ -6,7 +6,7 @@
 // generator down (coordinated omission).
 //
 //	ddemos-loadgen -vc http://localhost:8100,http://localhost:8101 \
-//	               -ballots election/ballots.gob -rate 500 -duration 60s \
+//	               -ballots election/ballots.bin -rate 500 -duration 60s \
 //	               -out load.json
 //
 // Each scheduled op casts a deterministic (serial, part, option) tuple;
@@ -33,13 +33,14 @@ import (
 	"time"
 
 	"ddemos/internal/ballot"
+	"ddemos/internal/bb"
 	"ddemos/internal/benchmark"
 	"ddemos/internal/httpapi"
 )
 
 func main() {
 	vcS := flag.String("vc", "", "comma-separated VC base URLs (round-robin per op)")
-	ballotsPath := flag.String("ballots", "", "path to ballots.gob (the serial/code pool)")
+	ballotsPath := flag.String("ballots", "", "path to ballots.bin (the serial/code pool)")
 	rate := flag.Float64("rate", 500, "target send rate, ops/sec (open loop)")
 	duration := flag.Duration("duration", 60*time.Second, "length of the send schedule")
 	workers := flag.Int("workers", 0, "max in-flight requests (0 = 512); size ≥ rate × expected p99")
@@ -66,7 +67,7 @@ func main() {
 		log.Print("loadgen: -vc holds no URLs")
 		os.Exit(2)
 	}
-	ballots, err := httpapi.ReadBallotsFile(*ballotsPath)
+	ballots, err := bb.BallotsFile.Read(*ballotsPath)
 	if err != nil {
 		log.Printf("loadgen: %v", err)
 		os.Exit(2)

@@ -2,7 +2,7 @@
 // the BB nodes (majority), computes its shares of the tally opening and the
 // zero-knowledge final moves, and posts them to every BB node (§III-H).
 //
-//	ddemos-trustee -init election/trustee-0.gob \
+//	ddemos-trustee -init election/trustee-0.bin \
 //	               -bb http://localhost:9100,http://localhost:9101,http://localhost:9102
 package main
 
@@ -15,21 +15,20 @@ import (
 	"time"
 
 	"ddemos/internal/bb"
-	"ddemos/internal/ea"
 	"ddemos/internal/httpapi"
 	"ddemos/internal/trustee"
 )
 
 func main() {
-	initPath := flag.String("init", "", "path to trustee-<i>.gob")
+	initPath := flag.String("init", "", "path to trustee-<i>.bin")
 	bbS := flag.String("bb", "", "comma-separated BB base URLs")
 	wait := flag.Duration("wait", 5*time.Second, "poll interval while cast data is unpublished")
 	flag.Parse()
 	if *initPath == "" || *bbS == "" {
 		log.Fatal("-init and -bb are required")
 	}
-	var init ea.TrusteeInit
-	if err := httpapi.ReadInitFile(*initPath, &init, &init.Manifest, &init.Ballots); err != nil {
+	init, err := bb.TrusteeFile.Read(*initPath)
+	if err != nil {
 		log.Fatal(err)
 	}
 	tr, err := trustee.New(&init)

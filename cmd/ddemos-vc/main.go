@@ -3,7 +3,7 @@
 // election end time it runs vote-set consensus and pushes the agreed set
 // (and its master-key share) to every BB node.
 //
-//	ddemos-vc -init election/vc-0.gob \
+//	ddemos-vc -init election/vc-0.bin \
 //	          -listen :7100 -peers :7100,:7101,:7102,:7103 \
 //	          -http :8100 -bb http://localhost:9100,http://localhost:9101
 package main
@@ -35,7 +35,7 @@ import (
 func openBallotStore(init *ea.VCInit, initPath string, cacheBytes int64) (store.Store, error) {
 	if init.BallotsDir == "" {
 		return nil, errors.New("the init payload names no ballot segment directory " +
-			"(a vc-<i>.gob from an older ddemos-ea: re-run it)")
+			"(a vc-<i>.bin from an older ddemos-ea: re-run it)")
 	}
 	if cacheBytes <= 0 {
 		return nil, fmt.Errorf("-store-cache %d: the ballot cache needs a positive byte budget", cacheBytes)
@@ -59,7 +59,7 @@ func openBallotStore(init *ea.VCInit, initPath string, cacheBytes int64) (store.
 }
 
 func main() {
-	initPath := flag.String("init", "", "path to vc-<i>.gob")
+	initPath := flag.String("init", "", "path to vc-<i>.bin")
 	listen := flag.String("listen", ":7100", "TCP listen address for inter-VC traffic")
 	peersS := flag.String("peers", "", "comma-separated peer TCP addresses, in node-index order")
 	httpAddr := flag.String("http", ":8100", "public HTTP voting endpoint")
@@ -86,8 +86,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var init ea.VCInit
-	if err := httpapi.ReadGobFile(*initPath, &init); err != nil {
+	init, err := bb.VCFile.Read(*initPath)
+	if err != nil {
 		log.Fatal(err)
 	}
 	ballotStore, err := openBallotStore(&init, *initPath, *storeCache)

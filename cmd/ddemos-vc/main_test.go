@@ -10,9 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"ddemos/internal/bb"
 	"ddemos/internal/clock"
 	"ddemos/internal/ea"
-	"ddemos/internal/httpapi"
 	"ddemos/internal/journal"
 	"ddemos/internal/store"
 	"ddemos/internal/transport"
@@ -166,17 +166,17 @@ func TestEndpointDropsUnauthenticatedFrames(t *testing.T) {
 	}
 }
 
-// TestEndpointRefusesPayloadWithoutLinkKeys: a vc-<i>.gob written without
+// TestEndpointRefusesPayloadWithoutLinkKeys: a vc-<i>.bin written without
 // link keys (by an EA from before they were dealt) does not start a node.
 func TestEndpointRefusesPayloadWithoutLinkKeys(t *testing.T) {
 	init := *testElection(t).VC[2]
 	init.LinkKeys = nil
-	path := filepath.Join(t.TempDir(), "vc-2.gob")
-	if err := httpapi.WriteGobFile(path, &init); err != nil {
+	path := filepath.Join(t.TempDir(), "vc-2.bin")
+	if err := bb.VCFile.Write(path, &init); err != nil {
 		t.Fatal(err)
 	}
-	var read ea.VCInit
-	if err := httpapi.ReadGobFile(path, &read); err != nil {
+	read, err := bb.VCFile.Read(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	tcp, err := transport.NewTCPNode(2, "127.0.0.1:0", nil)
@@ -193,7 +193,7 @@ func TestEndpointRefusesPayloadWithoutLinkKeys(t *testing.T) {
 	}
 }
 
-// TestEndpointRefusesPayloadWithoutBallotsDir: a vc-<i>.gob that names no
+// TestEndpointRefusesPayloadWithoutBallotsDir: a vc-<i>.bin that names no
 // ballot segment directory does not start a node, even with the pool
 // inline, and the error names ddemos-ea.
 func TestEndpointRefusesPayloadWithoutBallotsDir(t *testing.T) {
@@ -201,7 +201,7 @@ func TestEndpointRefusesPayloadWithoutBallotsDir(t *testing.T) {
 	if len(init.Ballots) == 0 || init.BallotsDir != "" {
 		t.Fatal("want an in-process payload: an inline pool and no BallotsDir")
 	}
-	st, err := openBallotStore(init, filepath.Join(t.TempDir(), "vc-2.gob"), 64<<20)
+	st, err := openBallotStore(init, filepath.Join(t.TempDir(), "vc-2.bin"), 64<<20)
 	if err == nil {
 		_ = st.Close()
 		t.Fatal("a payload without BallotsDir opened a ballot store")
@@ -223,7 +223,7 @@ func TestBallotStoreRefusesNonPositiveCache(t *testing.T) {
 	}
 	_ = seg.Close()
 	init.Ballots, init.BallotsDir = nil, "vc-2"
-	initPath := filepath.Join(dir, "vc-2.gob")
+	initPath := filepath.Join(dir, "vc-2.bin")
 	for _, budget := range []int64{0, -1} {
 		st, err := openBallotStore(&init, initPath, budget)
 		if err == nil {

@@ -2,10 +2,10 @@
 // needs: no keys, no crypto, just a serial, a vote code and a receipt to
 // compare (§III-F). It can also verify the vote after the election.
 //
-//	ddemos-voter -ballots election/ballots.gob -serial 3 -part A -option yes \
+//	ddemos-voter -ballots election/ballots.bin -serial 3 -part A -option yes \
 //	             -vc http://localhost:8100,http://localhost:8101
 //
-//	ddemos-voter -verify -ballots election/ballots.gob -serial 3 \
+//	ddemos-voter -verify -ballots election/ballots.bin -serial 3 \
 //	             -code <hex> -part A -option yes \
 //	             -bb http://localhost:9100,http://localhost:9101,http://localhost:9102
 package main
@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	ballotsPath := flag.String("ballots", "", "path to ballots.gob (stands in for the secure ballot channel)")
+	ballotsPath := flag.String("ballots", "", "path to ballots.bin (stands in for the secure ballot channel)")
 	serial := flag.Uint64("serial", 0, "ballot serial number")
 	partS := flag.String("part", "", "ballot part to use: A or B (empty = random)")
 	option := flag.String("option", "", "option name to vote for")
@@ -39,7 +39,7 @@ func main() {
 	if *ballotsPath == "" || *serial == 0 {
 		log.Fatal("-ballots and -serial are required")
 	}
-	ballots, err := httpapi.ReadBallotsFile(*ballotsPath)
+	ballots, err := bb.BallotsFile.Read(*ballotsPath)
 	if err != nil {
 		log.Fatal(err)
 	}

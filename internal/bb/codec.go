@@ -81,7 +81,7 @@ type VoteSetSubmission struct {
 func EncodeManifest(m *ea.Manifest) []byte { return encode(nil, m, walkManifest) }
 
 // EncodeInit encodes the BB initialization data.
-func EncodeInit(init *ea.BBInit) []byte { return encode(nil, init, walkInit) }
+func EncodeInit(init *ea.BBInit) []byte { return encode(nil, init, InitFile.body) }
 
 // EncodeVoteSet encodes a vote set.
 func EncodeVoteSet(set []vc.VotedBallot) []byte { return encode(nil, &set, wire.WalkVoteSet) }
@@ -192,16 +192,17 @@ func walkManifest(c *codec.Coder, m *ea.Manifest) {
 	codec.List(c, &m.TrusteePublics, 4, pubKey)
 }
 
-func walkInit(c *codec.Coder, in *ea.BBInit) {
+func initHead(c *codec.Coder, in *ea.BBInit) {
 	walkManifest(c, &in.Manifest)
 	c.Fixed(in.HMsk[:])
 	c.Fixed(in.SaltMsk[:])
-	codec.List(c, &in.Ballots, 8+4+4, func(c *codec.Coder, b *ea.BBBallot) {
-		c.U64(&b.Serial)
-		for part := range b.Parts {
-			codec.List(c, &b.Parts[part], 4+4+4+2*pointLen, walkRow)
-		}
-	})
+}
+
+func walkBBBallot(c *codec.Coder, b *ea.BBBallot) {
+	c.U64(&b.Serial)
+	for part := range b.Parts {
+		codec.List(c, &b.Parts[part], 4+4+4+2*pointLen, walkRow)
+	}
 }
 
 func walkRow(c *codec.Coder, r *ea.BBRow) {

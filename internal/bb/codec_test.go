@@ -27,7 +27,7 @@ var boardDecoders = []struct {
 		return func() []byte { return EncodeManifest(&m) }, err
 	}},
 	{KindInit, func(b []byte) (func() []byte, error) {
-		in, err := decode(KindInit, b, walkInit)
+		in, err := decode(KindInit, b, InitFile.body)
 		return func() []byte { return EncodeInit(&in) }, err
 	}},
 	{KindVoteSet, func(b []byte) (func() []byte, error) {
@@ -209,12 +209,15 @@ func TestReaderDecodesOnlyTheWinner(t *testing.T) {
 	}
 }
 
-// FuzzBoardDecode feeds arbitrary bytes to every board decoder, under the
-// decoder oracle (codectest.Check): none may panic or allocate past its
-// bound, and anything a decoder accepts must re-encode to the same bytes —
+// FuzzBoardDecode feeds arbitrary bytes to every board decoder and every EA
+// file reader, under the decoder oracle (codectest.Check): none may panic or
+// allocate past its bound, and anything a decoder accepts must re-encode to the same bytes —
 // the property the Reader's digest comparison rests on.
 func FuzzBoardDecode(f *testing.F) {
 	for _, b := range sampleArtefacts(f) {
+		f.Add(b)
+	}
+	for _, b := range sampleFiles(f) {
 		f.Add(b)
 	}
 	f.Add([]byte{})
@@ -222,6 +225,9 @@ func FuzzBoardDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, c := range boardDecoders {
 			_ = codectest.Check(t, b, c.decode)
+		}
+		for _, d := range fileDecoders {
+			_ = codectest.Check(t, b, d.decode)
 		}
 	})
 }

@@ -17,8 +17,8 @@ import (
 
 // TestRegenerateFuzzCorpus rewrites the checked-in seed corpora of
 // FuzzBoardDecode and FuzzBBJournalReplay from a real run of the fuzz
-// election: every artefact a replica serves and accepts, and every journal
-// record kind a publish phase writes. Guarded by an env var so normal test
+// election: every artefact a replica serves and accepts, every file the EA
+// writes, and every journal record kind a publish phase writes. Guarded by an env var so normal test
 // runs never touch the tree:
 //
 //	DDEMOS_REGEN_CORPUS=1 go test ./internal/bb -run TestRegenerateFuzzCorpus
@@ -92,6 +92,13 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		bb.EncodeSetSubmission(&bb.VoteSetSubmission{VCIndex: 0, Set: set, Sig: cluster.VCs[0].SignVoteSet(set)}))
 	write("FuzzBoardDecode", "seed-submit-mskshare", bb.EncodeMskShare(cluster.VCs[0].MskShare()))
 	write("FuzzBoardDecode", "seed-submit-trusteepost", bb.EncodeTrusteePost(post))
+	vcInit := *data.VC[0]
+	vcInit.BallotsDir = "vc-0-ballots"
+	write("FuzzBoardDecode", "seed-file-manifest", bb.ManifestFile.Encode(&data.Manifest))
+	write("FuzzBoardDecode", "seed-file-bb-init", bb.InitFile.Encode(data.BB))
+	write("FuzzBoardDecode", "seed-file-vc-init", bb.VCFile.Encode(&vcInit))
+	write("FuzzBoardDecode", "seed-file-trustee-init", bb.TrusteeFile.Encode(data.Trustees[0]))
+	write("FuzzBoardDecode", "seed-file-ballots", bb.BallotsFile.Encode(&data.Ballots))
 
 	names := map[byte]string{0x11: "set", 0x16: "post", 0x17: "result", 0x18: "share"}
 	seen := map[byte]bool{}

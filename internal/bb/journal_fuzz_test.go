@@ -15,7 +15,7 @@ import (
 
 var (
 	fuzzInitOnce sync.Once
-	fuzzInit     *ea.BBInit
+	fuzzData     *ea.ElectionData
 	fuzzInitErr  error
 )
 
@@ -34,24 +34,19 @@ var FuzzElectionParams = ea.Params{
 	Seed:        []byte("bb-journal-fuzz"),
 }
 
-// fuzzBBInit builds the fuzz election's BB init data once, shared across
-// fuzz iterations (EA setup does real EC math; doing it per input would
-// starve the fuzzer).
-func fuzzBBInit(tb testing.TB) *ea.BBInit {
+// fuzzElection builds the fuzz election once, shared across fuzz iterations
+// (EA setup does real EC math; doing it per input would starve the fuzzer).
+func fuzzElection(tb testing.TB) *ea.ElectionData {
 	tb.Helper()
-	fuzzInitOnce.Do(func() {
-		data, err := ea.Setup(FuzzElectionParams)
-		if err != nil {
-			fuzzInitErr = err
-			return
-		}
-		fuzzInit = data.BB
-	})
+	fuzzInitOnce.Do(func() { fuzzData, fuzzInitErr = ea.Setup(FuzzElectionParams) })
 	if fuzzInitErr != nil {
 		tb.Fatal(fuzzInitErr)
 	}
-	return fuzzInit
+	return fuzzData
 }
+
+// fuzzBBInit is the fuzz election's BB init data.
+func fuzzBBInit(tb testing.TB) *ea.BBInit { return fuzzElection(tb).BB }
 
 // FuzzBBJournalReplay feeds arbitrary bytes through the journal replay path.
 // The bar is no-panic: a record that fails structural validation must be

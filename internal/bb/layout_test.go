@@ -8,7 +8,8 @@ import (
 
 // TestLayoutsPinned pins the bytes of one board artefact per kind: readers
 // compare replicas' replies by digest and trustees sign encodings, so a
-// change to an artefact's layout fails here.
+// change to an artefact's layout fails here. It pins the EA's own file
+// layouts too: a change to them strands every file an older ddemos-ea wrote.
 func TestLayoutsPinned(t *testing.T) {
 	samples := sampleArtefacts(t)
 	pinned := []struct {
@@ -34,6 +35,21 @@ func TestLayoutsPinned(t *testing.T) {
 		}
 		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != p.hash {
 			t.Errorf("%v: hashes to %x, pinned %s", p.kind, sum, p.hash)
+		}
+	}
+
+	// The EA's files whose layouts are not board artefacts, header included.
+	files := sampleFiles(t)
+	for _, p := range []struct {
+		magic string
+		hash  string // SHA-256 of the whole file
+	}{
+		{VCFile.magic, "ccee0c7da9f5f0510258b473c0532c3a32149f2c7624b51af9b8b9b1c1bb19da"},
+		{TrusteeFile.magic, "33f10615c37a4ea907fb436d022ed68752d584676361f359bf5b290e837526bf"},
+		{BallotsFile.magic, "58b4a124221adbceb4f151e5c0513b7133caae417ee87e54f428e05ddccf0a44"},
+	} {
+		if sum := sha256.Sum256(files[p.magic]); hex.EncodeToString(sum[:]) != p.hash {
+			t.Errorf("%s file: hashes to %x, pinned %s", p.magic, sum, p.hash)
 		}
 	}
 }

@@ -98,7 +98,7 @@ func ptr[T any](v T, err error) (*T, error) {
 func (r *Reader) Manifest() (ea.Manifest, error) { return readAs(r, KindManifest, walkManifest) }
 
 // Init reads the full initialization data by majority.
-func (r *Reader) Init() (*ea.BBInit, error) { return ptr(readAs(r, KindInit, walkInit)) }
+func (r *Reader) Init() (*ea.BBInit, error) { return ptr(readAs(r, KindInit, InitFile.body)) }
 
 // VoteSet reads the agreed vote set by majority.
 func (r *Reader) VoteSet() ([]vc.VotedBallot, error) { return readAs(r, KindVoteSet, wire.WalkVoteSet) }

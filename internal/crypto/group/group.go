@@ -112,20 +112,6 @@ func (p Point) String() string {
 	return fmt.Sprintf("Point(%x…)", p.Bytes()[:8])
 }
 
-// GobEncode implements gob.GobEncoder, so initialization data containing
-// points can be serialized for on-disk distribution and HTTP transport.
-func (p Point) GobEncode() ([]byte, error) { return p.Bytes(), nil }
-
-// GobDecode implements gob.GobDecoder.
-func (p *Point) GobDecode(b []byte) error {
-	q, err := DecodePoint(b)
-	if err != nil {
-		return err
-	}
-	*p = q
-	return nil
-}
-
 // DecodePoint parses the compressed encoding produced by Point.Bytes.
 func DecodePoint(b []byte) (Point, error) {
 	if len(b) == 1 && b[0] == 0 {

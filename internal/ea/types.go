@@ -166,7 +166,7 @@ type VCInit struct {
 	LinkKeys [][]byte
 	// Ballots is the node's ballot store content (hash commitments, salts,
 	// receipt shares), rows in the same shuffled order as the BB. In-process
-	// setups carry it inline; the vc-<i>.gob files ddemos-ea writes leave it
+	// setups carry it inline; the vc-<i>.bin files ddemos-ea writes leave it
 	// nil and set BallotsDir instead.
 	Ballots []*store.BallotData
 	// BallotsDir points at a pre-built segment directory (store.OpenSegmented

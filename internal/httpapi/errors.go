@@ -14,7 +14,7 @@ import (
 // the code (via AsAPIError / HasCode), never on message text.
 const (
 	// CodeBadRequest: the body could not be parsed (malformed JSON, bad
-	// hex, undecodable gob).
+	// hex, bytes that are not the board encoding).
 	CodeBadRequest = "bad_request"
 	// CodeVoteRejected: the VC node refused the vote at the protocol level
 	// (already voted with a different code, outside voting hours, unknown

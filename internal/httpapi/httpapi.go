@@ -1,8 +1,7 @@
 // Package httpapi provides the HTTP servers and clients for multi-process
 // deployments: the VC voter-facing endpoint (a plain POST — voters need no
-// special software, §I), the BB read/write API over the board encoding of
-// internal/bb, and the gob initialization payloads the ddemos-ea tool writes
-// to disk (payload.go).
+// special software, §I) and the BB read/write API over the board encoding of
+// internal/bb.
 //
 // # API versioning
 //

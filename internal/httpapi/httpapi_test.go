@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -215,119 +213,6 @@ func TestMixedLocalAndHTTPReaderMajority(t *testing.T) {
 	}
 	if _, err := mixed.Cast(); err != nil {
 		t.Fatalf("mixed cast read: %v", err)
-	}
-}
-
-func TestGobFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "manifest.gob")
-	start := time.Date(2026, 6, 10, 8, 0, 0, 0, time.UTC)
-	data, err := ea.Setup(ea.Params{
-		ElectionID:  "gob-test",
-		Options:     []string{"a", "b"},
-		NumBallots:  2,
-		NumVC:       4,
-		NumBB:       1,
-		NumTrustees: 1,
-		VotingStart: start,
-		VotingEnd:   start.Add(time.Hour),
-		Seed:        []byte("gob"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteGobFile(path, &data.Manifest); err != nil {
-		t.Fatal(err)
-	}
-	var got ea.Manifest
-	if err := ReadGobFile(path, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.ElectionID != "gob-test" || len(got.VCPublics) != 4 {
-		t.Fatalf("round trip mangled manifest: %+v", got)
-	}
-	// Full BBInit (with points and big.Ints) must survive too.
-	bbPath := filepath.Join(t.TempDir(), "bb.gob")
-	if err := WriteGobFile(bbPath, data.BB); err != nil {
-		t.Fatal(err)
-	}
-	var bbInit ea.BBInit
-	if err := ReadGobFile(bbPath, &bbInit); err != nil {
-		t.Fatal(err)
-	}
-	if len(bbInit.Ballots) != 2 {
-		t.Fatal("bb init mangled")
-	}
-	orig := data.BB.Ballots[0].Parts[0][0].Commitment[0]
-	got2 := bbInit.Ballots[0].Parts[0][0].Commitment[0]
-	if !orig.A.Equal(got2.A) || !orig.B.Equal(got2.B) {
-		t.Fatal("ciphertext points mangled by gob")
-	}
-	if err := ReadGobFile(filepath.Join(t.TempDir(), "missing.gob"), &got); err == nil {
-		t.Fatal("missing file must fail")
-	}
-}
-
-// TestStreamedPayloads: the streamed layouts ddemos-ea writes read back
-// through ReadBallotsFile and ReadInitFile, and the retired whole-pool
-// layouts — a bare ballot slice, an init struct with its ballots inline —
-// are refused with an error that names ddemos-ea.
-func TestStreamedPayloads(t *testing.T) {
-	start := time.Date(2026, 6, 10, 8, 0, 0, 0, time.UTC)
-	data, err := ea.Setup(ea.Params{
-		ElectionID: "stream-test", Options: []string{"a", "b"},
-		NumBallots: 2, NumVC: 4, NumBB: 1, NumTrustees: 1,
-		VotingStart: start, VotingEnd: start.Add(time.Hour),
-		Seed: []byte("stream"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	writeStream := func(name string, values ...any) string {
-		path := filepath.Join(dir, name)
-		w, err := CreateGobStream(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range values {
-			if err := w.Encode(v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	slim := *data.BB
-	slim.Ballots = nil
-	bbPath := writeStream("bb.gob", &slim, &data.BB.Ballots[0], &data.BB.Ballots[1])
-	var bbInit ea.BBInit
-	if err := ReadInitFile(bbPath, &bbInit, &bbInit.Manifest, &bbInit.Ballots); err != nil {
-		t.Fatal(err)
-	}
-	if len(bbInit.Ballots) != 2 || bbInit.Ballots[1].Serial != data.BB.Ballots[1].Serial {
-		t.Fatalf("streamed bb.gob read back %d ballots", len(bbInit.Ballots))
-	}
-	ballotsPath := writeStream("ballots.gob",
-		BallotsStreamHeader{Magic: BallotsStreamMagic, NumBallots: 2}, data.Ballots[0], data.Ballots[1])
-	ballots, err := ReadBallotsFile(ballotsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ballots) != 2 || ballots[1].Serial != data.Ballots[1].Serial {
-		t.Fatalf("streamed ballots.gob read back %d ballots", len(ballots))
-	}
-
-	wholeBB := writeStream("whole-bb.gob", data.BB)
-	if err := ReadInitFile(wholeBB, &bbInit, &bbInit.Manifest, &bbInit.Ballots); err == nil ||
-		!strings.Contains(err.Error(), "ddemos-ea") {
-		t.Fatalf("whole-pool bb.gob: error %v, want one naming ddemos-ea", err)
-	}
-	bare := writeStream("bare-ballots.gob", data.Ballots)
-	if _, err := ReadBallotsFile(bare); err == nil || !strings.Contains(err.Error(), "ddemos-ea") {
-		t.Fatalf("bare-slice ballots.gob: error %v, want one naming ddemos-ea", err)
 	}
 }
 

@@ -36,6 +36,8 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"time"
+
+	"ddemos/internal/store"
 )
 
 // formatFile is the lane-count marker inside a data directory.
@@ -211,7 +213,12 @@ func checkFormat(dir, want string) error {
 	case err != nil && !os.IsNotExist(err):
 		return fmt.Errorf("journal: format marker: %w", err)
 	}
-	return writeFormatMarker(dir, path, want)
+	// The marker lands before any lane file is created, so a durable marker
+	// means the lane layout never exists without its lane count on record.
+	if err := store.WriteFileAtomic(path, []byte(want)); err != nil {
+		return fmt.Errorf("journal: format marker: %w", err)
+	}
+	return nil
 }
 
 // validFormatMarker recognizes intact marker contents.
@@ -222,43 +229,6 @@ func validFormatMarker(s string) bool {
 	var n int
 	_, err := fmt.Sscanf(s, "pooled %d", &n)
 	return err == nil && n > 1
-}
-
-// writeFormatMarker lands the marker atomically and durably.
-func writeFormatMarker(dir, path, want string) error {
-	tmp, err := os.CreateTemp(dir, formatFile+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("journal: format marker: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.WriteString(want); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("journal: format marker: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("journal: format marker: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("journal: format marker: %w", err)
-	}
-	// Sync the directory so the marker survives power loss — it is written
-	// before any lane file is created, so a durable marker means the lane
-	// layout can never exist without its lane count on record.
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("journal: format marker: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		_ = d.Close()
-		return fmt.Errorf("journal: format marker: %w", err)
-	}
-	return d.Close()
 }
 
 // snapshotDue is the cadence policy: the fixed record count when

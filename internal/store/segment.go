@@ -240,10 +240,11 @@ func staleBuildFiles(dir string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: scanning segment dir: %w", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, ManifestName+".tmp")); err == nil {
-		segs = append(segs, filepath.Join(dir, ManifestName+".tmp"))
+	tmps, err := filepath.Glob(filepath.Join(dir, ManifestName+".tmp*"))
+	if err != nil {
+		return nil, fmt.Errorf("store: scanning segment dir: %w", err)
 	}
-	return segs, nil
+	return append(segs, tmps...), nil
 }
 
 // Append adds the next ballot to the store.
@@ -352,28 +353,9 @@ func (w *Writer) Finish() (*Segmented, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: segment manifest: %w", err)
 	}
-	// Temp + fsync + rename: the manifest appears complete or not at all.
-	tmp := filepath.Join(w.dir, ManifestName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
+	// Published atomically: the manifest appears complete or not at all.
+	if err := WriteFileAtomic(filepath.Join(w.dir, ManifestName), append(raw, '\n')); err != nil {
 		return nil, fmt.Errorf("store: segment manifest: %w", err)
-	}
-	if _, err := f.Write(append(raw, '\n')); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("store: segment manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("store: segment manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, ManifestName)); err != nil {
-		return nil, fmt.Errorf("store: segment manifest: %w", err)
-	}
-	if dir, err := os.Open(w.dir); err == nil {
-		_ = dir.Sync()
-		_ = dir.Close()
 	}
 	return OpenSegmented(w.dir)
 }

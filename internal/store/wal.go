@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 )
@@ -396,55 +395,27 @@ func ReplayWAL(path string, fn func(payload []byte) error) (int, error) {
 }
 
 // WriteWALFile atomically writes a complete record file (the snapshot side
-// of snapshot+log recovery): records are framed exactly like a WAL, written
-// to a temp file, fsynced, and renamed over path, so a crash mid-snapshot
-// leaves the previous snapshot intact.
+// of snapshot+log recovery): records are framed exactly like a WAL and
+// published through an AtomicFile, so a crash mid-snapshot leaves the
+// previous snapshot intact.
 func WriteWALFile(path string, payloads [][]byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: snapshot temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-	}
-	if err := writeWALHeader(tmp); err != nil {
-		cleanup()
-		return err
-	}
-	var buf []byte
 	for _, p := range payloads {
 		if len(p) > MaxWALRecord {
-			cleanup()
 			return fmt.Errorf("store: wal record %d bytes exceeds limit", len(p))
 		}
-		buf = buf[:0]
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p))) //nolint:gosec // bounded above
-		buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(p))
-		buf = append(buf, p...)
-		if _, err := tmp.Write(buf); err != nil {
-			cleanup()
-			return fmt.Errorf("store: snapshot write: %w", err)
-		}
 	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("store: snapshot sync: %w", err)
+	f, err := CreateAtomic(path)
+	if err != nil {
+		return err
 	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: snapshot close: %w", err)
+	// A write error sticks in f and fails Close, which then publishes nothing.
+	_, _ = f.Write(canonicalWALHeader())
+	var frame [8]byte
+	for _, p := range payloads {
+		binary.BigEndian.PutUint32(frame[:4], uint32(len(p))) //nolint:gosec // bounded above
+		binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(p))
+		_, _ = f.Write(frame[:])
+		_, _ = f.Write(p)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: snapshot rename: %w", err)
-	}
-	// Sync the directory so the rename itself survives power loss.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
+	return f.Close()
 }
