@@ -8,10 +8,10 @@
 //
 // The engine is an alternative to the paper's interlocked per-ballot
 // protocol (internal/consensus): instead of one binary consensus per ballot
-// seeded by ANNOUNCE dispersal, it runs one reliable broadcast + one binary
-// agreement per *node*. The engine-agnostic recovery layer in internal/vc
-// (ANNOUNCE echo, VSC-FINAL adoption, RECOVER for missing codes, journaled
-// result) is unchanged; this package only decides the set.
+// seeded by ANNOUNCE-SET dispersal, it runs one reliable broadcast + one
+// binary agreement per *node*. The engine-agnostic recovery layer in
+// internal/vc (ANNOUNCE echo, VSC-FINAL adoption, RECOVER for missing codes,
+// journaled result) is unchanged; this package only decides the set.
 //
 // The binary agreement is not implemented here: the engine drives a
 // consensus.Batch of n instances — the same Mostéfaoui–Moumen–Raynal core,
@@ -55,7 +55,8 @@ type Config struct {
 	// whatever node-local state the host consults may only save it work,
 	// never change an answer — because every honest node filters a delivered
 	// proposal identically, so the union below is identical too. It is called
-	// once per delivered broadcast, and the host installs the entries it
+	// once per distinct delivered payload — broadcasts that deliver the same
+	// digest share the verdicts — and the host installs the entries it
 	// accepts (into its ballot state and journal) in the same pass, so the
 	// final set can be assembled locally. Optional: nil accepts every entry.
 	Accept func(entries []wire.AnnounceEntry) []bool
@@ -77,7 +78,8 @@ type Engine struct {
 	// the core's out and decision callbacks run under it too.
 	mu      sync.Mutex
 	started bool
-	held    map[[32]byte]*wire.RBCEcho // payloads this node holds, by digest
+	held    map[[32]byte]*wire.RBCEcho        // payloads this node holds, by digest
+	valid   map[[32]byte][]wire.AnnounceEntry // a delivered payload's accepted entries, by digest
 	rbc     []*rbcState
 	aba     *consensus.Batch // one instance per broadcaster
 	pending int              // instances still undecided
@@ -105,6 +107,7 @@ func New(cfg Config) (*Engine, error) {
 		n: cfg.N, f: cfg.F, self: cfg.Self, ballots: cfg.Ballots,
 		send: cfg.Send, sendTo: cfg.SendTo, accept: cfg.Accept,
 		held:    make(map[[32]byte]*wire.RBCEcho, 1),
+		valid:   make(map[[32]byte][]wire.AnnounceEntry, 1),
 		pending: cfg.N,
 		ready:   make(chan struct{}),
 	}
@@ -126,23 +129,24 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Start reliably broadcasts this node's proposal. The per-ballot inputs
-// vector of the interlocked engine is unused here: ACS inputs bind per
-// broadcaster, 1 on payload delivery and 0 by the completion rule.
+// Start reliably broadcasts this node's proposal: the host's payload, already
+// encoded, that the engine keeps and serves to pulls as it is (its sender and
+// broadcaster fields are not read). The per-ballot inputs vector of the
+// interlocked engine is unused here: ACS inputs bind per broadcaster, 1 on
+// payload delivery and 0 by the completion rule.
 //
 // Until Start the node holds no payload, so it neither echoes nor pulls:
 // the broadcasts of peers that started first wait here, and every one whose
 // digest equals this node's own proposal's is echoed without a pull.
-func (e *Engine) Start(proposal []wire.AnnounceEntry, _ []byte) error {
+func (e *Engine) Start(proposal *wire.RBCEcho, _ []byte) error {
 	e.mu.Lock()
 	if e.started {
 		e.mu.Unlock()
 		return errors.New("acs: already started")
 	}
 	e.started = true
-	m := wire.NewRBCEcho(e.self, e.self, proposal)
-	h := m.Digest()
-	e.held[h] = m
+	h := proposal.Digest()
+	e.held[h] = proposal
 	st := e.rbc[e.self]
 	st.sent, st.sendHash = true, h // advance sends the SEND as its ECHO
 	e.advanceAll()
@@ -331,7 +335,7 @@ func (e *Engine) advance(b uint16) {
 		return
 	}
 	if p := e.held[st.quorumHash]; p != nil {
-		e.deliver(b, p)
+		e.deliver(b, st.quorumHash, p)
 		return
 	}
 	for peers := st.echoes[st.quorumHash]; peers != 0; peers &= peers - 1 {
@@ -396,26 +400,38 @@ func (e *Engine) onPayload(from uint16, m *wire.RBCEcho) {
 	e.advanceAll()
 }
 
-// deliver completes b's broadcast with payload p and inputs 1 to its
-// agreement instance.
-func (e *Engine) deliver(b uint16, p *wire.RBCEcho) {
+// deliver completes b's broadcast with payload p, whose digest is h, and
+// inputs 1 to its agreement instance.
+func (e *Engine) deliver(b uint16, h [32]byte, p *wire.RBCEcho) {
 	st := e.rbc[b]
 	st.delivered = true
-	entries := p.Entries()
-	st.validated = entries
-	if e.accept != nil {
-		// Deterministic filter: every honest node drops the same entries.
-		verdicts := e.accept(entries)
-		st.validated = make([]wire.AnnounceEntry, 0, len(entries))
-		for i := range entries {
-			if verdicts[i] {
-				st.validated = append(st.validated, entries[i])
-			}
-		}
-	}
+	st.validated = e.accepted(h, p)
 	st.echoes, st.readies, st.asked = nil, nil, nil
 	e.aba.Input(uint32(b), 1)
 	e.checkOutput()
+}
+
+// accepted filters payload p, whose digest is h, down to the entries Accept
+// keeps. Every honest node drops the same entries, and since a verdict is a
+// function of the entry alone, the filtered list is kept per digest: in an
+// honest run every broadcaster delivers the same payload, judged once.
+func (e *Engine) accepted(h [32]byte, p *wire.RBCEcho) []wire.AnnounceEntry {
+	if v, ok := e.valid[h]; ok {
+		return v
+	}
+	entries := p.Entries()
+	v := entries
+	if e.accept != nil {
+		verdicts := e.accept(entries)
+		v = make([]wire.AnnounceEntry, 0, len(entries))
+		for i := range entries {
+			if verdicts[i] {
+				v = append(v, entries[i])
+			}
+		}
+	}
+	e.valid[h] = v
+	return v
 }
 
 // --- agreement and output ----------------------------------------------------

@@ -49,7 +49,7 @@ func buildReplayEngines(t *testing.T, queue *[]replayDelivery) []*Engine {
 		for s := uint64(1); s <= uint64(i+1); s++ {
 			proposal = append(proposal, wire.AnnounceEntry{Serial: s, Code: []byte{byte(s)}})
 		}
-		if err := e.Start(proposal, nil); err != nil {
+		if err := e.Start(wire.NewRBCEcho(uint16(i), uint16(i), proposal), nil); err != nil { //nolint:gosec // i < n
 			t.Fatal(err)
 		}
 	}

@@ -115,7 +115,7 @@ func (c *rbcCluster) drain() {
 func (c *rbcCluster) start() {
 	for i, e := range c.engines {
 		s := uint64(i + 1)
-		if err := e.Start([]wire.AnnounceEntry{{Serial: s, Code: []byte{byte(s)}}}, nil); err != nil {
+		if err := e.Start(wire.NewRBCEcho(0, 0, []wire.AnnounceEntry{{Serial: s, Code: []byte{byte(s)}}}), nil); err != nil {
 			c.t.Fatal(err)
 		}
 	}
@@ -370,7 +370,7 @@ func TestRBCRelaysThePayloadBytes(t *testing.T) {
 func TestRBCPayloadAfterReadyQuorum(t *testing.T) {
 	c := newRBCCluster(t, 8)
 	e := c.engines[0]
-	if err := e.Start(entries("own"), nil); err != nil {
+	if err := e.Start(wire.NewRBCEcho(0, 0, entries("own")), nil); err != nil {
 		t.Fatal(err)
 	}
 	payload := wire.NewRBCEcho(1, rbcByz, entries("a", "b"))
@@ -500,7 +500,7 @@ func TestRBCPullFloodAnsweredOnce(t *testing.T) {
 	c := newRBCCluster(t, 8)
 	e := c.engines[0]
 	own := wire.NewRBCEcho(0, 0, entries("own"))
-	if err := e.Start(own.Entries(), nil); err != nil {
+	if err := e.Start(own, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
@@ -549,7 +549,7 @@ func TestRBCIdenticalProposalsSendNoPayload(t *testing.T) {
 		engines[i] = e
 	}
 	for _, e := range engines {
-		if err := e.Start(entries("a", "b", "c"), nil); err != nil {
+		if err := e.Start(wire.NewRBCEcho(0, 0, entries("a", "b", "c")), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -116,9 +116,9 @@ func (b *Batcher) Send(to NodeID, payload []byte) error {
 		b.queues[to] = q
 	}
 	if len(payload) >= wire.MaxBatchableFrame {
-		// Too large for a batch envelope's inner-frame cap (e.g. a whole
-		// election's ANNOUNCE): send what's queued to keep FIFO order, then
-		// pass the frame through unwrapped.
+		// Too large for a batch envelope's inner-frame cap (e.g. an ACS
+		// payload of a whole election's certificates): send what's queued to
+		// keep FIFO order, then pass the frame through unwrapped.
 		b.mu.Unlock()
 		q.sendMu.Lock()
 		qerr := b.sendChunks(to, b.take(q, false))

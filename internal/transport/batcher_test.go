@@ -270,8 +270,8 @@ func TestBatcherOverTCP(t *testing.T) {
 func TestBatcherOversizedFramePassesThrough(t *testing.T) {
 	// Frames at or above wire.MaxBatchableFrame cannot travel inside a
 	// Batch envelope (the decoder caps inner frames): they must flush the
-	// queue (FIFO) and pass through unwrapped — the whole-election ANNOUNCE
-	// case.
+	// queue (FIFO) and pass through unwrapped — the case of a RECOVER-RESPONSE
+	// or an ACS payload carrying a whole election's certificates.
 	net := NewMemnet(LinkProfile{})
 	defer func() { _ = net.Close() }()
 	a := NewBatcher(net.Endpoint(1), BatcherOptions{})
@@ -280,7 +280,7 @@ func TestBatcherOversizedFramePassesThrough(t *testing.T) {
 	defer func() { _ = b.Close() }()
 
 	small := testFrame(1)
-	big := wire.Encode(&wire.Announce{Sender: 1, Entries: []wire.AnnounceEntry{{
+	big := wire.Encode(&wire.RecoverResponse{Entries: []wire.AnnounceEntry{{
 		Serial: 1, Code: make([]byte, wire.MaxBatchableFrame),
 	}}})
 	if len(big) < wire.MaxBatchableFrame {

@@ -570,7 +570,7 @@ func TestRBCByzantineBroadcasterMixedMemo(t *testing.T) {
 
 			// Then the honest nodes broadcast what they hold and agree.
 			for i, e := range h.engines {
-				if err := e.Start(nodes[i].certifiedEntries(), nil); err != nil {
+				if err := e.Start(wire.NewRBCEcho(0, 0, nodes[i].certifiedEntries()), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -627,9 +627,9 @@ func TestRBCByzantineBroadcasterMixedMemo(t *testing.T) {
 
 // TestACSHonestRunVerifiesNoCertSignature is the regression guard of the
 // consensus close phase as an exact count: in an honest four-node ACS run
-// every certificate a node is shown — in ANNOUNCEs and in all four delivered
-// proposals — is one it bound during voting, so not one signature reaches
-// Ed25519.
+// every certificate a node is shown — the four delivered proposals, which are
+// one payload — is one it bound during voting, so not one signature reaches
+// Ed25519, and the payload is judged once, not once per broadcaster.
 func TestACSHonestRunVerifiesNoCertSignature(t *testing.T) {
 	const (
 		numVC      = 4
@@ -665,11 +665,11 @@ func TestACSHonestRunVerifiesNoCertSignature(t *testing.T) {
 		if d := after.CertSigVerifies - before[i].CertSigVerifies; d != 0 {
 			t.Errorf("node %d verified %d certificate signatures during consensus, want 0", i, d)
 		}
-		// Its own ANNOUNCE, Nv-fv-1 peers' at least, and Nv-fv delivered
-		// proposals at least, three signatures per ballot each.
+		// Announces carry no certificate, and every delivered proposal has
+		// the one digest: Nv-fv signatures per ballot, resolved once.
 		hv := c.data.Manifest.ReceiptThreshold()
-		if d := after.CertSigMemoHits - before[i].CertSigMemoHits; d < int64(2*hv*hv*numBallots) {
-			t.Errorf("node %d resolved only %d signatures from its ballot state", i, d)
+		if d := after.CertSigMemoHits - before[i].CertSigMemoHits; d != int64(hv*numBallots) {
+			t.Errorf("node %d resolved %d signatures from its ballot state, want %d", i, d, hv*numBallots)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // ConsensusEngine decides, per ballot, whether it belongs in the agreed vote
 // set. It is the replaceable core of VoteSetConsensus: the surrounding
-// protocol — ANNOUNCE dispersal, the restart-recovery channel (dup-ANNOUNCE
-// echo, VSC-FINAL adoption), RECOVER for missing codes, and the journaled
-// result — is engine-agnostic and lives in vsc.go.
+// protocol — ANNOUNCE-SET dispersal, the restart-recovery channel
+// (dup-ANNOUNCE echo, VSC-FINAL adoption), RECOVER for missing codes, and the
+// journaled result — is engine-agnostic and lives in vsc.go.
 //
 // Lifecycle: the engine is constructed when consensus is installed (so it
 // can absorb traffic from peers that raced ahead), Start is called once the
@@ -22,10 +22,12 @@ import (
 // return identical vectors. Handle receives every engine-kind frame routed
 // to the node; engines ignore kinds they do not speak.
 type ConsensusEngine interface {
-	// Start begins agreement. proposal is this node's certified vote set as
-	// it would announce it; inputs is the per-ballot 0/1 vector derived from
-	// it. Engines use whichever representation their protocol binds to.
-	Start(proposal []wire.AnnounceEntry, inputs []byte) error
+	// Start begins agreement. proposal is this node's certified vote set in
+	// serial order, encoded once as its own broadcast (sender and broadcaster
+	// this node); inputs is the per-ballot 0/1 vector derived from the same
+	// snapshot. Engines use whichever representation their protocol binds
+	// to.
+	Start(proposal *wire.RBCEcho, inputs []byte) error
 	// Handle processes one inbound engine frame from peer `from`.
 	Handle(from uint16, msg wire.Message)
 	// Results blocks until every ballot is decided.
@@ -70,7 +72,7 @@ func ParseEngine(name string) (EngineFactory, error) {
 }
 
 // InterlockedEngine is the paper's §III-E protocol: one binary-consensus
-// instance per ballot, batched (internal/consensus), seeded by the ANNOUNCE
+// instance per ballot, batched (internal/consensus), seeded by the ANNOUNCE-SET
 // dispersal the engine-agnostic layer already ran.
 func InterlockedEngine(cfg EngineConfig) (ConsensusEngine, error) {
 	batch, err := consensus.NewBatch(cfg.N, cfg.F, cfg.Self, cfg.Ballots, cfg.Coin, func(m *wire.Consensus) {
@@ -100,7 +102,7 @@ type interlockedEngine struct {
 
 // Start implements ConsensusEngine: the proposal is unused — the batch
 // binds to the per-ballot inputs vector.
-func (e *interlockedEngine) Start(_ []wire.AnnounceEntry, inputs []byte) error {
+func (e *interlockedEngine) Start(_ *wire.RBCEcho, inputs []byte) error {
 	return e.batch.Start(inputs)
 }
 

@@ -129,6 +129,7 @@ type Node struct {
 	vscDone    bool          // vote-set consensus completed (possibly recovered)
 	vscDurable bool          // the vsc record landed in the journal (Strict duty)
 	vscResult  []VotedBallot // the agreed set, stable across restarts
+	served     serveMeter    // certified entries answered to each peer's pulls
 
 	// journal, when attached via RecoverWithOptions/RecoverBackend, logs
 	// every ballot state transition before the node acts on it (DESIGN.md,
@@ -391,7 +392,7 @@ func (n *Node) stage(from uint16, msg wire.Message, byWorker [][]job) int {
 		serial = m.Serial
 	case *wire.VoteP:
 		serial = m.Serial
-	case *wire.Announce, *wire.Consensus, *wire.RecoverRequest, *wire.RecoverResponse, *wire.VSCFinal,
+	case *wire.AnnounceSet, *wire.Consensus, *wire.RecoverRequest, *wire.RecoverResponse, *wire.VSCFinal,
 		*wire.RBCDigest, *wire.RBCPull, *wire.RBCEcho, *wire.RBCReady:
 		n.routeConsensus(from, msg)
 		return 0
@@ -794,7 +795,7 @@ func VerifyUCert(cert *wire.UCert, electionID string, vcPubs []ed25519.PublicKey
 // byte-identical signature over the same (serial, code). That is sound
 // because every held signature has been verified — a held certificate was
 // assembled from individually verified endorsements (vote), returned by this
-// function (VOTE_P, ANNOUNCE, RECOVER-RESPONSE, ACS payloads), or replayed
+// function (VOTE_P, RECOVER-RESPONSE, ACS payloads), or replayed
 // from the node's own journal of those — and verification is deterministic.
 // This is the only certificate check a message handler may use: it is what
 // keeps an unverified signature riding on Nv-fv valid ones out of the state. The memo is per signature, not per certificate: a peer's

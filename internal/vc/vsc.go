@@ -2,13 +2,11 @@ package vc
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"time"
 
@@ -32,7 +30,8 @@ const maxVscBuffer = 1 << 16
 const recoverRetryInterval = 250 * time.Millisecond
 
 // VoteSetConsensus runs the §III-E election-end protocol: disperse certified
-// vote codes (ANNOUNCE), run one binary consensus instance per ballot
+// vote codes (ANNOUNCE-SET names the certified serials; a node pulls the
+// entries of those it lacks), run one binary consensus instance per ballot
 // (batched), recover missing codes for ballots that decided "voted", and
 // return the agreed vote set. All VC nodes return identical sets.
 //
@@ -43,7 +42,8 @@ const recoverRetryInterval = 250 * time.Millisecond
 // stickiness already guarantees no two parts can both certify (the UCERT
 // counting argument applies per part pair), so per-row decisions compose
 // into consistent multi-code sets. The announce/recover layer then keys
-// entries by (serial, code) — which wire.AnnounceEntry already supports.
+// entries by (serial, code) — which wire.AnnounceEntry already supports —
+// and the announce bitmap spans instances instead of serials.
 func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 	// A recovered node that already completed consensus returns its
 	// journaled set: the agreement is final, and a crash after the result
@@ -74,6 +74,7 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 	count := uint32(n.manifest.NumBallots) //nolint:gosec // validated at setup
 	e := &vscEngine{
 		n:             n,
+		own:           n.certifiedBitmap(),
 		announceFrom:  make(map[uint16]bool, n.nv),
 		announceReady: make(chan struct{}),
 		echoed:        make(map[uint16]bool, n.nv),
@@ -103,6 +104,16 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 	}
 	e.eng = eng
 
+	// Step 1-2 (sent below, once the engine is installed): announce which
+	// ballots this node holds a certified code for, batched over all
+	// ballots. Its own announce needs nothing pulled, so it counts at once.
+	announced := e.own
+	if n.byz == ConsensusLiar {
+		announced = nil // withhold everything
+	}
+	e.announceFrame = wire.Encode(&wire.AnnounceSet{Sender: n.self, Bitmap: announced})
+	e.countAnnounce(n.self)
+
 	// Install the engine and replay traffic that arrived early.
 	n.vscMu.Lock()
 	if n.vsc != nil {
@@ -129,24 +140,19 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 		n.vscMu.Unlock()
 	}()
 
-	// Step 1-2: announce every certified code (batched over all ballots).
-	own := n.certifiedEntries()
-	if n.byz == ConsensusLiar {
-		own = nil // withhold everything
-	}
-	e.onAnnounce(n.self, &wire.Announce{Sender: n.self, Entries: own})
-	frame := wire.Encode(&wire.Announce{Sender: n.self, Entries: own})
-	if err := transport.Multicast(n.ep, n.peers, frame); err != nil {
+	if err := transport.Multicast(n.ep, n.peers, e.announceFrame); err != nil {
 		n.metrics.SendErrors.Add(1)
 	}
 	for _, bm := range buffered {
 		e.handle(bm.from, bm.msg)
 	}
 
-	// Wait for Nv-fv ANNOUNCE batches (per-ballot waiting in the paper; one
-	// batch per node covers all ballots). A VSC-FINAL quorum short-circuits
-	// every remaining stage: fv+1 matching signed sets contain an honest
-	// one, so the agreement is already decided.
+	// Wait for Nv-fv announces to count (per-ballot waiting in the paper;
+	// one batch per node covers all ballots). A peer's counts once this node
+	// holds a certificate for every serial it names, or once the peer
+	// answered the pull for those it did not. A VSC-FINAL quorum
+	// short-circuits every remaining stage: fv+1 matching signed sets contain
+	// an honest one, so the agreement is already decided.
 	select {
 	case <-e.announceReady:
 	case set := <-e.finalCh:
@@ -158,15 +164,17 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 	}
 
 	// Step 3: agreement on the vote set through the selected engine. The
-	// proposal is the node's certified set (enriched by adopted announces);
-	// the inputs vector marks, per ballot, whether a certified code is
-	// locally known — each engine binds to the representation its protocol
-	// uses. Both come from one snapshot of the ballot states, so an ANNOUNCE
-	// landing meanwhile cannot make them disagree.
-	proposal := n.certifiedEntries()
+	// proposal is the node's certified set (enriched by pulled entries),
+	// encoded once; the inputs vector marks, per ballot, whether a certified
+	// code is locally known — each engine binds to the representation its
+	// protocol uses. Both come from one snapshot of the ballot states, so a
+	// certificate landing meanwhile cannot make them disagree, and the same
+	// snapshot serves the codes of the agreed set below.
+	held := n.certifiedEntries()
+	proposal := held
 	inputs := make([]byte, count)
-	for i := range proposal {
-		inputs[proposal[i].Serial-1] = 1
+	for i := range held {
+		inputs[held[i].Serial-1] = 1
 	}
 	if n.byz == ConsensusLiar {
 		proposal = nil
@@ -174,7 +182,7 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 			inputs[i] = 1 - inputs[i]
 		}
 	}
-	if err := e.eng.Start(proposal, inputs); err != nil {
+	if err := e.eng.Start(wire.NewRBCEcho(n.self, n.self, proposal), inputs); err != nil {
 		return nil, err
 	}
 	// The engine wait runs under a cancellable child context so the waiter
@@ -202,26 +210,46 @@ func (n *Node) VoteSetConsensus(ctx context.Context) ([]VotedBallot, error) {
 	}
 
 	// Steps 4-5: translate decisions; recover codes we lack.
-	if err := e.recover(ctx, decisions); err != nil {
+	if err := e.recover(ctx, decisions, held); err != nil {
 		return nil, err
 	}
-	set := make([]VotedBallot, 0, len(decisions))
-	n.forEachCertified(func(serial uint64, code []byte) {
-		if decisions[serial-1] == 1 {
-			set = append(set, VotedBallot{Serial: serial, Code: code})
+	set := make([]VotedBallot, 0, len(held))
+	unknown := 0
+	eachDecided(decisions, held, func(serial uint64, code []byte) {
+		if code == nil {
+			code = n.certifiedCode(serial) // recovered after the snapshot
 		}
+		if code == nil {
+			unknown++
+			return
+		}
+		set = append(set, VotedBallot{Serial: serial, Code: code})
 	})
 	// Sanity: every decided-1 ballot must now have a code.
-	decidedOnes := 0
-	for _, d := range decisions {
-		if d == 1 {
-			decidedOnes++
-		}
-	}
-	if decidedOnes != len(set) {
-		return nil, fmt.Errorf("vc: %d ballots decided voted but only %d codes known", decidedOnes, len(set))
+	if unknown > 0 {
+		return nil, fmt.Errorf("vc: %d ballots decided voted but %d codes unknown", len(set)+unknown, unknown)
 	}
 	return n.finishConsensus(set, &succeeded)
+}
+
+// eachDecided calls fn, in serial order, for every ballot decisions mark
+// "voted", with its code from held (serial-ordered certified entries) or nil
+// when held has none.
+func eachDecided(decisions []byte, held []wire.AnnounceEntry, fn func(serial uint64, code []byte)) {
+	for i, d := range decisions {
+		serial := uint64(i) + 1
+		for len(held) > 0 && held[0].Serial < serial {
+			held = held[1:]
+		}
+		if d != 1 {
+			continue
+		}
+		var code []byte
+		if len(held) > 0 && held[0].Serial == serial {
+			code = held[0].Code
+		}
+		fn(serial, code)
+	}
 }
 
 // batchResult carries a consensus batch outcome across the select.
@@ -265,46 +293,77 @@ func (n *Node) finishConsensus(set []VotedBallot, succeeded *bool) ([]VotedBallo
 	return set, nil
 }
 
-// certifiedEntries snapshots all locally certified (serial, code, UCERT) in
-// serial order: nodes holding the same certificates announce and propose the
-// same bytes, so the ACS engine's digests of their proposals match.
-func (n *Node) certifiedEntries() []wire.AnnounceEntry {
-	var out []wire.AnnounceEntry
-	type serialState struct {
-		serial uint64
-		st     *ballotState
-	}
-	var states []serialState
+// ballotStates indexes the ballot states of the pool by serial-1 (nil for a
+// ballot with none): the shard maps walked once, so a caller visits the
+// ballots in serial order without sorting them.
+func (n *Node) ballotStates() []*ballotState {
+	states := make([]*ballotState, n.manifest.NumBallots)
 	for i := range n.shards {
 		sh := &n.shards[i]
-		states = states[:0]
 		sh.mu.Lock()
 		for serial, st := range sh.ballots {
-			states = append(states, serialState{serial, st})
+			if serial >= 1 && serial <= uint64(len(states)) {
+				states[serial-1] = st
+			}
 		}
 		sh.mu.Unlock()
-		for _, s := range states {
-			s.st.mu.Lock()
-			if s.st.cert != nil {
-				out = append(out, wire.AnnounceEntry{Serial: s.serial, Code: s.st.usedCode, Cert: *s.st.cert})
-			}
-			s.st.mu.Unlock()
-		}
 	}
-	slices.SortFunc(out, func(a, b wire.AnnounceEntry) int { return cmp.Compare(a.Serial, b.Serial) })
+	return states
+}
+
+// certifiedEntries snapshots all locally certified (serial, code, UCERT) in
+// serial order: nodes holding the same certificates propose the same bytes,
+// so the ACS engine's digests of their proposals match.
+func (n *Node) certifiedEntries() []wire.AnnounceEntry {
+	states := n.ballotStates()
+	out := make([]wire.AnnounceEntry, 0, len(states))
+	for i, st := range states {
+		if st == nil {
+			continue
+		}
+		st.mu.Lock()
+		if st.cert != nil {
+			out = append(out, wire.AnnounceEntry{Serial: uint64(i) + 1, Code: st.usedCode, Cert: *st.cert})
+		}
+		st.mu.Unlock()
+	}
 	return out
 }
 
-// forEachCertified calls fn for every ballot with a certified code, in
-// serial order.
-func (n *Node) forEachCertified(fn func(serial uint64, code []byte)) {
-	for _, e := range n.certifiedEntries() {
-		fn(e.Serial, e.Code)
+// certifiedBitmap is the set of ballots this node holds a certified code
+// for: what its ANNOUNCE-SET names.
+func (n *Node) certifiedBitmap() wire.SerialBitmap {
+	b := wire.NewSerialBitmap(n.manifest.NumBallots)
+	for i, st := range n.ballotStates() {
+		if st == nil {
+			continue
+		}
+		st.mu.Lock()
+		if st.cert != nil {
+			b.Set(uint64(i) + 1)
+		}
+		st.mu.Unlock()
 	}
+	return b
+}
+
+// certifiedCode returns the certified code of one ballot, or nil when this
+// node holds no certificate for it.
+func (n *Node) certifiedCode(serial uint64) []byte {
+	st := n.peekState(serial)
+	if st == nil {
+		return nil
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.cert == nil {
+		return nil
+	}
+	return st.usedCode
 }
 
 // acceptEntries judges a batch of certified codes learned from a peer
-// (ANNOUNCE, RECOVER-RESPONSE, or an ACS reliable-broadcast payload) and
+// (RECOVER-RESPONSE, or an ACS reliable-broadcast payload) and
 // installs the valid ones this node was missing. ok[i] reports whether
 // entries[i] carries a well-formed uniqueness certificate for an in-range
 // ballot: a pure function of the entry and the (shared) manifest, so every
@@ -365,8 +424,16 @@ type vscEngine struct {
 	n   *Node
 	eng ConsensusEngine
 
-	mu            sync.Mutex
+	// own is the certified set when the run began; announceFrame is the
+	// ANNOUNCE-SET this node sent, kept for the echo.
+	own           wire.SerialBitmap
+	announceFrame []byte
+
+	mu sync.Mutex
+	// announceFrom has every peer whose ANNOUNCE-SET arrived: true once it
+	// counts toward the gate, false while the pull it caused is unanswered.
 	announceFrom  map[uint16]bool
+	counted       int
 	announceReady chan struct{}
 	readyClosed   bool
 	echoed        map[uint16]bool // peers already sent an ANNOUNCE echo
@@ -413,11 +480,11 @@ func (n *Node) routeConsensus(from uint16, msg wire.Message) {
 }
 
 // answerConsensusIdle serves consensus-phase recovery traffic on a node
-// that holds a journaled final result but runs no engine.
+// that holds a journaled final result but runs no engine: the final set needs
+// nothing more, so an announce is answered with it and pulls nothing.
 func (n *Node) answerConsensusIdle(from uint16, msg wire.Message) {
 	switch m := msg.(type) {
-	case *wire.Announce:
-		n.countRejected(n.acceptEntries(m.Entries))
+	case *wire.AnnounceSet:
 		n.sendFinalTo(from)
 	case *wire.RecoverRequest:
 		n.answerRecoverRequest(from, m)
@@ -442,35 +509,53 @@ func (n *Node) sendFinalTo(to uint16) {
 
 func (e *vscEngine) handle(from uint16, msg wire.Message) {
 	switch m := msg.(type) {
-	case *wire.Announce:
+	case *wire.AnnounceSet:
 		e.onAnnounce(from, m)
 	case *wire.Consensus, *wire.RBCDigest, *wire.RBCPull, *wire.RBCEcho, *wire.RBCReady:
 		e.eng.Handle(from, msg)
 	case *wire.RecoverRequest:
 		e.onRecoverRequest(from, m)
 	case *wire.RecoverResponse:
-		e.onRecoverResponse(m)
+		e.onRecoverResponse(from, m)
 	case *wire.VSCFinal:
 		e.onVSCFinal(from, m)
 	}
 }
 
-func (e *vscEngine) onAnnounce(from uint16, m *wire.Announce) {
-	e.n.countRejected(e.n.acceptEntries(m.Entries))
+// onAnnounce takes a peer's ANNOUNCE-SET. The serials it names that this
+// node holds no certificate for are pulled from that peer with one
+// RECOVER-REQUEST, and the announce counts toward the gate once the answer
+// arrives — whatever the validity of its entries, which acceptEntries judges
+// and counts — or at once when nothing is missing. A bitmap past the pool is
+// refused and counts nowhere.
+func (e *vscEngine) onAnnounce(from uint16, m *wire.AnnounceSet) {
+	n := e.n
+	if m.Sender != from || !m.Bitmap.Within(n.manifest.NumBallots) {
+		n.metrics.BadMessages.Add(1)
+		return
+	}
+	missing := e.missingOf(m.Bitmap)
 	e.mu.Lock()
-	dup := e.announceFrom[from]
-	echo := dup && from != e.n.self && !e.echoed[from]
+	counted, dup := e.announceFrom[from]
+	echo := dup && !e.echoed[from]
 	if echo {
 		e.echoed[from] = true
 	}
-	if !dup {
-		e.announceFrom[from] = true
-		if len(e.announceFrom) >= e.n.hv && !e.readyClosed {
-			e.readyClosed = true
-			close(e.announceReady)
-		}
+	pull := !counted && len(missing) > 0
+	if pull {
+		e.announceFrom[from] = false
+	} else if !counted {
+		e.countAnnounce(from)
 	}
 	e.mu.Unlock()
+	if pull {
+		// Sent again for a repeated announce: the peer may have restarted
+		// before it answered.
+		frame := wire.Encode(&wire.RecoverRequest{Serials: missing})
+		if err := n.ep.Send(transport.NodeID(from), frame); err != nil {
+			n.metrics.SendErrors.Add(1)
+		}
+	}
 	if !dup {
 		return
 	}
@@ -479,12 +564,43 @@ func (e *vscEngine) onAnnounce(from uint16, m *wire.Announce) {
 	// peer, so network-duplicated frames cannot ping-pong), and hand it the
 	// final set if we already hold one.
 	if echo {
-		frame := wire.Encode(&wire.Announce{Sender: e.n.self, Entries: e.n.certifiedEntries()})
-		if err := e.n.ep.Send(transport.NodeID(from), frame); err != nil {
-			e.n.metrics.SendErrors.Add(1)
+		if err := n.ep.Send(transport.NodeID(from), e.announceFrame); err != nil {
+			n.metrics.SendErrors.Add(1)
 		}
 	}
-	e.n.sendFinalTo(from)
+	n.sendFinalTo(from)
+}
+
+// missingOf lists the serials in b this node holds no certificate for. Only
+// those outside the set it held when the run began are looked up.
+func (e *vscEngine) missingOf(b wire.SerialBitmap) []uint64 {
+	var missing []uint64
+	for i, byt := range b {
+		if i < len(e.own) {
+			byt &^= e.own[i]
+		}
+		for ; byt != 0; byt &= byt - 1 {
+			serial := uint64(i)*8 + uint64(bits.TrailingZeros8(byt)) + 1
+			if e.n.certifiedCode(serial) == nil {
+				missing = append(missing, serial)
+			}
+		}
+	}
+	return missing
+}
+
+// countAnnounce counts node `from`'s announce toward the Nv-fv gate, once.
+// Called with e.mu held, or before the engine is installed.
+func (e *vscEngine) countAnnounce(from uint16) {
+	if e.announceFrom[from] {
+		return
+	}
+	e.announceFrom[from] = true
+	e.counted++
+	if e.counted >= e.n.hv && !e.readyClosed {
+		e.readyClosed = true
+		close(e.announceReady)
+	}
 }
 
 // onVSCFinal verifies a peer's signed final vote set; fv+1 matching sets
@@ -536,22 +652,60 @@ func (e *vscEngine) onVSCFinal(from uint16, m *wire.VSCFinal) {
 	}
 }
 
+// recoverBudget is how many certified entries a node serves one peer per
+// recoverRetryInterval: twice the pool, room for an announce pull and a
+// RECOVER-REQUEST of every ballot, so an honest peer is answered whole while
+// a flood of requests from one peer is answered with at most this many.
+func recoverBudget(pool int) int { return 2 * pool }
+
+// serveMeter counts the entries answerRecoverRequest served each peer in the
+// current recoverRetryInterval.
+type serveMeter struct {
+	mu    sync.Mutex
+	since []time.Time // per peer: when its interval began
+	used  []int       // per peer: entries served since
+}
+
+// take grants up to want entries to peer at time now, within budget per
+// interval, and returns how many.
+func (s *serveMeter) take(peer uint16, nv, want, budget int, now time.Time) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.used == nil {
+		s.since, s.used = make([]time.Time, nv), make([]int, nv)
+	}
+	if now.Sub(s.since[peer]) >= recoverRetryInterval {
+		s.since[peer], s.used[peer] = now, 0
+	}
+	k := min(want, budget-s.used[peer])
+	s.used[peer] += k
+	return k
+}
+
 func (e *vscEngine) onRecoverRequest(from uint16, m *wire.RecoverRequest) {
 	e.n.answerRecoverRequest(from, m)
 }
 
-// answerRecoverRequest serves certified codes to a recovering peer — shared
-// by the engine and the post-consensus idle path.
+// answerRecoverRequest serves certified codes to a peer that pulls them
+// after an announce or recovers them after agreement — shared by the engine
+// and the post-consensus idle path. An answer names each serial once, and
+// what one peer is served is bounded by recoverBudget.
 func (n *Node) answerRecoverRequest(from uint16, m *wire.RecoverRequest) {
-	if len(m.Serials) == 0 {
+	if len(m.Serials) == 0 || int(from) >= n.nv {
 		return
 	}
+	pool := n.manifest.NumBallots
+	seen := wire.NewSerialBitmap(pool)
 	resp := &wire.RecoverResponse{}
 	for _, serial := range m.Serials {
-		if serial == 0 || serial > uint64(n.manifest.NumBallots) {
+		if serial == 0 || serial > uint64(pool) || seen.Has(serial) { //nolint:gosec // pool > 0
 			continue
 		}
-		st := n.state(serial)
+		seen.Set(serial)
+		st := n.peekState(serial)
+		if st == nil {
+			continue
+		}
 		st.mu.Lock()
 		if st.cert != nil {
 			resp.Entries = append(resp.Entries, wire.AnnounceEntry{
@@ -560,6 +714,7 @@ func (n *Node) answerRecoverRequest(from uint16, m *wire.RecoverRequest) {
 		}
 		st.mu.Unlock()
 	}
+	resp.Entries = resp.Entries[:n.served.take(from, n.nv, len(resp.Entries), recoverBudget(pool), n.clk.Now())]
 	if len(resp.Entries) == 0 {
 		return
 	}
@@ -568,9 +723,17 @@ func (n *Node) answerRecoverRequest(from uint16, m *wire.RecoverRequest) {
 	}
 }
 
-func (e *vscEngine) onRecoverResponse(m *wire.RecoverResponse) {
+// onRecoverResponse installs the valid entries of a peer's answer, counts
+// that peer's announce if it was waiting on this answer, and clears the
+// serials recover waits on.
+func (e *vscEngine) onRecoverResponse(from uint16, m *wire.RecoverResponse) {
 	ok := e.n.acceptEntries(m.Entries)
 	e.n.countRejected(ok)
+	e.mu.Lock()
+	if counted, announced := e.announceFrom[from]; announced && !counted {
+		e.countAnnounce(from)
+	}
+	e.mu.Unlock()
 	for i := range m.Entries {
 		if !ok[i] {
 			continue
@@ -590,25 +753,25 @@ func (e *vscEngine) onRecoverResponse(m *wire.RecoverResponse) {
 }
 
 // recover implements step 5b: fetch certified codes for ballots that
-// decided "voted" but whose code is locally unknown. Honest nodes that
-// entered consensus with 1 possess the code (see §III-E), so responses are
-// guaranteed; requests are retransmitted until satisfied.
-func (e *vscEngine) recover(ctx context.Context, decisions []byte) error {
-	have := make(map[uint64]bool)
-	e.n.forEachCertified(func(serial uint64, _ []byte) { have[serial] = true })
-
-	e.missingMu.Lock()
-	for i, d := range decisions {
-		serial := uint64(i) + 1
-		if d == 1 && !have[serial] {
-			e.missing[serial] = true
+// decided "voted" but whose code is locally unknown — in neither the
+// snapshot held nor the ballot state. Honest nodes that entered consensus
+// with 1 possess the code (see §III-E), so responses are guaranteed;
+// requests are retransmitted until satisfied.
+func (e *vscEngine) recover(ctx context.Context, decisions []byte, held []wire.AnnounceEntry) error {
+	var lacking []uint64
+	eachDecided(decisions, held, func(serial uint64, code []byte) {
+		if code == nil && e.n.certifiedCode(serial) == nil {
+			lacking = append(lacking, serial)
 		}
-	}
-	n := len(e.missing)
-	e.missingMu.Unlock()
-	if n == 0 {
+	})
+	if len(lacking) == 0 {
 		return nil
 	}
+	e.missingMu.Lock()
+	for _, serial := range lacking {
+		e.missing[serial] = true
+	}
+	e.missingMu.Unlock()
 	for {
 		e.missingMu.Lock()
 		serials := make([]uint64, 0, len(e.missing))

@@ -36,6 +36,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		"seed-rbc-echo-empty", "seed-consensus-decide", "seed-consensus-bare-kind",
 		"seed-rbc-ready-truncated", "seed-consensus-trailing", "seed-votep-path",
 		"seed-rbc-digest", "seed-rbc-pull", "seed-rbc-pull-truncated",
+		"seed-announce-set-truncated", "seed-announce-set-oversized",
 	}
 	if len(names) != len(frames) {
 		t.Fatalf("have %d seed frames for %d names", len(frames), len(names))

@@ -32,7 +32,7 @@ func fuzzSeedFrames() [][]byte {
 			ShareSig:   bytes.Repeat([]byte{0x22}, 64),
 			Cert:       cert,
 		},
-		&Announce{Sender: 1, Entries: []AnnounceEntry{{Serial: 7, Code: []byte("code-7"), Cert: cert}}},
+		&AnnounceSet{Sender: 1, Bitmap: SerialBitmap{0b0100_0101, 0, 0x80}},
 		&RecoverRequest{Serials: []uint64{1, 2, 9}},
 		&RecoverResponse{Entries: []AnnounceEntry{{Serial: 9, Code: []byte("code-9"), Cert: cert}}},
 		&Consensus{Sender: 2, Groups: []ConsensusGroup{
@@ -42,11 +42,11 @@ func fuzzSeedFrames() [][]byte {
 		NewRBCEcho(1, 1, []AnnounceEntry{{Serial: 7, Code: []byte("code-7"), Cert: cert}}),
 		&RBCReady{Sender: 0, Broadcaster: 1, Hash: bytes.Repeat([]byte{0x5E}, 32)},
 	}
-	frames := make([][]byte, 0, len(msgs)+10)
+	frames := make([][]byte, 0, len(msgs)+16)
 	for _, m := range msgs {
 		frames = append(frames, Encode(m))
 	}
-	consensus, ready := frames[6], frames[8]
+	announce, consensus, ready := frames[3], frames[6], frames[8]
 	frames = append(frames,
 		Encode(&Batch{Frames: [][]byte{frames[0], frames[1], frames[2]}}),
 		[]byte{},              // empty frame
@@ -69,6 +69,9 @@ func fuzzSeedFrames() [][]byte {
 		Encode(&RBCDigest{Sender: 2, Broadcaster: 1, Hash: [32]byte{0x5E, 0x01}}),
 		Encode(&RBCPull{Sender: 0, Broadcaster: 3, Hash: [32]byte{0xD1, 0x6E}}),
 		Encode(&RBCPull{Sender: 0, Broadcaster: 3})[:20], // truncated digest
+		announce[:len(announce)-1],                       // bitmap shorter than its length
+		// A bitmap length past the frame cap, with nothing behind it.
+		[]byte{byte(KindAnnounceSet), 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
 	)
 	return frames
 }

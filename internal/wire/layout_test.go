@@ -32,7 +32,6 @@ func TestLayoutsPinned(t *testing.T) {
 		{KindEndorsement, &Endorsement{Serial: 1, Code: []byte("vote-code"), Signer: 3, Sig: bytes.Repeat([]byte{0xCC}, 64)}, "caccca7219c56406b1a94cc709151e01cf26bb9002724e0aed3d1dbf4d104d09"},
 		{KindVoteP, &VoteP{Serial: 7, Code: []byte("code-7"), ShareIndex: 2, ShareValue: bytes.Repeat([]byte{0x11}, 32),
 			ShareSig: bytes.Repeat([]byte{0x22}, 64), SharePath: bytes.Repeat([]byte{0x33}, 5*32), Cert: cert}, "4342e32543bef23c12e4a1d771843dd15454c016108a4797023cab0664f54aa0"},
-		{KindAnnounce, &Announce{Sender: 1, Entries: entries}, "0207a16bc12eef070a6f02ab4b8d5607268cd07c23749f1444a93289a8062e6e"},
 		{KindRecoverRequest, &RecoverRequest{Serials: []uint64{1, 2, 9}}, "3c4e9502eb331e892af21887be01e3a6fd8ea87590c258f3e17f4da831931c39"},
 		{KindRecoverResponse, &RecoverResponse{Entries: entries}, "ec62d4a38ed4bd195ae2a89f3d231f8aee5c6240276201c818a19d18c219f5c2"},
 		{KindConsensus, &Consensus{Sender: 2, Groups: []ConsensusGroup{
@@ -46,6 +45,7 @@ func TestLayoutsPinned(t *testing.T) {
 		{KindRBCReady, &RBCReady{Sender: 0, Broadcaster: 1, Hash: bytes.Repeat([]byte{0x5E}, 32)}, "8ec8b9aa03e9d80f88007eb32f53fea6dec7d380afb673b2a5f2b6dc9e25ab9d"},
 		{KindRBCDigest, &RBCDigest{Sender: 2, Broadcaster: 1, Hash: [32]byte(bytes.Repeat([]byte{0x5E}, 32))}, "fa195f0926adac92ec2577bed6221098e93fc958fa6e1534369c53e9642eef03"},
 		{KindRBCPull, &RBCPull{Sender: 0, Broadcaster: 3, Hash: [32]byte(bytes.Repeat([]byte{0xD1}, 32))}, "48d5fa83dd70844c34cdd0989670c08360f560762bc2e87eea2bac2f861702a3"},
+		{KindAnnounceSet, &AnnounceSet{Sender: 1, Bitmap: SerialBitmap{0b0100_0001, 0x80}}, "5e77d3819daf64dbb4a11290333019a4290ab5d78f7ac49ac54c9bef8582ee9b"},
 	}
 	for _, p := range pinned {
 		frame := Encode(p.msg)
@@ -64,7 +64,7 @@ func TestLayoutsPinned(t *testing.T) {
 	malformed := map[string]bool{
 		"seed-empty": true, "seed-unknown-kind": true, "seed-truncated": true, "seed-trailing-bytes": true,
 		"seed-consensus-bare-kind": true, "seed-rbc-ready-truncated": true, "seed-consensus-trailing": true,
-		"seed-rbc-pull-truncated": true,
+		"seed-rbc-pull-truncated": true, "seed-announce-set-truncated": true, "seed-announce-set-oversized": true,
 	}
 	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecode", "*"))
 	if err != nil || len(seeds) == 0 {

@@ -1,7 +1,7 @@
 // Package wire defines the binary message format exchanged between Vote
 // Collector nodes: the voting protocol messages of §III-E (ENDORSE,
-// ENDORSEMENT, VOTE_P), the vote-set-consensus messages (ANNOUNCE,
-// RECOVER-REQUEST, RECOVER-RESPONSE), the batched binary-consensus
+// ENDORSEMENT, VOTE_P), the vote-set-consensus messages (ANNOUNCE-SET,
+// RECOVER-REQUEST, RECOVER-RESPONSE, VSC-FINAL), the batched binary-consensus
 // payloads, the ACS engine's reliable-broadcast messages, and the Batch
 // envelope that coalesces many protocol messages into one frame for the
 // high-throughput transport pipeline (DESIGN.md, "Batched message
@@ -24,12 +24,13 @@ import (
 // Kind identifies the message type of a frame.
 type Kind uint8
 
-// Message kinds. Start at 1 so the zero value is invalid.
+// Message kinds. Start at 1 so the zero value is invalid. A retired kind
+// keeps its number, so no later kind takes it.
 const (
 	KindEndorse Kind = iota + 1
 	KindEndorsement
 	KindVoteP
-	KindAnnounce
+	_ // 4: the entry-carrying ANNOUNCE, retired for ANNOUNCE-SET
 	KindRecoverRequest
 	KindRecoverResponse
 	KindConsensus
@@ -39,6 +40,7 @@ const (
 	KindRBCReady
 	KindRBCDigest
 	KindRBCPull
+	KindAnnounceSet
 )
 
 // kinds names each message kind and makes the empty message Decode walks.
@@ -49,7 +51,6 @@ var kinds = [...]struct {
 	KindEndorse:         {"ENDORSE", func() Message { return new(Endorse) }},
 	KindEndorsement:     {"ENDORSEMENT", func() Message { return new(Endorsement) }},
 	KindVoteP:           {"VOTE_P", func() Message { return new(VoteP) }},
-	KindAnnounce:        {"ANNOUNCE", func() Message { return new(Announce) }},
 	KindRecoverRequest:  {"RECOVER-REQUEST", func() Message { return new(RecoverRequest) }},
 	KindRecoverResponse: {"RECOVER-RESPONSE", func() Message { return new(RecoverResponse) }},
 	KindConsensus:       {"CONSENSUS", func() Message { return new(Consensus) }},
@@ -59,6 +60,7 @@ var kinds = [...]struct {
 	KindRBCReady:        {"RBC-READY", func() Message { return new(RBCReady) }},
 	KindRBCDigest:       {"RBC-DIGEST", func() Message { return new(RBCDigest) }},
 	KindRBCPull:         {"RBC-PULL", func() Message { return new(RBCPull) }},
+	KindAnnounceSet:     {"ANNOUNCE-SET", func() Message { return new(AnnounceSet) }},
 }
 
 // String implements fmt.Stringer.
@@ -237,7 +239,7 @@ type AnnounceEntry struct {
 }
 
 // walkEntries is the one layout of an entry list (count, then entries) that
-// ANNOUNCE, RECOVER-RESPONSE and RBC-ECHO share.
+// RECOVER-RESPONSE and RBC-ECHO share.
 func walkEntries(c *codec.Coder, entries *[]AnnounceEntry) {
 	codec.List(c, entries, minAnnounceEntry, func(c *codec.Coder, e *AnnounceEntry) {
 		c.U64(&e.Serial)
@@ -246,20 +248,53 @@ func walkEntries(c *codec.Coder, entries *[]AnnounceEntry) {
 	})
 }
 
-// Announce carries a node's complete set of known certified codes at
-// election end (entries for voted ballots only; all other ballots are
-// implicitly announced as null, batching the paper's per-ballot ANNOUNCE).
-type Announce struct {
-	Sender  uint16
-	Entries []AnnounceEntry
+// AnnounceSet names the ballots a node holds a certified code for at
+// election end: the paper's per-ballot ANNOUNCE, batched over the pool and
+// carrying serials, not entries. UCERT uniqueness makes a serial name its one
+// certifiable code, so a receiver needs the entry only for a serial it holds
+// no certificate for, and pulls exactly those with a RECOVER-REQUEST.
+//
+// Bitmap is a SerialBitmap over the pool. The decoder bounds it by the frame
+// cap only; the receiver, which knows the pool, refuses one longer than it.
+type AnnounceSet struct {
+	Sender uint16
+	Bitmap SerialBitmap
 }
 
 // Kind implements Message.
-func (*Announce) Kind() Kind { return KindAnnounce }
+func (*AnnounceSet) Kind() Kind { return KindAnnounceSet }
 
-func (m *Announce) walk(c *codec.Coder) {
+func (m *AnnounceSet) walk(c *codec.Coder) {
 	c.U16(&m.Sender)
-	walkEntries(c, &m.Entries)
+	c.Bytes((*[]byte)(&m.Bitmap), maxBytesLen)
+}
+
+// SerialBitmap is a set of ballot serials: serial s is bit (s-1)%8, least
+// significant first, of byte (s-1)/8.
+type SerialBitmap []byte
+
+// NewSerialBitmap returns the empty set over serials 1..n.
+func NewSerialBitmap(n int) SerialBitmap { return make(SerialBitmap, (n+7)/8) }
+
+// Set adds serial s, which must be in the bitmap's range.
+func (b SerialBitmap) Set(s uint64) { b[(s-1)/8] |= 1 << ((s - 1) % 8) }
+
+// Has reports whether serial s is in the set; serials past the bitmap are
+// not.
+func (b SerialBitmap) Has(s uint64) bool {
+	return s >= 1 && (s-1)/8 < uint64(len(b)) && b[(s-1)/8]&(1<<((s-1)%8)) != 0
+}
+
+// Within reports whether every serial in the set is in 1..n: the bitmap is
+// no longer than n serials need, and no bit past serial n is set.
+func (b SerialBitmap) Within(n int) bool {
+	if len(b) > (n+7)/8 {
+		return false
+	}
+	if len(b) < (n+7)/8 || n%8 == 0 {
+		return true
+	}
+	return b[len(b)-1]>>(n%8) == 0
 }
 
 // RecoverRequest asks peers for the certified codes of ballots that decided
@@ -385,9 +420,24 @@ type RBCEcho struct {
 var noEntries = encodeEntries(nil)
 
 func encodeEntries(entries []AnnounceEntry) []byte {
-	c := codec.Encoder(nil)
+	c := codec.Encoder(make([]byte, 0, entriesSize(entries)))
 	walkEntries(c, &entries)
 	return c.Out()
+}
+
+// entriesSize is the encoded length of an entry list, so a whole election's
+// proposal is encoded into one allocation. It only sizes the buffer: were it
+// to disagree with walkEntries, the encoder would grow the slice as usual.
+func entriesSize(entries []AnnounceEntry) int {
+	n := 4
+	for i := range entries {
+		e := &entries[i]
+		n += 8 + 4 + len(e.Code) + 8 + 4 + len(e.Cert.Code) + 4
+		for _, s := range e.Cert.Sigs {
+			n += 2 + 4 + len(s.Sig)
+		}
+	}
+	return n
 }
 
 // NewRBCEcho builds sender's copy of broadcaster's proposal, encoding the

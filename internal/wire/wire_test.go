@@ -133,24 +133,59 @@ func TestDecodeBoundsSharePath(t *testing.T) {
 }
 
 func TestAnnounceRoundTrip(t *testing.T) {
-	m := &Announce{
-		Sender: 1,
-		Entries: []AnnounceEntry{
-			{Serial: 1, Code: []byte{1}, Cert: sampleUCert()},
-			{Serial: 2, Code: []byte{2}, Cert: sampleUCert()},
-		},
+	b := NewSerialBitmap(20)
+	for _, s := range []uint64{1, 8, 9, 20} {
+		b.Set(s)
 	}
-	got := roundTrip(t, m).(*Announce)
+	m := &AnnounceSet{Sender: 1, Bitmap: b}
+	got := roundTrip(t, m).(*AnnounceSet)
 	if !reflect.DeepEqual(m, got) {
 		t.Fatalf("got %+v want %+v", got, m)
+	}
+	for s := uint64(0); s <= 30; s++ {
+		if want := s == 1 || s == 8 || s == 9 || s == 20; got.Bitmap.Has(s) != want {
+			t.Fatalf("serial %d: Has = %v, want %v", s, !want, want)
+		}
 	}
 }
 
 func TestAnnounceEmptyRoundTrip(t *testing.T) {
-	m := &Announce{Sender: 3}
-	got := roundTrip(t, m).(*Announce)
-	if got.Sender != 3 || len(got.Entries) != 0 {
+	m := &AnnounceSet{Sender: 3}
+	got := roundTrip(t, m).(*AnnounceSet)
+	if got.Sender != 3 || len(got.Bitmap) != 0 || got.Bitmap.Has(1) {
 		t.Fatalf("got %+v", got)
+	}
+}
+
+// TestSerialBitmapWithin: a bitmap names serials of the pool only when it is
+// no longer than the pool needs and sets no bit past the pool's last serial.
+func TestSerialBitmapWithin(t *testing.T) {
+	full := func(n int) SerialBitmap {
+		b := NewSerialBitmap(n)
+		for s := 1; s <= n; s++ {
+			b.Set(uint64(s))
+		}
+		return b
+	}
+	cases := []struct {
+		name string
+		b    SerialBitmap
+		pool int
+		want bool
+	}{
+		{"empty", nil, 10, true},
+		{"every serial", full(10), 10, true},
+		{"every serial of a whole-byte pool", full(16), 16, true},
+		{"shorter than the pool", SerialBitmap{0xFF}, 10, true},
+		{"one byte too long", append(NewSerialBitmap(10), 0), 10, false},
+		{"the bit after the last serial", full(11), 10, false},
+		{"a high bit of the last byte", SerialBitmap{0, 0x80}, 10, false},
+		{"an empty pool", SerialBitmap{0}, 0, false},
+	}
+	for _, tc := range cases {
+		if got := tc.b.Within(tc.pool); got != tc.want {
+			t.Errorf("%s: Within(%d) = %v, want %v", tc.name, tc.pool, got, tc.want)
+		}
 	}
 }
 
@@ -315,10 +350,10 @@ func TestDecodeRejectsHugeCounts(t *testing.T) {
 		frame []byte
 	}{
 		{"VOTE_P cert sigs", frame(KindVoteP, make([]byte, 8+4+4+4+4+4), emptyCert, count(codec.MaxCount))},
-		{"ANNOUNCE entries", frame(KindAnnounce, sender, count(codec.MaxCount))},
-		{"ANNOUNCE entry cert sigs", frame(KindAnnounce, sender, count(1), emptyCert, emptyCert, count(codec.MaxCount))},
+		{"ANNOUNCE-SET bitmap", frame(KindAnnounceSet, sender, count(maxBytesLen))},
 		{"RECOVER-REQUEST serials", frame(KindRecoverRequest, count(codec.MaxCount))},
 		{"RECOVER-RESPONSE entries", frame(KindRecoverResponse, count(codec.MaxCount))},
+		{"RECOVER-RESPONSE entry cert sigs", frame(KindRecoverResponse, count(1), emptyCert, emptyCert, count(codec.MaxCount))},
 		{"VSC-FINAL entries", frame(KindVSCFinal, sender, count(codec.MaxCount))},
 		{"CONSENSUS groups", frame(KindConsensus, sender, count(codec.MaxCount))},
 		{"CONSENSUS instances", frame(KindConsensus, sender, count(1), []byte{StepBVal, 1, 0, 1}, count(codec.MaxCount))},
@@ -370,7 +405,7 @@ func TestPropertyEndorseRoundTrip(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	kinds := []Kind{KindEndorse, KindEndorsement, KindVoteP, KindAnnounce,
+	kinds := []Kind{KindEndorse, KindEndorsement, KindVoteP, KindAnnounceSet,
 		KindRecoverRequest, KindRecoverResponse, KindConsensus, KindVSCFinal, Kind(99)}
 	for _, k := range kinds {
 		if k.String() == "" {
@@ -409,6 +444,20 @@ func BenchmarkDecodeVoteP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(frame); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestEntriesSizeIsExact: the capacity hint of an entry-list encoding is its
+// length, so a proposal is encoded without regrowing its buffer.
+func TestEntriesSizeIsExact(t *testing.T) {
+	for _, entries := range [][]AnnounceEntry{
+		nil,
+		{{Serial: 1, Code: []byte{1}, Cert: sampleUCert()}},
+		{{Serial: 1, Code: []byte{1}, Cert: sampleUCert()}, {Serial: 9, Code: []byte("code-9")}},
+	} {
+		if got, want := entriesSize(entries), len(encodeEntries(entries)); got != want {
+			t.Fatalf("%d entries: size %d, encoded %d bytes", len(entries), got, want)
 		}
 	}
 }
