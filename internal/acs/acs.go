@@ -26,7 +26,6 @@
 package acs
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -63,8 +62,8 @@ type Config struct {
 }
 
 // Engine is one election's ACS run. Feed inbound frames via Handle, start
-// with Start, await Results. All exported methods are safe for concurrent
-// use; broadcast and agreement traffic is processed from construction onward,
+// with Start, read the outcome with Decisions. All exported methods are safe
+// for concurrent use and none blocks; broadcast and agreement traffic is processed from construction onward,
 // so an engine installed before its Start still counts peers that raced ahead.
 type Engine struct {
 	n, f    int
@@ -76,17 +75,16 @@ type Engine struct {
 
 	// mu guards everything below and is held across every call into aba, so
 	// the core's out and decision callbacks run under it too.
-	mu      sync.Mutex
-	started bool
-	held    map[[32]byte]*wire.RBCEcho        // payloads this node holds, by digest
-	valid   map[[32]byte][]wire.AnnounceEntry // a delivered payload's accepted entries, by digest
-	rbc     []*rbcState
-	aba     *consensus.Batch // one instance per broadcaster
-	pending int              // instances still undecided
-	ones    uint64           // instances decided 1, by broadcaster index
-	outBox  []outFrame
-	ready   chan struct{}
-	closed  bool
+	mu        sync.Mutex
+	started   bool
+	held      map[[32]byte]*wire.RBCEcho        // payloads this node holds, by digest
+	valid     map[[32]byte][]wire.AnnounceEntry // a delivered payload's accepted entries, by digest
+	rbc       []*rbcState
+	aba       *consensus.Batch // one instance per broadcaster
+	pending   int              // instances still undecided
+	ones      uint64           // instances decided 1, by broadcaster index
+	outBox    []outFrame
+	decisions []byte // the outcome, once complete
 }
 
 // outFrame is one frame a locked call queued: for node `to`, or for every
@@ -109,7 +107,6 @@ func New(cfg Config) (*Engine, error) {
 		held:    make(map[[32]byte]*wire.RBCEcho, 1),
 		valid:   make(map[[32]byte][]wire.AnnounceEntry, 1),
 		pending: cfg.N,
-		ready:   make(chan struct{}),
 	}
 	aba, err := consensus.NewBatch(cfg.N, cfg.F, cfg.Self, uint32(cfg.N), cfg.Coin, func(m *wire.Consensus) {
 		e.queue(multicast, m)
@@ -184,31 +181,14 @@ func (e *Engine) Handle(from uint16, msg wire.Message) {
 	e.unlockAndSend()
 }
 
-// Results blocks until the common subset is agreed and every decided-1
-// proposal has delivered, then returns the per-ballot decision vector: 1 for
-// every ballot some agreed proposal certifies.
-func (e *Engine) Results(ctx context.Context) ([]byte, error) {
-	select {
-	case <-e.ready:
-	case <-ctx.Done():
-		return nil, fmt.Errorf("acs: awaiting common subset: %w", ctx.Err())
-	}
-	decisions := make([]byte, e.ballots)
+// Decisions returns, once the common subset is agreed and every decided-1
+// proposal has delivered, the per-ballot decision vector: 1 for every ballot
+// some agreed proposal certifies. It returns nil before and does not block;
+// the caller must not modify the vector.
+func (e *Engine) Decisions() []byte {
 	e.mu.Lock()
-	for i := range e.rbc {
-		if e.ones&(1<<i) == 0 {
-			continue
-		}
-		for j := range e.rbc[i].validated {
-			// The production Validate predicate range-checks serials; guard
-			// here too so a permissive one cannot index out of the pool.
-			if s := e.rbc[i].validated[j].Serial; s >= 1 && s <= uint64(e.ballots) {
-				decisions[s-1] = 1
-			}
-		}
-	}
-	e.mu.Unlock()
-	return decisions, nil
+	defer e.mu.Unlock()
+	return e.decisions
 }
 
 // Decided returns how many agreement instances have decided so far.
@@ -474,12 +454,12 @@ func (e *Engine) unlockAndSend() {
 	}
 }
 
-// checkOutput closes the ready channel once every instance has decided and
-// every decided-1 broadcaster has delivered its payload (RBC totality
-// guarantees delivery: a 1-decision implies an honest node input 1, which
-// implies it delivered).
+// checkOutput sets the outcome once every instance has decided and every
+// decided-1 broadcaster has delivered its payload (RBC totality guarantees
+// delivery: a 1-decision implies an honest node input 1, which implies it
+// delivered).
 func (e *Engine) checkOutput() {
-	if e.closed || e.pending != 0 {
+	if e.decisions != nil || e.pending != 0 {
 		return
 	}
 	for i, st := range e.rbc {
@@ -487,6 +467,18 @@ func (e *Engine) checkOutput() {
 			return
 		}
 	}
-	e.closed = true
-	close(e.ready)
+	decisions := make([]byte, e.ballots)
+	for i := range e.rbc {
+		if e.ones&(1<<i) == 0 {
+			continue
+		}
+		for j := range e.rbc[i].validated {
+			// The production Accept predicate range-checks serials; guard
+			// here too so a permissive one cannot index out of the pool.
+			if s := e.rbc[i].validated[j].Serial; s >= 1 && s <= uint64(e.ballots) {
+				decisions[s-1] = 1
+			}
+		}
+	}
+	e.decisions = decisions
 }

@@ -2,9 +2,7 @@ package acs
 
 import (
 	"bytes"
-	"context"
 	"testing"
-	"time"
 
 	"ddemos/internal/consensus"
 	"ddemos/internal/wire"
@@ -132,11 +130,9 @@ func (c *rbcCluster) finish() [][]byte {
 	}
 	out := make([][]byte, len(c.engines))
 	for i, e := range c.engines {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		d, err := e.Results(ctx)
-		cancel()
-		if err != nil {
-			c.t.Fatalf("engine %d: %v", i, err)
+		d := e.Decisions()
+		if d == nil {
+			c.t.Fatalf("engine %d has no outcome with nothing left in flight", i)
 		}
 		out[i] = d
 	}
@@ -569,11 +565,9 @@ func TestRBCIdenticalProposalsSendNoPayload(t *testing.T) {
 		t.Fatalf("sent %d payload frames and %d unicasts, want none", payloads, pulls)
 	}
 	for i, e := range engines {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		got, err := e.Results(ctx)
-		cancel()
-		if err != nil {
-			t.Fatalf("engine %d: %v", i, err)
+		got := e.Decisions()
+		if got == nil {
+			t.Fatalf("engine %d has no outcome with nothing left in flight", i)
 		}
 		if !bytes.Equal(got, []byte{0, 0, 0, 0, 1, 1, 1, 0}) {
 			t.Fatalf("engine %d decided %v", i, got)

@@ -1,10 +1,11 @@
 package consensus
 
 import (
-	"context"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"ddemos/internal/wire"
@@ -16,7 +17,7 @@ import (
 //
 // Usage: create with NewBatch, feed inbound messages via Handle, give every
 // instance its input — all at once with Start, or one by one with Input as
-// the inputs become known — and await Results. Traffic is processed from
+// the inputs become known — and read Decisions. Traffic is processed from
 // construction onward: an instance without input relays, tallies (bounded by
 // maxRoundAhead) and adopts f+1 DECIDEs, so peers that raced ahead are never
 // dropped. The out callback is invoked (serially per flush) with batched
@@ -34,7 +35,6 @@ type Batch struct {
 	inst        []*abaInstance
 	pending     int
 	results     []byte
-	done        chan struct{}
 	flushBuf    map[groupKey][]uint32
 	justDecided []uint32 // decisions of the call in progress, owed to onDecide
 }
@@ -66,14 +66,10 @@ func NewBatch(n, f int, self uint16, count uint32, coin Coin, out func(*wire.Con
 		inst:     make([]*abaInstance, count),
 		pending:  int(count),
 		results:  make([]byte, count),
-		done:     make(chan struct{}),
 		flushBuf: make(map[groupKey][]uint32),
 	}
 	for i := range b.inst {
 		b.inst[i] = newABAInstance()
-	}
-	if count == 0 {
-		close(b.done)
 	}
 	return b, nil
 }
@@ -140,17 +136,16 @@ func (b *Batch) Handle(from uint16, msg *wire.Consensus) {
 	b.finish()
 }
 
-// Results blocks until every instance has decided, returning the decision
-// vector.
-func (b *Batch) Results(ctx context.Context) ([]byte, error) {
-	select {
-	case <-b.done:
-		out := make([]byte, len(b.results))
-		copy(out, b.results)
-		return out, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("consensus: awaiting decisions: %w", ctx.Err())
+// Decisions returns the decision vector once every instance has decided, and
+// nil before; it does not block. The vector is the Batch's own, written for
+// the last time before it is returned: the caller must not modify it.
+func (b *Batch) Decisions() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.pending != 0 {
+		return nil
 	}
+	return b.results
 }
 
 // Decided returns how many instances have decided so far.
@@ -173,6 +168,11 @@ func (b *Batch) finish() {
 				Step: k.step, Round: k.round, Value: k.value, Instances: idxs,
 			})
 		}
+		// In (step, round, value) order, not the map's: the same deliveries
+		// make the same bytes, so a schedule replays byte for byte.
+		slices.SortFunc(msg.Groups, func(x, y wire.ConsensusGroup) int {
+			return cmp.Or(cmp.Compare(x.Step, y.Step), cmp.Compare(x.Round, y.Round), cmp.Compare(x.Value, y.Value))
+		})
 		b.flushBuf = make(map[groupKey][]uint32)
 	}
 	decided := b.justDecided
@@ -345,9 +345,6 @@ func (b *Batch) decide(idx uint32, inst *abaInstance, v byte) {
 		b.justDecided = append(b.justDecided, idx)
 	}
 	b.send(idx, wire.StepDecide, 0, v)
-	if b.pending == 0 {
-		close(b.done)
-	}
 }
 
 func (b *Batch) onDecideMsg(from uint16, idx uint32, inst *abaInstance, v byte) {

@@ -1,7 +1,7 @@
 package consensus
 
 import (
-	"context"
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -98,11 +98,9 @@ func (h *harness) start(t *testing.T, inputs [][]byte) {
 
 func (h *harness) results(t *testing.T, i int) []byte {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, err := h.batches[i].Results(ctx)
-	if err != nil {
-		t.Fatalf("node %d: %v", i, err)
+	res := h.batches[i].Decisions()
+	if res == nil {
+		t.Fatalf("node %d has not decided with nothing in flight", i)
 	}
 	return res
 }
@@ -316,11 +314,8 @@ func TestZeroInstances(t *testing.T) {
 	if err := b.Start(nil); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	res, err := b.Results(ctx)
-	if err != nil || len(res) != 0 {
-		t.Fatalf("res=%v err=%v", res, err)
+	if res := b.Decisions(); res == nil || len(res) != 0 {
+		t.Fatalf("res=%v", res)
 	}
 }
 
@@ -436,6 +431,68 @@ func BenchmarkBatchConsensusUnanimous(b *testing.B) {
 		for _, bb := range h.batches {
 			if bb.Decided() != 1000 {
 				b.Fatal("not all decided")
+			}
+		}
+	}
+}
+
+// TestBatchFramesDeterministic: batches fed the same inputs and the same
+// deliveries emit the same frames, byte for byte, so a schedule replays
+// exactly. The peer frame below makes one flush carry BVAL, AUX and DECIDE
+// groups for both values in two rounds.
+func TestBatchFramesDeterministic(t *testing.T) {
+	const count = 16
+	run := func() [][]byte {
+		var frames [][]byte
+		b, err := NewBatch(4, 1, 0, count, NewHashCoin([]byte("frames")), func(m *wire.Consensus) {
+			frames = append(frames, wire.Encode(m))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := make([]byte, count)
+		for i := range inputs {
+			inputs[i] = byte(i % 2)
+		}
+		if err := b.Start(inputs); err != nil {
+			t.Fatal(err)
+		}
+		all := make([]uint32, count)
+		for i := range all {
+			all[i] = uint32(i) //nolint:gosec // small
+		}
+		for from := uint16(1); from <= 2; from++ {
+			msg := &wire.Consensus{Sender: from}
+			for _, v := range []uint8{0, 1} {
+				msg.Groups = append(msg.Groups,
+					wire.ConsensusGroup{Step: wire.StepBVal, Round: 1, Value: v, Instances: all},
+					wire.ConsensusGroup{Step: wire.StepAux, Round: 1, Value: v, Instances: all},
+					wire.ConsensusGroup{Step: wire.StepBVal, Round: 2, Value: v, Instances: all})
+			}
+			b.Handle(from, msg)
+		}
+		return frames
+	}
+	want := run()
+	groups := 0
+	for _, f := range want {
+		m, err := wire.Decode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups = max(groups, len(m.(*wire.Consensus).Groups))
+	}
+	if groups < 3 {
+		t.Fatalf("the largest flush carried %d groups; the test needs several", groups)
+	}
+	for range 20 {
+		got := run()
+		if len(got) != len(want) {
+			t.Fatalf("a rerun sent %d frames, the first run %d", len(got), len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d differs between runs fed the same deliveries", i)
 			}
 		}
 	}

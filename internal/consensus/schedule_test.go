@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"context"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -139,19 +138,9 @@ func TestPropertyAgreementUnderRandomSchedules(t *testing.T) {
 				}
 			}
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		ref, err := h.batches[0].Results(ctx)
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := h.batches[0].Decisions()
 		for i := 1; i < n; i++ {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			res, err := h.batches[i].Results(ctx)
-			cancel()
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := h.batches[i].Decisions()
 			for j := range res {
 				if res[j] != ref[j] {
 					t.Fatalf("seed %d instance %d: disagreement", seed, j)
@@ -220,13 +209,7 @@ func TestPropertyAgreementWithMessageLoss(t *testing.T) {
 		}
 	}
 	for i, b := range h.batches {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		res, err := b.Results(ctx)
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, v := range res {
+		for j, v := range b.Decisions() {
 			if v != 1 {
 				t.Fatalf("node %d instance %d decided %d (validity under duplication)", i, j, v)
 			}

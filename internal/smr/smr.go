@@ -31,7 +31,7 @@ type Node struct {
 	coin consensus.Coin
 
 	mu      sync.Mutex
-	slots   map[uint64]*consensus.Batch
+	slots   map[uint64]*slotRun
 	done    chan struct{}
 	stopped sync.Once
 	wg      sync.WaitGroup
@@ -47,7 +47,7 @@ func NewNode(id uint16, n, f int, base transport.NodeID, ep transport.Endpoint, 
 		base:  base,
 		ep:    ep,
 		coin:  coin,
-		slots: make(map[uint64]*consensus.Batch),
+		slots: make(map[uint64]*slotRun),
 		done:  make(chan struct{}),
 	}
 }
@@ -71,22 +71,30 @@ func (s *Node) Stop() {
 // through consensus, blocking until the slot is decided — the per-request
 // cost every SMR-based design pays before acknowledging a vote.
 func (s *Node) Order(ctx context.Context, slot uint64) error {
-	b, err := s.slot(slot)
+	run, err := s.slot(slot)
 	if err != nil {
 		return err
 	}
-	if _, err := b.Results(ctx); err != nil {
-		return fmt.Errorf("smr: ordering slot %d: %w", slot, err)
+	select {
+	case <-run.decided:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("smr: ordering slot %d: %w", slot, ctx.Err())
 	}
-	return nil
+}
+
+// slotRun is one slot's consensus, with a channel closed when it decides.
+type slotRun struct {
+	b       *consensus.Batch
+	decided chan struct{}
 }
 
 // slot returns (creating and starting if needed) the consensus for a slot.
-func (s *Node) slot(slot uint64) (*consensus.Batch, error) {
+func (s *Node) slot(slot uint64) (*slotRun, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.slots[slot]; ok {
-		return b, nil
+	if run, ok := s.slots[slot]; ok {
+		return run, nil
 	}
 	peers := make([]transport.NodeID, s.n)
 	for i := range peers {
@@ -101,11 +109,13 @@ func (s *Node) slot(slot uint64) (*consensus.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.slots[slot] = b
+	run := &slotRun{b: b, decided: make(chan struct{})}
+	b.OnDecide(func(uint32, byte) { close(run.decided) }) // one instance: called once
+	s.slots[slot] = run
 	if err := b.Start([]byte{1}); err != nil {
 		return nil, err
 	}
-	return b, nil
+	return run, nil
 }
 
 func (s *Node) pump() {
@@ -133,11 +143,11 @@ func (s *Node) pump() {
 			if env.From < s.base || int(env.From-s.base) >= s.n {
 				continue
 			}
-			b, err := s.slot(slot)
+			run, err := s.slot(slot)
 			if err != nil {
 				continue
 			}
-			b.Handle(uint16(env.From-s.base), cm) //nolint:gosec // small
+			run.b.Handle(uint16(env.From-s.base), cm) //nolint:gosec // small
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package vc
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -48,62 +47,45 @@ func signedEntries(t *testing.T, data *ea.ElectionData, serials []uint64) []wire
 	return out
 }
 
-// startConsensus runs VoteSetConsensus on an un-started host in the
-// background and returns once its engine is installed. The test plays the
-// network: it hands the host frames through routeConsensus, as its pump
-// would, and reads what the host sends from its peers' endpoints.
-func startConsensus(t *testing.T, n *Node) {
+// openRun opens a close-phase run on an un-started host, as
+// VoteSetConsensus would, and returns it with the effects of its opening
+// step. The test plays the network: it feeds the run frames through handle,
+// as the pump would, and reads what the run sends from the effects.
+func openRun(t *testing.T, n *Node) (*closeState, []effect) {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = n.VoteSetConsensus(ctx)
-	}()
-	t.Cleanup(func() { cancel(); <-done })
-	waitFor(t, func() bool { return n.engineInstalled() != nil })
-}
-
-// engineInstalled returns the node's running consensus, or nil.
-func (n *Node) engineInstalled() *vscEngine {
-	n.vscMu.Lock()
-	defer n.vscMu.Unlock()
-	return n.vsc
+	c, err := n.newClose(func([]byte) {}, func(uint16, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, c.Step(closeEvent{kind: evOpen})
 }
 
 // gateOpen reports whether Nv-fv announces have counted.
-func gateOpen(n *Node) bool {
-	select {
-	case <-n.engineInstalled().announceReady:
-		return true
-	default:
-		return false
-	}
+func gateOpen(c *closeState) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.phase != announcing
 }
 
-// nextFrom reads what node `from` sent to endpoint ep until a message of
-// type M arrives.
-func nextFrom[M wire.Message](t *testing.T, ep transport.Endpoint, from uint16) M {
+// sentTo returns the first frame of type M among effects that goes to node
+// `to`, by unicast or multicast.
+func sentTo[M wire.Message](t *testing.T, effs []effect, to uint16) M {
 	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case env := <-ep.Recv():
-			if uint16(env.From) != from { //nolint:gosec // small
-				continue
-			}
-			msg, err := wire.Decode(env.Payload)
-			if err != nil {
-				t.Fatalf("node %d sent a malformed frame: %v", from, err)
-			}
-			if m, ok := msg.(M); ok {
-				return m
-			}
-		case <-deadline:
-			var zero M
-			t.Fatalf("node %d sent no %T", from, zero)
+	for _, ef := range effs {
+		if (ef.kind != effSend || ef.to != to) && ef.kind != effMulticast {
+			continue
+		}
+		msg, err := wire.Decode(ef.frame)
+		if err != nil {
+			t.Fatalf("the node sent a malformed frame: %v", err)
+		}
+		if m, ok := msg.(M); ok {
+			return m
 		}
 	}
+	var zero M
+	t.Fatalf("the node sent no %T to node %d", zero, to)
+	return zero
 }
 
 // TestAnnounceGateWaitsForPullAnswer: a Byzantine peer that announces every
@@ -117,26 +99,26 @@ func TestAnnounceGateWaitsForPullAnswer(t *testing.T) {
 			data, nodes := memoHosts(t, memoBallots)
 			n := nodes[0]
 			warm(t, n, signedEntries(t, data, span(1, 6))...)
-			startConsensus(t, n)
-			if !nextFrom[*wire.AnnounceSet](t, nodes[1].ep, 0).Bitmap.Within(memoBallots) {
+			c, opened := openRun(t, n)
+			if !sentTo[*wire.AnnounceSet](t, opened, 1).Bitmap.Within(memoBallots) {
 				t.Fatal("the node's own announce is past the pool")
 			}
 
 			// Refused: one byte past the pool, and a bit past its last serial.
 			bad := n.Metrics().BadMessages
-			n.routeConsensus(2, &wire.AnnounceSet{Sender: 2, Bitmap: append(serialsBitmap(memoBallots, 1), 0xFF)})
-			n.routeConsensus(2, &wire.AnnounceSet{Sender: 2, Bitmap: wire.SerialBitmap{0, 0x10}})
+			c.handle(2, &wire.AnnounceSet{Sender: 2, Bitmap: append(serialsBitmap(memoBallots, 1), 0xFF)})
+			c.handle(2, &wire.AnnounceSet{Sender: 2, Bitmap: wire.SerialBitmap{0, 0x10}})
 			if got := n.Metrics().BadMessages - bad; got != 2 {
 				t.Fatalf("%d bad messages counted for two out-of-pool bitmaps, want 2", got)
 			}
 
-			n.routeConsensus(3, &wire.AnnounceSet{Sender: 3, Bitmap: serialsBitmap(memoBallots, span(1, memoBallots)...)})
-			req := nextFrom[*wire.RecoverRequest](t, nodes[3].ep, 0)
+			pulled := c.handle(3, &wire.AnnounceSet{Sender: 3, Bitmap: serialsBitmap(memoBallots, span(1, memoBallots)...)})
+			req := sentTo[*wire.RecoverRequest](t, pulled, 3)
 			if !slices.Equal(req.Serials, span(7, memoBallots)) {
 				t.Fatalf("pulled %v from the peer that announced every serial, want %v", req.Serials, span(7, memoBallots))
 			}
-			n.routeConsensus(1, &wire.AnnounceSet{Sender: 1, Bitmap: serialsBitmap(memoBallots, span(1, 6)...)})
-			if gateOpen(n) {
+			c.handle(1, &wire.AnnounceSet{Sender: 1, Bitmap: serialsBitmap(memoBallots, span(1, 6)...)})
+			if gateOpen(c) {
 				t.Fatal("the gate opened on an announce whose pull is unanswered")
 			}
 
@@ -146,16 +128,16 @@ func TestAnnounceGateWaitsForPullAnswer(t *testing.T) {
 				for i := range garbage {
 					garbage[i].Cert.Sigs[1].Sig[0] ^= 1
 				}
-				n.routeConsensus(3, &wire.RecoverResponse{Entries: garbage})
+				c.handle(3, &wire.RecoverResponse{Entries: garbage})
 				if got := n.Metrics().BadMessages - bad; got != int64(len(garbage)) {
 					t.Fatalf("%d bad messages counted for %d garbage entries", got, len(garbage))
 				}
-				if !gateOpen(n) {
+				if !gateOpen(c) {
 					t.Fatal("the answered announce did not count")
 				}
 			} else {
-				n.routeConsensus(2, &wire.AnnounceSet{Sender: 2, Bitmap: serialsBitmap(memoBallots, span(1, 6)...)})
-				if !gateOpen(n) {
+				c.handle(2, &wire.AnnounceSet{Sender: 2, Bitmap: serialsBitmap(memoBallots, span(1, 6)...)})
+				if !gateOpen(c) {
 					t.Fatal("a silent peer held the gate shut")
 				}
 			}
@@ -178,46 +160,41 @@ func TestRecoverAnswersBoundedPerPeer(t *testing.T) {
 	n.vscMu.Lock()
 	n.vscDone, n.vscResult = true, []VotedBallot{} // an idle, finished node
 	n.vscMu.Unlock()
+	rec := &recorder{}
+	n.ep = &recordingEndpoint{Endpoint: n.ep, r: rec}
 
 	all := span(1, memoBallots)
 	flood := &wire.RecoverRequest{Serials: append(append(slices.Clone(all), all...), 0, memoBallots+1)}
-	// drain reads node 0's answers to peer 3: until they carry want entries,
-	// then until none has come for a while, so an excess shows.
-	drain := func(want int) (entries int) {
-		for {
-			wait := 5 * time.Second
-			if entries >= want {
-				wait = 100 * time.Millisecond
+	// drain counts the entries of node 0's answers to peer 3 sent since the
+	// last drain; the endpoint records each send as it is made.
+	seen := 0
+	drain := func() (entries int) {
+		answers := frames[*wire.RecoverResponse](rec)
+		for _, f := range answers[seen:] {
+			if f.to != 3 {
+				continue
 			}
-			select {
-			case env := <-nodes[3].ep.Recv():
-				msg, err := wire.Decode(env.Payload)
-				if err != nil {
-					t.Fatal(err)
+			named := make(map[uint64]bool)
+			for _, e := range f.msg.(*wire.RecoverResponse).Entries {
+				if named[e.Serial] {
+					t.Fatalf("an answer names ballot %d twice", e.Serial)
 				}
-				resp := msg.(*wire.RecoverResponse)
-				seen := make(map[uint64]bool)
-				for _, e := range resp.Entries {
-					if seen[e.Serial] {
-						t.Fatalf("an answer names ballot %d twice", e.Serial)
-					}
-					seen[e.Serial] = true
-				}
-				entries += len(resp.Entries)
-			case <-time.After(wait):
-				return entries
+				named[e.Serial] = true
 			}
+			entries += len(f.msg.(*wire.RecoverResponse).Entries)
 		}
+		seen = len(answers)
+		return entries
 	}
 	for i := 0; i < 100; i++ {
 		n.routeConsensus(3, flood)
 	}
-	if got, want := drain(recoverBudget(memoBallots)), recoverBudget(memoBallots); got != want {
+	if got, want := drain(), recoverBudget(memoBallots); got != want {
 		t.Fatalf("100 pulls of every ballot were answered with %d entries, want the budget %d", got, want)
 	}
 	n.clk.(*clock.Fake).Advance(recoverRetryInterval)
 	n.routeConsensus(3, flood)
-	if got := drain(memoBallots); got != memoBallots {
+	if got := drain(); got != memoBallots {
 		t.Fatalf("the next interval answered %d entries, want %d", got, memoBallots)
 	}
 }

@@ -1,7 +1,6 @@
 package vc
 
 import (
-	"context"
 	"fmt"
 
 	"ddemos/internal/acs"
@@ -17,10 +16,12 @@ import (
 //
 // Lifecycle: the engine is constructed when consensus is installed (so it
 // can absorb traffic from peers that raced ahead), Start is called once the
-// announce quorum is in, and Results blocks for the decision vector: one
-// 0/1 byte per ballot, index serial-1. All honest nodes' engines must
-// return identical vectors. Handle receives every engine-kind frame routed
-// to the node; engines ignore kinds they do not speak.
+// announce quorum is in, and Decisions hands back the decision vector — one
+// 0/1 byte per ballot, index serial-1 — once it is complete. All honest
+// nodes' engines must return identical vectors. Handle receives every
+// engine-kind frame routed to the node; engines ignore kinds they do not
+// speak. No method blocks: the close state reads Decisions after every
+// Start and Handle.
 type ConsensusEngine interface {
 	// Start begins agreement. proposal is this node's certified vote set in
 	// serial order, encoded once as its own broadcast (sender and broadcaster
@@ -30,8 +31,9 @@ type ConsensusEngine interface {
 	Start(proposal *wire.RBCEcho, inputs []byte) error
 	// Handle processes one inbound engine frame from peer `from`.
 	Handle(from uint16, msg wire.Message)
-	// Results blocks until every ballot is decided.
-	Results(ctx context.Context) ([]byte, error)
+	// Decisions returns the decision vector once every ballot is decided,
+	// and nil before. The caller must not modify it.
+	Decisions() []byte
 }
 
 // EngineConfig is everything a consensus engine may depend on, injected so
@@ -115,7 +117,5 @@ func (e *interlockedEngine) Handle(from uint16, msg wire.Message) {
 	}
 }
 
-// Results implements ConsensusEngine.
-func (e *interlockedEngine) Results(ctx context.Context) ([]byte, error) {
-	return e.batch.Results(ctx)
-}
+// Decisions implements ConsensusEngine.
+func (e *interlockedEngine) Decisions() []byte { return e.batch.Decisions() }

@@ -124,7 +124,7 @@ type Node struct {
 	collectors map[collectorKey]*endorseCollector
 
 	vscMu      sync.Mutex
-	vsc        *vscEngine
+	vsc        *closeState
 	vscBuffer  []bufferedMsg
 	vscDone    bool          // vote-set consensus completed (possibly recovered)
 	vscDurable bool          // the vsc record landed in the journal (Strict duty)
@@ -729,10 +729,7 @@ func (n *Node) collectEndorsements(ctx context.Context, serial uint64, code []by
 	// never retransmitted), and a retry must re-request or it waits forever.
 	// Peers endorse idempotently and duplicate replies dedup, so the extra
 	// multicast under benign same-code races is harmless.
-	frame := wire.Encode(&wire.Endorse{Serial: serial, Code: code})
-	if err := transport.Multicast(n.ep, n.peers, frame); err != nil {
-		n.metrics.SendErrors.Add(1)
-	}
+	n.multicast(wire.Encode(&wire.Endorse{Serial: serial, Code: code}))
 	select {
 	case <-col.done:
 	case <-ctx.Done():
@@ -946,9 +943,7 @@ func (n *Node) onEndorse(from uint16, m *wire.Endorse) {
 		}
 	}
 	reply := &wire.Endorsement{Serial: m.Serial, Code: m.Code, Signer: n.self, Sig: n.endorseSig(m.Serial, m.Code)}
-	if err := n.ep.Send(transport.NodeID(from), wire.Encode(reply)); err != nil {
-		n.metrics.SendErrors.Add(1)
-	}
+	n.sendTo(from, wire.Encode(reply))
 }
 
 // onEndorsementBatch records a batch of endorsement signatures: every
@@ -1013,9 +1008,7 @@ func (n *Node) multicastVoteP(serial uint64, code []byte, share shamir.Share, bd
 		SharePath:  ea.SharePath(bd, part, row),
 		Cert:       *cert,
 	}
-	if err := transport.Multicast(n.ep, n.peers, wire.Encode(msg)); err != nil {
-		n.metrics.SendErrors.Add(1)
-	}
+	n.multicast(wire.Encode(msg))
 }
 
 // votePCandidate carries one VOTE_P through the batch validation stages.

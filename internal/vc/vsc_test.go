@@ -229,8 +229,14 @@ func TestVSCDoubleRunRejected(t *testing.T) {
 		defer cancel()
 		_, _ = c.nodes[0].VoteSetConsensus(ctx)
 	}()
-	// Give the first run a moment to install, then a second run must fail.
-	time.Sleep(50 * time.Millisecond)
+	// Once the first run is installed, a second run must fail. It cannot
+	// finish before the others run: its gate needs their announces.
+	waitFor(t, func() bool {
+		n := c.nodes[0]
+		n.vscMu.Lock()
+		defer n.vscMu.Unlock()
+		return n.vsc != nil
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	if _, err := c.nodes[0].VoteSetConsensus(ctx); err == nil {
